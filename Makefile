@@ -1,19 +1,15 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build, the
 # vclint determinism/concurrency analyzers, the full test suite, a
 # short smoke of both fuzz targets, a single-iteration benchmark pass
-# (which includes the obs disabled-path overhead guard), and the race
-# pass over the concurrent packages (harness engine + encoders). The
-# race pass re-runs the golden and equivalence suites under the
-# detector, so it gets a long timeout.
+# (which includes the obs disabled-path overhead guard), a 1/50-scale
+# pass of vcbench, the six end-to-end smokes, and the race pass over
+# the concurrent packages (harness engine + encoders). The race pass
+# re-runs the golden and equivalence suites under the detector, so it
+# gets a long timeout.
 
 GO ?= go
 RACE_TIMEOUT ?= 60m
 FUZZTIME ?= 10s
-# Benchmark trajectory file for the current PR; override per run
-# (`make bench BENCH_OUT=BENCH_prN`) when cutting a new trajectory.
-# Smoke targets that compare against a specific PR's numbers pin their
-# own BENCH_OUT below, so bumping this default cannot repoint them.
-BENCH_OUT ?= BENCH_pr10
 
 # Every stdlib vet pass, spelled out (from `go tool vet help`) so a
 # toolchain that grows a new pass fails loudly here instead of silently
@@ -25,9 +21,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build lint lint-fixtures test race golden bench bench-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build lint lint-fixtures test race golden bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build lint lint-fixtures test fuzz-smoke bench-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke race
+ci: fmt vet build lint lint-fixtures test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -74,24 +70,36 @@ race:
 golden:
 	$(GO) test ./internal/harness -run TestGoldenTables -update
 
-# Full benchmark pass. The text file is the benchstat-compatible source
-# of truth (compare runs with `benchstat old.txt new.txt`); benchjson
-# re-emits the same measurements as $(BENCH_OUT).json for dashboards.
+# Full pass of the Go micro-benchmarks, kept as benchstat-compatible
+# text (compare runs with `benchstat old.txt new.txt`). The ledger that
+# gates regressions is `make perf`, not this.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/obs | tee $(BENCH_OUT).txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_OUT).json $(BENCH_OUT).txt
+	mkdir -p bench/out
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/obs | tee bench/out/gobench.txt
 
 # One iteration of every benchmark: proves they still run (and trips
 # the obs allocation guard) without paying full measurement time.
 bench-short:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . ./internal/obs
 
+# vcbench, the repository's one benchmark (bench/README.md): five runs
+# of every workload into bench/out/current.json, then the verdict table
+# against the committed baseline; exit 1 on any regression.
+perf:
+	$(GO) run ./bench -runs 5 -out bench/out/current.json
+	$(GO) run ./bench -compare bench/results/baseline.json bench/out/current.json
+
+# ~1/50-scale pass of the same code paths: proves every workload still
+# runs and checks its results, without measuring anything.
+perf-short:
+	$(GO) run ./bench -short
+
 # End-to-end smoke of the serving layer: boots vcprofd on a random
 # port, drives it with vcload twice (200 jobs, c=16), and requires zero
 # failures, identical digests across passes, a >=90% store hit rate on
 # the warm pass, and a clean SIGTERM drain. See scripts/serve_smoke.sh.
 serve-smoke:
-	BENCH_OUT=BENCH_pr4 GO="$(GO)" sh scripts/serve_smoke.sh
+	GO="$(GO)" sh scripts/serve_smoke.sh
 
 # End-to-end smoke of the live telemetry pipeline: the same seeded
 # vcload mix against a telemetry-off and a telemetry-on daemon must
@@ -99,7 +107,7 @@ serve-smoke:
 # mid-load (top-down sums to 1 +/- 0.001, p99 >= p50); series and
 # folded-stack surfaces must serve. See scripts/telemetry_smoke.sh.
 telemetry-smoke:
-	BENCH_OUT=BENCH_pr5 GO="$(GO)" sh scripts/telemetry_smoke.sh
+	GO="$(GO)" sh scripts/telemetry_smoke.sh
 
 # End-to-end smoke of the shard scheduler: the same seeded bimodal
 # vcload mix against a baseline daemon (sharding off, fifo) and a
@@ -107,7 +115,7 @@ telemetry-smoke:
 # identical digests, and the light-job p99 must improve by >=5x. See
 # scripts/sched_smoke.sh.
 sched-smoke:
-	BENCH_OUT=BENCH_pr6 GO="$(GO)" sh scripts/sched_smoke.sh
+	GO="$(GO)" sh scripts/sched_smoke.sh
 
 # End-to-end smoke of the shard router: a single-daemon baseline, a
 # chaotic cold pass through vcgate over 3 shards (one SIGKILLed
@@ -116,7 +124,7 @@ sched-smoke:
 # of jobs to a shard already holding the bytes. See
 # scripts/cluster_smoke.sh.
 cluster-smoke:
-	BENCH_OUT=BENCH_pr8 GO="$(GO)" sh scripts/cluster_smoke.sh
+	GO="$(GO)" sh scripts/cluster_smoke.sh
 
 # End-to-end smoke of the live-encode session engine: the same seeded
 # session mix in-process, over a single vcprofd, and through vcgate
@@ -125,7 +133,7 @@ cluster-smoke:
 # >=20% instructions with byte-identical output. See
 # scripts/live_smoke.sh.
 live-smoke:
-	BENCH_OUT=BENCH_pr9 GO="$(GO)" sh scripts/live_smoke.sh
+	GO="$(GO)" sh scripts/live_smoke.sh
 
 # End-to-end smoke of the tracing and federation surfaces: vcgate over
 # 3 shards (R=2) with a live session whose pinned shard is SIGKILLed
@@ -134,7 +142,7 @@ live-smoke:
 # federate /v1/cluster/metrics byte-stably, and pass `vcperf slo
 # -assert` with zero burn. See scripts/trace_smoke.sh.
 trace-smoke:
-	BENCH_OUT=BENCH_pr10 GO="$(GO)" sh scripts/trace_smoke.sh
+	GO="$(GO)" sh scripts/trace_smoke.sh
 
 # Ten-second smoke of each fuzz target over its committed seed corpus.
 # Finding a crasher here fails CI; reproduce with the file Go writes

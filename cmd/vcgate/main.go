@@ -23,16 +23,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"vcprof/internal/cluster"
+	"vcprof/internal/service"
 )
 
 func main() {
@@ -97,10 +94,7 @@ func run() error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The router's base context is NOT the signal context: drives must
+	// The router's base context is NOT a signal context: drives must
 	// survive the start of a drain and only die when the drain budget
 	// runs out (Shutdown cancels the base context itself).
 	rt, err := cluster.NewRouter(context.Background(), cluster.Config{
@@ -128,37 +122,8 @@ func run() error {
 	}
 	rt.Start()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("listening on %s\n", ln.Addr())
 	for _, sh := range shards {
 		fmt.Fprintf(os.Stderr, "shard %s: %s\n", sh.Name, sh.URL)
 	}
-
-	httpSrv := &http.Server{Handler: rt.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop() // restore default signal handling: a second ^C kills hard
-
-	fmt.Fprintln(os.Stderr, "draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := rt.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "vcgate: drain:", err)
-	}
-	httpCtx, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel2()
-	if err := httpSrv.Shutdown(httpCtx); err != nil {
-		httpSrv.Close()
-	}
-	fmt.Fprintln(os.Stderr, "bye")
-	return nil
+	return service.RunDaemon("vcgate", *addr, rt.Handler(), *drain, rt.Shutdown)
 }

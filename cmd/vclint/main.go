@@ -72,12 +72,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	diags := analysis.Run(pkgs, analyzers)
 	if *jsonOut {
-		if err := analysis.WriteJSON(stdout, diags); err != nil {
+		if err := analysis.RenderJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "vclint:", err)
 			return 2
 		}
 	} else {
-		analysis.WriteText(stdout, diags, *why)
+		analysis.RenderText(stdout, diags, *why)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "vclint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

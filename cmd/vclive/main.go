@@ -19,14 +19,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -34,10 +31,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vcprof/internal/cluster"
 	"vcprof/internal/encoders"
 	"vcprof/internal/live"
+	"vcprof/internal/obs"
 	"vcprof/internal/sched"
+	"vcprof/internal/service"
 	"vcprof/internal/video"
 )
 
@@ -60,7 +58,7 @@ func run() error {
 		div      = flag.Int("div", 8, "resolution divisor per session")
 		feed     = flag.Int("feed", 8, "frames per feed batch (arrival watermark step)")
 		swEvery  = flag.Int("switch-every", 4, "give every k-th session a mid-stream preset switch (0 = off)")
-		bench    = flag.Bool("bench", false, "print benchjson-compatible Benchmark lines")
+		bench    = flag.Bool("bench", false, "print the run as Go-benchmark-format lines")
 		ladder   = flag.Bool("ladder-compare", false, "run the ABR ladder-sharing comparison (share on vs off) and exit")
 		study    = flag.Bool("study", false, "run the live-vs-VOD top-down study and exit")
 		studyFam = flag.String("study-family", "svt-av1", "family for -study / -ladder-compare")
@@ -98,9 +96,9 @@ func run() error {
 		if !strings.Contains(base, "://") {
 			base = "http://" + base
 		}
-		client := &http.Client{Timeout: 5 * time.Minute}
+		daemon := service.Client{Base: base, HTTP: &http.Client{Timeout: 5 * time.Minute}}
 		drive = func(i int) (sessionOutcome, error) {
-			return driveRemote(client, base, &specs[i], *feed)
+			return driveRemote(context.Background(), daemon, &specs[i], *feed)
 		}
 	}
 
@@ -157,7 +155,7 @@ func run() error {
 		*n, wall.Seconds(), float64(*n)/wall.Seconds(), *conc)
 	fmt.Printf("gops %d, deadline-misses %d, dropped-frames %d, degrade-steps %d\n",
 		gops, misses, droppedFrames, degrades)
-	fmt.Printf("digest %s\n", cluster.FoldDigest(digests))
+	fmt.Printf("digest %s\n", obs.FoldDigest(digests))
 
 	if *bench {
 		fmt.Printf("BenchmarkLiveSession %d %d ns/op\n", *n, wall.Nanoseconds()/int64(*n))
@@ -263,38 +261,23 @@ func driveLocal(spec *live.SessionSpec, cfg live.Config, batch int) (sessionOutc
 	return sessionOutcome{digest: s.Digest(), stats: s.Stats()}, nil
 }
 
-// The daemon/gate session wire forms (mirrors internal/service).
-type wireCreate struct {
-	ID   string           `json:"id"`
-	Key  string           `json:"key"`
-	Spec live.SessionSpec `json:"spec"`
-}
-
-type wireFeed struct {
-	ID    string           `json:"id"`
-	GOPs  []live.GOPResult `json:"gops"`
-	Stats live.Stats       `json:"stats"`
-}
-
 // driveRemote drives one session over the HTTP protocol: create, then
 // absolute arrival watermarks in batches, eos on the last. The digests
 // come back per GOP and fold client-side.
-func driveRemote(client *http.Client, base string, spec *live.SessionSpec, batch int) (sessionOutcome, error) {
-	var created wireCreate
-	if err := postJSON(client, base+"/v1/sessions",
-		map[string]any{"spec": spec}, http.StatusCreated, &created); err != nil {
+func driveRemote(ctx context.Context, daemon service.Client, spec *live.SessionSpec, batch int) (sessionOutcome, error) {
+	created, err := daemon.CreateSession(ctx, service.SessionCreateReq{Spec: *spec}, "")
+	if err != nil {
 		return sessionOutcome{}, fmt.Errorf("create: %w", err)
 	}
 	var ds [][32]byte
-	var last wireFeed
+	var last service.SessionFeedResp
 	for fed := 0; ; {
 		fed += batch
 		eos := fed >= spec.Frames
 		if eos {
 			fed = spec.Frames
 		}
-		err := postJSON(client, base+"/v1/sessions/"+created.ID+"/frames",
-			map[string]any{"fed": fed, "eos": eos}, http.StatusOK, &last)
+		last, err = daemon.FeedSession(ctx, created.ID, service.SessionFeedReq{Fed: fed, EOS: eos}, "")
 		if err != nil {
 			return sessionOutcome{}, fmt.Errorf("feed %d: %w", fed, err)
 		}
@@ -314,27 +297,7 @@ func driveRemote(client *http.Client, base string, spec *live.SessionSpec, batch
 	if !last.Stats.Done {
 		return sessionOutcome{}, fmt.Errorf("session not done after eos: %+v", last.Stats)
 	}
-	return sessionOutcome{digest: live.SessionDigest(ds), stats: last.Stats}, nil
-}
-
-func postJSON(client *http.Client, url string, body any, want int, out any) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != want {
-		return fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	return json.Unmarshal(raw, out)
+	return sessionOutcome{digest: obs.FoldDigest(ds), stats: last.Stats}, nil
 }
 
 // ladderSpec is the fixed operating point the comparison and the study

@@ -15,12 +15,11 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -39,8 +38,8 @@ import (
 
 // latHist is the client-side job latency distribution, on the same
 // shared bucket layout as the server's svc.job.latency_ms — the two
-// line up bucket for bucket, so BENCH_pr5.json latency lines are
-// comparable with what the daemon exposes on /metrics. Volatile: it
+// line up bucket for bucket, so its latency lines are comparable
+// with what the daemon exposes on /metrics. Volatile: it
 // measures wall time.
 var latHist = obs.NewVolatileHistogram("vcload.latency_ms", telemetry.LatencyBucketsMS)
 
@@ -62,7 +61,7 @@ func run() error {
 		expFrac = flag.Int("exp-every", 0, "make every k-th job a quick experiment (0 = encodes only)")
 		heavy   = flag.Int("heavy-every", 0, "make every k-th encode heavy (4× frames, 4× resolution, slowest preset) — the bimodal mix the tail-latency study uses (0 = off)")
 		flat    = flag.Bool("flat-prio", false, "serve everything at one priority class (the tail-latency study isolates cost-aware ordering from priority tiers)")
-		bench   = flag.Bool("bench", false, "print benchjson-compatible Benchmark lines")
+		bench   = flag.Bool("bench", false, "print the run as Go-benchmark-format lines")
 		gate    = flag.Bool("gate", false, "the target is a vcgate router: fetch /v1/cluster/stats after the run and print per-route stats (warm-rate, hedges, failovers, per-shard rows)")
 	)
 	flag.Parse()
@@ -76,7 +75,8 @@ func run() error {
 	}
 	specs := buildMix(*seed, *n, *frames, *div, *expFrac, *heavy, *flat)
 
-	client := &http.Client{Timeout: 5 * time.Minute}
+	ctx := context.Background()
+	daemon := service.Client{Base: base, HTTP: &http.Client{Timeout: 5 * time.Minute}}
 	var (
 		next       atomic.Int64
 		failures   atomic.Int64
@@ -108,7 +108,7 @@ func run() error {
 				if i >= *n {
 					return
 				}
-				body, wasCached, ds, err := driveJob(client, base, &specs[i])
+				body, ds, err := driveJob(ctx, daemon, &specs[i])
 				if err != nil {
 					fail(fmt.Errorf("job %d: %w", i, err))
 					continue
@@ -120,7 +120,7 @@ func run() error {
 				latencies[i] = ds.Served
 				latHist.Observe(uint64(ds.Served.Milliseconds()))
 				digests[i] = sha256.Sum256(body)
-				if wasCached {
+				if ds.Cached {
 					cached.Add(1)
 				}
 				retried.Add(int64(ds.Retries429))
@@ -147,10 +147,10 @@ func run() error {
 	// The digest folds per-job result digests in job-index order — a
 	// pure function of (seed, n, frames, div) and the service's result
 	// bytes, independent of worker interleaving, topology and routing.
-	fmt.Printf("digest %s\n", cluster.FoldDigest(digests))
+	fmt.Printf("digest %s\n", obs.FoldDigest(digests))
 
 	if *gate {
-		if err := printGateStats(client, base); err != nil {
+		if err := printGateStats(ctx, daemon); err != nil {
 			fmt.Fprintf(os.Stderr, "vcload: gate stats: %v\n", err)
 		}
 	}
@@ -195,21 +195,13 @@ func run() error {
 // printGateStats renders the per-route report after a -gate run: the
 // router's aggregate counters (the warm-rate line is the one the
 // cluster smoke greps) plus one row per shard.
-func printGateStats(client httpDoer, base string) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/cluster/stats", nil)
+func printGateStats(ctx context.Context, gate service.Client) error {
+	body, err := gate.Get(ctx, "/v1/cluster/stats")
 	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d (is the target really a vcgate?)", resp.StatusCode)
+		return fmt.Errorf("%w (is the target really a vcgate?)", err)
 	}
 	var s cluster.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+	if err := json.Unmarshal(body, &s); err != nil {
 		return err
 	}
 	fmt.Printf("gate warm-rate %.1f%% (%d/%d warm routes), hedges %d launched %d won, failovers %d, fallbacks %d\n",
@@ -301,19 +293,6 @@ func (s *splitmix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// driveStats is one job's attempt accounting. Served measures the
-// serving latency — acceptance (2xx submit) to result fetched — NOT
-// the time spent getting accepted: 429 backoff sleeps and reconnect
-// retries are admission noise, counted in their own fields. Before
-// this split a saturated or flapping server inflated the latency
-// quantiles with retry sleep time, conflating "the server is slow"
-// with "the server asked me to come back later".
-type driveStats struct {
-	Served     time.Duration // accepted submit → result bytes in hand
-	Retries429 int           // submits answered 429 and retried
-	Reconnects int           // submit transport errors retried
-}
-
 // maxReconnects bounds transport-level submit retries: transient
 // connect errors (a gate failing over, a listener mid-restart) are
 // retried with backoff and counted, anything persistent fails the job.
@@ -321,134 +300,10 @@ const maxReconnects = 3
 
 // driveJob pushes one job through submit → poll → fetch and returns the
 // result body plus the attempt/served split.
-func driveJob(client httpDoer, base string, spec *service.JobSpec) (body []byte, cached bool, ds driveStats, err error) {
+func driveJob(ctx context.Context, daemon service.Client, spec *service.JobSpec) ([]byte, service.DriveStats, error) {
 	payload, err := json.Marshal(spec)
 	if err != nil {
-		return nil, false, ds, err
+		return nil, service.DriveStats{}, err
 	}
-	id := spec.Key()
-	for {
-		st, code, err := postJob(client, base, payload)
-		if err != nil {
-			if ds.Reconnects >= maxReconnects {
-				return nil, false, ds, fmt.Errorf("submit (after %d reconnects): %w", ds.Reconnects, err)
-			}
-			ds.Reconnects++
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		switch code {
-		case http.StatusOK:
-			cached = true
-		case http.StatusAccepted:
-		case http.StatusTooManyRequests:
-			ds.Retries429++
-			time.Sleep(25 * time.Millisecond)
-			continue
-		default:
-			return nil, false, ds, fmt.Errorf("submit: HTTP %d: %s", code, st.Error)
-		}
-		if st.ID != id {
-			return nil, false, ds, fmt.Errorf("server key %s != local key %s", st.ID, id)
-		}
-		break
-	}
-	// The served clock starts here: the job is accepted (or cached);
-	// everything before this point was admission, not service.
-	accepted := time.Now()
-	delay := 1 * time.Millisecond
-	for {
-		st, code, err := getJSON(client, base+"/v1/jobs/"+id)
-		if err != nil {
-			return nil, false, ds, err
-		}
-		if code != http.StatusOK {
-			return nil, false, ds, fmt.Errorf("status: HTTP %d: %s", code, st.Error)
-		}
-		if st.Status == "failed" {
-			return nil, false, ds, fmt.Errorf("job failed: %s", st.Error)
-		}
-		if st.Status == "done" {
-			break
-		}
-		time.Sleep(delay)
-		if delay < 50*time.Millisecond {
-			delay *= 2
-		}
-	}
-	body, err = fetchResult(client, base, id)
-	if err != nil {
-		return nil, false, ds, err
-	}
-	ds.Served = time.Since(accepted)
-	return body, cached, ds, nil
-}
-
-func fetchResult(client httpDoer, base, id string) ([]byte, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/results/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return body, nil
-}
-
-// status mirrors the server's jobStatus wire form.
-type status struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Cached bool   `json:"cached"`
-	Error  string `json:"error"`
-}
-
-// httpDoer is the transport seam: *http.Client in production, a fake
-// in the attempt/served-split regression tests.
-type httpDoer interface {
-	Do(req *http.Request) (*http.Response, error)
-}
-
-func postJob(client httpDoer, base string, payload []byte) (status, int, error) {
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		return status{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return status{}, 0, err
-	}
-	defer resp.Body.Close()
-	var st status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil && resp.StatusCode < 500 {
-		return status{}, resp.StatusCode, fmt.Errorf("bad status body: %w", err)
-	}
-	return st, resp.StatusCode, nil
-}
-
-func getJSON(client httpDoer, url string) (status, int, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return status{}, 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return status{}, 0, err
-	}
-	defer resp.Body.Close()
-	var st status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return status{}, resp.StatusCode, fmt.Errorf("bad status body: %w", err)
-	}
-	return st, resp.StatusCode, nil
+	return daemon.Drive(ctx, spec.Key(), payload, service.DriveOpts{Reconnects: maxReconnects})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -72,12 +73,12 @@ func TestDriveJobSplitsRetriesFromServedLatency(t *testing.T) {
 	const serveDelay = 30 * time.Millisecond
 	srv := slowAdmitServer(t, spec, rejects, serveDelay)
 
-	body, cached, ds, err := driveJob(srv.Client(), srv.URL, spec)
+	body, ds, err := driveJob(context.Background(), service.Client{Base: srv.URL, HTTP: srv.Client()}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) == 0 || cached {
-		t.Fatalf("body=%d bytes cached=%v, want bytes and not cached", len(body), cached)
+	if len(body) == 0 || ds.Cached {
+		t.Fatalf("body=%d bytes cached=%v, want bytes and not cached", len(body), ds.Cached)
 	}
 	if ds.Retries429 != rejects {
 		t.Fatalf("retries_429 = %d, want %d", ds.Retries429, rejects)
@@ -118,7 +119,7 @@ func TestDriveJobCountsReconnectsSeparately(t *testing.T) {
 	srv := slowAdmitServer(t, spec, 0, time.Millisecond)
 
 	client := &http.Client{Transport: &flakyTransport{fails: 2, next: http.DefaultTransport}}
-	_, _, ds, err := driveJob(client, srv.URL, spec)
+	_, ds, err := driveJob(context.Background(), service.Client{Base: srv.URL, HTTP: client}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDriveJobCountsReconnectsSeparately(t *testing.T) {
 func TestDriveJobGivesUpAfterMaxReconnects(t *testing.T) {
 	spec := testSpec(t)
 	client := &http.Client{Transport: &flakyTransport{fails: 1 << 30, next: http.DefaultTransport}}
-	_, _, ds, err := driveJob(client, "http://127.0.0.1:0", spec)
+	_, ds, err := driveJob(context.Background(), service.Client{Base: "http://127.0.0.1:0", HTTP: client}, spec)
 	if err == nil {
 		t.Fatal("driveJob succeeded against a dead transport")
 	}

@@ -21,10 +21,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"vcprof/internal/obs"
+	"vcprof/internal/service"
 	"vcprof/internal/telemetry"
 )
 
@@ -75,48 +76,16 @@ func usage() {
 `)
 }
 
-// client is the shared HTTP client: short timeout, since everything
-// vcperf asks for is served from memory.
-var client = &http.Client{Timeout: 10 * time.Second}
-
-func baseURL(addr string) string {
-	if strings.Contains(addr, "://") {
-		return addr
+// daemon builds the wire-protocol client for -addr: short timeout,
+// since everything vcperf asks for is served from memory.
+func daemon(addr string) service.Client {
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
 	}
-	return "http://" + addr
-}
-
-func fetch(base, path string) ([]byte, error) {
-	resp, err := client.Get(base + path)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	return body, nil
+	return service.Client{Base: addr, HTTP: &http.Client{Timeout: 10 * time.Second}}
 }
 
 // ---- top ----
-
-// topdownWire mirrors the server's JSON top-down snapshot.
-type topdownWire struct {
-	ID         string  `json:"id"`
-	State      string  `json:"state"`
-	Retiring   float64 `json:"retiring"`
-	BadSpec    float64 `json:"bad_spec"`
-	Frontend   float64 `json:"frontend"`
-	Backend    float64 `json:"backend"`
-	TotalSlots uint64  `json:"total_slots"`
-	Producers  int     `json:"producers"`
-	Flushes    uint64  `json:"flushes"`
-	Commits    uint64  `json:"commits"`
-}
 
 func cmdTop(args []string) int {
 	fs := flag.NewFlagSet("vcperf top", flag.ExitOnError)
@@ -126,10 +95,10 @@ func cmdTop(args []string) int {
 	interval := fs.Duration("interval", 2*time.Second, "refresh interval in live mode")
 	jobID := fs.String("job", "", "stream this job's top-down instead of the process aggregate")
 	fs.Parse(args)
-	base := baseURL(*addr)
+	d := daemon(*addr)
 
 	for {
-		snap, err := snapshotTop(base, *jobID)
+		snap, err := snapshotTop(d, *jobID)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vcperf:", err)
 			return 3
@@ -157,29 +126,18 @@ func cmdTop(args []string) int {
 // topSnapshot is one fetched view: the parsed exposition plus the
 // JSON top-down, taken back to back.
 type topSnapshot struct {
-	td      topdownWire
+	td      service.Topdown
 	scalars map[string]float64
 	hists   map[string]obs.HistogramValue
 }
 
-func snapshotTop(base, jobID string) (*topSnapshot, error) {
-	tdPath := "/v1/telemetry/topdown"
-	if jobID != "" {
-		tdPath = "/v1/jobs/" + jobID + "/topdown"
-	}
-	tdBody, err := fetch(base, tdPath)
+func snapshotTop(d service.Client, jobID string) (*topSnapshot, error) {
+	ctx := context.Background()
+	td, err := d.Topdown(ctx, jobID)
 	if err != nil {
 		return nil, err
 	}
-	var td topdownWire
-	if err := json.Unmarshal(tdBody, &td); err != nil {
-		return nil, fmt.Errorf("top-down JSON: %w", err)
-	}
-	metBody, err := fetch(base, "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	parsed, err := telemetry.ParseProm(string(metBody))
+	parsed, err := d.Metrics(ctx, true)
 	if err != nil {
 		return nil, err
 	}
@@ -270,13 +228,6 @@ func (s *topSnapshot) check() []string {
 
 // ---- series ----
 
-// seriesWire mirrors the server's ring-buffer window JSON.
-type seriesWire struct {
-	Names   []string    `json:"names"`
-	TimesMS []int64     `json:"times_ms"`
-	Samples [][]float64 `json:"samples"`
-}
-
 func cmdSeries(args []string) int {
 	fs := flag.NewFlagSet("vcperf series", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8791", "vcprofd address (host:port)")
@@ -284,7 +235,7 @@ func cmdSeries(args []string) int {
 	raw := fs.Bool("raw", false, "dump the JSON window verbatim")
 	fs.Parse(args)
 
-	body, err := fetch(baseURL(*addr), "/v1/telemetry/series?window="+strconv.Itoa(*window))
+	body, err := daemon(*addr).Get(context.Background(), "/v1/telemetry/series?window="+strconv.Itoa(*window))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vcperf:", err)
 		return 3
@@ -293,7 +244,7 @@ func cmdSeries(args []string) int {
 		os.Stdout.Write(body)
 		return 0
 	}
-	var w seriesWire
+	var w telemetry.Window
 	if err := json.Unmarshal(body, &w); err != nil {
 		fmt.Fprintln(os.Stderr, "vcperf: series JSON:", err)
 		return 3
@@ -337,7 +288,7 @@ func cmdFlame(args []string) int {
 	out := fs.String("o", "", "write folded stacks to this file (default stdout)")
 	fs.Parse(args)
 
-	body, err := fetch(baseURL(*addr), "/debug/profile?fold=1")
+	body, err := daemon(*addr).Get(context.Background(), "/debug/profile?fold=1")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vcperf:", err)
 		return 3
@@ -371,7 +322,7 @@ func cmdTrace(args []string) int {
 	if *det {
 		path += "?volatile=0"
 	}
-	body, err := fetch(baseURL(*addr), path)
+	body, err := daemon(*addr).Get(context.Background(), path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vcperf:", err)
 		return 3
@@ -398,14 +349,9 @@ func cmdSlo(args []string) int {
 	maxDegrade := fs.Uint64("max-degrade-ppm", 0, "degrade-step burn budget, steps per million GOPs")
 	fs.Parse(args)
 
-	body, err := fetch(baseURL(*addr), "/v1/slo")
+	rep, err := daemon(*addr).SLO(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vcperf:", err)
-		return 3
-	}
-	var rep telemetry.SLOReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		fmt.Fprintln(os.Stderr, "vcperf: SLO JSON:", err)
 		return 3
 	}
 	fmt.Printf("sessions %d (resumed %d)  frames %d  gops %d  dropped %d\n",

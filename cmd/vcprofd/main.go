@@ -18,14 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"vcprof/internal/obs"
@@ -58,14 +53,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	var sess *obs.Session
 	if *traceOn {
 		sess = obs.NewSession()
 	}
-	// The server's base context is NOT the signal context: jobs must
+	// The server's base context is NOT a signal context: jobs must
 	// survive the start of a drain and only die when the drain budget
 	// runs out (Shutdown cancels the base context itself).
 	srv, err := service.NewServer(context.Background(), service.Config{
@@ -88,39 +80,7 @@ func run() error {
 	}
 	srv.Start()
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("listening on %s\n", ln.Addr())
 	st := srv.Store().Stats()
 	fmt.Fprintf(os.Stderr, "store %s: %d objects, %d bytes\n", *storeDir, st.Objects, st.Bytes)
-
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop() // restore default signal handling: a second ^C kills hard
-
-	fmt.Fprintln(os.Stderr, "draining...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	// Drain the job pipeline first — the HTTP surface stays up so
-	// clients see 503 on submit and can still poll and fetch results of
-	// jobs completed during the drain.
-	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "vcprofd: drain:", err)
-	}
-	httpCtx, cancel2 := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel2()
-	if err := httpSrv.Shutdown(httpCtx); err != nil {
-		httpSrv.Close()
-	}
-	fmt.Fprintln(os.Stderr, "bye")
-	return nil
+	return service.RunDaemon("vcprofd", *addr, srv.Handler(), *drain, srv.Shutdown)
 }

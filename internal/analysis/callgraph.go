@@ -152,10 +152,6 @@ type CallGraph struct {
 	Nodes []*Node
 }
 
-// NodeOf returns the node for a declared function, or nil when the
-// function has no body in the program (imported, external).
-func (g *CallGraph) NodeOf(fn *types.Func) *Node { return g.nodes[fn] }
-
 // buildCallGraph constructs the graph in two passes: collect the nodes,
 // then resolve every call site.
 func buildCallGraph(prog *Program) *CallGraph {

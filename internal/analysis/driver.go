@@ -91,10 +91,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // positions rather than stored globally.
 func fsetOf(pkg *Package) *token.FileSet { return pkg.fset }
 
-// WriteText renders findings one per line in compiler style. With why
+// RenderText renders findings one per line in compiler style. With why
 // set, each chain-carrying finding is followed by its root→sink call
 // chain, one indented hop per line.
-func WriteText(w io.Writer, diags []Diagnostic, why bool) {
+func RenderText(w io.Writer, diags []Diagnostic, why bool) {
 	for _, d := range diags {
 		fmt.Fprintln(w, d.String())
 		if why && len(d.Chain) > 0 {
@@ -115,10 +115,10 @@ type report struct {
 	Count    int          `json:"count"`
 }
 
-// WriteJSON renders findings as a single JSON object:
+// RenderJSON renders findings as a single JSON object:
 // {"findings":[{analyzer,file,line,col,message}...],"count":N}.
 // An empty finding list marshals as [], not null.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
+func RenderJSON(w io.Writer, diags []Diagnostic) error {
 	if diags == nil {
 		diags = []Diagnostic{}
 	}

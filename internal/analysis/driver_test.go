@@ -69,7 +69,7 @@ func TestJSONShape(t *testing.T) {
 		{Analyzer: "detnow", File: "a.go", Line: 3, Col: 7, Message: "m"},
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, diags); err != nil {
+	if err := RenderJSON(&buf, diags); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -92,7 +92,7 @@ func TestJSONShape(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteJSON(&buf, nil); err != nil {
+	if err := RenderJSON(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"findings": []`) {

@@ -1,5 +1,5 @@
-// digest.go extends the detflow fixture with the cluster fold-digest
-// shape: cluster.FoldDigest is a deterministic root (its value is what
+// digest.go extends the detflow fixture with the fold-digest
+// shape: obs.FoldDigest is a deterministic root (its value is what
 // every cross-topology equivalence test compares), so a fold helper
 // that reaches wall-clock anywhere down the chain must be reported
 // with the full root→sink path. The clean fold pins the negative.
@@ -7,7 +7,7 @@ package detflow
 
 import "time"
 
-// DetRootFold mirrors cluster.FoldDigest: fold per-job digests in
+// DetRootFold mirrors obs.FoldDigest: fold per-job digests in
 // index order into one value. The taint reaches the leak two hops
 // down, through the per-item helper.
 func DetRootFold(perJob [][]byte) string {

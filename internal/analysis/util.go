@@ -43,13 +43,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether fn is package pkgPath's function named name
-// (methods have no package-level name and never match).
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
-		fn.Name() == name && fn.Type().(*types.Signature).Recv() == nil
-}
-
 // pkgFuncIn reports whether fn is a package-level function of pkgPath
 // whose name appears in names; an empty names set matches any function
 // of the package.

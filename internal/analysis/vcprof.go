@@ -9,22 +9,20 @@ import "fmt"
 //     table paths (harness, metrics, perf, encoders) and in the obs
 //     self-observation layer, whose span clock must stay virtual
 //     (DESIGN.md §7). The sanctioned wall-clock holders — the engine's
-//     progress/timing functions in harness/engine.go, the obs
-//     real-clock adapter (obs/realclock.go), and encoders.Encode's
-//     Result.Wall — each carry a //lint:ignore with its justification
-//     on the function or site, which the chain-aware suppression
-//     honors; there is no file-level allowlist.
+//     progress/timing functions in harness/engine.go and
+//     encoders.Encode's Result.Wall — each carry a //lint:ignore with
+//     its justification on the function or site, which the chain-aware
+//     suppression honors; there is no file-level allowlist.
 //   - detflow (whole-program): the deterministic roots — harness cell
 //     execution (RunAll/RunCell/RunExperiment), the encoder Encode
 //     path, every scheduler task body (implementations of
 //     sched.Graph.Run and encoders.TaskGraph.Run), the obs
 //     deterministic writers (Trace.Advance/Begin, Span.End,
-//     Counter.Add), the cluster fold-digest root (cluster.FoldDigest,
-//     the value every cross-topology equivalence test compares), and
-//     the live-session roots (live.Session.Feed, whose virtual-tick
-//     timeline decides misses and degrades, and live.SessionDigest,
-//     the value the live smoke compares across topologies) — are
-//     tainted through the module call graph, and
+//     Counter.Add), the fold-digest root (obs.FoldDigest, the one
+//     value every cross-topology equivalence test and smoke compares,
+//     for jobs and live sessions alike), and the live-session root
+//     (live.Session.Feed, whose virtual-tick timeline decides misses
+//     and degrades) — are tainted through the module call graph, and
 //     any reachable volatile source in the deterministic core is
 //     reported with its root→sink chain (vclint -why).
 //   - lockorder (whole-program): the mutex-bearing layers (sched,
@@ -79,8 +77,7 @@ func VCProfAnalyzers() []*Analyzer {
 				"vcprof/internal/harness.RunAll",
 				"vcprof/internal/harness.RunCell",
 				"vcprof/internal/harness.RunExperiment",
-				"vcprof/internal/cluster.FoldDigest",
-				"vcprof/internal/live.SessionDigest",
+				"vcprof/internal/obs.FoldDigest",
 				"vcprof/internal/obs.MergeHops",
 			},
 			Methods: []string{

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vcprof/internal/cluster/chaos"
+	"vcprof/internal/obs"
 	"vcprof/internal/service"
 )
 
@@ -240,7 +241,7 @@ func TestHedgeFirstResponseWins(t *testing.T) {
 	for i, s := range victims {
 		bodies[i] = driveOne(t, rt, s)
 	}
-	if got := FoldDigest(BodyDigests(bodies)); got != want {
+	if got := obs.FoldDigest(bodyDigests(bodies)); got != want {
 		t.Fatalf("digest diverged under stalls:\n  got  %s\n  want %s", got, want)
 	}
 	s := rt.StatsNow()
@@ -322,7 +323,7 @@ func TestHedgeRaceHammer(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := FoldDigest(BodyDigests(bodies)); got != want {
+	if got := obs.FoldDigest(bodyDigests(bodies)); got != want {
 		t.Fatalf("digest diverged under the hammer:\n  got  %s\n  want %s", got, want)
 	}
 

@@ -17,7 +17,11 @@
 // suite pin.
 package cluster
 
-import "time"
+import (
+	"time"
+
+	"vcprof/internal/service"
+)
 
 // Shard identifies one vcprofd backend the router can route to.
 type Shard struct {
@@ -80,7 +84,7 @@ type Config struct {
 	// Client is the shard-side HTTP transport (default: a dedicated
 	// client with no overall timeout — per-drive contexts bound every
 	// request). Tests inject fault-wrapped transports here.
-	Client HTTPClient
+	Client service.Doer
 }
 
 func (c *Config) fill() {

@@ -1,17 +1,17 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"vcprof/internal/cluster/chaos"
+	"vcprof/internal/obs"
 	"vcprof/internal/service"
 )
 
@@ -125,7 +125,7 @@ func driveRouter(t *testing.T, rt *Router, specs []*service.JobSpec) string {
 	for i, s := range specs {
 		bodies[i] = driveOne(t, rt, s)
 	}
-	return FoldDigest(BodyDigests(bodies))
+	return obs.FoldDigest(bodyDigests(bodies))
 }
 
 func driveOne(t *testing.T, rt *Router, s *service.JobSpec) []byte {
@@ -190,7 +190,7 @@ func baselineDigest(t *testing.T, specs []*service.JobSpec) string {
 	for i, s := range specs {
 		bodies[i] = driveDirect(t, hts.URL, s)
 	}
-	return FoldDigest(BodyDigests(bodies))
+	return obs.FoldDigest(bodyDigests(bodies))
 }
 
 // driveDirect runs one spec against a bare daemon URL.
@@ -200,50 +200,22 @@ func driveDirect(t *testing.T, base string, s *service.JobSpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(payload))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	body, _, err := service.Client{Base: base}.Drive(ctx, s.Key(), payload, service.DriveOpts{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	var st wireStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s did not finish", st.ID[:8])
-		}
-		r2, err := http.Get(base + "/v1/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var now wireStatus
-		if err := json.NewDecoder(r2.Body).Decode(&now); err != nil {
-			t.Fatal(err)
-		}
-		r2.Body.Close()
-		if now.Status == service.StateDone {
-			break
-		}
-		if now.Status == service.StateFailed {
-			t.Fatalf("job %s failed: %s", st.ID[:8], now.Error)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r3, err := http.Get(base + "/v1/results/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r3.Body.Close()
-	body, err := io.ReadAll(r3.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.StatusCode != http.StatusOK {
-		t.Fatalf("fetch %s: HTTP %d", st.ID[:8], r3.StatusCode)
+		t.Fatalf("job %s: %v", s.Key()[:8], err)
 	}
 	return body
+}
+
+// bodyDigests hashes each result body for obs.FoldDigest.
+func bodyDigests(bodies [][]byte) [][32]byte {
+	out := make([][32]byte, len(bodies))
+	for i, b := range bodies {
+		out[i] = sha256.Sum256(b)
+	}
+	return out
 }
 
 // TestTopologyEquivalenceMatrix is the cross-topology digest matrix:

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"vcprof/internal/service"
@@ -89,31 +87,15 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	w.Write(append(data, '\n'))
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec service.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	if err := service.DecodeJSON(w, req, &spec); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	id, state, code, err := r.Submit(&spec)
@@ -121,49 +103,37 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, code, "%v", err)
+		service.WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, code, wireStatus{ID: id, Status: state, Cached: code == http.StatusOK})
+	service.WriteJSON(w, code, service.JobStatus{ID: id, Status: state, Cached: code == http.StatusOK})
 }
 
 func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	if state, errMsg, cached, ok := r.Status(id); ok {
-		writeJSON(w, http.StatusOK, wireStatus{ID: id, Status: state, Cached: cached, Error: errMsg})
+		service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: id, Status: state, Cached: cached, Error: errMsg})
 		return
 	}
 	// Unknown to this gate (restart, evicted): a cheap owner probe
 	// still answers "done" for anything the shards hold.
 	if r.headThrough(req, id) {
-		writeJSON(w, http.StatusOK, wireStatus{ID: id, Status: service.StateDone, Cached: true})
+		service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: id, Status: service.StateDone, Cached: true})
 		return
 	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
+	service.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 }
 
-// headThrough asks the key's candidate shards whether any already owns
-// the result — the ownership-hint probe (HEAD /v1/results/{id}).
-func (r *Router) headThrough(req *http.Request, id string) bool {
-	for _, name := range r.candidateList(id) {
-		sh, alive, ok := r.reg.lookup(name)
-		if !ok || !alive {
-			continue
-		}
-		hreq, err := http.NewRequestWithContext(req.Context(), http.MethodHead, sh.URL+"/v1/results/"+id, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := r.client.Do(hreq)
-		if err != nil {
-			continue
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			return true
-		}
-	}
-	return false
+// headThrough asks the key's live candidate shards whether any already
+// owns the result — the ownership-hint probe (HEAD /v1/results/{id}).
+func (r *Router) headThrough(req *http.Request, id string) (found bool) {
+	askShards(r, r.candidateList(id), true,
+		func(c service.Client) (bool, error) { return c.HasResult(req.Context(), id) },
+		func(_ string, has bool) bool {
+			found = has
+			return has
+		})
+	return found
 }
 
 func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
@@ -175,10 +145,10 @@ func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
 	}
 	if state, errMsg, _, ok := r.Status(id); ok {
 		if state == service.StateFailed {
-			writeJSON(w, http.StatusInternalServerError, wireStatus{ID: id, Status: state, Error: errMsg})
+			service.WriteJSON(w, http.StatusInternalServerError, service.JobStatus{ID: id, Status: state, Error: errMsg})
 			return
 		}
-		writeJSON(w, http.StatusConflict, wireStatus{ID: id, Status: state})
+		service.WriteJSON(w, http.StatusConflict, service.JobStatus{ID: id, Status: state})
 		return
 	}
 	if body, ok := r.FetchThrough(req.Context(), id); ok {
@@ -186,15 +156,15 @@ func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
 		w.Write(body)
 		return
 	}
-	writeError(w, http.StatusNotFound, "no result for %q", id)
+	service.WriteError(w, http.StatusNotFound, "no result for %q", id)
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.StatsNow())
+	service.WriteJSON(w, http.StatusOK, r.StatsNow())
 }
 
 func (r *Router) handleShards(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.reg.snapshot(shardLatency))
+	service.WriteJSON(w, http.StatusOK, r.reg.snapshot(shardLatency))
 }
 
 // handleMetrics renders the gate process's obs registry plus the
@@ -228,8 +198,8 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 	draining := r.st.draining
 	r.st.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		service.WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"vcprof/internal/obs"
 	"vcprof/internal/service"
 )
 
@@ -39,7 +41,7 @@ func TestGateLifecycleOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st wireStatus
+	var st service.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestGateLifecycleOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var now wireStatus
+		var now service.JobStatus
 		json.NewDecoder(r2.Body).Decode(&now)
 		r2.Body.Close()
 		if now.Status == service.StateDone {
@@ -73,9 +75,59 @@ func TestGateLifecycleOverHTTP(t *testing.T) {
 	}
 
 	body := driveDirectFetch(t, hts.URL, st.ID)
-	if got := FoldDigest(BodyDigests([][]byte{body})); got != want {
+	if got := obs.FoldDigest(bodyDigests([][]byte{body})); got != want {
 		t.Fatalf("gate-served bytes diverge from direct run:\n  got  %s\n  want %s", got, want)
 	}
+}
+
+// TestGateStatusBytesEqualDaemon pins "gate clients are daemon clients"
+// byte for byte: for the same job state, every /v1/jobs* answer of the
+// gate — code and body — equals a bare daemon's. Both sides marshal
+// service.JobStatus through service.WriteJSON, so omitempty cannot
+// drift between them again.
+func TestGateStatusBytesEqualDaemon(t *testing.T) {
+	spec := testSpecs(t, 1)[0]
+	payload, _ := json.Marshal(spec)
+	id := spec.Key()
+	unknown := strings.Repeat("0", 64)
+
+	daemon := newShardSet(t, 1).shards[0].URL
+	_, hts := gateServer(t, newShardSet(t, 2), nil)
+	gate := hts.URL
+
+	ask := func(base, method, path string, body []byte) string {
+		t.Helper()
+		req, _ := http.NewRequest(method, base+path, bytes.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.Status + " " + buf.String()
+	}
+	same := func(state, method, path string, body []byte) {
+		t.Helper()
+		d, g := ask(daemon, method, path, body), ask(gate, method, path, body)
+		if d != g {
+			t.Errorf("%s: gate differs from daemon:\n  daemon %s  gate   %s", state, d, g)
+		}
+	}
+
+	same("cold submit", "POST", "/v1/jobs", payload)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, base := range []string{daemon, gate} {
+		if _, _, err := (service.Client{Base: base}).Drive(ctx, id, payload, service.DriveOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("status of a done job", "GET", "/v1/jobs/"+id, nil)
+	same("resubmit of a done job", "POST", "/v1/jobs", payload)
+	same("status of an unknown job", "GET", "/v1/jobs/"+unknown, nil)
+	same("result of an unknown job", "GET", "/v1/results/"+unknown, nil)
+	same("malformed submit", "POST", "/v1/jobs", []byte("{not json"))
 }
 
 func driveDirectFetch(t *testing.T, base, id string) []byte {
@@ -106,7 +158,7 @@ func TestGateStatelessRestart(t *testing.T) {
 
 	rt1, client1 := newTestRouter(t, set, nil)
 	wantBody := driveOne(t, rt1, spec)
-	ctx, cancel := contextWithTimeout(30 * time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := rt1.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -120,7 +172,7 @@ func TestGateStatelessRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st wireStatus
+	var st service.JobStatus
 	json.NewDecoder(r1.Body).Decode(&st)
 	r1.Body.Close()
 	if r1.StatusCode != http.StatusOK || st.Status != service.StateDone || !st.Cached {
@@ -247,7 +299,7 @@ func TestShardRegistryEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var info RegistryInfo
+	var info service.RegistryInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}

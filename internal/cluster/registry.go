@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"sort"
 	"sync"
-	"time"
 )
 
 // registry tracks per-shard liveness and routing statistics. One
@@ -29,17 +25,6 @@ type shardState struct {
 	routes   uint64 // drives this shard won
 	warmHits uint64 // wins whose first submit found the result already stored
 	failures uint64 // attempt failures charged to this shard
-}
-
-// RegistryInfo is the wire form of vcprofd's GET /v1/registry reply —
-// the lightweight shard-registry protocol the router's health probes
-// speak. state is "serving" or "draining".
-type RegistryInfo struct {
-	Name         string `json:"name"`
-	State        string `json:"state"`
-	StoreObjects int    `json:"store_objects"`
-	StoreBytes   int64  `json:"store_bytes"`
-	QueueDepth   int    `json:"queue_depth"`
 }
 
 func newRegistry(shards []Shard) *registry {
@@ -177,31 +162,4 @@ func (r *registry) snapshot(latencyOf func(name string) (p50, p95, count uint64)
 		}
 	}
 	return out
-}
-
-// probeShard performs one health probe against a shard's registry
-// endpoint: 200 with state "serving" means routable.
-func probeShard(client HTTPClient, base string, timeout time.Duration) error {
-	ctx, cancel := contextWithTimeout(timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/registry", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: probe: HTTP %d", resp.StatusCode)
-	}
-	var info RegistryInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return fmt.Errorf("cluster: probe: bad registry body: %w", err)
-	}
-	if info.State != "serving" {
-		return fmt.Errorf("cluster: probe: shard is %s", info.State)
-	}
-	return nil
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"vcprof/internal/obs"
 )
 
 // TestRingDeterministicOwnership pins the ring as a pure function:
@@ -94,12 +96,12 @@ func TestRingMinimalRemap(t *testing.T) {
 // because the caller addresses the slice by job index.
 func TestFoldDigestIndexOrder(t *testing.T) {
 	bodies := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
-	d1 := FoldDigest(BodyDigests(bodies))
-	d2 := FoldDigest(BodyDigests([][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}))
+	d1 := obs.FoldDigest(bodyDigests(bodies))
+	d2 := obs.FoldDigest(bodyDigests([][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}))
 	if d1 != d2 {
 		t.Fatalf("identical inputs folded differently: %s vs %s", d1, d2)
 	}
-	swapped := FoldDigest(BodyDigests([][]byte{[]byte("beta"), []byte("alpha"), []byte("gamma")}))
+	swapped := obs.FoldDigest(bodyDigests([][]byte{[]byte("beta"), []byte("alpha"), []byte("gamma")}))
 	if swapped == d1 {
 		t.Fatal("fold ignored index order; digests cannot pin the mix")
 	}

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -16,12 +14,6 @@ import (
 	"vcprof/internal/obs"
 	"vcprof/internal/service"
 )
-
-// HTTPClient is the shard-side transport. *http.Client satisfies it;
-// tests inject fault-wrapped transports.
-type HTTPClient interface {
-	Do(req *http.Request) (*http.Response, error)
-}
 
 // Router drives content-addressed jobs across the shard set: one
 // in-flight drive per key (cluster-level singleflight), candidate
@@ -33,7 +25,7 @@ type Router struct {
 	cfg      Config
 	ring     *Ring
 	reg      *registry
-	client   HTTPClient
+	client   service.Doer
 	sessions *gateSessionTable
 	hops     *obs.HopLog
 
@@ -167,7 +159,12 @@ func (r *Router) ProbeNow() {
 		if !ok {
 			continue
 		}
-		if err := probeShard(r.client, sh.URL, timeout); err != nil {
+		// Probes hang off the base context, so a hard stop cancels one
+		// in flight.
+		ctx, cancel := context.WithTimeout(r.baseCtx, timeout)
+		info, err := r.shardClient(sh).Registry(ctx)
+		cancel()
+		if err != nil || info.State != "serving" {
 			r.reg.observeFailure(name, r.cfg.ProbeFails)
 			if wasAlive && !r.reg.isAlive(name) {
 				r.n.probeDown.Add(1)
@@ -177,6 +174,32 @@ func (r *Router) ProbeNow() {
 			if !wasAlive {
 				r.n.probeUp.Add(1)
 			}
+		}
+	}
+}
+
+// shardClient is the wire-protocol client for one shard.
+func (r *Router) shardClient(sh Shard) service.Client {
+	return service.Client{Base: sh.URL, HTTP: r.client}
+}
+
+// askShards is the one read-side fan-out: for each named shard, in
+// order, look it up, ask it, and hand the answer to use — skipping
+// shards the registry does not know, ones marked down when liveOnly is
+// set, and ones whose call fails. use returning true stops the walk.
+func askShards[T any](r *Router, names []string, liveOnly bool,
+	ask func(service.Client) (T, error), use func(name string, v T) (done bool)) {
+	for _, name := range names {
+		sh, alive, ok := r.reg.lookup(name)
+		if !ok || (liveOnly && !alive) {
+			continue
+		}
+		v, err := ask(r.shardClient(sh))
+		if err != nil {
+			continue
+		}
+		if use(name, v) {
+			return
 		}
 	}
 }
@@ -270,23 +293,18 @@ func (r *Router) CachedResult(id string) ([]byte, bool) {
 // FetchThrough serves a result the gate no longer holds by proxying
 // the owners (warm hint first); a hit refills the gate cache and warm
 // map. ctx is the caller's request context.
-func (r *Router) FetchThrough(ctx context.Context, id string) ([]byte, bool) {
-	for _, name := range r.candidateList(id) {
-		sh, _, ok := r.reg.lookup(name)
-		if !ok {
-			continue
-		}
-		body, err := getBytes(ctx, r.client, sh.URL+"/v1/results/"+id)
-		if err != nil {
-			continue
-		}
-		r.st.mu.Lock()
-		r.st.results.put(id, body)
-		r.st.warm[id] = name
-		r.st.mu.Unlock()
-		return body, true
-	}
-	return nil, false
+func (r *Router) FetchThrough(ctx context.Context, id string) (body []byte, ok bool) {
+	askShards(r, r.candidateList(id), false,
+		func(c service.Client) ([]byte, error) { return c.Result(ctx, id) },
+		func(name string, got []byte) bool {
+			r.st.mu.Lock()
+			r.st.results.put(id, got)
+			r.st.warm[id] = name
+			r.st.mu.Unlock()
+			body, ok = got, true
+			return true
+		})
+	return body, ok
 }
 
 // runDrive owns one key's routed lifecycle end to end.
@@ -337,7 +355,7 @@ func (r *Router) runDrive(d *drive) {
 		Arg: out.shard, StartMS: time.Now().UnixMilli()})
 	r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopAdmitted})
 	r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopExec,
-		Arg: shortHopArg(d.key), Dur: uint64(len(out.body))})
+		Arg: obs.ShortKey(d.key), Dur: uint64(len(out.body))})
 	r.reg.observeWin(out.shard, out.warm)
 	if r.cfg.Replicas > 1 {
 		r.replicate(d.key, d.trace, out.shard, out.body)
@@ -435,7 +453,7 @@ func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 			}
 			r.reg.observeFailure(out.shard, r.cfg.ProbeFails)
 			if launched < maxLaunches {
-				if err := sleepCtx(ctx, backoff); err != nil {
+				if err := service.SleepCtx(ctx, backoff); err != nil {
 					return attemptOut{}, err
 				}
 				backoff *= 2
@@ -521,80 +539,21 @@ func (r *Router) attempt(ctx context.Context, name string, d *drive, hedge bool)
 		return attemptOut{shard: name, hedge: hedge, err: fmt.Errorf("unknown shard %q", name)}
 	}
 	t0 := time.Now()
-	body, warm, err := r.driveShard(ctx, sh.URL, d)
+	// No in-place reconnects: a transport error fails the attempt and
+	// the race fails over to another shard. A warm route is a submit
+	// answered from the shard's store — the signal the cluster smoke
+	// asserts on.
+	body, ds, err := r.shardClient(sh).Drive(ctx, d.key, d.payload, service.DriveOpts{
+		Trace:    d.trace,
+		Accepted: func() { r.setRunning(d) },
+	})
+	r.n.retries429.Add(uint64(ds.Retries429))
 	if err != nil {
 		return attemptOut{shard: name, hedge: hedge, err: fmt.Errorf("shard %s: %w", name, err)}
 	}
 	shardHist(name).Observe(uint64(time.Since(t0).Milliseconds()))
 	r.reg.observeSuccess(name)
-	return attemptOut{shard: name, body: body, warm: warm, hedge: hedge}
-}
-
-// wireStatus mirrors vcprofd's jobStatus wire form.
-type wireStatus struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Cached bool   `json:"cached"`
-	Error  string `json:"error"`
-}
-
-// driveShard pushes one job through a shard's full lifecycle: submit
-// (429s retried in place with backoff), poll, fetch. warm reports
-// whether the submit was answered from the shard's store — the
-// warm-route signal the cluster smoke asserts on.
-func (r *Router) driveShard(ctx context.Context, base string, d *drive) (body []byte, warm bool, err error) {
-	for {
-		st, code, err := r.postJSON(ctx, base+"/v1/jobs", d.payload, d.trace)
-		if err != nil {
-			return nil, false, err
-		}
-		if code == http.StatusTooManyRequests {
-			r.n.retries429.Add(1)
-			if err := sleepCtx(ctx, 25*time.Millisecond); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		switch code {
-		case http.StatusOK:
-			warm = true
-		case http.StatusAccepted:
-		default:
-			return nil, false, fmt.Errorf("submit: HTTP %d: %s", code, st.Error)
-		}
-		if st.ID != d.key {
-			return nil, false, fmt.Errorf("submit: shard key %s != gate key %s", st.ID, d.key)
-		}
-		break
-	}
-	r.setRunning(d)
-	delay := 1 * time.Millisecond
-	for {
-		st, code, err := r.getJSON(ctx, base+"/v1/jobs/"+d.key)
-		if err != nil {
-			return nil, false, err
-		}
-		if code != http.StatusOK {
-			return nil, false, fmt.Errorf("poll: HTTP %d: %s", code, st.Error)
-		}
-		if st.Status == service.StateFailed {
-			return nil, false, fmt.Errorf("job failed on shard: %s", st.Error)
-		}
-		if st.Status == service.StateDone {
-			break
-		}
-		if err := sleepCtx(ctx, delay); err != nil {
-			return nil, false, err
-		}
-		if delay < 50*time.Millisecond {
-			delay *= 2
-		}
-	}
-	body, err = getBytes(ctx, r.client, base+"/v1/results/"+d.key)
-	if err != nil {
-		return nil, false, err
-	}
-	return body, warm, nil
+	return attemptOut{shard: name, body: body, warm: ds.Cached, hedge: hedge}
 }
 
 func (r *Router) setRunning(d *drive) {
@@ -619,111 +578,19 @@ func (r *Router) replicate(key, trace, serving string, body []byte) {
 			continue
 		}
 		r.wg.Add(1)
-		go func(name, url string) {
+		go func(name string, c service.Client) {
 			defer r.wg.Done()
 			ctx, cancel := context.WithTimeout(r.baseCtx, 10*time.Second)
 			defer cancel()
-			if err := putBytes(ctx, r.client, url+"/v1/results/"+key, body); err != nil {
+			if err := c.PutResult(ctx, key, body); err != nil {
 				r.n.replicasFailed.Add(1)
 				return
 			}
 			r.n.replicasPushed.Add(1)
 			r.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopReplicaPush,
 				Arg: name, StartMS: time.Now().UnixMilli()})
-		}(o, sh.URL)
+		}(o, r.shardClient(sh))
 	}
-}
-
-// --- HTTP helpers -----------------------------------------------------
-
-func (r *Router) postJSON(ctx context.Context, url string, payload []byte, trace string) (wireStatus, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return wireStatus{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Propagate the hop-trace id so the shard's slice files under the
-	// same trace the gate (and the client) will query.
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	return doJSON(r.client, req)
-}
-
-func (r *Router) getJSON(ctx context.Context, url string) (wireStatus, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return wireStatus{}, 0, err
-	}
-	return doJSON(r.client, req)
-}
-
-func doJSON(client HTTPClient, req *http.Request) (wireStatus, int, error) {
-	resp, err := client.Do(req)
-	if err != nil {
-		return wireStatus{}, 0, err
-	}
-	defer resp.Body.Close()
-	var st wireStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil && resp.StatusCode < 500 {
-		return wireStatus{}, resp.StatusCode, fmt.Errorf("bad status body: %w", err)
-	}
-	return st, resp.StatusCode, nil
-}
-
-func getBytes(ctx context.Context, client HTTPClient, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return body, nil
-}
-
-func putBytes(ctx context.Context, client HTTPClient, url string, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<14))
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica put: HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// contextWithTimeout mints a probe-scoped context. Probes run from the
-// router's background loop, not from any HTTP handler.
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
 }
 
 // --- result LRU -------------------------------------------------------

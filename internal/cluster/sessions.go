@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -13,6 +10,7 @@ import (
 
 	"vcprof/internal/live"
 	"vcprof/internal/obs"
+	"vcprof/internal/service"
 )
 
 // Live-session routing. Jobs are stateless and content-addressed, so
@@ -54,66 +52,32 @@ func newGateSessionTable() *gateSessionTable {
 	return &gateSessionTable{m: make(map[string]*gateSession)}
 }
 
-// sessionWire mirrors vcprofd's session wire forms (the gate speaks the
-// daemon protocol shard-side and re-exposes it client-side unchanged).
-type sessionWire struct {
-	ID     string           `json:"id"`
-	GOPs   []live.GOPResult `json:"gops"`
-	Stats  live.Stats       `json:"stats"`
-	Resume live.ResumeToken `json:"resume"`
-}
-
-type sessionCreateWire struct {
-	ID      string           `json:"id"`
-	Key     string           `json:"key"`
-	Resumed bool             `json:"resumed"`
-	Spec    live.SessionSpec `json:"spec"`
-	// Shard names the serving backend (gate responses only; a daemon
-	// answering directly leaves it empty). Harnesses use it to aim
-	// chaos at the pinned shard; the trace id is what clients pass to
-	// /v1/cluster/trace.
-	Shard string `json:"shard,omitempty"`
-	Trace string `json:"trace,omitempty"`
-}
-
-type sessionCreateBody struct {
-	Spec   live.SessionSpec  `json:"spec"`
-	Resume *live.ResumeToken `json:"resume,omitempty"`
-}
-
-type sessionFeedBody struct {
-	Fed int  `json:"fed"`
-	EOS bool `json:"eos,omitempty"`
-}
-
 func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	r.st.mu.Lock()
 	draining := r.st.draining
 	r.st.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "gate is draining")
+		service.WriteError(w, http.StatusServiceUnavailable, "gate is draining")
 		return
 	}
-	var body sessionCreateBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad session spec: %v", err)
+	var body service.SessionCreateReq
+	if err := service.DecodeJSON(w, req, &body); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "bad session spec: %v", err)
 		return
 	}
 	if body.Resume != nil {
-		writeError(w, http.StatusBadRequest, "resume tokens are gate-internal; create a fresh session")
+		service.WriteError(w, http.StatusBadRequest, "resume tokens are gate-internal; create a fresh session")
 		return
 	}
 	key, err := body.Spec.Key()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	r.sessions.mu.Lock()
 	r.sessions.seq++
 	gs := &gateSession{id: fmt.Sprintf("%.16s-g%04x", key, r.sessions.seq),
-		trace: traceFromRequest(req, obs.SessionTraceID(key)), spec: body.Spec}
+		trace: service.TraceIDFromRequest(req, obs.SessionTraceID(key)), spec: body.Spec}
 	r.sessions.m[gs.id] = gs
 	r.sessions.mu.Unlock()
 
@@ -124,17 +88,17 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 		r.sessions.mu.Lock()
 		delete(r.sessions.m, gs.id)
 		r.sessions.mu.Unlock()
-		writeError(w, http.StatusBadGateway, "%v", err)
+		service.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	r.sessions.opened.Add(1)
 	// Mirror the deterministic open hop from the spec key (the shard
 	// emits the identical tuple; a later kill cannot erase the fact the
 	// stream opened) and record the volatile anchor placement.
-	r.hops.Emit(obs.HopEvent{Trace: gs.trace, Kind: obs.HopSessionOpen, Arg: shortHopArg(key)})
+	r.hops.Emit(obs.HopEvent{Trace: gs.trace, Kind: obs.HopSessionOpen, Arg: obs.ShortKey(key)})
 	r.hops.Emit(obs.HopEvent{Trace: gs.trace, Kind: obs.HopRoute,
 		Arg: gs.shard, StartMS: time.Now().UnixMilli()})
-	writeJSON(w, http.StatusCreated, sessionCreateWire{
+	service.WriteJSON(w, http.StatusCreated, service.SessionCreateResp{
 		ID: gs.id, Key: key, Spec: created.Spec, Shard: gs.shard, Trace: gs.trace,
 	})
 }
@@ -142,11 +106,7 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 // anchorSessionLocked creates (or, with a token, re-creates) gs on the best
 // untried live shard, walking the sticky candidate order. Caller holds
 // gs.mu.
-func (r *Router) anchorSessionLocked(ctx context.Context, gs *gateSession, tok *live.ResumeToken) (*sessionCreateWire, error) {
-	payload, err := json.Marshal(sessionCreateBody{Spec: gs.spec, Resume: tok})
-	if err != nil {
-		return nil, err
-	}
+func (r *Router) anchorSessionLocked(ctx context.Context, gs *gateSession, tok *live.ResumeToken) (service.SessionCreateResp, error) {
 	tried := map[string]bool{}
 	var firstErr error
 	for {
@@ -155,14 +115,14 @@ func (r *Router) anchorSessionLocked(ctx context.Context, gs *gateSession, tok *
 			if firstErr == nil {
 				firstErr = fmt.Errorf("no live shard for session %s", gs.id)
 			}
-			return nil, firstErr
+			return service.SessionCreateResp{}, firstErr
 		}
 		tried[name] = true
 		sh, _, ok := r.reg.lookup(name)
 		if !ok {
 			continue
 		}
-		created, err := postSessionJSON[sessionCreateWire](ctx, r.client, sh.URL+"/v1/sessions", payload, http.StatusCreated, gs.trace)
+		created, err := r.shardClient(sh).CreateSession(ctx, service.SessionCreateReq{Spec: gs.spec, Resume: tok}, gs.trace)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -183,14 +143,12 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 	gs, ok := r.sessions.m[id]
 	r.sessions.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		service.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
-	var body sessionFeedBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad feed request: %v", err)
+	var body service.SessionFeedReq
+	if err := service.DecodeJSON(w, req, &body); err != nil {
+		service.WriteError(w, http.StatusBadRequest, "bad feed request: %v", err)
 		return
 	}
 
@@ -199,19 +157,13 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 	if body.Fed > gs.fed {
 		gs.fed = body.Fed
 	}
-	payload, err := json.Marshal(sessionFeedBody{Fed: gs.fed, EOS: body.EOS})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-
-	feedOnce := func() (*sessionWire, error) {
+	feedOnce := func() (service.SessionFeedResp, error) {
 		sh, alive, ok := r.reg.lookup(gs.shard)
 		if !ok || !alive {
-			return nil, fmt.Errorf("shard %s down", gs.shard)
+			return service.SessionFeedResp{}, fmt.Errorf("shard %s down", gs.shard)
 		}
-		return postSessionJSON[sessionWire](req.Context(), r.client,
-			sh.URL+"/v1/sessions/"+gs.remoteID+"/frames", payload, http.StatusOK, gs.trace)
+		return r.shardClient(sh).FeedSession(req.Context(), gs.remoteID,
+			service.SessionFeedReq{Fed: gs.fed, EOS: body.EOS}, gs.trace)
 	}
 
 	resp, err := feedOnce()
@@ -223,7 +175,7 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 		r.sessions.failovers.Add(1)
 		tok := gs.resume
 		if _, aerr := r.anchorSessionLocked(req.Context(), gs, &tok); aerr != nil {
-			writeError(w, http.StatusBadGateway, "session failover: %v (after %v)", aerr, err)
+			service.WriteError(w, http.StatusBadGateway, "session failover: %v (after %v)", aerr, err)
 			return
 		}
 		// The re-anchor hop names the new shard and carries the token's
@@ -232,7 +184,7 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 			Seq: uint64(tok.GOP), Arg: gs.shard, StartMS: time.Now().UnixMilli()})
 		resp, err = feedOnce()
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "session feed after failover: %v", err)
+			service.WriteError(w, http.StatusBadGateway, "session feed after failover: %v", err)
 			return
 		}
 	}
@@ -251,7 +203,7 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 		// digest prefix and modeled cost are content, identical no matter
 		// which shard (original or re-anchored) encoded it.
 		r.hops.Emit(obs.HopEvent{Trace: gs.trace, Kind: obs.HopGOP,
-			Seq: uint64(g.Index), Arg: shortHopArg(g.Digest), Dur: g.Insts})
+			Seq: uint64(g.Index), Arg: obs.ShortKey(g.Digest), Dur: g.Insts})
 	}
 	resp.GOPs = out
 	gs.resume = resp.Resume
@@ -262,7 +214,7 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 		r.sessions.mu.Unlock()
 	}
 	resp.ID = id
-	writeJSON(w, http.StatusOK, resp)
+	service.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (r *Router) handleSessionStats(w http.ResponseWriter, req *http.Request) {
@@ -271,7 +223,7 @@ func (r *Router) handleSessionStats(w http.ResponseWriter, req *http.Request) {
 	gs, ok := r.sessions.m[id]
 	r.sessions.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		service.WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	gs.mu.Lock()
@@ -279,45 +231,13 @@ func (r *Router) handleSessionStats(w http.ResponseWriter, req *http.Request) {
 	gs.mu.Unlock()
 	sh, _, ok := r.reg.lookup(shard)
 	if !ok {
-		writeError(w, http.StatusBadGateway, "shard %s unknown", shard)
+		service.WriteError(w, http.StatusBadGateway, "shard %s unknown", shard)
 		return
 	}
-	body, err := getBytes(req.Context(), r.client, sh.URL+"/v1/sessions/"+remoteID+"/stats")
+	stats, err := r.shardClient(sh).SessionStats(req.Context(), remoteID)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		service.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// postSessionJSON posts a payload and decodes a typed response,
-// treating any status other than want as an error (5xx and transport
-// failures trigger failover upstream; 4xx surface verbatim).
-func postSessionJSON[T any](ctx context.Context, client HTTPClient, url string, payload []byte, want int, trace string) (*T, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != want {
-		return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var out T
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	service.WriteJSON(w, http.StatusOK, stats)
 }

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"vcprof/internal/live"
+	"vcprof/internal/obs"
+	"vcprof/internal/service"
 )
 
 func liveSessionSpec() live.SessionSpec {
@@ -52,7 +54,7 @@ func foldSessionWire(t *testing.T, gops []live.GOPResult) string {
 		copy(d[:], b)
 		ds = append(ds, d)
 	}
-	return live.SessionDigest(ds)
+	return obs.FoldDigest(ds)
 }
 
 // directSessionDigest runs the same spec in-process — the reference the
@@ -81,8 +83,8 @@ func TestSessionStickyRouting(t *testing.T) {
 	gate := httptest.NewServer(rt.Handler())
 	defer gate.Close()
 
-	var created sessionCreateWire
-	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions", sessionCreateBody{Spec: spec}, &created); code != http.StatusCreated {
+	var created service.SessionCreateResp
+	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions", service.SessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", code)
 	}
 	rt.sessions.mu.Lock()
@@ -90,8 +92,8 @@ func TestSessionStickyRouting(t *testing.T) {
 	rt.sessions.mu.Unlock()
 
 	var gops []live.GOPResult
-	var feed sessionWire
-	for _, req := range []sessionFeedBody{{Fed: 8}, {Fed: 16}, {Fed: 24, EOS: true}} {
+	var feed service.SessionFeedResp
+	for _, req := range []service.SessionFeedReq{{Fed: 8}, {Fed: 16}, {Fed: 24, EOS: true}} {
 		if code := gatePostJSON(t, client, gate.URL+"/v1/sessions/"+created.ID+"/frames", req, &feed); code != http.StatusOK {
 			t.Fatalf("feed %+v: HTTP %d", req, code)
 		}
@@ -126,8 +128,8 @@ func TestSessionFailoverReanchors(t *testing.T) {
 	gate := httptest.NewServer(rt.Handler())
 	defer gate.Close()
 
-	var created sessionCreateWire
-	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions", sessionCreateBody{Spec: spec}, &created); code != http.StatusCreated {
+	var created service.SessionCreateResp
+	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions", service.SessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", code)
 	}
 	rt.sessions.mu.Lock()
@@ -135,8 +137,8 @@ func TestSessionFailoverReanchors(t *testing.T) {
 	rt.sessions.mu.Unlock()
 
 	var gops []live.GOPResult
-	var feed sessionWire
-	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions/"+created.ID+"/frames", sessionFeedBody{Fed: 8}, &feed); code != http.StatusOK {
+	var feed service.SessionFeedResp
+	if code := gatePostJSON(t, client, gate.URL+"/v1/sessions/"+created.ID+"/frames", service.SessionFeedReq{Fed: 8}, &feed); code != http.StatusOK {
 		t.Fatalf("feed 1: HTTP %d", code)
 	}
 	gops = append(gops, feed.GOPs...)
@@ -149,7 +151,7 @@ func TestSessionFailoverReanchors(t *testing.T) {
 		}
 	}
 
-	for _, req := range []sessionFeedBody{{Fed: 16}, {Fed: 24, EOS: true}} {
+	for _, req := range []service.SessionFeedReq{{Fed: 16}, {Fed: 24, EOS: true}} {
 		if code := gatePostJSON(t, client, gate.URL+"/v1/sessions/"+created.ID+"/frames", req, &feed); code != http.StatusOK {
 			t.Fatalf("feed %+v after kill: HTTP %d", req, code)
 		}

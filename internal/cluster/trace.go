@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"vcprof/internal/obs"
+	"vcprof/internal/service"
 	"vcprof/internal/telemetry"
 )
 
@@ -21,39 +21,13 @@ import (
 // shards' Prometheus expositions under per-shard labels, and /v1/slo
 // folds the shards' live-SLO reports into cluster burn rates.
 
-// hopSliceWire mirrors vcprofd's /v1/trace/{id} document.
-type hopSliceWire struct {
-	Proc   string         `json:"proc"`
-	Trace  string         `json:"trace"`
-	Events []obs.HopEvent `json:"events"`
-}
-
-// shortHopArg truncates a content hash to the 16-char prefix hop
-// events carry, matching the service layer's convention so mirrored
-// tuples dedup exactly.
-func shortHopArg(s string) string {
-	if len(s) > 16 {
-		return s[:16]
-	}
-	return s
-}
-
-// traceFromRequest honors a client-propagated trace id when it is
-// well-formed, else falls back to the content-derived default.
-func traceFromRequest(req *http.Request, fallback string) string {
-	if v := req.Header.Get(obs.TraceHeader); obs.ValidTraceID(v) {
-		return v
-	}
-	return fallback
-}
-
 func (r *Router) handleTraceSlice(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	if !obs.ValidTraceID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		service.WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, hopSliceWire{
+	service.WriteJSON(w, http.StatusOK, service.TraceSlice{
 		Proc: r.hops.Proc(), Trace: id, Events: r.hops.Slice(id),
 	})
 }
@@ -64,28 +38,19 @@ func (r *Router) handleTraceSlice(w http.ResponseWriter, req *http.Request) {
 // deterministic view is already whole without it.
 func (r *Router) collectSlices(ctx context.Context, id string) [][]obs.HopEvent {
 	slices := [][]obs.HopEvent{r.hops.Slice(id)}
-	for _, name := range r.reg.aliveNames() {
-		sh, _, ok := r.reg.lookup(name)
-		if !ok {
-			continue
-		}
-		body, err := getBytes(ctx, r.client, sh.URL+"/v1/trace/"+id)
-		if err != nil {
-			continue
-		}
-		var slice hopSliceWire
-		if err := json.Unmarshal(body, &slice); err != nil {
-			continue
-		}
-		slices = append(slices, slice.Events)
-	}
+	askShards(r, r.reg.aliveNames(), true,
+		func(c service.Client) (service.TraceSlice, error) { return c.TraceSlice(ctx, id) },
+		func(_ string, slice service.TraceSlice) bool {
+			slices = append(slices, slice.Events)
+			return false
+		})
 	return slices
 }
 
 func (r *Router) handleClusterTrace(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	if !obs.ValidTraceID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		service.WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	includeVolatile := req.URL.Query().Get("volatile") != "0"
@@ -102,26 +67,14 @@ func (r *Router) handleClusterTrace(w http.ResponseWriter, req *http.Request) {
 // passes through, so ?volatile=0 federates only the deterministic
 // subset — byte-stable for a fixed completed workload.
 func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) {
-	volatileParam := ""
-	if req.URL.Query().Get("volatile") == "0" {
-		volatileParam = "?volatile=0"
-	}
+	volatile := req.URL.Query().Get("volatile") != "0"
 	var shards []telemetry.ShardExposition
-	for _, name := range r.reg.aliveNames() {
-		sh, _, ok := r.reg.lookup(name)
-		if !ok {
-			continue
-		}
-		body, err := getBytes(req.Context(), r.client, sh.URL+"/metrics"+volatileParam)
-		if err != nil {
-			continue
-		}
-		parsed, err := telemetry.ParseProm(string(body))
-		if err != nil {
-			continue
-		}
-		shards = append(shards, telemetry.ShardExposition{Shard: name, P: parsed})
-	}
+	askShards(r, r.reg.aliveNames(), true,
+		func(c service.Client) (*telemetry.ParsedProm, error) { return c.Metrics(req.Context(), volatile) },
+		func(name string, parsed *telemetry.ParsedProm) bool {
+			shards = append(shards, telemetry.ShardExposition{Shard: name, P: parsed})
+			return false
+		})
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := telemetry.WriteFederation(w, shards); err != nil {
 		return
@@ -134,20 +87,11 @@ func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) 
 // of per-shard rates.
 func (r *Router) handleSLO(w http.ResponseWriter, req *http.Request) {
 	var total telemetry.SLOReport
-	for _, name := range r.reg.aliveNames() {
-		sh, _, ok := r.reg.lookup(name)
-		if !ok {
-			continue
-		}
-		body, err := getBytes(req.Context(), r.client, sh.URL+"/v1/slo")
-		if err != nil {
-			continue
-		}
-		var rep telemetry.SLOReport
-		if err := json.Unmarshal(body, &rep); err != nil {
-			continue
-		}
-		total = total.Add(rep)
-	}
-	writeJSON(w, http.StatusOK, total)
+	askShards(r, r.reg.aliveNames(), true,
+		func(c service.Client) (telemetry.SLOReport, error) { return c.SLO(req.Context()) },
+		func(_ string, rep telemetry.SLOReport) bool {
+			total = total.Add(rep)
+			return false
+		})
+	service.WriteJSON(w, http.StatusOK, total)
 }

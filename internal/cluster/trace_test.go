@@ -49,15 +49,15 @@ func fetchTrace(t *testing.T, client *http.Client, base, id string, detOnly bool
 // driveSessionThroughGate creates and feeds a session to EOS over a
 // gate (or bare daemon) URL, optionally killing the pinned shard after
 // the first feed. Returns the create response (for shard/trace fields).
-func driveSessionThroughGate(t *testing.T, client *http.Client, base string, set *shardSet, killPinned bool) sessionCreateWire {
+func driveSessionThroughGate(t *testing.T, client *http.Client, base string, set *shardSet, killPinned bool) service.SessionCreateResp {
 	t.Helper()
 	spec := liveSessionSpec()
-	var created sessionCreateWire
-	if code := gatePostJSON(t, client, base+"/v1/sessions", sessionCreateBody{Spec: spec}, &created); code != http.StatusCreated {
+	var created service.SessionCreateResp
+	if code := gatePostJSON(t, client, base+"/v1/sessions", service.SessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", code)
 	}
-	var feed sessionWire
-	if code := gatePostJSON(t, client, base+"/v1/sessions/"+created.ID+"/frames", sessionFeedBody{Fed: 8}, &feed); code != http.StatusOK {
+	var feed service.SessionFeedResp
+	if code := gatePostJSON(t, client, base+"/v1/sessions/"+created.ID+"/frames", service.SessionFeedReq{Fed: 8}, &feed); code != http.StatusOK {
 		t.Fatalf("feed 1: HTTP %d", code)
 	}
 	if killPinned {
@@ -70,7 +70,7 @@ func driveSessionThroughGate(t *testing.T, client *http.Client, base string, set
 			}
 		}
 	}
-	for _, req := range []sessionFeedBody{{Fed: 16}, {Fed: 24, EOS: true}} {
+	for _, req := range []service.SessionFeedReq{{Fed: 16}, {Fed: 24, EOS: true}} {
 		if code := gatePostJSON(t, client, base+"/v1/sessions/"+created.ID+"/frames", req, &feed); code != http.StatusOK {
 			t.Fatalf("feed %+v: HTTP %d", req, code)
 		}

@@ -10,9 +10,6 @@ func init() {
 	register(Experiment{ID: "fig3", Title: "Op-mix per video across the CRF sweep (SVT-AV1)", Plan: planFig3})
 }
 
-// CountingCtx is the worker-context factory for counting-only runs.
-func CountingCtx(int) *trace.Ctx { return trace.New() }
-
 func mixRow(prefix []string, insts uint64, m *trace.Mix) []string {
 	return append(prefix,
 		sci(float64(insts)),

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"vcprof/internal/encoders"
+	"vcprof/internal/obs"
 	"vcprof/internal/perf"
 	"vcprof/internal/sched"
 	"vcprof/internal/trace"
@@ -388,7 +389,7 @@ func (s *Session) ResumeToken() ResumeToken {
 func (s *Session) Digest() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SessionDigest(s.digests)
+	return obs.FoldDigest(s.digests)
 }
 
 // ticksPerFrame converts a frame rate to virtual ticks per frame

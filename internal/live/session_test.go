@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vcprof/internal/encoders"
+	"vcprof/internal/obs"
 	"vcprof/internal/sched"
 )
 
@@ -60,7 +61,7 @@ func foldResults(t *testing.T, gops []GOPResult) string {
 		copy(d[:], b)
 		ds = append(ds, d)
 	}
-	return SessionDigest(ds)
+	return obs.FoldDigest(ds)
 }
 
 // TestScheduleInvariance is the live half of the repo's scheduling

@@ -98,12 +98,12 @@ func HopID(kind string, seq uint64) string {
 }
 
 // JobTraceID derives a job's trace id from its content address.
-func JobTraceID(key string) string { return "j-" + shortKey(key) }
+func JobTraceID(key string) string { return "j-" + ShortKey(key) }
 
 // SessionTraceID derives a live session's trace id from its spec key.
-func SessionTraceID(key string) string { return "s-" + shortKey(key) }
+func SessionTraceID(key string) string { return "s-" + ShortKey(key) }
 
-func shortKey(key string) string {
+func ShortKey(key string) string {
 	if len(key) > 16 {
 		return key[:16]
 	}

@@ -13,9 +13,6 @@
 // never by the host clock — so the Chrome trace export and the
 // self-profile table are byte-identical across runs, hosts and worker
 // counts, and can be golden-tested exactly like the harness tables.
-// The one wall-clock adapter lives in realclock.go, is allowlisted for
-// vclint's detnow analyzer, and is only for cmd/ front-ends narrating
-// progress to humans.
 //
 // Counters split into two domains: deterministic counters (cache
 // hits/misses, simulated uarch events) appear in exports and goldens;

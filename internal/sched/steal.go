@@ -48,19 +48,6 @@ func (d *deque) popTail() (taskRef, bool) {
 	return rf, ok
 }
 
-// stealHead removes the oldest live entry. Caller holds the pool mutex.
-func (d *deque) stealHead() (taskRef, bool) {
-	for len(d.items) > d.head {
-		rf := d.items[d.head]
-		d.head++
-		if rf.r.state[rf.task] == taskReady {
-			return rf, true
-		}
-	}
-	d.reset()
-	return taskRef{}, false
-}
-
 func (d *deque) reset() {
 	d.items = d.items[:0]
 	d.head = 0

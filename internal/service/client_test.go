@@ -1,0 +1,325 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"vcprof/internal/obs"
+	"vcprof/internal/telemetry"
+)
+
+// fakeShard is a scripted daemon for the Drive tests: it answers the
+// first reject429 submits with 429, then accepts under submitID and
+// reports the job done serveDelay later. poll and result, when set,
+// replace the default status and result handlers.
+type fakeShard struct {
+	submitID   string
+	reject429  int
+	serveDelay time.Duration
+	poll       http.HandlerFunc
+	result     http.HandlerFunc
+
+	mu         sync.Mutex // handlers may run on different connections
+	submits    int
+	acceptedAt time.Time
+}
+
+func (f *fakeShard) serve(t *testing.T) Client {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.submits++
+		if f.submits <= f.reject429 {
+			w.Header().Set("Retry-After", "1")
+			WriteError(w, http.StatusTooManyRequests, "saturated")
+			return
+		}
+		f.acceptedAt = time.Now()
+		WriteJSON(w, http.StatusAccepted, JobStatus{ID: f.submitID, Status: StateQueued})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if f.poll != nil {
+			f.poll(w, r)
+			return
+		}
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		st := StateRunning
+		if time.Since(f.acceptedAt) >= f.serveDelay {
+			st = StateDone
+		}
+		WriteJSON(w, http.StatusOK, JobStatus{ID: r.PathValue("id"), Status: st})
+	})
+	mux.HandleFunc("GET /v1/results/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if f.result != nil {
+			f.result(w, r)
+			return
+		}
+		fmt.Fprint(w, `{"result":"bytes"}`)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return Client{Base: srv.URL, HTTP: srv.Client()}
+}
+
+func drivePayload(t *testing.T) (key string, payload []byte) {
+	t.Helper()
+	spec := validEncodeSpec()
+	spec.Normalize()
+	payload, err := json.Marshal(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec.Key(), payload
+}
+
+// TestDriveSplitsRetriesFromServedLatency is the regression test for
+// the latency-conflation bug: under 429 retries, the reported served
+// latency must cover only accepted-submit → result, while the retries
+// land in their own counter. Before the split, three 429s added ~75ms
+// of backoff sleep to the "latency" of a 30ms job.
+func TestDriveSplitsRetriesFromServedLatency(t *testing.T) {
+	key, payload := drivePayload(t)
+	const rejects = 3
+	const serveDelay = 30 * time.Millisecond
+	c := (&fakeShard{submitID: key, reject429: rejects, serveDelay: serveDelay}).serve(t)
+
+	accepted := 0
+	body, ds, err := c.Drive(context.Background(), key, payload, DriveOpts{Accepted: func() { accepted++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) == 0 || ds.Cached {
+		t.Fatalf("body=%d bytes cached=%v, want bytes and not cached", len(body), ds.Cached)
+	}
+	if ds.Retries429 != rejects || ds.Reconnects != 0 {
+		t.Fatalf("retries_429=%d reconnects=%d, want %d and 0", ds.Retries429, ds.Reconnects, rejects)
+	}
+	if accepted != 1 {
+		t.Fatalf("Accepted ran %d times, want once", accepted)
+	}
+	// The served clock must exclude the ~75ms of 429 backoff: it has
+	// to cover the serve delay but stay well under delay + backoffs.
+	if ds.Served < serveDelay {
+		t.Fatalf("served latency %v < serve delay %v — clock started too late", ds.Served, serveDelay)
+	}
+	if max := serveDelay + 2*rejects*25*time.Millisecond; ds.Served >= max {
+		t.Fatalf("served latency %v >= %v — 429 backoff leaked into the served clock", ds.Served, max)
+	}
+}
+
+// flakyDoer fails the first n requests at the transport level
+// (connect-error shaped), then delegates.
+type flakyDoer struct {
+	fails int
+	next  Doer
+}
+
+func (f *flakyDoer) Do(req *http.Request) (*http.Response, error) {
+	if f.fails > 0 {
+		f.fails--
+		return nil, fmt.Errorf("dial tcp: connection refused (injected)")
+	}
+	return f.next.Do(req)
+}
+
+// TestDriveCountsReconnectsSeparately pins the transport-retry path:
+// connect errors during submit are retried up to the budget, counted in
+// their own field, and never reach the latency clock.
+func TestDriveCountsReconnectsSeparately(t *testing.T) {
+	key, payload := drivePayload(t)
+	c := (&fakeShard{submitID: key, serveDelay: time.Millisecond}).serve(t)
+	c.HTTP = &flakyDoer{fails: 2, next: c.HTTP}
+
+	_, ds, err := c.Drive(context.Background(), key, payload, DriveOpts{Reconnects: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Reconnects != 2 || ds.Retries429 != 0 {
+		t.Fatalf("reconnects=%d retries_429=%d, want 2 and 0", ds.Reconnects, ds.Retries429)
+	}
+}
+
+// TestDriveGivesUpAfterReconnectBudget pins the bound: persistent
+// connect failure fails the drive instead of retrying forever — at once
+// with no budget (the router fails over instead), after the budget
+// otherwise.
+func TestDriveGivesUpAfterReconnectBudget(t *testing.T) {
+	key, payload := drivePayload(t)
+	for _, budget := range []int{0, 3} {
+		c := Client{Base: "http://127.0.0.1:0", HTTP: &flakyDoer{fails: 1 << 30}}
+		_, ds, err := c.Drive(context.Background(), key, payload, DriveOpts{Reconnects: budget})
+		if err == nil {
+			t.Fatalf("budget %d: Drive succeeded against a dead transport", budget)
+		}
+		if ds.Reconnects != budget {
+			t.Fatalf("budget %d: reconnects = %d", budget, ds.Reconnects)
+		}
+	}
+}
+
+// TestDriveReportsHTTPCodeOfNonJSON5xx: a dying server's 5xx carries
+// whatever body its proxy wrote. Submit and poll alike must report the
+// HTTP code, not a JSON syntax error.
+func TestDriveReportsHTTPCodeOfNonJSON5xx(t *testing.T) {
+	key, payload := drivePayload(t)
+	c := (&fakeShard{submitID: key, poll: func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadGateway)
+		fmt.Fprint(w, "<html>upstream died</html>")
+	}}).serve(t)
+
+	_, _, err := c.Drive(context.Background(), key, payload, DriveOpts{})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 502") {
+		t.Fatalf("err = %v, want the poll's HTTP 502", err)
+	}
+	if strings.Contains(err.Error(), "bad status body") {
+		t.Fatalf("err = %v: a 5xx body must not be parsed", err)
+	}
+}
+
+func TestDriveRejectsKeyMismatchOnSubmit(t *testing.T) {
+	key, payload := drivePayload(t)
+	c := (&fakeShard{submitID: strings.Repeat("0", 64)}).serve(t)
+	_, _, err := c.Drive(context.Background(), key, payload, DriveOpts{})
+	if err == nil || !strings.Contains(err.Error(), "server key") {
+		t.Fatalf("err = %v, want a key-mismatch error", err)
+	}
+}
+
+// TestDriveCancelledMidPollReturnsPromptly: the poll sleep and the
+// in-flight request both hang off ctx, so a hedge loser or a drained
+// router stops within one scheduling quantum, not one poll delay.
+func TestDriveCancelledMidPollReturnsPromptly(t *testing.T) {
+	key, payload := drivePayload(t)
+	c := (&fakeShard{submitID: key, serveDelay: time.Hour}).serve(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(60*time.Millisecond, cancel) // several polls in: the delay has grown
+	t0 := time.Now()
+	_, _, err := c.Drive(ctx, key, payload, DriveOpts{})
+	if err == nil || ctx.Err() == nil {
+		t.Fatalf("err = %v, want cancellation", err)
+	}
+	if took := time.Since(t0); took > 2*time.Second {
+		t.Fatalf("cancelled drive took %v to return", took)
+	}
+}
+
+func TestDriveRejectsOverLimitResult(t *testing.T) {
+	key, payload := drivePayload(t)
+	c := (&fakeShard{submitID: key, result: func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bytes.Repeat([]byte{'x'}, MaxResultBytes+1))
+	}}).serve(t)
+	body, _, err := c.Drive(context.Background(), key, payload, DriveOpts{})
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("over-limit result: %d bytes, err = %v", len(body), err)
+	}
+}
+
+// TestWireShapes pins the wire documents twice over. The literals fix
+// field names and omitempty, so a tag edit fails here. The live half
+// fetches each document from a real daemon's handlers, decodes it
+// strictly into the exported type and re-marshals it: equal bytes mean
+// the handlers emit exactly the exported shape — nothing more, nothing
+// renamed — which is what lets a gate re-serve them byte for byte.
+func TestWireShapes(t *testing.T) {
+	for _, c := range []struct {
+		doc  any
+		want string
+	}{
+		{JobStatus{ID: "k", Status: StateQueued}, `{"id":"k","status":"queued"}`},
+		{JobStatus{ID: "k", Status: StateDone, Cached: true}, `{"id":"k","status":"done","cached":true}`},
+		{JobStatus{ID: "k", Status: StateFailed, Error: "boom"}, `{"id":"k","status":"failed","error":"boom"}`},
+		{RegistryInfo{Name: "s0", State: "serving"},
+			`{"name":"s0","state":"serving","store_objects":0,"store_bytes":0,"queue_depth":0}`},
+		{SessionFeedReq{Fed: 8}, `{"fed":8}`},
+		{SessionFeedReq{Fed: 8, EOS: true}, `{"fed":8,"eos":true}`},
+		{TraceSlice{Proc: "p", Trace: "j-1"}, `{"proc":"p","trace":"j-1","events":null}`},
+		{Topdown{}, `{"retiring":0,"bad_spec":0,"frontend":0,"backend":0,"total_slots":0,"producers":0,"flushes":0,"commits":0}`},
+		{Topdown{ID: "k", State: StateDone}, `{"id":"k","state":"done","retiring":0,"bad_spec":0,"frontend":0,"backend":0,"total_slots":0,"producers":0,"flushes":0,"commits":0}`},
+	} {
+		got, err := json.Marshal(c.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%T:\n  got  %s\n  want %s", c.doc, got, c.want)
+		}
+	}
+	// The optional members of the session documents: absent when zero.
+	for _, c := range []struct {
+		doc    any
+		absent []string
+	}{
+		{SessionCreateReq{}, []string{"resume"}},
+		{SessionCreateResp{}, []string{"resumed", "shard", "trace"}},
+	} {
+		got, _ := json.Marshal(c.doc)
+		for _, f := range c.absent {
+			if bytes.Contains(got, []byte(`"`+f+`"`)) {
+				t.Errorf("%T marshals zero %q: %s", c.doc, f, got)
+			}
+		}
+	}
+
+	_, hts := testServer(t, Config{Workers: 2, SampleInterval: time.Hour}, true)
+	raw := func(method, path string, body any) []byte {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			b, _ := json.Marshal(body)
+			rd = bytes.NewReader(b)
+		}
+		req, _ := http.NewRequest(method, hts.URL+path, rd)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return out
+	}
+	same := func(name string, got []byte, into any) {
+		t.Helper()
+		dec := json.NewDecoder(bytes.NewReader(got))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(into); err != nil {
+			t.Errorf("%s: handler bytes do not fit %T: %v\n  %s", name, into, err, got)
+			return
+		}
+		again, _ := json.Marshal(into)
+		if !bytes.Equal(append(again, '\n'), got) {
+			t.Errorf("%s: handler bytes differ from %T:\n  handler %s  type    %s", name, into, got, again)
+		}
+	}
+
+	spec := validEncodeSpec()
+	spec.Normalize()
+	key := spec.Key()
+	same("submit", raw("POST", "/v1/jobs", &spec), &JobStatus{})
+	pollDone(t, hts.URL, key)
+	same("status done", raw("GET", "/v1/jobs/"+key, nil), &JobStatus{})
+	same("resubmit cached", raw("POST", "/v1/jobs", &spec), &JobStatus{})
+	same("registry", raw("GET", "/v1/registry", nil), &RegistryInfo{})
+	same("trace slice", raw("GET", "/v1/trace/"+obs.JobTraceID(key), nil), &TraceSlice{})
+	same("job topdown", raw("GET", "/v1/jobs/"+key+"/topdown", nil), &Topdown{})
+	same("topdown", raw("GET", "/v1/telemetry/topdown", nil), &Topdown{})
+	same("series", raw("GET", "/v1/telemetry/series", nil), &telemetry.Window{})
+	same("slo", raw("GET", "/v1/slo", nil), &telemetry.SLOReport{})
+
+	created := raw("POST", "/v1/sessions", SessionCreateReq{Spec: liveTestSpec()})
+	var cr SessionCreateResp
+	same("session create", created, &cr)
+	same("session stats", raw("GET", "/v1/sessions/"+cr.ID+"/stats", nil), &SessionStatsResp{})
+	same("session feed", raw("POST", "/v1/sessions/"+cr.ID+"/frames", SessionFeedReq{Fed: 16, EOS: true}), &SessionFeedResp{})
+}

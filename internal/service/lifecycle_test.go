@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -43,36 +44,26 @@ func testServer(t *testing.T, cfg Config, start bool) (*Server, *httptest.Server
 	return srv, hts
 }
 
-func submit(t *testing.T, base string, spec JobSpec) (jobStatus, int) {
+func submit(t *testing.T, base string, spec JobSpec) (JobStatus, int) {
 	t.Helper()
 	payload, err := json.Marshal(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(payload))
+	st, code, err := Client{Base: base}.Submit(context.Background(), payload, "")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("submit: %v", err)
 	}
-	defer resp.Body.Close()
-	var st jobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("submit: bad body (HTTP %d): %v", resp.StatusCode, err)
-	}
-	return st, resp.StatusCode
+	return st, code
 }
 
-func getStatus(t *testing.T, base, id string) (jobStatus, int) {
+func getStatus(t *testing.T, base, id string) (JobStatus, int) {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/jobs/" + id)
+	st, code, err := Client{Base: base}.Status(context.Background(), id)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("status: %v", err)
 	}
-	defer resp.Body.Close()
-	var st jobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("status: bad body (HTTP %d): %v", resp.StatusCode, err)
-	}
-	return st, resp.StatusCode
+	return st, code
 }
 
 func pollDone(t *testing.T, base, id string) {
@@ -104,16 +95,15 @@ func pollDoneWithin(t *testing.T, base, id string, budget time.Duration) {
 
 func fetchResult(t *testing.T, base, id string) ([]byte, int) {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/results/" + id)
+	body, err := Client{Base: base}.Result(context.Background(), id)
+	var se *StatusError
+	if errors.As(err, &se) {
+		return []byte(se.Body), se.Code
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body, resp.StatusCode
+	return body, http.StatusOK
 }
 
 // TestLifecycleByteIdenticalToDirectRun drives submit → poll → fetch

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -286,59 +285,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// jobStatus is the wire form of a job's state.
-type jobStatus struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Cached bool   `json:"cached,omitempty"`
-	Error  string `json:"error,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	w.Write(append(data, '\n'))
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		obsJobsRefused.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+	if err := DecodeJSON(w, r, &spec); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	key := spec.Key()
 	if s.store.Contains(key) {
 		obsJobsCached.Add(1)
-		writeJSON(w, http.StatusOK, jobStatus{ID: key, Status: StateDone, Cached: true})
+		WriteJSON(w, http.StatusOK, JobStatus{ID: key, Status: StateDone, Cached: true})
 		return
 	}
-	j, joined := s.jobs.getOrAdd(spec, key, traceIDFromRequest(r, obs.JobTraceID(key)))
+	j, joined := s.jobs.getOrAdd(spec, key, TraceIDFromRequest(r, obs.JobTraceID(key)))
 	if joined {
 		// Singleflight: this submission rides the identical in-flight
 		// job; one computation will satisfy both.
 		obsJobsDeduped.Add(1)
 		state, _ := s.jobs.snapshot(j)
-		writeJSON(w, http.StatusAccepted, jobStatus{ID: key, Status: state})
+		WriteJSON(w, http.StatusAccepted, JobStatus{ID: key, Status: state})
 		return
 	}
 	if err := s.q.push(j); err != nil {
@@ -347,10 +322,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case ErrSaturated:
 			obsJobsRejected.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "queue saturated (%d queued)", s.q.depth())
+			WriteError(w, http.StatusTooManyRequests, "queue saturated (%d queued)", s.q.depth())
 		default:
 			obsJobsRefused.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "server is draining")
+			WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		}
 		return
 	}
@@ -359,39 +334,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Deterministic admission hop: the fact the job was admitted is
 	// content-derived, so the tuple merges clean across topologies.
 	s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopAdmitted})
-	writeJSON(w, http.StatusAccepted, jobStatus{ID: key, Status: StateQueued})
-}
-
-// traceIDFromRequest reads the propagated trace id off the wire,
-// falling back to the content-derived default — which a gate, deriving
-// from the same key, sends anyway. The validation bound keeps
-// arbitrary header bytes out of exports.
-func traceIDFromRequest(r *http.Request, fallback string) string {
-	if v := r.Header.Get(obs.TraceHeader); obs.ValidTraceID(v) {
-		return v
-	}
-	return fallback
+	WriteJSON(w, http.StatusAccepted, JobStatus{ID: key, Status: StateQueued})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if j, ok := s.jobs.get(id); ok {
 		state, errMsg := s.jobs.snapshot(j)
-		writeJSON(w, http.StatusOK, jobStatus{ID: id, Status: state, Error: errMsg})
+		WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: state, Error: errMsg})
 		return
 	}
 	if s.store.Contains(id) {
-		writeJSON(w, http.StatusOK, jobStatus{ID: id, Status: StateDone, Cached: true})
+		WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: StateDone, Cached: true})
 		return
 	}
-	writeError(w, http.StatusNotFound, "unknown job %q", id)
+	WriteError(w, http.StatusNotFound, "unknown job %q", id)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	data, ok, err := s.store.Get(id)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	if ok {
@@ -402,14 +366,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobs.get(id); ok {
 		state, errMsg := s.jobs.snapshot(j)
 		if state == StateFailed {
-			writeJSON(w, http.StatusInternalServerError, jobStatus{ID: id, Status: state, Error: errMsg})
+			WriteJSON(w, http.StatusInternalServerError, JobStatus{ID: id, Status: state, Error: errMsg})
 			return
 		}
 		// Known but not finished: poll again.
-		writeJSON(w, http.StatusConflict, jobStatus{ID: id, Status: state})
+		WriteJSON(w, http.StatusConflict, JobStatus{ID: id, Status: state})
 		return
 	}
-	writeError(w, http.StatusNotFound, "no result for %q", id)
+	WriteError(w, http.StatusNotFound, "no result for %q", id)
 }
 
 // handleResultHead is the router's ownership-hint probe: 200 when this
@@ -448,25 +412,25 @@ func isResultKey(id string) bool {
 func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		obsJobsRefused.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	id := r.PathValue("id")
 	if !isResultKey(id) {
-		writeError(w, http.StatusBadRequest, "bad result key %q (want 64 hex chars)", id)
+		WriteError(w, http.StatusBadRequest, "bad result key %q (want 64 hex chars)", id)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxResultBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "replica body: %v", err)
+		WriteError(w, http.StatusRequestEntityTooLarge, "replica body: %v", err)
 		return
 	}
 	if len(data) == 0 {
-		writeError(w, http.StatusBadRequest, "empty replica body")
+		WriteError(w, http.StatusBadRequest, "empty replica body")
 		return
 	}
 	if err := s.store.Put(id, data); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	obsReplicaPuts.Add(1)
@@ -482,23 +446,13 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 		state = "draining"
 	}
 	st := s.store.Stats()
-	writeJSON(w, http.StatusOK, registryInfo{
+	WriteJSON(w, http.StatusOK, RegistryInfo{
 		Name:         s.cfg.ShardName,
 		State:        state,
 		StoreObjects: st.Objects,
 		StoreBytes:   st.Bytes,
 		QueueDepth:   s.q.depth(),
 	})
-}
-
-// registryInfo is the GET /v1/registry wire document (the cluster
-// package keeps a matching decoder, cluster.RegistryInfo).
-type registryInfo struct {
-	Name         string `json:"name"`
-	State        string `json:"state"`
-	StoreObjects int    `json:"store_objects"`
-	StoreBytes   int64  `json:"store_bytes"`
-	QueueDepth   int    `json:"queue_depth"`
 }
 
 // handleMetrics renders the Prometheus text exposition v0.0.4 over the
@@ -526,14 +480,14 @@ func (s *Server) handleJobTopdown(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	acc, ok := s.tele.findJobAcc(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			"no telemetry for job %q (never executed here: unknown, cached at submit, or evicted)", id)
 		return
 	}
 	wire := topdownOf(acc.Snapshot())
 	wire.ID = id
 	wire.State = s.jobState(id)
-	writeJSON(w, http.StatusOK, wire)
+	WriteJSON(w, http.StatusOK, wire)
 }
 
 // jobState reports a job's lifecycle state for telemetry responses.
@@ -551,26 +505,26 @@ func (s *Server) jobState(id string) string {
 // handleTopdown serves the process-wide aggregate: every job's
 // committed slots plus all in-flight producers.
 func (s *Server) handleTopdown(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, topdownOf(s.tele.agg.Snapshot()))
+	WriteJSON(w, http.StatusOK, topdownOf(s.tele.agg.Snapshot()))
 }
 
 // handleSeries serves the last ?window= samples of the ring-buffer
 // time series (all of them by default), oldest first.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.SampleInterval <= 0 {
-		writeError(w, http.StatusNotFound, "telemetry sampling disabled (start vcprofd with -sample)")
+		WriteError(w, http.StatusNotFound, "telemetry sampling disabled (start vcprofd with -sample)")
 		return
 	}
 	n := 0
 	if v := r.URL.Query().Get("window"); v != "" {
 		p, err := strconv.Atoi(v)
 		if err != nil || p < 0 {
-			writeError(w, http.StatusBadRequest, "bad window %q", v)
+			WriteError(w, http.StatusBadRequest, "bad window %q", v)
 			return
 		}
 		n = p
 	}
-	writeJSON(w, http.StatusOK, s.tele.series.Window(n))
+	WriteJSON(w, http.StatusOK, s.tele.series.Window(n))
 }
 
 // handleProfile serves the continuous self-profile accumulated from
@@ -580,7 +534,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 // needs no wall-clock sampler and is exact, not statistical.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if !s.board.enabled() {
-		writeError(w, http.StatusNotFound, "tracing disabled (start vcprofd with -trace)")
+		WriteError(w, http.StatusNotFound, "tracing disabled (start vcprofd with -trace)")
 		return
 	}
 	fold := r.URL.Query().Get("fold") == "1"
@@ -588,7 +542,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("top"); v != "" {
 		p, err := strconv.Atoi(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad top %q", v)
+			WriteError(w, http.StatusBadRequest, "bad top %q", v)
 			return
 		}
 		topN = p
@@ -601,7 +555,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !s.board.enabled() {
-		writeError(w, http.StatusNotFound, "tracing disabled (start vcprofd with -trace)")
+		WriteError(w, http.StatusNotFound, "tracing disabled (start vcprofd with -trace)")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -613,8 +567,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -153,43 +152,6 @@ func (t *sessionTable) wait() {
 	wg.Wait()
 }
 
-// Wire forms.
-
-type sessionCreateReq struct {
-	Spec   live.SessionSpec  `json:"spec"`
-	Resume *live.ResumeToken `json:"resume,omitempty"`
-}
-
-type sessionCreateResp struct {
-	ID      string           `json:"id"`
-	Key     string           `json:"key"`
-	Resumed bool             `json:"resumed,omitempty"`
-	Spec    live.SessionSpec `json:"spec"`
-}
-
-// sessionFeedReq advances the arrival watermark. Fed is the absolute
-// total of frames that have arrived — not a delta — so a replayed or
-// reordered request can never double-feed a session: feeding to a
-// watermark the session already passed is a no-op.
-type sessionFeedReq struct {
-	Fed int  `json:"fed"`
-	EOS bool `json:"eos,omitempty"`
-}
-
-type sessionFeedResp struct {
-	ID     string           `json:"id"`
-	GOPs   []live.GOPResult `json:"gops"`
-	Stats  live.Stats       `json:"stats"`
-	Resume live.ResumeToken `json:"resume"`
-}
-
-type sessionStatsResp struct {
-	ID    string              `json:"id"`
-	Spec  live.SessionSpec    `json:"spec"`
-	Stats live.Stats          `json:"stats"`
-	SLO   telemetry.SLOReport `json:"slo"`
-}
-
 // sloOfStats projects one session's cumulative stats onto the SLO
 // report shape, so a stats poll shows this stream's burn rates with
 // the same math the process-wide /v1/slo uses.
@@ -208,19 +170,17 @@ func sloOfStats(st live.Stats) telemetry.SLOReport {
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		obsJobsRefused.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	var req sessionCreateReq
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad session spec: %v", err)
+	var req SessionCreateReq
+	if err := DecodeJSON(w, r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad session spec: %v", err)
 		return
 	}
 	key, err := req.Spec.Key()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cfg := live.Config{Pool: s.pool}
@@ -231,14 +191,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		sess, err = live.New(req.Spec, cfg)
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tid := traceIDFromRequest(r, obs.SessionTraceID(key))
+	tid := TraceIDFromRequest(r, obs.SessionTraceID(key))
 	e, err := s.sessions.add(key, sess, s.cfg.Obs != nil, tid)
 	if err != nil {
 		obsJobsRefused.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	obsSessionsOpened.Add(1)
@@ -250,33 +210,31 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		// Opening is content-derived — every topology opens the same
 		// stream exactly once — so it lands in the deterministic view.
-		s.hops.Emit(obs.HopEvent{Trace: tid, Kind: obs.HopSessionOpen, Arg: shortArg(key)})
+		s.hops.Emit(obs.HopEvent{Trace: tid, Kind: obs.HopSessionOpen, Arg: obs.ShortKey(key)})
 	}
 	e.mu.Lock()
 	id := e.id
 	e.mu.Unlock()
-	writeJSON(w, http.StatusCreated, sessionCreateResp{
+	WriteJSON(w, http.StatusCreated, SessionCreateResp{
 		ID: id, Key: key, Resumed: req.Resume != nil, Spec: sess.Spec(),
 	})
 }
 
 func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req sessionFeedReq
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad feed request: %v", err)
+	var req SessionFeedReq
+	if err := DecodeJSON(w, r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad feed request: %v", err)
 		return
 	}
 	e, err := s.sessions.beginFeed(id)
 	if err != nil {
 		obsJobsRefused.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	if e == nil {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	defer s.sessions.endFeed()
@@ -295,7 +253,7 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	ctx := obs.WithTraceContext(s.baseCtx, obs.TraceContext{Trace: trace})
 	gops, err := e.s.Feed(ctx, delta, req.EOS)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	for i := range gops {
@@ -310,10 +268,10 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 		// instruction count are identical wherever the GOP encodes, so a
 		// resumed session's hops merge seamlessly with the original's.
 		s.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopGOP,
-			Seq: uint64(gops[i].Index), Arg: shortArg(gops[i].Digest), Dur: gops[i].Insts})
+			Seq: uint64(gops[i].Index), Arg: obs.ShortKey(gops[i].Digest), Dur: gops[i].Insts})
 	}
 	st := e.s.Stats()
-	resp := sessionFeedResp{ID: id, GOPs: gops, Stats: st, Resume: e.s.ResumeToken()}
+	resp := SessionFeedResp{ID: id, GOPs: gops, Stats: st, Resume: e.s.ResumeToken()}
 	if st.Done {
 		if _, ok := s.sessions.remove(id); ok && e.sess != nil {
 			// The session is over; its lane is immutable from here on and
@@ -322,27 +280,27 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 		}
 		obsSessionsClosed.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, ok := s.sessions.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.s.Stats()
-	writeJSON(w, http.StatusOK, sessionStatsResp{ID: id, Spec: e.s.Spec(), Stats: st, SLO: sloOfStats(st)})
+	WriteJSON(w, http.StatusOK, SessionStatsResp{ID: id, Spec: e.s.Spec(), Stats: st, SLO: sloOfStats(st)})
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e, ok := s.sessions.remove(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		WriteError(w, http.StatusNotFound, "unknown session %q", id)
 		return
 	}
 	e.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vcprof/internal/live"
+	"vcprof/internal/obs"
 )
 
 func liveTestSpec() live.SessionSpec {
@@ -52,7 +53,7 @@ func foldWire(t *testing.T, gops []live.GOPResult) string {
 		copy(d[:], b)
 		ds = append(ds, d)
 	}
-	return live.SessionDigest(ds)
+	return obs.FoldDigest(ds)
 }
 
 // TestSessionHTTPMatchesDirect drives a session over the HTTP surface
@@ -72,16 +73,16 @@ func TestSessionHTTPMatchesDirect(t *testing.T) {
 	directGOPs = append(directGOPs, gs...)
 
 	_, hts := testServer(t, Config{Workers: 2}, true)
-	var created sessionCreateResp
-	if code := postJSON(t, hts.URL+"/v1/sessions", sessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
+	var created SessionCreateResp
+	if code := postJSON(t, hts.URL+"/v1/sessions", SessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", code)
 	}
 
 	// Feed in two batches with a replayed watermark in between — the
 	// replay must be a no-op, not a double-feed.
 	var wire []live.GOPResult
-	var feed sessionFeedResp
-	for _, req := range []sessionFeedReq{{Fed: 8}, {Fed: 8}, {Fed: 16, EOS: true}} {
+	var feed SessionFeedResp
+	for _, req := range []SessionFeedReq{{Fed: 8}, {Fed: 8}, {Fed: 16, EOS: true}} {
 		if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", req, &feed); code != http.StatusOK {
 			t.Fatalf("feed %+v: HTTP %d", req, code)
 		}
@@ -121,23 +122,23 @@ func TestSessionResumeOverHTTP(t *testing.T) {
 	_, hts1 := testServer(t, Config{Workers: 2}, true)
 	_, hts2 := testServer(t, Config{Workers: 2}, true)
 
-	var created sessionCreateResp
-	postJSON(t, hts1.URL+"/v1/sessions", sessionCreateReq{Spec: spec}, &created)
-	var feed sessionFeedResp
-	if code := postJSON(t, hts1.URL+"/v1/sessions/"+created.ID+"/frames", sessionFeedReq{Fed: 8}, &feed); code != http.StatusOK {
+	var created SessionCreateResp
+	postJSON(t, hts1.URL+"/v1/sessions", SessionCreateReq{Spec: spec}, &created)
+	var feed SessionFeedResp
+	if code := postJSON(t, hts1.URL+"/v1/sessions/"+created.ID+"/frames", SessionFeedReq{Fed: 8}, &feed); code != http.StatusOK {
 		t.Fatalf("feed: HTTP %d", code)
 	}
 	gops := append([]live.GOPResult{}, feed.GOPs...)
 	tok := feed.Resume
 
-	var created2 sessionCreateResp
-	if code := postJSON(t, hts2.URL+"/v1/sessions", sessionCreateReq{Spec: spec, Resume: &tok}, &created2); code != http.StatusCreated {
+	var created2 SessionCreateResp
+	if code := postJSON(t, hts2.URL+"/v1/sessions", SessionCreateReq{Spec: spec, Resume: &tok}, &created2); code != http.StatusCreated {
 		t.Fatalf("resume create: HTTP %d", code)
 	}
 	if !created2.Resumed {
 		t.Fatalf("resume flag not echoed")
 	}
-	if code := postJSON(t, hts2.URL+"/v1/sessions/"+created2.ID+"/frames", sessionFeedReq{Fed: 16, EOS: true}, &feed); code != http.StatusOK {
+	if code := postJSON(t, hts2.URL+"/v1/sessions/"+created2.ID+"/frames", SessionFeedReq{Fed: 16, EOS: true}, &feed); code != http.StatusOK {
 		t.Fatalf("resumed feed: HTTP %d", code)
 	}
 	gops = append(gops, feed.GOPs...)
@@ -165,10 +166,10 @@ func TestSessionDrain(t *testing.T) {
 	spec.Rungs = nil
 	srv, hts := testServer(t, Config{Workers: 1}, true)
 
-	var created sessionCreateResp
-	postJSON(t, hts.URL+"/v1/sessions", sessionCreateReq{Spec: spec}, &created)
-	var feed sessionFeedResp
-	if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", sessionFeedReq{Fed: 8, EOS: true}, &feed); code != http.StatusOK {
+	var created SessionCreateResp
+	postJSON(t, hts.URL+"/v1/sessions", SessionCreateReq{Spec: spec}, &created)
+	var feed SessionFeedResp
+	if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", SessionFeedReq{Fed: 8, EOS: true}, &feed); code != http.StatusOK {
 		t.Fatalf("feed: HTTP %d", code)
 	}
 	if !feed.Stats.Done || feed.Stats.Encoded != 8 {
@@ -181,7 +182,7 @@ func TestSessionDrain(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// Draining server refuses new sessions and feeds.
-	if code := postJSON(t, hts.URL+"/v1/sessions", sessionCreateReq{Spec: spec}, &sessionCreateResp{}); code != http.StatusServiceUnavailable {
+	if code := postJSON(t, hts.URL+"/v1/sessions", SessionCreateReq{Spec: spec}, &SessionCreateResp{}); code != http.StatusServiceUnavailable {
 		t.Fatalf("create while draining: HTTP %d, want 503", code)
 	}
 }

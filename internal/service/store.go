@@ -179,9 +179,7 @@ func (s *Store) Put(key string, data []byte) error {
 	if s.Contains(key) {
 		return nil
 	}
-	s.mu.Lock()
 	path := objectPath(s.dir, key)
-	s.mu.Unlock()
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}

@@ -150,23 +150,8 @@ func (s *Server) gaugeSamples() []telemetry.GaugeSample {
 	return out
 }
 
-// topdownWire is the JSON form of a top-down snapshot. Fractions are
-// level-1 and sum to 1 whenever total_slots > 0.
-type topdownWire struct {
-	ID         string  `json:"id,omitempty"`
-	State      string  `json:"state,omitempty"`
-	Retiring   float64 `json:"retiring"`
-	BadSpec    float64 `json:"bad_spec"`
-	Frontend   float64 `json:"frontend"`
-	Backend    float64 `json:"backend"`
-	TotalSlots uint64  `json:"total_slots"`
-	Producers  int     `json:"producers"`
-	Flushes    uint64  `json:"flushes"`
-	Commits    uint64  `json:"commits"`
-}
-
-func topdownOf(snap topdown.Snapshot) topdownWire {
-	w := topdownWire{
+func topdownOf(snap topdown.Snapshot) Topdown {
+	w := Topdown{
 		TotalSlots: snap.Total,
 		Producers:  snap.Producers,
 		Flushes:    snap.Flushes,

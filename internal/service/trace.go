@@ -15,26 +15,16 @@ import (
 // assemble for a one-shard cluster, which is what the topology
 // equivalence tests pin.
 
-// traceSliceWire is the slice-exchange document: the emitting process,
-// the trace id, and its hop events in emission order. Merging,
-// deduplication and clock alignment happen at the collector — slices
-// stay raw so the same bytes serve any view.
-type traceSliceWire struct {
-	Proc   string         `json:"proc"`
-	Trace  string         `json:"trace"`
-	Events []obs.HopEvent `json:"events"`
-}
-
 func (s *Server) handleTraceSlice(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidTraceID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	// An unknown trace answers 200 with zero events, not 404: a shard
 	// that never saw the job legitimately has an empty slice, and the
 	// collector must not treat that as a failed shard.
-	writeJSON(w, http.StatusOK, traceSliceWire{
+	WriteJSON(w, http.StatusOK, TraceSlice{
 		Proc: s.hops.Proc(), Trace: id, Events: s.hops.Slice(id),
 	})
 }
@@ -42,7 +32,7 @@ func (s *Server) handleTraceSlice(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !obs.ValidTraceID(id) {
-		writeError(w, http.StatusBadRequest, "bad trace id %q", id)
+		WriteError(w, http.StatusBadRequest, "bad trace id %q", id)
 		return
 	}
 	includeVolatile := r.URL.Query().Get("volatile") != "0"
@@ -55,15 +45,5 @@ func (s *Server) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, telemetry.SLOFromRegistry())
-}
-
-// shortArg truncates a content hash to the 16-hex-char prefix hop
-// events carry — long enough to be unambiguous in a trace, short
-// enough to keep exports compact.
-func shortArg(s string) string {
-	if len(s) > 16 {
-		return s[:16]
-	}
-	return s
+	WriteJSON(w, http.StatusOK, telemetry.SLOFromRegistry())
 }

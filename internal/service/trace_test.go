@@ -100,12 +100,12 @@ func TestSessionHopTrace(t *testing.T) {
 	}
 	trace := obs.SessionTraceID(key)
 
-	var created sessionCreateResp
-	if code := postJSON(t, hts.URL+"/v1/sessions", sessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
+	var created SessionCreateResp
+	if code := postJSON(t, hts.URL+"/v1/sessions", SessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", code)
 	}
-	var feed sessionFeedResp
-	if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", sessionFeedReq{Fed: 16, EOS: true}, &feed); code != http.StatusOK {
+	var feed SessionFeedResp
+	if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", SessionFeedReq{Fed: 16, EOS: true}, &feed); code != http.StatusOK {
 		t.Fatalf("feed: HTTP %d", code)
 	}
 	if !feed.Stats.Done {
@@ -143,8 +143,8 @@ func TestSessionHopTrace(t *testing.T) {
 	// id and marks the leg with a volatile session-resume hop.
 	srv2, hts2 := testServer(t, Config{Workers: 1, ShardName: "s1"}, true)
 	tok := feed.Resume
-	var resumed sessionCreateResp
-	if code := postJSON(t, hts2.URL+"/v1/sessions", sessionCreateReq{Spec: spec, Resume: &tok}, &resumed); code != http.StatusCreated {
+	var resumed SessionCreateResp
+	if code := postJSON(t, hts2.URL+"/v1/sessions", SessionCreateReq{Spec: spec, Resume: &tok}, &resumed); code != http.StatusCreated {
 		t.Fatalf("resume create: HTTP %d", code)
 	}
 	found := false
@@ -166,12 +166,12 @@ func TestSessionHopTrace(t *testing.T) {
 func TestSLOEndpoint(t *testing.T) {
 	_, hts := testServer(t, Config{Workers: 1}, true)
 	spec := liveTestSpec()
-	var created sessionCreateResp
-	if code := postJSON(t, hts.URL+"/v1/sessions", sessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
+	var created SessionCreateResp
+	if code := postJSON(t, hts.URL+"/v1/sessions", SessionCreateReq{Spec: spec}, &created); code != http.StatusCreated {
 		t.Fatalf("create: HTTP %d", code)
 	}
-	var feed sessionFeedResp
-	if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", sessionFeedReq{Fed: 8}, &feed); code != http.StatusOK {
+	var feed SessionFeedResp
+	if code := postJSON(t, hts.URL+"/v1/sessions/"+created.ID+"/frames", SessionFeedReq{Fed: 8}, &feed); code != http.StatusOK {
 		t.Fatalf("feed: HTTP %d", code)
 	}
 
@@ -192,7 +192,7 @@ func TestSLOEndpoint(t *testing.T) {
 		t.Errorf("burn not derived from counts: %+v", rep)
 	}
 
-	var stats sessionStatsResp
+	var stats SessionStatsResp
 	resp, err := http.Get(hts.URL + "/v1/sessions/" + created.ID + "/stats")
 	if err != nil {
 		t.Fatal(err)

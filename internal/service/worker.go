@@ -80,7 +80,7 @@ func (s *Server) runJob(idx int, j *job) {
 		obsJobsFailed.Add(1)
 		s.board.span(idx, obsJobFailedName, j.key, 1)
 		s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopJobFailed,
-			Arg: shortArg(j.key), StartMS: time.Now().UnixMilli()})
+			Arg: obs.ShortKey(j.key), StartMS: time.Now().UnixMilli()})
 		s.jobs.setState(j, StateFailed, err.Error())
 		return
 	}
@@ -89,7 +89,7 @@ func (s *Server) runJob(idx int, j *job) {
 		obsJobsFailed.Add(1)
 		s.board.span(idx, obsJobFailedName, j.key, 1)
 		s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopJobFailed,
-			Arg: shortArg(j.key), StartMS: time.Now().UnixMilli()})
+			Arg: obs.ShortKey(j.key), StartMS: time.Now().UnixMilli()})
 		s.jobs.setState(j, StateFailed, "store: "+perr.Error())
 		return
 	}
@@ -100,7 +100,7 @@ func (s *Server) runJob(idx int, j *job) {
 	// shard (or hedge replay) that computes the job.
 	s.board.span(idx, obsJobDoneName, j.key, uint64(len(data)))
 	s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopExec,
-		Arg: shortArg(j.key), Dur: uint64(len(data))})
+		Arg: obs.ShortKey(j.key), Dur: uint64(len(data))})
 	s.jobs.setState(j, StateDone, "")
 }
 

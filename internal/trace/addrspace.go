@@ -66,16 +66,6 @@ func (a *AddressSpace) Alloc(name string, size int) (Region, error) {
 	return r, nil
 }
 
-// MustAlloc is Alloc for static setup paths where failure is a
-// programming error (fixed names, positive sizes).
-func (a *AddressSpace) MustAlloc(name string, size int) Region {
-	r, err := a.Alloc(name, size)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Lookup returns the region registered under name.
 func (a *AddressSpace) Lookup(name string) (Region, bool) {
 	a.mu.Lock()

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -120,14 +119,4 @@ func FuncName(id FuncID) string {
 		return r.names[id]
 	}
 	return ""
-}
-
-// RegisteredFuncs returns all registered function names, sorted.
-func RegisteredFuncs() []string {
-	r := &funcRegistry
-	r.Lock()
-	defer r.Unlock()
-	out := append([]string(nil), r.names...)
-	sort.Strings(out)
-	return out
 }

@@ -16,8 +16,7 @@
 #     so the warm-route rate must clear SMOKE_WARM_MIN (default 80%),
 #     and the digest must again equal the baseline.
 # Finally the gate and the surviving shards must drain cleanly on
-# SIGTERM, and both gate passes' serving benchmarks are emitted as
-# ${BENCH_OUT}.json.
+# SIGTERM.
 #
 # Tunables (env): SMOKE_JOBS (default 90), SMOKE_CONC (default 12),
 # SMOKE_HEAVY_EVERY (default 15), SMOKE_KILL_AFTER seconds (default 2),
@@ -29,101 +28,52 @@ CONC="${SMOKE_CONC:-12}"
 HEAVY="${SMOKE_HEAVY_EVERY:-15}"
 KILL_AFTER="${SMOKE_KILL_AFTER:-2}"
 WARM_MIN="${SMOKE_WARM_MIN:-80}"
-GO="${GO:-go}"
+SMOKE=cluster-smoke
+. scripts/lib.sh
 
-workdir="$(mktemp -d)"
-pids=""
-trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$workdir"' EXIT
-
-echo "cluster-smoke: building vcprofd, vcgate and vcload"
-"$GO" build -o "$workdir/vcprofd" ./cmd/vcprofd
-"$GO" build -o "$workdir/vcgate" ./cmd/vcgate
-"$GO" build -o "$workdir/vcload" ./cmd/vcload
-
-# wait_addr <log>: echoes the "listening on" address once a daemon
-# reports it, or fails the smoke.
-wait_addr() {
-    for _ in $(seq 1 100); do
-        a="$(sed -n 's/^listening on //p' "$1" | head -n1)"
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.05
-    done
-    echo "cluster-smoke: daemon never reported its address ($1)" >&2
-    cat "$1" >&2
-    exit 1
-}
-
-# stop_pid <pid> <what>: SIGTERM and require a clean drain.
-stop_pid() {
-    kill -TERM "$1" 2>/dev/null || true
-    for _ in $(seq 1 200); do
-        kill -0 "$1" 2>/dev/null || return 0
-        sleep 0.05
-    done
-    echo "cluster-smoke: $2 did not drain on SIGTERM" >&2
-    exit 1
-}
+build vcprofd vcgate vcload
 
 run_load() { # run_load <logname> <addr> [extra vcload flags...]
     log="$workdir/$1.log"
     target="$2"
     shift 2
     "$workdir/vcload" -addr "$target" -n "$JOBS" -c "$CONC" -seed 7 \
-        -heavy-every "$HEAVY" -flat-prio -bench "$@" | tee "$log"
-    if ! grep -q "^vcload: $JOBS jobs ok" "$log"; then
-        echo "cluster-smoke: FAIL — pass '$1' did not report all jobs ok" >&2
-        exit 1
-    fi
+        -heavy-every "$HEAVY" -flat-prio "$@" | tee "$log"
+    grep -q "^vcload: $JOBS jobs ok" "$log" || fail "pass '$log' did not report all jobs ok"
 }
 
-digest_of() { sed -n 's/^digest //p' "$workdir/$1.log"; }
-
 echo "cluster-smoke: pass 0 — single-daemon baseline ($JOBS jobs, c=$CONC, heavy every $HEAVY)"
-"$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-base" -j 1 \
-    >"$workdir/base.log" 2>&1 &
-base_pid=$!
-pids="$pids $base_pid"
-run_load baseline "$(wait_addr "$workdir/base.log")"
-stop_pid "$base_pid" "baseline daemon"
+boot base vcprofd -store "$workdir/store-base" -j 1
+run_load baseline "$addr"
+stop_pid "$pid" "baseline daemon"
 
 echo "cluster-smoke: booting 3 shards + vcgate (R=2)"
 shard_spec=""
 shard_pids=""
 for i in 0 1 2; do
-    "$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-s$i" \
-        -j 1 -name "s$i" >"$workdir/s$i.log" 2>&1 &
-    pid=$!
-    pids="$pids $pid"
+    boot "s$i" vcprofd -store "$workdir/store-s$i" -j 1 -name "s$i"
     shard_pids="$shard_pids $pid"
-    shard_spec="$shard_spec${shard_spec:+,}s$i=http://$(wait_addr "$workdir/s$i.log")"
+    shard_spec="$shard_spec${shard_spec:+,}s$i=http://$addr"
 done
 s2_pid="${shard_pids##* }"
 
-"$workdir/vcgate" -addr 127.0.0.1:0 -shards "$shard_spec" -replicas 2 \
-    >"$workdir/gate1.log" 2>&1 &
-gate1_pid=$!
-pids="$pids $gate1_pid"
-gate1_addr="$(wait_addr "$workdir/gate1.log")"
+boot gate1 vcgate -shards "$shard_spec" -replicas 2
+gate1_pid=$pid
 
 echo "cluster-smoke: pass A — cold routed run, SIGKILL shard s2 after ${KILL_AFTER}s"
-run_load cold "$gate1_addr" -gate &
+run_load cold "$addr" -gate &
 load_pid=$!
 sleep "$KILL_AFTER"
 kill -9 "$s2_pid" 2>/dev/null || true
-if ! wait "$load_pid"; then
-    echo "cluster-smoke: FAIL — cold routed pass failed" >&2
-    exit 1
-fi
+wait "$load_pid" || fail "cold routed pass failed"
 # Drain gate 1 so every pending replica push lands before pass B reads
 # the shard stores.
 stop_pid "$gate1_pid" "gate (pass A)"
 
 echo "cluster-smoke: pass B — warm routed run through a fresh gate (s2 still dead)"
-"$workdir/vcgate" -addr 127.0.0.1:0 -shards "$shard_spec" -replicas 2 \
-    >"$workdir/gate2.log" 2>&1 &
-gate2_pid=$!
-pids="$pids $gate2_pid"
-run_load warm "$(wait_addr "$workdir/gate2.log")" -gate
+boot gate2 vcgate -shards "$shard_spec" -replicas 2
+gate2_pid=$pid
+run_load warm "$addr" -gate
 
 # Determinism across the routing boundary: identical digests for the
 # single daemon, the chaotic cold cluster run, and the warm run.
@@ -131,21 +81,16 @@ d_base="$(digest_of baseline)"
 for p in cold warm; do
     d="$(digest_of $p)"
     if [ -z "$d_base" ] || [ "$d" != "$d_base" ]; then
-        echo "cluster-smoke: FAIL — '$p' digest $d != baseline $d_base" >&2
-        exit 1
+        fail "'$p' digest $d != baseline $d_base"
     fi
 done
 
 # The warm-routing claim: a cold-memory gate over warm shard stores
 # must route >= WARM_MIN% of jobs to a shard already holding the bytes.
 warm_rate="$(sed -n 's/^gate warm-rate \([0-9.]*\)%.*/\1/p' "$workdir/warm.log")"
-if [ -z "$warm_rate" ]; then
-    echo "cluster-smoke: FAIL — no 'gate warm-rate' line in warm pass output" >&2
-    exit 1
-fi
+[ -n "$warm_rate" ] || fail "no 'gate warm-rate' line in warm pass output"
 if ! awk -v w="$warm_rate" -v m="$WARM_MIN" 'BEGIN { exit !(w >= m) }'; then
-    echo "cluster-smoke: FAIL — warm-route rate ${warm_rate}% below ${WARM_MIN}%" >&2
-    exit 1
+    fail "warm-route rate ${warm_rate}% below ${WARM_MIN}%"
 fi
 
 stop_pid "$gate2_pid" "gate (pass B)"
@@ -153,13 +98,5 @@ for pid in $shard_pids; do
     [ "$pid" = "$s2_pid" ] && continue # SIGKILLed mid-run by design
     stop_pid "$pid" "shard"
 done
-
-# Publish both routed passes' serving benchmarks as one benchjson
-# artifact.
-{
-    sed -n 's/^Benchmark/BenchmarkCold/p' "$workdir/cold.log"
-    sed -n 's/^Benchmark/BenchmarkWarm/p' "$workdir/warm.log"
-} >"$workdir/bench.txt"
-"$GO" run ./cmd/benchjson -o "${BENCH_OUT:-BENCH_pr8}.json" "$workdir/bench.txt"
 
 echo "cluster-smoke: OK — $JOBS jobs x3, identical digest $d_base, warm-route rate ${warm_rate}%, shard kill survived"

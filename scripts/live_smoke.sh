@@ -15,9 +15,8 @@
 #     over from their GOP-boundary resume tokens with no client-visible
 #     divergence.
 # Then the ABR ladder comparison must report >= LADDER_MIN% instruction
-# saving with byte-identical output, the daemon and gate must drain
-# cleanly on SIGTERM, and the baseline pass's benchmarks are emitted as
-# ${BENCH_OUT}.json.
+# saving with byte-identical output, and the daemon and gate must drain
+# cleanly on SIGTERM.
 #
 # Tunables (env): SMOKE_SESSIONS (default 6), SMOKE_CONC (default 3),
 # SMOKE_KILL_AFTER seconds (default 3), LADDER_MIN percent (default 20).
@@ -27,100 +26,48 @@ SESSIONS="${SMOKE_SESSIONS:-6}"
 CONC="${SMOKE_CONC:-3}"
 KILL_AFTER="${SMOKE_KILL_AFTER:-3}"
 LADDER_MIN="${LADDER_MIN:-20}"
-GO="${GO:-go}"
+SMOKE=live-smoke
+. scripts/lib.sh
 
-workdir="$(mktemp -d)"
-pids=""
-trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$workdir"' EXIT
-
-echo "live-smoke: building vcprofd, vcgate and vclive"
-"$GO" build -o "$workdir/vcprofd" ./cmd/vcprofd
-"$GO" build -o "$workdir/vcgate" ./cmd/vcgate
-"$GO" build -o "$workdir/vclive" ./cmd/vclive
-
-# wait_addr <log>: echoes the "listening on" address once a daemon
-# reports it, or fails the smoke.
-wait_addr() {
-    for _ in $(seq 1 100); do
-        a="$(sed -n 's/^listening on //p' "$1" | head -n1)"
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.05
-    done
-    echo "live-smoke: daemon never reported its address ($1)" >&2
-    cat "$1" >&2
-    exit 1
-}
-
-# stop_pid <pid> <what>: SIGTERM and require a clean drain.
-stop_pid() {
-    kill -TERM "$1" 2>/dev/null || true
-    for _ in $(seq 1 200); do
-        kill -0 "$1" 2>/dev/null || return 0
-        sleep 0.05
-    done
-    echo "live-smoke: $2 did not drain on SIGTERM" >&2
-    exit 1
-}
+build vcprofd vcgate vclive
 
 run_live() { # run_live <logname> [vclive flags...]
     log="$workdir/$1.log"
     shift
     "$workdir/vclive" -n "$SESSIONS" -c "$CONC" -seed 11 "$@" | tee "$log"
-    if ! grep -q "^vclive: $SESSIONS sessions ok" "$log"; then
-        echo "live-smoke: FAIL — pass did not report all sessions ok" >&2
-        exit 1
-    fi
+    grep -q "^vclive: $SESSIONS sessions ok" "$log" || fail "pass did not report all sessions ok"
 }
 
-digest_of() { sed -n 's/^digest //p' "$workdir/$1.log"; }
-
 echo "live-smoke: pass 0 — in-process baseline ($SESSIONS sessions, c=$CONC)"
-run_live baseline -bench
+run_live baseline
 d_base="$(digest_of baseline)"
 misses="$(sed -n 's/.*deadline-misses \([0-9]*\).*/\1/p' "$workdir/baseline.log")"
-if [ -z "$d_base" ]; then
-    echo "live-smoke: FAIL — baseline printed no digest" >&2
-    exit 1
-fi
-if [ "$misses" != "0" ]; then
-    echo "live-smoke: FAIL — $misses deadline misses at the calibrated feed rate, want 0" >&2
-    exit 1
-fi
+[ -n "$d_base" ] || fail "baseline printed no digest"
+[ "$misses" = "0" ] || fail "$misses deadline misses at the calibrated feed rate, want 0"
 
 echo "live-smoke: pass 1 — same mix over a single vcprofd"
-"$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-solo" -j 2 \
-    >"$workdir/solo.log" 2>&1 &
-solo_pid=$!
-pids="$pids $solo_pid"
-run_live daemon -addr "$(wait_addr "$workdir/solo.log")"
-stop_pid "$solo_pid" "daemon"
+boot solo vcprofd -store "$workdir/store-solo" -j 2
+run_live daemon -addr "$addr"
+stop_pid "$pid" "daemon"
 
 echo "live-smoke: pass 2 — 3 shards + vcgate, SIGKILL one shard after ${KILL_AFTER}s"
 shard_spec=""
 shard_pids=""
 for i in 0 1 2; do
-    "$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-s$i" \
-        -j 2 -name "s$i" >"$workdir/s$i.log" 2>&1 &
-    pid=$!
-    pids="$pids $pid"
+    boot "s$i" vcprofd -store "$workdir/store-s$i" -j 2 -name "s$i"
     shard_pids="$shard_pids $pid"
-    shard_spec="$shard_spec${shard_spec:+,}s$i=http://$(wait_addr "$workdir/s$i.log")"
+    shard_spec="$shard_spec${shard_spec:+,}s$i=http://$addr"
 done
 s1_pid="$(echo $shard_pids | cut -d' ' -f2)"
 
-"$workdir/vcgate" -addr 127.0.0.1:0 -shards "$shard_spec" \
-    >"$workdir/gate.log" 2>&1 &
-gate_pid=$!
-pids="$pids $gate_pid"
+boot gate vcgate -shards "$shard_spec"
+gate_pid=$pid
 
-run_live routed -addr "$(wait_addr "$workdir/gate.log")" &
+run_live routed -addr "$addr" &
 load_pid=$!
 sleep "$KILL_AFTER"
 kill -9 "$s1_pid" 2>/dev/null || true
-if ! wait "$load_pid"; then
-    echo "live-smoke: FAIL — routed pass failed" >&2
-    exit 1
-fi
+wait "$load_pid" || fail "routed pass failed"
 stop_pid "$gate_pid" "gate"
 for pid in $shard_pids; do
     [ "$pid" = "$s1_pid" ] && continue # SIGKILLed mid-run by design
@@ -131,34 +78,16 @@ done
 # in-process engine, the daemon, and the chaotic routed run.
 for p in daemon routed; do
     d="$(digest_of $p)"
-    if [ "$d" != "$d_base" ]; then
-        echo "live-smoke: FAIL — '$p' digest $d != baseline $d_base" >&2
-        exit 1
-    fi
+    [ "$d" = "$d_base" ] || fail "'$p' digest $d != baseline $d_base"
 done
 
 echo "live-smoke: ABR ladder comparison (share on vs off)"
-"$workdir/vclive" -ladder-compare -bench | tee "$workdir/ladder.log"
+"$workdir/vclive" -ladder-compare | tee "$workdir/ladder.log"
 saving="$(sed -n 's/.*saving=\([0-9.]*\)%.*/\1/p' "$workdir/ladder.log")"
-if [ -z "$saving" ]; then
-    echo "live-smoke: FAIL — no saving line in ladder-compare output" >&2
-    exit 1
-fi
+[ -n "$saving" ] || fail "no saving line in ladder-compare output"
 if ! awk -v s="$saving" -v m="$LADDER_MIN" 'BEGIN { exit !(s >= m) }'; then
-    echo "live-smoke: FAIL — ladder-share saving ${saving}% below ${LADDER_MIN}%" >&2
-    exit 1
+    fail "ladder-share saving ${saving}% below ${LADDER_MIN}%"
 fi
-if ! grep -q 'bytes-equal=true digest-equal=true' "$workdir/ladder.log"; then
-    echo "live-smoke: FAIL — ladder sharing changed output bytes" >&2
-    exit 1
-fi
-
-# Publish the baseline serving and ladder benchmarks as one benchjson
-# artifact.
-{
-    sed -n 's/^Benchmark/Benchmark/p' "$workdir/baseline.log"
-    sed -n 's/^Benchmark/Benchmark/p' "$workdir/ladder.log"
-} >"$workdir/bench.txt"
-"$GO" run ./cmd/benchjson -o "${BENCH_OUT:-BENCH_pr9}.json" "$workdir/bench.txt"
+grep -q 'bytes-equal=true digest-equal=true' "$workdir/ladder.log" || fail "ladder sharing changed output bytes"
 
 echo "live-smoke: OK — $SESSIONS sessions x3, identical digest $d_base, 0 deadline misses, ladder saving ${saving}%, shard kill survived"

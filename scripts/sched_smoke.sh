@@ -18,8 +18,7 @@
 #      the tail is tens of seconds; under SJF + sharding it collapses
 #      to ordinary queue wait. (The combined p99 is not used — in a
 #      bimodal mix it lands on the heavy population by construction.)
-# Finally it SIGTERMs the daemons, requires a clean drain, and emits
-# both passes' serving benchmarks as ${BENCH_OUT}.json.
+# Finally it SIGTERMs the daemons and requires a clean drain.
 #
 # Tunables (env): SMOKE_JOBS (default 120), SMOKE_CONC (default 16),
 # SMOKE_HEAVY_EVERY (default 15), SMOKE_P99X (default 5).
@@ -29,47 +28,10 @@ JOBS="${SMOKE_JOBS:-120}"
 CONC="${SMOKE_CONC:-16}"
 HEAVY="${SMOKE_HEAVY_EVERY:-15}"
 P99X="${SMOKE_P99X:-5}"
-GO="${GO:-go}"
+SMOKE=sched-smoke
+. scripts/lib.sh
 
-workdir="$(mktemp -d)"
-daemon_pid=""
-trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
-
-echo "sched-smoke: building vcprofd and vcload"
-"$GO" build -o "$workdir/vcprofd" ./cmd/vcprofd
-"$GO" build -o "$workdir/vcload" ./cmd/vcload
-
-# start_daemon <logname> <extra flags...>: boots a daemon on a random
-# port and sets $addr/$daemon_pid. One service worker on purpose: the
-# tail under study is head-of-line blocking, and extra workers hide it.
-start_daemon() {
-    log="$workdir/$1.log"
-    shift
-    "$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-$$-$(basename "$log" .log)" \
-        -j 1 "$@" >"$log" 2>&1 &
-    daemon_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^listening on //p' "$log" | head -n1)"
-        [ -n "$addr" ] && break
-        sleep 0.05
-    done
-    if [ -z "$addr" ]; then
-        echo "sched-smoke: daemon never reported its address" >&2
-        cat "$log" >&2
-        exit 1
-    fi
-}
-
-stop_daemon() {
-    kill -TERM "$daemon_pid"
-    for _ in $(seq 1 200); do
-        kill -0 "$daemon_pid" 2>/dev/null || { daemon_pid=""; return 0; }
-        sleep 0.05
-    done
-    echo "sched-smoke: daemon did not drain on SIGTERM" >&2
-    exit 1
-}
+build vcprofd vcload
 
 run_load() {
     "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 \
@@ -77,51 +39,41 @@ run_load() {
         | tee "$workdir/$1.log"
 }
 
+# One service worker (-j 1) per daemon on purpose: the tail under study
+# is head-of-line blocking, and extra workers hide it.
 echo "sched-smoke: pass 1 — baseline: sharding off, fifo admission ($JOBS jobs, c=$CONC, heavy every $HEAVY)"
-start_daemon daemon-baseline -shard=false -admission fifo
+boot daemon-baseline vcprofd -store "$workdir/store-baseline" -j 1 -shard=false -admission fifo
 run_load baseline
-stop_daemon
+stop_pid "$pid" daemon
 
 echo "sched-smoke: pass 2 — shard pool + SJF admission"
-start_daemon daemon-sharded -shard-workers 4 -steal-seed 1
+boot daemon-sharded vcprofd -store "$workdir/store-sharded" -j 1 -shard-workers 4 -steal-seed 1
 run_load sharded
-stop_daemon
+stop_pid "$pid" daemon
 
 for p in baseline sharded; do
-    if ! grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log"; then
-        echo "sched-smoke: FAIL — pass '$p' did not report all jobs ok" >&2
-        exit 1
-    fi
+    grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log" || fail "pass '$p' did not report all jobs ok"
 done
 
 # Determinism across the scheduler boundary: identical result digests
 # with sharding off and on.
-d_base="$(sed -n 's/^digest //p' "$workdir/baseline.log")"
-d_shard="$(sed -n 's/^digest //p' "$workdir/sharded.log")"
+d_base="$(digest_of baseline)"
+d_shard="$(digest_of sharded)"
 if [ -z "$d_base" ] || [ "$d_base" != "$d_shard" ]; then
-    echo "sched-smoke: FAIL — shard scheduling changed results ($d_base vs $d_shard)" >&2
-    exit 1
+    fail "shard scheduling changed results ($d_base vs $d_shard)"
 fi
 
-# The tail-latency claim: light-job p99 must improve by >= P99X.
+# The tail-latency claim: light-job p99 must improve by >= P99X (read
+# straight off vcload's -bench lines).
 p99_base="$(awk '$1 == "BenchmarkServeLatencyLightP99" { print $3 }' "$workdir/baseline.log")"
 p99_shard="$(awk '$1 == "BenchmarkServeLatencyLightP99" { print $3 }' "$workdir/sharded.log")"
 if [ -z "$p99_base" ] || [ -z "$p99_shard" ]; then
-    echo "sched-smoke: FAIL — light-job p99 lines missing from vcload output" >&2
-    exit 1
+    fail "light-job p99 lines missing from vcload output"
 fi
 if ! awk -v b="$p99_base" -v s="$p99_shard" -v x="$P99X" \
     'BEGIN { exit !(s > 0 && b / s >= x) }'; then
-    echo "sched-smoke: FAIL — light p99 ${p99_base}ns -> ${p99_shard}ns, improvement below ${P99X}x" >&2
-    exit 1
+    fail "light p99 ${p99_base}ns -> ${p99_shard}ns, improvement below ${P99X}x"
 fi
 ratio="$(awk -v b="$p99_base" -v s="$p99_shard" 'BEGIN { printf "%.1f", b / s }')"
-
-# Publish both passes' serving benchmarks as one benchjson artifact.
-{
-    sed -n 's/^Benchmark/BenchmarkBaseline/p' "$workdir/baseline.log"
-    sed -n 's/^Benchmark/BenchmarkSharded/p' "$workdir/sharded.log"
-} >"$workdir/bench.txt"
-"$GO" run ./cmd/benchjson -o "${BENCH_OUT:-BENCH_pr6}.json" "$workdir/bench.txt"
 
 echo "sched-smoke: OK — $JOBS jobs x2, identical digest $d_base, light p99 ${ratio}x better sharded"

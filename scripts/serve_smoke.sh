@@ -15,35 +15,16 @@ set -eu
 
 JOBS="${SMOKE_JOBS:-200}"
 CONC="${SMOKE_CONC:-16}"
-GO="${GO:-go}"
+SMOKE=serve-smoke
+. scripts/lib.sh
 
-workdir="$(mktemp -d)"
-trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
-
-echo "serve-smoke: building vcprofd and vcload"
-"$GO" build -o "$workdir/vcprofd" ./cmd/vcprofd
-"$GO" build -o "$workdir/vcload" ./cmd/vcload
-
-# Port 0 lets the kernel pick; the daemon prints the bound address on
-# stdout as its first line.
-"$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store" -j 4 >"$workdir/daemon.log" 2>&1 &
-daemon_pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr="$(sed -n 's/^listening on //p' "$workdir/daemon.log" | head -n1)"
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-if [ -z "$addr" ]; then
-    echo "serve-smoke: daemon never reported its address" >&2
-    cat "$workdir/daemon.log" >&2
-    exit 1
-fi
+build vcprofd vcload
+boot daemon vcprofd -store "$workdir/store" -j 4
+daemon_pid=$pid
 echo "serve-smoke: daemon on $addr (pid $daemon_pid)"
 
 run_pass() {
-    "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 -bench | tee "$workdir/$1.log"
+    "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 | tee "$workdir/$1.log"
 }
 
 echo "serve-smoke: pass 1 ($JOBS jobs, c=$CONC)"
@@ -54,17 +35,13 @@ run_pass pass2
 # vcload exits non-zero on any failed job (set -e catches it); the ok
 # line is belt and braces.
 for p in pass1 pass2; do
-    if ! grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log"; then
-        echo "serve-smoke: FAIL — $p did not report all jobs ok" >&2
-        exit 1
-    fi
+    grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log" || fail "$p did not report all jobs ok"
 done
 
-d1="$(sed -n 's/^digest //p' "$workdir/pass1.log")"
-d2="$(sed -n 's/^digest //p' "$workdir/pass2.log")"
+d1="$(digest_of pass1)"
+d2="$(digest_of pass2)"
 if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
-    echo "serve-smoke: FAIL — digests differ across passes ($d1 vs $d2)" >&2
-    exit 1
+    fail "digests differ across passes ($d1 vs $d2)"
 fi
 
 # Pass 2 must be served from the store: >= 90% of submissions answered
@@ -72,37 +49,11 @@ fi
 cached="$(sed -n 's/^cached-at-submit \([0-9]*\).*/\1/p' "$workdir/pass2.log")"
 threshold=$((JOBS * 90 / 100))
 if [ -z "$cached" ] || [ "$cached" -lt "$threshold" ]; then
-    echo "serve-smoke: FAIL — pass 2 cached $cached/$JOBS, need >= $threshold" >&2
-    exit 1
+    fail "pass 2 cached $cached/$JOBS, need >= $threshold"
 fi
-
-# Publish the serving benchmarks (throughput + latency quantiles from
-# both passes) as a benchjson artifact next to the compute benchmarks.
-{
-    sed -n 's/^Benchmark/BenchmarkColdStore/p' "$workdir/pass1.log"
-    sed -n 's/^Benchmark/BenchmarkWarmStore/p' "$workdir/pass2.log"
-} >"$workdir/bench.txt"
-"$GO" run ./cmd/benchjson -o "${BENCH_OUT:-BENCH_pr4}.json" "$workdir/bench.txt"
 
 echo "serve-smoke: draining daemon"
-kill -TERM "$daemon_pid"
-drained=1
-for _ in $(seq 1 200); do
-    if ! kill -0 "$daemon_pid" 2>/dev/null; then drained=0; break; fi
-    sleep 0.05
-done
-if [ "$drained" -ne 0 ]; then
-    echo "serve-smoke: FAIL — daemon did not drain on SIGTERM" >&2
-    exit 1
-fi
-if ! grep -q "^bye$" "$workdir/daemon.log"; then
-    echo "serve-smoke: FAIL — daemon exited without a clean drain" >&2
-    tail "$workdir/daemon.log" >&2
-    exit 1
-fi
-if [ ! -f "$workdir/store/index.json" ]; then
-    echo "serve-smoke: FAIL — store index not flushed on drain" >&2
-    exit 1
-fi
+stop_pid "$daemon_pid" daemon "$workdir/daemon.log"
+[ -f "$workdir/store/index.json" ] || fail "store index not flushed on drain"
 
 echo "serve-smoke: OK — $JOBS jobs x2, identical digest $d1, $cached cached on warm pass, clean drain"

@@ -15,74 +15,36 @@
 #      sum to 1 +/- 0.001, and the latency histogram has p99 >= p50;
 #   4. `vcperf series` returns sampled rows and `vcperf flame`
 #      returns well-formed folded stacks.
-# Finally it SIGTERMs the daemons, requires a clean drain, and emits
-# the client-side serving benchmarks as ${BENCH_OUT}.json.
+# Finally it SIGTERMs the daemons and requires a clean drain.
 #
 # Tunables (env): SMOKE_JOBS (default 100), SMOKE_CONC (default 8).
 set -eu
 
 JOBS="${SMOKE_JOBS:-100}"
 CONC="${SMOKE_CONC:-8}"
-GO="${GO:-go}"
+SMOKE=telemetry-smoke
+. scripts/lib.sh
 
-workdir="$(mktemp -d)"
-daemon_pid=""
-trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
-
-echo "telemetry-smoke: building vcprofd, vcload and vcperf"
-"$GO" build -o "$workdir/vcprofd" ./cmd/vcprofd
-"$GO" build -o "$workdir/vcload" ./cmd/vcload
-"$GO" build -o "$workdir/vcperf" ./cmd/vcperf
-
-# start_daemon <logname> <extra flags...>: boots a daemon on a random
-# port and sets $addr/$daemon_pid.
-start_daemon() {
-    log="$workdir/$1.log"
-    shift
-    "$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-$$-$(basename "$log" .log)" \
-        -j 4 "$@" >"$log" 2>&1 &
-    daemon_pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^listening on //p' "$log" | head -n1)"
-        [ -n "$addr" ] && break
-        sleep 0.05
-    done
-    if [ -z "$addr" ]; then
-        echo "telemetry-smoke: daemon never reported its address" >&2
-        cat "$log" >&2
-        exit 1
-    fi
-}
-
-stop_daemon() {
-    kill -TERM "$daemon_pid"
-    for _ in $(seq 1 200); do
-        kill -0 "$daemon_pid" 2>/dev/null || { daemon_pid=""; return 0; }
-        sleep 0.05
-    done
-    echo "telemetry-smoke: daemon did not drain on SIGTERM" >&2
-    exit 1
-}
+build vcprofd vcload vcperf
 
 run_load() {
-    "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 -exp-every 4 -bench \
+    "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 -exp-every 4 \
         | tee "$workdir/$1.log"
 }
 
 # Pass 1: telemetry fully off — no sampler, no tracer. This digest is
 # the ground truth the observed daemon must reproduce.
 echo "telemetry-smoke: pass 1 — sampling off ($JOBS jobs, c=$CONC)"
-start_daemon daemon-off -sample 0
+boot daemon-off vcprofd -store "$workdir/store-off" -j 4 -sample 0
 run_load off
-stop_daemon
+stop_pid "$pid" daemon
 
 # Pass 2: everything on — hot sampler, span tracing. vcperf top runs
 # mid-load with -assert; it may race the first experiment commit, so a
 # short retry loop tolerates "no top-down slots yet" (exit 1) but any
 # transport error (exit 3) is fatal immediately.
 echo "telemetry-smoke: pass 2 — sampling+tracing on"
-start_daemon daemon-on -sample 25ms -trace
+boot daemon-on vcprofd -store "$workdir/store-on" -j 4 -sample 25ms -trace
 run_load on &
 load_pid=$!
 asserted=1
@@ -92,69 +54,44 @@ for _ in $(seq 1 120); do
     case "$rc" in
     0) asserted=0; break ;;
     1) sleep 0.25 ;;
-    *) echo "telemetry-smoke: FAIL — vcperf top exit $rc" >&2
-       cat "$workdir/top.err" >&2
-       exit 1 ;;
+    *) cat "$workdir/top.err" >&2
+       fail "vcperf top exit $rc" ;;
     esac
 done
 if [ "$asserted" -ne 0 ]; then
-    echo "telemetry-smoke: FAIL — vcperf top -assert never passed" >&2
     cat "$workdir/top.err" >&2
-    exit 1
+    fail "vcperf top -assert never passed"
 fi
 echo "telemetry-smoke: vcperf top asserts hold (top-down sums to 1, p99 >= p50)"
-if ! wait "$load_pid"; then
-    echo "telemetry-smoke: FAIL — load against observed daemon failed" >&2
-    exit 1
-fi
+wait "$load_pid" || fail "load against observed daemon failed"
 
 for p in off on; do
-    if ! grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log"; then
-        echo "telemetry-smoke: FAIL — pass '$p' did not report all jobs ok" >&2
-        exit 1
-    fi
+    grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log" || fail "pass '$p' did not report all jobs ok"
 done
 
 # Observation transparency: identical result digests with telemetry
 # off and on.
-d_off="$(sed -n 's/^digest //p' "$workdir/off.log")"
-d_on="$(sed -n 's/^digest //p' "$workdir/on.log")"
+d_off="$(digest_of off)"
+d_on="$(digest_of on)"
 if [ -z "$d_off" ] || [ "$d_off" != "$d_on" ]; then
-    echo "telemetry-smoke: FAIL — telemetry changed results ($d_off vs $d_on)" >&2
-    exit 1
+    fail "telemetry changed results ($d_off vs $d_on)"
 fi
 
 # Ring-buffer store: the sampler must have retained rows.
-if ! "$workdir/vcperf" series -addr "$addr" -window 8 >"$workdir/series.log"; then
-    echo "telemetry-smoke: FAIL — vcperf series" >&2
-    exit 1
-fi
+"$workdir/vcperf" series -addr "$addr" -window 8 >"$workdir/series.log" || fail "vcperf series"
 if ! grep -q "svc.queue.depth" "$workdir/series.log"; then
-    echo "telemetry-smoke: FAIL — series output missing svc.queue.depth" >&2
     cat "$workdir/series.log" >&2
-    exit 1
+    fail "series output missing svc.queue.depth"
 fi
 
 # Continuous profiler: folded stacks are `stack count` lines with
 # encode-stage frames in them.
-if ! "$workdir/vcperf" flame -addr "$addr" -o "$workdir/folded.txt"; then
-    echo "telemetry-smoke: FAIL — vcperf flame" >&2
-    exit 1
-fi
+"$workdir/vcperf" flame -addr "$addr" -o "$workdir/folded.txt" || fail "vcperf flame"
 if ! awk 'NF != 2 { exit 1 }' "$workdir/folded.txt" || ! grep -q "stage/" "$workdir/folded.txt"; then
-    echo "telemetry-smoke: FAIL — folded stacks malformed" >&2
     head "$workdir/folded.txt" >&2
-    exit 1
+    fail "folded stacks malformed"
 fi
 
-stop_daemon
-
-# Publish the client-side serving benchmarks (throughput + latency
-# quantiles, unobserved vs observed daemon) as a benchjson artifact.
-{
-    sed -n 's/^Benchmark/BenchmarkUnobserved/p' "$workdir/off.log"
-    sed -n 's/^Benchmark/BenchmarkObserved/p' "$workdir/on.log"
-} >"$workdir/bench.txt"
-"$GO" run ./cmd/benchjson -o "${BENCH_OUT:-BENCH_pr5}.json" "$workdir/bench.txt"
+stop_pid "$pid" daemon
 
 echo "telemetry-smoke: OK — $JOBS jobs x2, identical digest $d_off with telemetry off/on, live asserts held"

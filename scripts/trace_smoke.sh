@@ -16,42 +16,14 @@
 #     pass 0 byte for byte, and the full view must record the
 #     re-anchor;
 #   then /v1/cluster/metrics?volatile=0 must be byte-stable across two
-#   scrapes of the quiet cluster, `vcperf slo -assert` must pass with
-#   zero burn budgets, and the obs hop benchmarks are emitted as
-#   ${BENCH_OUT}.json.
+#   scrapes of the quiet cluster, and `vcperf slo -assert` must pass
+#   with zero burn budgets.
 set -eu
 
-GO="${GO:-go}"
+SMOKE=trace-smoke
+. scripts/lib.sh
 
-workdir="$(mktemp -d)"
-pids=""
-trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$workdir"' EXIT
-
-echo "trace-smoke: building vcprofd, vcgate and vcperf"
-"$GO" build -o "$workdir/vcprofd" ./cmd/vcprofd
-"$GO" build -o "$workdir/vcgate" ./cmd/vcgate
-"$GO" build -o "$workdir/vcperf" ./cmd/vcperf
-
-wait_addr() {
-    for _ in $(seq 1 100); do
-        a="$(sed -n 's/^listening on //p' "$1" | head -n1)"
-        [ -n "$a" ] && { echo "$a"; return 0; }
-        sleep 0.05
-    done
-    echo "trace-smoke: daemon never reported its address ($1)" >&2
-    cat "$1" >&2
-    exit 1
-}
-
-stop_pid() {
-    kill -TERM "$1" 2>/dev/null || true
-    for _ in $(seq 1 200); do
-        kill -0 "$1" 2>/dev/null || return 0
-        sleep 0.05
-    done
-    echo "trace-smoke: $2 did not drain on SIGTERM" >&2
-    exit 1
-}
+build vcprofd vcgate vcperf
 
 spec='{"clip":"game1","frames":24,"div":8,"family":"svt-av1","crf":28,"preset":8,"gop":8,"fps":30,"deadline":16,"rungs":[36,44],"share":true}'
 
@@ -65,11 +37,11 @@ drive_session() {
     create="$(curl -fsS -H 'Content-Type: application/json' -X POST "$base/v1/sessions" -d "{\"spec\":$spec}")"
     sid="$(echo "$create" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
     trace="$(echo "$create" | sed -n 's/.*"trace":"\([^"]*\)".*/\1/p')"
-    [ -n "$sid" ] || { echo "trace-smoke: create returned no id: $create" >&2; exit 1; }
+    [ -n "$sid" ] || fail "create returned no id: $create"
     curl -fsS -H 'Content-Type: application/json' -X POST "$base/v1/sessions/$sid/frames" -d '{"fed":8}' >/dev/null
     if [ -n "$do_kill" ]; then
         pinned="$(echo "$create" | sed -n 's/.*"shard":"\([^"]*\)".*/\1/p')"
-        [ -n "$pinned" ] || { echo "trace-smoke: gate named no shard: $create" >&2; exit 1; }
+        [ -n "$pinned" ] || fail "gate named no shard: $create"
         eval "victim=\$pid_$pinned"
         echo "trace-smoke: SIGKILL pinned shard $pinned (pid $victim)"
         kill -9 "$victim" 2>/dev/null || true
@@ -83,83 +55,56 @@ drive_session() {
 }
 
 echo "trace-smoke: pass 0 — bare vcprofd reference"
-"$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-solo" -j 2 \
-    >"$workdir/solo.log" 2>&1 &
-solo_pid=$!
-pids="$pids $solo_pid"
-drive_session "http://$(wait_addr "$workdir/solo.log")" solo
-stop_pid "$solo_pid" "daemon"
+boot solo vcprofd -store "$workdir/store-solo" -j 2
+drive_session "http://$addr" solo
+stop_pid "$pid" "daemon"
 
 echo "trace-smoke: pass 1 — vcgate over 3 shards (R=2), kill pinned shard mid-stream"
 shard_spec=""
 for i in 0 1 2; do
-    "$workdir/vcprofd" -addr 127.0.0.1:0 -store "$workdir/store-s$i" \
-        -j 2 -name "s$i" >"$workdir/s$i.log" 2>&1 &
-    pid=$!
-    pids="$pids $pid"
+    boot "s$i" vcprofd -store "$workdir/store-s$i" -j 2 -name "s$i"
     eval "pid_s$i=$pid"
-    shard_spec="$shard_spec${shard_spec:+,}s$i=http://$(wait_addr "$workdir/s$i.log")"
+    shard_spec="$shard_spec${shard_spec:+,}s$i=http://$addr"
 done
-"$workdir/vcgate" -addr 127.0.0.1:0 -shards "$shard_spec" -replicas 2 \
-    >"$workdir/gate.log" 2>&1 &
-gate_pid=$!
-pids="$pids $gate_pid"
-gate_addr="$(wait_addr "$workdir/gate.log")"
+boot gate vcgate -shards "$shard_spec" -replicas 2
+gate_pid=$pid
+gate_addr=$addr
 
 drive_session "http://$gate_addr" gate kill
 
 if ! cmp -s "$workdir/solo.det.json" "$workdir/gate.det.json"; then
-    echo "trace-smoke: FAIL — deterministic merged trace differs between bare daemon and chaotic gate" >&2
     diff "$workdir/solo.det.json" "$workdir/gate.det.json" >&2 || true
-    exit 1
+    fail "deterministic merged trace differs between bare daemon and chaotic gate"
 fi
 if ! grep -q 'failover-re-anchor' "$workdir/gate.full.json"; then
-    echo "trace-smoke: FAIL — full trace view records no failover-re-anchor after the kill" >&2
     cat "$workdir/gate.full.json" >&2
-    exit 1
+    fail "full trace view records no failover-re-anchor after the kill"
 fi
 if grep -q 'failover-re-anchor' "$workdir/gate.det.json"; then
-    echo "trace-smoke: FAIL — volatile re-anchor leaked into the deterministic view" >&2
-    exit 1
+    fail "volatile re-anchor leaked into the deterministic view"
 fi
 
 echo "trace-smoke: federated metrics byte-stability"
 curl -fsS "http://$gate_addr/v1/cluster/metrics?volatile=0" >"$workdir/fed1.prom"
 curl -fsS "http://$gate_addr/v1/cluster/metrics?volatile=0" >"$workdir/fed2.prom"
 if ! cmp -s "$workdir/fed1.prom" "$workdir/fed2.prom"; then
-    echo "trace-smoke: FAIL — deterministic federated exposition not byte-stable" >&2
     diff "$workdir/fed1.prom" "$workdir/fed2.prom" >&2 || true
-    exit 1
+    fail "deterministic federated exposition not byte-stable"
 fi
-if ! grep -q 'shard="cluster"' "$workdir/fed1.prom"; then
-    echo "trace-smoke: FAIL — federation has no cluster roll-up rows" >&2
-    exit 1
-fi
+grep -q 'shard="cluster"' "$workdir/fed1.prom" || fail "federation has no cluster roll-up rows"
 
 echo "trace-smoke: SLO gate (vcperf slo -assert, zero budgets)"
 if ! "$workdir/vcperf" slo -addr "$gate_addr" -assert >"$workdir/slo.log" 2>&1; then
-    echo "trace-smoke: FAIL — SLO assert tripped on a clean run" >&2
     cat "$workdir/slo.log" >&2
-    exit 1
+    fail "SLO assert tripped on a clean run"
 fi
 cat "$workdir/slo.log"
-if ! grep -q '^slo ok$' "$workdir/slo.log"; then
-    echo "trace-smoke: FAIL — vcperf slo -assert did not report 'slo ok'" >&2
-    exit 1
-fi
+grep -q '^slo ok$' "$workdir/slo.log" || fail "vcperf slo -assert did not report 'slo ok'"
 
 "$workdir/vcperf" trace -addr "$gate_addr" -det -o "$workdir/vcperf.trace.json" \
     "$(cat "$workdir/gate.trace")"
-if ! cmp -s "$workdir/vcperf.trace.json" "$workdir/gate.det.json"; then
-    echo "trace-smoke: FAIL — vcperf trace bytes differ from the raw endpoint" >&2
-    exit 1
-fi
+cmp -s "$workdir/vcperf.trace.json" "$workdir/gate.det.json" || fail "vcperf trace bytes differ from the raw endpoint"
 
 stop_pid "$gate_pid" "gate"
-
-echo "trace-smoke: hop-path benchmarks → ${BENCH_OUT:-BENCH_pr10}.json"
-"$GO" test ./internal/obs -run '^$' -bench 'Hop|MergeHops' -benchmem \
-    | tee "$workdir/bench.txt"
-"$GO" run ./cmd/benchjson -o "${BENCH_OUT:-BENCH_pr10}.json" "$workdir/bench.txt"
 
 echo "trace-smoke: OK — identical deterministic trace across topologies, re-anchor traced, federation stable, slo ok"
