@@ -1,6 +1,6 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build, the
 # vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of both fuzz targets, a single-iteration benchmark pass
+# short smoke of the three fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the six end-to-end smokes, and the race pass over
 # the concurrent packages (harness engine + encoders). The race pass
@@ -150,3 +150,4 @@ trace-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/codec/entropy -run=^$$ -fuzz=FuzzBoolCoderRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFastVsRef -fuzztime=$(FUZZTIME)

@@ -262,8 +262,9 @@ func BenchmarkEncodeX264(b *testing.B) {
 	}
 }
 
-func BenchmarkTAGEPredict(b *testing.B) {
-	p, err := bpred.NewTAGE(64 << 10)
+// benchTAGE times Predict+Update on a period-3 stream over 512 pcs.
+func benchTAGE(b *testing.B, sizeBytes int) {
+	p, err := bpred.NewTAGE(sizeBytes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -274,6 +275,41 @@ func BenchmarkTAGEPredict(b *testing.B) {
 		p.Predict(pc)
 		p.Update(pc, taken)
 	}
+}
+
+func BenchmarkTAGEPredict(b *testing.B) { benchTAGE(b, 64<<10) }
+
+// BenchmarkTAGE8KPredict is the geometry perf.Stat runs live.
+func BenchmarkTAGE8KPredict(b *testing.B) { benchTAGE(b, 8<<10) }
+
+// BenchmarkTAGE8KWindowReplay replays the branches of a recorded
+// encoder window through bpred.Monitor, the sink a stat cell attaches:
+// real pcs and outcomes and the interface dispatch, one op a branch.
+func BenchmarkTAGE8KWindowReplay(b *testing.B) {
+	rec, _, err := perf.RecordWindow(context.Background(), encoders.MustNew(encoders.SVTAV1), benchClip(b),
+		encoders.Options{CRF: 40, Preset: 4, Threads: 1}, 0.5, 400_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	branches := rec.Branches()
+	if len(branches) == 0 {
+		b.Fatal("window recorded no branches")
+	}
+	p, err := bpred.NewByName("tage-8KB")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := bpred.NewMonitor(p)
+	b.ResetTimer()
+	for i, j := 0, 0; i < b.N; i++ {
+		m.Branch(branches[j].PC, branches[j].Taken)
+		if j++; j == len(branches) {
+			// Every pass starts cold, as a cell does.
+			j = 0
+			p.Reset()
+		}
+	}
+	b.ReportMetric(100*m.MissRate(), "miss%")
 }
 
 func BenchmarkGsharePredict(b *testing.B) {
@@ -383,31 +419,37 @@ func benchResidual(n int) []int32 {
 	return res
 }
 
-func BenchmarkTransformForward16(b *testing.B) {
-	src := benchResidual(16)
-	dst := make([]int32, 16*16)
+// benchTransform times one direction of the n×n transform; the
+// reported allocs/op must stay 0.
+func benchTransform(b *testing.B, n int, inverse bool) {
+	src := benchResidual(n)
+	dst := make([]int32, n*n)
+	// The Forward call also builds the DCT matrix, so a -benchtime=1x
+	// run reads 0 allocs/op too.
+	if err := transform.Forward(nil, src, n, dst); err != nil {
+		b.Fatal(err)
+	}
+	f := transform.Forward
+	if inverse {
+		src, f = append([]int32(nil), dst...), transform.Inverse
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := transform.Forward(nil, src, 16, dst); err != nil {
+		if err := f(nil, src, n, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkTransformInverse16(b *testing.B) {
-	src := benchResidual(16)
-	coefs := make([]int32, 16*16)
-	if err := transform.Forward(nil, src, 16, coefs); err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]int32, 16*16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := transform.Inverse(nil, coefs, 16, dst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTransformForward4(b *testing.B)  { benchTransform(b, 4, false) }
+func BenchmarkTransformForward8(b *testing.B)  { benchTransform(b, 8, false) }
+func BenchmarkTransformForward16(b *testing.B) { benchTransform(b, 16, false) }
+func BenchmarkTransformForward32(b *testing.B) { benchTransform(b, 32, false) }
+func BenchmarkTransformInverse4(b *testing.B)  { benchTransform(b, 4, true) }
+func BenchmarkTransformInverse8(b *testing.B)  { benchTransform(b, 8, true) }
+func BenchmarkTransformInverse16(b *testing.B) { benchTransform(b, 16, true) }
+func BenchmarkTransformInverse32(b *testing.B) { benchTransform(b, 32, true) }
 
 // benchBits derives the coder benchmark's bit/probability schedule.
 const benchBitCount = 4096

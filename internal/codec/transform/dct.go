@@ -8,25 +8,26 @@ package transform
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"vcprof/internal/trace"
 )
 
-// dctTables caches orthonormal DCT-II matrices per size.
-var dctTables sync.Map // int -> *dctTable
+// dctTables caches orthonormal DCT-II matrices, indexed by sizeIdx and
+// built on first use.
+var dctTables [4]atomic.Pointer[dctTable]
 
 type dctTable struct {
-	n  int
 	m  []float64 // row-major N×N forward matrix
 	mt []float64 // transpose
 }
 
 func tableFor(n int) *dctTable {
-	if t, ok := dctTables.Load(n); ok {
-		return t.(*dctTable)
+	slot := &dctTables[sizeIdx(n)]
+	if t := slot.Load(); t != nil {
+		return t
 	}
-	t := &dctTable{n: n, m: make([]float64, n*n), mt: make([]float64, n*n)}
+	t := &dctTable{m: make([]float64, n*n), mt: make([]float64, n*n)}
 	for k := 0; k < n; k++ {
 		c := math.Sqrt(2 / float64(n))
 		if k == 0 {
@@ -38,8 +39,8 @@ func tableFor(n int) *dctTable {
 			t.mt[x*n+k] = v
 		}
 	}
-	actual, _ := dctTables.LoadOrStore(n, t)
-	return actual.(*dctTable)
+	slot.CompareAndSwap(nil, t)
+	return slot.Load()
 }
 
 // Per-size transform specializations (dct4, dct8, dct16, dct32), each a
@@ -79,31 +80,11 @@ func Forward(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 	if err := validSize(n); err != nil {
 		return err
 	}
-	t := tableFor(n)
-	tmp := make([]float64, n*n)
-	// Row pass: tmp = src · Mᵀ.
-	for r := 0; r < n; r++ {
-		for k := 0; k < n; k++ {
-			var acc float64
-			row := t.m[k*n:]
-			for x := 0; x < n; x++ {
-				acc += float64(src[r*n+x]) * row[x]
-			}
-			tmp[r*n+k] = acc
-		}
-	}
-	reportPass(tc, pcFwdRow[sizeIdx(n)], n)
-	// Column pass: dst = M · tmp.
-	for c := 0; c < n; c++ {
-		for k := 0; k < n; k++ {
-			var acc float64
-			for y := 0; y < n; y++ {
-				acc += t.m[k*n+y] * tmp[y*n+c]
-			}
-			dst[k*n+c] = int32(math.Round(acc))
-		}
-	}
-	reportPass(tc, pcFwdCol[sizeIdx(n)], n)
+	si := sizeIdx(n)
+	// dst = M · src · Mᵀ: the row pass, then the column pass.
+	separable[si](tableFor(n).m, src, dst, false)
+	reportPass(tc, pcFwdRow[si], n)
+	reportPass(tc, pcFwdCol[si], n)
 	return nil
 }
 
@@ -114,31 +95,100 @@ func Inverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 	if err := validSize(n); err != nil {
 		return err
 	}
-	t := tableFor(n)
-	tmp := make([]float64, n*n)
-	// Column pass: tmp = Mᵀ · src.
-	for c := 0; c < n; c++ {
-		for y := 0; y < n; y++ {
-			var acc float64
-			for k := 0; k < n; k++ {
-				acc += t.mt[y*n+k] * float64(src[k*n+c])
-			}
-			tmp[y*n+c] = acc
-		}
-	}
-	reportPass(tc, pcInvCol[sizeIdx(n)], n)
-	// Row pass: dst = tmp · M.
-	for r := 0; r < n; r++ {
-		for x := 0; x < n; x++ {
-			var acc float64
-			for k := 0; k < n; k++ {
-				acc += tmp[r*n+k] * t.mt[x*n+k]
-			}
-			dst[r*n+x] = int32(math.Round(acc))
-		}
-	}
-	reportPass(tc, pcInvRow[sizeIdx(n)], n)
+	si := sizeIdx(n)
+	// dst = Mᵀ · src · M: the column pass, then the row pass.
+	separable[si](tableFor(n).mt, src, dst, true)
+	reportPass(tc, pcInvCol[si], n)
+	reportPass(tc, pcInvRow[si], n)
 	return nil
+}
+
+// separable holds one entry point per size, each with its scratch in
+// its own stack frame: sized to the block, so a 4×4 call zeroes 256
+// bytes and not the 16 KB a 32×32 needs, and reached through this
+// table so the frames are not merged into the caller's.
+var separable = [4]func(m []float64, src, dst []int32, transposed bool){
+	func(m []float64, src, dst []int32, transposed bool) {
+		var s [2 * 4 * 4]float64
+		transform2D(m, 4, src, dst, s[:], transposed)
+	},
+	func(m []float64, src, dst []int32, transposed bool) {
+		var s [2 * 8 * 8]float64
+		transform2D(m, 8, src, dst, s[:], transposed)
+	},
+	func(m []float64, src, dst []int32, transposed bool) {
+		var s [2 * 16 * 16]float64
+		transform2D(m, 16, src, dst, s[:], transposed)
+	},
+	func(m []float64, src, dst []int32, transposed bool) {
+		var s [2 * 32 * 32]float64
+		transform2D(m, 32, src, dst, s[:], transposed)
+	},
+}
+
+// transform2D computes dst = round(m · X · mᵀ), where X is the n×n
+// block src. With transposed set it works on Xᵀ and transposes the
+// result back: the same matrix, but the column side of X is multiplied
+// first, which is the order Inverse sums in. Every output is one
+// accumulator adding its n products in index order, exactly as the
+// textbook double loop would (ref_test.go holds that loop); the layout
+// around the sums is what makes it fast: src is converted to float64
+// once, and both passes read and write whole rows.
+func transform2D(m []float64, n int, src, dst []int32, s []float64, transposed bool) {
+	nn := n * n
+	a, b := s[:nn], s[nn:2*nn]
+	src, dst = src[:nn], dst[:nn]
+	if transposed {
+		for r := 0; r < n; r++ {
+			for c, v := range src[r*n : r*n+n] {
+				a[c*n+r] = float64(v)
+			}
+		}
+	} else {
+		for i, v := range src {
+			a[i] = float64(v)
+		}
+	}
+	rowsTimes(a, m, b, n)
+	rowsTimes(b, m, a, n)
+	if transposed {
+		for r := 0; r < n; r++ {
+			for c, v := range a[r*n : r*n+n] {
+				dst[c*n+r] = int32(math.Round(v))
+			}
+		}
+	} else {
+		for i, v := range a {
+			dst[i] = int32(math.Round(v))
+		}
+	}
+}
+
+// rowsTimes sets out[k*n+r] to the dot product of row r of in and row k
+// of m, summed left to right: out = m · inᵀ. Four rows of m share each
+// load of in; their accumulators are independent, so no sum is
+// reordered.
+func rowsTimes(in, m, out []float64, n int) {
+	for r := 0; r < n; r++ {
+		v := in[r*n : r*n+n]
+		for k := 0; k < n; k += 4 {
+			m0 := m[k*n : k*n+n][:len(v)]
+			m1 := m[(k+1)*n : (k+1)*n+n][:len(v)]
+			m2 := m[(k+2)*n : (k+2)*n+n][:len(v)]
+			m3 := m[(k+3)*n : (k+3)*n+n][:len(v)]
+			var s0, s1, s2, s3 float64
+			for x, f := range v {
+				s0 += f * m0[x]
+				s1 += f * m1[x]
+				s2 += f * m2[x]
+				s3 += f * m3[x]
+			}
+			out[k*n+r] = s0
+			out[(k+1)*n+r] = s1
+			out[(k+2)*n+r] = s2
+			out[(k+3)*n+r] = s3
+		}
+	}
 }
 
 // reportPass reports one separable transform pass. Production

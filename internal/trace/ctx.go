@@ -94,8 +94,17 @@ func (c *Ctx) mem(pc PC, addr uint64, count, stride, size int, store bool) {
 	}
 	c.Mix[class] += uint64(count)
 	c.account(uint64(count))
-	if len(c.memSinks) > 0 {
-		a := addr
+	switch a := addr; len(c.memSinks) {
+	case 0:
+	case 1:
+		// The usual case (perf.Stat attaches one hierarchy): no inner
+		// loop over the sinks.
+		s := c.memSinks[0]
+		for i := 0; i < count; i++ {
+			s.Access(a, size, store)
+			a += uint64(stride)
+		}
+	default:
 		for i := 0; i < count; i++ {
 			for _, s := range c.memSinks {
 				s.Access(a, size, store)

@@ -151,6 +151,35 @@ func TestMemSinkStriding(t *testing.T) {
 	}
 }
 
+// orderSink logs which sink saw which address into a shared journal.
+type orderSink struct {
+	id      int
+	journal *[][2]uint64
+}
+
+func (o orderSink) Access(addr uint64, _ int, _ bool) {
+	*o.journal = append(*o.journal, [2]uint64{uint64(o.id), addr})
+}
+
+func TestMemSinksSeeEachAccessInAttachOrder(t *testing.T) {
+	// With several sinks every access goes to all of them, in attach
+	// order, before the next access is issued.
+	c := New()
+	var journal [][2]uint64
+	c.AttachMemSink(orderSink{0, &journal})
+	c.AttachMemSink(orderSink{1, &journal})
+	c.Loads(Site("t/order"), 0x100, 2, 8, 8)
+	want := [][2]uint64{{0, 0x100}, {1, 0x100}, {0, 0x108}, {1, 0x108}}
+	if len(journal) != len(want) {
+		t.Fatalf("journal %v, want %v", journal, want)
+	}
+	for i := range want {
+		if journal[i] != want[i] {
+			t.Fatalf("journal %v, want %v", journal, want)
+		}
+	}
+}
+
 func TestRecorderWindow(t *testing.T) {
 	c := New()
 	rec := NewRecorder(5, 10)

@@ -173,14 +173,42 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// everyName lists what NewByName accepts.
+var everyName = []string{
+	"gshare-2KB", "gshare-32KB", "tage-8KB", "tage-64KB", "bimodal-8KB",
+	"perceptron-8KB", "perceptron-64KB", "tage-l-8KB", "tage-l-64KB",
+}
+
 func TestResetRestoresColdBehaviour(t *testing.T) {
-	for _, p := range allPredictors(t) {
-		stream := func(i int) (uint64, bool) { return 0x4000 + uint64(i%7)*8, i%3 != 0 }
-		a := runTrace(p, stream, 5000)
-		p.Reset()
-		b := runTrace(p, stream, 5000)
-		if a != b {
-			t.Errorf("%s: miss rate %v after Reset differs from cold %v", p.Name(), b, a)
+	// A Reset predictor must be indistinguishable from a new one,
+	// prediction by prediction (cbp.Run resets between traces). The
+	// warm-up runs every phase of diffStream, far past the longest
+	// history (180 outcomes), so stale history, fold registers or
+	// Predict-to-Update bookkeeping would all show.
+	const n = 5 * 4096
+	for _, name := range everyName {
+		used, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := uint64(7)
+		for i := 0; i < n; i++ {
+			pc, taken := diffStream(i, &rng)
+			used.Predict(pc)
+			used.Update(pc, taken)
+		}
+		used.Reset()
+		for i := 0; i < n; i++ {
+			pc, taken := diffStream(i, &rng)
+			if u, f := used.Predict(pc), fresh.Predict(pc); u != f {
+				t.Fatalf("%s: prediction %d after Reset is %v, a new predictor says %v", name, i, u, f)
+			}
+			used.Update(pc, taken)
+			fresh.Update(pc, taken)
 		}
 	}
 }

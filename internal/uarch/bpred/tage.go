@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // TAGE (TAgged GEometric history length) predictor after Seznec: a
@@ -16,13 +17,20 @@ type TAGE struct {
 
 	comps []tageComp
 
-	ghist []bool // shift register of directions, newest first
+	ghist history
 
 	// prediction bookkeeping between Predict and Update
-	provider   int // component index (-1 = base)
-	altPred    bool
-	provPred   bool
-	provIdx    uint64
+	provider int // component index (-1 = base)
+	altPred  bool
+	provPred bool
+	provIdx  uint64
+	// look holds Predict's per-component index and tag so Update does
+	// not recompute them; it is valid for lookPC until the history
+	// moves.
+	look   [tageMaxComps]tageLookup
+	lookPC uint64
+	lookOK bool
+
 	useAltOnNA int8 // counter favouring alt prediction for fresh entries
 	sizeBits   int
 	rng        uint32 // deterministic PRNG for allocation tie-break
@@ -39,6 +47,74 @@ type tageComp struct {
 	mask    uint64
 	histLen int
 	tagBits uint
+	width   uint // index bits: log2(len(entries))
+
+	// The three folds of the newest histLen outcomes, kept current by
+	// Update: index width, tag width, tag width minus one.
+	idxFold, tagFold, tag1Fold fold
+}
+
+type tageLookup struct {
+	idx uint64
+	tag uint16
+}
+
+// tageMaxComps bounds the tagged components of any geometry (the 64KB
+// point has five).
+const tageMaxComps = 5
+
+// history is the packed global direction history: the outcome of age i
+// (0 = newest) is bit i&63 of word i>>6. 256 outcomes cover the longest
+// geometric length (180) and let every age fit a uint8.
+type history [4]uint64
+
+func (h *history) bit(age uint8) uint64 { return h[age>>6] >> (age & 63) & 1 }
+
+func (h *history) push(in uint64) {
+	for i := len(h) - 1; i > 0; i-- {
+		h[i] = h[i]<<1 | h[i-1]>>63
+	}
+	h[0] = h[0]<<1 | in
+}
+
+// fold is an incrementally maintained fold of the newest n history
+// outcomes into width bits. The fold is chunked MSB-first: outcome i
+// sits at bit w-1-(i mod w) of its chunk, the chunks are XORed, and a
+// partial last chunk of r = n mod w outcomes is right-aligned (outcome
+// qw+k at bit r-1-k). A history shorter than the width is one whole
+// chunk of w = n bits. See DESIGN.md §4 for the update's derivation.
+type fold struct {
+	val      uint64
+	top      uint64 // bit w-1, w = min(width, n) the chunk width
+	seamMask uint64 // bit w-1 ^ bit r-1; 0 when n is a multiple of w
+	seam     uint8  // age of the last outcome of the last whole chunk: qw-1
+}
+
+func newFold(n int, width uint) fold {
+	w := int(width)
+	if n < w {
+		w = n
+	}
+	f := fold{top: 1 << (w - 1)}
+	if r := n % w; r > 0 {
+		f.seam = uint8(n - r - 1)
+		f.seamMask = f.top ^ 1<<(r-1)
+	}
+	return f
+}
+
+// push advances the fold by one outcome. h is the history before the
+// outcome is pushed onto it and d is the incoming outcome XOR the
+// outgoing one (age n-1). Ageing every outcome by one is a rotate
+// right within w bits, except for three outcomes that all land on the
+// top bit: the new one belongs there; the outgoing one (rotated up
+// from bit 0 of the last chunk) is cancelled; and the seam outcome,
+// which crosses from the last whole chunk into the partial one, is
+// moved from the top bit to bit r-1 where the right-aligned chunk
+// wants it.
+func (f *fold) push(h *history, d uint64) {
+	v := f.val>>1 ^ f.top&-(f.val&1^d)
+	f.val = v ^ f.seamMask&-h.bit(f.seam)
 }
 
 // tageGeometry describes a budget point.
@@ -91,15 +167,20 @@ func NewTAGE(sizeBytes int) (*TAGE, error) {
 		name:     fmt.Sprintf("tage-%dKB", sizeBytes/1024),
 		base:     make([]ctr2, g.baseEntries),
 		baseMask: uint64(g.baseEntries - 1),
-		ghist:    make([]bool, g.histLens[len(g.histLens)-1]+1),
 		rng:      0x2545F491,
 	}
+	width := uint(bits.Len(uint(g.compEntries - 1)))
 	for _, hl := range g.histLens {
 		t.comps = append(t.comps, tageComp{
 			entries: make([]tageEntry, g.compEntries),
 			mask:    uint64(g.compEntries - 1),
 			histLen: hl,
 			tagBits: g.tagBits,
+			width:   width,
+
+			idxFold:  newFold(hl, width),
+			tagFold:  newFold(hl, g.tagBits),
+			tag1Fold: newFold(hl, g.tagBits-1),
 		})
 	}
 	t.sizeBits = g.baseEntries*2 + len(g.histLens)*g.compEntries*(int(g.tagBits)+3+2)
@@ -112,59 +193,35 @@ func (t *TAGE) Name() string { return t.name }
 // SizeBits implements Predictor.
 func (t *TAGE) SizeBits() int { return t.sizeBits }
 
-// foldHist folds the most recent n history bits into width bits.
-func (t *TAGE) foldHist(n int, width uint) uint64 {
-	var folded, chunk uint64
-	var used uint
-	for i := 0; i < n; i++ {
-		chunk <<= 1
-		if t.ghist[i] {
-			chunk |= 1
-		}
-		used++
-		if used == width {
-			folded ^= chunk
-			chunk, used = 0, 0
-		}
-	}
-	if used > 0 {
-		folded ^= chunk
-	}
-	return folded & ((1 << width) - 1)
+func (c *tageComp) index(pc uint64) uint64 {
+	return ((pc >> 2) ^ (pc >> (2 + c.width)) ^ c.idxFold.val) & c.mask
 }
 
-func (c *tageComp) width() uint {
-	w := uint(0)
-	for m := c.mask; m > 0; m >>= 1 {
-		w++
+func (c *tageComp) tag(pc uint64) uint16 {
+	return uint16(((pc >> 2) ^ c.tagFold.val ^ c.tag1Fold.val<<1) & (1<<c.tagBits - 1))
+}
+
+// lookup computes every component's index and tag for pc against the
+// current history.
+func (t *TAGE) lookup(pc uint64) {
+	for ci := range t.comps {
+		c := &t.comps[ci]
+		t.look[ci] = tageLookup{idx: c.index(pc), tag: c.tag(pc)}
 	}
-	return w
-}
-
-func (t *TAGE) compIndex(ci int, pc uint64) uint64 {
-	c := &t.comps[ci]
-	w := c.width()
-	h := t.foldHist(c.histLen, w)
-	return ((pc >> 2) ^ (pc >> (2 + w)) ^ h) & c.mask
-}
-
-func (t *TAGE) compTag(ci int, pc uint64) uint16 {
-	c := &t.comps[ci]
-	h := t.foldHist(c.histLen, c.tagBits)
-	h2 := t.foldHist(c.histLen, c.tagBits-1) << 1
-	return uint16(((pc >> 2) ^ h ^ h2) & ((1 << c.tagBits) - 1))
+	t.lookPC, t.lookOK = pc, true
 }
 
 // Predict implements Predictor.
 func (t *TAGE) Predict(pc uint64) bool {
+	t.lookup(pc)
 	t.provider = -1
 	alt := -1
 	for ci := len(t.comps) - 1; ci >= 0; ci-- {
-		idx := t.compIndex(ci, pc)
-		if t.comps[ci].entries[idx].tag == t.compTag(ci, pc) {
+		l := t.look[ci]
+		if t.comps[ci].entries[l.idx].tag == l.tag {
 			if t.provider == -1 {
 				t.provider = ci
-				t.provIdx = idx
+				t.provIdx = l.idx
 			} else if alt == -1 {
 				alt = ci
 			}
@@ -173,7 +230,7 @@ func (t *TAGE) Predict(pc uint64) bool {
 	basePred := t.base[(pc>>2)&t.baseMask].taken()
 	t.altPred = basePred
 	if alt != -1 {
-		t.altPred = t.comps[alt].entries[t.compIndex(alt, pc)].ctr >= 0
+		t.altPred = t.comps[alt].entries[t.look[alt].idx].ctr >= 0
 	}
 	if t.provider == -1 {
 		t.provPred = basePred
@@ -198,6 +255,9 @@ func (t *TAGE) nextRand() uint32 {
 
 // Update implements Predictor.
 func (t *TAGE) Update(pc uint64, taken bool) {
+	if !t.lookOK || t.lookPC != pc {
+		t.lookup(pc)
+	}
 	pred := t.provPred
 	if t.provider == -1 {
 		pred = t.altPred
@@ -239,10 +299,9 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		start := t.provider + 1
 		allocated := false
 		for ci := start; ci < len(t.comps); ci++ {
-			idx := t.compIndex(ci, pc)
-			e := &t.comps[ci].entries[idx]
+			e := &t.comps[ci].entries[t.look[ci].idx]
 			if e.use == 0 {
-				e.tag = t.compTag(ci, pc)
+				e.tag = t.look[ci].tag
 				if taken {
 					e.ctr = 0
 				} else {
@@ -254,19 +313,31 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		}
 		if !allocated {
 			// Decay a random candidate's usefulness so allocation
-			// eventually succeeds on persistent mispredictions.
-			ci := start + int(t.nextRand())%(len(t.comps)-start)
-			idx := t.compIndex(ci, pc)
-			e := &t.comps[ci].entries[idx]
+			// eventually succeeds on persistent mispredictions. The
+			// modulo stays in uint32: converted first, a 32-bit int
+			// would go negative.
+			ci := start + int(t.nextRand()%uint32(len(t.comps)-start))
+			e := &t.comps[ci].entries[t.look[ci].idx]
 			if e.use > 0 {
 				e.use--
 			}
 		}
 	}
 
-	// Shift history.
-	copy(t.ghist[1:], t.ghist[:len(t.ghist)-1])
-	t.ghist[0] = taken
+	// Shift history: the folds first, they read the outgoing outcomes.
+	var in uint64
+	if taken {
+		in = 1
+	}
+	for ci := range t.comps {
+		c := &t.comps[ci]
+		d := in ^ t.ghist.bit(uint8(c.histLen-1))
+		c.idxFold.push(&t.ghist, d)
+		c.tagFold.push(&t.ghist, d)
+		c.tag1Fold.push(&t.ghist, d)
+	}
+	t.ghist.push(in)
+	t.lookOK = false
 }
 
 // Reset implements Predictor.
@@ -275,13 +346,14 @@ func (t *TAGE) Reset() {
 		t.base[i] = 0
 	}
 	for ci := range t.comps {
-		for i := range t.comps[ci].entries {
-			t.comps[ci].entries[i] = tageEntry{}
+		c := &t.comps[ci]
+		for i := range c.entries {
+			c.entries[i] = tageEntry{}
 		}
+		c.idxFold.val, c.tagFold.val, c.tag1Fold.val = 0, 0, 0
 	}
-	for i := range t.ghist {
-		t.ghist[i] = false
-	}
+	t.ghist = history{}
+	t.lookOK = false
 	t.useAltOnNA = 0
 	t.rng = 0x2545F491
 }

@@ -57,12 +57,14 @@ type line struct {
 
 // Cache is one set-associative level.
 type Cache struct {
-	cfg   Config
-	sets  int
-	shift uint
-	lines []line // sets × assoc
-	clock uint64
-	stats Stats
+	cfg     Config
+	sets    int
+	setMask uint64 // sets-1 when sets is a power of two, else 0: use %
+	shift   uint
+	lines   []line // sets × assoc
+	last    int    // index of the line the previous access touched
+	clock   uint64
+	stats   Stats
 }
 
 // New builds a cache level from its configuration.
@@ -76,10 +78,22 @@ func New(cfg Config) (*Cache, error) {
 		sets:  sets,
 		lines: make([]line, sets*cfg.Assoc),
 	}
+	if sets&(sets-1) == 0 {
+		c.setMask = uint64(sets - 1)
+	}
 	for s := 64; s > 1; s >>= 1 {
 		c.shift++
 	}
 	return c, nil
+}
+
+// base returns the index of the first way of tag's set. The LLC's
+// 24576 sets are not a power of two, so the modulo stays for it.
+func (c *Cache) base(tag uint64) int {
+	if c.setMask != 0 {
+		return int(tag&c.setMask) * c.cfg.Assoc
+	}
+	return int(tag%uint64(c.sets)) * c.cfg.Assoc
 }
 
 // Config returns the level's configuration.
@@ -93,6 +107,7 @@ func (c *Cache) Reset() {
 	for i := range c.lines {
 		c.lines[i] = line{}
 	}
+	c.last = 0
 	c.clock = 0
 	c.stats = Stats{}
 }
@@ -105,8 +120,17 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 	c.clock++
 	c.stats.Accesses++
 	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
-	base := set * c.cfg.Assoc
+	// Same line as the previous access: tags are whole line addresses,
+	// so a match is the hit the scan below would find, with nothing
+	// else in the set touched.
+	if ln := &c.lines[c.last]; ln.valid && ln.tag == tag {
+		ln.lru = c.clock
+		if store {
+			ln.dirty = true
+		}
+		return true, false
+	}
+	base := c.base(tag)
 	victim := base
 	oldest := ^uint64(0)
 	for i := base; i < base+c.cfg.Assoc; i++ {
@@ -116,6 +140,7 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 			if store {
 				ln.dirty = true
 			}
+			c.last = i
 			return true, false
 		}
 		if !ln.valid {
@@ -133,14 +158,14 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 		c.stats.Writebacks++
 	}
 	*v = line{tag: tag, valid: true, dirty: store, lru: c.clock}
+	c.last = victim
 	return false, writeback
 }
 
 // Probe reports whether addr is resident without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
 	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
-	base := set * c.cfg.Assoc
+	base := c.base(tag)
 	for i := base; i < base+c.cfg.Assoc; i++ {
 		if c.lines[i].valid && c.lines[i].tag == tag {
 			return true

@@ -1,0 +1,176 @@
+package cache
+
+import (
+	"fmt"
+	"testing"
+)
+
+type access struct {
+	addr  uint64
+	size  int
+	store bool
+}
+
+// diffStreams returns the named access streams of the differential
+// tests. span is the address range the random streams cover, chosen by
+// the caller relative to the cache under test.
+func diffStreams(n int, span uint64) map[string][]access {
+	s := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return s
+	}
+	gen := func(f func(i int) access) []access {
+		out := make([]access, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	var runAddr uint64
+	return map[string][]access{
+		"random": gen(func(int) access {
+			r := next()
+			return access{addr: r % span, size: 1 + int(r>>40%16), store: r>>60&1 == 1}
+		}),
+		// A hot set of lines with a random tail: mostly hits, so LRU
+		// order and dirty bits matter.
+		"hotcold": gen(func(int) access {
+			r := next()
+			if r>>50%8 != 0 {
+				return access{addr: r % 96 * LineSize, size: 8, store: r>>61&1 == 1}
+			}
+			return access{addr: r % span, size: 8, store: r>>61&1 == 1}
+		}),
+		"strided": gen(func(i int) access {
+			return access{addr: uint64(i) * 4160 % span, size: 32, store: i%7 == 0}
+		}),
+		// Runs of accesses inside one line, the last-line shortcut's
+		// case, with loads and stores mixed and line-straddling sizes.
+		"sameline": gen(func(i int) access {
+			r := next()
+			if i%11 == 0 {
+				runAddr = r % span &^ (LineSize - 1)
+			}
+			return access{addr: runAddr + r>>20%LineSize, size: 1 + int(r>>30%48), store: r>>62&1 == 1}
+		}),
+	}
+}
+
+// TestCacheMatchesReference is the differential wall for one level:
+// the same hit and writeback on every access, the same counters and
+// the same final lines (tags, dirty bits, LRU stamps) as the full-scan
+// reference, on power-of-two and on the LLC's set
+// counts, with Probe agreeing along the way and a Reset in the middle.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "tiny", SizeBytes: 1 << 10, Assoc: 2},
+		{Name: "full", SizeBytes: 512, Assoc: 8},       // one set
+		{Name: "odd", SizeBytes: 3 * 5 * 64, Assoc: 3}, // five sets
+		{Name: "l1", SizeBytes: 32 << 10, Assoc: 8},
+		{Name: "llc/16", SizeBytes: 30 << 16, Assoc: 20}, // 1536 sets
+	} {
+		for name, stream := range diffStreams(60_000, uint64(cfg.SizeBytes)*6) {
+			fast, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefCache(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range stream {
+				if i == len(stream)/2 {
+					fast.Reset()
+					ref.Reset()
+				}
+				if i%5 == 0 {
+					if p, rp := fast.Probe(a.addr), ref.Probe(a.addr); p != rp {
+						t.Fatalf("%s/%s access %d: Probe %v, reference %v", cfg.Name, name, i, p, rp)
+					}
+				}
+				hit, wb := fast.Access(a.addr, a.store)
+				rhit, rwb := ref.Access(a.addr, a.store)
+				if hit != rhit || wb != rwb {
+					t.Fatalf("%s/%s access %d (%#x store=%v): hit/writeback %v/%v, reference %v/%v",
+						cfg.Name, name, i, a.addr, a.store, hit, wb, rhit, rwb)
+				}
+			}
+			if fast.Stats() != ref.Stats() {
+				t.Fatalf("%s/%s: stats %+v, reference %+v", cfg.Name, name, fast.Stats(), ref.Stats())
+			}
+			for i, ln := range fast.lines {
+				if ln != line(ref.lines[i]) {
+					t.Fatalf("%s/%s: line %d ends as %+v, reference %+v", cfg.Name, name, i, ln, ref.lines[i])
+				}
+			}
+		}
+	}
+}
+
+// TestHierarchyMatchesReference drives the paper machine's hierarchy,
+// non-power-of-two LLC included, through SpanAccess: the same latency
+// on every access and the same per-level counters.
+func TestHierarchyMatchesReference(t *testing.T) {
+	l1, l2, llc := XeonE52650v4()
+	// 40 MB of addresses: past the LLC, so every level evicts.
+	for name, stream := range diffStreams(400_000, 40<<20) {
+		fast, err := NewHierarchy(l1, l2, llc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := newRefHierarchy(l1, l2, llc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range stream {
+			if lat, rlat := fast.SpanAccess(a.addr, a.size, a.store), ref.SpanAccess(a.addr, a.size, a.store); lat != rlat {
+				t.Fatalf("%s access %d: latency %d, reference %d", name, i, lat, rlat)
+			}
+		}
+		for _, lv := range []struct {
+			name string
+			fast *Cache
+			ref  *refCache
+		}{{"L1", fast.L1, ref.L1}, {"L2", fast.L2, ref.L2}, {"LLC", fast.LLC, ref.LLC}} {
+			if lv.fast.Stats() != lv.ref.Stats() {
+				t.Fatalf("%s %s: stats %+v, reference %+v", name, lv.name, lv.fast.Stats(), lv.ref.Stats())
+			}
+		}
+	}
+}
+
+// TestLRUInclusion checks the stack property of LRU: at equal set
+// count, a cache with more ways holds a superset of the lines, so it
+// never misses where the smaller one hits.
+func TestLRUInclusion(t *testing.T) {
+	const sets = 16
+	for name, stream := range diffStreams(60_000, sets*LineSize*40) {
+		var caches []*Cache
+		for _, ways := range []int{1, 2, 4, 8, 16} {
+			c, err := New(Config{Name: fmt.Sprint(ways, "-way"), SizeBytes: sets * ways * LineSize, Assoc: ways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			caches = append(caches, c)
+		}
+		for i, a := range stream {
+			smallerHit := false
+			for _, c := range caches {
+				hit, _ := c.Access(a.addr, a.store)
+				if smallerHit && !hit {
+					t.Fatalf("%s access %d: %s missed a line a smaller cache held", name, i, c.cfg.Name)
+				}
+				smallerHit = hit
+			}
+		}
+		for i := 1; i < len(caches); i++ {
+			if caches[i].Stats().Misses > caches[i-1].Stats().Misses {
+				t.Fatalf("%s: %s missed %d times, %s only %d", name,
+					caches[i].cfg.Name, caches[i].Stats().Misses, caches[i-1].cfg.Name, caches[i-1].Stats().Misses)
+			}
+		}
+	}
+}
