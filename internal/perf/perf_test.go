@@ -107,6 +107,11 @@ func TestRecordWindow(t *testing.T) {
 	if rec.Start < total/4 {
 		t.Errorf("window start %d not near halfway of %d", rec.Start, total)
 	}
+	// The window is sized once, up front: a buffer regrown by append
+	// would end with spare capacity.
+	if cap(rec.Ops) != len(rec.Ops) {
+		t.Errorf("window buffer has cap %d for %d ops, want it allocated exactly once", cap(rec.Ops), len(rec.Ops))
+	}
 	hasBranch, hasMem := false, false
 	for _, op := range rec.Ops {
 		if op.IsBranch() {

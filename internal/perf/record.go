@@ -51,6 +51,11 @@ func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, o
 		start = total - limit
 	}
 	rec := trace.NewRecorder(start, limit)
+	// start+limit <= total, so the window fills exactly: size it once.
+	// Grown by append, a 1M-op window allocated ~120 MB to end at 24 MB,
+	// and the copying and collection that came with it were 40% of a
+	// replay's CPU and most of its run-to-run spread.
+	rec.Ops = make([]trace.MicroOp, 0, limit)
 	recCtx := trace.New()
 	recCtx.AttachRecorder(rec)
 	opts.NewWorkerCtx = func(int) *trace.Ctx { return recCtx }
