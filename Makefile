@@ -2,8 +2,9 @@
 # vclint determinism/concurrency analyzers, the full test suite, a
 # short smoke of the three fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
-# pass of vcbench, the six end-to-end smokes, and the race pass over
-# the concurrent packages (harness engine + encoders). The race pass
+# pass of vcbench, the six end-to-end smokes, the check that the
+# committed results/ CSVs are what the tree prints, and the race pass
+# over the concurrent packages (harness engine + encoders). The race pass
 # re-runs the golden and equivalence suites under the detector, so it
 # gets a long timeout.
 
@@ -21,9 +22,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build lint lint-fixtures test race golden bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build lint lint-fixtures test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build lint lint-fixtures test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke race
+ci: fmt vet build lint lint-fixtures test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -70,6 +71,15 @@ race:
 golden:
 	$(GO) test ./internal/harness -run TestGoldenTables -update
 
+# The committed default-scale CSVs under results/ must be exactly what
+# the tree prints: regenerate all of them into a temp dir and diff. A
+# change that moves a table on purpose reruns
+# `go run ./cmd/repro -csv results all` and commits the diff.
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/repro -csv "$$tmp" all && \
+	diff -r -x README.md "$$tmp" results
+
 # Full pass of the Go micro-benchmarks, kept as benchstat-compatible
 # text (compare runs with `benchstat old.txt new.txt`). The ledger that
 # gates regressions is `make perf`, not this.
@@ -110,10 +120,10 @@ telemetry-smoke:
 	GO="$(GO)" sh scripts/telemetry_smoke.sh
 
 # End-to-end smoke of the shard scheduler: the same seeded bimodal
-# vcload mix against a baseline daemon (sharding off, fifo) and a
-# sharded one (work-stealing pool + SJF admission) must produce
-# identical digests, and the light-job p99 must improve by >=5x. See
-# scripts/sched_smoke.sh.
+# vcload mix against default daemons at -j 1 and -j 4 must produce
+# identical digests, and on each the light-job p99 must sit >=5x below
+# the heavy-job p99 (equal tails are what head-of-line blocking looks
+# like). See scripts/sched_smoke.sh.
 sched-smoke:
 	GO="$(GO)" sh scripts/sched_smoke.sh
 

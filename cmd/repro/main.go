@@ -38,15 +38,14 @@ func main() {
 
 func run() error {
 	var (
-		quick    = flag.Bool("quick", false, "use the fast three-clip scale")
-		csvDir   = flag.String("csv", "", "write CSV files into this directory instead of printing")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		workers  = flag.Int("j", runtime.NumCPU(), "max concurrent cell measurements")
-		verbose  = flag.Bool("v", false, "report per-experiment wall time and cache hits")
-		trOut    = flag.String("trace", "", "write a Chrome trace-event JSON (virtual ticks) of the run to this file")
-		stats    = flag.Bool("stats", false, "print obs counters and the self-profile table after the run")
-		foldOut  = flag.String("fold", "", "write folded stacks (flamegraph.pl collapsed format, virtual ticks) of the run to this file")
-		stealSed = flag.Uint64("steal-seed", 0, "shard-scheduler victim-selection seed (any value prints identical tables; 0 = 1)")
+		quick   = flag.Bool("quick", false, "use the fast three-clip scale")
+		csvDir  = flag.String("csv", "", "write CSV files into this directory instead of printing")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		workers = flag.Int("j", runtime.NumCPU(), "max concurrent cell measurements")
+		verbose = flag.Bool("v", false, "report per-experiment wall time and cache hits")
+		trOut   = flag.String("trace", "", "write a Chrome trace-event JSON (virtual ticks) of the run to this file")
+		stats   = flag.Bool("stats", false, "print obs counters and the self-profile table after the run")
+		foldOut = flag.String("fold", "", "write folded stacks (flamegraph.pl collapsed format, virtual ticks) of the run to this file")
 	)
 	flag.Parse()
 
@@ -80,7 +79,7 @@ func run() error {
 	if *trOut != "" || *stats || *foldOut != "" {
 		sess = obs.NewSession()
 	}
-	rep, err := harness.RunAll(ctx, scale, harness.Options{Workers: *workers, Experiments: ids, Obs: sess, StealSeed: *stealSed})
+	rep, err := harness.RunAll(ctx, scale, harness.Options{Workers: *workers, Experiments: ids, Obs: sess})
 	if rep != nil {
 		for _, er := range rep.Results {
 			if *verbose {

@@ -39,16 +39,12 @@ func run() error {
 		addr     = flag.String("addr", ":8791", "listen address (host:port; port 0 picks a free one)")
 		storeDir = flag.String("store", "vcprofd-store", "result store directory")
 		storeMax = flag.Int64("store-max", 0, "store size budget in bytes (0 = 1 GiB)")
-		workers  = flag.Int("j", 4, "worker pool size")
+		workers  = flag.Int("j", 4, "jobs in flight at once, and the width of the shard pool they share")
 		queueCap = flag.Int("queue", 64, "queued-job bound before submissions get 429")
 		timeout  = flag.Duration("timeout", 2*time.Minute, "default per-job execution budget")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		traceOn  = flag.Bool("trace", false, "record worker spans; export at /debug/trace")
 		sample   = flag.Duration("sample", 250*time.Millisecond, "telemetry time-series sampling interval (0 disables /v1/telemetry/series)")
-		shard    = flag.Bool("shard", true, "run jobs on the work-stealing shard scheduler (false = serial per-worker execution)")
-		shardN   = flag.Int("shard-workers", 0, "shard pool size (0 = same as -j)")
-		stealSed = flag.Uint64("steal-seed", 0, "shard-scheduler victim-selection seed (results are identical for any value; 0 = 1)")
-		admit    = flag.String("admission", "sjf", "queue policy: sjf (shortest estimated job first within a priority) or fifo")
 		name     = flag.String("name", "", "shard name echoed by GET /v1/registry (for vcgate clusters; default \"vcprofd\")")
 	)
 	flag.Parse()
@@ -61,19 +57,15 @@ func run() error {
 	// survive the start of a drain and only die when the drain budget
 	// runs out (Shutdown cancels the base context itself).
 	srv, err := service.NewServer(context.Background(), service.Config{
-		StoreDir:        *storeDir,
-		StoreMaxBytes:   *storeMax,
-		Workers:         *workers,
-		QueueCap:        *queueCap,
-		DefaultTimeout:  *timeout,
-		DrainTimeout:    *drain,
-		Obs:             sess,
-		SampleInterval:  *sample,
-		ShardWorkers:    *shardN,
-		DisableSharding: !*shard,
-		StealSeed:       *stealSed,
-		Admission:       *admit,
-		ShardName:       *name,
+		StoreDir:       *storeDir,
+		StoreMaxBytes:  *storeMax,
+		Workers:        *workers,
+		QueueCap:       *queueCap,
+		DefaultTimeout: *timeout,
+		DrainTimeout:   *drain,
+		Obs:            sess,
+		SampleInterval: *sample,
+		ShardName:      *name,
 	})
 	if err != nil {
 		return err

@@ -40,7 +40,7 @@ func run() error {
 		clipName = flag.String("clip", "game1", "vbench clip name (see -list)")
 		crf      = flag.Int("crf", 35, "constant rate factor (family range)")
 		preset   = flag.Int("preset", 4, "speed preset (family range and direction)")
-		threads  = flag.Int("threads", 1, "worker threads")
+		threads  = flag.Int("threads", 1, "task-graph pool width and instruction-attribution lanes")
 		frames   = flag.Int("frames", 8, "frames to encode")
 		scale    = flag.Int("scale", 8, "linear resolution divisor")
 		trOut    = flag.String("trace", "", "write the frame/stage span trace (Chrome trace-event JSON, virtual ticks) to this file")

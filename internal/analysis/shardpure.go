@@ -10,7 +10,7 @@ import (
 type ShardPureConfig struct {
 	// TaskIfaces are interface methods, "import/path.Iface.Method":
 	// the method body of every program type implementing the interface
-	// is a task body (sched.Graph.Run, encoders.TaskGraph.Run).
+	// is a task body (sched.Graph.Run).
 	TaskIfaces []string
 	// SubmitFuncs are functions or methods, "import/path.Func" or
 	// "import/path.Type.Method", whose function-literal arguments are

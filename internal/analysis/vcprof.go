@@ -16,8 +16,7 @@ import "fmt"
 //   - detflow (whole-program): the deterministic roots — harness cell
 //     execution (RunAll/RunCell/RunExperiment), the encoder Encode
 //     path, every scheduler task body (implementations of
-//     sched.Graph.Run and encoders.TaskGraph.Run), the obs
-//     deterministic writers (Trace.Advance/Begin, Span.End,
+//     sched.Graph.Run), the obs deterministic writers (Trace.Advance/Begin, Span.End,
 //     Counter.Add), the fold-digest root (obs.FoldDigest, the one
 //     value every cross-topology equivalence test and smoke compares,
 //     for jobs and live sessions alike), and the live-session root
@@ -32,7 +31,7 @@ import "fmt"
 //     mutex is a leaf, never held across an HTTP call or a histogram
 //     observation — is exactly the shape this analyzer pins.
 //   - shardpure (whole-program): scheduler task bodies (the same
-//     Graph/TaskGraph implementations plus run closures handed to the
+//     sched.Graph implementations plus run closures handed to the
 //     encode graph builder) may write shared state only through their
 //     own shard-indexed slot.
 //   - detmaprange / detrand: unscoped; randomized map order and
@@ -90,7 +89,6 @@ func VCProfAnalyzers() []*Analyzer {
 			},
 			IfaceImpls: []string{
 				"vcprof/internal/sched.Graph.Run",
-				"vcprof/internal/encoders.TaskGraph.Run",
 			},
 			SinkPaths: []string{
 				"vcprof/internal/harness",
@@ -121,7 +119,6 @@ func VCProfAnalyzers() []*Analyzer {
 		NewShardPure(ShardPureConfig{
 			TaskIfaces: []string{
 				"vcprof/internal/sched.Graph.Run",
-				"vcprof/internal/encoders.TaskGraph.Run",
 			},
 			SubmitFuncs: []string{
 				"vcprof/internal/encoders.graph.add",

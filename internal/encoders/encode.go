@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vcprof/internal/metrics"
+	"vcprof/internal/sched"
 	"vcprof/internal/video"
 )
 
@@ -29,7 +30,18 @@ func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	ws, err := newWorkerSet(se, opts)
+	// No pool and one lane runs inline on this goroutine; anything else
+	// runs on a pool, the caller's or a transient one Threads wide.
+	pool := opts.Pool
+	if pool == nil && opts.Threads > 1 {
+		pool = sched.NewPool(sched.Config{Workers: opts.Threads})
+		defer pool.Close()
+	}
+	workers := 1
+	if pool != nil {
+		workers = pool.Workers()
+	}
+	ws, err := newWorkerSet(se, opts, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -39,10 +51,10 @@ func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Re
 	}
 	//lint:ignore detnow,detflow Result.Wall is host wall-clock by contract (live-run reporting); tables use modeled cycles (harness.cycleMS), never this value
 	start := time.Now()
-	if opts.Executor != nil {
-		err = runSharded(ctx, se, g, ws, opts.Executor)
+	if pool == nil {
+		err = runInline(ctx, g, ws)
 	} else {
-		err = runLive(ctx, g, ws)
+		err = runSharded(ctx, g, ws, pool)
 	}
 	if err != nil {
 		return nil, err
@@ -130,7 +142,7 @@ func ProfileSchedule(ctx context.Context, enc Encoder, clip *video.Clip, opts Op
 	if err != nil {
 		return nil, nil, err
 	}
-	ws, err := newWorkerSet(se, opts)
+	ws, err := newWorkerSet(se, opts, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,16 +154,16 @@ func ProfileSchedule(ctx context.Context, enc Encoder, clip *video.Clip, opts Op
 	if err != nil {
 		return nil, nil, err
 	}
-	sched := &Schedule{Costs: costs}
+	sc := &Schedule{Costs: costs}
 	for _, t := range g.tasks {
-		sched.Deps = append(sched.Deps, t.deps)
-		sched.Names = append(sched.Names, t.name)
+		sc.Deps = append(sc.Deps, t.deps)
+		sc.Names = append(sc.Names, t.name)
 	}
 	res, err := m.assemble(se, ws, clip, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sched, res, nil
+	return sc, res, nil
 }
 
 // cropRecon extracts the unpadded reconstruction of a picture.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"vcprof/internal/sched"
 	"vcprof/internal/trace"
 	"vcprof/internal/video"
 )
@@ -47,20 +48,25 @@ type Options struct {
 	// (fastest). x264/x265: 0 (fastest) to 9 (slowest) — the reversed
 	// direction the paper notes in §3.3.
 	Preset int
-	// Threads is the number of worker goroutines. 0 means the default
-	// of 1 everywhere — Encode, validation, and cache keys treat the
-	// two spellings as the same encode.
+	// Threads is the number of attribution lanes: instrumented work is
+	// split over that many worker contexts by task index, and
+	// Result.WorkerInsts has one entry per lane. It never changes the
+	// bitstream or any total. 0 means the default of 1 everywhere —
+	// Encode, validation, and cache keys treat the two spellings as the
+	// same encode. Threads > 1 without a Pool runs the task graph on a
+	// transient pool that wide.
 	Threads int
-	// NewWorkerCtx, when non-nil, supplies an instrumentation context for
-	// each worker. Worker 0 exists in every run. Contexts are merged into
-	// Result.Mix after the encode.
+	// NewWorkerCtx, when non-nil, supplies the instrumentation context
+	// of each lane. Lane 0 exists in every run. Contexts are merged into
+	// Result.Mix after the encode. Sinks attached to a context see
+	// events only on the inline path (no Pool, Threads <= 1); on a pool
+	// each task counts privately and only totals are merged in.
 	NewWorkerCtx func(worker int) *trace.Ctx
-	// Executor, when non-nil, runs the encode's task graph on an
-	// external scheduler (the harness shard pool) instead of the
-	// built-in worker pool. Results are byte-identical either way:
-	// the graph carries every true dependence, and instrumentation is
-	// merged in task-index order. See TaskGraph.
-	Executor Executor
+	// Pool, when non-nil, runs the encode's task graph on that shared
+	// scheduler instead of the calling goroutine. Results are
+	// byte-identical either way: the graph carries every true
+	// dependence, and instrumentation is merged by task index.
+	Pool *sched.Pool
 	// KeyInterval inserts a keyframe every n frames (0 = only frame 0).
 	KeyInterval int
 	// KeepBitstream assembles the full decodable container into

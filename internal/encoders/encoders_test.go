@@ -92,7 +92,7 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestEncodeThreadCountInvariant(t *testing.T) {
-	// The task-graph executor must produce identical bitstreams and
+	// The task graph must produce identical bitstreams and
 	// reconstructions regardless of worker count.
 	clip := testClip(t, "game1", 4, 16)
 	for _, fam := range []Family{SVTAV1, X264, X265, Libaom} {

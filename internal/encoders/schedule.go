@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"vcprof/internal/codec/entropy"
+	"vcprof/internal/sched"
 	"vcprof/internal/trace"
 )
 
@@ -14,16 +15,26 @@ import (
 // explicit task graph: tasks are the units its real scheduler
 // dispatches (SVT-AV1 segments, libaom tiles, x264 frame rows under a
 // reconstruction watermark, the x265 master chain), and edges are the
-// data dependences between them. The graph serves two executors:
+// data dependences between them. A graph runs one of two ways, chosen
+// by Encode from what it is given:
 //
-//   - the live executor runs it with a goroutine worker pool
-//     (Options.Threads), giving real parallel encodes on multicore
-//     hosts; and
-//   - the profiling executor runs it serially, measuring each task's
-//     dynamic instruction cost, from which Schedule.Makespan computes
-//     the runtime on any number of simulated cores.
+//   - inline (runInline): no pool and Threads <= 1. Tasks run in
+//     topological order on the calling goroutine, directly on the one
+//     worker context, so sinks attached to that context (perf.Stat's
+//     predictor and cache monitors, window recorders) see every event
+//     in a stable order. This is the only path on which attached sinks
+//     see events.
+//   - sharded (runSharded): on a sched.Pool, the caller's or a
+//     transient one Threads wide. Each task counts into a private
+//     context that is merged into attribution lane (task index mod
+//     Threads), so Threads is the number of lanes in
+//     Result.WorkerInsts, never a goroutine count, and every counter
+//     is independent of the pool's width, seed and steal interleaving.
 //
-// The second path is the substitution for the paper's 12-core Xeon
+// ProfileSchedule's runProfiled is not a scheduler: it runs the graph
+// serially, measuring each task's dynamic instruction cost, from which
+// Schedule.Makespan computes the runtime on any number of simulated
+// cores. That is the substitution for the paper's 12-core Xeon
 // thread-scalability measurements (§4.6): speedups derive from the
 // measured work distribution and the dependence structure rather than
 // from host wall-clock, so they are deterministic and reproducible on
@@ -32,7 +43,7 @@ import (
 // task is one schedulable unit. pic, when set, is the picture the
 // task's work is attributed to for the per-frame stage breakdown.
 // cost is the builder's static work estimate (roughly superblocks
-// scaled by preset effort), used only to steer external schedulers.
+// scaled by preset effort), used only to steer the pool.
 type task struct {
 	name string
 	deps []int
@@ -83,24 +94,25 @@ func runTask(t *task, worker int, tc *trace.Ctx) error {
 	return err
 }
 
-// workerSet holds the per-worker instrumentation contexts and scratch
-// buffers shared by all scheduling strategies.
+// workerSet holds what tasks run against: one instrumentation context
+// per attribution lane (Options.Threads of them; all nil when the
+// encode is uninstrumented) and one scratch buffer per executing
+// worker — one on the inline path, the pool's width on a pool. The two
+// counts are independent: lanes are keyed by task index, scratch by
+// the worker that claimed the task.
 type workerSet struct {
-	n       int
 	ctxs    []*trace.Ctx
 	scratch []*workScratch
 }
 
-func newWorkerSet(se *streamEncoder, opts Options) (*workerSet, error) {
-	n := opts.Threads
-	if n < 1 {
-		n = 1
-	}
-	ws := &workerSet{n: n, ctxs: make([]*trace.Ctx, n), scratch: make([]*workScratch, n)}
-	for i := 0; i < n; i++ {
-		if opts.NewWorkerCtx != nil {
+func newWorkerSet(se *streamEncoder, opts Options, workers int) (*workerSet, error) {
+	ws := &workerSet{ctxs: make([]*trace.Ctx, opts.Threads), scratch: make([]*workScratch, workers)}
+	if opts.NewWorkerCtx != nil {
+		for i := range ws.ctxs {
 			ws.ctxs[i] = opts.NewWorkerCtx(i)
 		}
+	}
+	for i := range ws.scratch {
 		s, err := newWorkScratch(se.as, fmt.Sprintf("w%d", i))
 		if err != nil {
 			return nil, err
@@ -110,97 +122,26 @@ func newWorkerSet(se *streamEncoder, opts Options) (*workerSet, error) {
 	return ws, nil
 }
 
-// runLive executes the graph on the worker pool. With one worker it
-// runs inline in topological order. Cancelling ctx stops execution at
+// runInline executes the graph in topological order on the calling
+// goroutine and worker 0's context. Cancelling ctx stops execution at
 // the next task boundary: tasks are sub-frame units (rows, segments,
 // tiles), so an encode aborts between frames at the latest.
-func runLive(ctx context.Context, g *graph, ws *workerSet) error {
-	n := len(g.tasks)
-	if n == 0 {
-		return ctx.Err()
-	}
-	if ws.n == 1 {
-		for i := range g.tasks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := runTask(&g.tasks[i], 0, ws.ctxs[0]); err != nil {
-				return fmt.Errorf("task %s: %w", g.tasks[i].name, err)
-			}
+func runInline(ctx context.Context, g *graph, ws *workerSet) error {
+	for i := range g.tasks {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return nil
-	}
-	indeg := make([]int, n)
-	dependents := make([][]int, n)
-	for i, t := range g.tasks {
-		indeg[i] = len(t.deps)
-		for _, d := range t.deps {
-			dependents[d] = append(dependents[d], i)
+		if err := runTask(&g.tasks[i], 0, ws.ctxs[0]); err != nil {
+			return fmt.Errorf("task %s: %w", g.tasks[i].name, err)
 		}
 	}
-	ready := make(chan int, n)
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		done     int
-	)
-	for i, d := range indeg {
-		if d == 0 {
-			ready <- i
-		}
-	}
-	complete := func(id int) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if done == n {
-			close(ready)
-			return
-		}
-		for _, dep := range dependents[id] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready <- dep
-			}
-		}
-	}
-	for w := 0; w < ws.n; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for id := range ready {
-				mu.Lock()
-				stop := firstErr != nil
-				mu.Unlock()
-				if !stop {
-					err := ctx.Err()
-					if err == nil {
-						err = runTask(&g.tasks[id], worker, ws.ctxs[worker])
-						if err != nil {
-							err = fmt.Errorf("task %s: %w", g.tasks[id].name, err)
-						}
-					}
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}
-				complete(id)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // runProfiled executes the graph serially on worker 0, measuring each
 // task's instruction cost with a private context that is then merged
 // into the worker context (if any). Cancelling ctx aborts between
-// tasks, like runLive.
+// tasks, like runInline.
 func runProfiled(ctx context.Context, g *graph, ws *workerSet) ([]uint64, error) {
 	costs := make([]uint64, len(g.tasks))
 	for i := range g.tasks {
@@ -220,36 +161,14 @@ func runProfiled(ctx context.Context, g *graph, ws *workerSet) ([]uint64, error)
 }
 
 // ---------------------------------------------------------------------
-// Shard handoff: the external-executor surface.
+// Shard handoff.
 
-// TaskGraph is the read-only view of an encode's task graph handed to
-// an external Executor: tasks in topological numbering (deps always
-// precede their task), static cost estimates, and a Run that executes
-// one task on behalf of the given executor worker. Run may be called
-// concurrently for independent tasks; the graph enforces its own
-// instrumentation merging, so any schedule honoring Deps yields
-// byte-identical results.
-type TaskGraph interface {
-	NumTasks() int
-	Deps(i int) []int
-	Cost(i int) uint64
-	Label(i int) string
-	Run(ctx context.Context, task, worker int) error
-}
-
-// Executor schedules a TaskGraph to completion. Workers reports the
-// executor's worker-id range: Run worker arguments are in [0,
-// Workers()). RunGraph must not return while any task is executing.
-type Executor interface {
-	Workers() int
-	RunGraph(ctx context.Context, g TaskGraph) error
-}
-
-// shardGraph adapts a built encode graph to the TaskGraph surface.
-// Each task runs with a private trace context that is merged into the
-// worker set's context slot chosen by task index — a schedule-free
-// assignment, so Insts, Mix and WorkerInsts are identical no matter
-// which executor worker ran what. Frame stage attribution stays exact
+// shardGraph is a built encode graph as a sched.Graph. Run may be
+// called concurrently for independent tasks. Each task runs with a
+// private trace context that is merged into the worker set's context
+// slot chosen by task index — a schedule-free assignment, so Insts,
+// Mix and WorkerInsts are identical no matter which pool worker ran
+// what. Frame stage attribution stays exact
 // because runTask snapshots the private context around the body.
 type shardGraph struct {
 	g  *graph
@@ -265,9 +184,6 @@ func (s *shardGraph) Label(i int) string { return s.g.tasks[i].name }
 func (s *shardGraph) Run(ctx context.Context, i, worker int) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if worker < 0 || worker >= len(s.ws.scratch) {
-		return fmt.Errorf("encoders: executor worker %d outside scratch range %d", worker, len(s.ws.scratch))
 	}
 	t := &s.g.tasks[i]
 	var tc *trace.Ctx
@@ -287,32 +203,14 @@ func (s *shardGraph) Run(ctx context.Context, i, worker int) error {
 	return nil
 }
 
-// ensureSlots grows the worker set's scratch array to n executor
-// workers. Instrumentation context slots are NOT grown: merge targets
-// stay keyed by task index modulo the configured thread count, which
-// keeps counted results independent of the executor's width.
-func (ws *workerSet) ensureSlots(se *streamEncoder, n int) error {
-	for len(ws.scratch) < n {
-		s, err := newWorkScratch(se.as, fmt.Sprintf("w%d", len(ws.scratch)))
-		if err != nil {
-			return err
-		}
-		ws.scratch = append(ws.scratch, s)
-	}
-	return nil
-}
-
-// runSharded executes the graph on an external executor instead of the
-// built-in pool.
-func runSharded(ctx context.Context, se *streamEncoder, g *graph, ws *workerSet, ex Executor) error {
-	if err := ws.ensureSlots(se, ex.Workers()); err != nil {
-		return err
-	}
+// runSharded executes the graph on pool; ws must hold a scratch slot
+// for each of the pool's workers.
+func runSharded(ctx context.Context, g *graph, ws *workerSet, pool *sched.Pool) error {
 	sg := &shardGraph{g: g, ws: ws}
 	if ws.ctxs[0] != nil {
 		sg.mu = make([]sync.Mutex, len(ws.ctxs))
 	}
-	return ex.RunGraph(ctx, sg)
+	return pool.RunGraph(ctx, sg)
 }
 
 // Schedule is a measured task graph: per-task instruction costs plus

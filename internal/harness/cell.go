@@ -9,6 +9,7 @@ import (
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/perf"
+	"vcprof/internal/sched"
 	"vcprof/internal/trace"
 	"vcprof/internal/uarch/pipeline"
 )
@@ -147,9 +148,14 @@ func (c Cell) run(ctx context.Context) (CellResult, error) {
 		return CellResult{Stat: st}, err
 	case CellCounted:
 		opts.NewWorkerCtx = func(int) *trace.Ctx { return trace.New() }
-		// Counting-only encodes shard below the cell when a pool governs
-		// the run; merge order is pinned, so results are schedule-proof.
-		opts.Executor = executorFrom(ctx)
+		// Only counted cells shard below the cell, on the pool governing
+		// the run (fork-join nested: the worker that started the cell
+		// keeps executing shards while the encode's graph completes).
+		// Merge order is pinned by task index, so results are
+		// schedule-proof. Stat, window and pipeline cells attach live
+		// predictor and cache sinks whose state depends on access order;
+		// perf pins those to the inline path.
+		opts.Pool = sched.PoolFrom(ctx)
 		res, err := enc.Encode(ctx, clip, opts)
 		return CellResult{Enc: res}, err
 	case CellWindow:
@@ -167,8 +173,8 @@ func (c Cell) run(ctx context.Context) (CellResult, error) {
 		res, err := sim.RunCtx(ctx, win.Rec.Ops)
 		return CellResult{Pipe: res}, err
 	case CellSchedule:
-		sched, _, err := encoders.ProfileSchedule(ctx, enc, clip, opts)
-		return CellResult{Sched: sched}, err
+		sc, _, err := encoders.ProfileSchedule(ctx, enc, clip, opts)
+		return CellResult{Sched: sc}, err
 	}
 	return CellResult{}, fmt.Errorf("harness: unknown cell kind %d", c.Kind)
 }

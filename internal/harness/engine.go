@@ -54,10 +54,6 @@ type Options struct {
 	// experiment completes) plus engine counters. nil disables
 	// observation at zero cost.
 	Obs *obs.Session
-	// StealSeed seeds the shard pool's victim-selection PRNG (0 means
-	// 1). Every seed yields byte-identical reports; the knob exists so
-	// that invariance is testable end to end.
-	StealSeed uint64
 }
 
 // ExperimentReport is the per-experiment slice of a Report.
@@ -118,7 +114,7 @@ func RunAll(ctx context.Context, s Scale, opts Options) (*Report, error) {
 	start := time.Now()
 	for _, e := range exps {
 		t0 := time.Now()
-		tables, cells, hits, err := runExperiment(ctx, e, s, workers, opts.StealSeed, opts.Obs)
+		tables, cells, hits, err := runExperiment(ctx, e, s, workers, opts.Obs)
 		if err != nil {
 			return rep, fmt.Errorf("%s: %w", e.ID, err)
 		}
@@ -132,7 +128,7 @@ func RunAll(ctx context.Context, s Scale, opts Options) (*Report, error) {
 }
 
 // runExperiment plans and executes one experiment.
-func runExperiment(ctx context.Context, e Experiment, s Scale, workers int, seed uint64, sess *obs.Session) ([]*Table, int, int, error) {
+func runExperiment(ctx context.Context, e Experiment, s Scale, workers int, sess *obs.Session) ([]*Table, int, int, error) {
 	if e.Plan == nil {
 		return nil, 0, 0, fmt.Errorf("harness: experiment %s has no plan", e.ID)
 	}
@@ -140,7 +136,7 @@ func runExperiment(ctx context.Context, e Experiment, s Scale, workers int, seed
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res, hits, err := runCellsSeeded(ctx, p.Cells, workers, seed)
+	res, hits, err := runCells(ctx, p.Cells, workers)
 	if err != nil {
 		return nil, len(p.Cells), hits, err
 	}
@@ -156,27 +152,21 @@ func runExperiment(ctx context.Context, e Experiment, s Scale, workers int, seed
 
 // runCells evaluates a cell grid on the work-stealing shard pool.
 // Results land at their cell's index regardless of completion order,
-// which is what makes assembly deterministic. Returns the cache-hit
-// count and the first error (after all started cells drain).
+// which is what makes assembly deterministic. When the context already
+// carries a pool (a daemon's process-wide scheduler, a test's seeded
+// one), cells and their shards run on it and workers is ignored;
+// otherwise a pool of the requested width is created for the run.
+// Returns the cache-hit count and the first error, which cancels the
+// run; runCells returns only after every started cell has settled, so
+// no shard of an abandoned run can touch the results afterwards.
 func runCells(ctx context.Context, cells []Cell, workers int) ([]CellResult, int, error) {
-	return runCellsSeeded(ctx, cells, workers, 0)
-}
-
-// runCellsSeeded is runCells with an explicit steal seed. When the
-// context already carries a pool (a daemon's process-wide scheduler),
-// cells and their shards run on it and workers/seed are ignored;
-// otherwise a pool of the requested width is created for the run. The
-// first cell error cancels the run; runCellsSeeded returns only after
-// every started cell has settled, so no shard of an abandoned run can
-// touch the results afterwards.
-func runCellsSeeded(ctx context.Context, cells []Cell, workers int, seed uint64) ([]CellResult, int, error) {
 	res := make([]CellResult, len(cells))
 	if len(cells) == 0 {
 		return res, 0, ctx.Err()
 	}
 	pool := sched.PoolFrom(ctx)
 	if pool == nil {
-		pool = sched.NewPool(sched.Config{Workers: workers, Seed: seed})
+		pool = sched.NewPool(sched.Config{Workers: workers})
 		defer pool.Close()
 		ctx = sched.WithPool(ctx, pool)
 	}
@@ -227,7 +217,7 @@ func (e Experiment) Run(s Scale) ([]*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	tables, _, _, err := runExperiment(context.Background(), e, s, 1, 0, nil)
+	tables, _, _, err := runExperiment(context.Background(), e, s, 1, nil)
 	return tables, err
 }
 
@@ -265,7 +255,7 @@ func RunExperiment(ctx context.Context, id string, s Scale, workers int, sess *o
 		return nil, err
 	}
 	t0 := time.Now()
-	tables, cells, hits, err := runExperiment(ctx, e, s, workers, 0, sess)
+	tables, cells, hits, err := runExperiment(ctx, e, s, workers, sess)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", e.ID, err)
 	}

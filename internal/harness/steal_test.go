@@ -19,7 +19,9 @@ var invarianceExperiments = []string{"fig1", "fig2a", "fig8", "fig12"}
 // scheduler, pinned end to end: rendered tables are byte-identical at
 // every worker count and steal seed — no cell value, ordering, or
 // formatting may depend on which worker ran which shard, or on the
-// victim-selection sequence.
+// victim-selection sequence. The seed is not an engine option: each
+// matrix point hands RunAll a context carrying its own seeded pool,
+// which runCells uses in place of building one.
 func TestScheduleInvarianceMatrix(t *testing.T) {
 	s := equivScale()
 	configs := []struct {
@@ -31,9 +33,11 @@ func TestScheduleInvarianceMatrix(t *testing.T) {
 	var want string
 	for _, cfg := range configs {
 		ResetCellCache()
-		rep, err := RunAll(context.Background(), s, Options{
-			Workers: cfg.workers, StealSeed: cfg.seed, Experiments: invarianceExperiments,
+		p := sched.NewPool(sched.Config{Workers: cfg.workers, Seed: cfg.seed})
+		rep, err := RunAll(sched.WithPool(context.Background(), p), s, Options{
+			Workers: cfg.workers, Experiments: invarianceExperiments,
 		})
+		p.Close()
 		if err != nil {
 			t.Fatalf("workers=%d seed=%#x: %v", cfg.workers, cfg.seed, err)
 		}

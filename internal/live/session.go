@@ -123,7 +123,9 @@ func New(spec SessionSpec, cfg Config) (*Session, error) {
 }
 
 // Resume creates a session continuing from a failover token (the zero
-// token means a fresh session). The token must sit on a GOP boundary.
+// token means a fresh session). The token is client-supplied state: it
+// must sit on a GOP boundary and carry no negative shed level or
+// counter.
 func Resume(spec SessionSpec, cfg Config, tok ResumeToken) (*Session, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -146,6 +148,13 @@ func Resume(spec SessionSpec, cfg Config, tok ResumeToken) (*Session, error) {
 	}
 	if tok.GOP != tok.StartFrame/spec.GOP {
 		return nil, fmt.Errorf("live: resume GOP %d inconsistent with frame %d", tok.GOP, tok.StartFrame)
+	}
+	// A negative degrade would walk shedPreset toward and past the slow
+	// end of the family's preset range. The upper side needs no bound:
+	// shedPreset clamps at the fast end.
+	if tok.Degrade < 0 || tok.DegradeTotal < 0 || tok.Misses < 0 || tok.Dropped < 0 || tok.SharedGOPs < 0 {
+		return nil, fmt.Errorf("live: resume token carries a negative counter (degrade %d, degrade_total %d, misses %d, dropped %d, shared_gops %d)",
+			tok.Degrade, tok.DegradeTotal, tok.Misses, tok.Dropped, tok.SharedGOPs)
 	}
 	s := &Session{
 		spec: spec, cfg: cfg, clip: clip, fps: fps,
@@ -285,9 +294,7 @@ func (s *Session) encodeGOPLocked(ctx context.Context, gop, start, end int) (GOP
 			CRF: rcrf, Preset: effPreset, Threads: 1,
 			KeepBitstream: true, AnalyzeIntra: true,
 			NewWorkerCtx: func(int) *trace.Ctx { return trace.New() },
-		}
-		if s.cfg.Pool != nil {
-			opts.Executor = poolExecutor{p: s.cfg.Pool}
+			Pool:         s.cfg.Pool,
 		}
 		if share {
 			if ri == 0 {

@@ -315,6 +315,42 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsNegativeToken pins the token's range check: a
+// negative shed level or counter is refused at the door (a negative
+// degrade would otherwise walk the preset toward and past the slow end
+// of the family's range), while a shed level beyond what the operating
+// point allows is legitimate — a scripted switch can land on a preset
+// with less headroom — and simply clamps at the fast end.
+func TestResumeRejectsNegativeToken(t *testing.T) {
+	aligned := ResumeToken{StartFrame: 8, GOP: 1}
+	cases := []struct {
+		name string
+		mut  func(*ResumeToken)
+		ok   bool
+	}{
+		{"clean", func(*ResumeToken) {}, true},
+		{"degrade beyond the fast end", func(k *ResumeToken) { k.Degrade, k.DegradeTotal = 100, 100 }, true},
+		{"degrade", func(k *ResumeToken) { k.Degrade = -3 }, false},
+		{"degrade_total", func(k *ResumeToken) { k.DegradeTotal = -1 }, false},
+		{"misses", func(k *ResumeToken) { k.Misses = -1 }, false},
+		{"dropped", func(k *ResumeToken) { k.Dropped = -1 }, false},
+		{"shared_gops", func(k *ResumeToken) { k.SharedGOPs = -1 }, false},
+	}
+	for _, c := range cases {
+		tok := aligned
+		c.mut(&tok)
+		s, err := Resume(baseSpec(), Config{}, tok)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: Resume error = %v, want accepted = %v", c.name, err, c.ok)
+		}
+		if err == nil && c.ok {
+			if _, err := s.Feed(context.Background(), 8, true); err != nil {
+				t.Errorf("%s: feed after resume: %v", c.name, err)
+			}
+		}
+	}
+}
+
 // TestFeedHammer drives concurrent sessions on one shared pool — with a
 // mid-flight cancellation — under the race detector, then checks the
 // pool winds down without leaking goroutines and that a cancelled feed

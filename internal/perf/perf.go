@@ -121,8 +121,8 @@ func Stat(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts enco
 	opts.Threads = 1
 	opts.NewWorkerCtx = func(int) *trace.Ctx { return tc }
 	// Never shard: the live cache-hierarchy and predictor sinks are
-	// access-order sensitive, so stat runs stay on the serial executor.
-	opts.Executor = nil
+	// access-order sensitive, so stat runs stay on the inline path.
+	opts.Pool = nil
 	res, err := enc.Encode(ctx, clip, opts)
 	if err != nil {
 		prod.Abort()

@@ -32,9 +32,9 @@ func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, o
 	}
 	countCtx := trace.New()
 	opts.Threads = 1
-	// Window recording needs the serial executor's stable instruction
+	// Window recording needs the inline path's stable instruction
 	// order so the recorded [start, start+limit) slice is well-defined.
-	opts.Executor = nil
+	opts.Pool = nil
 	opts.NewWorkerCtx = func(int) *trace.Ctx { return countCtx }
 	if _, err := enc.Encode(ctx, clip, opts); err != nil {
 		return nil, 0, err
@@ -78,7 +78,7 @@ func Profile(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts e
 	tc := trace.New()
 	tc.AttachProfile(prof)
 	opts.Threads = 1
-	opts.Executor = nil
+	opts.Pool = nil
 	opts.NewWorkerCtx = func(int) *trace.Ctx { return tc }
 	if _, err := enc.Encode(ctx, clip, opts); err != nil {
 		return nil, err

@@ -5,8 +5,8 @@ import "context"
 // Context plumbing. Two things travel on the context:
 //
 //   - the pool itself (WithPool / PoolFrom), so layers that cannot
-//     import each other — the engine, the cell memo, the encoders'
-//     executor hook — agree on one scheduler per request; and
+//     import each other — the engine, the cell memo, the service's
+//     job runner — agree on one scheduler per request; and
 //   - the identity of the pool worker running the current task, set by
 //     the pool around every Run call, which is how a nested RunGraph
 //     recognizes fork-join nesting and keeps its worker executing

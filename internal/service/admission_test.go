@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"vcprof/internal/harness"
 )
 
 // heavySpec is an encode whose cost estimate sits two orders above
@@ -36,12 +38,12 @@ func mustJob(t *testing.T, s JobSpec) *job {
 	return newJob(s, "")
 }
 
-// TestSJFPopsLightJobsFirst pins the admission policy: under sjf,
+// TestSJFPopsLightJobsFirst pins the admission policy:
 // equal-priority jobs pop in cost order however they arrived, so a
 // light job admitted after a burst of heavy ones does not wait behind
 // them. Priority still dominates cost.
 func TestSJFPopsLightJobsFirst(t *testing.T) {
-	q := newQueue(16, true)
+	q := newQueue(16)
 	heavy1 := mustJob(t, heavySpec(20))
 	heavy2 := mustJob(t, heavySpec(40))
 	light := mustJob(t, lightSpec(30))
@@ -68,29 +70,10 @@ func TestSJFPopsLightJobsFirst(t *testing.T) {
 	}
 }
 
-// TestFIFOIgnoresCost pins the fifo escape hatch: with sjf off the
-// queue is strictly (priority, arrival) even when costs differ wildly.
-func TestFIFOIgnoresCost(t *testing.T) {
-	q := newQueue(16, false)
-	heavy := mustJob(t, heavySpec(20))
-	light := mustJob(t, lightSpec(30))
-	if err := q.push(heavy); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(light); err != nil {
-		t.Fatal(err)
-	}
-	first, _ := q.pop()
-	if first != heavy {
-		t.Fatal("fifo queue reordered by cost")
-	}
-}
-
 // TestSJFSaturationUnchanged pins that the 429 path is orthogonal to
-// the policy: capacity is a count, not a cost budget, and saturation
-// behaves exactly as before.
+// cost ordering: capacity is a count, not a cost budget.
 func TestSJFSaturationUnchanged(t *testing.T) {
-	q := newQueue(2, true)
+	q := newQueue(2)
 	if err := q.push(mustJob(t, heavySpec(20))); err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +142,12 @@ func TestEstimatedCostRanksKinds(t *testing.T) {
 }
 
 // TestLightJobNotStuckBehindHeavyMix drives a real server: a single
-// worker, a burst of heavy jobs admitted first, then a light job. With
-// sjf admission the light job must complete long before the burst
+// worker, a burst of heavy jobs admitted first, then a light job. The
+// light job must complete long before the burst
 // drains. This is the end-to-end form of the tail-latency claim at
 // queue granularity.
 func TestLightJobNotStuckBehindHeavyMix(t *testing.T) {
-	srv, hts := testServer(t, Config{Workers: 1, QueueCap: 32, Admission: "sjf"}, false)
+	srv, hts := testServer(t, Config{Workers: 1, QueueCap: 32}, false)
 	// Admit while the pool is stopped so arrival order is exact: four
 	// heavy jobs, then the light one. These heavies are scaled up from
 	// heavySpec so each runs much longer than the 5ms poll below — the
@@ -214,60 +197,55 @@ func TestLightJobNotStuckBehindHeavyMix(t *testing.T) {
 }
 
 // TestShardedServerMatchesSerial pins the serving layer's determinism
-// contract across the scheduler boundary: the same spec served by a
-// sharded daemon and by a serial one produces byte-identical result
-// documents.
+// contract across the scheduler boundary: the bytes a daemon stores
+// for a spec, computed on its shared shard pool, equal the document
+// Execute returns on a pool-less context with no server at all — the
+// inline serial path for a 1-thread spec, a transient pool for a
+// 4-lane one.
 func TestShardedServerMatchesSerial(t *testing.T) {
-	spec := validEncodeSpec()
-	spec.Normalize()
-	run := func(cfg Config) []byte {
-		t.Helper()
-		srv, hts := testServer(t, cfg, true)
+	for _, threads := range []int{1, 4} {
+		spec := validEncodeSpec()
+		spec.Threads = threads
+		spec.Normalize()
+
+		harness.ResetCellCache()
+		srv, hts := testServer(t, Config{Workers: 2}, true)
 		st, code := submit(t, hts.URL, spec)
 		if code != http.StatusAccepted && code != http.StatusOK {
-			t.Fatalf("submit: HTTP %d", code)
+			t.Fatalf("threads=%d submit: HTTP %d", threads, code)
 		}
 		pollDone(t, hts.URL, st.ID)
-		data, ok, err := srv.Store().Get(st.ID)
+		served, ok, err := srv.Store().Get(st.ID)
 		if err != nil || !ok {
-			t.Fatalf("result missing: ok=%v err=%v", ok, err)
+			t.Fatalf("threads=%d result missing: ok=%v err=%v", threads, ok, err)
 		}
-		return data
-	}
-	sharded := run(Config{Workers: 2, ShardWorkers: 4, StealSeed: 99})
-	serial := run(Config{Workers: 2, DisableSharding: true, Admission: "fifo"})
-	if string(sharded) != string(serial) {
-		t.Errorf("sharded and serial daemons served different bytes:\nsharded: %q\nserial:  %q", sharded, serial)
+
+		harness.ResetCellCache()
+		res, err := Execute(context.Background(), &spec)
+		if err != nil {
+			t.Fatalf("threads=%d serial: %v", threads, err)
+		}
+		if serial := res.Encode(); string(served) != string(serial) {
+			t.Errorf("threads=%d: daemon and serial Execute produced different bytes:\nserved: %q\nserial: %q", threads, served, serial)
+		}
 	}
 }
 
 // TestSchedStatsExposed pins the pool accounting surface the smoke
 // script and telemetry read.
 func TestSchedStatsExposed(t *testing.T) {
-	srv, hts := testServer(t, Config{Workers: 1, ShardWorkers: 2}, true)
+	srv, hts := testServer(t, Config{Workers: 2}, true)
 	st, code := submit(t, hts.URL, lightSpec(33))
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	pollDone(t, hts.URL, st.ID)
-	stats, ok := srv.SchedStats()
-	if !ok {
-		t.Fatal("sharding enabled but SchedStats reports disabled")
+	stats := srv.SchedStats()
+	if stats.Workers != 2 {
+		t.Errorf("pool is %d wide, want Workers = 2", stats.Workers)
 	}
 	if stats.Tasks == 0 || stats.Graphs == 0 {
 		t.Errorf("pool executed nothing: %+v", stats)
-	}
-	off, _ := testServer(t, Config{Workers: 1, DisableSharding: true}, false)
-	if _, ok := off.SchedStats(); ok {
-		t.Error("DisableSharding still reports a pool")
-	}
-}
-
-// TestBadAdmissionRejected pins config validation.
-func TestBadAdmissionRejected(t *testing.T) {
-	_, err := NewServer(context.Background(), Config{StoreDir: t.TempDir(), Admission: "lifo"})
-	if err == nil {
-		t.Fatal("unknown admission policy accepted")
 	}
 }
 

@@ -30,9 +30,6 @@ type job struct {
 	// the result bytes.
 	cost  uint64
 	class costClass
-	// ocost is the cost the queue actually orders by: cost under the
-	// sjf policy, 0 under fifo. Written once by queue.push, with seq.
-	ocost uint64
 	// enqueuedAt stamps admission for the queue-wait histogram —
 	// telemetry only, never part of the result document. Written once
 	// at construction, before the job is published to the queue.

@@ -16,13 +16,13 @@ var (
 	ErrClosed = errors.New("service: queue closed")
 )
 
-// jobHeap orders queued jobs by (priority, ordering cost, arrival
-// sequence). ocost is 0 for every job under the fifo policy — the heap
-// degenerates to strict (priority, arrival) order — and the static cost
-// estimate under sjf, which serves the shortest expected job first
-// inside each priority class. Arrival order breaks all remaining ties,
-// so equal work is served in submission order no matter how workers
-// race.
+// jobHeap orders queued jobs by (priority, static cost estimate,
+// arrival sequence): the shortest expected job is served first inside
+// each priority class. A job's cost is fixed at admission, so its
+// queue rank never changes while it waits and pop order is a pure
+// function of the admitted set. Arrival order breaks all remaining
+// ties, so equal work is served in submission order no matter how
+// workers race.
 type jobHeap []*job
 
 func (h jobHeap) Len() int { return len(h) }
@@ -30,8 +30,8 @@ func (h jobHeap) Less(i, j int) bool {
 	if h[i].spec.Priority != h[j].spec.Priority {
 		return h[i].spec.Priority < h[j].spec.Priority
 	}
-	if h[i].ocost != h[j].ocost {
-		return h[i].ocost < h[j].ocost
+	if h[i].cost != h[j].cost {
+		return h[i].cost < h[j].cost
 	}
 	return h[i].seq < h[j].seq
 }
@@ -55,15 +55,14 @@ type queue struct {
 	h      jobHeap
 	seq    uint64
 	limit  int
-	sjf    bool // order equal-priority jobs by estimated cost
 	closed bool
 }
 
-func newQueue(limit int, sjf bool) *queue {
+func newQueue(limit int) *queue {
 	if limit < 1 {
 		limit = 1
 	}
-	q := &queue{limit: limit, sjf: sjf}
+	q := &queue{limit: limit}
 	//lint:ignore lockheld constructor: q is not shared until newQueue returns
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -82,12 +81,6 @@ func (q *queue) push(j *job) error {
 	}
 	j.seq = q.seq
 	q.seq++
-	if q.sjf {
-		// The ordering cost is fixed at admission: a job's queue rank
-		// never changes while it waits, so pop order is a pure function
-		// of the admitted set.
-		j.ocost = j.cost
-	}
 	heap.Push(&q.h, j)
 	q.cond.Signal()
 	return nil

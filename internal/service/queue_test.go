@@ -14,7 +14,7 @@ func qjob(prio int) *job {
 }
 
 func TestQueuePriorityThenArrival(t *testing.T) {
-	q := newQueue(16, false)
+	q := newQueue(16)
 	interactive := qjob(PriorityInteractive)
 	batch := qjob(PriorityBatch)
 	defA := qjob(PriorityDefault)
@@ -39,7 +39,7 @@ func TestQueuePriorityThenArrival(t *testing.T) {
 }
 
 func TestQueueSaturation(t *testing.T) {
-	q := newQueue(2, false)
+	q := newQueue(2)
 	if err := q.push(qjob(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestQueueSaturation(t *testing.T) {
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := newQueue(8, false)
+	q := newQueue(8)
 	q.push(qjob(0))
 	q.push(qjob(1))
 	q.close()
@@ -80,7 +80,7 @@ func TestQueueCloseDrains(t *testing.T) {
 }
 
 func TestQueuePopBlocksUntilPush(t *testing.T) {
-	q := newQueue(4, false)
+	q := newQueue(4)
 	got := make(chan *job, 1)
 	go func() {
 		j, ok := q.pop()

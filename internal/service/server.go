@@ -19,8 +19,13 @@ import (
 type Config struct {
 	StoreDir      string // result store root (required)
 	StoreMaxBytes int64  // store budget (default 1 GiB)
-	Workers       int    // worker pool size (default 4)
-	QueueCap      int    // queued-job bound before 429 (default 64)
+	// Workers is the number of jobs in flight at once, and the width of
+	// the work-stealing shard pool every job's cells and encode shards
+	// run on (default 4). The pool is shared across jobs — that sharing
+	// is what lets a light job's shards interleave with a heavy encode
+	// already in flight.
+	Workers  int
+	QueueCap int // queued-job bound before 429 (default 64)
 	// DefaultTimeout bounds a job whose spec carries no timeout
 	// (default 2m). Specs may only tighten it, never exceed it.
 	DefaultTimeout time.Duration
@@ -41,23 +46,6 @@ type Config struct {
 	SampleInterval time.Duration
 	// SeriesCap bounds the ring buffer (default 1024 samples).
 	SeriesCap int
-	// ShardWorkers sizes the work-stealing shard pool every job's cells
-	// and encode shards run on (default: Workers). The pool is shared
-	// across jobs — that sharing is what lets a light job's shards
-	// interleave with a heavy encode already in flight.
-	ShardWorkers int
-	// DisableSharding turns the shard pool off: jobs then run their
-	// cells serially inside their worker goroutine, the pre-scheduler
-	// behavior. Result bytes are identical either way; the knob exists
-	// for A/B latency comparison (see scripts/sched_smoke.sh).
-	DisableSharding bool
-	// StealSeed seeds the shard pool's victim-selection PRNG (0 means
-	// 1). Any seed serves byte-identical results.
-	StealSeed uint64
-	// Admission selects the queue policy: "sjf" (the default) orders
-	// equal-priority jobs by their static cost estimate, shortest
-	// first; "fifo" by arrival alone.
-	Admission string
 	// ShardName identifies this daemon in a vcgate cluster; it is
 	// echoed by GET /v1/registry so router probes can confirm they
 	// reached the shard they meant to (default "vcprofd").
@@ -85,12 +73,6 @@ func (c *Config) fill() {
 	if c.SeriesCap < 1 {
 		c.SeriesCap = 1024
 	}
-	if c.ShardWorkers < 1 {
-		c.ShardWorkers = c.Workers
-	}
-	if c.Admission == "" {
-		c.Admission = "sjf"
-	}
 	if c.ShardName == "" {
 		c.ShardName = "vcprofd"
 	}
@@ -112,7 +94,7 @@ type Server struct {
 	tele     *teleBoard
 	sessions *sessionTable
 	hops     *obs.HopLog
-	pool     *sched.Pool // shared shard scheduler; nil when sharding is disabled
+	pool     *sched.Pool // shared shard scheduler
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -132,11 +114,6 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.StoreDir == "" {
 		return nil, fmt.Errorf("service: Config.StoreDir is required")
 	}
-	switch cfg.Admission {
-	case "sjf", "fifo":
-	default:
-		return nil, fmt.Errorf("service: unknown admission policy %q (want \"sjf\" or \"fifo\")", cfg.Admission)
-	}
 	store, err := OpenStore(cfg.StoreDir, cfg.StoreMaxBytes)
 	if err != nil {
 		return nil, err
@@ -144,20 +121,14 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		store:       store,
-		q:           newQueue(cfg.QueueCap, cfg.Admission == "sjf"),
+		q:           newQueue(cfg.QueueCap),
 		jobs:        newJobTable(),
-		board:       newTraceBoard(cfg.Obs, cfg.Workers, cfg.ShardWorkers),
+		board:       newTraceBoard(cfg.Obs, cfg.Workers),
 		sessions:    newSessionTable(),
 		hops:        obs.NewHopLog(cfg.ShardName, cfg.HopTraces),
 		samplerStop: make(chan struct{}),
 	}
-	if !cfg.DisableSharding {
-		s.pool = sched.NewPool(sched.Config{
-			Workers:  cfg.ShardWorkers,
-			Seed:     cfg.StealSeed,
-			Observer: s.board.shardObserver(),
-		})
-	}
+	s.pool = sched.NewPool(sched.Config{Workers: cfg.Workers, Observer: s.board.shardObserver()})
 	s.tele = newTeleBoard(s, cfg.SeriesCap)
 	s.baseCtx, s.baseCancel = context.WithCancel(ctx)
 	return s, nil
@@ -239,25 +210,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopDrainFinish,
 			StartMS: time.Now().UnixMilli()})
 	}
-	if s.pool != nil {
-		// After the worker WaitGroup drains no job can submit new graphs;
-		// Close waits for the pool's standing workers to exit.
-		s.pool.Close()
-	}
+	// After the worker WaitGroup drains no job can submit new graphs;
+	// Close waits for the pool's standing workers to exit.
+	s.pool.Close()
 	if ferr := s.store.Flush(); err == nil {
 		err = ferr
 	}
 	return err
 }
 
-// SchedStats snapshots the shard pool's scheduling counters; ok is
-// false when sharding is disabled.
-func (s *Server) SchedStats() (sched.Stats, bool) {
-	if s.pool == nil {
-		return sched.Stats{}, false
-	}
-	return s.pool.Stats(), true
-}
+// SchedStats snapshots the shard pool's scheduling counters.
+func (s *Server) SchedStats() sched.Stats { return s.pool.Stats() }
 
 // Handler returns the HTTP surface.
 func (s *Server) Handler() http.Handler {

@@ -131,6 +131,14 @@ func TestSessionResumeOverHTTP(t *testing.T) {
 	gops := append([]live.GOPResult{}, feed.GOPs...)
 	tok := feed.Resume
 
+	// The token is client-supplied: a forged negative shed level is a
+	// 400 at the door, not a slower-than-spec encode.
+	forged := tok
+	forged.Degrade = -3
+	if code := postJSON(t, hts2.URL+"/v1/sessions", SessionCreateReq{Spec: spec, Resume: &forged}, nil); code != http.StatusBadRequest {
+		t.Fatalf("resume with negative degrade: HTTP %d, want 400", code)
+	}
+
 	var created2 SessionCreateResp
 	if code := postJSON(t, hts2.URL+"/v1/sessions", SessionCreateReq{Spec: spec, Resume: &tok}, &created2); code != http.StatusCreated {
 		t.Fatalf("resume create: HTTP %d", code)

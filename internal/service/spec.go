@@ -171,10 +171,9 @@ const (
 // EstimatedCost is the admission-control cost estimate of a normalized
 // spec: the static (resolution × frames × family × effort) table from
 // encoders.CostHint for encode jobs, and large scale-ranked constants
-// for experiment jobs. It orders the queue under the sjf policy and
+// for experiment jobs. It orders the queue inside a priority class and
 // buckets the queue-wait histograms; it is derived, never serialized,
-// so the content address is identical whichever policy admitted the
-// job.
+// so it never touches the content address.
 func (s *JobSpec) EstimatedCost() uint64 {
 	switch s.Kind {
 	case KindEncode:

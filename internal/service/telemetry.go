@@ -21,9 +21,10 @@ var (
 	obsQueueWaitMS  = obs.NewVolatileHistogram("svc.queue.wait_ms", telemetry.LatencyBucketsMS)
 
 	// Queue wait split by job size class: the admission layer's report
-	// card. Under fifo a heavy burst drags the small-class tail up with
-	// it; under sjf the small class stays flat — that separation is what
-	// the tail-latency experiment reads off these.
+	// card. Arrival-order service would let a heavy burst drag the
+	// small-class tail up with it; shortest-job-first keeps the small
+	// class flat — that separation is what the tail-latency experiment
+	// reads off these.
 	obsQueueWaitClassMS = [...]*obs.Histogram{
 		classSmall:  obs.NewVolatileHistogram("svc.queue.wait_ms.small", telemetry.LatencyBucketsMS),
 		classMedium: obs.NewVolatileHistogram("svc.queue.wait_ms.medium", telemetry.LatencyBucketsMS),
@@ -75,12 +76,8 @@ func seriesGauges(s *Server, b *teleBoard) []telemetry.Gauge {
 		{Name: "svc.store.objects", Sample: func() float64 { return float64(s.store.Stats().Objects) }},
 		{Name: "svc.store.bytes", Sample: func() float64 { return float64(s.store.Stats().Bytes) }},
 		{Name: "svc.cells.entries", Sample: func() float64 { return float64(harness.CellCacheStats().Entries) }},
-	}
-	if s.pool != nil {
-		gs = append(gs,
-			telemetry.Gauge{Name: "svc.sched.active", Sample: func() float64 { return float64(s.pool.Stats().Active) }},
-			telemetry.Gauge{Name: "svc.sched.queued", Sample: func() float64 { return float64(s.pool.Stats().Queued) }},
-		)
+		{Name: "svc.sched.active", Sample: func() float64 { return float64(s.pool.Stats().Active) }},
+		{Name: "svc.sched.queued", Sample: func() float64 { return float64(s.pool.Stats().Queued) }},
 	}
 	for st := trace.Stage(0); st < trace.NumStages; st++ {
 		h := obs.FindHistogram(encoders.StageHistogramName(st))

@@ -62,11 +62,9 @@ func (s *Server) runJob(idx int, j *job) {
 	ctx = obs.WithTraceContext(ctx, obs.TraceContext{Trace: j.traceID})
 	ctx = topdown.WithAccumulator(ctx, s.tele.jobAcc(j.key))
 	ctx = topdown.WithAccumulator(ctx, s.tele.agg)
-	if s.pool != nil {
-		// The job's cells — and, below them, its encode shards — run on
-		// the shared shard pool instead of serially in this goroutine.
-		ctx = sched.WithPool(ctx, s.pool)
-	}
+	// The job's cells — and, below them, its encode shards — run on the
+	// shared shard pool.
+	ctx = sched.WithPool(ctx, s.pool)
 	var jobSess *obs.Session
 	if s.board.enabled() {
 		jobSess = obs.NewSession()
@@ -122,7 +120,7 @@ type traceBoard struct {
 // profile, keeping daemon memory flat under sustained traffic.
 const maxAdoptedSessions = 256
 
-func newTraceBoard(sess *obs.Session, workers, shardWorkers int) *traceBoard {
+func newTraceBoard(sess *obs.Session, workers int) *traceBoard {
 	if sess == nil {
 		return &traceBoard{}
 	}
@@ -133,7 +131,7 @@ func newTraceBoard(sess *obs.Session, workers, shardWorkers int) *traceBoard {
 	for i := range lanes {
 		lanes[i] = sess.Lane("worker-" + strconv.Itoa(i))
 	}
-	shardLanes := make([]*obs.Trace, shardWorkers)
+	shardLanes := make([]*obs.Trace, workers)
 	for i := range shardLanes {
 		shardLanes[i] = sess.Lane("shard-" + strconv.Itoa(i))
 	}

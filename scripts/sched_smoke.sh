@@ -1,24 +1,25 @@
 #!/bin/sh
 # sched_smoke.sh — end-to-end smoke of the shard scheduler and
-# cost-aware admission against the tail-latency claim they exist for.
+# cost-aware admission against the head-of-line contract they exist
+# for.
 #
-# Boots vcprofd twice on a random port with a fresh store each time:
-# once as the legacy baseline (sharding off, fifo admission) and once
-# with the work-stealing shard pool and SJF admission on. Both daemons
-# serve the same seeded bimodal vcload mix (every 15th encode heavy:
-# 4× frames, 4× resolution, slowest preset; one flat priority class so
-# the comparison isolates cost-aware ordering), and the smoke checks
-# the contract the scheduler makes:
-#   1. zero failed jobs on either daemon;
-#   2. the result digests are identical baseline vs sharded — the
+# Boots a default vcprofd twice on a random port with a fresh store
+# each time, once at -j 1 and once at -j 4 (the shard pool is as wide
+# as -j). Both daemons serve the same seeded bimodal vcload mix (every
+# 15th encode heavy: 4× frames, 4× resolution, slowest preset; one flat
+# priority class so only cost-aware ordering separates the two
+# populations), and the smoke checks the contract the scheduler makes:
+#   1. zero failed jobs on either daemon, and a clean drain;
+#   2. the result digests are identical at both pool widths — the
 #      scheduler decides only when and where work runs, never what it
 #      computes;
-#   3. the light-job p99 improves by at least SMOKE_P99X (default 5×):
-#      under fifo, light jobs queue behind in-flight heavy encodes and
-#      the tail is tens of seconds; under SJF + sharding it collapses
-#      to ordinary queue wait. (The combined p99 is not used — in a
-#      bimodal mix it lands on the heavy population by construction.)
-# Finally it SIGTERMs the daemons and requires a clean drain.
+#   3. per pass, light p99 × SMOKE_P99X (default 5) <= heavy p99. The
+#      bound calibrates itself to the host: if light jobs queued behind
+#      in-flight heavy encodes (whole-job arrival-order service) the
+#      two tails would be equal; with shortest-job-first admission and
+#      shard-level interleaving the light tail sits one to two orders
+#      below the heavy one (EXPERIMENTS.md records the last A/B against
+#      the arrival-order daemon before it was deleted).
 #
 # Tunables (env): SMOKE_JOBS (default 120), SMOKE_CONC (default 16),
 # SMOKE_HEAVY_EVERY (default 15), SMOKE_P99X (default 5).
@@ -33,47 +34,40 @@ SMOKE=sched-smoke
 
 build vcprofd vcload
 
-run_load() {
-    "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 \
-        -heavy-every "$HEAVY" -flat-prio -bench \
-        | tee "$workdir/$1.log"
+# p99_of <pass> <Light|Heavy>: the population's p99 in ns, read straight
+# off vcload's -bench lines.
+p99_of() {
+    awk -v name="BenchmarkServeLatency${2}P99" '$1 == name { print $3 }' "$workdir/$1.log"
 }
 
-# One service worker (-j 1) per daemon on purpose: the tail under study
-# is head-of-line blocking, and extra workers hide it.
-echo "sched-smoke: pass 1 — baseline: sharding off, fifo admission ($JOBS jobs, c=$CONC, heavy every $HEAVY)"
-boot daemon-baseline vcprofd -store "$workdir/store-baseline" -j 1 -shard=false -admission fifo
-run_load baseline
-stop_pid "$pid" daemon
+summary=""
+for j in 1 4; do
+    pass="j$j"
+    echo "sched-smoke: pass -j $j ($JOBS jobs, c=$CONC, heavy every $HEAVY)"
+    boot "daemon-$pass" vcprofd -store "$workdir/store-$pass" -j "$j"
+    "$workdir/vcload" -addr "$addr" -n "$JOBS" -c "$CONC" -seed 7 \
+        -heavy-every "$HEAVY" -flat-prio -bench \
+        | tee "$workdir/$pass.log"
+    stop_pid "$pid" "daemon (-j $j)" "$workdir/daemon-$pass.log"
 
-echo "sched-smoke: pass 2 — shard pool + SJF admission"
-boot daemon-sharded vcprofd -store "$workdir/store-sharded" -j 1 -shard-workers 4 -steal-seed 1
-run_load sharded
-stop_pid "$pid" daemon
+    grep -q "^vcload: $JOBS jobs ok" "$workdir/$pass.log" || fail "pass -j $j did not report all jobs ok"
 
-for p in baseline sharded; do
-    grep -q "^vcload: $JOBS jobs ok" "$workdir/$p.log" || fail "pass '$p' did not report all jobs ok"
+    light="$(p99_of "$pass" Light)"
+    heavy="$(p99_of "$pass" Heavy)"
+    if [ -z "$light" ] || [ -z "$heavy" ]; then
+        fail "light/heavy p99 lines missing from vcload output (-j $j)"
+    fi
+    if ! awk -v l="$light" -v h="$heavy" -v x="$P99X" 'BEGIN { exit !(l > 0 && l * x <= h) }'; then
+        fail "-j $j: light p99 ${light}ns x $P99X exceeds heavy p99 ${heavy}ns — light jobs are stuck behind heavy ones"
+    fi
+    summary="$summary, -j $j light p99 $(awk -v l="$light" -v h="$heavy" 'BEGIN { printf "%.0fx", h / l }') below heavy"
 done
 
-# Determinism across the scheduler boundary: identical result digests
-# with sharding off and on.
-d_base="$(digest_of baseline)"
-d_shard="$(digest_of sharded)"
-if [ -z "$d_base" ] || [ "$d_base" != "$d_shard" ]; then
-    fail "shard scheduling changed results ($d_base vs $d_shard)"
+# Determinism across pool widths: identical result digests.
+d1="$(digest_of j1)"
+d4="$(digest_of j4)"
+if [ -z "$d1" ] || [ "$d1" != "$d4" ]; then
+    fail "pool width changed results ($d1 at -j 1 vs $d4 at -j 4)"
 fi
 
-# The tail-latency claim: light-job p99 must improve by >= P99X (read
-# straight off vcload's -bench lines).
-p99_base="$(awk '$1 == "BenchmarkServeLatencyLightP99" { print $3 }' "$workdir/baseline.log")"
-p99_shard="$(awk '$1 == "BenchmarkServeLatencyLightP99" { print $3 }' "$workdir/sharded.log")"
-if [ -z "$p99_base" ] || [ -z "$p99_shard" ]; then
-    fail "light-job p99 lines missing from vcload output"
-fi
-if ! awk -v b="$p99_base" -v s="$p99_shard" -v x="$P99X" \
-    'BEGIN { exit !(s > 0 && b / s >= x) }'; then
-    fail "light p99 ${p99_base}ns -> ${p99_shard}ns, improvement below ${P99X}x"
-fi
-ratio="$(awk -v b="$p99_base" -v s="$p99_shard" 'BEGIN { printf "%.1f", b / s }')"
-
-echo "sched-smoke: OK — $JOBS jobs x2, identical digest $d_base, light p99 ${ratio}x better sharded"
+echo "sched-smoke: OK — $JOBS jobs x2, identical digest $d1$summary"
