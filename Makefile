@@ -22,9 +22,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build lint lint-fixtures test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build lint lint-fixtures one-table loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build lint lint-fixtures test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build lint lint-fixtures one-table test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -55,6 +55,18 @@ lint-fixtures:
 	$(GO) test ./internal/analysis -run 'TestFixtures'
 	$(GO) test ./cmd/vclint -run TestFixturePackagesTrip
 
+# internal/memo is the only place bounded-table policy is written
+# (DESIGN.md §4): no other non-test file may import container/list or
+# declare an evict...Locked function.
+one-table:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=memo \
+		'"container/list"|^func .*evict[A-Za-z]*Locked' .
+
+# The canonical size figure every simplicity PR quotes: non-test Go
+# lines outside bench/.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
+
 build:
 	$(GO) build ./...
 
@@ -64,7 +76,7 @@ test:
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/harness ./internal/encoders \
 		./internal/service ./internal/sched ./internal/obs ./internal/telemetry \
-		./internal/uarch/topdown ./internal/cluster/... ./internal/live
+		./internal/uarch/topdown ./internal/cluster/... ./internal/live ./internal/memo
 
 # Regenerate the golden regression tables after an intentional change,
 # then review the diff under internal/harness/testdata/golden/.

@@ -74,17 +74,6 @@ func run() error {
 		addr       = flag.String("addr", ":8790", "listen address (host:port; port 0 picks a free one)")
 		shardsSpec = flag.String("shards", "", "vcprofd shards: comma-separated [name=]URL list")
 		replicas   = flag.Int("replicas", 1, "replication factor R: owners per job id")
-		vnodes     = flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
-		hedgeQ     = flag.Float64("hedge-quantile", 0.95, "latency quantile that derives the hedge delay")
-		hedgeMin   = flag.Duration("hedge-min", 25*time.Millisecond, "hedge delay floor")
-		hedgeMax   = flag.Duration("hedge-max", 2*time.Second, "hedge delay ceiling (also the cold-shard delay)")
-		attempts   = flag.Int("attempts", 0, "failover attempts per job (0 = one per shard)")
-		backoff    = flag.Duration("backoff", 10*time.Millisecond, "base failover backoff (doubles per attempt)")
-		probe      = flag.Duration("probe", 250*time.Millisecond, "shard health-probe interval (0 disables probing)")
-		probeFails = flag.Int("probe-fails", 2, "consecutive failures before a shard is marked down")
-		inflight   = flag.Int("inflight", 64, "concurrently driven jobs before submissions get 429")
-		cacheN     = flag.Int("cache", 512, "completed results kept in gate memory")
-		driveTO    = flag.Duration("timeout", 5*time.Minute, "per-job routed lifecycle budget across all attempts")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	)
 	flag.Parse()
@@ -98,24 +87,11 @@ func run() error {
 	// survive the start of a drain and only die when the drain budget
 	// runs out (Shutdown cancels the base context itself).
 	rt, err := cluster.NewRouter(context.Background(), cluster.Config{
-		Shards:        shards,
-		Replicas:      *replicas,
-		VNodes:        *vnodes,
-		HedgeQuantile: *hedgeQ,
-		HedgeMin:      *hedgeMin,
-		HedgeMax:      *hedgeMax,
-		MaxAttempts:   *attempts,
-		RetryBackoff:  *backoff,
-		ProbeInterval: *probe,
-		ProbeFails:    *probeFails,
-		MaxInflight:   *inflight,
-		ResultCacheEntries: func() int {
-			if *cacheN < 1 {
-				return 1
-			}
-			return *cacheN
-		}(),
-		DriveTimeout: *driveTO,
+		Shards:   shards,
+		Replicas: *replicas,
+		// Config's zero value disables the prober (tests step it by
+		// hand); a deployed gate always probes.
+		ProbeInterval: 250 * time.Millisecond,
 	})
 	if err != nil {
 		return err

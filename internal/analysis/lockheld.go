@@ -9,12 +9,12 @@ import (
 // NewLockHeld builds the lockheld analyzer: every field that shares a
 // struct with a sync.Mutex/RWMutex (an embedded mutex, or one named
 // mu/mutex/lock) is treated as guarded by that mutex — the convention
-// used by the harness cell/clip caches and the experiment registry. An
+// used by the service store and the experiment registry. An
 // access to a guarded field is legal only in a function that locks the
 // same struct (a Lock/RLock call on it appears in the function — the
 // mu.Lock()/defer mu.Unlock() dominance idiom, checked
 // flow-insensitively) or in a helper that declares it runs under the
-// lock by the *Locked naming convention (evictCellsLocked).
+// lock by the *Locked naming convention (sched.takeLocked).
 //
 // The scope covers the packages whose caches are hit concurrently by
 // the engine's worker pool; fixture packages opt in via the

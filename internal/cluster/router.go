@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vcprof/internal/memo"
 	"vcprof/internal/obs"
 	"vcprof/internal/service"
 )
@@ -48,8 +48,8 @@ type Router struct {
 type routerState struct {
 	mu       sync.Mutex
 	drives   map[string]*drive
-	warm     map[string]string // key → shard that last served it
-	results  *resultLRU
+	warm     map[string]string         // key → shard that last served it
+	results  *memo.LRU[string, []byte] // completed result bodies, one unit each
 	inflight int
 	draining bool
 }
@@ -67,16 +67,13 @@ type gateCounters struct {
 }
 
 // drive is one in-flight routed job. state and errMsg change only
-// under routerState.mu; done closes exactly once at the terminal
-// state.
+// under routerState.mu.
 type drive struct {
 	key     string
 	trace   string // hop-trace id, derived from the key at submit
 	payload []byte
 	state   string
 	errMsg  string
-	shard   string // serving shard, set at completion
-	done    chan struct{}
 }
 
 // NewRouter builds a stopped router; Start launches the health prober.
@@ -114,7 +111,7 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		st: routerState{
 			drives:  make(map[string]*drive),
 			warm:    make(map[string]string),
-			results: newResultLRU(cfg.ResultCacheEntries),
+			results: memo.NewLRU[string, []byte](int64(cfg.ResultCacheEntries), nil),
 		},
 		probeStop: make(chan struct{}),
 	}
@@ -250,7 +247,7 @@ func (r *Router) Submit(spec *service.JobSpec) (id, state string, code int, err 
 		r.n.refused.Add(1)
 		return key, "", http.StatusServiceUnavailable, errors.New("gate is draining")
 	}
-	if _, ok := r.st.results.get(key); ok {
+	if _, ok := r.st.results.Get(key); ok {
 		return key, service.StateDone, http.StatusOK, nil
 	}
 	if d, ok := r.st.drives[key]; ok && d.state != service.StateFailed {
@@ -261,8 +258,7 @@ func (r *Router) Submit(spec *service.JobSpec) (id, state string, code int, err 
 		return key, "", http.StatusTooManyRequests,
 			fmt.Errorf("gate saturated (%d drives in flight)", r.st.inflight)
 	}
-	d := &drive{key: key, trace: obs.JobTraceID(key), payload: payload,
-		state: service.StateQueued, done: make(chan struct{})}
+	d := &drive{key: key, trace: obs.JobTraceID(key), payload: payload, state: service.StateQueued}
 	r.st.drives[key] = d
 	r.st.inflight++
 	r.wg.Add(1)
@@ -277,7 +273,7 @@ func (r *Router) Status(id string) (state, errMsg string, cached, ok bool) {
 	if d, ok := r.st.drives[id]; ok {
 		return d.state, d.errMsg, false, true
 	}
-	if _, ok := r.st.results.get(id); ok {
+	if _, ok := r.st.results.Get(id); ok {
 		return service.StateDone, "", true, true
 	}
 	return "", "", false, false
@@ -287,7 +283,7 @@ func (r *Router) Status(id string) (state, errMsg string, cached, ok bool) {
 func (r *Router) CachedResult(id string) ([]byte, bool) {
 	r.st.mu.Lock()
 	defer r.st.mu.Unlock()
-	return r.st.results.get(id)
+	return r.st.results.Get(id)
 }
 
 // FetchThrough serves a result the gate no longer holds by proxying
@@ -298,7 +294,7 @@ func (r *Router) FetchThrough(ctx context.Context, id string) (body []byte, ok b
 		func(c service.Client) ([]byte, error) { return c.Result(ctx, id) },
 		func(name string, got []byte) bool {
 			r.st.mu.Lock()
-			r.st.results.put(id, got)
+			r.st.results.Put(id, got, 1)
 			r.st.warm[id] = name
 			r.st.mu.Unlock()
 			body, ok = got, true
@@ -318,21 +314,16 @@ func (r *Router) runDrive(d *drive) {
 	r.st.inflight--
 	if err != nil {
 		r.n.drivesFailed.Add(1)
-		if d.state != service.StateFailed && d.state != service.StateDone {
-			d.state = service.StateFailed
-			d.errMsg = err.Error()
-			close(d.done)
-		}
+		d.state = service.StateFailed
+		d.errMsg = err.Error()
 		// Failed drives stay tracked so pollers can read the error; a
 		// resubmission replaces them (mirrors vcprofd's job table).
 		r.st.mu.Unlock()
 		return
 	}
-	r.st.results.put(d.key, out.body)
+	r.st.results.Put(d.key, out.body, 1)
 	r.st.warm[d.key] = out.shard
 	d.state = service.StateDone
-	d.shard = out.shard
-	close(d.done)
 	delete(r.st.drives, d.key) // the result cache answers later polls
 	r.st.mu.Unlock()
 
@@ -590,46 +581,5 @@ func (r *Router) replicate(key, trace, serving string, body []byte) {
 			r.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopReplicaPush,
 				Arg: name, StartMS: time.Now().UnixMilli()})
 		}(o, r.shardClient(sh))
-	}
-}
-
-// --- result LRU -------------------------------------------------------
-
-// resultLRU is the gate's bounded in-memory cache of completed result
-// bodies, guarded by routerState.mu.
-type resultLRU struct {
-	cap int
-	m   map[string]*list.Element
-	l   *list.List // front = most recently used
-}
-
-type resultEntry struct {
-	key  string
-	body []byte
-}
-
-func newResultLRU(capEntries int) *resultLRU {
-	return &resultLRU{cap: capEntries, m: make(map[string]*list.Element), l: list.New()}
-}
-
-func (c *resultLRU) get(key string) ([]byte, bool) {
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.l.MoveToFront(el)
-	return el.Value.(*resultEntry).body, true
-}
-
-func (c *resultLRU) put(key string, body []byte) {
-	if el, ok := c.m[key]; ok {
-		c.l.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.l.PushFront(&resultEntry{key: key, body: body})
-	for c.l.Len() > c.cap {
-		el := c.l.Back()
-		delete(c.m, el.Value.(*resultEntry).key)
-		c.l.Remove(el)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vcprof/internal/encoders"
+	"vcprof/internal/video"
 )
 
 // TestRunCellPreCancelled: a cell requested under an already-cancelled
@@ -111,4 +112,67 @@ func TestRunCellWaiterSurvivesRequesterCancel(t *testing.T) {
 		t.Fatal("waiter never completed")
 	}
 	wg.Wait()
+}
+
+// TestCellCacheResetMidFlight: a cell that finishes after the cache was
+// reset under it serves its requester but is not charged to the cache.
+func TestCellCacheResetMidFlight(t *testing.T) {
+	ResetCellCache()
+	defer ResetCellCache()
+	s := equivScale()
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := RunCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", 35, 4))
+		errc <- err
+	}()
+	for CellCacheStats().Misses == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ResetCellCache()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if st := CellCacheStats(); st.Entries != 0 || st.Weight != 0 {
+		t.Errorf("after reset + finish: entries=%d weight=%d, want 0 and 0", st.Entries, st.Weight)
+	}
+}
+
+// TestClipWaiterHonoursContext: a request whose ctx has ended stops
+// waiting on another request's clip generation, and what that
+// generation produces is still cached for the next caller.
+func TestClipWaiterHonoursContext(t *testing.T) {
+	ResetClipCache()
+	defer ResetClipCache()
+	// Full resolution, so generation outlasts the waiter's return by
+	// orders of magnitude.
+	const frames, div = 16, 1
+	generated := make(chan *video.Clip, 1)
+	go func() {
+		clip, err := cachedClip(context.Background(), "game1", frames, div)
+		if err != nil {
+			t.Error(err)
+		}
+		generated <- clip
+	}()
+	for clipMemo.Stats().Misses == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cachedClip(ctx, "game1", frames, div); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+	}
+	select {
+	case <-generated:
+		t.Fatal("generation finished before the cancelled waiter returned; the test proved nothing")
+	default:
+	}
+	first := <-generated
+	again, err := cachedClip(context.Background(), "game1", frames, div)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first || clipMemo.Stats().Misses != 1 {
+		t.Errorf("next caller regenerated the clip (%d generations)", clipMemo.Stats().Misses)
+	}
 }

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"container/list"
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"vcprof/internal/encoders"
+	"vcprof/internal/memo"
 	"vcprof/internal/perf"
 	"vcprof/internal/sched"
 	"vcprof/internal/trace"
@@ -133,7 +131,7 @@ type CellResult struct {
 // run computes the cell's measurement (uncached). Cancelling ctx
 // aborts the underlying encode at its next task boundary.
 func (c Cell) run(ctx context.Context) (CellResult, error) {
-	clip, err := cachedClip(c.Clip, c.Frames, c.Div)
+	clip, err := cachedClip(ctx, c.Clip, c.Frames, c.Div)
 	if err != nil {
 		return CellResult{}, err
 	}
@@ -189,169 +187,39 @@ func (r CellResult) weight() int64 {
 	return 1
 }
 
-// cellEntry is one memo-cache slot. done is closed when val/err are
-// set; waiters block on it so each cell is computed exactly once even
-// under concurrent requests.
-type cellEntry struct {
-	cell   Cell
-	done   chan struct{}
-	val    CellResult
-	err    error
-	weight int64
-	elem   *list.Element
-}
-
 // defaultCellWeight bounds the memo cache: roughly the micro-op count
 // held by cached windows (~32 bytes per op, so 4M ≈ 128MB) plus one
 // unit per light cell.
 const defaultCellWeight = 4 << 20
 
-var cellCache = struct {
-	sync.Mutex
-	m      map[Cell]*cellEntry
-	lru    *list.List // front = most recently used
-	weight int64      // total weight of completed entries
-	cap    int64
-	hits   uint64
-	misses uint64
-}{m: make(map[Cell]*cellEntry), lru: list.New(), cap: defaultCellWeight}
+// cellMemo is the process-wide cell cache (memo.Memo: exactly-once,
+// weight-bounded LRU, cancellation never cached). Dropped cells are
+// simply recomputed on next use.
+var cellMemo = memo.New[Cell, CellResult](defaultCellWeight, CellResult.weight)
 
 // getCell returns the memoized result for a cell, computing it on the
 // first request. The second return reports whether the entry already
 // existed (a cache hit, including joins on an in-flight computation).
-//
-// Cancellation never poisons the cache: a computation aborted by its
-// requester's ctx is removed from the cache, and a waiter whose own ctx
-// is still live retries (recomputing under its own ctx) instead of
-// inheriting another caller's cancellation.
 func getCell(ctx context.Context, c Cell) (CellResult, bool, error) {
 	if c.Threads < 1 {
 		// 0 and 1 mean the same encode (see encoders.Options.Threads);
 		// fold them to one cache key so the spellings share a memo entry.
 		c.Threads = 1
 	}
-	for {
-		res, hit, err := getCellOnce(ctx, c)
-		if hit && err != nil && ctx.Err() == nil && isCancellation(err) {
-			// We joined a computation that its own requester cancelled;
-			// the entry has been dropped, so try again under our ctx.
-			continue
-		}
-		return res, hit, err
-	}
-}
-
-// isCancellation reports whether err is a context cancellation or
-// deadline error (possibly wrapped by task labels).
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func getCellOnce(ctx context.Context, c Cell) (CellResult, bool, error) {
-	cellCache.Lock()
-	if e, ok := cellCache.m[c]; ok {
-		cellCache.lru.MoveToFront(e.elem)
-		cellCache.hits++
-		cellCache.Unlock()
+	res, hit, err := cellMemo.Do(ctx, c, c.run)
+	if hit {
 		obsCellHits.Add(1)
-		select {
-		case <-e.done:
-			return e.val, true, e.err
-		case <-ctx.Done():
-			// Abandon the wait; the computation continues for others.
-			return CellResult{}, true, ctx.Err()
-		}
+	} else {
+		obsCellMisses.Add(1)
 	}
-	e := &cellEntry{cell: c, done: make(chan struct{})}
-	e.elem = cellCache.lru.PushFront(e)
-	cellCache.m[c] = e
-	cellCache.misses++
-	cellCache.Unlock()
-	obsCellMisses.Add(1)
-
-	e.val, e.err = c.run(ctx)
-	close(e.done)
-
-	cellCache.Lock()
-	if e.err != nil && isCancellation(e.err) {
-		// Drop the aborted entry so the next request recomputes.
-		if _, ok := cellCache.m[c]; ok && cellCache.m[c] == e {
-			cellCache.lru.Remove(e.elem)
-			delete(cellCache.m, c)
-		}
-		cellCache.Unlock()
-		return e.val, false, e.err
-	}
-	e.weight = e.val.weight()
-	cellCache.weight += e.weight
-	evictCellsLocked()
-	cellCache.Unlock()
-	return e.val, false, e.err
-}
-
-// evictCellsLocked drops least-recently-used completed entries until the
-// cache is back under its weight budget. In-flight entries (weight 0)
-// are never evicted; dropped cells are simply recomputed on next use.
-func evictCellsLocked() {
-	for cellCache.weight > cellCache.cap {
-		evicted := false
-		for el := cellCache.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cellEntry)
-			if e.weight == 0 {
-				continue // still computing
-			}
-			cellCache.lru.Remove(el)
-			delete(cellCache.m, e.cell)
-			cellCache.weight -= e.weight
-			evicted = true
-			break
-		}
-		if !evicted {
-			return // everything left is in flight
-		}
-	}
-}
-
-// CacheStats is a snapshot of the cell memo cache.
-type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Entries int
-	Weight  int64
-	Cap     int64
+	return res, hit, err
 }
 
 // CellCacheStats reports hit/miss counts and occupancy.
-func CellCacheStats() CacheStats {
-	cellCache.Lock()
-	defer cellCache.Unlock()
-	return CacheStats{
-		Hits:    cellCache.hits,
-		Misses:  cellCache.misses,
-		Entries: len(cellCache.m),
-		Weight:  cellCache.weight,
-		Cap:     cellCache.cap,
-	}
-}
+func CellCacheStats() memo.Stats { return cellMemo.Stats() }
 
 // ResetCellCache empties the memo cache and its counters. Benchmarks
 // call it to measure uncached runs; tests call it to force fresh
 // computation. Entries still being computed are abandoned to their
 // current waiters and recomputed on the next request.
-func ResetCellCache() {
-	cellCache.Lock()
-	defer cellCache.Unlock()
-	cellCache.m = make(map[Cell]*cellEntry)
-	cellCache.lru = list.New()
-	cellCache.weight = 0
-	cellCache.hits = 0
-	cellCache.misses = 0
-}
-
-// setCellCacheCap adjusts the eviction budget (test hook).
-func setCellCacheCap(w int64) {
-	cellCache.Lock()
-	cellCache.cap = w
-	evictCellsLocked()
-	cellCache.Unlock()
-}
+func ResetCellCache() { cellMemo.Reset() }

@@ -193,13 +193,8 @@ func (g *cellGraph) Deps(int) []int     { return nil }
 func (g *cellGraph) Cost(i int) uint64  { return cellCost(g.cells[i]) }
 func (g *cellGraph) Label(i int) string { return g.cells[i].String() }
 
-//lint:ignore detnow,detflow engine progress/timing layer: lookup latency feeds a volatile histogram, never a table cell
 func (g *cellGraph) Run(ctx context.Context, i, _ int) error {
-	obsOccupancyPeak.Max(uint64(engineInflight.Add(1)))
-	defer engineInflight.Add(-1)
-	t0 := time.Now()
-	r, hit, err := getCell(ctx, g.cells[i])
-	obsCellLookup.Observe(uint64(time.Since(t0).Microseconds()))
+	r, hit, err := RunCell(ctx, g.cells[i])
 	if err != nil {
 		return fmt.Errorf("cell %s: %w", g.cells[i], err)
 	}

@@ -151,12 +151,12 @@ func TestCellErrorPropagates(t *testing.T) {
 
 func TestCellCacheBounded(t *testing.T) {
 	ResetCellCache()
-	defer setCellCacheCap(defaultCellWeight)
+	defer cellMemo.SetCap(defaultCellWeight)
 	defer ResetCellCache()
 	s := equivScale()
 	s.WindowOps = 50_000
 	// Budget fits roughly one window; recording three must evict.
-	setCellCacheCap(60_000)
+	cellMemo.SetCap(60_000)
 	for _, crf := range []int{10, 35, 60} {
 		if _, _, err := getCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", crf, 4)); err != nil {
 			t.Fatal(err)
@@ -239,7 +239,7 @@ func TestClipCacheExactlyOnce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := clipGenerations(); got != 1 {
+	if got := clipMemo.Stats().Misses; got != 1 {
 		t.Errorf("clip generated %d times, want exactly 1", got)
 	}
 	for i := 1; i < n; i++ {
@@ -251,7 +251,7 @@ func TestClipCacheExactlyOnce(t *testing.T) {
 	if _, err := s.ThreadClip("desktop"); err != nil {
 		t.Fatal(err)
 	}
-	if got := clipGenerations(); got != 2 {
+	if got := clipMemo.Stats().Misses; got != 2 {
 		t.Errorf("generations = %d after second key, want 2", got)
 	}
 }
@@ -261,15 +261,12 @@ func TestClipCacheBounded(t *testing.T) {
 	defer ResetClipCache()
 	// Insert more keys than the cap by varying frame counts.
 	for f := 1; f <= clipCacheCap+4; f++ {
-		if _, err := cachedClip("desktop", f%3+1, 64+f); err != nil {
+		if _, err := cachedClip(context.Background(), "desktop", f%3+1, 64+f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	clipCache.Lock()
-	n := len(clipCache.m)
-	clipCache.Unlock()
-	if n > clipCacheCap {
-		t.Errorf("clip cache holds %d entries, cap is %d", n, clipCacheCap)
+	if n := clipMemo.Stats().Entries; n != clipCacheCap {
+		t.Errorf("clip cache holds %d entries after %d inserts, cap is %d", n, clipCacheCap+4, clipCacheCap)
 	}
 }
 

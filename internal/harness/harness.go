@@ -6,12 +6,14 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
 	"vcprof/internal/encoders"
+	"vcprof/internal/memo"
 	"vcprof/internal/perf"
 	"vcprof/internal/video"
 )
@@ -114,112 +116,52 @@ func midPreset(fam encoders.Family) int {
 	return (lo + hi + 1) / 2
 }
 
-// clipEntry is one clip-cache slot; done is closed once clip/err are
-// set, so concurrent requests for the same clip generate it exactly
-// once while distinct clips generate in parallel.
-type clipEntry struct {
-	key  string
-	done chan struct{}
-	clip *video.Clip
-	err  error
+// clipKey names one generated clip: catalog name at a frame count and
+// resolution divisor.
+type clipKey struct {
+	name        string
+	frames, div int
 }
 
-// clipCacheCap bounds the clip cache (FIFO eviction). A full
+// clipCacheCap bounds the clip cache by entry count. A full
 // DefaultScale run touches 16 distinct (name, frames, div) clips, so
 // the default never evicts mid-suite.
 const clipCacheCap = 32
 
-// clipCache avoids regenerating procedural clips across experiments.
-var clipCache = struct {
-	sync.Mutex
-	m     map[string]*clipEntry
-	order []string // insertion order for FIFO eviction
-	gens  uint64   // completed generations (test hook)
-}{m: make(map[string]*clipEntry)}
+// clipMemo avoids regenerating procedural clips across experiments:
+// concurrent requests for the same clip generate it exactly once while
+// distinct clips generate in parallel; evicted clips regenerate on
+// next use.
+var clipMemo = memo.New[clipKey, *video.Clip](clipCacheCap, nil)
 
 // Clip returns the (cached) procedural clip for a catalog name at the
 // scale's characterization size.
 func (s Scale) Clip(name string) (*video.Clip, error) {
-	return cachedClip(name, s.Frames, s.ScaleDiv)
+	return cachedClip(context.Background(), name, s.Frames, s.ScaleDiv)
 }
 
 // ThreadClip returns the larger clip used by thread-scaling runs.
 func (s Scale) ThreadClip(name string) (*video.Clip, error) {
-	return cachedClip(name, s.ThreadFrames, s.ThreadScaleDiv)
+	return cachedClip(context.Background(), name, s.ThreadFrames, s.ThreadScaleDiv)
 }
 
-func cachedClip(name string, frames, div int) (*video.Clip, error) {
-	key := fmt.Sprintf("%s/%d/%d", name, frames, div)
-	clipCache.Lock()
-	if e, ok := clipCache.m[key]; ok {
-		clipCache.Unlock()
-		<-e.done
-		return e.clip, e.err
-	}
-	e := &clipEntry{key: key, done: make(chan struct{})}
-	clipCache.m[key] = e
-	clipCache.order = append(clipCache.order, key)
-	evictClipsLocked()
-	clipCache.Unlock()
-
-	meta, err := video.LookupClip(name)
-	if err == nil {
-		e.clip, e.err = video.Generate(meta, video.GenerateOptions{Frames: frames, ScaleDiv: div})
-	} else {
-		e.err = err
-	}
-	clipCache.Lock()
-	clipCache.gens++
-	clipCache.Unlock()
-	obsClipGens.Add(1)
-	close(e.done)
-	return e.clip, e.err
-}
-
-// evictClipsLocked drops the oldest completed entries beyond the cap.
-// In-flight entries are skipped; evicted clips regenerate on next use.
-func evictClipsLocked() {
-	for len(clipCache.m) > clipCacheCap {
-		evicted := false
-		for i, key := range clipCache.order {
-			e, ok := clipCache.m[key]
-			if !ok {
-				clipCache.order = append(clipCache.order[:i], clipCache.order[i+1:]...)
-				evicted = true
-				break
-			}
-			select {
-			case <-e.done:
-				delete(clipCache.m, key)
-				clipCache.order = append(clipCache.order[:i], clipCache.order[i+1:]...)
-				evicted = true
-			default:
-				continue // still generating
-			}
-			break
+// cachedClip waits for the clip only as long as ctx lives; generation
+// itself is not cancellable, so whatever a generator started is kept
+// for the next caller.
+func cachedClip(ctx context.Context, name string, frames, div int) (*video.Clip, error) {
+	clip, _, err := clipMemo.Do(ctx, clipKey{name, frames, div}, func(context.Context) (*video.Clip, error) {
+		obsClipGens.Add(1)
+		meta, err := video.LookupClip(name)
+		if err != nil {
+			return nil, err
 		}
-		if !evicted {
-			return
-		}
-	}
+		return video.Generate(meta, video.GenerateOptions{Frames: frames, ScaleDiv: div})
+	})
+	return clip, err
 }
 
-// ResetClipCache empties the clip cache and its generation counter.
-func ResetClipCache() {
-	clipCache.Lock()
-	defer clipCache.Unlock()
-	clipCache.m = make(map[string]*clipEntry)
-	clipCache.order = nil
-	clipCache.gens = 0
-}
-
-// clipGenerations reports how many clips have been generated since the
-// last reset (test hook for the exactly-once contract).
-func clipGenerations() uint64 {
-	clipCache.Lock()
-	defer clipCache.Unlock()
-	return clipCache.gens
-}
+// ResetClipCache empties the clip cache and its counters.
+func ResetClipCache() { clipMemo.Reset() }
 
 // The harness reports deterministic modeled wall time instead of host
 // time: cycle counts (or instruction counts at a nominal IPC of 2) at

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"vcprof/internal/memo"
 )
 
 // Distributed hop tracing (DESIGN.md §13). A trace id is derived from
@@ -168,16 +170,15 @@ type HopEvent struct {
 const maxHopsPerTrace = 4096
 
 // HopLog is one process's bounded hop store: per-trace event lists with
-// FIFO trace eviction. A nil *HopLog is the disabled log — Emit and
-// Slice are no-ops — matching the package's nil-receiver convention.
-// The mutex is a leaf: nothing is called while it is held.
+// FIFO trace eviction (the table is only ever Peeked, so it stays in
+// insertion order). A nil *HopLog is the disabled log — Emit and Slice
+// are no-ops — matching the package's nil-receiver convention. The
+// mutex is a leaf: nothing outside the table is called while it is held.
 type HopLog struct {
 	proc string
-	max  int
 
-	mu    sync.Mutex
-	m     map[string][]HopEvent
-	order []string // trace insertion order, for eviction
+	mu     sync.Mutex
+	traces *memo.LRU[string, []HopEvent] // one unit per trace
 }
 
 // NewHopLog builds a log stamping proc onto every event, retaining at
@@ -186,7 +187,7 @@ func NewHopLog(proc string, maxTraces int) *HopLog {
 	if maxTraces <= 0 {
 		maxTraces = 512
 	}
-	return &HopLog{proc: proc, max: maxTraces, m: make(map[string][]HopEvent)}
+	return &HopLog{proc: proc, traces: memo.NewLRU[string, []HopEvent](int64(maxTraces), nil)}
 }
 
 // Proc names the emitting process.
@@ -207,18 +208,11 @@ func (l *HopLog) Emit(ev HopEvent) {
 	ev.Start = 0 // merge-time field; emitters never set it
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	evs, ok := l.m[ev.Trace]
-	if !ok {
-		l.order = append(l.order, ev.Trace)
-		for len(l.order) > l.max {
-			delete(l.m, l.order[0])
-			l.order = l.order[1:]
-		}
-	}
+	evs, _ := l.traces.Peek(ev.Trace)
 	if len(evs) >= maxHopsPerTrace {
 		return
 	}
-	l.m[ev.Trace] = append(evs, ev)
+	l.traces.Put(ev.Trace, append(evs, ev), 1)
 }
 
 // Slice copies one trace's events in emission order (empty when the
@@ -229,7 +223,7 @@ func (l *HopLog) Slice(trace string) []HopEvent {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	evs := l.m[trace]
+	evs, _ := l.traces.Peek(trace)
 	if len(evs) == 0 {
 		return nil
 	}

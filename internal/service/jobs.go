@@ -16,9 +16,7 @@ const (
 // job is one tracked submission. The spec (and derived key) is
 // immutable after construction; seq is written once by the queue under
 // its own mutex before any worker can see the job; state and errMsg
-// change only under the owning jobShard's mutex. done is closed (under
-// the shard lock) exactly when the job reaches a terminal state, so
-// synchronous waiters need no polling.
+// change only under the jobTable's mutex.
 type job struct {
 	spec JobSpec
 	key  string
@@ -40,129 +38,78 @@ type job struct {
 
 	state  string
 	errMsg string
-	done   chan struct{}
 }
 
 func newJob(spec JobSpec, traceID string) *job {
 	cost := spec.EstimatedCost()
 	return &job{spec: spec, key: spec.Key(), cost: cost, class: classOf(cost),
-		traceID: traceID, state: StateQueued, done: make(chan struct{}), enqueuedAt: time.Now()}
+		traceID: traceID, state: StateQueued, enqueuedAt: time.Now()}
 }
 
-// jobShards is the stripe count of the in-flight table. Keys are
-// uniformly distributed hex SHA-256, so the first byte is an unbiased
-// shard selector.
-const jobShards = 16
-
-// jobTable is the sharded in-flight job map, keyed by content address.
-// Sharding keeps submit/poll traffic from serializing on one lock while
-// the worker pool updates states.
+// jobTable is the in-flight job map, keyed by content address. Live
+// entries are bounded by Workers + QueueCap (failed ones linger until
+// resubmitted), and every request that reaches it has already been
+// through the store's one lock, so one mutex guards it.
 type jobTable struct {
-	shards [jobShards]jobShard
-}
-
-type jobShard struct {
 	mu sync.Mutex
 	m  map[string]*job
 }
 
-func newJobTable() *jobTable {
-	t := &jobTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]*job)
-	}
-	return t
-}
+func newJobTable() *jobTable { return &jobTable{m: make(map[string]*job)} }
 
-func (t *jobTable) shard(key string) *jobShard {
-	if len(key) == 0 {
-		return &t.shards[0]
-	}
-	// Keys are lowercase hex; the first two nibbles give 0..255.
-	v := hexNibble(key[0])
-	if len(key) > 1 {
-		v = v<<4 | hexNibble(key[1])
-	}
-	return &t.shards[v%jobShards]
-}
-
-func hexNibble(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return 0
-}
-
-// getOrAdd returns the tracked job for a key, creating and registering
-// a fresh one when absent. loaded reports whether an existing job was
-// joined (the singleflight path: the duplicate submission shares the
-// original's computation and result).
-func (t *jobTable) getOrAdd(spec JobSpec, key, traceID string) (j *job, loaded bool) {
-	sh := t.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.m[key]; ok && cur.state != StateFailed {
-		return cur, true
+// getOrAdd returns the tracked job for a key and its current state,
+// creating and registering a fresh one when absent. loaded reports
+// whether an existing job was joined (the singleflight path: the
+// duplicate submission shares the original's computation and result).
+func (t *jobTable) getOrAdd(spec JobSpec, key, traceID string) (j *job, state string, loaded bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cur, ok := t.m[key]; ok && cur.state != StateFailed {
+		return cur, cur.state, true
 	}
 	// Absent, or present but failed: a failed job is replaced by a
 	// fresh attempt (timeouts are the common failure, and a retry may
 	// have a longer budget).
 	j = newJob(spec, traceID)
-	sh.m[key] = j
-	return j, false
+	t.m[key] = j
+	return j, j.state, false
 }
 
-// get looks up a tracked job.
-func (t *jobTable) get(key string) (*job, bool) {
-	sh := t.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j, ok := sh.m[key]
-	return j, ok
+// status reads a tracked job's current state and error consistently.
+func (t *jobTable) status(key string) (state, errMsg string, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	j, ok := t.m[key]
+	if !ok {
+		return "", "", false
+	}
+	return j.state, j.errMsg, true
 }
 
 // remove untracks a job (admission failed; it never entered the queue).
 func (t *jobTable) remove(key string, j *job) {
-	sh := t.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.m[key]; ok && cur == j {
-		delete(sh.m, key)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cur, ok := t.m[key]; ok && cur == j {
+		delete(t.m, key)
 	}
 }
 
-// setState transitions a job. Terminal states close done.
+// setState transitions a job; terminal states are final.
 func (t *jobTable) setState(j *job, state, errMsg string) {
-	sh := t.shard(j.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
 		return
 	}
 	j.state = state
 	j.errMsg = errMsg
-	if state == StateDone || state == StateFailed {
-		close(j.done)
-	}
 	// Done jobs are untracked — their results live in the store, which
 	// answers all later polls. Failed jobs stay tracked so pollers can
 	// read the error; a resubmission replaces them.
 	if state == StateDone {
-		if cur, ok := sh.m[j.key]; ok && cur == j {
-			delete(sh.m, j.key)
+		if cur, ok := t.m[j.key]; ok && cur == j {
+			delete(t.m, j.key)
 		}
 	}
-}
-
-// snapshot reads a job's current state and error consistently.
-func (t *jobTable) snapshot(j *job) (state, errMsg string) {
-	sh := t.shard(j.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return j.state, j.errMsg
 }

@@ -270,12 +270,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, JobStatus{ID: key, Status: StateDone, Cached: true})
 		return
 	}
-	j, joined := s.jobs.getOrAdd(spec, key, TraceIDFromRequest(r, obs.JobTraceID(key)))
+	j, state, joined := s.jobs.getOrAdd(spec, key, TraceIDFromRequest(r, obs.JobTraceID(key)))
 	if joined {
 		// Singleflight: this submission rides the identical in-flight
 		// job; one computation will satisfy both.
 		obsJobsDeduped.Add(1)
-		state, _ := s.jobs.snapshot(j)
 		WriteJSON(w, http.StatusAccepted, JobStatus{ID: key, Status: state})
 		return
 	}
@@ -302,8 +301,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if j, ok := s.jobs.get(id); ok {
-		state, errMsg := s.jobs.snapshot(j)
+	if state, errMsg, ok := s.jobs.status(id); ok {
 		WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: state, Error: errMsg})
 		return
 	}
@@ -326,8 +324,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Write(data)
 		return
 	}
-	if j, ok := s.jobs.get(id); ok {
-		state, errMsg := s.jobs.snapshot(j)
+	if state, errMsg, ok := s.jobs.status(id); ok {
 		if state == StateFailed {
 			WriteJSON(w, http.StatusInternalServerError, JobStatus{ID: id, Status: state, Error: errMsg})
 			return
@@ -455,8 +452,7 @@ func (s *Server) handleJobTopdown(w http.ResponseWriter, r *http.Request) {
 
 // jobState reports a job's lifecycle state for telemetry responses.
 func (s *Server) jobState(id string) string {
-	if j, ok := s.jobs.get(id); ok {
-		state, _ := s.jobs.snapshot(j)
+	if state, _, ok := s.jobs.status(id); ok {
 		return state
 	}
 	if s.store.Contains(id) {

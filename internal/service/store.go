@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"vcprof/internal/memo"
 )
 
 // Store is the content-addressed, disk-persistent result store. One
@@ -16,32 +17,31 @@ import (
 // temp file in the same directory and atomically renamed, so a crash
 // can never leave a torn object — an object either exists complete or
 // not at all. Total size is bounded: least-recently-used objects are
-// evicted (deleted) once the budget is exceeded.
+// evicted (deleted) once the budget is exceeded, except that the last
+// object always stays, so a single oversized result is still served.
 //
 // The LRU order is persisted in dir/index.json by Flush (called on
 // graceful shutdown); on open, objects missing from the index are
 // appended in sorted-key order, so a store rebuilt from a crashed
 // server still loads deterministically.
 type Store struct {
-	dir      string
-	maxBytes int64
+	dir string
 
-	mu      sync.Mutex
-	entries map[string]*storeEntry
-	lru     *list.List // front = most recently used
-	size    int64
-}
-
-type storeEntry struct {
-	key  string
-	size int64
-	elem *list.Element
+	mu  sync.Mutex
+	lru *memo.LRU[string, struct{}] // weight = object bytes, cap = the size budget
 }
 
 // storeIndex is the on-disk index document.
 type storeIndex struct {
 	Order []string `json:"order"` // most recently used first
 }
+
+// Temp-file patterns of the two atomic writers. A crash between
+// CreateTemp and Rename orphans one; load sweeps exactly these.
+const (
+	putTempPattern   = "put-*.tmp"
+	indexTempPattern = "index-*.tmp"
+)
 
 // OpenStore opens (creating if needed) a store rooted at dir with the
 // given size budget in bytes (<=0 means 1 GiB).
@@ -52,19 +52,18 @@ func OpenStore(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		dir:      dir,
-		maxBytes: maxBytes,
-		entries:  make(map[string]*storeEntry),
-		lru:      list.New(),
-	}
+	s := &Store{dir: dir, lru: memo.NewLRU(maxBytes, func(key string, _ struct{}) {
+		os.Remove(objectPath(dir, key))
+		obsStoreEvictions.Add(1)
+	})}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// load scans the object tree and replays the persisted LRU order.
+// load scans the object tree, sweeps orphaned temp files and replays
+// the persisted LRU order.
 func (s *Store) load() error {
 	sizes := make(map[string]int64)
 	root := filepath.Join(s.dir, "objects")
@@ -73,8 +72,12 @@ func (s *Store) load() error {
 			return err
 		}
 		name := d.Name()
+		if orphan, _ := filepath.Match(putTempPattern, name); orphan {
+			os.Remove(path)
+			return nil
+		}
 		if !strings.HasSuffix(name, ".json") {
-			return nil // stray temp or foreign file
+			return nil // foreign file
 		}
 		info, err := d.Info()
 		if err != nil {
@@ -85,6 +88,13 @@ func (s *Store) load() error {
 	})
 	if err != nil {
 		return err
+	}
+	if ents, err := os.ReadDir(s.dir); err == nil {
+		for _, e := range ents {
+			if orphan, _ := filepath.Match(indexTempPattern, e.Name()); orphan {
+				os.Remove(filepath.Join(s.dir, e.Name()))
+			}
+		}
 	}
 	var idx storeIndex
 	if data, err := os.ReadFile(filepath.Join(s.dir, "index.json")); err == nil {
@@ -109,17 +119,16 @@ func (s *Store) load() error {
 	order = append(order, rest...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Walk back-to-front so PushFront leaves index order intact.
+	// Insert back-to-front so index order survives as recency order.
 	for i := len(order) - 1; i >= 0; i-- {
-		k := order[i]
-		e := &storeEntry{key: k, size: sizes[k]}
-		e.elem = s.lru.PushFront(e)
-		s.entries[k] = e
-		s.size += e.size
+		s.lru.Put(order[i], struct{}{}, objectWeight(sizes[order[i]]))
 	}
-	s.evictLocked()
 	return nil
 }
+
+// objectWeight charges an object its size; an empty one still costs a
+// byte, since weight 0 would pin it.
+func objectWeight(size int64) int64 { return max(size, 1) }
 
 // objectPath returns the on-disk path for a key under a store root.
 func objectPath(dir, key string) string {
@@ -130,14 +139,32 @@ func objectPath(dir, key string) string {
 	return filepath.Join(dir, "objects", prefix, key+".json")
 }
 
+// writeAtomic writes data to path through a temp file in the same
+// directory and an fsync-free rename, so path is either absent, its
+// old content, or the whole of data — never torn.
+func writeAtomic(path, tempPattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), tempPattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // Get returns the stored result bytes for a key, marking it most
 // recently used.
 func (s *Store) Get(key string) ([]byte, bool, error) {
 	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.lru.MoveToFront(e.elem)
-	}
+	_, ok := s.lru.Get(key)
 	s.mu.Unlock()
 	if !ok {
 		obsStoreMisses.Add(1)
@@ -147,11 +174,7 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 	if err != nil {
 		// The object vanished under us (manual deletion); drop the entry.
 		s.mu.Lock()
-		if cur, ok := s.entries[key]; ok && cur == e {
-			s.lru.Remove(e.elem)
-			delete(s.entries, key)
-			s.size -= e.size
-		}
+		s.lru.Remove(key)
 		s.mu.Unlock()
 		obsStoreMisses.Add(1)
 		return nil, false, nil
@@ -165,13 +188,13 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 func (s *Store) Contains(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[key]
+	_, ok := s.lru.Peek(key)
 	return ok
 }
 
-// Put stores result bytes under a key: temp file, fsync-free atomic
-// rename, then LRU accounting and eviction. Re-putting an existing key
-// is a no-op (results are content-addressed and immutable).
+// Put stores result bytes under a key: atomic write, then LRU
+// accounting and eviction. Re-putting an existing key is a no-op
+// (results are content-addressed and immutable).
 func (s *Store) Put(key string, data []byte) error {
 	if key == "" || strings.ContainsAny(key, "/\\.") {
 		return fmt.Errorf("service: invalid store key %q", key)
@@ -183,79 +206,30 @@ func (s *Store) Put(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeAtomic(path, putTempPattern, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	if _, ok := s.lru.Peek(key); ok {
 		return nil // raced with an identical Put; the object is the same
 	}
-	e := &storeEntry{key: key, size: int64(len(data))}
-	e.elem = s.lru.PushFront(e)
-	s.entries[key] = e
-	s.size += e.size
+	s.lru.Put(key, struct{}{}, objectWeight(int64(len(data))))
 	obsStorePutBytes.Add(uint64(len(data)))
-	s.evictLocked()
 	return nil
 }
 
-// evictLocked deletes least-recently-used objects until the store is
-// back under budget. At least one object is always retained so a
-// single oversized result is still served.
-func (s *Store) evictLocked() {
-	for s.size > s.maxBytes && s.lru.Len() > 1 {
-		el := s.lru.Back()
-		e := el.Value.(*storeEntry)
-		s.lru.Remove(el)
-		delete(s.entries, e.key)
-		s.size -= e.size
-		os.Remove(objectPath(s.dir, e.key))
-		obsStoreEvictions.Add(1)
-	}
-}
-
-// Flush persists the LRU index atomically (temp + rename), so the next
-// OpenStore resumes with the same eviction order.
+// Flush persists the LRU index atomically, so the next OpenStore
+// resumes with the same eviction order.
 func (s *Store) Flush() error {
 	s.mu.Lock()
-	idx := storeIndex{Order: make([]string, 0, s.lru.Len())}
-	for el := s.lru.Front(); el != nil; el = el.Next() {
-		idx.Order = append(idx.Order, el.Value.(*storeEntry).key)
-	}
+	idx := storeIndex{Order: s.lru.Keys()}
 	s.mu.Unlock()
 	data, err := json.MarshalIndent(&idx, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, "index-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(s.dir, "index.json"))
+	return writeAtomic(filepath.Join(s.dir, "index.json"), indexTempPattern, append(data, '\n'))
 }
 
 // StoreStats is a snapshot of the store's occupancy.
@@ -269,5 +243,5 @@ type StoreStats struct {
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return StoreStats{Objects: len(s.entries), Bytes: s.size, Cap: s.maxBytes}
+	return StoreStats{Objects: s.lru.Len(), Bytes: s.lru.Weight(), Cap: s.lru.Cap()}
 }

@@ -203,3 +203,38 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 		t.Fatal("tkey produced a path separator")
 	}
 }
+
+// TestStoreSweepsOrphanedTemps: a crash between CreateTemp and Rename
+// leaves a put-*.tmp or index-*.tmp behind, outside the size budget.
+// Open removes files matching exactly those patterns and nothing else.
+func TestStoreSweepsOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "objects", "zz")
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	orphans := []string{filepath.Join(sub, "put-123.tmp"), filepath.Join(dir, "index-456.tmp")}
+	foreign := []string{filepath.Join(sub, "stray.tmp"), filepath.Join(dir, "notes.tmp")}
+	for _, p := range append(orphans, foreign...) {
+		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Objects != 0 || s.Bytes != 0 {
+		t.Errorf("temp files counted: %+v", s)
+	}
+	for _, p := range orphans {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("orphaned temp %s survived open (stat err %v)", p, err)
+		}
+	}
+	for _, p := range foreign {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("foreign file %s was touched: %v", p, err)
+		}
+	}
+}

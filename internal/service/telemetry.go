@@ -6,6 +6,7 @@ import (
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/harness"
+	"vcprof/internal/memo"
 	"vcprof/internal/obs"
 	"vcprof/internal/telemetry"
 	"vcprof/internal/trace"
@@ -50,16 +51,17 @@ type teleBoard struct {
 	jobs    jobAccTable
 }
 
-// jobAccTable maps job keys to their streaming accumulators with
-// bounded insertion-order retention.
+// jobAccTable maps job keys to their streaming accumulators, one unit
+// each. The table is only ever Peeked, so retention is by insertion
+// order. It is its own struct so that mu guards exactly lru.
 type jobAccTable struct {
-	mu    sync.Mutex
-	m     map[string]*topdown.Accumulator
-	order []string
+	mu  sync.Mutex
+	lru *memo.LRU[string, *topdown.Accumulator]
 }
 
 func newTeleBoard(s *Server, seriesCap int) *teleBoard {
 	b := &teleBoard{agg: topdown.NewAccumulator()}
+	b.jobs.lru = memo.NewLRU[string, *topdown.Accumulator](maxJobAccumulators, nil)
 	b.series = telemetry.NewSeries(seriesCap, seriesGauges(s, b))
 	return b
 }
@@ -92,35 +94,24 @@ func seriesGauges(s *Server, b *teleBoard) []telemetry.Gauge {
 // jobAcc returns (creating if needed) the accumulator streaming job
 // key's top-down. Creation evicts the oldest tracked job beyond the
 // retention bound.
-func (b *teleBoard) jobAcc(key string) *topdown.Accumulator { return b.jobs.acc(key) }
-
-// findJobAcc looks a job's accumulator up without creating one.
-func (b *teleBoard) findJobAcc(key string) (*topdown.Accumulator, bool) { return b.jobs.find(key) }
-
-func (t *jobAccTable) acc(key string) *topdown.Accumulator {
+func (b *teleBoard) jobAcc(key string) *topdown.Accumulator {
+	t := &b.jobs
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if acc, ok := t.m[key]; ok {
-		return acc
-	}
-	if t.m == nil {
-		t.m = make(map[string]*topdown.Accumulator)
-	}
-	acc := topdown.NewAccumulator()
-	t.m[key] = acc
-	t.order = append(t.order, key)
-	for len(t.order) > maxJobAccumulators {
-		delete(t.m, t.order[0])
-		t.order = t.order[1:]
+	acc, ok := t.lru.Peek(key)
+	if !ok {
+		acc = topdown.NewAccumulator()
+		t.lru.Put(key, acc, 1)
 	}
 	return acc
 }
 
-func (t *jobAccTable) find(key string) (*topdown.Accumulator, bool) {
+// findJobAcc looks a job's accumulator up without creating one.
+func (b *teleBoard) findJobAcc(key string) (*topdown.Accumulator, bool) {
+	t := &b.jobs
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	acc, ok := t.m[key]
-	return acc, ok
+	return t.lru.Peek(key)
 }
 
 // gaugeSamples reads every gauge once for /metrics exposition: the
