@@ -1,6 +1,6 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build, the
 # vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the three fuzz targets, a single-iteration benchmark pass
+# short smoke of the four fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the six end-to-end smokes, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -22,9 +22,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build lint lint-fixtures one-table loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build lint lint-fixtures one-table one-machine loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build lint lint-fixtures one-table test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build lint lint-fixtures one-table one-machine test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -62,6 +62,13 @@ one-table:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=memo \
 		'"container/list"|^func .*evict[A-Za-z]*Locked' .
 
+# Measurements take the paper machine's hierarchy from the cache
+# package's free list (DESIGN.md §4): no non-test file outside that
+# package and bench/ may build one per cell with NewXeonHierarchy.
+one-machine:
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=cache --exclude-dir=bench \
+		'NewXeonHierarchy(' .
+
 # The canonical size figure every simplicity PR quotes: non-test Go
 # lines outside bench/.
 loc:
@@ -76,7 +83,8 @@ test:
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/harness ./internal/encoders \
 		./internal/service ./internal/sched ./internal/obs ./internal/telemetry \
-		./internal/uarch/topdown ./internal/cluster/... ./internal/live ./internal/memo
+		./internal/uarch/topdown ./internal/cluster/... ./internal/live ./internal/memo \
+		./internal/uarch/cache ./internal/perf
 
 # Regenerate the golden regression tables after an intentional change,
 # then review the diff under internal/harness/testdata/golden/.
@@ -173,3 +181,4 @@ fuzz-smoke:
 	$(GO) test ./internal/codec/entropy -run=^$$ -fuzz=FuzzBoolCoderRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFastVsRef -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/uarch/cache -run=^$$ -fuzz=FuzzHierarchyRunVsUnrolled -fuzztime=$(FUZZTIME)

@@ -336,6 +336,21 @@ func BenchmarkCacheHierarchyAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheHierarchyRun feeds the hierarchy the shape the live
+// sink receives: 16-access rows of 8-byte loads, two lines a row, the
+// rows a frame stride apart. One op is one access, as above.
+func BenchmarkCacheHierarchyRun(b *testing.B) {
+	h, err := cache.NewXeonHierarchy()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const row = 16
+	b.ResetTimer()
+	for i := 0; i < b.N; i += row {
+		h.Run(uint64(i/row%100000)*1936, row, 8, 8, i%5 == 0)
+	}
+}
+
 func BenchmarkPipelineReplay(b *testing.B) {
 	sim, err := pipeline.New(pipeline.Broadwell())
 	if err != nil {

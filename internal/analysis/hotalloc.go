@@ -24,11 +24,11 @@ func NewHotAlloc(paths []string) *Analyzer {
 		Doc:  "forbid fmt calls, string concatenation, and interface boxing inside kernel loops",
 	}
 	az.Run = func(pass *Pass) {
-		if !scope.in(pass.Pkg.Path) {
-			return
-		}
 		info := pass.TypesInfo()
 		for _, f := range pass.Files() {
+			if !scope.inFile(pass.Pkg.Path, pass.Fset.Position(f.Pos()).Filename) {
+				continue
+			}
 			for _, fd := range funcDecls(f) {
 				scanLoops(pass, info, fd.Body, false)
 			}

@@ -25,7 +25,8 @@ import "fmt"
 //     any reachable volatile source in the deterministic core is
 //     reported with its root→sink chain (vclint -why).
 //   - lockorder (whole-program): the mutex-bearing layers (sched,
-//     service, harness, obs, cluster, live) plus video's caches must acquire
+//     service, harness, obs, cluster, live) plus video's caches and the
+//     cache package's hierarchy free list must acquire
 //     lock classes in a cycle-free order; cycles are potential
 //     deadlocks. The cluster router's contract — the shard registry's
 //     mutex is a leaf, never held across an HTTP call or a histogram
@@ -42,10 +43,13 @@ import "fmt"
 //     is checked in harness and video; the service daemon's queue, job
 //     table and result store, the cluster router's drive/warm/LRU
 //     state, and the live session engine's per-session state are in
-//     scope for the same reason.
-//   - hotalloc: the codec kernels and the per-op simulator loops are
-//     the measured hot paths; allocations there distort the counts the
-//     experiments report.
+//     scope for the same reason, as is the hierarchy free list every
+//     stat cell and replay acquires from.
+//   - hotalloc: the codec kernels, the per-op simulator loops and the
+//     run consumers between them (the trace sink adapters,
+//     bpred.Monitor.Loop, cache.Hierarchy.Run) are the measured hot
+//     paths; allocations there distort the counts the experiments
+//     report.
 //   - detenv: nothing under internal/ may read host environment state;
 //     cmd/ front-ends pass such values down as explicit configuration.
 //   - httpctx: the service daemon's and the cluster gate's HTTP
@@ -115,6 +119,7 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/video",
 			"vcprof/internal/cluster",
 			"vcprof/internal/live",
+			"vcprof/internal/uarch/cache",
 		}),
 		NewShardPure(ShardPureConfig{
 			TaskIfaces: []string{
@@ -133,6 +138,7 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/service",
 			"vcprof/internal/cluster",
 			"vcprof/internal/live",
+			"vcprof/internal/uarch/cache",
 		}),
 		NewHotAlloc([]string{
 			"vcprof/internal/codec/transform",
@@ -141,6 +147,9 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/codec/quant",
 			"vcprof/internal/uarch/cache",
 			"vcprof/internal/uarch/pipeline",
+			"vcprof/internal/uarch/bpred",
+			"vcprof/internal/trace/ctx.go",
+			"vcprof/internal/trace/sink.go",
 		}),
 		NewDetEnv([]string{"vcprof/internal"}),
 		NewHTTPCtx([]string{

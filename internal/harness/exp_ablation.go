@@ -120,18 +120,21 @@ func planAblationPrefetch(s Scale) (*Plan, error) {
 			Access(addr uint64, store bool) int
 			MPKI(insts uint64) (float64, float64, float64)
 		}
-		plain, err := cache.NewXeonHierarchy()
+		plain, err := cache.AcquireXeon()
 		if err != nil {
 			return nil, err
 		}
+		defer plain.Release()
 		nl, err := cache.NewPrefetchHierarchy(cache.NextLinePrefetcher{})
 		if err != nil {
 			return nil, err
 		}
+		defer nl.Release()
 		st, err := cache.NewPrefetchHierarchy(&cache.StridePrefetcher{})
 		if err != nil {
 			return nil, err
 		}
+		defer st.Release()
 		t := &Table{ID: "ablation-prefetch", Title: "L2 prefetching on the encoder's access stream",
 			Header: []string{"prefetcher", "l1d_mpki", "l2_mpki", "llc_mpki"}}
 		for _, row := range []struct {

@@ -77,6 +77,10 @@ func (m *memSink) Access(addr uint64, size int, store bool) {
 	m.h.SpanAccess(addr, size, store)
 }
 
+func (m *memSink) Run(addr uint64, count, stride, size int, store bool) {
+	m.h.Run(addr, count, stride, size, store)
+}
+
 // takenCounter tracks taken branches for the frontend model.
 type takenCounter struct {
 	taken uint64
@@ -88,6 +92,8 @@ func (t *takenCounter) Branch(_ trace.PC, taken bool) {
 	}
 }
 
+func (t *takenCounter) Loop(_ trace.PC, iters int) { t.taken += uint64(iters - 1) }
+
 // Stat encodes the clip with full live instrumentation on worker 0 and
 // returns the measured counters. Characterization runs are
 // single-threaded like the paper's perf runs; opts.Threads and
@@ -96,16 +102,22 @@ func Stat(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts enco
 	if enc == nil || clip == nil {
 		return nil, fmt.Errorf("perf: nil encoder or clip")
 	}
+	hier, err := cache.AcquireXeon()
+	if err != nil {
+		return nil, err
+	}
+	defer hier.Release()
+	return statOn(ctx, hier, enc, clip, opts)
+}
+
+// statOn is Stat on a cold hierarchy the caller supplies.
+func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, clip *video.Clip, opts encoders.Options) (*Counters, error) {
 	pred, err := bpred.NewByName(hwPredictor)
 	if err != nil {
 		return nil, err
 	}
 	mon := bpred.NewMonitor(pred)
 	taken := &takenCounter{}
-	hier, err := cache.NewXeonHierarchy()
-	if err != nil {
-		return nil, err
-	}
 	tc := trace.New()
 	tc.AttachBranchSink(mon)
 	tc.AttachBranchSink(taken)

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"vcprof/internal/encoders"
@@ -81,6 +82,31 @@ func TestStatCRFTrends(t *testing.T) {
 	}
 	if hi.BranchMPKI >= lo.BranchMPKI {
 		t.Errorf("branch MPKI at CRF60 (%v) not below CRF15 (%v)", hi.BranchMPKI, lo.BranchMPKI)
+	}
+}
+
+// TestStatSteadyStateAllocBytes is the stat-cell half of the allocation
+// budget: after one warm call a bench-sized cell (2 frames, div 20)
+// allocates what the encode allocates, not a cache hierarchy — it was
+// ~12 MB a cell when each built its own.
+func TestStatSteadyStateAllocBytes(t *testing.T) {
+	c := clip(t, "game1", 2, 20)
+	for _, fam := range encoders.Families() {
+		enc := encoders.MustNew(fam)
+		lo, hi := enc.CRFRange()
+		opts := encoders.Options{CRF: (lo + hi) / 2, Preset: 5}
+		if _, err := Stat(context.Background(), enc, c, opts); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := Stat(context.Background(), enc, c, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: a warm Stat allocated %d bytes, want under 1 MB", fam, grew)
+		}
 	}
 }
 

@@ -43,12 +43,16 @@ type tdFlusher struct {
 	n     uint64
 }
 
-func (f *tdFlusher) Branch(_ trace.PC, _ bool) {
-	f.n++
-	if f.n%tdFlushEvery != 0 {
-		return
+func (f *tdFlusher) Branch(pc trace.PC, _ bool) { f.Loop(pc, 1) }
+
+// Loop flushes once per tdFlushEvery mark the run crosses, so a run
+// triggers as many flushes as its branches would one by one.
+func (f *tdFlusher) Loop(_ trace.PC, iters int) {
+	marks := f.n / tdFlushEvery
+	f.n += uint64(iters)
+	for ; marks < f.n/tdFlushEvery; marks++ {
+		f.flush()
 	}
-	f.flush()
 }
 
 func (f *tdFlusher) flush() {

@@ -1,17 +1,5 @@
 package trace
 
-// BranchSink consumes dynamic conditional-branch events as they happen
-// (live branch-predictor simulation, the perf-counter substitute).
-type BranchSink interface {
-	Branch(pc PC, taken bool)
-}
-
-// MemSink consumes dynamic memory accesses as they happen (live cache
-// simulation, the perf-counter substitute).
-type MemSink interface {
-	Access(addr uint64, size int, store bool)
-}
-
 // Ctx is an instrumentation context. Kernels call its methods to report
 // the abstract instructions they execute. A nil *Ctx is valid and every
 // method is a cheap no-op on it, so un-instrumented runs (wall-clock
@@ -25,8 +13,8 @@ type Ctx struct {
 	Mix   Mix
 	total uint64
 
-	branchSinks []BranchSink
-	memSinks    []MemSink
+	branchSinks []LoopSink
+	memSinks    []RunSink
 	rec         *Recorder
 	prof        *Profile
 
@@ -40,11 +28,29 @@ type Ctx struct {
 // New returns an empty counting context.
 func New() *Ctx { return &Ctx{} }
 
-// AttachBranchSink adds a live branch-event consumer.
-func (c *Ctx) AttachBranchSink(s BranchSink) { c.branchSinks = append(c.branchSinks, s) }
+// AttachBranchSink adds a live branch-event consumer. A sink that is
+// also a LoopSink receives each Loop as one call; any other sink is
+// wrapped once, here, and sees the loop's events one by one. With
+// several sinks a run goes to each in attach order before the next
+// run is issued.
+func (c *Ctx) AttachBranchSink(s BranchSink) {
+	ls, ok := s.(LoopSink)
+	if !ok {
+		ls = unrolledBranches{s}
+	}
+	c.branchSinks = append(c.branchSinks, ls)
+}
 
-// AttachMemSink adds a live memory-access consumer.
-func (c *Ctx) AttachMemSink(s MemSink) { c.memSinks = append(c.memSinks, s) }
+// AttachMemSink adds a live memory-access consumer, by the same rule:
+// a RunSink receives each Loads/Stores as one call, any other sink is
+// wrapped and sees every access.
+func (c *Ctx) AttachMemSink(s MemSink) {
+	rs, ok := s.(RunSink)
+	if !ok {
+		rs = unrolledAccesses{s}
+	}
+	c.memSinks = append(c.memSinks, rs)
+}
 
 // AttachRecorder sets the micro-op recorder.
 func (c *Ctx) AttachRecorder(r *Recorder) { c.rec = r }
@@ -94,23 +100,8 @@ func (c *Ctx) mem(pc PC, addr uint64, count, stride, size int, store bool) {
 	}
 	c.Mix[class] += uint64(count)
 	c.account(uint64(count))
-	switch a := addr; len(c.memSinks) {
-	case 0:
-	case 1:
-		// The usual case (perf.Stat attaches one hierarchy): no inner
-		// loop over the sinks.
-		s := c.memSinks[0]
-		for i := 0; i < count; i++ {
-			s.Access(a, size, store)
-			a += uint64(stride)
-		}
-	default:
-		for i := 0; i < count; i++ {
-			for _, s := range c.memSinks {
-				s.Access(a, size, store)
-			}
-			a += uint64(stride)
-		}
+	for _, s := range c.memSinks {
+		s.Run(addr, count, stride, size, store)
 	}
 	if c.rec != nil {
 		c.rec.mems(c.total-uint64(count), pc, addr, count, stride, size, store)
@@ -147,15 +138,8 @@ func (c *Ctx) Loop(pc PC, iters int) {
 	n := uint64(iters)
 	c.Mix[OpBranch] += n
 	c.account(n)
-	if len(c.branchSinks) > 0 {
-		for i := 0; i < iters-1; i++ {
-			for _, s := range c.branchSinks {
-				s.Branch(pc, true)
-			}
-		}
-		for _, s := range c.branchSinks {
-			s.Branch(pc, false)
-		}
+	for _, s := range c.branchSinks {
+		s.Loop(pc, iters)
 	}
 	if c.rec != nil {
 		c.rec.loop(c.total-n, pc, iters)

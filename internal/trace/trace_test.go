@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -162,21 +164,98 @@ func (o orderSink) Access(addr uint64, _ int, _ bool) {
 }
 
 func TestMemSinksSeeEachAccessInAttachOrder(t *testing.T) {
-	// With several sinks every access goes to all of them, in attach
-	// order, before the next access is issued.
+	// With several sinks every run goes to all of them, in attach
+	// order, before the next run is issued; within a run each sink
+	// sees its accesses in address order.
 	c := New()
 	var journal [][2]uint64
 	c.AttachMemSink(orderSink{0, &journal})
 	c.AttachMemSink(orderSink{1, &journal})
 	c.Loads(Site("t/order"), 0x100, 2, 8, 8)
-	want := [][2]uint64{{0, 0x100}, {1, 0x100}, {0, 0x108}, {1, 0x108}}
-	if len(journal) != len(want) {
+	c.Stores(Site("t/order2"), 0x200, 1, 8, 8)
+	want := [][2]uint64{{0, 0x100}, {0, 0x108}, {1, 0x100}, {1, 0x108}, {0, 0x200}, {1, 0x200}}
+	if !reflect.DeepEqual(journal, want) {
 		t.Fatalf("journal %v, want %v", journal, want)
 	}
-	for i := range want {
-		if journal[i] != want[i] {
-			t.Fatalf("journal %v, want %v", journal, want)
-		}
+}
+
+// eventSink implements only the per-event interfaces, like the
+// benchmark's capture; runSink also implements the run protocol. Both
+// write what they are handed into a log.
+type eventSink struct{ log []string }
+
+func (e *eventSink) Branch(pc PC, taken bool) {
+	e.log = append(e.log, fmt.Sprintf("branch %#x %v", uint64(pc), taken))
+}
+
+func (e *eventSink) Access(addr uint64, size int, store bool) {
+	e.log = append(e.log, fmt.Sprintf("access %#x %d %v", addr, size, store))
+}
+
+type runSink struct{ eventSink }
+
+func (r *runSink) Loop(pc PC, iters int) {
+	r.log = append(r.log, fmt.Sprintf("loop %#x %d", uint64(pc), iters))
+}
+
+func (r *runSink) Run(addr uint64, count, stride, size int, store bool) {
+	r.log = append(r.log, fmt.Sprintf("run %#x %d %d %d %v", addr, count, stride, size, store))
+}
+
+// emitRuns drives every run-producing entry point of a Ctx once.
+func emitRuns(c *Ctx) {
+	c.Loop(0x40, 5)
+	c.Loop(0x50, 0)
+	c.Loop(0x60, 1)
+	c.Branch(0x70, true)
+	c.Loads(0, 0x1000, 3, 64, 32)
+	c.Stores(0, 0x8010, 2, -16, 16)
+	c.Loads(0, 0x9000, 2, 0, 4)
+	c.Loads(0, 0xA000, 0, 8, 8)
+}
+
+// TestPerEventSinkSeesUnrolledRuns pins the attach-time adapter: a sink
+// with only Branch/Access sees, event for event, the sequence it saw
+// when Ctx unrolled runs itself.
+func TestPerEventSinkSeesUnrolledRuns(t *testing.T) {
+	c := New()
+	s := &eventSink{}
+	c.AttachBranchSink(s)
+	c.AttachMemSink(s)
+	emitRuns(c)
+	want := []string{
+		"branch 0x40 true", "branch 0x40 true", "branch 0x40 true", "branch 0x40 true", "branch 0x40 false",
+		"branch 0x50 false",
+		"branch 0x60 false",
+		"branch 0x70 true",
+		"access 0x1000 32 false", "access 0x1040 32 false", "access 0x1080 32 false",
+		"access 0x8010 16 true", "access 0x8000 16 true",
+		"access 0x9000 4 false", "access 0x9000 4 false",
+	}
+	if !reflect.DeepEqual(s.log, want) {
+		t.Fatalf("per-event sink saw\n%q, want\n%q", s.log, want)
+	}
+}
+
+// TestRunSinkSeesOneCallPerRun: a run-capable sink is handed each run
+// whole. A zero-iteration loop is its guard test, one plain branch.
+func TestRunSinkSeesOneCallPerRun(t *testing.T) {
+	c := New()
+	s := &runSink{}
+	c.AttachBranchSink(s)
+	c.AttachMemSink(s)
+	emitRuns(c)
+	want := []string{
+		"loop 0x40 5",
+		"branch 0x50 false",
+		"loop 0x60 1",
+		"branch 0x70 true",
+		"run 0x1000 3 64 32 false",
+		"run 0x8010 2 -16 16 true",
+		"run 0x9000 2 0 4 false",
+	}
+	if !reflect.DeepEqual(s.log, want) {
+		t.Fatalf("run sink saw\n%q, want\n%q", s.log, want)
 	}
 }
 

@@ -243,6 +243,46 @@ func TestMonitorCounts(t *testing.T) {
 	}
 }
 
+// TestMonitorLoopEqualsBranches: for every predictor, a monitor fed
+// counted loops through Loop ends with the counters of one fed the
+// same branches one at a time, and the two predictors agree on every
+// branch that follows. Trip counts span 1 (the lone not-taken) to past
+// the longest history.
+func TestMonitorLoopEqualsBranches(t *testing.T) {
+	for _, name := range everyName {
+		pr, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byRun, byEvent := NewMonitor(pr), NewMonitor(pe)
+		rng := uint64(11)
+		for i := 0; i < 3000; i++ {
+			pc, taken := diffStream(i, &rng)
+			iters := 1 + int(rng>>33%7)
+			if i%97 == 0 {
+				iters = 150 + i%100
+			}
+			loopPC := trace.PC(0x500000 + pc&0xF0)
+			byRun.Loop(loopPC, iters)
+			for k := 1; k < iters; k++ {
+				byEvent.Branch(loopPC, true)
+			}
+			byEvent.Branch(loopPC, false)
+			// A data-dependent branch between loops, as in a kernel.
+			byRun.Branch(trace.PC(pc), taken)
+			byEvent.Branch(trace.PC(pc), taken)
+			if byRun.Branches != byEvent.Branches || byRun.Mispredict != byEvent.Mispredict {
+				t.Fatalf("%s after loop %d (%d iterations): %d/%d by run, %d/%d by event", name, i, iters,
+					byRun.Mispredict, byRun.Branches, byEvent.Mispredict, byEvent.Branches)
+			}
+		}
+	}
+}
+
 func TestLoopPredictorLearnsTripCount(t *testing.T) {
 	lp, err := NewLoopPredictor(64)
 	if err != nil {

@@ -37,6 +37,14 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 	return &BTB{sets: entries / assoc, assoc: assoc, lines: make([]btbEntry, entries)}, nil
 }
 
+// Reset clears all entries and counters.
+func (b *BTB) Reset() {
+	for i := range b.lines {
+		b.lines[i] = btbEntry{}
+	}
+	b.clock, b.Lookups, b.Hits = 0, 0, 0
+}
+
 // Lookup predicts the target for a branch at pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	b.clock++

@@ -44,6 +44,36 @@ func TestBTBEvictsLRU(t *testing.T) {
 	}
 }
 
+func TestBTBResetRestoresCold(t *testing.T) {
+	used, err := NewBTB(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewBTB(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pc := uint64(0x1000); pc < 0x1100; pc += 4 {
+		used.Update(pc, pc+16)
+		used.Lookup(pc)
+	}
+	used.Reset()
+	if used.Lookups != 0 || used.Hits != 0 {
+		t.Errorf("counters after Reset: %d lookups, %d hits", used.Lookups, used.Hits)
+	}
+	// Same answers and the same victims as a new BTB from here on.
+	for i := uint64(0); i < 200; i++ {
+		pc := 0x2000 + i*52%0x100
+		ut, uh := used.Lookup(pc)
+		ft, fh := fresh.Lookup(pc)
+		if ut != ft || uh != fh {
+			t.Fatalf("lookup %d of %#x: %#x/%v after Reset, %#x/%v on a new BTB", i, pc, ut, uh, ft, fh)
+		}
+		used.Update(pc, pc+i)
+		fresh.Update(pc, pc+i)
+	}
+}
+
 func TestBTBValidation(t *testing.T) {
 	if _, err := NewBTB(100, 4); err == nil {
 		t.Error("accepted non-power-of-two entries")

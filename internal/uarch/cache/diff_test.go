@@ -59,11 +59,34 @@ func diffStreams(n int, span uint64) map[string][]access {
 	}
 }
 
+// logical decodes a line of c into the reference's representation:
+// valid, tag, dirty, and the stamp counted from the last Reset. An
+// invalid line is the zero refLine whatever stale bits it holds.
+func (c *Cache) logical(i int) refLine {
+	ln := c.lines[i]
+	if ln.lru <= c.floor {
+		return refLine{}
+	}
+	return refLine{tag: ln.key >> 1, valid: true, dirty: ln.key&1 != 0, lru: ln.lru - c.floor}
+}
+
+// sameLines fails the test unless every line of fast decodes to the
+// reference's line.
+func sameLines(t *testing.T, what string, fast *Cache, ref *refCache) {
+	t.Helper()
+	for i := range fast.lines {
+		if got := fast.logical(i); got != ref.lines[i] {
+			t.Fatalf("%s: line %d ends as %+v, reference %+v", what, i, got, ref.lines[i])
+		}
+	}
+}
+
 // TestCacheMatchesReference is the differential wall for one level:
 // the same hit and writeback on every access, the same counters and
-// the same final lines (tags, dirty bits, LRU stamps) as the full-scan
-// reference, on power-of-two and on the LLC's set
-// counts, with Probe agreeing along the way and a Reset in the middle.
+// the same final lines (valid, tag, dirty bit, LRU stamp since the
+// reset) as the full-scan reference, on power-of-two and on the LLC's
+// set counts, with Probe agreeing along the way and a Reset in the
+// middle — O(1) here, a full clear in the reference.
 func TestCacheMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "tiny", SizeBytes: 1 << 10, Assoc: 2},
@@ -101,18 +124,14 @@ func TestCacheMatchesReference(t *testing.T) {
 			if fast.Stats() != ref.Stats() {
 				t.Fatalf("%s/%s: stats %+v, reference %+v", cfg.Name, name, fast.Stats(), ref.Stats())
 			}
-			for i, ln := range fast.lines {
-				if ln != line(ref.lines[i]) {
-					t.Fatalf("%s/%s: line %d ends as %+v, reference %+v", cfg.Name, name, i, ln, ref.lines[i])
-				}
-			}
+			sameLines(t, cfg.Name+"/"+name, fast, ref)
 		}
 	}
 }
 
 // TestHierarchyMatchesReference drives the paper machine's hierarchy,
 // non-power-of-two LLC included, through SpanAccess: the same latency
-// on every access and the same per-level counters.
+// on every access, the same per-level counters and final lines.
 func TestHierarchyMatchesReference(t *testing.T) {
 	l1, l2, llc := XeonE52650v4()
 	// 40 MB of addresses: past the LLC, so every level evicts.
@@ -130,15 +149,7 @@ func TestHierarchyMatchesReference(t *testing.T) {
 				t.Fatalf("%s access %d: latency %d, reference %d", name, i, lat, rlat)
 			}
 		}
-		for _, lv := range []struct {
-			name string
-			fast *Cache
-			ref  *refCache
-		}{{"L1", fast.L1, ref.L1}, {"L2", fast.L2, ref.L2}, {"LLC", fast.LLC, ref.LLC}} {
-			if lv.fast.Stats() != lv.ref.Stats() {
-				t.Fatalf("%s %s: stats %+v, reference %+v", name, lv.name, lv.fast.Stats(), lv.ref.Stats())
-			}
-		}
+		sameHierarchy(t, name, fast, ref)
 	}
 }
 

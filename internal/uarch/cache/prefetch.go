@@ -92,9 +92,10 @@ type PrefetchHierarchy struct {
 	Useful uint64 // prefetched lines that were L2-resident on demand
 }
 
-// NewPrefetchHierarchy builds the paper hierarchy with a prefetcher.
+// NewPrefetchHierarchy puts a prefetcher on an acquired paper
+// hierarchy; the caller releases it (Release is promoted).
 func NewPrefetchHierarchy(pf Prefetcher) (*PrefetchHierarchy, error) {
-	h, err := NewXeonHierarchy()
+	h, err := AcquireXeon()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package pipeline
 
-import "vcprof/internal/obs"
+import (
+	"vcprof/internal/obs"
+	"vcprof/internal/uarch/cache"
+)
 
 // Process-wide obs counters for the out-of-order replay simulator.
 // One Run contributes once, at completion; totals aggregate every
@@ -31,7 +34,7 @@ var (
 
 // flushObs records one completed replay's headline events, including
 // the data-side cache traffic of the simulated hierarchy.
-func (s *Sim) flushObs(res *Result) {
+func flushObs(res *Result, mem *cache.Hierarchy) {
 	obsReplays.Add(1)
 	obsOps.Add(res.Ops)
 	obsCycles.Add(res.Cycles)
@@ -47,5 +50,5 @@ func (s *Sim) flushObs(res *Result) {
 	obsSlotsBadSpec.Add(res.BadSpecSlots)
 	obsSlotsFrontend.Add(res.FrontendSlots)
 	obsSlotsBackend.Add(res.BackendSlots)
-	s.mem.FlushObs()
+	mem.FlushObs()
 }

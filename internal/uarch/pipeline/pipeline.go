@@ -119,25 +119,21 @@ func (f *fuPool) reserve(ready, busy uint64) (start uint64) {
 	return start
 }
 
-// Sim replays micro-ops through the core model.
+// Sim replays micro-ops through the core model. It owns the front-end
+// state; the paper machine's data hierarchy is acquired per run.
 type Sim struct {
 	cfg    Config
 	pred   bpred.Predictor
 	btb    *bpred.BTB
-	mem    *cache.Hierarchy
 	icache *cache.Cache
 }
 
-// New builds a simulator with the paper machine's cache hierarchy.
+// New builds a simulator of the paper machine.
 func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p, err := bpred.NewByName(cfg.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := cache.NewXeonHierarchy()
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +145,7 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, pred: p, btb: btb, mem: mem, icache: ic}, nil
+	return &Sim{cfg: cfg, pred: p, btb: btb, icache: ic}, nil
 }
 
 func max64(a, b uint64) uint64 {
@@ -180,13 +176,15 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
+	mem, err := cache.AcquireXeon()
+	if err != nil {
+		return nil, err
+	}
+	defer mem.Release()
 	prod := topdown.StartProducer(ctx)
 	s.pred.Reset()
-	s.mem.Reset()
+	s.btb.Reset()
 	s.icache.Reset()
-	if btb, err := bpred.NewBTB(4096, 4); err == nil {
-		s.btb = btb
-	}
 	cfg := s.cfg
 	res := &Result{Ops: uint64(len(ops))}
 
@@ -295,7 +293,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 			}
 			start := ldp.reserve(ready, 1)
 			res.StallFU += start - ready
-			lat := s.mem.SpanAccess(op.Addr, int(op.Size), false)
+			lat := mem.SpanAccess(op.Addr, int(op.Size), false)
 			done = start + uint64(lat)
 			loadRing[nLoads%cfg.LQSize] = done
 			nLoads++
@@ -309,7 +307,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 			}
 			start := stp.reserve(ready, 1)
 			res.StallFU += start - ready
-			s.mem.SpanAccess(op.Addr, int(op.Size), true) // fills line; store buffer hides latency
+			mem.SpanAccess(op.Addr, int(op.Size), true) // fills line; store buffer hides latency
 			done = start + 1
 			storeRing[nStores%cfg.SQSize] = done
 			nStores++
@@ -378,7 +376,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	res.Retired = res.Ops
 	res.IPC = float64(res.Ops) / float64(res.Cycles)
 	res.BranchMPKI = float64(res.Mispredicts) / (float64(res.Ops) / 1000)
-	res.L1DMPKI, res.L2MPKI, res.LLCMPKI = s.mem.MPKI(res.Ops)
+	res.L1DMPKI, res.L2MPKI, res.LLCMPKI = mem.MPKI(res.Ops)
 
 	res.TotalSlots = res.Cycles * uint64(cfg.Width)
 	res.RetiringSlots = res.Ops
@@ -398,7 +396,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		Frontend: res.FrontendSlots,
 		Backend:  res.BackendSlots,
 	})
-	s.flushObs(res)
+	flushObs(res, mem)
 	return res, nil
 }
 

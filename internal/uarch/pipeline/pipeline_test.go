@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"vcprof/internal/trace"
@@ -192,6 +193,90 @@ func TestRunsAreIndependent(t *testing.T) {
 	}
 	if a.Cycles != b.Cycles || a.Mispredicts != b.Mispredicts || a.L1DMPKI != b.L1DMPKI {
 		t.Errorf("repeat run differs: %+v vs %+v", a, b)
+	}
+}
+
+// mixedWindow is a window that exercises every piece of state a Sim
+// carries between ops: strided loads and stores, vector work, and
+// taken branches at many pcs (BTB fills and evictions) with a
+// seed-dependent outcome pattern.
+func mixedWindow(n int, seed uint64) []trace.MicroOp {
+	ops := make([]trace.MicroOp, n)
+	s := seed
+	for i := range ops {
+		s = s*6364136223846793005 + 1442695040888963407
+		pc := trace.PC(0x400000 + (s>>40%6000)*16)
+		switch i % 6 {
+		case 0:
+			ops[i] = trace.MicroOp{PC: pc, Class: trace.OpLoad, Addr: 0x1000000*seed + uint64(i)*24, Size: 16}
+		case 1:
+			ops[i] = trace.MicroOp{PC: pc, Class: trace.OpStore, Addr: 0x2000000*seed + s>>20%(1<<20), Size: 8}
+		case 2, 3:
+			ops[i] = trace.MicroOp{PC: pc, Class: trace.OpAVX}
+		case 4:
+			ops[i] = trace.MicroOp{PC: pc, Class: trace.OpBranch, Taken: s>>33%4 != 0}
+		default:
+			ops[i] = trace.MicroOp{PC: pc, Class: trace.OpOther}
+		}
+	}
+	return ops
+}
+
+// TestSimReuseEqualsFresh: a Run leaves nothing behind. Two runs of one
+// window on one Sim return equal Results, and a Sim reused across
+// different windows returns what a new Sim returns for each — BTB,
+// predictor, instruction cache and the acquired data hierarchy all
+// start cold every time.
+func TestSimReuseEqualsFresh(t *testing.T) {
+	windows := [][]trace.MicroOp{mixedWindow(30_000, 1), mixedWindow(20_000, 2), mixedWindow(30_000, 1)}
+	reused, err := New(Broadwell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range windows {
+		fresh, err := New(Broadwell())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			got, err := reused.Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != *want {
+				t.Fatalf("window %d run %d on a reused Sim: %+v, a new Sim: %+v", i, rep, *got, *want)
+			}
+		}
+	}
+}
+
+// TestReplaySteadyStateAllocBytes is the replay half of the allocation
+// budget: once the free list holds a hierarchy, building a Sim and
+// running a short window allocates the front-end tables and the result,
+// not a cache hierarchy (7.9 MB; New used to build one per Sim and Run
+// a BTB per call).
+func TestReplaySteadyStateAllocBytes(t *testing.T) {
+	w := mixedWindow(5_000, 3)
+	pair := func() {
+		s, err := New(Broadwell())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	pair()
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a warm New+Run pair allocated %d bytes, want under 1 MB", grew)
 	}
 }
 
