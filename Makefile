@@ -1,6 +1,6 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build, the
 # vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the four fuzz targets, a single-iteration benchmark pass
+# short smoke of the seven fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the six end-to-end smokes, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -22,9 +22,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build lint lint-fixtures one-table one-machine loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build lint lint-fixtures one-table one-machine one-recorder loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build lint lint-fixtures one-table one-machine test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build lint lint-fixtures one-table one-machine one-recorder test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -68,6 +68,19 @@ one-table:
 one-machine:
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=cache --exclude-dir=bench \
 		'NewXeonHierarchy(' .
+
+# A recording is a trace.Tape written as the encode runs, and a window
+# is cut from it afterwards (DESIGN.md §4): no non-test file outside
+# internal/trace and bench/ appends micro-ops one at a time, and
+# perf/record.go holds exactly one Encode call — the recording one, run
+# again only for a run that outgrew its tape — so neither the per-op
+# recorder nor a counting encode ahead of every recording can creep
+# back.
+one-recorder:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=trace --exclude-dir=bench \
+		'append\(.*trace\.MicroOp\{' .
+	@test "$$(grep -c 'enc\.Encode(' internal/perf/record.go)" = 1 || \
+		{ echo "internal/perf/record.go must call enc.Encode exactly once"; exit 1; }
 
 # The canonical size figure every simplicity PR quotes: non-test Go
 # lines outside bench/.
@@ -182,3 +195,6 @@ fuzz-smoke:
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFastVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/cache -run=^$$ -fuzz=FuzzHierarchyRunVsUnrolled -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzTapeVsRefRecorder -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzReadBranchTrace -fuzztime=$(FUZZTIME)

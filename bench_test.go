@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"testing"
 
+	"vcprof/internal/cbp"
 	"vcprof/internal/codec"
 	"vcprof/internal/codec/entropy"
 	"vcprof/internal/codec/motion"
@@ -291,7 +292,7 @@ func BenchmarkTAGE8KWindowReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	branches := rec.Branches()
+	branches := rec.Tape.Branches(rec.Start, rec.Limit)
 	if len(branches) == 0 {
 		b.Fatal("window recorded no branches")
 	}
@@ -376,6 +377,47 @@ func BenchmarkPipelineReplay(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(len(ops)))
+}
+
+// benchWindow records the window the two benchmarks below are about:
+// the middle 400k ops of an SVT-AV1 encode of the bench clip.
+func benchWindow(b *testing.B, clip *video.Clip) *trace.Recorder {
+	b.Helper()
+	rec, _, err := perf.RecordWindow(context.Background(), encoders.MustNew(encoders.SVTAV1), clip,
+		encoders.Options{CRF: 40, Preset: 4}, 0.5, 400_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rec
+}
+
+// BenchmarkRecordWindow is the Pin substitute end to end: one encode
+// onto a tape and the window cut from it.
+func BenchmarkRecordWindow(b *testing.B) {
+	clip := benchClip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchWindow(b, clip)
+	}
+}
+
+// BenchmarkChampionshipZoo scores all nine predictors NewByName knows
+// on one recorded window, the offline half of a replay.
+func BenchmarkChampionshipZoo(b *testing.B) {
+	tr, err := cbp.FromRecorder("game1", benchWindow(b, benchClip(b)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	zoo := []string{"gshare-2KB", "gshare-32KB", "tage-8KB", "tage-64KB", "bimodal-8KB",
+		"perceptron-8KB", "perceptron-64KB", "tage-l-8KB", "tage-l-64KB"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cbp.Championship(zoo, []cbp.Trace{tr}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkAblationPrefetcher(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -32,6 +33,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vencode:", err)
 		os.Exit(1)
 	}
+}
+
+// writeFile creates path, lets write fill it and closes it. A failed
+// Close is a file shorter than what was written, so it is an error
+// like any other.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func run() error {
@@ -127,15 +143,7 @@ func run() error {
 		tr := sess.Lane(fmt.Sprintf("vencode/%s/%s", *encName, clip.Meta.Name))
 		encoders.ObserveResult(tr, res)
 		if *trOut != "" {
-			f, err := os.Create(*trOut)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteChromeTrace(f, sess); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(*trOut, func(w io.Writer) error { return obs.WriteChromeTrace(w, sess) }); err != nil {
 				return err
 			}
 			fmt.Printf("spantrace    %d spans → %s\n", tr.SpanCount(), *trOut)
@@ -169,28 +177,17 @@ func run() error {
 			return err
 		}
 		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
+			if err := writeFile(*traceOut, func(w io.Writer) error { return trace.WriteTrace(w, rec.Ops) }); err != nil {
 				return err
 			}
-			if err := trace.WriteTrace(f, rec.Ops); err != nil {
-				f.Close()
-				return err
-			}
-			f.Close()
 			fmt.Printf("optrace      %d ops (window at %d/%d) → %s\n", len(rec.Ops), rec.Start, total, *traceOut)
 		}
 		if *brOut != "" {
-			f, err := os.Create(*brOut)
-			if err != nil {
+			br := rec.Tape.Branches(rec.Start, rec.Limit)
+			if err := writeFile(*brOut, func(w io.Writer) error { return trace.WriteBranchTrace(w, br, uint64(len(rec.Ops))) }); err != nil {
 				return err
 			}
-			if err := trace.WriteBranchTrace(f, rec.Ops, uint64(len(rec.Ops))); err != nil {
-				f.Close()
-				return err
-			}
-			f.Close()
-			fmt.Printf("branchtrace  %d branches → %s\n", len(rec.Branches()), *brOut)
+			fmt.Printf("branchtrace  %d branches → %s\n", len(br), *brOut)
 		}
 	}
 	return nil

@@ -46,10 +46,10 @@ import "fmt"
 //     scope for the same reason, as is the hierarchy free list every
 //     stat cell and replay acquires from.
 //   - hotalloc: the codec kernels, the per-op simulator loops and the
-//     run consumers between them (the trace sink adapters,
-//     bpred.Monitor.Loop, cache.Hierarchy.Run) are the measured hot
-//     paths; allocations there distort the counts the experiments
-//     report.
+//     run consumers between them (the trace sink adapters, the tape's
+//     writers and its Expand/Branches/Play readers, bpred.Monitor.Loop,
+//     cache.Hierarchy.Run) are the measured hot paths; allocations
+//     there distort the counts the experiments report.
 //   - detenv: nothing under internal/ may read host environment state;
 //     cmd/ front-ends pass such values down as explicit configuration.
 //   - httpctx: the service daemon's and the cluster gate's HTTP
@@ -150,6 +150,7 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/uarch/bpred",
 			"vcprof/internal/trace/ctx.go",
 			"vcprof/internal/trace/sink.go",
+			"vcprof/internal/trace/tape.go",
 		}),
 		NewDetEnv([]string{"vcprof/internal"}),
 		NewHTTPCtx([]string{

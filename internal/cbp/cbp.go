@@ -22,20 +22,33 @@ type Trace struct {
 	Instructions uint64
 }
 
-// FromRecorder extracts a CBP trace from a recorded micro-op window.
+// FromRecorder extracts a CBP trace from a recorder's window: the
+// branches come straight off the tape, sized exactly.
 func FromRecorder(name string, rec *trace.Recorder) (Trace, error) {
 	if rec == nil {
 		return Trace{}, fmt.Errorf("cbp: nil recorder")
 	}
-	br := rec.Branches()
+	br := rec.Tape.Branches(rec.Start, rec.Limit)
 	if len(br) == 0 {
 		return Trace{}, fmt.Errorf("cbp: window %q contains no branches", name)
 	}
-	n := uint64(len(rec.Ops))
-	if rec.Limit < n {
-		n = rec.Limit
+	return Trace{Name: name, Branches: br, Instructions: uint64(len(rec.Ops))}, nil
+}
+
+// validate checks that a trace can be scored.
+func (tr Trace) validate() error {
+	if len(tr.Branches) == 0 {
+		return fmt.Errorf("cbp: trace %q is empty", tr.Name)
 	}
-	return Trace{Name: name, Branches: br, Instructions: n}, nil
+	if tr.Instructions == 0 {
+		return fmt.Errorf("cbp: trace %q has no instruction window size", tr.Name)
+	}
+	for i := range tr.Branches {
+		if b := &tr.Branches[i]; !b.IsBranch() {
+			return fmt.Errorf("cbp: trace %q contains non-branch op class %v", tr.Name, b.Class)
+		}
+	}
+	return nil
 }
 
 // Score is one predictor's result on one trace.
@@ -50,18 +63,18 @@ type Score struct {
 
 // Run replays one trace through one predictor (which is Reset first).
 func Run(p bpred.Predictor, tr Trace) (Score, error) {
-	if len(tr.Branches) == 0 {
-		return Score{}, fmt.Errorf("cbp: trace %q is empty", tr.Name)
-	}
-	if tr.Instructions == 0 {
-		return Score{}, fmt.Errorf("cbp: trace %q has no instruction window size", tr.Name)
+	if err := tr.validate(); err != nil {
+		return Score{}, err
 	}
 	p.Reset()
+	return replay(p, tr), nil
+}
+
+// replay scores a validated trace on a predictor in its reset state.
+func replay(p bpred.Predictor, tr Trace) Score {
 	var miss uint64
-	for _, b := range tr.Branches {
-		if !b.IsBranch() {
-			return Score{}, fmt.Errorf("cbp: trace %q contains non-branch op class %v", tr.Name, b.Class)
-		}
+	for i := range tr.Branches {
+		b := &tr.Branches[i]
 		if p.Predict(uint64(b.PC)) != b.Taken {
 			miss++
 		}
@@ -75,23 +88,29 @@ func Run(p bpred.Predictor, tr Trace) (Score, error) {
 		Mispredicts: miss,
 		MissRate:    float64(miss) / float64(n),
 		MPKI:        float64(miss) / (float64(tr.Instructions) / 1000),
-	}, nil
+	}
 }
 
-// Championship evaluates every named predictor on every trace.
+// Championship evaluates every named predictor on every trace. Each
+// trace is validated once, not once per predictor, and a predictor is
+// reset only between traces: it is built in its reset state.
 func Championship(predictorNames []string, traces []Trace) ([]Score, error) {
-	var out []Score
+	for _, tr := range traces {
+		if err := tr.validate(); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Score, 0, len(predictorNames)*len(traces))
 	for _, name := range predictorNames {
 		p, err := bpred.NewByName(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, tr := range traces {
-			s, err := Run(p, tr)
-			if err != nil {
-				return nil, err
+		for i, tr := range traces {
+			if i > 0 {
+				p.Reset()
 			}
-			out = append(out, s)
+			out = append(out, replay(p, tr))
 		}
 	}
 	return out, nil

@@ -106,27 +106,29 @@ func TestChampionshipErrors(t *testing.T) {
 
 func TestFromRecorder(t *testing.T) {
 	tc := trace.New()
-	rec := trace.NewRecorder(0, 1000)
+	rec := &trace.Recorder{}
 	tc.AttachRecorder(rec)
 	for i := 0; i < 300; i++ {
 		tc.Op(trace.OpAVX, 2)
 		tc.Branch(trace.Site("cbp/test"), i%2 == 0)
 	}
+	rec.Cut(1, 600)
 	tr, err := FromRecorder("w", rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Branches) == 0 {
-		t.Fatal("no branches extracted")
+	if len(tr.Branches) != 200 || tr.Instructions != 600 {
+		t.Fatalf("window [1, 601): %d branches of %d instructions, want 200 of 600", len(tr.Branches), tr.Instructions)
 	}
-	if tr.Instructions == 0 {
-		t.Error("no window size recorded")
+	for i, b := range tr.Branches {
+		if want := (trace.MicroOp{PC: trace.Site("cbp/test"), Class: trace.OpBranch, Taken: i%2 == 0}); b != want {
+			t.Fatalf("branch %d = %+v, want %+v", i, b, want)
+		}
 	}
 	if _, err := FromRecorder("nil", nil); err == nil {
 		t.Error("accepted nil recorder")
 	}
-	empty := trace.NewRecorder(0, 10)
-	if _, err := FromRecorder("e", empty); err == nil {
+	if _, err := FromRecorder("e", &trace.Recorder{}); err == nil {
 		t.Error("accepted branchless window")
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/memo"
@@ -177,20 +178,19 @@ func (c Cell) run(ctx context.Context) (CellResult, error) {
 	return CellResult{}, fmt.Errorf("harness: unknown cell kind %d", c.Kind)
 }
 
-// weight returns the eviction weight of a completed cell. Window cells
-// hold the recorded micro-ops and dominate memory; everything else is a
-// handful of counters.
+// weight returns the eviction weight of a completed cell in bytes.
+// Window cells hold a window's micro-ops and the chunks of tape they
+// were cut from, and dominate memory; everything else is a handful of
+// counters, charged a nominal byte.
 func (r CellResult) weight() int64 {
 	if r.Rec != nil {
-		return 1 + int64(len(r.Rec.Ops))
+		return int64(len(r.Rec.Ops))*int64(unsafe.Sizeof(trace.MicroOp{})) + r.Rec.Tape.Bytes()
 	}
 	return 1
 }
 
-// defaultCellWeight bounds the memo cache: roughly the micro-op count
-// held by cached windows (~32 bytes per op, so 4M ≈ 128MB) plus one
-// unit per light cell.
-const defaultCellWeight = 4 << 20
+// defaultCellWeight bounds the memo cache at 128 MB of cached windows.
+const defaultCellWeight = 128 << 20
 
 // cellMemo is the process-wide cell cache (memo.Memo: exactly-once,
 // weight-bounded LRU, cancellation never cached). Dropped cells are

@@ -155,9 +155,20 @@ func TestCellCacheBounded(t *testing.T) {
 	defer ResetCellCache()
 	s := equivScale()
 	s.WindowOps = 50_000
-	// Budget fits roughly one window; recording three must evict.
-	cellMemo.SetCap(60_000)
-	for _, crf := range []int{10, 35, 60} {
+	// A cached window is charged the bytes it holds: its 16-byte ops
+	// and its run's tape.
+	first, _, err := getCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", 10, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := int64(len(first.Rec.Ops))*16 + first.Rec.Tape.Bytes()
+	if w := CellCacheStats().Weight; w != held || len(first.Rec.Ops) != 50_000 {
+		t.Fatalf("a window of %d ops and %d tape bytes is charged %d, want %d", len(first.Rec.Ops), first.Rec.Tape.Bytes(), w, held)
+	}
+	// Budget fits roughly one window (a 50,000-op window in 60,000 ops'
+	// worth of bytes); recording three must evict.
+	cellMemo.SetCap(held * 6 / 5)
+	for _, crf := range []int{35, 60} {
 		if _, _, err := getCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", crf, 4)); err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"vcprof/internal/cbp"
 	"vcprof/internal/encoders"
-	"vcprof/internal/trace"
 	"vcprof/internal/uarch/cache"
 )
 
@@ -70,6 +69,13 @@ func planAblationPredictor(s Scale) (*Plan, error) {
 	return &Plan{Cells: cells, Assemble: assemble}, nil
 }
 
+// lineSink drives the prefetch ablation's hierarchies through their
+// own Access, one access at a time and each touching only the line of
+// its first byte: the prefetchers train on every demand access.
+type lineSink func(addr uint64, store bool) int
+
+func (f lineSink) Access(addr uint64, _ int, store bool) { f(addr, store) }
+
 // planAblationCache replays one recorded window against alternative
 // cache geometries (paper machine vs smaller LLC vs bigger L2). Its
 // window cell is the same one ablation-predictor records.
@@ -93,14 +99,8 @@ func planAblationCache(s Scale) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			var n uint64
-			for _, op := range rec.Ops {
-				if op.IsMem() {
-					h.SpanAccess(op.Addr, int(op.Size), op.Class == trace.OpStore)
-				}
-				n++
-			}
-			a, b, c := h.MPKI(n)
+			rec.Tape.Play(rec.Start, rec.Limit, nil, cache.Sink{Hierarchy: h})
+			a, b, c := h.MPKI(uint64(len(rec.Ops)))
 			t.AddRow(g.name, f2(a), f2(b), f3(c))
 		}
 		return []*Table{t}, nil
@@ -141,13 +141,8 @@ func planAblationPrefetch(s Scale) (*Plan, error) {
 			name string
 			h    accessor
 		}{{"none", plain}, {"next-line", nl}, {"stride", st}} {
-			n := uint64(len(rec.Ops))
-			for _, op := range rec.Ops {
-				if op.IsMem() {
-					row.h.Access(op.Addr, op.Class == trace.OpStore)
-				}
-			}
-			a, b, c := row.h.MPKI(n)
+			rec.Tape.Play(rec.Start, rec.Limit, nil, lineSink(row.h.Access))
+			a, b, c := row.h.MPKI(uint64(len(rec.Ops)))
 			t.AddRow(row.name, f2(a), f2(b), f3(c))
 		}
 		return []*Table{t}, nil

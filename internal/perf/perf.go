@@ -68,19 +68,6 @@ type Counters struct {
 // milliseconds: retired cycles at BaseHz.
 func (c *Counters) ModeledMS() float64 { return float64(c.Cycles) / BaseHz * 1e3 }
 
-// memSink adapts the cache hierarchy to the trace layer.
-type memSink struct {
-	h *cache.Hierarchy
-}
-
-func (m *memSink) Access(addr uint64, size int, store bool) {
-	m.h.SpanAccess(addr, size, store)
-}
-
-func (m *memSink) Run(addr uint64, count, stride, size int, store bool) {
-	m.h.Run(addr, count, stride, size, store)
-}
-
 // takenCounter tracks taken branches for the frontend model.
 type takenCounter struct {
 	taken uint64
@@ -121,7 +108,7 @@ func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, cl
 	tc := trace.New()
 	tc.AttachBranchSink(mon)
 	tc.AttachBranchSink(taken)
-	tc.AttachMemSink(&memSink{h: hier})
+	tc.AttachMemSink(cache.Sink{Hierarchy: hier})
 	// Streaming top-down: attached last so each flush sees the monitors
 	// already updated for the triggering branch. Disabled (nil producer)
 	// unless the context carries accumulators.

@@ -15,11 +15,17 @@ import (
 // ops, and the cap keeps pipeline replay fast.
 const DefaultWindowOps = 400_000
 
-// RecordWindow is the Pin substitute: it runs the encode once to count
-// total instructions, then reruns it recording a micro-op window of up
-// to limit ops starting at fraction frac of the run (the paper uses a
-// window "roughly halfway through the encoding run", frac = 0.5).
-// Encodes are deterministic, so the two runs see identical streams.
+// RecordWindow is the Pin substitute: it runs the encode with the
+// instruction stream going onto the recorder's tape, and then cuts a
+// micro-op window of up to limit ops starting at fraction frac of the
+// run (the paper uses a window "roughly halfway through the encoding
+// run", frac = 0.5). The run's length is known only at its end, which
+// is why the window is placed afterwards: keeping the run's records
+// costs a few MB, a counting encode beforehand as much as the encode.
+// A tape keeps the most recent 32 MB of a run, though; when the run
+// outgrows that and the window has slid off the tape, the encode is run
+// once more with the tape told the window. Encodes are deterministic,
+// so both runs see identical streams.
 func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts encoders.Options, frac float64, limit uint64) (*trace.Recorder, uint64, error) {
 	if enc == nil || clip == nil {
 		return nil, 0, fmt.Errorf("perf: nil encoder or clip")
@@ -30,58 +36,37 @@ func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, o
 	if limit == 0 {
 		limit = DefaultWindowOps
 	}
-	countCtx := trace.New()
 	opts.Threads = 1
 	// Window recording needs the inline path's stable instruction
 	// order so the recorded [start, start+limit) slice is well-defined.
 	opts.Pool = nil
-	opts.NewWorkerCtx = func(int) *trace.Ctx { return countCtx }
-	if _, err := enc.Encode(ctx, clip, opts); err != nil {
+	record := func(rec *trace.Recorder) error {
+		tc := trace.New()
+		tc.AttachRecorder(rec)
+		opts.NewWorkerCtx = func(int) *trace.Ctx { return tc }
+		_, err := enc.Encode(ctx, clip, opts)
+		return err
+	}
+	rec := &trace.Recorder{}
+	if err := record(rec); err != nil {
 		return nil, 0, err
 	}
-	total := countCtx.Total()
+	total := rec.Tape.Total()
 	if total == 0 {
 		return nil, 0, fmt.Errorf("perf: encode produced no instructions")
 	}
-	start := uint64(float64(total) * frac)
-	if start+limit > total {
-		if limit > total {
-			limit = total
+	limit = min(limit, total)
+	start := min(uint64(float64(total)*frac), total-limit)
+	if !rec.Tape.Holds(start, limit) {
+		rec = &trace.Recorder{}
+		rec.Tape.Keep(start, limit)
+		if err := record(rec); err != nil {
+			return nil, 0, err
 		}
-		start = total - limit
 	}
-	rec := trace.NewRecorder(start, limit)
-	// start+limit <= total, so the window fills exactly: size it once.
-	// Grown by append, a 1M-op window allocated ~120 MB to end at 24 MB,
-	// and the copying and collection that came with it were 40% of a
-	// replay's CPU and most of its run-to-run spread.
-	rec.Ops = make([]trace.MicroOp, 0, limit)
-	recCtx := trace.New()
-	recCtx.AttachRecorder(rec)
-	opts.NewWorkerCtx = func(int) *trace.Ctx { return recCtx }
-	if _, err := enc.Encode(ctx, clip, opts); err != nil {
-		return nil, 0, err
-	}
+	rec.Cut(start, limit)
 	if len(rec.Ops) == 0 {
 		return nil, 0, fmt.Errorf("perf: recorded window is empty (total=%d start=%d limit=%d)", total, start, limit)
 	}
 	return rec, total, nil
-}
-
-// Profile is the gprof substitute: it runs the encode with per-function
-// accounting and returns the flat profile.
-func Profile(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts encoders.Options) (*trace.Profile, error) {
-	if enc == nil || clip == nil {
-		return nil, fmt.Errorf("perf: nil encoder or clip")
-	}
-	prof := trace.NewProfile()
-	tc := trace.New()
-	tc.AttachProfile(prof)
-	opts.Threads = 1
-	opts.Pool = nil
-	opts.NewWorkerCtx = func(int) *trace.Ctx { return tc }
-	if _, err := enc.Encode(ctx, clip, opts); err != nil {
-		return nil, err
-	}
-	return prof, nil
 }

@@ -6,16 +6,17 @@ package trace
 // thread-scaling measurements) pay almost nothing.
 //
 // A Ctx always counts the instruction mix. Optional sinks add live
-// branch-predictor and cache simulation; an optional Recorder captures a
-// full micro-op window for out-of-order pipeline replay; an optional
-// Profile accumulates gprof-style per-function instruction counts.
+// branch-predictor and cache simulation; an optional Recorder keeps the
+// run on a Tape, from which micro-op windows are cut for replay; an
+// optional Profile accumulates gprof-style per-function instruction
+// counts.
 type Ctx struct {
 	Mix   Mix
 	total uint64
 
 	branchSinks []LoopSink
 	memSinks    []RunSink
-	rec         *Recorder
+	tape        *Tape
 	prof        *Profile
 
 	cur   FuncID
@@ -34,26 +35,19 @@ func New() *Ctx { return &Ctx{} }
 // several sinks a run goes to each in attach order before the next
 // run is issued.
 func (c *Ctx) AttachBranchSink(s BranchSink) {
-	ls, ok := s.(LoopSink)
-	if !ok {
-		ls = unrolledBranches{s}
-	}
-	c.branchSinks = append(c.branchSinks, ls)
+	c.branchSinks = append(c.branchSinks, asLoopSink(s))
 }
 
 // AttachMemSink adds a live memory-access consumer, by the same rule:
 // a RunSink receives each Loads/Stores as one call, any other sink is
 // wrapped and sees every access.
 func (c *Ctx) AttachMemSink(s MemSink) {
-	rs, ok := s.(RunSink)
-	if !ok {
-		rs = unrolledAccesses{s}
-	}
-	c.memSinks = append(c.memSinks, rs)
+	c.memSinks = append(c.memSinks, asRunSink(s))
 }
 
-// AttachRecorder sets the micro-op recorder.
-func (c *Ctx) AttachRecorder(r *Recorder) { c.rec = r }
+// AttachRecorder sets the recorder whose tape every instruction
+// reported from here on is written to.
+func (c *Ctx) AttachRecorder(r *Recorder) { c.tape = &r.Tape }
 
 // AttachProfile sets the per-function profile accumulator.
 func (c *Ctx) AttachProfile(p *Profile) { c.prof = p }
@@ -73,8 +67,8 @@ func (c *Ctx) Op(class OpClass, n int) {
 	}
 	c.Mix[class] += uint64(n)
 	c.account(uint64(n))
-	if c.rec != nil {
-		c.rec.ops(c.total-uint64(n), class, n)
+	if c.tape != nil {
+		c.tape.Op(class, n)
 	}
 }
 
@@ -103,8 +97,8 @@ func (c *Ctx) mem(pc PC, addr uint64, count, stride, size int, store bool) {
 	for _, s := range c.memSinks {
 		s.Run(addr, count, stride, size, store)
 	}
-	if c.rec != nil {
-		c.rec.mems(c.total-uint64(count), pc, addr, count, stride, size, store)
+	if c.tape != nil {
+		c.tape.Mem(pc, addr, count, stride, size, store)
 	}
 }
 
@@ -118,8 +112,8 @@ func (c *Ctx) Branch(pc PC, taken bool) {
 	for _, s := range c.branchSinks {
 		s.Branch(pc, taken)
 	}
-	if c.rec != nil {
-		c.rec.branch(c.total-1, pc, taken)
+	if c.tape != nil {
+		c.tape.Branch(pc, taken)
 	}
 }
 
@@ -141,8 +135,8 @@ func (c *Ctx) Loop(pc PC, iters int) {
 	for _, s := range c.branchSinks {
 		s.Loop(pc, iters)
 	}
-	if c.rec != nil {
-		c.rec.loop(c.total-n, pc, iters)
+	if c.tape != nil {
+		c.tape.Loop(pc, iters)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary trace container written by cmd/vencode and consumed by
@@ -49,6 +50,37 @@ func WriteTrace(w io.Writer, ops []MicroOp) error {
 	return bw.Flush()
 }
 
+// maxPrealloc bounds what a header's count may reserve before any
+// record has been read. Past it the slice grows as records arrive, so
+// reading a file costs memory in proportion to its real length, not to
+// what its first 16 bytes claim.
+const maxPrealloc = 1 << 16
+
+// readOps reads count fixed-size records, decoding each into an op.
+func readOps(br *bufio.Reader, count uint64, rec []byte, decode func() (MicroOp, error)) ([]MicroOp, error) {
+	ops := make([]MicroOp, 0, min(count, maxPrealloc))
+	for i := uint64(0); i < count; i++ {
+		if _, err := io.ReadFull(br, rec); err != nil {
+			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
+		}
+		op, err := decode()
+		if err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+		}
+		ops = append(ops, op)
+	}
+	return ops, nil
+}
+
+// readPC decodes a stored 64-bit pc, rejecting one a PC cannot hold.
+func readPC(b []byte) (PC, error) {
+	pc := binary.LittleEndian.Uint64(b)
+	if pc > math.MaxUint32 {
+		return 0, fmt.Errorf("pc %#x out of range", pc)
+	}
+	return PC(pc), nil
+}
+
 // ReadTrace deserializes a trace written by WriteTrace.
 func ReadTrace(r io.Reader) ([]MicroOp, error) {
 	br := bufio.NewReader(r)
@@ -67,25 +99,21 @@ func ReadTrace(r io.Reader) ([]MicroOp, error) {
 	if count > maxOps {
 		return nil, fmt.Errorf("trace: unreasonable op count %d", count)
 	}
-	ops := make([]MicroOp, 0, count)
 	var rec [recordSize]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
-		}
+	return readOps(br, count, rec[:], func() (MicroOp, error) {
 		cls := OpClass(rec[16])
 		if cls >= NumClasses {
-			return nil, fmt.Errorf("trace: invalid op class %d at record %d", rec[16], i)
+			return MicroOp{}, fmt.Errorf("invalid op class %d", rec[16])
 		}
-		ops = append(ops, MicroOp{
-			PC:    PC(binary.LittleEndian.Uint64(rec[0:8])),
+		pc, err := readPC(rec[0:8])
+		return MicroOp{
+			PC:    pc,
 			Addr:  binary.LittleEndian.Uint64(rec[8:16]),
 			Class: cls,
 			Size:  rec[17],
 			Taken: rec[18] != 0,
-		})
-	}
-	return ops, nil
+		}, err
+	})
 }
 
 // Branch-only trace container ("VCBR"): the compact format the CBP
@@ -154,17 +182,13 @@ func ReadBranchTrace(r io.Reader) ([]MicroOp, uint64, error) {
 	if count > 1<<31 {
 		return nil, 0, fmt.Errorf("trace: unreasonable branch count %d", count)
 	}
-	ops := make([]MicroOp, 0, count)
-	var rec [branchRecordSize]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, 0, fmt.Errorf("trace: truncated branch trace at record %d: %w", i, err)
-		}
-		ops = append(ops, MicroOp{
-			PC:    PC(binary.LittleEndian.Uint64(rec[0:8])),
-			Class: OpBranch,
-			Taken: rec[8] != 0,
-		})
+	if window == 0 || window < count {
+		return nil, 0, fmt.Errorf("trace: window of %d instructions cannot hold %d branches", window, count)
 	}
-	return ops, window, nil
+	var rec [branchRecordSize]byte
+	ops, err := readOps(br, count, rec[:], func() (MicroOp, error) {
+		pc, err := readPC(rec[0:8])
+		return MicroOp{PC: pc, Class: OpBranch, Taken: rec[8] != 0}, err
+	})
+	return ops, window, err
 }

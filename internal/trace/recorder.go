@@ -2,9 +2,11 @@ package trace
 
 // MicroOp is one recorded dynamic instruction, the unit replayed by the
 // out-of-order pipeline model and the CBP branch-prediction harness.
+// It is 16 bytes (Addr first, a 32-bit PC): a window is millions of
+// them, written once and read by every replay.
 type MicroOp struct {
-	PC    PC
 	Addr  uint64 // memory ops: effective address; others: 0
+	PC    PC
 	Class OpClass
 	Size  uint8 // memory ops: access width in bytes
 	Taken bool  // branches: outcome
@@ -16,93 +18,29 @@ func (o MicroOp) IsBranch() bool { return o.Class == OpBranch }
 // IsMem reports whether the op accesses memory.
 func (o MicroOp) IsMem() bool { return o.Class == OpLoad || o.Class == OpStore }
 
-// Recorder captures a window of the dynamic instruction stream, mirroring
-// the paper's methodology of tracing a fixed-length interval (1 billion
-// instructions, scaled here) roughly halfway through the encode rather
-// than the whole multi-hour run.
+// Recorder writes the run of the Ctx it is attached to onto its Tape,
+// and holds one window cut from it: the paper traces a fixed-length
+// interval (1 billion instructions, scaled here) roughly halfway
+// through the encode rather than the whole multi-hour run, and where
+// halfway is is known only once the run is over. The zero Recorder is
+// ready to attach.
 type Recorder struct {
-	// Start and Limit bound the recorded window in dynamic instruction
-	// indices: ops with index in [Start, Start+Limit) are kept.
+	// Start and Limit bound the window in dynamic instruction indices
+	// and Ops holds its micro-ops, those with index in
+	// [Start, Start+Limit); all three are set by Cut.
 	Start uint64
 	Limit uint64
 	Ops   []MicroOp
+	Tape  Tape
 }
 
-// NewRecorder records up to limit micro-ops starting at dynamic
-// instruction index start. A limit of 0 records nothing.
-func NewRecorder(start, limit uint64) *Recorder {
-	return &Recorder{Start: start, Limit: limit}
-}
-
-// Full reports whether the window has been completely captured.
-func (r *Recorder) Full() bool { return uint64(len(r.Ops)) >= r.Limit }
-
-func (r *Recorder) inWindow(idx uint64) bool {
-	return idx >= r.Start && idx < r.Start+r.Limit
-}
-
-// ops expands a batched non-memory event whose first dynamic index is
-// firstIdx.
-func (r *Recorder) ops(firstIdx uint64, class OpClass, n int) {
-	if firstIdx+uint64(n) <= r.Start || firstIdx >= r.Start+r.Limit {
-		return
-	}
-	pc := classPC(class)
-	for i := 0; i < n; i++ {
-		if r.inWindow(firstIdx + uint64(i)) {
-			r.Ops = append(r.Ops, MicroOp{PC: pc, Class: class})
-		}
-	}
-}
-
-func (r *Recorder) mems(firstIdx uint64, pc PC, addr uint64, count, stride, size int, store bool) {
-	if firstIdx+uint64(count) <= r.Start || firstIdx >= r.Start+r.Limit {
-		return
-	}
-	class := OpLoad
-	if store {
-		class = OpStore
-	}
-	sz := uint8(size)
-	if size > 255 {
-		sz = 255
-	}
-	a := addr
-	for i := 0; i < count; i++ {
-		if r.inWindow(firstIdx + uint64(i)) {
-			r.Ops = append(r.Ops, MicroOp{PC: pc, Addr: a, Class: class, Size: sz})
-		}
-		a += uint64(stride)
-	}
-}
-
-func (r *Recorder) branch(idx uint64, pc PC, taken bool) {
-	if r.inWindow(idx) {
-		r.Ops = append(r.Ops, MicroOp{PC: pc, Class: OpBranch, Taken: taken})
-	}
-}
-
-func (r *Recorder) loop(firstIdx uint64, pc PC, iters int) {
-	if firstIdx+uint64(iters) <= r.Start || firstIdx >= r.Start+r.Limit {
-		return
-	}
-	for i := 0; i < iters; i++ {
-		if r.inWindow(firstIdx + uint64(i)) {
-			r.Ops = append(r.Ops, MicroOp{PC: pc, Class: OpBranch, Taken: i < iters-1})
-		}
-	}
-}
-
-// Branches returns only the conditional-branch ops of the window, the
-// input format of the CBP harness.
-func (r *Recorder) Branches() []MicroOp {
-	out := make([]MicroOp, 0, len(r.Ops)/16)
-	for _, op := range r.Ops {
-		if op.IsBranch() {
-			out = append(out, op)
-		}
-	}
-	return out
+// Cut places the window at [start, start+limit), which the tape must
+// hold, materialises its micro-ops and lets go of the rest of the tape;
+// a window reaching past the end of the run holds the ops that exist.
+func (r *Recorder) Cut(start, limit uint64) {
+	r.Start, r.Limit = start, limit
+	r.Ops = r.Tape.Expand(start, limit)
+	r.Tape.Trim(start, limit)
 }
 
 // classPC returns a stable synthetic PC for batched anonymous ops of a

@@ -31,8 +31,17 @@ type RunSink interface {
 
 // unrolledBranches adapts a per-event BranchSink to the run protocol.
 // It and unrolledAccesses are the only places a run is expanded into
-// events on the live path.
+// events for a sink.
 type unrolledBranches struct{ BranchSink }
+
+// asLoopSink returns s itself when it consumes runs, and s behind the
+// unrolling adapter otherwise.
+func asLoopSink(s BranchSink) LoopSink {
+	if ls, ok := s.(LoopSink); ok {
+		return ls
+	}
+	return unrolledBranches{s}
+}
 
 func (u unrolledBranches) Loop(pc PC, iters int) {
 	for i := 1; i < iters; i++ {
@@ -43,6 +52,13 @@ func (u unrolledBranches) Loop(pc PC, iters int) {
 
 // unrolledAccesses adapts a per-event MemSink to the run protocol.
 type unrolledAccesses struct{ MemSink }
+
+func asRunSink(s MemSink) RunSink {
+	if rs, ok := s.(RunSink); ok {
+		return rs
+	}
+	return unrolledAccesses{s}
+}
 
 func (u unrolledAccesses) Run(addr uint64, count, stride, size int, store bool) {
 	for i := 0; i < count; i++ {

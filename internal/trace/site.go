@@ -9,8 +9,10 @@ import (
 // (a loop branch, a compare, a kernel's load stream) registers once and
 // receives a stable PC, so dynamic events from the same source location
 // share a PC exactly as native branches share an address — the property
-// branch predictors and BTBs key on.
-type PC uint64
+// branch predictors and BTBs key on. The synthetic text segment ends
+// below 8 MiB, so a PC is 32 bits, which is what lets a MicroOp be 16
+// bytes and a tape record carry its PC in the header word.
+type PC uint32
 
 // FuncID identifies a function for gprof-style profiling.
 type FuncID uint32

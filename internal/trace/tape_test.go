@@ -1,0 +1,359 @@
+package trace
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+)
+
+// TestMicroOpIs16Bytes pins the layout every window's cost is quoted
+// against: Addr, then a 32-bit PC and three bytes.
+func TestMicroOpIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(MicroOp{}); n != 16 {
+		t.Fatalf("MicroOp is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(PC(0)); n != 4 {
+		t.Fatalf("PC is %d bytes, want 4", n)
+	}
+}
+
+// event is one call a kernel makes on a Ctx.
+type event struct {
+	kind            int // 0 Op, 1 Loads, 2 Stores, 3 Branch, 4 Loop
+	class           OpClass
+	pc              PC
+	addr            uint64
+	n, stride, size int
+	taken           bool
+}
+
+// emit reports the events to a Ctx with rec attached.
+func emit(events []event, rec *Recorder) *Recorder {
+	c := New()
+	c.AttachRecorder(rec)
+	for _, e := range events {
+		switch e.kind {
+		case 0:
+			c.Op(e.class, e.n)
+		case 1:
+			c.Loads(e.pc, e.addr, e.n, e.stride, e.size)
+		case 2:
+			c.Stores(e.pc, e.addr, e.n, e.stride, e.size)
+		case 3:
+			c.Branch(e.pc, e.taken)
+		default:
+			c.Loop(e.pc, e.n)
+		}
+	}
+	return rec
+}
+
+// refWindow records the window of the same events the way the parent's
+// Ctx drove its per-op recorder, and returns it with the run's total.
+func refWindow(events []event, start, limit uint64) (*refRecorder, uint64) {
+	r := &refRecorder{Start: start, Limit: limit}
+	var total uint64
+	for _, e := range events {
+		switch {
+		case e.kind <= 2 && e.n <= 0:
+		case e.kind == 0:
+			r.ops(total, e.class, e.n)
+			total += uint64(e.n)
+		case e.kind <= 2:
+			r.mems(total, e.pc, e.addr, e.n, e.stride, e.size, e.kind == 2)
+			total += uint64(e.n)
+		case e.kind == 3 || e.n < 1:
+			r.branch(total, e.pc, e.kind == 3 && e.taken)
+			total++
+		default:
+			r.loop(total, e.pc, e.n)
+			total += uint64(e.n)
+		}
+	}
+	return r, total
+}
+
+// perEvent captures what a sink with neither run method sees.
+type perEvent struct {
+	branches []MicroOp
+	accesses []MicroOp
+}
+
+func (p *perEvent) Branch(pc PC, taken bool) {
+	p.branches = append(p.branches, MicroOp{PC: pc, Class: OpBranch, Taken: taken})
+}
+
+func (p *perEvent) Access(addr uint64, size int, store bool) {
+	class := OpLoad
+	if store {
+		class = OpStore
+	}
+	p.accesses = append(p.accesses, MicroOp{Addr: addr, Class: class, Size: uint8(size)})
+}
+
+// checkWindow compares the three readers on one window with the
+// reference recorder's per-op result, for three tapes: the run's own,
+// that tape trimmed to the window, and one told the window beforehand.
+func checkWindow(t testing.TB, events []event, rec *Recorder, start, limit uint64) {
+	t.Helper()
+	refLimit := limit
+	if start+limit < start {
+		// The reference's start+limit wraps and it records nothing; the
+		// tape reads such a window as "to the end of the run".
+		refLimit = ^uint64(0) - start
+	}
+	ref, total := refWindow(events, start, refLimit)
+	where := fmt.Sprintf("window [%d, +%d) of %d", start, limit, total)
+	checkTape(t, where+", whole tape", &rec.Tape, ref, total, start, limit)
+	trimmed := rec.Tape
+	trimmed.Trim(start, limit)
+	checkTape(t, where+", trimmed tape", &trimmed, ref, total, start, limit)
+	kept := &Recorder{}
+	kept.Tape.Keep(start, limit)
+	checkTape(t, where+", tape told the window", &emit(events, kept).Tape, ref, total, start, limit)
+	// A window shorter than a chunk has its records in two at most.
+	if most := int64(2 * chunkWords * 8); len(ref.Ops) < chunkWords && (trimmed.Bytes() > most || kept.Tape.Bytes() > most) {
+		t.Fatalf("%s: trimmed tape holds %d bytes, tape told the window %d", where, trimmed.Bytes(), kept.Tape.Bytes())
+	}
+}
+
+func checkTape(t testing.TB, where string, tape *Tape, ref *refRecorder, total, start, limit uint64) {
+	t.Helper()
+	if tape.Total() != total {
+		t.Fatalf("%s: total %d", where, tape.Total())
+	}
+	if !tape.Holds(start, limit) {
+		t.Fatalf("%s: not held", where)
+	}
+	got := tape.Expand(start, limit)
+	if len(got) != cap(got) {
+		t.Fatalf("%s: Expand returned len %d cap %d, want an exact-size slice", where, len(got), cap(got))
+	}
+	if i := firstDiff(got, ref.Ops); i >= 0 {
+		t.Fatalf("%s: Expand differs from the reference at op %d of %d/%d:\n got %+v\nwant %+v",
+			where, i, len(got), len(ref.Ops), at(got, i), at(ref.Ops, i))
+	}
+	br, refBr := tape.Branches(start, limit), ref.Branches()
+	if len(br) != cap(br) {
+		t.Fatalf("%s: Branches returned len %d cap %d, want an exact-size slice", where, len(br), cap(br))
+	}
+	if i := firstDiff(br, refBr); i >= 0 {
+		t.Fatalf("%s: Branches differs from the reference at branch %d of %d/%d:\n got %+v\nwant %+v",
+			where, i, len(br), len(refBr), at(br, i), at(refBr, i))
+	}
+	// Play, seen event by event through the unrolling adapters, is the
+	// window's branch sequence and its access sequence.
+	mem := make([]MicroOp, 0, len(got))
+	for _, op := range got {
+		if op.IsMem() {
+			op.PC = 0
+			mem = append(mem, op)
+		}
+	}
+	seen := perEvent{branches: make([]MicroOp, 0, len(br)), accesses: make([]MicroOp, 0, len(mem))}
+	tape.Play(start, limit, &seen, &seen)
+	if i := firstDiff(seen.branches, br); i >= 0 {
+		t.Fatalf("%s: Play delivered a different branch %d of %d/%d", where, i, len(seen.branches), len(br))
+	}
+	if i := firstDiff(seen.accesses, mem); i >= 0 {
+		t.Fatalf("%s: Play delivered a different access %d of %d/%d:\n got %+v\nwant %+v",
+			where, i, len(seen.accesses), len(mem), at(seen.accesses, i), at(mem, i))
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, -1 if
+// they are equal.
+func firstDiff(a, b []MicroOp) int {
+	if slices.Equal(a, b) {
+		return -1
+	}
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+func at(ops []MicroOp, i int) any {
+	if i < len(ops) {
+		return ops[i]
+	}
+	return "nothing"
+}
+
+// randomEvents draws a run stream with every shape the writers handle:
+// negative and zero strides, sizes past 255, empty and zero-trip runs,
+// and counts wider than a record's 16-bit field.
+func randomEvents(rng *rand.Rand, n int) []event {
+	pcs := Sites("t/tape", 8)
+	events := make([]event, n)
+	for i := range events {
+		e := event{kind: rng.Intn(5), pc: pcs[rng.Intn(len(pcs))], n: rng.Intn(40)}
+		if rng.Intn(max(200, n/4)) == 0 {
+			e.n = maxCount - 2 + rng.Intn(3*maxCount)
+		}
+		switch e.kind {
+		case 0:
+			e.class = []OpClass{OpAVX, OpSSE, OpOther}[rng.Intn(3)]
+		case 1, 2:
+			e.addr = 0x10000000 + uint64(rng.Intn(1<<20))
+			e.stride = []int{1, 4, 64, 0, -8, -64, 640, 3}[rng.Intn(8)]
+			e.size = []int{1, 4, 8, 32, 255, 256, 1000, 0}[rng.Intn(8)]
+		case 3:
+			e.taken = rng.Intn(2) == 0
+		default:
+			e.n -= 2 // Loop(0) and Loop(-1) are the guard test alone
+		}
+		events[i] = e
+	}
+	return events
+}
+
+// TestTapeExpandMatchesRef is the differential wall: on seeded random
+// run streams, every window the tape cuts — starting and ending inside
+// runs, at 0, of one op, of the whole run and past its end — holds
+// exactly what the per-op recorder kept.
+func TestTapeExpandMatchesRef(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 300
+		if seed == 1 {
+			n = 40_000 // several chunks
+		}
+		events := randomEvents(rng, n)
+		rec := emit(events, &Recorder{})
+		total := rec.Tape.Total()
+		if seed == 1 && len(rec.Tape.chunks) < 3 {
+			t.Fatalf("the long stream fills %d chunks, want at least 3", len(rec.Tape.chunks))
+		}
+		windows := [][2]uint64{
+			{0, 1}, {0, total}, {0, total + 5}, {0, 0}, {total - 1, 10}, {total, 3}, {total + 9, 3},
+			{total / 2, ^uint64(0)}, {1, total - 2},
+		}
+		for i := 0; i < 12-int(total>>18); i++ {
+			start := uint64(rng.Int63n(int64(total)))
+			windows = append(windows, [2]uint64{start, uint64(rng.Int63n(int64(total-start) + 50))})
+		}
+		// Windows whose edges sit on chunk seams.
+		for _, first := range rec.Tape.first[1:] {
+			windows = append(windows, [2]uint64{first - 1, 2}, [2]uint64{first, 1}, [2]uint64{first - 7, 1000})
+		}
+		for _, w := range windows {
+			checkWindow(t, events, rec, w[0], w[1])
+		}
+	}
+}
+
+// TestTapeSplitsOversizedRuns: nothing is truncated to fit a record.
+func TestTapeSplitsOversizedRuns(t *testing.T) {
+	pc := Site("t/tape.big")
+	events := []event{
+		{kind: 0, class: OpAVX, n: 3*maxCount + 7},
+		{kind: 1, pc: pc, addr: 1 << 40, n: 2*maxCount + 1, stride: -24, size: 300},
+		{kind: 4, pc: pc, n: 2*maxCount + 5},
+		{kind: 4, pc: pc, n: maxCount},
+		{kind: 4, pc: pc, n: maxCount + 1},
+		{kind: 4, pc: pc, n: 0},
+	}
+	rec := emit(events, &Recorder{})
+	total := rec.Tape.Total()
+	for _, w := range [][2]uint64{{0, total}, {maxCount - 1, 3}, {3*maxCount + 5, 2 * maxCount}, {total - maxCount - 5, maxCount + 5}} {
+		checkWindow(t, events, rec, w[0], w[1])
+	}
+	if words := len(rec.Tape.chunks[0]); words != 4+3*3+3+1+2+1 {
+		t.Errorf("tape holds %d words, want 20: 4 op records, 3 mem records of 3 words, 3+1+2 loop records, 1 branch", words)
+	}
+}
+
+// TestTapeClipsLoopsAtWindowEdges: a run sink gets a loop whose tail
+// is inside the window as one Loop, and a loop cut short by the
+// window's end as the taken branches it is.
+func TestTapeClipsLoopsAtWindowEdges(t *testing.T) {
+	var tape Tape
+	pc := Site("t/tape.clip")
+	tape.Loop(pc, 10)                   // 0..9
+	tape.Mem(pc, 0x1000, 6, 8, 4, true) // 10..15
+	tape.Loop(pc, 5)                    // 16..20
+	var s runSink
+	tape.Play(7, 11, &s, &s) // 7..17
+	want := []string{
+		fmt.Sprintf("loop %#x 3", pc),
+		"run 0x1000 6 8 4 true",
+		fmt.Sprintf("branch %#x true", pc),
+		fmt.Sprintf("branch %#x true", pc),
+	}
+	if !slices.Equal(s.log, want) {
+		t.Fatalf("run sink saw\n%q, want\n%q", s.log, want)
+	}
+	s.log = nil
+	tape.Play(12, 2, nil, &s)
+	if want := []string{"run 0x1010 2 8 4 true"}; !slices.Equal(s.log, want) {
+		t.Fatalf("run sink saw %q, want %q", s.log, want)
+	}
+	tape.Play(0, 100, nil, nil) // nil sinks are skipped, not called
+}
+
+// TestTapeKeepsTheMostRecentOfALongRun: shown more than tapeChunks
+// chunks of records, a tape holds the latest tapeChunks of them in the
+// storage it already had, still counts everything, and refuses a window
+// that has slid off it.
+func TestTapeKeepsTheMostRecentOfALongRun(t *testing.T) {
+	pcs := Sites("t/tape.long", 3)
+	var tape Tape
+	n := (tapeChunks + 3) * chunkWords
+	for i := 0; i < n; i++ {
+		tape.Branch(pcs[i%3], i%5 == 0)
+	}
+	if tape.Total() != uint64(n) || tape.Bytes() != tapeChunks*chunkWords*8 {
+		t.Fatalf("tape shown %d branches: total %d, %d bytes, want %d bytes", n, tape.Total(), tape.Bytes(), tapeChunks*chunkWords*8)
+	}
+	if oldest := uint64(3 * chunkWords); tape.first[0] != oldest || tape.Holds(oldest-1, 5) || !tape.Holds(oldest, uint64(n)) {
+		t.Fatalf("oldest kept instruction %d, want %d, and windows held from there on only", tape.first[0], oldest)
+	}
+	for i, op := range tape.Expand(uint64(n)-1000, 1000) {
+		i += n - 1000
+		if want := (MicroOp{PC: pcs[i%3], Class: OpBranch, Taken: i%5 == 0}); op != want {
+			t.Fatalf("op %d = %+v, want %+v", i, op, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Expand served a window the tape no longer holds")
+		}
+	}()
+	tape.Expand(0, 10)
+}
+
+// FuzzTapeVsRefRecorder decodes its input into a run stream and a
+// window and holds the tape to the reference recorder on it. Four bytes
+// make an event: kind, count, an oversize selector and one byte the
+// other arguments derive from. Seeds are under testdata/fuzz.
+func FuzzTapeVsRefRecorder(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, start, limit uint64) {
+		pcs := Sites("t/tape.fuzz", 4)
+		var events []event
+		for ; len(data) >= 4 && len(events) < 64; data = data[4:] {
+			e := event{
+				kind:   int(data[0] % 5),
+				class:  OpAVX + OpClass(data[3]%3), // Op's contract: not a branch, load or store
+				pc:     pcs[data[3]%4],
+				addr:   0x20000000 + uint64(data[3])<<8,
+				n:      int(data[1]),
+				stride: int(int8(data[3])) * 3,
+				size:   int(data[3]) * 2,
+				taken:  data[3]&1 != 0,
+			}
+			if data[2] >= 0xf0 {
+				e.n += int(data[2]&15) << 14 // up to four records' worth
+			}
+			if e.kind == 4 {
+				e.n -= 1
+			}
+			events = append(events, e)
+		}
+		checkWindow(t, events, emit(events, &Recorder{}), start, limit)
+	})
+}

@@ -261,13 +261,16 @@ func TestRunSinkSeesOneCallPerRun(t *testing.T) {
 
 func TestRecorderWindow(t *testing.T) {
 	c := New()
-	rec := NewRecorder(5, 10)
+	rec := &Recorder{}
 	c.AttachRecorder(rec)
 	c.Op(OpOther, 3)                      // idx 0..2, all before window
 	c.Loop(Site("t/rw"), 4)               // idx 3..6: 5 and 6 in window
 	c.Loads(Site("t/rl"), 0x100, 8, 4, 4) // idx 7..14 in window
-	c.Op(OpAVX, 20)                       // idx 15..34: 15..14? window is [5,15): no wait
-	// window [5, 15): AVX idx 15.. all outside except none.
+	c.Op(OpAVX, 20)                       // idx 15..34, all after window
+	if rec.Tape.Total() != c.Total() {
+		t.Fatalf("tape holds %d instructions, ctx counted %d", rec.Tape.Total(), c.Total())
+	}
+	rec.Cut(5, 10)
 	if len(rec.Ops) != 10 {
 		t.Fatalf("recorded %d ops, want 10", len(rec.Ops))
 	}
@@ -286,10 +289,7 @@ func TestRecorderWindow(t *testing.T) {
 	if rec.Ops[2].Addr != 0x100 || rec.Ops[3].Addr != 0x104 {
 		t.Errorf("load addrs %#x,%#x want 0x100,0x104", rec.Ops[2].Addr, rec.Ops[3].Addr)
 	}
-	if !rec.Full() {
-		t.Error("recorder should report Full after window complete")
-	}
-	if n := len(rec.Branches()); n != 2 {
+	if n := len(rec.Tape.Branches(rec.Start, rec.Limit)); n != 2 {
 		t.Errorf("Branches() = %d entries, want 2", n)
 	}
 }

@@ -9,14 +9,21 @@ import (
 // compare against Gshare and TAGE.
 type Perceptron struct {
 	name    string
-	weights [][]int8 // rows × (histLen+1)
+	weights []int8 // rows × perceptronRow, one row after another
 	mask    uint64
-	histLen int
-	theta   int32
 	ghist   uint64
 	lastSum int32
 	size    int
 }
+
+// perceptronHist is the global history length; a row is a bias weight
+// and one weight per history bit. A correct prediction still trains
+// while |sum| ≤ theta = ⌊1.93·hist + 14⌋.
+const (
+	perceptronHist  = 24
+	perceptronRow   = perceptronHist + 1
+	perceptronTheta = 60
+)
 
 // NewPerceptron builds a hashed perceptron with the given byte budget
 // (power of two).
@@ -24,25 +31,16 @@ func NewPerceptron(sizeBytes int) (*Perceptron, error) {
 	if sizeBytes <= 0 || sizeBytes&(sizeBytes-1) != 0 {
 		return nil, fmt.Errorf("bpred: perceptron size %dB not a power of two", sizeBytes)
 	}
-	histLen := 24
-	rows := sizeBytes / (histLen + 1)
 	// Round rows down to a power of two.
-	p := 1
-	for p*2 <= rows {
-		p *= 2
-	}
-	rows = p
-	w := make([][]int8, rows)
-	for i := range w {
-		w[i] = make([]int8, histLen+1)
+	rows := 1
+	for rows*2 <= sizeBytes/perceptronRow {
+		rows *= 2
 	}
 	return &Perceptron{
 		name:    fmt.Sprintf("perceptron-%dKB", sizeBytes/1024),
-		weights: w,
+		weights: make([]int8, rows*perceptronRow),
 		mask:    uint64(rows - 1),
-		histLen: histLen,
-		theta:   int32(1.93*float64(histLen) + 14),
-		size:    rows * (histLen + 1) * 8,
+		size:    rows * perceptronRow * 8,
 	}, nil
 }
 
@@ -52,69 +50,53 @@ func (p *Perceptron) Name() string { return p.name }
 // SizeBits implements Predictor.
 func (p *Perceptron) SizeBits() int { return p.size }
 
-func (p *Perceptron) row(pc uint64) []int8 {
-	return p.weights[((pc>>2)^(pc>>13))&p.mask]
+// row returns pc's weights: the bias, then one weight per history bit.
+func (p *Perceptron) row(pc uint64) *[perceptronRow]int8 {
+	i := int(((pc>>2)^(pc>>13))&p.mask) * perceptronRow
+	return (*[perceptronRow]int8)(p.weights[i:])
 }
 
-func (p *Perceptron) sum(pc uint64) int32 {
+// Predict implements Predictor. The sum adds a weight where the history
+// bit is set and subtracts it where it is clear, as ±1 times the
+// weight: the history is data, and a branch on each of its bits is one
+// the host mispredicts about as often as the simulated branch does.
+func (p *Perceptron) Predict(pc uint64) bool {
 	w := p.row(pc)
 	s := int32(w[0])
-	for i := 0; i < p.histLen; i++ {
-		if p.ghist>>uint(i)&1 == 1 {
-			s += int32(w[i+1])
-		} else {
-			s -= int32(w[i+1])
-		}
+	h := p.ghist
+	for i := 1; i < perceptronRow; i++ {
+		s += int32(w[i]) * (int32(h&1)<<1 - 1)
+		h >>= 1
 	}
-	return s
-}
-
-// Predict implements Predictor.
-func (p *Perceptron) Predict(pc uint64) bool {
-	p.lastSum = p.sum(pc)
-	return p.lastSum >= 0
+	p.lastSum = s
+	return s >= 0
 }
 
 // Update implements Predictor.
 func (p *Perceptron) Update(pc uint64, taken bool) {
-	pred := p.lastSum >= 0
-	mag := p.lastSum
-	if mag < 0 {
-		mag = -mag
-	}
-	if pred != taken || mag <= p.theta {
-		w := p.row(pc)
-		adj := func(v int8, agree bool) int8 {
-			if agree {
-				if v < 127 {
-					return v + 1
-				}
-				return v
-			}
-			if v > -128 {
-				return v - 1
-			}
-			return v
-		}
-		w[0] = adj(w[0], taken)
-		for i := 0; i < p.histLen; i++ {
-			hbit := p.ghist>>uint(i)&1 == 1
-			w[i+1] = adj(w[i+1], hbit == taken)
-		}
-	}
-	p.ghist <<= 1
+	var t uint64
 	if taken {
-		p.ghist |= 1
+		t = 1
 	}
+	if mag := max(p.lastSum, -p.lastSum); (p.lastSum >= 0) != taken || mag <= perceptronTheta {
+		// Each weight moves one step, saturating, towards agreement of
+		// its history bit with the outcome; the bias agrees when taken.
+		w := p.row(pc)
+		w[0] = sat8(int32(w[0]) + int32(t)<<1 - 1)
+		h := p.ghist
+		for i := 1; i < perceptronRow; i++ {
+			w[i] = sat8(int32(w[i]) + 1 - int32((h^t)&1)<<1)
+			h >>= 1
+		}
+	}
+	p.ghist = p.ghist<<1 | t
 }
+
+func sat8(v int32) int8 { return int8(min(max(v, -128), 127)) }
 
 // Reset implements Predictor.
 func (p *Perceptron) Reset() {
-	for i := range p.weights {
-		for j := range p.weights[i] {
-			p.weights[i][j] = 0
-		}
-	}
+	clear(p.weights)
 	p.ghist = 0
 	p.lastSum = 0
 }

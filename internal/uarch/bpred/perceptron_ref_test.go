@@ -1,0 +1,195 @@
+package bpred
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// refPerceptron is the perceptron as it was before its weights became
+// one flat array and its sum and update lost their per-bit branches,
+// moved here verbatim as the oracle: a slice per row, an if per history
+// bit.
+type refPerceptron struct {
+	name    string
+	weights [][]int8 // rows × (histLen+1)
+	mask    uint64
+	histLen int
+	theta   int32
+	ghist   uint64
+	lastSum int32
+	size    int
+}
+
+// newRefPerceptron builds the reference at the given byte budget.
+func newRefPerceptron(sizeBytes int) (*refPerceptron, error) {
+	if sizeBytes <= 0 || sizeBytes&(sizeBytes-1) != 0 {
+		return nil, fmt.Errorf("bpred: perceptron size %dB not a power of two", sizeBytes)
+	}
+	histLen := 24
+	rows := sizeBytes / (histLen + 1)
+	// Round rows down to a power of two.
+	p := 1
+	for p*2 <= rows {
+		p *= 2
+	}
+	rows = p
+	w := make([][]int8, rows)
+	for i := range w {
+		w[i] = make([]int8, histLen+1)
+	}
+	return &refPerceptron{
+		name:    fmt.Sprintf("perceptron-%dKB", sizeBytes/1024),
+		weights: w,
+		mask:    uint64(rows - 1),
+		histLen: histLen,
+		theta:   int32(1.93*float64(histLen) + 14),
+		size:    rows * (histLen + 1) * 8,
+	}, nil
+}
+
+// Name implements Predictor.
+func (p *refPerceptron) Name() string { return p.name }
+
+// SizeBits implements Predictor.
+func (p *refPerceptron) SizeBits() int { return p.size }
+
+func (p *refPerceptron) row(pc uint64) []int8 {
+	return p.weights[((pc>>2)^(pc>>13))&p.mask]
+}
+
+func (p *refPerceptron) sum(pc uint64) int32 {
+	w := p.row(pc)
+	s := int32(w[0])
+	for i := 0; i < p.histLen; i++ {
+		if p.ghist>>uint(i)&1 == 1 {
+			s += int32(w[i+1])
+		} else {
+			s -= int32(w[i+1])
+		}
+	}
+	return s
+}
+
+// Predict implements Predictor.
+func (p *refPerceptron) Predict(pc uint64) bool {
+	p.lastSum = p.sum(pc)
+	return p.lastSum >= 0
+}
+
+// Update implements Predictor.
+func (p *refPerceptron) Update(pc uint64, taken bool) {
+	pred := p.lastSum >= 0
+	mag := p.lastSum
+	if mag < 0 {
+		mag = -mag
+	}
+	if pred != taken || mag <= p.theta {
+		w := p.row(pc)
+		adj := func(v int8, agree bool) int8 {
+			if agree {
+				if v < 127 {
+					return v + 1
+				}
+				return v
+			}
+			if v > -128 {
+				return v - 1
+			}
+			return v
+		}
+		w[0] = adj(w[0], taken)
+		for i := 0; i < p.histLen; i++ {
+			hbit := p.ghist>>uint(i)&1 == 1
+			w[i+1] = adj(w[i+1], hbit == taken)
+		}
+	}
+	p.ghist <<= 1
+	if taken {
+		p.ghist |= 1
+	}
+}
+
+// Reset implements Predictor.
+func (p *refPerceptron) Reset() {
+	for i := range p.weights {
+		for j := range p.weights[i] {
+			p.weights[i][j] = 0
+		}
+	}
+	p.ghist = 0
+	p.lastSum = 0
+}
+
+// TestPerceptronMatchesRef: the flat, branch-free perceptron is the
+// row-sliced one bit for bit — every prediction, and after every
+// update every weight, the history and the remembered sum — at both
+// budgets NewByName builds, on streams with few pcs (weights saturate)
+// and many (rows alias), and across a Reset.
+func TestPerceptronMatchesRef(t *testing.T) {
+	for _, size := range []int{8 << 10, 64 << 10} {
+		for _, pcs := range []int{3, 5000} {
+			p, err := NewPerceptron(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefPerceptron(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Name() != ref.Name() || p.SizeBits() != ref.SizeBits() {
+				t.Fatalf("%s %d bits, reference %s %d bits", p.Name(), p.SizeBits(), ref.Name(), ref.SizeBits())
+			}
+			rng := rand.New(rand.NewSource(int64(size + pcs)))
+			bias := make([]int, pcs)
+			for i := range bias {
+				bias[i] = rng.Intn(101)
+			}
+			bias[0] = 50 // a coin flip trains on every branch: its weights walk to the rails
+			for i := 0; i < 60_000; i++ {
+				if i == 40_000 {
+					p.Reset()
+					ref.Reset()
+				}
+				site := rng.Intn(pcs)
+				pc := uint64(0x400000 + site*16)
+				taken := rng.Intn(100) < bias[site]
+				if got, want := p.Predict(pc), ref.Predict(pc); got != want {
+					t.Fatalf("%s, %d pcs, branch %d: predicted %v, reference %v", p.Name(), pcs, i, got, want)
+				}
+				p.Update(pc, taken)
+				ref.Update(pc, taken)
+				if p.ghist != ref.ghist || p.lastSum != ref.lastSum {
+					t.Fatalf("%s, %d pcs, branch %d: history %#x sum %d, reference %#x %d", p.Name(), pcs, i, p.ghist, p.lastSum, ref.ghist, ref.lastSum)
+				}
+				// The row just trained after every update; the whole
+				// table (a write to any other row) every 500.
+				lo := int(((pc >> 2) ^ (pc >> 13)) & ref.mask)
+				hi := lo + 1
+				if i%500 == 0 {
+					lo, hi = 0, len(ref.weights)
+				}
+				for r := lo; r < hi; r++ {
+					for j, w := range ref.weights[r] {
+						if got := p.weights[r*perceptronRow+j]; got != w {
+							t.Fatalf("%s, %d pcs, branch %d: weight [%d][%d] = %d, reference %d", p.Name(), pcs, i, r, j, got, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSat8: one step from any weight lands where the reference's
+// compare-and-step put it, rails included.
+func TestSat8(t *testing.T) {
+	for v := int32(-128); v <= 127; v++ {
+		if got, want := sat8(v+1), int8(min(v+1, 127)); got != want {
+			t.Errorf("sat8(%d+1) = %d, want %d", v, got, want)
+		}
+		if got, want := sat8(v-1), int8(max(v-1, -128)); got != want {
+			t.Errorf("sat8(%d-1) = %d, want %d", v, got, want)
+		}
+	}
+}

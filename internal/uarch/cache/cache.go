@@ -170,9 +170,9 @@ func (ln *line) touch(clock uint64, store bool) {
 	}
 }
 
-// repeat accounts n further accesses to the line the previous access
+// Repeat accounts n further accesses to the line the previous access
 // touched: what n trips through Access's same-line path leave behind.
-func (c *Cache) repeat(n uint64, store bool) {
+func (c *Cache) Repeat(n uint64, store bool) {
 	c.clock += n
 	c.stats.Accesses += n
 	c.lines[c.last].touch(c.clock, store)
@@ -350,6 +350,14 @@ func (h *Hierarchy) SpanAccess(addr uint64, size int, store bool) int {
 	return worst
 }
 
+// Sink is a hierarchy seen from the trace layer (a trace.RunSink):
+// Access is one memory instruction over every line it spans, Run is
+// the hierarchy's own.
+type Sink struct{ *Hierarchy }
+
+// Access issues one access of size bytes at addr.
+func (s Sink) Access(addr uint64, size int, store bool) { s.SpanAccess(addr, size, store) }
+
 // Run issues count accesses of size bytes, the i-th at addr + i·stride,
 // and leaves every level exactly as count SpanAccess calls would. The
 // first access to reach a line walks the hierarchy; the accesses after
@@ -392,7 +400,7 @@ func (h *Hierarchy) Run(addr uint64, count, stride, size int, store bool) {
 				n = int(room + 1)
 			}
 		}
-		h.L1.repeat(uint64(n), store)
+		h.L1.Repeat(uint64(n), store)
 		addr += uint64(n * stride)
 		count -= n
 	}

@@ -109,7 +109,6 @@ func (f *fuPool) reserve(ready, busy uint64) (start uint64) {
 		if fr < f.free[best] {
 			best = i
 		}
-		_ = fr
 	}
 	start = ready
 	if f.free[best] > start {
@@ -198,7 +197,10 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	retireRing := make([]uint64, cfg.ROBSize)
 	loadRing := make([]uint64, cfg.LQSize)
 	storeRing := make([]uint64, cfg.SQSize)
-	var nLoads, nStores int
+	// rob, lq and sq are the ring slots of the current op, load and
+	// store: i, nLoads and nStores modulo the ring sizes, kept by
+	// wrapping instead of three divisions per op.
+	var nLoads, nStores, rob, lq, sq int
 
 	var (
 		fetchAvail    uint64 // earliest fetch cycle for the next op
@@ -209,9 +211,18 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		lastVecDone   uint64
 		lastALUDone   uint64
 		frontendStall uint64 // cycles fetch was forced idle (taken-branch bubbles, icache)
+
+		// Only fetch touches the I-cache, so a fetch from the line the
+		// previous fetch used is a hit on the line it touched last:
+		// such fetches are counted here and accounted in one Repeat
+		// when the line changes, which leaves the I-cache exactly as
+		// one Access each would (the ops of a run share one pc).
+		fetchLine = ^uint64(0) // no line yet
+		sameLine  uint64
 	)
 
-	for i, op := range ops {
+	for i := range ops {
+		op := &ops[i]
 		// --- Fetch: width per cycle; icache miss and redirect bubbles.
 		// Fetch cannot run more than a ROB's worth of ops ahead of
 		// retirement: op i stalls in fetch until op i−ROBSize retires.
@@ -220,7 +231,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 			fetchInGroup = 0
 		}
 		if i >= cfg.ROBSize {
-			if robHead := retireRing[i%cfg.ROBSize]; robHead+1 > fetchAvail {
+			if robHead := retireRing[rob]; robHead+1 > fetchAvail {
 				res.StallROB += robHead + 1 - fetchAvail
 				fetchAvail = robHead + 1
 				fetchInGroup = 0
@@ -228,13 +239,22 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		}
 		fetch := fetchAvail
 		if op.PC != 0 {
-			if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
-				// Instruction fetch miss: frontend bubble (L2 hit latency —
-				// the synthetic code footprint fits L2 easily).
-				fetch += 12
-				frontendStall += 12
-				fetchAvail = fetch
-				fetchInGroup = 0
+			if line := uint64(op.PC) / cache.LineSize; line == fetchLine {
+				sameLine++
+			} else {
+				if sameLine > 0 {
+					s.icache.Repeat(sameLine, false)
+					sameLine = 0
+				}
+				fetchLine = line
+				if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
+					// Instruction fetch miss: frontend bubble (L2 hit
+					// latency — the synthetic code footprint fits L2 easily).
+					fetch += 12
+					frontendStall += 12
+					fetchAvail = fetch
+					fetchInGroup = 0
+				}
 			}
 		}
 		fetchInGroup++
@@ -286,7 +306,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		switch op.Class {
 		case trace.OpLoad:
 			if nLoads >= cfg.LQSize {
-				if lqHead := loadRing[nLoads%cfg.LQSize]; lqHead > ready {
+				if lqHead := loadRing[lq]; lqHead > ready {
 					res.StallLQ += lqHead - ready
 					ready = lqHead
 				}
@@ -295,12 +315,15 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 			res.StallFU += start - ready
 			lat := mem.SpanAccess(op.Addr, int(op.Size), false)
 			done = start + uint64(lat)
-			loadRing[nLoads%cfg.LQSize] = done
+			loadRing[lq] = done
 			nLoads++
+			if lq++; lq == cfg.LQSize {
+				lq = 0
+			}
 			lastLoadDone = done
 		case trace.OpStore:
 			if nStores >= cfg.SQSize {
-				if sqHead := storeRing[nStores%cfg.SQSize]; sqHead > ready {
+				if sqHead := storeRing[sq]; sqHead > ready {
 					res.StallSQ += sqHead - ready
 					ready = sqHead
 				}
@@ -309,8 +332,11 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 			res.StallFU += start - ready
 			mem.SpanAccess(op.Addr, int(op.Size), true) // fills line; store buffer hides latency
 			done = start + 1
-			storeRing[nStores%cfg.SQSize] = done
+			storeRing[sq] = done
 			nStores++
+			if sq++; sq == cfg.SQSize {
+				sq = 0
+			}
 		case trace.OpAVX, trace.OpSSE:
 			start := vec.reserve(ready, 1)
 			res.StallFU += start - ready
@@ -365,13 +391,19 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		}
 		retireInCycle++
 		lastRetire = retire
-		retireRing[i%cfg.ROBSize] = retire
+		retireRing[rob] = retire
+		if rob++; rob == cfg.ROBSize {
+			rob = 0
+		}
 
 		if prod != nil && (i+1)%flushEvery == 0 {
 			prod.Observe(provisionalSlots(cfg.Width, uint64(i+1), lastRetire+1, res.BadSpecSlots, frontendStall))
 		}
 	}
 
+	if sameLine > 0 {
+		s.icache.Repeat(sameLine, false)
+	}
 	res.Cycles = lastRetire + 1
 	res.Retired = res.Ops
 	res.IPC = float64(res.Ops) / float64(res.Cycles)

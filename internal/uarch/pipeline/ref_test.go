@@ -1,0 +1,304 @@
+package pipeline
+
+import (
+	"fmt"
+	"testing"
+
+	"vcprof/internal/trace"
+	"vcprof/internal/uarch/cache"
+)
+
+// refRun is the replay loop RunCtx had before it batched same-line
+// fetches and dropped the ring divisions, moved here verbatim as the
+// oracle (less the top-down streaming and the obs flush, which do not
+// touch the model): every op with a pc asks the I-cache, every ring
+// slot is an index modulo the ring size. It also returns the I-cache's
+// counters.
+func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
+	if len(ops) == 0 {
+		return nil, cache.Stats{}, fmt.Errorf("pipeline: empty trace")
+	}
+	mem, err := cache.AcquireXeon()
+	if err != nil {
+		return nil, cache.Stats{}, err
+	}
+	defer mem.Release()
+	s.pred.Reset()
+	s.btb.Reset()
+	s.icache.Reset()
+	cfg := s.cfg
+	res := &Result{Ops: uint64(len(ops))}
+
+	alu := newFUPool(cfg.ALUs)
+	vec := newFUPool(cfg.VecUnits)
+	ldp := newFUPool(cfg.LoadPorts)
+	stp := newFUPool(cfg.StorePorts)
+	brp := newFUPool(cfg.BranchUnits)
+
+	// Ring buffers of retirement/completion cycles for structural limits.
+	retireRing := make([]uint64, cfg.ROBSize)
+	loadRing := make([]uint64, cfg.LQSize)
+	storeRing := make([]uint64, cfg.SQSize)
+	var nLoads, nStores int
+
+	var (
+		fetchAvail    uint64 // earliest fetch cycle for the next op
+		fetchInGroup  int
+		lastRetire    uint64
+		retireInCycle int
+		lastLoadDone  uint64
+		lastVecDone   uint64
+		lastALUDone   uint64
+		frontendStall uint64 // cycles fetch was forced idle (taken-branch bubbles, icache)
+	)
+
+	for i, op := range ops {
+		// --- Fetch: width per cycle; icache miss and redirect bubbles.
+		// Fetch cannot run more than a ROB's worth of ops ahead of
+		// retirement: op i stalls in fetch until op i−ROBSize retires.
+		if fetchInGroup >= cfg.Width {
+			fetchAvail++
+			fetchInGroup = 0
+		}
+		if i >= cfg.ROBSize {
+			if robHead := retireRing[i%cfg.ROBSize]; robHead+1 > fetchAvail {
+				res.StallROB += robHead + 1 - fetchAvail
+				fetchAvail = robHead + 1
+				fetchInGroup = 0
+			}
+		}
+		fetch := fetchAvail
+		if op.PC != 0 {
+			if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
+				// Instruction fetch miss: frontend bubble (L2 hit latency —
+				// the synthetic code footprint fits L2 easily).
+				fetch += 12
+				frontendStall += 12
+				fetchAvail = fetch
+				fetchInGroup = 0
+			}
+		}
+		fetchInGroup++
+
+		// --- Dispatch after the frontend pipeline.
+		dispatch := fetch + uint64(cfg.FrontendDepth)
+
+		// --- Ready: dependence on recent producers, class-based.
+		// Dependences: real code has instruction-level parallelism, so
+		// only a fraction of ops extend a producer chain; the modulo
+		// pattern models unrolled kernels with several live chains.
+		var ready uint64 = dispatch
+		switch op.Class {
+		case trace.OpAVX, trace.OpSSE:
+			if i%2 == 0 {
+				ready = max64(ready, lastLoadDone) // consume a loaded operand
+			}
+			if i%4 == 1 {
+				ready = max64(ready, lastVecDone) // accumulation chain
+			}
+		case trace.OpOther:
+			if i%3 == 0 {
+				ready = max64(ready, lastALUDone)
+			}
+			if i%8 == 2 {
+				ready = max64(ready, lastLoadDone)
+			}
+		case trace.OpBranch:
+			// Compare feeding the branch: flags come from recent ALU work,
+			// or from a load for data-dependent decisions.
+			if i%2 == 0 {
+				ready = max64(ready, lastALUDone)
+			} else {
+				ready = max64(ready, lastLoadDone)
+			}
+		case trace.OpStore:
+			ready = max64(ready, max64(lastVecDone, lastALUDone))
+		case trace.OpLoad:
+			if i%4 == 0 {
+				ready = max64(ready, lastALUDone) // address generation
+			}
+		}
+		if ready > dispatch {
+			res.StallRS += ready - dispatch
+		}
+
+		// --- Issue on a functional unit; execute.
+		var done uint64
+		switch op.Class {
+		case trace.OpLoad:
+			if nLoads >= cfg.LQSize {
+				if lqHead := loadRing[nLoads%cfg.LQSize]; lqHead > ready {
+					res.StallLQ += lqHead - ready
+					ready = lqHead
+				}
+			}
+			start := ldp.reserve(ready, 1)
+			res.StallFU += start - ready
+			lat := mem.SpanAccess(op.Addr, int(op.Size), false)
+			done = start + uint64(lat)
+			loadRing[nLoads%cfg.LQSize] = done
+			nLoads++
+			lastLoadDone = done
+		case trace.OpStore:
+			if nStores >= cfg.SQSize {
+				if sqHead := storeRing[nStores%cfg.SQSize]; sqHead > ready {
+					res.StallSQ += sqHead - ready
+					ready = sqHead
+				}
+			}
+			start := stp.reserve(ready, 1)
+			res.StallFU += start - ready
+			mem.SpanAccess(op.Addr, int(op.Size), true) // fills line; store buffer hides latency
+			done = start + 1
+			storeRing[nStores%cfg.SQSize] = done
+			nStores++
+		case trace.OpAVX, trace.OpSSE:
+			start := vec.reserve(ready, 1)
+			res.StallFU += start - ready
+			done = start + 3
+			lastVecDone = done
+		case trace.OpBranch:
+			start := brp.reserve(ready, 1)
+			res.StallFU += start - ready
+			done = start + 1
+			res.Branches++
+			pred := s.pred.Predict(uint64(op.PC))
+			s.pred.Update(uint64(op.PC), op.Taken)
+			if pred != op.Taken {
+				res.Mispredicts++
+				// Redirect: fetch restarts after the branch resolves plus
+				// the flush/refill penalty. The wasted slots are the
+				// penalty window (wrong-path work plus refill bubbles).
+				redirect := done + uint64(cfg.MispredictPenalty)
+				if redirect > fetchAvail {
+					fetchAvail = redirect
+					fetchInGroup = 0
+				}
+				res.BadSpecSlots += uint64(cfg.MispredictPenalty) * uint64(cfg.Width)
+			} else if op.Taken {
+				// Taken branches end the fetch group: a one-cycle bubble,
+				// plus a redirect bubble when the target misses in the BTB.
+				bubble := uint64(1)
+				if _, hit := s.btb.Lookup(uint64(op.PC)); !hit {
+					bubble += 2
+				}
+				s.btb.Update(uint64(op.PC), uint64(op.PC)+16)
+				fetchAvail += bubble
+				fetchInGroup = 0
+				frontendStall += bubble
+			}
+		default: // OpOther
+			start := alu.reserve(ready, 1)
+			res.StallFU += start - ready
+			done = start + 1
+			lastALUDone = done
+		}
+
+		// --- Retire in order, width per cycle.
+		retire := max64(done, lastRetire)
+		if retire == lastRetire {
+			if retireInCycle >= cfg.Width {
+				retire++
+				retireInCycle = 0
+			}
+		} else {
+			retireInCycle = 0
+		}
+		retireInCycle++
+		lastRetire = retire
+		retireRing[i%cfg.ROBSize] = retire
+	}
+
+	res.Cycles = lastRetire + 1
+	res.Retired = res.Ops
+	res.IPC = float64(res.Ops) / float64(res.Cycles)
+	res.BranchMPKI = float64(res.Mispredicts) / (float64(res.Ops) / 1000)
+	res.L1DMPKI, res.L2MPKI, res.LLCMPKI = mem.MPKI(res.Ops)
+
+	res.TotalSlots = res.Cycles * uint64(cfg.Width)
+	res.RetiringSlots = res.Ops
+	if res.BadSpecSlots > res.TotalSlots-res.RetiringSlots {
+		res.BadSpecSlots = res.TotalSlots - res.RetiringSlots
+	}
+	res.FrontendSlots = frontendStall * uint64(cfg.Width)
+	rem := res.TotalSlots - res.RetiringSlots - res.BadSpecSlots
+	if res.FrontendSlots > rem {
+		res.FrontendSlots = rem
+	}
+	res.BackendSlots = rem - res.FrontendSlots
+	return res, s.icache.Stats(), nil
+}
+
+// runWindow draws a window shaped like a tape's expansion: runs of
+// ops sharing one pc (long and short), runs of pc-0 ops that bypass
+// the I-cache, single ops alternating between two lines of one set,
+// pcs in line 0, and enough distinct lines to evict from the 32 KB
+// I-cache; loads and stores in number to wrap the LQ and SQ rings.
+func runWindow(n int, seed uint64) []trace.MicroOp {
+	ops := make([]trace.MicroOp, 0, n)
+	s := seed
+	next := func(mod uint64) uint64 {
+		s = s*6364136223846793005 + 1442695040888963407
+		return s >> 33 % mod
+	}
+	for len(ops) < n {
+		pc := trace.PC(0x400000 + next(3000)*16)
+		run := int(1 + next(6))
+		switch next(8) {
+		case 0:
+			run = int(50 + next(400))
+		case 1:
+			pc = 0
+		case 2:
+			pc = trace.PC(16 * next(4)) // line 0
+		case 3: // two lines 32 KB/8 apart: the same set
+			for i := 0; i < run*2; i++ {
+				ops = append(ops, trace.MicroOp{PC: pc + trace.PC(i%2)*4096, Class: trace.OpOther})
+			}
+			continue
+		}
+		op := trace.MicroOp{PC: pc, Class: trace.OpClass(next(uint64(trace.NumClasses)))}
+		for i := 0; i < run; i++ {
+			switch op.Class {
+			case trace.OpLoad, trace.OpStore:
+				op.Addr, op.Size = 0x10000000+next(1<<22), 8
+			case trace.OpBranch:
+				op.Taken = next(3) != 0
+			}
+			ops = append(ops, op)
+		}
+	}
+	return ops[:n]
+}
+
+// TestRunMatchesPerOpReference: batching same-line fetches and
+// wrapping the ring indices changed no cycle of the model and no
+// counter of the I-cache.
+func TestRunMatchesPerOpReference(t *testing.T) {
+	windows := [][]trace.MicroOp{
+		runWindow(60_000, 1), runWindow(60_000, 2), mixedWindow(30_000, 3),
+		mkOps(1000, trace.OpLoad)[:100],                                                // shorter than every ring
+		{{Class: trace.OpOther}, {Class: trace.OpOther}},                               // never touches the I-cache
+		{{PC: 16, Class: trace.OpOther}, {PC: 32, Class: trace.OpBranch, Taken: true}}, // ends inside a batch, in line 0
+	}
+	s, err := New(Broadwell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range windows {
+		want, wantIC, err := refRun(s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != *want {
+			t.Errorf("window %d: Run\n%+v\nper-op reference\n%+v", i, *got, *want)
+		}
+		if ic := s.icache.Stats(); ic != wantIC {
+			t.Errorf("window %d: I-cache after Run %+v, after the per-op reference %+v", i, ic, wantIC)
+		}
+	}
+}
