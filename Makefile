@@ -1,6 +1,7 @@
-# CI entry points. `make ci` is the gate: formatting, vet, build, the
-# vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the seven fuzz targets, a single-iteration benchmark pass
+# CI entry points. `make ci` is the gate: formatting, vet, build (and a
+# cross-build for arm64, where the kernels' Go twins are the only path),
+# the vclint determinism/concurrency analyzers, the full test suite, a
+# short smoke of the nine fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the six end-to-end smokes, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -22,9 +23,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build lint lint-fixtures one-table one-machine one-recorder loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build lint lint-fixtures one-table one-machine one-recorder test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -82,13 +83,40 @@ one-recorder:
 	@test "$$(grep -c 'enc\.Encode(' internal/perf/record.go)" = 1 || \
 		{ echo "internal/perf/record.go must call enc.Encode exactly once"; exit 1; }
 
+# The host kernels are assembly twins of Go loops that produce the same
+# bits (DESIGN.md §4): assembly lives only under internal/codec/, each
+# .s file sits beside the _other.go that is its package on every other
+# platform, and none holds a fused multiply-add, whose single rounding
+# is exactly what the Go loops must not and cannot match.
+one-kernel:
+	@out="$$(find . -name '*.s' -not -path './internal/codec/*')"; \
+	if [ -n "$$out" ]; then echo "assembly outside internal/codec/:"; echo "$$out"; exit 1; fi
+	@for f in $$(find internal/codec -name '*.s'); do \
+		ls "$$(dirname $$f)"/*_other.go >/dev/null 2>&1 || { echo "$$f has no _other.go beside it"; exit 1; }; \
+	done
+	@! grep -nE 'VF(N?M(ADD|SUB)|MADDSUB|MSUBADD)' $$(find internal/codec -name '*.s')
+
 # The canonical size figure every simplicity PR quotes: non-test Go
-# lines outside bench/.
+# lines outside bench/. Assembly is counted on its own line.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
+	@find . -name '*.s' | xargs wc -l | tail -1 | sed 's/total/total assembly/'
 
 build:
 	$(GO) build ./...
+
+# What an amd64-only runner cannot otherwise see: the tree builds and
+# the codec vets where the _other.go files are the implementation, and
+# the transform's Go loops compile there to separate multiplies and adds
+# — a fused multiply-add rounds once where the tables' arithmetic
+# rounds twice, so one in that listing means the tables depend on
+# GOARCH.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/codec/...
+	@if GOARCH=arm64 $(GO) build -gcflags=-S ./internal/codec/transform 2>&1 | grep -E 'FN?M(ADD|SUB)'; then \
+		echo "internal/codec/transform compiles to fused multiply-adds on arm64"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -115,15 +143,20 @@ results-check:
 
 # Full pass of the Go micro-benchmarks, kept as benchstat-compatible
 # text (compare runs with `benchstat old.txt new.txt`). The ledger that
-# gates regressions is `make perf`, not this.
+# gates regressions is `make perf`, not this. The two codec packages
+# carry the /kernel and /generic pairs (BenchmarkBlock2D,
+# BenchmarkBlockSAD): the Go loops are unexported, so the ratio is
+# measured where both sides can be called.
+BENCH_PKGS = . ./internal/obs ./internal/codec/transform ./internal/codec/motion
+
 bench:
 	mkdir -p bench/out
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/obs | tee bench/out/gobench.txt
+	$(GO) test -bench=. -benchmem -run=^$$ $(BENCH_PKGS) | tee bench/out/gobench.txt
 
 # One iteration of every benchmark: proves they still run (and trips
 # the obs allocation guard) without paying full measurement time.
 bench-short:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . ./internal/obs
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ $(BENCH_PKGS)
 
 # vcbench, the repository's one benchmark (bench/README.md): five runs
 # of every workload into bench/out/current.json, then the verdict table
@@ -192,6 +225,8 @@ trace-smoke:
 # under testdata/fuzz/<Target>/.
 fuzz-smoke:
 	$(GO) test ./internal/codec/entropy -run=^$$ -fuzz=FuzzBoolCoderRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzDCTKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSADKernelVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFastVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/cache -run=^$$ -fuzz=FuzzHierarchyRunVsUnrolled -fuzztime=$(FUZZTIME)

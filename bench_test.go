@@ -241,27 +241,24 @@ func benchClip(b *testing.B) *video.Clip {
 	return clip
 }
 
-func BenchmarkEncodeSVTAV1(b *testing.B) {
+// benchEncode times a plain (untraced) encode of the micro-benchmark
+// clip: one per family, at a mid-range operating point of its scales.
+func benchEncode(b *testing.B, fam encoders.Family, crf, preset int) {
 	clip := benchClip(b)
-	enc := encoders.MustNew(encoders.SVTAV1)
+	enc := encoders.MustNew(fam)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(context.Background(), clip, encoders.Options{CRF: 40, Preset: 6}); err != nil {
+		if _, err := enc.Encode(context.Background(), clip, encoders.Options{CRF: crf, Preset: preset}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEncodeX264(b *testing.B) {
-	clip := benchClip(b)
-	enc := encoders.MustNew(encoders.X264)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(context.Background(), clip, encoders.Options{CRF: 30, Preset: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEncodeSVTAV1(b *testing.B) { benchEncode(b, encoders.SVTAV1, 40, 6) }
+func BenchmarkEncodeX264(b *testing.B)   { benchEncode(b, encoders.X264, 30, 4) }
+func BenchmarkEncodeX265(b *testing.B)   { benchEncode(b, encoders.X265, 30, 4) }
+func BenchmarkEncodeLibaom(b *testing.B) { benchEncode(b, encoders.Libaom, 40, 6) }
+func BenchmarkEncodeVP9(b *testing.B)    { benchEncode(b, encoders.VP9, 40, 6) }
 
 // benchTAGE times Predict+Update on a period-3 stream over 512 pcs.
 func benchTAGE(b *testing.B, sizeBytes int) {

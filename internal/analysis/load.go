@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -39,7 +40,11 @@ type Package struct {
 //
 // Test files (_test.go) are never loaded: vclint's invariants are about
 // shipped measurement paths, and several analyzers (detrand) explicitly
-// exempt tests.
+// exempt tests. Files a build constraint excludes on the host platform
+// (a _GOARCH.go suffix, a //go:build line) are skipped as the compiler
+// skips them, so a package with per-platform twins — internal/codec's
+// kernels beside their _other.go files — is checked as the one package
+// this host builds.
 type Loader struct {
 	// Root is the module root (the directory containing go.mod).
 	Root string
@@ -272,6 +277,11 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		if !isSourceFile(e) {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		src, err := os.ReadFile(filepath.Join(dir, e.Name()))

@@ -56,18 +56,7 @@ func SAD(tc *trace.Ctx, cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry
 		return 0, fmt.Errorf("motion: reference block %d,%d %dx%d outside %dx%d", rx, ry, w, h, ref.W, ref.H)
 	}
 	tc.Enter(fnSAD)
-	var sum int32
-	for j := 0; j < h; j++ {
-		crow := cur.Pix[(cy+j)*cur.Stride+cx:]
-		rrow := ref.Pix[(ry+j)*ref.Stride+rx:]
-		for i := 0; i < w; i++ {
-			d := int32(crow[i]) - int32(rrow[i])
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
+	sum := blockSAD(cur, cx, cy, ref, rx, ry, w, h)
 	if tc != nil {
 		// Vectorized psadbw-style kernel. Memory traffic is reported at
 		// 8-byte granularity (the scalar/SSE-width mixture Pin sees);
@@ -89,11 +78,22 @@ func SAD(tc *trace.Ctx, cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry
 	return sum, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// sadGeneric is blockSAD in portable Go: the only path off amd64 and on
+// processors without AVX2, and the reference the kernel is held to.
+func sadGeneric(cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry, w, h int) int32 {
+	var sum int32
+	for j := 0; j < h; j++ {
+		crow := cur.Pix[(cy+j)*cur.Stride+cx:]
+		rrow := ref.Pix[(ry+j)*ref.Stride+rx:]
+		for i := 0; i < w; i++ {
+			d := int32(crow[i]) - int32(rrow[i])
+			if d < 0 {
+				d = -d
+			}
+			sum += d
+		}
 	}
-	return b
+	return sum
 }
 
 // Result reports the outcome of a motion search.
@@ -125,6 +125,10 @@ func (a Algorithm) String() string {
 	}
 	return "?"
 }
+
+// stackRange is the widest search range whose visited set stays on
+// Search's stack (536 bytes). The encoders' ranges end at 23.
+const stackRange = 32
 
 // Search finds the motion vector minimizing SAD for the w×h block at
 // (bx, by) in cur against ref, constrained to |mv| <= rng and to
@@ -165,14 +169,27 @@ func Search(tc *trace.Ctx, alg Algorithm, cur codec.Surface, bx, by int, ref cod
 		return codec.MV{X: int16(x), Y: int16(y)}
 	}
 
+	// The vectors already evaluated, one bit per position of the
+	// (2·rng+1)² window. clampMV leaves a component outside ±rng only
+	// when the reference cannot hold the block at any such offset, and
+	// then pulls every candidate to the one offset that fits, so
+	// saturating at the window's edge keeps distinct vectors distinct.
+	side := 2*rng + 1
+	var window [(2*stackRange+1)*(2*stackRange+1)/64 + 1]uint64
+	tried := window[:]
+	if words := side*side/64 + 1; words > len(tried) {
+		tried = make([]uint64, words)
+	}
+	slot := func(v int16) int { return min(max(int(v)+rng, 0), side-1) }
+
 	best := Result{Cost: 1 << 30}
-	tried := make(map[codec.MV]bool)
 	eval := func(mv codec.MV) error {
 		mv = clampMV(mv)
-		if tried[mv] {
+		bit := slot(mv.Y)*side + slot(mv.X)
+		if tried[bit>>6]&(1<<(bit&63)) != 0 {
 			return nil
 		}
-		tried[mv] = true
+		tried[bit>>6] |= 1 << (bit & 63)
 		cost, err := SAD(tc, cur, bx, by, ref, bx+int(mv.X), by+int(mv.Y), w, h)
 		if err != nil {
 			return err

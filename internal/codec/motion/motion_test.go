@@ -254,3 +254,66 @@ func TestInterpHalfPelInstrumented(t *testing.T) {
 		t.Errorf("interpolation reported no work: %+v", tc.Mix)
 	}
 }
+
+// TestSearchDoesNotAllocate pins the visited set to the stack: the
+// pattern searches the encoders run on every block allocate nothing.
+func TestSearchDoesNotAllocate(t *testing.T) {
+	cur, ref := shiftedPair(t, 96, 96, 3, -2)
+	for _, alg := range []Algorithm{Hex, Diamond} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Search(nil, alg, cur, 32, 32, ref, 16, 16, 24, codec.MV{X: 1, Y: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v search: %v allocations per call, want 0", alg, allocs)
+		}
+	}
+}
+
+// TestFullSearchEvaluatesEachPositionOnce checks the visited set
+// against an independent count: a full search evaluates exactly the
+// distinct frame-clamped vectors of its window — at frame corners,
+// where clamping folds many candidates onto one; past stackRange, where
+// the set is allocated; and against a reference narrower than the
+// block's position, where every candidate is pulled outside ±rng.
+func TestFullSearchEvaluatesEachPositionOnce(t *testing.T) {
+	cur, ref := shiftedPair(t, 96, 96, 2, 1)
+	small := codec.Surface{Plane: video.NewPlane(40, 96), VBase: ref.VBase}
+	for _, c := range []struct {
+		name          string
+		ref           codec.Surface
+		bx, by, w, rg int
+		pred          codec.MV
+	}{
+		{"interior", ref, 40, 40, 16, 8, codec.MV{X: 3, Y: -3}},
+		{"corner", ref, 0, 0, 16, 12, codec.MV{X: -9, Y: -9}},
+		{"far-corner", ref, 80, 80, 16, 20, codec.MV{X: 30, Y: 30}},
+		{"past-stack-range", ref, 40, 40, 8, stackRange + 5, codec.MV{}},
+		{"narrow-reference", small, 72, 40, 8, 6, codec.MV{X: 2}},
+	} {
+		distinct := map[[2]int]bool{}
+		clamp := func(v, b, size, limit int) int {
+			v = min(max(v, -c.rg), c.rg)
+			if b+v < 0 {
+				v = -b
+			}
+			if b+v+size > limit {
+				v = limit - size - b
+			}
+			return v
+		}
+		for dy := -c.rg; dy <= c.rg; dy++ {
+			for dx := -c.rg; dx <= c.rg; dx++ {
+				distinct[[2]int{clamp(dx, c.bx, c.w, c.ref.W), clamp(dy, c.by, c.w, c.ref.H)}] = true
+			}
+		}
+		res, err := Search(nil, Full, cur, c.bx, c.by, c.ref, c.w, c.w, c.rg, c.pred)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Points != len(distinct) {
+			t.Errorf("%s: evaluated %d positions, window holds %d distinct ones", c.name, res.Points, len(distinct))
+		}
+	}
+}

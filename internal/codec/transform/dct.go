@@ -82,7 +82,7 @@ func Forward(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 	}
 	si := sizeIdx(n)
 	// dst = M · src · Mᵀ: the row pass, then the column pass.
-	separable[si](tableFor(n).m, src, dst, false)
+	separable[si](tableFor(n), src, dst, false)
 	reportPass(tc, pcFwdRow[si], n)
 	reportPass(tc, pcFwdCol[si], n)
 	return nil
@@ -97,7 +97,7 @@ func Inverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 	}
 	si := sizeIdx(n)
 	// dst = Mᵀ · src · M: the column pass, then the row pass.
-	separable[si](tableFor(n).mt, src, dst, true)
+	separable[si](tableFor(n), src, dst, true)
 	reportPass(tc, pcInvCol[si], n)
 	reportPass(tc, pcInvRow[si], n)
 	return nil
@@ -107,38 +107,42 @@ func Inverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 // its own stack frame: sized to the block, so a 4×4 call zeroes 256
 // bytes and not the 16 KB a 32×32 needs, and reached through this
 // table so the frames are not merged into the caller's.
-var separable = [4]func(m []float64, src, dst []int32, transposed bool){
-	func(m []float64, src, dst []int32, transposed bool) {
+var separable = [4]func(t *dctTable, src, dst []int32, inverse bool){
+	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 4 * 4]float64
-		transform2D(m, 4, src, dst, s[:], transposed)
+		block2D(t, 4, src, dst, s[:], inverse)
 	},
-	func(m []float64, src, dst []int32, transposed bool) {
+	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 8 * 8]float64
-		transform2D(m, 8, src, dst, s[:], transposed)
+		block2D(t, 8, src, dst, s[:], inverse)
 	},
-	func(m []float64, src, dst []int32, transposed bool) {
+	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 16 * 16]float64
-		transform2D(m, 16, src, dst, s[:], transposed)
+		block2D(t, 16, src, dst, s[:], inverse)
 	},
-	func(m []float64, src, dst []int32, transposed bool) {
+	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 32 * 32]float64
-		transform2D(m, 32, src, dst, s[:], transposed)
+		block2D(t, 32, src, dst, s[:], inverse)
 	},
 }
 
-// transform2D computes dst = round(m · X · mᵀ), where X is the n×n
-// block src. With transposed set it works on Xᵀ and transposes the
-// result back: the same matrix, but the column side of X is multiplied
-// first, which is the order Inverse sums in. Every output is one
-// accumulator adding its n products in index order, exactly as the
-// textbook double loop would (ref_test.go holds that loop); the layout
-// around the sums is what makes it fast: src is converted to float64
-// once, and both passes read and write whole rows.
-func transform2D(m []float64, n int, src, dst []int32, s []float64, transposed bool) {
+// transform2D is block2D in portable Go: the only path off amd64 and
+// on processors without AVX2, and the reference the kernel is held to.
+// It computes round(m · X · mᵀ) with m the forward matrix; with inverse
+// set m is the transposed matrix and it works on Xᵀ and transposes the
+// result back, so the column side of X is multiplied first, which is
+// the order Inverse sums in. Every output is one accumulator adding its
+// n products in index order, exactly as the textbook double loop would
+// (ref_test.go holds that loop); the layout around the sums is what
+// makes it fast: src is converted to float64 once, and both passes read
+// and write whole rows.
+func transform2D(t *dctTable, n int, src, dst []int32, s []float64, inverse bool) {
 	nn := n * n
 	a, b := s[:nn], s[nn:2*nn]
 	src, dst = src[:nn], dst[:nn]
-	if transposed {
+	m := t.m
+	if inverse {
+		m = t.mt
 		for r := 0; r < n; r++ {
 			for c, v := range src[r*n : r*n+n] {
 				a[c*n+r] = float64(v)
@@ -151,7 +155,7 @@ func transform2D(m []float64, n int, src, dst []int32, s []float64, transposed b
 	}
 	rowsTimes(a, m, b, n)
 	rowsTimes(b, m, a, n)
-	if transposed {
+	if inverse {
 		for r := 0; r < n; r++ {
 			for c, v := range a[r*n : r*n+n] {
 				dst[c*n+r] = int32(math.Round(v))
@@ -167,7 +171,10 @@ func transform2D(m []float64, n int, src, dst []int32, s []float64, transposed b
 // rowsTimes sets out[k*n+r] to the dot product of row r of in and row k
 // of m, summed left to right: out = m · inᵀ. Four rows of m share each
 // load of in; their accumulators are independent, so no sum is
-// reordered.
+// reordered. Each product is an explicit conversion, which the language
+// makes a rounding point: without it the compiler fuses multiply and add
+// on arm64, ppc64le, s390x and riscv64, and a product rounded once, not
+// twice, moves near-tie coefficients — the tables would depend on GOARCH.
 func rowsTimes(in, m, out []float64, n int) {
 	for r := 0; r < n; r++ {
 		v := in[r*n : r*n+n]
@@ -178,10 +185,10 @@ func rowsTimes(in, m, out []float64, n int) {
 			m3 := m[(k+3)*n : (k+3)*n+n][:len(v)]
 			var s0, s1, s2, s3 float64
 			for x, f := range v {
-				s0 += f * m0[x]
-				s1 += f * m1[x]
-				s2 += f * m2[x]
-				s3 += f * m3[x]
+				s0 += float64(f * m0[x])
+				s1 += float64(f * m1[x])
+				s2 += float64(f * m2[x])
+				s3 += float64(f * m3[x])
 			}
 			out[k*n+r] = s0
 			out[(k+1)*n+r] = s1

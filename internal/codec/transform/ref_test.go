@@ -11,7 +11,11 @@ import (
 // rewrite, moved here verbatim (identifiers prefixed, nothing else
 // changed) as the oracle of the differential tests: a heap scratch per
 // call, one int→float conversion per multiply-add, a strided column
-// pass. They build their own DCT matrices.
+// pass. They build their own DCT matrices. One thing did change since:
+// every product is wrapped in an explicit float64 conversion, the
+// spec's rounding point, so the oracle cannot be compiled to fused
+// multiply-adds either (see rowsTimes) and means the same thing on
+// every GOARCH.
 
 // refDCTTables caches orthonormal DCT-II matrices per size.
 var refDCTTables sync.Map // int -> *refDCTTable
@@ -58,7 +62,7 @@ func refForward(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 			var acc float64
 			row := t.m[k*n:]
 			for x := 0; x < n; x++ {
-				acc += float64(src[r*n+x]) * row[x]
+				acc += float64(float64(src[r*n+x]) * row[x])
 			}
 			tmp[r*n+k] = acc
 		}
@@ -69,7 +73,7 @@ func refForward(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 		for k := 0; k < n; k++ {
 			var acc float64
 			for y := 0; y < n; y++ {
-				acc += t.m[k*n+y] * tmp[y*n+c]
+				acc += float64(t.m[k*n+y] * tmp[y*n+c])
 			}
 			dst[k*n+c] = int32(math.Round(acc))
 		}
@@ -92,7 +96,7 @@ func refInverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 		for y := 0; y < n; y++ {
 			var acc float64
 			for k := 0; k < n; k++ {
-				acc += t.mt[y*n+k] * float64(src[k*n+c])
+				acc += float64(t.mt[y*n+k] * float64(src[k*n+c]))
 			}
 			tmp[y*n+c] = acc
 		}
@@ -103,7 +107,7 @@ func refInverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 		for x := 0; x < n; x++ {
 			var acc float64
 			for k := 0; k < n; k++ {
-				acc += tmp[r*n+k] * t.mt[x*n+k]
+				acc += float64(tmp[r*n+k] * t.mt[x*n+k])
 			}
 			dst[r*n+x] = int32(math.Round(acc))
 		}
