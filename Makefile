@@ -23,9 +23,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -95,6 +95,17 @@ one-kernel:
 		ls "$$(dirname $$f)"/*_other.go >/dev/null 2>&1 || { echo "$$f has no _other.go beside it"; exit 1; }; \
 	done
 	@! grep -nE 'VF(N?M(ADD|SUB)|MADDSUB|MSUBADD)' $$(find internal/codec -name '*.s')
+
+# A job's completion is pushed to whoever waits for it (DESIGN.md §8):
+# Client.Drive is the submit helper plus one held request, so its body
+# sleeps nowhere — the 429/reconnect pacing lives in submitAccepted, the
+# guard against a server without ?wait= in awaitResult — and no non-test
+# file outside bench/ brings back a client-side status read, a GET of the
+# status endpoint, or a doubling poll delay to loop on.
+one-wait:
+	@! awk '/^func \(c Client\) Drive/,/^}/' internal/service/client.go | grep -n 'Sleep'
+	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
+		'^func \(c Client\) Status|MethodGet, [^,]*"/v1/jobs/"|delay \*= 2' .
 
 # The canonical size figure every simplicity PR quotes: non-test Go
 # lines outside bench/. Assembly is counted on its own line.

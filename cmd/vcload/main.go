@@ -1,7 +1,7 @@
 // Command vcload is a deterministic closed-loop load generator for
 // vcprofd. A seeded PRNG draws a fixed job mix over the clip catalog ×
 // encoder families × a CRF spread; -c workers each drive one job at a
-// time through the full lifecycle (submit, poll, fetch), so offered
+// time through the full lifecycle (submit, one waiting fetch), so offered
 // load is closed-loop, not open-loop. Every pass with the same seed and
 // count generates byte-identical specs, and the tool folds every result
 // body into one order-independent digest — two passes against any
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strings"
 	"sync"
@@ -75,7 +76,10 @@ func run() error {
 	}
 	specs := buildMix(*seed, *n, *frames, *div, *expFrac, *heavy, *flat)
 
-	ctx := context.Background()
+	// ^C ends every drive in flight, and each gives its job back to the
+	// server on the way out (Client.Drive) instead of leaving it to run.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	daemon := service.Client{Base: base, HTTP: &http.Client{Timeout: 5 * time.Minute}}
 	var (
 		next       atomic.Int64
@@ -298,7 +302,7 @@ func (s *splitmix) next() uint64 {
 // retried with backoff and counted, anything persistent fails the job.
 const maxReconnects = 3
 
-// driveJob pushes one job through submit → poll → fetch and returns the
+// driveJob pushes one job through submit → waiting fetch and returns the
 // result body plus the attempt/served split.
 func driveJob(ctx context.Context, daemon service.Client, spec *service.JobSpec) ([]byte, service.DriveStats, error) {
 	payload, err := json.Marshal(spec)

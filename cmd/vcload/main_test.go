@@ -26,9 +26,10 @@ func testSpec(t *testing.T) *service.JobSpec {
 }
 
 // slowAdmitServer answers the first reject429 submits with 429 (each
-// costing the client its 25ms backoff), then accepts and serves the
-// job after serveDelay. The served latency a correct client reports is
-// ~serveDelay — the 429 backoff sleeps must not leak into it.
+// costing the client its 25ms backoff), then accepts and holds the
+// waiting result fetch until serveDelay after the accept, as a daemon
+// holds it until the job ends. The served latency a correct client
+// reports is ~serveDelay — the 429 backoff sleeps must not leak into it.
 func slowAdmitServer(t *testing.T, spec *service.JobSpec, reject429 int, serveDelay time.Duration) *httptest.Server {
 	t.Helper()
 	id := spec.Key()
@@ -47,14 +48,11 @@ func slowAdmitServer(t *testing.T, spec *service.JobSpec, reject429 int, serveDe
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(map[string]string{"id": id, "status": service.StateQueued})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st := service.StateRunning
-		if time.Since(acceptedAt) >= serveDelay {
-			st = service.StateDone
-		}
-		json.NewEncoder(w).Encode(map[string]string{"id": id, "status": st})
-	})
 	mux.HandleFunc("GET /v1/results/{id}", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(serveDelay - time.Since(acceptedAt)):
+		case <-r.Context().Done():
+		}
 		fmt.Fprint(w, `{"result":"bytes"}`)
 	})
 	srv := httptest.NewServer(mux)

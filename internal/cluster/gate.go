@@ -110,6 +110,9 @@ func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
+	if req.URL.RawQuery != "" && !service.AwaitTerminal(w, req, r.driveDone) {
+		return
+	}
 	id := req.PathValue("id")
 	if state, errMsg, cached, ok := r.Status(id); ok {
 		service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: id, Status: state, Cached: cached, Error: errMsg})
@@ -137,6 +140,9 @@ func (r *Router) headThrough(req *http.Request, id string) (found bool) {
 }
 
 func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
+	if req.URL.RawQuery != "" && !service.AwaitTerminal(w, req, r.driveDone) {
+		return
+	}
 	id := req.PathValue("id")
 	if body, ok := r.CachedResult(id); ok {
 		w.Header().Set("Content-Type", "application/json")

@@ -47,8 +47,9 @@ type Router struct {
 // convention — mutex siblings are guarded — reads literally).
 type routerState struct {
 	mu       sync.Mutex
-	drives   map[string]*drive
-	warm     map[string]string         // key → shard that last served it
+	drives   map[string]*drive         // queued and running drives
+	failed   *memo.LRU[string, string] // key → error of the latest failed drives, oldest dropped first
+	warm     *memo.LRU[string, string] // key → shard that last served it: a hint, so losing one costs a ring lookup
 	results  *memo.LRU[string, []byte] // completed result bodies, one unit each
 	inflight int
 	draining bool
@@ -66,15 +67,24 @@ type gateCounters struct {
 	rejected, refused, drivesFailed atomic.Uint64
 }
 
-// drive is one in-flight routed job. state and errMsg change only
+// drive is one in-flight routed job. state changes, and done is closed
+// (exactly once, when runDrive takes the drive out of the table), only
 // under routerState.mu.
 type drive struct {
 	key     string
 	trace   string // hop-trace id, derived from the key at submit
 	payload []byte
 	state   string
-	errMsg  string
+	done    chan struct{}
 }
+
+// maxFailedDrives bounds how many failed drives stay readable, and
+// warmHintsPerResult sizes the warm-hint table from the result cache: a
+// hint is a shard name where a cached result is a whole body.
+const (
+	maxFailedDrives    = 1024
+	warmHintsPerResult = 16
+)
 
 // NewRouter builds a stopped router; Start launches the health prober.
 // The base context — parent of every drive — derives from ctx, so
@@ -97,9 +107,15 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 	}
 	cfg.fill()
 	if cfg.Client == nil {
-		// No overall client timeout: per-drive contexts bound every
-		// request, and a single deadline here would cap job runtime.
-		cfg.Client = &http.Client{}
+		// Every in-flight drive holds one standing request on its shard,
+		// so the idle pool is as deep as the drive bound; the default
+		// transport's two per host would redial for every drive past the
+		// second. No overall client timeout: per-drive contexts bound
+		// every request, and a single deadline here would cap job runtime.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = cfg.MaxInflight
+		tr.MaxIdleConns = cfg.MaxInflight * len(cfg.Shards)
+		cfg.Client = &http.Client{Transport: tr}
 	}
 	r := &Router{
 		cfg:      cfg,
@@ -110,7 +126,8 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		hops:     obs.NewHopLog("gate", cfg.HopTraces),
 		st: routerState{
 			drives:  make(map[string]*drive),
-			warm:    make(map[string]string),
+			failed:  memo.NewLRU[string, string](maxFailedDrives, nil),
+			warm:    memo.NewLRU[string, string](int64(warmHintsPerResult*cfg.ResultCacheEntries), nil),
 			results: memo.NewLRU[string, []byte](int64(cfg.ResultCacheEntries), nil),
 		},
 		probeStop: make(chan struct{}),
@@ -228,6 +245,10 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	r.baseCancel()
+	// Every drive has returned its connection; nothing will reuse them.
+	if c, ok := r.client.(*http.Client); ok {
+		c.CloseIdleConnections()
+	}
 	return err
 }
 
@@ -250,7 +271,7 @@ func (r *Router) Submit(spec *service.JobSpec) (id, state string, code int, err 
 	if _, ok := r.st.results.Get(key); ok {
 		return key, service.StateDone, http.StatusOK, nil
 	}
-	if d, ok := r.st.drives[key]; ok && d.state != service.StateFailed {
+	if d, ok := r.st.drives[key]; ok {
 		return key, d.state, http.StatusAccepted, nil
 	}
 	if r.st.inflight >= r.cfg.MaxInflight {
@@ -258,7 +279,11 @@ func (r *Router) Submit(spec *service.JobSpec) (id, state string, code int, err 
 		return key, "", http.StatusTooManyRequests,
 			fmt.Errorf("gate saturated (%d drives in flight)", r.st.inflight)
 	}
-	d := &drive{key: key, trace: obs.JobTraceID(key), payload: payload, state: service.StateQueued}
+	// A failed drive is replaced by a fresh attempt (mirrors vcprofd's
+	// job table).
+	r.st.failed.Remove(key)
+	d := &drive{key: key, trace: obs.JobTraceID(key), payload: payload,
+		state: service.StateQueued, done: make(chan struct{})}
 	r.st.drives[key] = d
 	r.st.inflight++
 	r.wg.Add(1)
@@ -271,12 +296,26 @@ func (r *Router) Status(id string) (state, errMsg string, cached, ok bool) {
 	r.st.mu.Lock()
 	defer r.st.mu.Unlock()
 	if d, ok := r.st.drives[id]; ok {
-		return d.state, d.errMsg, false, true
+		return d.state, "", false, true
+	}
+	if errMsg, ok := r.st.failed.Peek(id); ok {
+		return service.StateFailed, errMsg, false, true
 	}
 	if _, ok := r.st.results.Get(id); ok {
 		return service.StateDone, "", true, true
 	}
 	return "", "", false, false
+}
+
+// driveDone returns the channel closed when id's queued or running
+// drive turns terminal, nil when there is none to wait for.
+func (r *Router) driveDone(id string) <-chan struct{} {
+	r.st.mu.Lock()
+	defer r.st.mu.Unlock()
+	if d, ok := r.st.drives[id]; ok {
+		return d.done
+	}
+	return nil
 }
 
 // CachedResult returns a completed job's bytes from the gate cache.
@@ -295,7 +334,7 @@ func (r *Router) FetchThrough(ctx context.Context, id string) (body []byte, ok b
 		func(name string, got []byte) bool {
 			r.st.mu.Lock()
 			r.st.results.Put(id, got, 1)
-			r.st.warm[id] = name
+			r.st.warm.Put(id, name, 1)
 			r.st.mu.Unlock()
 			body, ok = got, true
 			return true
@@ -312,19 +351,18 @@ func (r *Router) runDrive(d *drive) {
 
 	r.st.mu.Lock()
 	r.st.inflight--
+	delete(r.st.drives, d.key)
+	close(d.done)
 	if err != nil {
 		r.n.drivesFailed.Add(1)
-		d.state = service.StateFailed
-		d.errMsg = err.Error()
-		// Failed drives stay tracked so pollers can read the error; a
-		// resubmission replaces them (mirrors vcprofd's job table).
+		// The error stays readable until the key is resubmitted or
+		// maxFailedDrives newer failures displace it.
+		r.st.failed.Put(d.key, err.Error(), 1)
 		r.st.mu.Unlock()
 		return
 	}
-	r.st.results.Put(d.key, out.body, 1)
-	r.st.warm[d.key] = out.shard
-	d.state = service.StateDone
-	delete(r.st.drives, d.key) // the result cache answers later polls
+	r.st.results.Put(d.key, out.body, 1) // the result cache answers later requests
+	r.st.warm.Put(d.key, out.shard, 1)
 	r.st.mu.Unlock()
 
 	r.n.routes.Add(1)
@@ -366,8 +404,9 @@ type attemptOut struct {
 // a primary attempt, one hedge after the quantile-derived delay, and a
 // fresh candidate with doubled backoff each time an attempt dies.
 // First success wins; the shared context cancellation aborts every
-// loser's in-flight request and poll sleep, and the WaitGroup join
-// guarantees no attempt goroutine outlives the race.
+// loser's standing request, the loser's Drive tells its shard to abandon
+// the job on its way out, and the WaitGroup join guarantees no attempt
+// goroutine outlives the race.
 func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -465,7 +504,7 @@ func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 // last resort — any untried shard at all.
 func (r *Router) nextCandidate(key string, tried map[string]bool) (string, bool) {
 	r.st.mu.Lock()
-	hint := r.st.warm[key]
+	hint, _ := r.st.warm.Get(key)
 	r.st.mu.Unlock()
 	if hint != "" && !tried[hint] && r.reg.isAlive(hint) {
 		return hint, true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,11 +141,6 @@ func (c Client) Submit(ctx context.Context, payload []byte, trace string) (JobSt
 	return c.status(ctx, http.MethodPost, c.Base+"/v1/jobs", payload, trace)
 }
 
-// Status polls a job's lifecycle state.
-func (c Client) Status(ctx context.Context, id string) (JobStatus, int, error) {
-	return c.status(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id, nil, "")
-}
-
 // Result fetches a finished job's result bytes.
 func (c Client) Result(ctx context.Context, id string) ([]byte, error) {
 	return c.read(ctx, http.MethodGet, c.Base+"/v1/results/"+id, nil, "", http.StatusOK)
@@ -254,40 +250,17 @@ type DriveStats struct {
 	Cached     bool // the submit was answered from the store (200)
 }
 
-// Drive pushes one job through its whole lifecycle: submit (429s
-// retried in place), poll with a 1→50 ms doubling delay, fetch. key is
-// the spec's content address, which the server must echo; payload is
-// the marshalled spec, built once by the caller and reused across
-// attempts.
+// Drive pushes one job through its whole lifecycle in two requests: the
+// submit, and one result fetch the server holds until the job is
+// terminal. key is the spec's content address, which the server must
+// echo; payload is the marshalled spec, built once by the caller and
+// reused across attempts. When ctx ends while the job is still the
+// server's to compute, Drive gives its submit's interest back, so a job
+// nobody else asked for stops there too.
 func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOpts) ([]byte, DriveStats, error) {
 	var ds DriveStats
-	for {
-		st, code, err := c.Submit(ctx, payload, o.Trace)
-		if err != nil {
-			if ds.Reconnects >= o.Reconnects || ctx.Err() != nil {
-				return nil, ds, fmt.Errorf("submit (after %d reconnects): %w", ds.Reconnects, err)
-			}
-			ds.Reconnects++
-			if err := SleepCtx(ctx, 10*time.Millisecond); err != nil {
-				return nil, ds, err
-			}
-			continue
-		}
-		if code == http.StatusTooManyRequests {
-			ds.Retries429++
-			if err := SleepCtx(ctx, 25*time.Millisecond); err != nil {
-				return nil, ds, err
-			}
-			continue
-		}
-		if code != http.StatusOK && code != http.StatusAccepted {
-			return nil, ds, fmt.Errorf("submit: HTTP %d: %s", code, st.Error)
-		}
-		if st.ID != key {
-			return nil, ds, fmt.Errorf("submit: server key %s != local key %s", st.ID, key)
-		}
-		ds.Cached = code == http.StatusOK
-		break
+	if err := c.submitAccepted(ctx, key, payload, o, &ds); err != nil {
+		return nil, ds, err
 	}
 	// The served clock starts here: the job is accepted (or cached);
 	// everything before this point was admission, not service.
@@ -295,33 +268,97 @@ func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOp
 	if o.Accepted != nil {
 		o.Accepted()
 	}
-	for delay := time.Millisecond; ; {
-		st, code, err := c.Status(ctx, key)
-		if err != nil {
-			return nil, ds, err
-		}
-		if code != http.StatusOK {
-			return nil, ds, fmt.Errorf("poll: HTTP %d: %s", code, st.Error)
-		}
-		if st.Status == StateFailed {
-			return nil, ds, fmt.Errorf("job failed: %s", st.Error)
-		}
-		if st.Status == StateDone {
-			break
-		}
-		if err := SleepCtx(ctx, delay); err != nil {
-			return nil, ds, err
-		}
-		if delay < 50*time.Millisecond {
-			delay *= 2
-		}
-	}
-	body, err := c.Result(ctx, key)
+	body, err := c.awaitResult(ctx, key)
 	if err != nil {
+		if ctx.Err() != nil && !ds.Cached {
+			c.abandon(ctx, key)
+		}
 		return nil, ds, err
 	}
 	ds.Served = time.Since(accepted)
 	return body, ds, nil
+}
+
+// submitAccepted submits until the server takes the job — 429s and, up
+// to o.Reconnects, transport errors retried in place — and checks the
+// echoed key. The retries are counted in ds, which is valid on error too.
+func (c Client) submitAccepted(ctx context.Context, key string, payload []byte, o DriveOpts, ds *DriveStats) error {
+	for {
+		st, code, err := c.Submit(ctx, payload, o.Trace)
+		if err != nil {
+			if ds.Reconnects >= o.Reconnects || ctx.Err() != nil {
+				return fmt.Errorf("submit (after %d reconnects): %w", ds.Reconnects, err)
+			}
+			ds.Reconnects++
+			if err := SleepCtx(ctx, 10*time.Millisecond); err != nil {
+				return err
+			}
+			continue
+		}
+		if code == http.StatusTooManyRequests {
+			ds.Retries429++
+			if err := SleepCtx(ctx, 25*time.Millisecond); err != nil {
+				return err
+			}
+			continue
+		}
+		if code != http.StatusOK && code != http.StatusAccepted {
+			return fmt.Errorf("submit: HTTP %d: %s", code, st.Error)
+		}
+		if st.ID != key {
+			return fmt.Errorf("submit: server key %s != local key %s", st.ID, key)
+		}
+		ds.Cached = code == http.StatusOK
+		return nil
+	}
+}
+
+// driveWait is the wait Drive asks of each result fetch (at most
+// MaxWait, so a server grants it whole).
+const driveWait = 30 * time.Second
+
+// awaitResult fetches key's result with ?wait=: the server answers the
+// moment the job is terminal, so the normal drive is this one request. A
+// 409 means the wait ran out with the job still in flight, and the fetch
+// is issued again until ctx ends; one that came back sooner than asked
+// is a server that does not implement wait, and is paced so Drive cannot
+// spin on it. A 500 carrying a failed JobStatus is the job's own error;
+// any other answer is reported by its HTTP code, whatever its body.
+func (c Client) awaitResult(ctx context.Context, key string) ([]byte, error) {
+	url := c.Base + "/v1/results/" + key + "?wait=" + driveWait.String()
+	for {
+		asked := time.Now()
+		body, err := c.read(ctx, http.MethodGet, url, nil, "", http.StatusOK)
+		var se *StatusError
+		if !errors.As(err, &se) {
+			return body, err
+		}
+		var st JobStatus
+		if se.Code == http.StatusInternalServerError &&
+			json.Unmarshal([]byte(se.Body), &st) == nil && st.Status == StateFailed {
+			return nil, fmt.Errorf("job failed: %s", st.Error)
+		}
+		if se.Code != http.StatusConflict {
+			return nil, err
+		}
+		if time.Since(asked) < driveWait {
+			if err := SleepCtx(ctx, 10*time.Millisecond); err != nil {
+				return nil, err
+			}
+		}
+	}
+}
+
+// abandon gives back the interest an accepted submit holds (DELETE
+// /v1/jobs/{id}). Best effort, on a short context of its own because
+// the caller's has ended: a server that is gone, or one without the
+// endpoint (a gate), is not an error.
+func (c Client) abandon(ctx context.Context, key string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
+	defer cancel()
+	if resp, err := c.do(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+key, nil, ""); err == nil {
+		resp.Body.Close()
+	}
 }
 
 // SleepCtx sleeps for d, or returns ctx's error as soon as ctx ends.

@@ -18,19 +18,29 @@ import (
 )
 
 // fakeShard is a scripted daemon for the Drive tests: it answers the
-// first reject429 submits with 429, then accepts under submitID and
-// reports the job done serveDelay later. poll and result, when set,
-// replace the default status and result handlers.
+// first reject429 submits with 429, then accepts under submitID, and its
+// result endpoint honours ?wait= the way a daemon does — it holds the
+// fetch until serveDelay after the accept (then serves bytes), the wait
+// runs out (409) or the client goes. result, when set, replaces that
+// handler. Every request is counted, and DELETEs are recorded.
 type fakeShard struct {
 	submitID   string
 	reject429  int
 	serveDelay time.Duration
-	poll       http.HandlerFunc
 	result     http.HandlerFunc
 
 	mu         sync.Mutex // handlers may run on different connections
 	submits    int
+	requests   int
+	deleted    []string
 	acceptedAt time.Time
+}
+
+// seen reports the requests served and the ids DELETEd so far.
+func (f *fakeShard) seen() (requests int, deleted []string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.requests, append([]string(nil), f.deleted...)
 }
 
 func (f *fakeShard) serve(t *testing.T) Client {
@@ -48,27 +58,43 @@ func (f *fakeShard) serve(t *testing.T) Client {
 		f.acceptedAt = time.Now()
 		WriteJSON(w, http.StatusAccepted, JobStatus{ID: f.submitID, Status: StateQueued})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if f.poll != nil {
-			f.poll(w, r)
-			return
-		}
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		st := StateRunning
-		if time.Since(f.acceptedAt) >= f.serveDelay {
-			st = StateDone
-		}
-		WriteJSON(w, http.StatusOK, JobStatus{ID: r.PathValue("id"), Status: st})
+		f.deleted = append(f.deleted, r.PathValue("id"))
+		w.WriteHeader(http.StatusNoContent)
 	})
 	mux.HandleFunc("GET /v1/results/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if f.result != nil {
 			f.result(w, r)
 			return
 		}
+		wait, err := time.ParseDuration(r.URL.Query().Get("wait"))
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "fake shard wants ?wait=: %v", err)
+			return
+		}
+		f.mu.Lock()
+		left := f.serveDelay - time.Since(f.acceptedAt)
+		f.mu.Unlock()
+		if left > 0 {
+			select {
+			case <-time.After(min(left, wait)):
+			case <-r.Context().Done():
+			}
+		}
+		if left > wait {
+			WriteJSON(w, http.StatusConflict, JobStatus{ID: r.PathValue("id"), Status: StateRunning})
+			return
+		}
 		fmt.Fprint(w, `{"result":"bytes"}`)
 	})
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.mu.Lock()
+		f.requests++
+		f.mu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
 	return Client{Base: srv.URL, HTTP: srv.Client()}
 }
@@ -170,21 +196,40 @@ func TestDriveGivesUpAfterReconnectBudget(t *testing.T) {
 }
 
 // TestDriveReportsHTTPCodeOfNonJSON5xx: a dying server's 5xx carries
-// whatever body its proxy wrote. Submit and poll alike must report the
-// HTTP code, not a JSON syntax error.
+// whatever body its proxy wrote. Submit and fetch alike must report the
+// HTTP code, not a JSON syntax error — and a 500 is the job's own
+// failure only when it carries a failed JobStatus.
 func TestDriveReportsHTTPCodeOfNonJSON5xx(t *testing.T) {
 	key, payload := drivePayload(t)
-	c := (&fakeShard{submitID: key, poll: func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprint(w, "<html>upstream died</html>")
-	}}).serve(t)
+	for _, code := range []int{http.StatusBadGateway, http.StatusInternalServerError} {
+		c := (&fakeShard{submitID: key, result: func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(code)
+			fmt.Fprint(w, "<html>upstream died</html>")
+		}}).serve(t)
 
-	_, _, err := c.Drive(context.Background(), key, payload, DriveOpts{})
-	if err == nil || !strings.Contains(err.Error(), "HTTP 502") {
-		t.Fatalf("err = %v, want the poll's HTTP 502", err)
+		_, _, err := c.Drive(context.Background(), key, payload, DriveOpts{})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("HTTP %d", code)) {
+			t.Fatalf("err = %v, want the fetch's HTTP %d", err, code)
+		}
+		if strings.Contains(err.Error(), "bad status body") || strings.Contains(err.Error(), "job failed") {
+			t.Fatalf("err = %v: a 5xx body must not be parsed", err)
+		}
 	}
-	if strings.Contains(err.Error(), "bad status body") {
-		t.Fatalf("err = %v: a 5xx body must not be parsed", err)
+}
+
+// TestDriveReportsFailedJob: the waiting fetch's 500 + failed JobStatus
+// is the job's own error, worded as the status poll used to word it.
+func TestDriveReportsFailedJob(t *testing.T) {
+	key, payload := drivePayload(t)
+	f := &fakeShard{submitID: key, result: func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusInternalServerError, JobStatus{ID: r.PathValue("id"), Status: StateFailed, Error: "boom"})
+	}}
+	_, _, err := f.serve(t).Drive(context.Background(), key, payload, DriveOpts{})
+	if err == nil || err.Error() != "job failed: boom" {
+		t.Fatalf("err = %v, want \"job failed: boom\"", err)
+	}
+	if _, deleted := f.seen(); len(deleted) != 0 {
+		t.Fatalf("a failed job was abandoned too: DELETE %v", deleted)
 	}
 }
 
@@ -197,14 +242,16 @@ func TestDriveRejectsKeyMismatchOnSubmit(t *testing.T) {
 	}
 }
 
-// TestDriveCancelledMidPollReturnsPromptly: the poll sleep and the
-// in-flight request both hang off ctx, so a hedge loser or a drained
-// router stops within one scheduling quantum, not one poll delay.
-func TestDriveCancelledMidPollReturnsPromptly(t *testing.T) {
+// TestDriveCancelledMidWaitReturnsPromptly: the standing fetch hangs
+// off ctx, so a hedge loser or a drained router stops within one
+// scheduling quantum — and tells the shard, once, that it has stopped
+// waiting.
+func TestDriveCancelledMidWaitReturnsPromptly(t *testing.T) {
 	key, payload := drivePayload(t)
-	c := (&fakeShard{submitID: key, serveDelay: time.Hour}).serve(t)
+	f := &fakeShard{submitID: key, serveDelay: time.Hour}
+	c := f.serve(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(60*time.Millisecond, cancel) // several polls in: the delay has grown
+	time.AfterFunc(60*time.Millisecond, cancel) // well into the wait
 	t0 := time.Now()
 	_, _, err := c.Drive(ctx, key, payload, DriveOpts{})
 	if err == nil || ctx.Err() == nil {
@@ -212,6 +259,46 @@ func TestDriveCancelledMidPollReturnsPromptly(t *testing.T) {
 	}
 	if took := time.Since(t0); took > 2*time.Second {
 		t.Fatalf("cancelled drive took %v to return", took)
+	}
+	if n, deleted := f.seen(); n != 3 || len(deleted) != 1 || deleted[0] != key {
+		t.Fatalf("cancelled drive made %d requests and sent DELETE for %v, want submit + fetch + one DELETE of its key", n, deleted)
+	}
+}
+
+// TestDriveNeverSpinsOnAServerWithoutWait: a server that ignores ?wait=
+// and answers 409 at once (a daemon older than the parameter) turns
+// Drive into a paced result poll, not a busy loop.
+func TestDriveNeverSpinsOnAServerWithoutWait(t *testing.T) {
+	key, payload := drivePayload(t)
+	f := &fakeShard{submitID: key, result: func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusConflict, JobStatus{ID: r.PathValue("id"), Status: StateRunning})
+	}}
+	c := f.serve(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, _, err := c.Drive(ctx, key, payload, DriveOpts{}); err == nil || ctx.Err() == nil {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	if n, _ := f.seen(); n < 3 || n >= 100 {
+		t.Fatalf("Drive made %d requests in 200ms against a server that never holds a fetch, want a paced few", n)
+	}
+}
+
+// TestDriveReissuesAnElapsedWait: a 409 that took the whole wait is the
+// server saying "still running", and the fetch is simply issued again.
+func TestDriveReissuesAnElapsedWait(t *testing.T) {
+	key, payload := drivePayload(t)
+	f := &fakeShard{submitID: key}
+	f.result = func(w http.ResponseWriter, r *http.Request) {
+		if n, _ := f.seen(); n == 2 { // the submit was request 1
+			WriteJSON(w, http.StatusConflict, JobStatus{ID: r.PathValue("id"), Status: StateRunning})
+			return
+		}
+		fmt.Fprint(w, `{"result":"bytes"}`)
+	}
+	body, _, err := f.serve(t).Drive(context.Background(), key, payload, DriveOpts{})
+	if n, _ := f.seen(); err != nil || string(body) != `{"result":"bytes"}` || n != 3 {
+		t.Fatalf("body %q err %v after %d requests, want the bytes on the second fetch", body, err, n)
 	}
 }
 

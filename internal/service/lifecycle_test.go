@@ -59,7 +59,7 @@ func submit(t *testing.T, base string, spec JobSpec) (JobStatus, int) {
 
 func getStatus(t *testing.T, base, id string) (JobStatus, int) {
 	t.Helper()
-	st, code, err := Client{Base: base}.Status(context.Background(), id)
+	st, code, err := Client{Base: base}.status(context.Background(), http.MethodGet, base+"/v1/jobs/"+id, nil, "")
 	if err != nil {
 		t.Fatalf("status: %v", err)
 	}

@@ -1,0 +1,8 @@
+//go:build race
+
+package service
+
+// raceEnabled reports whether this test binary was built with the race
+// detector, under which the waiter wall's wake-up budgets are an order
+// of magnitude looser.
+const raceEnabled = true

@@ -231,6 +231,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}/stats", s.handleSessionStats)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleAbandon)
 	mux.HandleFunc("GET /v1/results/{id}", s.handleResult)
 	mux.HandleFunc("HEAD /v1/results/{id}", s.handleResultHead)
 	mux.HandleFunc("PUT /v1/results/{id}", s.handleResultPut)
@@ -279,7 +280,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.q.push(j); err != nil {
-		s.jobs.remove(key, j)
+		s.jobs.finish(j, "") // never queued: untracked, and a twin that joined meanwhile is woken
 		switch err {
 		case ErrSaturated:
 			obsJobsRejected.Add(1)
@@ -299,7 +300,47 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusAccepted, JobStatus{ID: key, Status: StateQueued})
 }
 
+// MaxWait caps the ?wait= a lifecycle GET may ask for; a longer wait is
+// served as this one.
+const MaxWait = time.Minute
+
+// AwaitTerminal serves the wait parameter of GET /v1/jobs/{id} and GET
+// /v1/results/{id}, on a daemon and on a gate: it parks the request
+// until the job doneOf names is terminal, the wait (at most MaxWait)
+// has passed or the client has gone, and the handler then answers
+// exactly what it would answer a plain GET at that instant. An id with
+// no queued or running job (doneOf answers nil) and wait=0 never park.
+// It reports false once it has refused a malformed or negative wait
+// with 400. Handlers call it only when the request has a query, so a
+// plain GET pays nothing for it.
+func AwaitTerminal(w http.ResponseWriter, r *http.Request, doneOf func(id string) <-chan struct{}) bool {
+	v := r.URL.Query().Get("wait")
+	if v == "" {
+		return true
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		WriteError(w, http.StatusBadRequest, "bad wait %q (want a duration such as 10s)", v)
+		return false
+	}
+	done := doneOf(r.PathValue("id"))
+	if done == nil || d == 0 {
+		return true
+	}
+	t := time.NewTimer(min(d, MaxWait))
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-r.Context().Done():
+	}
+	return true
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" && !AwaitTerminal(w, r, s.jobs.doneOf) {
+		return
+	}
 	id := r.PathValue("id")
 	if state, errMsg, ok := s.jobs.status(id); ok {
 		WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: state, Error: errMsg})
@@ -312,7 +353,22 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	WriteError(w, http.StatusNotFound, "unknown job %q", id)
 }
 
+// handleAbandon gives back the interest one accepted submit holds in a
+// queued or running job; the job is cancelled once no submitter is left
+// (jobTable.release). 404 means there was nothing to give back: the id
+// is unknown or its job already finished.
+func (s *Server) handleAbandon(w http.ResponseWriter, r *http.Request) {
+	if id := r.PathValue("id"); !s.jobs.release(id) {
+		WriteError(w, http.StatusNotFound, "no queued or running job %q", id)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	if r.URL.RawQuery != "" && !AwaitTerminal(w, r, s.jobs.doneOf) {
+		return
+	}
 	id := r.PathValue("id")
 	data, ok, err := s.store.Get(id)
 	if err != nil {
@@ -329,7 +385,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			WriteJSON(w, http.StatusInternalServerError, JobStatus{ID: id, Status: state, Error: errMsg})
 			return
 		}
-		// Known but not finished: poll again.
+		// Known but not finished: ask again.
 		WriteJSON(w, http.StatusConflict, JobStatus{ID: id, Status: state})
 		return
 	}

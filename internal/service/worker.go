@@ -39,7 +39,17 @@ func (s *Server) runJob(idx int, j *job) {
 	// the queue satisfies it for free.
 	if s.store.Contains(j.key) {
 		obsJobsCompleted.Add(1)
-		s.jobs.setState(j, StateDone, "")
+		s.jobs.finish(j, "")
+		return
+	}
+	timeout := s.cfg.DefaultTimeout
+	if t := time.Duration(j.spec.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
+		timeout = t
+	}
+	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	defer cancel()
+	if !s.jobs.start(j, cancel) {
+		obsJobsFailed.Add(1)
 		return
 	}
 	if !j.enqueuedAt.IsZero() {
@@ -53,12 +63,6 @@ func (s *Server) runJob(idx int, j *job) {
 	}
 	s.tele.running.Add(1)
 	defer s.tele.running.Add(-1)
-	s.jobs.setState(j, StateRunning, "")
-	timeout := s.cfg.DefaultTimeout
-	if t := time.Duration(j.spec.TimeoutMS) * time.Millisecond; t > 0 && t < timeout {
-		timeout = t
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	ctx = obs.WithTraceContext(ctx, obs.TraceContext{Trace: j.traceID})
 	ctx = topdown.WithAccumulator(ctx, s.tele.jobAcc(j.key))
 	ctx = topdown.WithAccumulator(ctx, s.tele.agg)
@@ -73,13 +77,12 @@ func (s *Server) runJob(idx int, j *job) {
 	res, err := ExecuteObserved(ctx, &j.spec, jobSess)
 	obsJobLatencyMS.Observe(uint64(time.Since(start).Milliseconds()))
 	s.board.adopt(jobSess)
-	cancel()
 	if err != nil {
 		obsJobsFailed.Add(1)
 		s.board.span(idx, obsJobFailedName, j.key, 1)
 		s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopJobFailed,
 			Arg: obs.ShortKey(j.key), StartMS: time.Now().UnixMilli()})
-		s.jobs.setState(j, StateFailed, err.Error())
+		s.jobs.finish(j, err.Error())
 		return
 	}
 	data := res.Encode()
@@ -88,7 +91,7 @@ func (s *Server) runJob(idx int, j *job) {
 		s.board.span(idx, obsJobFailedName, j.key, 1)
 		s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopJobFailed,
 			Arg: obs.ShortKey(j.key), StartMS: time.Now().UnixMilli()})
-		s.jobs.setState(j, StateFailed, "store: "+perr.Error())
+		s.jobs.finish(j, "store: "+perr.Error())
 		return
 	}
 	obsJobsCompleted.Add(1)
@@ -99,7 +102,7 @@ func (s *Server) runJob(idx int, j *job) {
 	s.board.span(idx, obsJobDoneName, j.key, uint64(len(data)))
 	s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopExec,
 		Arg: obs.ShortKey(j.key), Dur: uint64(len(data))})
-	s.jobs.setState(j, StateDone, "")
+	s.jobs.finish(j, "")
 }
 
 // traceBoard owns the per-worker span lanes. obs Traces are

@@ -15,8 +15,10 @@
 #     whose stores already hold each id (ring ownership + replication),
 #     so the warm-route rate must clear SMOKE_WARM_MIN (default 80%),
 #     and the digest must again equal the baseline.
-# Finally the gate and the surviving shards must drain cleanly on
-# SIGTERM.
+# Each gate and, finally, the surviving shards must drain cleanly on
+# SIGTERM in under 2 s: a hedge loser's shard abandons the loser's job
+# when the winner lands, so no daemon is still computing for nobody when
+# the signal arrives (one used to, through its whole 10 s drain budget).
 #
 # Tunables (env): SMOKE_JOBS (default 90), SMOKE_CONC (default 12),
 # SMOKE_HEAVY_EVERY (default 15), SMOKE_KILL_AFTER seconds (default 2),
@@ -40,6 +42,14 @@ run_load() { # run_load <logname> <addr> [extra vcload flags...]
     "$workdir/vcload" -addr "$target" -n "$JOBS" -c "$CONC" -seed 7 \
         -heavy-every "$HEAVY" -flat-prio "$@" | tee "$log"
     grep -q "^vcload: $JOBS jobs ok" "$log" || fail "pass '$log' did not report all jobs ok"
+}
+
+# stop_fast <pid> <what> <log>: stop_pid, inside the 2 s drain bound.
+stop_fast() {
+    t0="$(date +%s%N)"
+    stop_pid "$@"
+    ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+    [ "$ms" -lt 2000 ] || fail "$2 took $ms ms from SIGTERM to exit, want < 2000"
 }
 
 echo "cluster-smoke: pass 0 — single-daemon baseline ($JOBS jobs, c=$CONC, heavy every $HEAVY)"
@@ -68,7 +78,7 @@ kill -9 "$s2_pid" 2>/dev/null || true
 wait "$load_pid" || fail "cold routed pass failed"
 # Drain gate 1 so every pending replica push lands before pass B reads
 # the shard stores.
-stop_pid "$gate1_pid" "gate (pass A)"
+stop_fast "$gate1_pid" "gate (pass A)" "$workdir/gate1.log"
 
 echo "cluster-smoke: pass B — warm routed run through a fresh gate (s2 still dead)"
 boot gate2 vcgate -shards "$shard_spec" -replicas 2
@@ -93,10 +103,12 @@ if ! awk -v w="$warm_rate" -v m="$WARM_MIN" 'BEGIN { exit !(w >= m) }'; then
     fail "warm-route rate ${warm_rate}% below ${WARM_MIN}%"
 fi
 
-stop_pid "$gate2_pid" "gate (pass B)"
+stop_fast "$gate2_pid" "gate (pass B)" "$workdir/gate2.log"
+i=0
 for pid in $shard_pids; do
-    [ "$pid" = "$s2_pid" ] && continue # SIGKILLed mid-run by design
-    stop_pid "$pid" "shard"
+    # s2 was SIGKILLed mid-run by design.
+    [ "$pid" = "$s2_pid" ] || stop_fast "$pid" "shard s$i" "$workdir/s$i.log"
+    i=$((i + 1))
 done
 
 echo "cluster-smoke: OK — $JOBS jobs x3, identical digest $d_base, warm-route rate ${warm_rate}%, shard kill survived"

@@ -47,12 +47,10 @@ boot() {
 }
 
 # stop_pid <pid> <what> [log]: SIGTERM and require the process to exit;
-# with a log, also require the "bye" line of a clean drain. The wait is
-# 15 s: a shard still computing a hedge loser's job spends the daemons'
-# whole 10 s default drain budget before it aborts the job and exits.
+# with a log, also require the "bye" line of a clean drain.
 stop_pid() {
     kill -TERM "$1" 2>/dev/null || true
-    for _ in $(seq 1 300); do
+    for _ in $(seq 1 200); do
         kill -0 "$1" 2>/dev/null || break
         sleep 0.05
     done
