@@ -63,10 +63,18 @@ one-table:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=memo \
 		'"container/list"|^func .*evict[A-Za-z]*Locked' .
 
-# Measurements take the paper machine's hierarchy from the cache
-# package's free list (DESIGN.md §4): no non-test file outside that
-# package and bench/ may build one per cell with NewXeonHierarchy.
+# The modeled machine is written down once, in internal/uarch/machine
+# (DESIGN.md §4): outside it and bench/ no non-test file spells out a
+# cache level's geometry or defaults to the machine's predictor by name
+# (bpred's name table and the harness and example predictor lists name
+# predictors, not the machine), and none outside the cache package
+# builds the paper machine's hierarchy per cell with NewXeonHierarchy
+# instead of borrowing one from the free list.
 one-machine:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=machine --exclude-dir=bench \
+		'(cache\.Config|machine\.Cache)\{[^}]*SizeBytes:' .
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=machine --exclude-dir=bench \
+		'"tage-8KB"' . | grep -vE '^\./internal/uarch/bpred/monitor\.go:|^\./(internal/harness/exp_ablation|examples/branchhunt/main)\.go:.*\[\]string\{'
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=cache --exclude-dir=bench \
 		'NewXeonHierarchy(' .
 

@@ -13,8 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"vcprof/internal/trace"
+	"vcprof/internal/uarch/bpred"
 	"vcprof/internal/uarch/pipeline"
 	"vcprof/internal/uarch/topdown"
 )
@@ -27,11 +29,10 @@ func main() {
 }
 
 func run() error {
-	var (
-		predictor = flag.String("predictor", "tage-8KB", "branch predictor (gshare-2KB, gshare-32KB, tage-8KB, tage-64KB, perceptron-8KB)")
-		width     = flag.Int("width", 4, "machine width")
-		robSize   = flag.Int("rob", 224, "reorder buffer entries")
-	)
+	cfg := pipeline.Broadwell()
+	flag.StringVar(&cfg.Predictor, "predictor", cfg.Predictor, "branch predictor ("+strings.Join(bpred.Names(), ", ")+")")
+	flag.IntVar(&cfg.Width, "width", cfg.Width, "machine width")
+	flag.IntVar(&cfg.ROBSize, "rob", cfg.ROBSize, "reorder buffer entries")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: uarchsim [flags] <trace-file>")
@@ -46,10 +47,6 @@ func run() error {
 		return err
 	}
 
-	cfg := pipeline.Broadwell()
-	cfg.Predictor = *predictor
-	cfg.Width = *width
-	cfg.ROBSize = *robSize
 	sim, err := pipeline.New(cfg)
 	if err != nil {
 		return err
@@ -63,7 +60,7 @@ func run() error {
 	fmt.Printf("cycles       %d\n", res.Cycles)
 	fmt.Printf("IPC          %.3f\n", res.IPC)
 	fmt.Printf("branches     %d (%.2f%% mispredicted, %.3f MPKI)\n",
-		res.Branches, 100*float64(res.Mispredicts)/float64(max64(res.Branches, 1)), res.BranchMPKI)
+		res.Branches, 100*float64(res.Mispredicts)/float64(max(res.Branches, 1)), res.BranchMPKI)
 	fmt.Printf("cache MPKI   L1D %.2f  L2 %.2f  LLC %.3f\n", res.L1DMPKI, res.L2MPKI, res.LLCMPKI)
 	k := float64(res.Ops) / 1000
 	fmt.Printf("stalls/kinst FU %.2f  RS %.2f  LQ %.2f  SQ %.2f  ROB %.2f\n",
@@ -76,11 +73,4 @@ func run() error {
 	}
 	fmt.Printf("top-down     %s\n", td)
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

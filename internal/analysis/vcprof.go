@@ -148,6 +148,7 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/uarch/cache",
 			"vcprof/internal/uarch/pipeline",
 			"vcprof/internal/uarch/bpred",
+			"vcprof/internal/uarch/machine",
 			"vcprof/internal/trace/ctx.go",
 			"vcprof/internal/trace/sink.go",
 			"vcprof/internal/trace/tape.go",

@@ -91,13 +91,6 @@ func scanOrder(n int) []int {
 	return actual.([]int)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func coefBand(i int) int {
 	switch {
 	case i < 4:

@@ -215,7 +215,7 @@ func (d *decoder) decodeFrame(r *bsReader, idx int) error {
 // leaves (or recursion for SPLIT). It returns the decoded leaves so the
 // chroma pass can inherit the superblock's first inter decision.
 func (sc *decSeg) parseNode(x, y, n, depth int) ([]decLeaf, error) {
-	notNone := sc.dec.BitAdaptive(&sc.pm.partNone[minInt(depth, 3)]) == 1
+	notNone := sc.dec.BitAdaptive(&sc.pm.partNone[min(depth, 3)]) == 1
 	shape := ShapeNone
 	if notNone {
 		idx := int(sc.dec.Literal(sc.d.hdr.shapeBits()))
@@ -304,7 +304,7 @@ func (sc *decSeg) parseLeaf(x, y, w, h int) (decLeaf, error) {
 	}
 
 	// Residual: per square tile, mirror of commitLeaf.
-	side := minInt(minInt(w, h), sbSize)
+	side := min(w, h, sbSize)
 	for ty := 0; ty < h; ty += side {
 		for tx := 0; tx < w; tx += side {
 			levels, err := readCoefBlock(sc.dec, sc.pm, side)

@@ -466,16 +466,9 @@ func extractPred(tc *trace.Ctx, ref codec.Surface, x, y, w, h int, dst []byte, d
 	}
 	vec := (w + 31) / 32
 	pc := pcPredCopy[blkClass(w)]
-	tc.Loads(pc, ref.VAddr(x, y), h*vec, ref.Stride, minInt(w, 32))
-	tc.Stores(pc, dstVBase, h*vec, w, minInt(w, 32))
+	tc.Loads(pc, ref.VAddr(x, y), h*vec, ref.Stride, min(w, 32))
+	tc.Stores(pc, dstVBase, h*vec, w, min(w, 32))
 	tc.Loop(pc, (h+3)/4)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // gatherBorders collects reconstructed (or, during search, source)
@@ -486,7 +479,7 @@ func (sc *segCtx) gatherBorders(surf codec.Surface, x, y, n int) intra.Neighbors
 		nb.HasTop = true
 		nb.Top = make([]byte, n)
 		copy(nb.Top, surf.Pix[(y-1)*surf.Stride+x:(y-1)*surf.Stride+x+n])
-		sc.tc.Loads(pcBorderLoad, surf.VAddr(x, y-1), (n+31)/32, 32, minInt(n, 32))
+		sc.tc.Loads(pcBorderLoad, surf.VAddr(x, y-1), (n+31)/32, 32, min(n, 32))
 	}
 	if x > sc.segLeftPx {
 		nb.HasLeft = true
@@ -515,7 +508,7 @@ func (sc *segCtx) residualCost(w, h int) (int64, int, error) {
 		}
 		return int64(satd), 0, nil
 	}
-	side := minInt(minInt(w, h), sbSize)
+	side := min(w, h, sbSize)
 	evalTx := func(side int) (int64, int, error) {
 		var total int64
 		var bits int
@@ -694,7 +687,7 @@ func int16abs(mv codec.MV) int {
 	if b > a {
 		a = b
 	}
-	return minInt(a, 8)
+	return min(a, 8)
 }
 
 // analysisMV returns the open-loop MV of the grid cell containing the
@@ -819,7 +812,7 @@ func (sc *segCtx) searchPartition(x, y, n, depth int) (*planNode, error) {
 	} else {
 		early = leaf.skip || node.cost < sc.earlyExitThreshold(n*n)
 	}
-	sc.tc.Branch(pcPartEarly[minInt(depth, 3)], early)
+	sc.tc.Branch(pcPartEarly[min(depth, 3)], early)
 	if early || n <= se.ts.minBlock {
 		return node, nil
 	}
@@ -905,7 +898,7 @@ func (sc *segCtx) commitNode(node *planNode, depth int) error {
 	sc.shapeCount[node.shape]++
 	isNone := node.shape == ShapeNone
 	sc.enc.SetSite(pcSynPart)
-	sc.enc.BitAdaptive(boolBit(!isNone), &sc.pm.partNone[minInt(depth, 3)])
+	sc.enc.BitAdaptive(boolBit(!isNone), &sc.pm.partNone[min(depth, 3)])
 	if !isNone {
 		idx := -1
 		for i, sh := range sc.se.shapeList() {
@@ -1013,7 +1006,7 @@ func (sc *segCtx) commitLeaf(lf *leafPlan) error {
 	codec.Residual(tc, cur, s.pred, lf.w, lf.h, s.res)
 
 	// Transform, quantize, code and reconstruct per square tile.
-	side := minInt(minInt(lf.w, lf.h), sbSize)
+	side := min(lf.w, lf.h, sbSize)
 	tile := s.res2
 	for ty := 0; ty < lf.h; ty += side {
 		for tx := 0; tx < lf.w; tx += side {
@@ -1051,7 +1044,7 @@ func writeBlock(tc *trace.Ctx, surf codec.Surface, x, y, w, h int, src []byte) {
 		copy(surf.Pix[(y+j)*surf.Stride+x:(y+j)*surf.Stride+x+w], src[j*w:(j+1)*w])
 	}
 	vec := (w + 31) / 32
-	tc.Stores(pcPredCopy[blkClass(w)], surf.VAddr(x, y), h*vec, surf.Stride, minInt(w, 32))
+	tc.Stores(pcPredCopy[blkClass(w)], surf.VAddr(x, y), h*vec, surf.Stride, min(w, 32))
 }
 
 // ---------------------------------------------------------------------

@@ -40,22 +40,53 @@ func renderAll(rep *Report) string {
 	return b.String()
 }
 
+// raceSubset is what TestRunAllWorkerEquivalence renders under the race
+// detector: the 20-cell counted grid that makes the pool interleave,
+// and one experiment for each other cell kind. fig11's preset sweep is
+// four fifths of the full list's time and adds no kind.
+var raceSubset = []string{"fig2a", "fig6", "fig9", "fig16", "ablation-cache"}
+
 // TestRunAllWorkerEquivalence is the nondeterminism tripwire: the full
 // experiment list must render byte-identically with 1 worker and with 8,
 // with the memo cache cleared in between so the 8-worker run really
 // recomputes every cell concurrently. Run under -race this also shakes
-// out data races in the shared caches.
+// out data races in the shared caches; there the list is raceSubset,
+// which must still reach all five cell kinds.
 func TestRunAllWorkerEquivalence(t *testing.T) {
 	s := equivScale()
+	var exps []string // nil = all registered
+	want := len(List())
+	if raceEnabled {
+		exps, want = raceSubset, len(raceSubset)
+		kinds := map[CellKind]bool{}
+		for _, id := range exps {
+			e, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := e.Plan(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range plan.Cells {
+				kinds[c.Kind] = true
+			}
+		}
+		for k := CellStat; k <= CellSchedule; k++ {
+			if !kinds[k] {
+				t.Fatalf("raceSubset %v plans no %v cell", exps, k)
+			}
+		}
+	}
 	ResetCellCache()
-	rep1, err := RunAll(context.Background(), s, Options{Workers: 1})
+	rep1, err := RunAll(context.Background(), s, Options{Workers: 1, Experiments: exps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out1 := renderAll(rep1)
 
 	ResetCellCache()
-	rep8, err := RunAll(context.Background(), s, Options{Workers: 8})
+	rep8, err := RunAll(context.Background(), s, Options{Workers: 8, Experiments: exps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +105,8 @@ func TestRunAllWorkerEquivalence(t *testing.T) {
 		}
 		t.Fatalf("outputs differ in length: %d vs %d bytes", len(d1), len(d8))
 	}
-	if len(rep1.Results) != len(List()) {
-		t.Fatalf("report has %d experiments, want %d", len(rep1.Results), len(List()))
+	if len(rep1.Results) != want {
+		t.Fatalf("report has %d experiments, want %d", len(rep1.Results), want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"vcprof/internal/cbp"
 	"vcprof/internal/encoders"
 	"vcprof/internal/uarch/cache"
+	"vcprof/internal/uarch/machine"
 )
 
 func init() {
@@ -76,31 +77,35 @@ type lineSink func(addr uint64, store bool) int
 
 func (f lineSink) Access(addr uint64, _ int, store bool) { f(addr, store) }
 
-// planAblationCache replays one recorded window against alternative
-// cache geometries (paper machine vs smaller LLC vs bigger L2). Its
+// planAblationCache replays one recorded window against the paper
+// machine and two variants of it (a smaller LLC, a bigger L2). Its
 // window cell is the same one ablation-predictor records.
 func planAblationCache(s Scale) (*Plan, error) {
 	cells := []Cell{s.WindowCell(encoders.SVTAV1, "game1", 35, 4)}
 	assemble := func(s Scale, res []CellResult) ([]*Table, error) {
 		rec := res[0].Rec
-		l1, l2, llc := cache.XeonE52650v4()
+		xeon := machine.Xeon()
+		smallLLC, bigL2 := xeon, xeon
+		smallLLC.LLC.SizeBytes, smallLLC.LLC.Assoc, smallLLC.LLC.LatencyCyc = 8<<20, 16, 30
+		bigL2.L2.SizeBytes, bigL2.L2.Assoc, bigL2.L2.LatencyCyc = 1<<20, 16, 14
 		geos := []struct {
-			name           string
-			l1c, l2c, llcc cache.Config
+			name string
+			m    machine.Machine
 		}{
-			{"xeon(32K/256K/30M)", l1, l2, llc},
-			{"small-llc(32K/256K/8M)", l1, l2, cache.Config{Name: "LLC", SizeBytes: 8 << 20, Assoc: 16, LatencyCyc: 30}},
-			{"big-l2(32K/1M/30M)", l1, cache.Config{Name: "L2", SizeBytes: 1 << 20, Assoc: 16, LatencyCyc: 14}, llc},
+			{"xeon(32K/256K/30M)", xeon},
+			{"small-llc(32K/256K/8M)", smallLLC},
+			{"big-l2(32K/1M/30M)", bigL2},
 		}
 		t := &Table{ID: "ablation-cache", Title: "MPKI under alternative cache geometries",
 			Header: []string{"geometry", "l1d_mpki", "l2_mpki", "llc_mpki"}}
 		for _, g := range geos {
-			h, err := cache.NewHierarchy(g.l1c, g.l2c, g.llcc)
+			h, err := cache.Acquire(g.m)
 			if err != nil {
 				return nil, err
 			}
 			rec.Tape.Play(rec.Start, rec.Limit, nil, cache.Sink{Hierarchy: h})
 			a, b, c := h.MPKI(uint64(len(rec.Ops)))
+			h.Release()
 			t.AddRow(g.name, f2(a), f2(b), f3(c))
 		}
 		return []*Table{t}, nil
@@ -120,7 +125,7 @@ func planAblationPrefetch(s Scale) (*Plan, error) {
 			Access(addr uint64, store bool) int
 			MPKI(insts uint64) (float64, float64, float64)
 		}
-		plain, err := cache.AcquireXeon()
+		plain, err := cache.Acquire(machine.Xeon())
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ import (
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/memo"
-	"vcprof/internal/perf"
+	"vcprof/internal/uarch/machine"
 	"vcprof/internal/video"
 )
 
@@ -165,14 +165,14 @@ func ResetClipCache() { clipMemo.Reset() }
 
 // The harness reports deterministic modeled wall time instead of host
 // time: cycle counts (or instruction counts at a nominal IPC of 2) at
-// perf.BaseHz, the paper machine's clock. Host wall time would differ
+// the paper machine's clock. Host wall time would differ
 // on every run and machine, breaking the golden-table suite and the
 // worker-count equivalence guarantee; modeled time preserves every
 // shape the paper reads from Figs. 1/2/11 because those shapes are
 // instruction-count driven (the paper's central claim).
 
 // cycleMS converts modeled cycles to milliseconds on the paper machine.
-func cycleMS(cycles uint64) float64 { return float64(cycles) / perf.BaseHz * 1e3 }
+func cycleMS(cycles uint64) float64 { return float64(cycles) / machine.Xeon().ClockHz * 1e3 }
 
 // instMS converts an instruction count to modeled milliseconds at the
 // nominal IPC, for counting-only cells with no cycle model attached.

@@ -4,8 +4,8 @@
 // analysis pass), and can switch codec/preset mid-stream at GOP
 // boundaries without breaking decodability.
 //
-// Everything is modeled. Time is virtual ticks on the perf.BaseHz
-// clock: frame i of an FPS-rate session arrives at tick (i+1)*BaseHz/FPS,
+// Everything is modeled. Time is virtual ticks on the modeled machine's
+// clock: frame i of an FPS-rate session arrives at tick (i+1)*ClockHz/FPS,
 // and encoding a GOP advances the pipeline by its summed modeled
 // instructions at the nominal IPC. Deadline misses, backlog, and the
 // degrade policy (shed preset effort, then drop) all derive from that

@@ -9,9 +9,9 @@ import (
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/obs"
-	"vcprof/internal/perf"
 	"vcprof/internal/sched"
 	"vcprof/internal/trace"
+	"vcprof/internal/uarch/machine"
 	"vcprof/internal/video"
 )
 
@@ -87,7 +87,7 @@ type Stats struct {
 }
 
 // Session is a long-lived live-encode job. Frames arrive at the spec's
-// frame rate on a virtual-tick clock (perf.BaseHz ticks per second);
+// frame rate on a virtual-tick clock (machine.Xeon().ClockHz ticks per second);
 // every completed GOP is encoded — at every ladder rung — and charged
 // to the timeline at the nominal IPC, which is where deadline misses
 // and the degrade policy come from. One mutex serializes Feed against
@@ -400,9 +400,9 @@ func (s *Session) Digest() string {
 }
 
 // ticksPerFrame converts a frame rate to virtual ticks per frame
-// interval on the perf.BaseHz clock.
+// interval on the modeled machine's clock.
 func ticksPerFrame(fps int) uint64 {
-	return uint64(perf.BaseHz) / uint64(fps)
+	return uint64(machine.Xeon().ClockHz) / uint64(fps)
 }
 
 // effortSteps returns how many presets separate the point from the

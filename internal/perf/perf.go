@@ -1,6 +1,6 @@
 // Package perf substitutes for the paper's Linux-perf measurement flow:
 // it runs an encode with live simulators attached to the instrumentation
-// layer (a hardware-like branch predictor and the Xeon cache hierarchy),
+// layer (the modeled machine's branch predictor and cache hierarchy),
 // collects the same counters perf stat would read, derives cycles and
 // IPC from an analytical core model, and classifies pipeline slots with
 // the top-down method. It also provides the gprof substitute (flat
@@ -16,21 +16,10 @@ import (
 	"vcprof/internal/trace"
 	"vcprof/internal/uarch/bpred"
 	"vcprof/internal/uarch/cache"
+	"vcprof/internal/uarch/machine"
 	"vcprof/internal/uarch/topdown"
 	"vcprof/internal/video"
 )
-
-// hwPredictor is the predictor standing in for the measurement
-// machine's front-end (Broadwell's predictor is TAGE-like).
-const hwPredictor = "tage-8KB"
-
-// BaseHz is the nominal clock of the modeled measurement machine, the
-// paper's Xeon E5-2650 v4 (2.2 GHz base). Modeled wall time — cycles at
-// this clock — is what downstream consumers report in time columns:
-// host wall time differs on every run and machine, while modeled time
-// is deterministic and preserves the instruction-count-driven shapes
-// the paper reads from its time axes.
-const BaseHz = 2.2e9
 
 // Counters is the result of one measured encode, the analogue of a perf
 // stat run plus derived metrics.
@@ -65,8 +54,8 @@ type Counters struct {
 }
 
 // ModeledMS is the modeled wall time of the measured encode in
-// milliseconds: retired cycles at BaseHz.
-func (c *Counters) ModeledMS() float64 { return float64(c.Cycles) / BaseHz * 1e3 }
+// milliseconds: retired cycles at the measurement machine's clock.
+func (c *Counters) ModeledMS() float64 { return float64(c.Cycles) / machine.Xeon().ClockHz * 1e3 }
 
 // takenCounter tracks taken branches for the frontend model.
 type takenCounter struct {
@@ -84,12 +73,13 @@ func (t *takenCounter) Loop(_ trace.PC, iters int) { t.taken += uint64(iters - 1
 // Stat encodes the clip with full live instrumentation on worker 0 and
 // returns the measured counters. Characterization runs are
 // single-threaded like the paper's perf runs; opts.Threads and
-// opts.NewWorkerCtx are overridden.
+// opts.NewWorkerCtx are overridden. The machine measured on is the
+// paper's (Broadwell's predictor is TAGE-like).
 func Stat(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts encoders.Options) (*Counters, error) {
 	if enc == nil || clip == nil {
 		return nil, fmt.Errorf("perf: nil encoder or clip")
 	}
-	hier, err := cache.AcquireXeon()
+	hier, err := cache.Acquire(machine.Xeon())
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +89,7 @@ func Stat(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts enco
 
 // statOn is Stat on a cold hierarchy the caller supplies.
 func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, clip *video.Clip, opts encoders.Options) (*Counters, error) {
-	pred, err := bpred.NewByName(hwPredictor)
+	pred, err := bpred.NewByName(machine.Xeon().Predictor)
 	if err != nil {
 		return nil, err
 	}
@@ -148,18 +138,15 @@ func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, cl
 	c.BranchMPKI = mon.MPKI(res.Insts)
 	c.L1DMPKI, c.L2MPKI, c.LLCMPKI = hier.MPKI(res.Insts)
 
-	cyc, fe, core := cycleModel(res.Insts, &res.Mix, mon.Mispredict, taken.taken, hier)
-	c.Cycles = cyc
-	if cyc > 0 {
-		c.IPC = float64(res.Insts) / float64(cyc)
-	}
-	td, err := topdown.FromCounters(statCounters(res.Insts, cyc, mon.Mispredict, fe, core, hier))
+	cyc, td, slots, err := cycleModel(res.Insts, &res.Mix, mon.Mispredict, taken.taken, hier)
 	if err != nil {
 		prod.Abort()
 		return nil, err
 	}
+	c.Cycles = cyc
+	c.IPC = float64(res.Insts) / float64(cyc)
 	c.TopDown = td
-	prod.Commit(slotsOf(td, cyc*4))
+	prod.Commit(slots)
 	obsStatRuns.Add(1)
 	obsStatInstructions.Add(res.Insts)
 	obsStatCycles.Add(cyc)
@@ -172,36 +159,49 @@ func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, cl
 // practitioners reconstruct CPI stacks: a width-bound base, per-class
 // issue-port bounds, exposed memory latency (scaled by an out-of-order
 // overlap factor), branch-flush penalties and a frontend redirect term.
-func cycleModel(insts uint64, mix *trace.Mix, mispredicts, takenBranches uint64, h *cache.Hierarchy) (cycles, feStall, coreStall uint64) {
-	const width = 4
-	base := insts / width
-	// Issue-port bounds.
-	vec := (mix[trace.OpAVX] + mix[trace.OpSSE] + 1) / 2 // 2 vector units
-	lds := (mix[trace.OpLoad] + 1) / 2                   // 2 load ports
-	sts := mix[trace.OpStore]                            // 1 store port
-	portBound := base
-	for _, b := range []uint64{vec, lds, sts} {
-		if b > portBound {
-			portBound = b
-		}
-	}
-	// Dependence-chain core stalls: vector ops have 3-cycle latency and
-	// unrolled kernels keep several chains live, exposing ~1/8 of it.
-	coreStall = (mix[trace.OpAVX] + mix[trace.OpSSE]) * 3 / 8
+// It then feeds the same counters to Yasin's formulas — one definition
+// shared by the final result and every mid-run flush, so the stream
+// converges to the reported breakdown.
+func cycleModel(insts uint64, mix *trace.Mix, mispredicts, takenBranches uint64, h *cache.Hierarchy) (cycles uint64, td topdown.Breakdown, slots topdown.Slots, err error) {
+	m := machine.Xeon()
+	base := insts / uint64(m.Width)
+	// Issue-port bounds: each class's ops over its units, rounded up.
+	perUnit := func(ops uint64, units int) uint64 { return (ops + uint64(units) - 1) / uint64(units) }
+	vecOps := mix[trace.OpAVX] + mix[trace.OpSSE]
+	portBound := max(base, perUnit(vecOps, m.VecUnits),
+		perUnit(mix[trace.OpLoad], m.LoadPorts), perUnit(mix[trace.OpStore], m.StorePorts))
+	// Dependence-chain core stalls: unrolled kernels keep several vector
+	// chains live, exposing ~1/8 of the vector latency.
+	coreStall := vecOps * uint64(m.VecLatency) / 8
 	coreStall += portBound - base // port contention is core-bound time
 
 	// Exposed memory latency: each level's miss pays the next level's
 	// latency delta; the OoO window hides ~3/4 of it.
-	l1m := h.L1.Stats().Misses
-	l2m := h.L2.Stats().Misses
-	llm := h.LLC.Stats().Misses
-	memStall := (l1m*8 + l2m*26 + llm*182) / 4
+	l1m, l2m, llm := h.L1.Stats().Misses, h.L2.Stats().Misses, h.LLC.Stats().Misses
+	l1p, l2p, llp := m.MissPenalties()
+	memStall := (l1m*uint64(l1p) + l2m*uint64(l2p) + llm*uint64(llp)) / 4
 
 	// Branch redirects: full flush plus refill on mispredict; taken
 	// branches break fetch groups and cost decode bubbles.
-	badSpec := mispredicts * 20
-	feStall = takenBranches * 3 / 2
+	badSpec := mispredicts * uint64(m.FlushCycles())
+	feStall := takenBranches * 3 / 2
 
 	cycles = base + coreStall + memStall + badSpec + feStall
-	return cycles, feStall, coreStall
+	td, err = topdown.FromCounters(topdown.Counters{
+		Instructions:          insts,
+		Cycles:                cycles,
+		Width:                 m.Width,
+		BranchMispredicts:     mispredicts,
+		MispredictPenalty:     m.FlushCycles(),
+		L1DMisses:             l1m,
+		L2Misses:              l2m,
+		LLCMisses:             llm,
+		L1DLat:                l1p,
+		L2Lat:                 l2p,
+		LLCLat:                llp,
+		FrontendStallCycles:   feStall * 2 / 3, // redirect bubbles (latency)
+		FrontendBWStallCycles: feStall / 3,     // fetch-group breaks (bandwidth)
+		CoreStallCycles:       coreStall,
+	})
+	return cycles, td, slotsOf(td, cycles*uint64(m.Width)), err
 }

@@ -60,33 +60,8 @@ func (f *tdFlusher) flush() {
 	if insts == 0 {
 		return
 	}
-	cyc, fe, core := cycleModel(insts, &f.tc.Mix, f.mon.Mispredict, f.taken.taken, f.hier)
-	td, err := topdown.FromCounters(statCounters(insts, cyc, f.mon.Mispredict, fe, core, f.hier))
-	if err != nil {
-		return
-	}
-	f.prod.Observe(slotsOf(td, cyc*4))
-}
-
-// statCounters builds the topdown.Counters the façade feeds Yasin's
-// formulas — one definition shared by the final result and every
-// mid-run flush, so the stream converges to the reported breakdown.
-func statCounters(insts, cyc, mispredicts, fe, core uint64, hier *cache.Hierarchy) topdown.Counters {
-	return topdown.Counters{
-		Instructions:          insts,
-		Cycles:                cyc,
-		Width:                 4,
-		BranchMispredicts:     mispredicts,
-		MispredictPenalty:     20,
-		L1DMisses:             hier.L1.Stats().Misses,
-		L2Misses:              hier.L2.Stats().Misses,
-		LLCMisses:             hier.LLC.Stats().Misses,
-		L1DLat:                8,
-		L2Lat:                 26,
-		LLCLat:                182,
-		FrontendStallCycles:   fe * 2 / 3, // redirect bubbles (latency)
-		FrontendBWStallCycles: fe / 3,     // fetch-group breaks (bandwidth)
-		CoreStallCycles:       core,
+	if _, _, slots, err := cycleModel(insts, &f.tc.Mix, f.mon.Mispredict, f.taken.taken, f.hier); err == nil {
+		f.prod.Observe(slots)
 	}
 }
 

@@ -174,10 +174,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 // everyName lists what NewByName accepts.
-var everyName = []string{
-	"gshare-2KB", "gshare-32KB", "tage-8KB", "tage-64KB", "bimodal-8KB",
-	"perceptron-8KB", "perceptron-64KB", "tage-l-8KB", "tage-l-64KB",
-}
+var everyName = Names()
 
 func TestResetRestoresColdBehaviour(t *testing.T) {
 	// A Reset predictor must be indistinguishable from a new one,

@@ -63,31 +63,40 @@ func (m *Monitor) MPKI(instructions uint64) float64 {
 	return float64(m.Mispredict) / (float64(instructions) / 1000)
 }
 
-// NewByName constructs one of the predictors the paper studies (plus
-// the ablation extras) by its report name.
+// byName is the one table of report names: the predictors the paper
+// studies, then the ablation extras.
+var byName = []struct {
+	name  string
+	build func() (Predictor, error)
+}{
+	{"gshare-2KB", func() (Predictor, error) { return NewGshare(2 << 10) }},
+	{"gshare-32KB", func() (Predictor, error) { return NewGshare(32 << 10) }},
+	{"tage-8KB", func() (Predictor, error) { return NewTAGE(8 << 10) }},
+	{"tage-64KB", func() (Predictor, error) { return NewTAGE(64 << 10) }},
+	{"bimodal-8KB", func() (Predictor, error) { return NewBimodal(32 << 10) }}, // 32K 2-bit counters = 8KB
+	{"perceptron-8KB", func() (Predictor, error) { return NewPerceptron(8 << 10) }},
+	{"perceptron-64KB", func() (Predictor, error) { return NewPerceptron(64 << 10) }},
+	{"tage-l-8KB", func() (Predictor, error) { return NewTAGEL(8 << 10) }},
+	{"tage-l-64KB", func() (Predictor, error) { return NewTAGEL(64 << 10) }},
+}
+
+// NewByName constructs a predictor by its report name.
 func NewByName(name string) (Predictor, error) {
-	switch name {
-	case "gshare-2KB":
-		return NewGshare(2 << 10)
-	case "gshare-32KB":
-		return NewGshare(32 << 10)
-	case "tage-8KB":
-		return NewTAGE(8 << 10)
-	case "tage-64KB":
-		return NewTAGE(64 << 10)
-	case "bimodal-8KB":
-		return NewBimodal(32 << 10) // 32K 2-bit counters = 8KB
-	case "perceptron-8KB":
-		return NewPerceptron(8 << 10)
-	case "perceptron-64KB":
-		return NewPerceptron(64 << 10)
-	case "tage-l-8KB":
-		return NewTAGEL(8 << 10)
-	case "tage-l-64KB":
-		return NewTAGEL(64 << 10)
-	default:
-		return nil, fmt.Errorf("bpred: unknown predictor %q", name)
+	for _, p := range byName {
+		if p.name == name {
+			return p.build()
+		}
 	}
+	return nil, fmt.Errorf("bpred: unknown predictor %q", name)
+}
+
+// Names lists every name NewByName accepts.
+func Names() []string {
+	names := make([]string, len(byName))
+	for i, p := range byName {
+		names[i] = p.name
+	}
+	return names
 }
 
 // PaperSet returns the four predictors of Figs. 8–10 in presentation

@@ -1,8 +1,7 @@
 // Package cache implements a set-associative write-back cache model and
-// the four-level hierarchy of the paper's measurement machine (Intel
-// Xeon E5-2650 v4: 32KB L1I, 32KB L1D, 256KB L2, 30MB shared LLC). It is
-// driven either live from the instrumentation layer (the perf-counter
-// substitute) or from recorded traces during pipeline replay.
+// the data hierarchy of a machine.Machine. It is driven either live from
+// the instrumentation layer (the perf-counter substitute) or from
+// recorded traces during pipeline replay.
 package cache
 
 import (
@@ -10,27 +9,23 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+
+	"vcprof/internal/uarch/machine"
 )
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
 
 // Config describes one cache level.
-type Config struct {
-	Name       string
-	SizeBytes  int
-	Assoc      int
-	LatencyCyc int // hit latency in cycles
-}
+type Config = machine.Cache
 
-// Validate checks the configuration for structural soundness.
-func (c Config) Validate() error {
+// validate checks the configuration for structural soundness.
+func validate(c Config) error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 {
 		return fmt.Errorf("cache: invalid config %+v", c)
 	}
-	sets := c.SizeBytes / (LineSize * c.Assoc)
-	if sets <= 0 {
-		return fmt.Errorf("cache: %s size %d too small for assoc %d", c.Name, c.SizeBytes, c.Assoc)
+	if c.SizeBytes/(LineSize*c.Assoc) <= 0 {
+		return fmt.Errorf("cache: size %d too small for assoc %d", c.SizeBytes, c.Assoc)
 	}
 	return nil
 }
@@ -73,7 +68,7 @@ type Cache struct {
 
 // New builds a cache level from its configuration.
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / (LineSize * cfg.Assoc)
@@ -190,25 +185,6 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// XeonE52650v4 returns the per-core data hierarchy of the paper's
-// machine: L1D 32KB/8-way, L2 256KB/8-way, LLC 30MB/20-way (shared; the
-// single-core model gives one core the whole LLC, which matches the
-// paper's single-threaded characterization runs).
-func XeonE52650v4() (l1, l2, llc Config) {
-	l1 = Config{Name: "L1D", SizeBytes: 32 << 10, Assoc: 8, LatencyCyc: 4}
-	l2 = Config{Name: "L2", SizeBytes: 256 << 10, Assoc: 8, LatencyCyc: 12}
-	llc = Config{Name: "LLC", SizeBytes: 30 << 20, Assoc: 20, LatencyCyc: 38}
-	return
-}
-
-// L1IConfig returns the instruction cache of the same machine.
-func L1IConfig() Config {
-	return Config{Name: "L1I", SizeBytes: 32 << 10, Assoc: 8, LatencyCyc: 4}
-}
-
-// MemLatency is the DRAM access latency in cycles.
-const MemLatency = 220
-
 // Hierarchy chains L1D→L2→LLC with inclusive fills and write-back
 // propagation, exposing per-level statistics and per-access latency.
 type Hierarchy struct {
@@ -216,31 +192,29 @@ type Hierarchy struct {
 	L2  *Cache
 	LLC *Cache
 
-	acquired bool // handed out by AcquireXeon and not yet released
+	memLat   int  // DRAM access latency in cycles
+	acquired bool // handed out by Acquire and not yet released
 }
 
-// NewHierarchy builds the three-level data hierarchy.
-func NewHierarchy(l1, l2, llc Config) (*Hierarchy, error) {
-	c1, err := New(l1)
+// NewHierarchy builds m's three-level data hierarchy.
+func NewHierarchy(m machine.Machine) (*Hierarchy, error) {
+	c1, err := New(m.L1D)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := New(l2)
+	c2, err := New(m.L2)
 	if err != nil {
 		return nil, err
 	}
-	c3, err := New(llc)
+	c3, err := New(m.LLC)
 	if err != nil {
 		return nil, err
 	}
-	return &Hierarchy{L1: c1, L2: c2, LLC: c3}, nil
+	return &Hierarchy{L1: c1, L2: c2, LLC: c3, memLat: m.MemLatency}, nil
 }
 
 // NewXeonHierarchy builds the paper machine's data hierarchy.
-func NewXeonHierarchy() (*Hierarchy, error) {
-	l1, l2, llc := XeonE52650v4()
-	return NewHierarchy(l1, l2, llc)
-}
+func NewXeonHierarchy() (*Hierarchy, error) { return NewHierarchy(machine.Xeon()) }
 
 // xeonFree holds idle paper-machine hierarchies between measurements:
 // a cell touches a few thousand of the 7.9 MB LLC's lines and Reset is
@@ -253,21 +227,30 @@ var xeonFree struct {
 	idle []*Hierarchy
 }
 
-// AcquireXeon returns a cold paper-machine hierarchy for one
-// measurement, reusing an idle one when there is one. The caller owns
-// it until Release.
-func AcquireXeon() (*Hierarchy, error) {
-	xeonFree.mu.Lock()
+// xeonShaped reports whether the levels and the memory latency are the
+// paper machine's, the one geometry the free list keeps.
+func xeonShaped(l1, l2, llc Config, memLat int) bool {
+	x := machine.Xeon()
+	return l1 == x.L1D && l2 == x.L2 && llc == x.LLC && memLat == x.MemLatency
+}
+
+// Acquire returns a cold data hierarchy of m for one measurement. The
+// caller owns it until Release. The paper machine's is reused when an
+// idle one exists; any other machine's is built here and dropped there.
+func Acquire(m machine.Machine) (*Hierarchy, error) {
 	var h *Hierarchy
-	if n := len(xeonFree.idle); n > 0 {
-		h = xeonFree.idle[n-1]
-		xeonFree.idle[n-1] = nil
-		xeonFree.idle = xeonFree.idle[:n-1]
+	if xeonShaped(m.L1D, m.L2, m.LLC, m.MemLatency) {
+		xeonFree.mu.Lock()
+		if n := len(xeonFree.idle); n > 0 {
+			h = xeonFree.idle[n-1]
+			xeonFree.idle[n-1] = nil
+			xeonFree.idle = xeonFree.idle[:n-1]
+		}
+		xeonFree.mu.Unlock()
 	}
-	xeonFree.mu.Unlock()
 	if h == nil {
 		var err error
-		if h, err = NewXeonHierarchy(); err != nil {
+		if h, err = NewHierarchy(m); err != nil {
 			return nil, err
 		}
 	}
@@ -276,15 +259,18 @@ func AcquireXeon() (*Hierarchy, error) {
 	return h, nil
 }
 
-// Release hands a hierarchy from AcquireXeon back; the caller must not
-// use it afterwards. At most GOMAXPROCS idle hierarchies are kept, one
-// for every goroutine that can be running; the rest are left to the
+// Release hands a hierarchy from Acquire back; the caller must not use
+// it afterwards. At most GOMAXPROCS idle hierarchies are kept, one for
+// every goroutine that can be running; the rest are left to the
 // collector. Releasing twice, or a hierarchy never acquired, panics.
 func (h *Hierarchy) Release() {
 	if !h.acquired {
 		panic("cache: Release of a hierarchy that is not acquired")
 	}
 	h.acquired = false
+	if !xeonShaped(h.L1.cfg, h.L2.cfg, h.LLC.cfg, h.memLat) {
+		return
+	}
 	//lint:ignore detenv,detflow the bound only decides how many idle hierarchies stay allocated; no counter or table can observe it
 	bound := runtime.GOMAXPROCS(0)
 	xeonFree.mu.Lock()
@@ -300,14 +286,13 @@ func (h *Hierarchy) Access(addr uint64, store bool) int {
 	if hit, _ := h.L1.Access(addr, store); hit {
 		return h.L1.cfg.LatencyCyc
 	}
-	if hit, wb := h.L2.Access(addr, false); hit {
-		_ = wb
+	if hit, _ := h.L2.Access(addr, false); hit {
 		return h.L2.cfg.LatencyCyc
 	}
 	if hit, _ := h.LLC.Access(addr, false); hit {
 		return h.LLC.cfg.LatencyCyc
 	}
-	return MemLatency
+	return h.memLat
 }
 
 // Reset clears all levels.

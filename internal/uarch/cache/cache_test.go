@@ -3,11 +3,13 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"vcprof/internal/uarch/machine"
 )
 
 func small(t *testing.T) *Cache {
 	t.Helper()
-	c, err := New(Config{Name: "t", SizeBytes: 1 << 10, Assoc: 2, LatencyCyc: 1})
+	c, err := New(Config{SizeBytes: 1 << 10, Assoc: 2, LatencyCyc: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +117,8 @@ func TestHierarchyLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	lat := h.Access(0x100000, false)
-	if lat != MemLatency {
-		t.Errorf("cold access latency = %d, want DRAM %d", lat, MemLatency)
+	if lat != machine.Xeon().MemLatency {
+		t.Errorf("cold access latency = %d, want DRAM %d", lat, machine.Xeon().MemLatency)
 	}
 	lat = h.Access(0x100000, false)
 	if lat != h.L1.Config().LatencyCyc {
@@ -184,8 +186,8 @@ func TestProbeDoesNotPerturb(t *testing.T) {
 
 func TestAccessDeterministic(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		c1, _ := New(Config{Name: "a", SizeBytes: 4 << 10, Assoc: 4, LatencyCyc: 1})
-		c2, _ := New(Config{Name: "b", SizeBytes: 4 << 10, Assoc: 4, LatencyCyc: 1})
+		c1, _ := New(Config{SizeBytes: 4 << 10, Assoc: 4, LatencyCyc: 1})
+		c2, _ := New(Config{SizeBytes: 4 << 10, Assoc: 4, LatencyCyc: 1})
 		for _, a := range addrs {
 			h1, _ := c1.Access(uint64(a), a%3 == 0)
 			h2, _ := c2.Access(uint64(a), a%3 == 0)

@@ -1,8 +1,9 @@
 package cache
 
 import (
-	"fmt"
 	"testing"
+
+	"vcprof/internal/uarch/machine"
 )
 
 type access struct {
@@ -88,19 +89,22 @@ func sameLines(t *testing.T, what string, fast *Cache, ref *refCache) {
 // set counts, with Probe agreeing along the way and a Reset in the
 // middle — O(1) here, a full clear in the reference.
 func TestCacheMatchesReference(t *testing.T) {
-	for _, cfg := range []Config{
-		{Name: "tiny", SizeBytes: 1 << 10, Assoc: 2},
-		{Name: "full", SizeBytes: 512, Assoc: 8},       // one set
-		{Name: "odd", SizeBytes: 3 * 5 * 64, Assoc: 3}, // five sets
-		{Name: "l1", SizeBytes: 32 << 10, Assoc: 8},
-		{Name: "llc/16", SizeBytes: 30 << 16, Assoc: 20}, // 1536 sets
+	for _, cfg := range []struct {
+		Name string
+		Config
+	}{
+		{"tiny", Config{SizeBytes: 1 << 10, Assoc: 2}},
+		{"full", Config{SizeBytes: 512, Assoc: 8}},       // one set
+		{"odd", Config{SizeBytes: 3 * 5 * 64, Assoc: 3}}, // five sets
+		{"l1", Config{SizeBytes: 32 << 10, Assoc: 8}},
+		{"llc/16", Config{SizeBytes: 30 << 16, Assoc: 20}}, // 1536 sets
 	} {
 		for name, stream := range diffStreams(60_000, uint64(cfg.SizeBytes)*6) {
-			fast, err := New(cfg)
+			fast, err := New(cfg.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := newRefCache(cfg)
+			ref, err := newRefCache(cfg.Config)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,14 +137,14 @@ func TestCacheMatchesReference(t *testing.T) {
 // non-power-of-two LLC included, through SpanAccess: the same latency
 // on every access, the same per-level counters and final lines.
 func TestHierarchyMatchesReference(t *testing.T) {
-	l1, l2, llc := XeonE52650v4()
+	xeon := machine.Xeon()
 	// 40 MB of addresses: past the LLC, so every level evicts.
 	for name, stream := range diffStreams(400_000, 40<<20) {
-		fast, err := NewHierarchy(l1, l2, llc)
+		fast, err := NewHierarchy(xeon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefHierarchy(l1, l2, llc)
+		ref, err := newRefHierarchy(xeon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +165,7 @@ func TestLRUInclusion(t *testing.T) {
 	for name, stream := range diffStreams(60_000, sets*LineSize*40) {
 		var caches []*Cache
 		for _, ways := range []int{1, 2, 4, 8, 16} {
-			c, err := New(Config{Name: fmt.Sprint(ways, "-way"), SizeBytes: sets * ways * LineSize, Assoc: ways})
+			c, err := New(Config{SizeBytes: sets * ways * LineSize, Assoc: ways})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,15 +176,15 @@ func TestLRUInclusion(t *testing.T) {
 			for _, c := range caches {
 				hit, _ := c.Access(a.addr, a.store)
 				if smallerHit && !hit {
-					t.Fatalf("%s access %d: %s missed a line a smaller cache held", name, i, c.cfg.Name)
+					t.Fatalf("%s access %d: the %d-way cache missed a line a smaller one held", name, i, c.cfg.Assoc)
 				}
 				smallerHit = hit
 			}
 		}
 		for i := 1; i < len(caches); i++ {
 			if caches[i].Stats().Misses > caches[i-1].Stats().Misses {
-				t.Fatalf("%s: %s missed %d times, %s only %d", name,
-					caches[i].cfg.Name, caches[i].Stats().Misses, caches[i-1].cfg.Name, caches[i-1].Stats().Misses)
+				t.Fatalf("%s: %d ways missed %d times, %d ways only %d", name,
+					caches[i].cfg.Assoc, caches[i].Stats().Misses, caches[i-1].cfg.Assoc, caches[i-1].Stats().Misses)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package cache
 
+import "vcprof/internal/uarch/machine"
+
 // Prefetcher issues predicted fills into a cache level. The encoder's
 // dominant access pattern is unit-stride row scans, so even the simple
 // next-line scheme recovers most of the streaming misses — the ablation
@@ -95,7 +97,7 @@ type PrefetchHierarchy struct {
 // NewPrefetchHierarchy puts a prefetcher on an acquired paper
 // hierarchy; the caller releases it (Release is promoted).
 func NewPrefetchHierarchy(pf Prefetcher) (*PrefetchHierarchy, error) {
-	h, err := AcquireXeon()
+	h, err := Acquire(machine.Xeon())
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +110,7 @@ func (p *PrefetchHierarchy) Access(addr uint64, store bool) int {
 		return p.L1.Config().LatencyCyc
 	}
 	l2hit, _ := p.L2.Access(addr, false)
-	lat := MemLatency
+	lat := p.memLat
 	if l2hit {
 		lat = p.L2.Config().LatencyCyc
 		p.Useful++ // resident either by prior demand or prefetch

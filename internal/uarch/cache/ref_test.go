@@ -5,6 +5,8 @@ package cache
 // nothing else changed) as the oracle of the differential tests: every
 // access scans its whole set and the set index is always a modulo.
 
+import "vcprof/internal/uarch/machine"
+
 type refLine struct {
 	tag   uint64
 	valid bool
@@ -25,7 +27,7 @@ type refCache struct {
 
 // newRefCache builds a cache level from its configuration.
 func newRefCache(cfg Config) (*refCache, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / (LineSize * cfg.Assoc)
@@ -107,22 +109,23 @@ func (c *refCache) Probe(addr uint64) bool {
 // refHierarchy chains three reference levels the way Hierarchy does.
 type refHierarchy struct {
 	L1, L2, LLC *refCache
+	memLat      int
 }
 
-func newRefHierarchy(l1, l2, llc Config) (*refHierarchy, error) {
-	c1, err := newRefCache(l1)
+func newRefHierarchy(m machine.Machine) (*refHierarchy, error) {
+	c1, err := newRefCache(m.L1D)
 	if err != nil {
 		return nil, err
 	}
-	c2, err := newRefCache(l2)
+	c2, err := newRefCache(m.L2)
 	if err != nil {
 		return nil, err
 	}
-	c3, err := newRefCache(llc)
+	c3, err := newRefCache(m.LLC)
 	if err != nil {
 		return nil, err
 	}
-	return &refHierarchy{L1: c1, L2: c2, LLC: c3}, nil
+	return &refHierarchy{L1: c1, L2: c2, LLC: c3, memLat: m.MemLatency}, nil
 }
 
 // Access sends one access down the hierarchy and returns its latency in
@@ -138,7 +141,7 @@ func (h *refHierarchy) Access(addr uint64, store bool) int {
 	if hit, _ := h.LLC.Access(addr, false); hit {
 		return h.LLC.cfg.LatencyCyc
 	}
-	return MemLatency
+	return h.memLat
 }
 
 // SpanAccess issues line-granular accesses covering [addr, addr+size)

@@ -4,15 +4,20 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"vcprof/internal/uarch/machine"
 )
 
-// tinyGeometry is a hierarchy small enough that every level evicts
+// tinyMachine has a hierarchy small enough that every level evicts
 // within a few hundred runs; like the paper machine's, its last level
 // has a set count that is not a power of two (24).
-func tinyGeometry() (l1, l2, llc Config) {
-	return Config{Name: "L1D", SizeBytes: 1 << 10, Assoc: 2, LatencyCyc: 4},
-		Config{Name: "L2", SizeBytes: 4 << 10, Assoc: 4, LatencyCyc: 12},
-		Config{Name: "LLC", SizeBytes: 24 * 5 * LineSize, Assoc: 5, LatencyCyc: 38}
+func tinyMachine() machine.Machine {
+	return machine.Machine{
+		L1D:        Config{SizeBytes: 1 << 10, Assoc: 2, LatencyCyc: 4},
+		L2:         Config{SizeBytes: 4 << 10, Assoc: 4, LatencyCyc: 12},
+		LLC:        Config{SizeBytes: 24 * 5 * LineSize, Assoc: 5, LatencyCyc: 38},
+		MemLatency: 90,
+	}
 }
 
 // unroll issues a run on the reference hierarchy the way trace.Ctx did
@@ -49,18 +54,16 @@ func sameHierarchy(t *testing.T, what string, fast *Hierarchy, ref *refHierarchy
 // hierarchy built new for each round.
 func TestRunMatchesUnrolled(t *testing.T) {
 	strides := []int{0, 1, 2, 4, 7, 8, 16, 32, 64, 96, 128, 1936, -1, -8, -24, -64, -200}
-	xl1, xl2, xllc := XeonE52650v4()
-	tl1, tl2, tllc := tinyGeometry()
 	for _, g := range []struct {
-		name        string
-		l1, l2, llc Config
-		runs        int
-		span        uint64
+		name string
+		m    machine.Machine
+		runs int
+		span uint64
 	}{
-		{"tiny", tl1, tl2, tllc, 4_000, 32 << 10},
-		{"xeon", xl1, xl2, xllc, 20_000, 2 << 20},
+		{"tiny", tinyMachine(), 4_000, 32 << 10},
+		{"xeon", machine.Xeon(), 20_000, 2 << 20},
 	} {
-		fast, err := NewHierarchy(g.l1, g.l2, g.llc)
+		fast, err := NewHierarchy(g.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +78,7 @@ func TestRunMatchesUnrolled(t *testing.T) {
 			if round > 0 {
 				fast.Reset()
 			}
-			ref, err := newRefHierarchy(g.l1, g.l2, g.llc)
+			ref, err := newRefHierarchy(g.m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,13 +109,13 @@ func TestRunMatchesUnrolled(t *testing.T) {
 func FuzzHierarchyRunVsUnrolled(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x38, 0x00, 9, 8, 16, 1, 0x00, 0x01, 3, 0, 70, 0, 0, 0, 0, 0, 0, 0xFF, 0x3C, 0x00, 5, 0xF8, 8, 0})
-	l1, l2, llc := tinyGeometry()
+	tiny := tinyMachine()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fast, err := NewHierarchy(l1, l2, llc)
+		fast, err := NewHierarchy(tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefHierarchy(l1, l2, llc)
+		ref, err := newRefHierarchy(tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +161,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 // a hierarchy enters the free list at most once, and the list never
 // holds more than GOMAXPROCS.
 func TestAcquireXeonIsColdAndBounded(t *testing.T) {
-	h, err := AcquireXeon()
+	h, err := Acquire(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestAcquireXeonIsColdAndBounded(t *testing.T) {
 	h.Release()
 	mustPanic(t, "second Release", h.Release)
 
-	again, err := AcquireXeon()
+	again, err := Acquire(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +179,8 @@ func TestAcquireXeonIsColdAndBounded(t *testing.T) {
 	if again.L1.Stats() != (Stats{}) || again.LLC.Stats() != (Stats{}) || again.L1.Probe(0x4000) || again.LLC.Probe(0x4000) {
 		t.Error("reused hierarchy is not cold")
 	}
-	if lat := again.Access(0x4000, false); lat != MemLatency {
-		t.Errorf("first access to a reused hierarchy took %d cycles, want DRAM %d", lat, MemLatency)
+	if lat := again.Access(0x4000, false); lat != machine.Xeon().MemLatency {
+		t.Errorf("first access to a reused hierarchy took %d cycles, want DRAM %d", lat, machine.Xeon().MemLatency)
 	}
 	again.Release()
 
@@ -187,10 +190,28 @@ func TestAcquireXeonIsColdAndBounded(t *testing.T) {
 	}
 	mustPanic(t, "Release of a hierarchy never acquired", fresh.Release)
 
+	// Another machine's hierarchy is built for the caller and dropped at
+	// Release: the free list keeps the paper machine's geometry only.
+	idle := xeonIdle()
+	other, err := Acquire(tinyMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.LLC.Config() != tinyMachine().LLC || xeonIdle() != idle {
+		t.Error("Acquire of another machine took a paper-machine hierarchy")
+	}
+	if lat := other.Access(0x4000, false); lat != tinyMachine().MemLatency {
+		t.Errorf("cold access on the tiny machine took %d cycles, want its DRAM %d", lat, tinyMachine().MemLatency)
+	}
+	other.Release()
+	if xeonIdle() != idle {
+		t.Error("free list kept a hierarchy that is not the paper machine's")
+	}
+
 	bound := runtime.GOMAXPROCS(0)
 	held := make([]*Hierarchy, bound+2)
 	for i := range held {
-		if held[i], err = AcquireXeon(); err != nil {
+		if held[i], err = Acquire(machine.Xeon()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +244,7 @@ func TestAcquireXeonConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				h, err := AcquireXeon()
+				h, err := Acquire(machine.Xeon())
 				if err != nil {
 					t.Error(err)
 					return

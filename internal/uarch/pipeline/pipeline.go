@@ -1,10 +1,10 @@
 // Package pipeline implements a trace-driven out-of-order core model in
-// the style of the paper's simulation methodology: a 4-wide machine with
-// a reorder buffer, load/store queues, per-class functional units, a
-// live branch predictor and the cache hierarchy of the Xeon E5-2650 v4.
-// It replays micro-op windows recorded by the instrumentation layer and
-// produces cycle counts, per-resource stall counters (Fig. 6e–h) and the
-// slot accounting that feeds top-down analysis (Fig. 5).
+// the style of the paper's simulation methodology: a machine.Machine's
+// reorder buffer, load/store queues, per-class functional units, live
+// branch predictor and cache hierarchy. It replays micro-op windows
+// recorded by the instrumentation layer and produces cycle counts,
+// per-resource stall counters (Fig. 6e–h) and the slot accounting that
+// feeds top-down analysis (Fig. 5).
 //
 // The model is timestamp-based: each micro-op's fetch, dispatch, issue,
 // completion and retirement cycles are derived in one in-order pass with
@@ -19,45 +19,24 @@ import (
 	"vcprof/internal/trace"
 	"vcprof/internal/uarch/bpred"
 	"vcprof/internal/uarch/cache"
+	"vcprof/internal/uarch/machine"
 	"vcprof/internal/uarch/topdown"
 )
 
-// Config describes the modeled core, default-initialized by Broadwell().
-type Config struct {
-	Width             int // fetch/dispatch/retire width
-	ROBSize           int
-	LQSize            int
-	SQSize            int
-	FrontendDepth     int // fetch→dispatch latency in cycles
-	MispredictPenalty int // flush + refill cycles
-	ALUs              int
-	VecUnits          int
-	LoadPorts         int
-	StorePorts        int
-	BranchUnits       int
-	Predictor         string // bpred.NewByName name
-}
+// Broadwell returns the paper's machine.
+func Broadwell() machine.Machine { return machine.Xeon() }
 
-// Broadwell returns the configuration of the paper's machine (Xeon E5
-// 2650 v4, Broadwell: 4-wide, 224-entry ROB, 72/42 LQ/SQ).
-func Broadwell() Config {
-	return Config{
-		Width: 4, ROBSize: 224, LQSize: 72, SQSize: 42,
-		FrontendDepth: 5, MispredictPenalty: 16,
-		ALUs: 4, VecUnits: 2, LoadPorts: 2, StorePorts: 1, BranchUnits: 1,
-		Predictor: "tage-8KB",
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the core's configuration. The predictor, BTB and L1I
+// are checked where New builds them, the data hierarchy where a run
+// acquires it.
+func validate(c machine.Machine) error {
 	if c.Width <= 0 || c.ROBSize <= c.Width || c.LQSize <= 0 || c.SQSize <= 0 {
 		return fmt.Errorf("pipeline: invalid core geometry %+v", c)
 	}
 	if c.ALUs <= 0 || c.VecUnits <= 0 || c.LoadPorts <= 0 || c.StorePorts <= 0 || c.BranchUnits <= 0 {
 		return fmt.Errorf("pipeline: invalid functional unit counts %+v", c)
 	}
-	if c.FrontendDepth < 1 || c.MispredictPenalty < 1 {
+	if c.FrontendDepth < 1 || c.MispredictPenalty < 1 || c.VecLatency < 1 {
 		return fmt.Errorf("pipeline: invalid latency parameters %+v", c)
 	}
 	return nil
@@ -119,39 +98,32 @@ func (f *fuPool) reserve(ready, busy uint64) (start uint64) {
 }
 
 // Sim replays micro-ops through the core model. It owns the front-end
-// state; the paper machine's data hierarchy is acquired per run.
+// state; the machine's data hierarchy is acquired per run.
 type Sim struct {
-	cfg    Config
+	cfg    machine.Machine
 	pred   bpred.Predictor
 	btb    *bpred.BTB
 	icache *cache.Cache
 }
 
-// New builds a simulator of the paper machine.
-func New(cfg Config) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
+// New builds a simulator of the machine.
+func New(cfg machine.Machine) (*Sim, error) {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	p, err := bpred.NewByName(cfg.Predictor)
 	if err != nil {
 		return nil, err
 	}
-	ic, err := cache.New(cache.L1IConfig())
+	ic, err := cache.New(cfg.L1I)
 	if err != nil {
 		return nil, err
 	}
-	btb, err := bpred.NewBTB(4096, 4)
+	btb, err := bpred.NewBTB(cfg.BTBEntries, cfg.BTBWays)
 	if err != nil {
 		return nil, err
 	}
 	return &Sim{cfg: cfg, pred: p, btb: btb, icache: ic}, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Run replays ops and returns the result. The simulator state (caches,
@@ -175,7 +147,8 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
-	mem, err := cache.AcquireXeon()
+	cfg := s.cfg
+	mem, err := cache.Acquire(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +157,6 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	s.pred.Reset()
 	s.btb.Reset()
 	s.icache.Reset()
-	cfg := s.cfg
 	res := &Result{Ops: uint64(len(ops))}
 
 	alu := newFUPool(cfg.ALUs)
@@ -250,8 +222,8 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 				if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
 					// Instruction fetch miss: frontend bubble (L2 hit
 					// latency — the synthetic code footprint fits L2 easily).
-					fetch += 12
-					frontendStall += 12
+					fetch += uint64(cfg.L2.LatencyCyc)
+					frontendStall += uint64(cfg.L2.LatencyCyc)
 					fetchAvail = fetch
 					fetchInGroup = 0
 				}
@@ -270,31 +242,31 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		switch op.Class {
 		case trace.OpAVX, trace.OpSSE:
 			if i%2 == 0 {
-				ready = max64(ready, lastLoadDone) // consume a loaded operand
+				ready = max(ready, lastLoadDone) // consume a loaded operand
 			}
 			if i%4 == 1 {
-				ready = max64(ready, lastVecDone) // accumulation chain
+				ready = max(ready, lastVecDone) // accumulation chain
 			}
 		case trace.OpOther:
 			if i%3 == 0 {
-				ready = max64(ready, lastALUDone)
+				ready = max(ready, lastALUDone)
 			}
 			if i%8 == 2 {
-				ready = max64(ready, lastLoadDone)
+				ready = max(ready, lastLoadDone)
 			}
 		case trace.OpBranch:
 			// Compare feeding the branch: flags come from recent ALU work,
 			// or from a load for data-dependent decisions.
 			if i%2 == 0 {
-				ready = max64(ready, lastALUDone)
+				ready = max(ready, lastALUDone)
 			} else {
-				ready = max64(ready, lastLoadDone)
+				ready = max(ready, lastLoadDone)
 			}
 		case trace.OpStore:
-			ready = max64(ready, max64(lastVecDone, lastALUDone))
+			ready = max(ready, lastVecDone, lastALUDone)
 		case trace.OpLoad:
 			if i%4 == 0 {
-				ready = max64(ready, lastALUDone) // address generation
+				ready = max(ready, lastALUDone) // address generation
 			}
 		}
 		if ready > dispatch {
@@ -340,7 +312,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		case trace.OpAVX, trace.OpSSE:
 			start := vec.reserve(ready, 1)
 			res.StallFU += start - ready
-			done = start + 3
+			done = start + uint64(cfg.VecLatency)
 			lastVecDone = done
 		case trace.OpBranch:
 			start := brp.reserve(ready, 1)
@@ -380,7 +352,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		}
 
 		// --- Retire in order, width per cycle.
-		retire := max64(done, lastRetire)
+		retire := max(done, lastRetire)
 		if retire == lastRetire {
 			if retireInCycle >= cfg.Width {
 				retire++
@@ -397,7 +369,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		}
 
 		if prod != nil && (i+1)%flushEvery == 0 {
-			prod.Observe(provisionalSlots(cfg.Width, uint64(i+1), lastRetire+1, res.BadSpecSlots, frontendStall))
+			prod.Observe(classifySlots(cfg.Width, uint64(i+1), lastRetire+1, res.BadSpecSlots, frontendStall))
 		}
 	}
 
@@ -410,45 +382,23 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	res.BranchMPKI = float64(res.Mispredicts) / (float64(res.Ops) / 1000)
 	res.L1DMPKI, res.L2MPKI, res.LLCMPKI = mem.MPKI(res.Ops)
 
-	res.TotalSlots = res.Cycles * uint64(cfg.Width)
-	res.RetiringSlots = res.Ops
-	if res.BadSpecSlots > res.TotalSlots-res.RetiringSlots {
-		res.BadSpecSlots = res.TotalSlots - res.RetiringSlots
-	}
-	res.FrontendSlots = frontendStall * uint64(cfg.Width)
-	rem := res.TotalSlots - res.RetiringSlots - res.BadSpecSlots
-	if res.FrontendSlots > rem {
-		res.FrontendSlots = rem
-	}
-	res.BackendSlots = rem - res.FrontendSlots
-	prod.Commit(topdown.Slots{
-		Total:    res.TotalSlots,
-		Retiring: res.RetiringSlots,
-		BadSpec:  res.BadSpecSlots,
-		Frontend: res.FrontendSlots,
-		Backend:  res.BackendSlots,
-	})
+	sl := classifySlots(cfg.Width, res.Ops, res.Cycles, res.BadSpecSlots, frontendStall)
+	res.TotalSlots, res.RetiringSlots, res.BadSpecSlots, res.FrontendSlots, res.BackendSlots =
+		sl.Total, sl.Retiring, sl.BadSpec, sl.Frontend, sl.Backend
+	prod.Commit(sl)
 	flushObs(res, mem)
 	return res, nil
 }
 
-// provisionalSlots classifies a partially-replayed window's slots with
-// the same clamping order the final accounting applies (retiring →
-// bad-spec → frontend, backend as remainder), so every streamed
-// cumulative snapshot sums to exactly its total.
-func provisionalSlots(width int, retired, cycles, badspec, frontendStall uint64) topdown.Slots {
-	sl := topdown.Slots{Total: cycles * uint64(width), Retiring: retired}
-	if sl.Retiring > sl.Total {
-		sl.Retiring = sl.Total
-	}
-	sl.BadSpec = badspec
-	if rem := sl.Total - sl.Retiring; sl.BadSpec > rem {
-		sl.BadSpec = rem
-	}
-	sl.Frontend = frontendStall * uint64(width)
-	if rem := sl.Total - sl.Retiring - sl.BadSpec; sl.Frontend > rem {
-		sl.Frontend = rem
-	}
+// classifySlots is the slot accounting of a window, whole or partly
+// replayed: clamped in the order retiring → bad-spec → frontend, with
+// backend the remainder, so the final classes and every streamed
+// cumulative snapshot sum to exactly their total.
+func classifySlots(width int, retired, cycles, badspec, frontendStall uint64) topdown.Slots {
+	sl := topdown.Slots{Total: cycles * uint64(width)}
+	sl.Retiring = min(retired, sl.Total)
+	sl.BadSpec = min(badspec, sl.Total-sl.Retiring)
+	sl.Frontend = min(frontendStall*uint64(width), sl.Total-sl.Retiring-sl.BadSpec)
 	sl.Backend = sl.Total - sl.Retiring - sl.BadSpec - sl.Frontend
 	return sl
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vcprof/internal/trace"
+	"vcprof/internal/uarch/machine"
 )
 
 func mkOps(n int, class trace.OpClass) []trace.MicroOp {
@@ -193,6 +194,70 @@ func TestRunsAreIndependent(t *testing.T) {
 	}
 	if a.Cycles != b.Cycles || a.Mispredicts != b.Mispredicts || a.L1DMPKI != b.L1DMPKI {
 		t.Errorf("repeat run differs: %+v vs %+v", a, b)
+	}
+}
+
+// stridedWindow is line-strided loads, one ALU op after each, over two
+// working sets: 16 KB walked eight times (inside the Xeon's 32 KB L1D),
+// then 512 KB walked four times (past its 256 KB L2, inside 1 MB).
+func stridedWindow() []trace.MicroOp {
+	var ops []trace.MicroOp
+	walk := func(base uint64, bytes, passes int) {
+		for i := 0; i < passes*bytes/64; i++ {
+			ops = append(ops,
+				trace.MicroOp{PC: 0x400700, Class: trace.OpLoad, Addr: base + uint64(i*64%bytes), Size: 8},
+				trace.MicroOp{PC: 0x400710, Class: trace.OpOther})
+		}
+	}
+	walk(0x50000000, 16<<10, 8)
+	walk(0x60000000, 512<<10, 4)
+	return ops
+}
+
+func runOn(t *testing.T, m machine.Machine, ops []trace.MicroOp) *Result {
+	t.Helper()
+	s, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSimSimulatesItsMachinesCaches: a Sim built for a machine replays
+// on that machine's hierarchy. An L1D shrunk to 4 KB cannot hold the
+// 16 KB walk the Xeon's holds, so it must miss more.
+func TestSimSimulatesItsMachinesCaches(t *testing.T) {
+	small := Broadwell()
+	small.L1D.SizeBytes = 4 << 10
+	w := stridedWindow()
+	if got, xeon := runOn(t, small, w).L1DMPKI, runOn(t, Broadwell(), w).L1DMPKI; got <= xeon {
+		t.Errorf("L1D MPKI with a 4 KB L1D = %v, not above the Xeon's %v: the machine's caches are ignored", got, xeon)
+	}
+}
+
+// TestSecondMachine replays on a machine that is not the paper's: a
+// 2-wide core with a 1 MB private L2, after the Graviton2 of "Where to
+// Encode". The L2 keeps the Xeon's 512 sets and gains ways, and the L1D
+// (so the L1 miss stream) is the Xeon's, so by LRU stack inclusion it
+// cannot miss more than the Xeon's L2 does.
+func TestSecondMachine(t *testing.T) {
+	narrow := Broadwell()
+	narrow.Width = 2
+	narrow.L2 = machine.Cache{SizeBytes: 1 << 20, Assoc: 32, LatencyCyc: 14}
+	w := stridedWindow()
+	got, xeon := runOn(t, narrow, w), runOn(t, Broadwell(), w)
+	if got.IPC > 2 {
+		t.Errorf("IPC %v on a 2-wide core", got.IPC)
+	}
+	if got.L2MPKI > xeon.L2MPKI {
+		t.Errorf("1 MB L2 MPKI %v above the 256 KB L2's %v at equal sets", got.L2MPKI, xeon.L2MPKI)
+	}
+	if sum := got.RetiringSlots + got.BadSpecSlots + got.FrontendSlots + got.BackendSlots; sum != 2*got.Cycles || got.TotalSlots != sum {
+		t.Errorf("slot classes sum to %d of %d total over %d cycles × width 2", sum, got.TotalSlots, got.Cycles)
 	}
 }
 

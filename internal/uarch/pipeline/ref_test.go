@@ -18,7 +18,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 	if len(ops) == 0 {
 		return nil, cache.Stats{}, fmt.Errorf("pipeline: empty trace")
 	}
-	mem, err := cache.AcquireXeon()
+	mem, err := cache.Acquire(s.cfg)
 	if err != nil {
 		return nil, cache.Stats{}, err
 	}
@@ -91,31 +91,31 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 		switch op.Class {
 		case trace.OpAVX, trace.OpSSE:
 			if i%2 == 0 {
-				ready = max64(ready, lastLoadDone) // consume a loaded operand
+				ready = max(ready, lastLoadDone) // consume a loaded operand
 			}
 			if i%4 == 1 {
-				ready = max64(ready, lastVecDone) // accumulation chain
+				ready = max(ready, lastVecDone) // accumulation chain
 			}
 		case trace.OpOther:
 			if i%3 == 0 {
-				ready = max64(ready, lastALUDone)
+				ready = max(ready, lastALUDone)
 			}
 			if i%8 == 2 {
-				ready = max64(ready, lastLoadDone)
+				ready = max(ready, lastLoadDone)
 			}
 		case trace.OpBranch:
 			// Compare feeding the branch: flags come from recent ALU work,
 			// or from a load for data-dependent decisions.
 			if i%2 == 0 {
-				ready = max64(ready, lastALUDone)
+				ready = max(ready, lastALUDone)
 			} else {
-				ready = max64(ready, lastLoadDone)
+				ready = max(ready, lastLoadDone)
 			}
 		case trace.OpStore:
-			ready = max64(ready, max64(lastVecDone, lastALUDone))
+			ready = max(ready, max(lastVecDone, lastALUDone))
 		case trace.OpLoad:
 			if i%4 == 0 {
-				ready = max64(ready, lastALUDone) // address generation
+				ready = max(ready, lastALUDone) // address generation
 			}
 		}
 		if ready > dispatch {
@@ -195,7 +195,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 		}
 
 		// --- Retire in order, width per cycle.
-		retire := max64(done, lastRetire)
+		retire := max(done, lastRetire)
 		if retire == lastRetire {
 			if retireInCycle >= cfg.Width {
 				retire++

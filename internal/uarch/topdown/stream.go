@@ -46,9 +46,9 @@ func (s Slots) Level1() (Breakdown, error) {
 	if s.Total == 0 {
 		return Breakdown{}, fmt.Errorf("topdown: zero total slots")
 	}
-	ret := min64(s.Retiring, s.Total)
-	bad := min64(s.BadSpec, s.Total-ret)
-	fe := min64(s.Frontend, s.Total-ret-bad)
+	ret := min(s.Retiring, s.Total)
+	bad := min(s.BadSpec, s.Total-ret)
+	fe := min(s.Frontend, s.Total-ret-bad)
 	be := s.Total - ret - bad - fe
 	b := Breakdown{
 		Retiring: float64(ret) / float64(s.Total),
@@ -59,13 +59,6 @@ func (s Slots) Level1() (Breakdown, error) {
 	b.FrontendLatency = b.Frontend
 	b.CoreBound = b.Backend
 	return b, b.Validate()
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Accumulator aggregates slot attribution from any number of
