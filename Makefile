@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
 # the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the nine fuzz targets, a single-iteration benchmark pass
+# short smoke of the ten fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the six end-to-end smokes, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -79,15 +79,22 @@ one-machine:
 		'NewXeonHierarchy(' .
 
 # A recording is a trace.Tape written as the encode runs, and a window
-# is cut from it afterwards (DESIGN.md §4): no non-test file outside
-# internal/trace and bench/ appends micro-ops one at a time, and
+# is a view of it that every reader reads in place (DESIGN.md §4): no
+# non-test file outside internal/trace and bench/ materialises a window
+# (MicroOps is the per-op oracles' input) or holds micro-ops in a slice,
+# but for the branch lists internal/cbp scores; internal/trace has
+# exactly one Read, the only parser of trace bytes from outside; and
 # perf/record.go holds exactly one Encode call — the recording one, run
-# again only for a run that outgrew its tape — so neither the per-op
-# recorder nor a counting encode ahead of every recording can creep
-# back.
+# again only for a run that outgrew its tape — so neither a second copy
+# of the window, a second file format nor a counting encode ahead of
+# every recording can creep back.
 one-recorder:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=trace --exclude-dir=bench \
-		'append\(.*trace\.MicroOp\{' .
+		'MicroOps\(|Expand\(' .
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=trace --exclude-dir=bench --exclude-dir=cbp \
+		'\[\]trace\.MicroOp' .
+	@test "$$(ls internal/trace/*.go | grep -v _test.go | xargs cat | grep -c '^func Read')" = 1 || \
+		{ echo "internal/trace must have exactly one func Read"; exit 1; }
 	@test "$$(grep -c 'enc\.Encode(' internal/perf/record.go)" = 1 || \
 		{ echo "internal/perf/record.go must call enc.Encode exactly once"; exit 1; }
 
@@ -252,3 +259,4 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzTapeVsRefRecorder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzReadBranchTrace -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/uarch/pipeline -run=^$$ -fuzz=FuzzPipelineWindowVsOps -fuzztime=$(FUZZTIME)

@@ -289,7 +289,7 @@ func BenchmarkTAGE8KWindowReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	branches := rec.Tape.Branches(rec.Start, rec.Limit)
+	branches := rec.Ops.Branches()
 	if len(branches) == 0 {
 		b.Fatal("window recorded no branches")
 	}
@@ -367,9 +367,11 @@ func BenchmarkPipelineReplay(b *testing.B) {
 			ops[i] = trace.MicroOp{PC: 0x400030, Class: trace.OpOther}
 		}
 	}
+	win := trace.WindowOf(ops)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(ops); err != nil {
+		if _, err := sim.Run(win); err != nil {
 			b.Fatal(err)
 		}
 	}

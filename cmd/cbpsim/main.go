@@ -1,15 +1,14 @@
 // Command cbpsim runs the Championship Branch Prediction evaluation on
-// recorded traces (from vencode -trace): every named predictor is
-// scored by miss rate and MPKI on each trace's conditional branches.
+// recorded windows (from vencode -optrace): every named predictor is
+// scored by miss rate and MPKI on each window's conditional branches.
 //
 // Usage:
 //
-//	cbpsim game1.vctr hall.vctr
-//	cbpsim -predictors tage-8KB,perceptron-8KB -metric missrate game1.vctr
+//	cbpsim game1.vctw hall.vctw
+//	cbpsim -predictors tage-8KB,perceptron-8KB -metric missrate game1.vctw
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -39,35 +38,11 @@ func run() error {
 	}
 	var traces []cbp.Trace
 	for _, path := range flag.Args() {
-		data, err := os.ReadFile(path)
+		tr, err := readTrace(path)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		var branches []trace.MicroOp
-		var window uint64
-		switch {
-		case len(data) >= 4 && string(data[:4]) == "VCBR":
-			branches, window, err = trace.ReadBranchTrace(bytes.NewReader(data))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		default:
-			ops, err := trace.ReadTrace(bytes.NewReader(data))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			for _, op := range ops {
-				if op.IsBranch() {
-					branches = append(branches, op)
-				}
-			}
-			window = uint64(len(ops))
-		}
-		if len(branches) == 0 {
-			return fmt.Errorf("%s: trace contains no branches", path)
-		}
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		traces = append(traces, cbp.Trace{Name: name, Branches: branches, Instructions: window})
+		traces = append(traces, tr)
 	}
 	scores, err := cbp.Championship(strings.Split(*predictors, ","), traces)
 	if err != nil {
@@ -79,4 +54,18 @@ func run() error {
 	}
 	fmt.Print(tbl)
 	return nil
+}
+
+// readTrace reads the window file at path as a CBP trace named after it.
+func readTrace(path string) (cbp.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return cbp.Trace{}, err
+	}
+	defer f.Close()
+	win, err := trace.Read(f)
+	if err != nil {
+		return cbp.Trace{}, err
+	}
+	return cbp.FromWindow(strings.TrimSuffix(filepath.Base(path), filepath.Ext(path)), win)
 }

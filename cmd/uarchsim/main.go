@@ -1,12 +1,12 @@
-// Command uarchsim replays a recorded micro-op trace (from vencode
-// -trace) through the out-of-order core model of the paper's Xeon
-// E5-2650 v4 and prints cycles, IPC, MPKIs, resource stalls and the
-// top-down slot breakdown.
+// Command uarchsim replays a recorded window (from vencode -optrace)
+// through the out-of-order core model of the paper's Xeon E5-2650 v4 and
+// prints cycles, IPC, MPKIs, resource stalls and the top-down slot
+// breakdown.
 //
 // Usage:
 //
-//	uarchsim game1.vctr
-//	uarchsim -predictor gshare-2KB -width 4 game1.vctr
+//	uarchsim game1.vctw
+//	uarchsim -predictor gshare-2KB -width 4 game1.vctw
 package main
 
 import (
@@ -42,7 +42,7 @@ func run() error {
 		return err
 	}
 	defer f.Close()
-	ops, err := trace.ReadTrace(f)
+	win, err := trace.Read(f)
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run(ops)
+	res, err := sim.Run(win)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@
 //	vencode -encoder svt-av1 -clip game1 -crf 35 -preset 4
 //	vencode -encoder x265 -clip hall -crf 28 -preset 5 -threads 4
 //	vencode -encoder svt-av1 -clip game1 -crf 35 -trace game1.json -stats
-//	vencode -encoder svt-av1 -clip game1 -crf 63 -preset 8 -optrace game1.vctr
+//	vencode -encoder svt-av1 -clip game1 -crf 63 -preset 8 -optrace game1.vctw
 package main
 
 import (
@@ -62,7 +62,6 @@ func run() error {
 		trOut    = flag.String("trace", "", "write the frame/stage span trace (Chrome trace-event JSON, virtual ticks) to this file")
 		stats    = flag.Bool("stats", false, "print obs counters and the self-profile table")
 		traceOut = flag.String("optrace", "", "write a halfway micro-op window to this file")
-		brOut    = flag.String("branchtrace", "", "write a compact branch-only trace (VCBR) to this file")
 		winOps   = flag.Uint64("window", perf.DefaultWindowOps, "micro-op window length for -optrace")
 		profile  = flag.Bool("profile", false, "print the flat function profile")
 		bsOut    = flag.String("bitstream", "", "write the decodable container to this file")
@@ -171,24 +170,15 @@ func run() error {
 		fmt.Print(prof.Render())
 	}
 
-	if *traceOut != "" || *brOut != "" {
+	if *traceOut != "" {
 		rec, total, err := perf.RecordWindow(ctx, enc, clip, encoders.Options{CRF: *crf, Preset: *preset}, 0.5, *winOps)
 		if err != nil {
 			return err
 		}
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(w io.Writer) error { return trace.WriteTrace(w, rec.Ops) }); err != nil {
-				return err
-			}
-			fmt.Printf("optrace      %d ops (window at %d/%d) → %s\n", len(rec.Ops), rec.Start, total, *traceOut)
+		if err := writeFile(*traceOut, func(w io.Writer) error { return trace.Write(w, rec.Ops) }); err != nil {
+			return err
 		}
-		if *brOut != "" {
-			br := rec.Tape.Branches(rec.Start, rec.Limit)
-			if err := writeFile(*brOut, func(w io.Writer) error { return trace.WriteBranchTrace(w, br, uint64(len(rec.Ops))) }); err != nil {
-				return err
-			}
-			fmt.Printf("branchtrace  %d branches → %s\n", len(br), *brOut)
-		}
+		fmt.Printf("optrace      %d ops (window at %d/%d) → %s\n", rec.Ops.Len(), rec.Start, total, *traceOut)
 	}
 	return nil
 }

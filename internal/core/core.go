@@ -173,7 +173,7 @@ func (l *Lab) RecordWindow(fam Family, clipName string, crf, preset int) (*trace
 // ReplayPipeline replays a recorded window through the out-of-order
 // core model of the paper's machine.
 func (l *Lab) ReplayPipeline(rec *trace.Recorder) (*pipeline.Result, error) {
-	if rec == nil || len(rec.Ops) == 0 {
+	if rec == nil || rec.Ops.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace window")
 	}
 	sim, err := pipeline.New(pipeline.Broadwell())

@@ -76,7 +76,7 @@ func TestLabProfileAndWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Ops) == 0 {
+	if rec.Ops.Len() == 0 {
 		t.Fatal("empty window")
 	}
 	pres, err := lab.ReplayPipeline(rec)

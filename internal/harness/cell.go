@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"unsafe"
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/memo"
@@ -179,12 +178,12 @@ func (c Cell) run(ctx context.Context) (CellResult, error) {
 }
 
 // weight returns the eviction weight of a completed cell in bytes.
-// Window cells hold a window's micro-ops and the chunks of tape they
-// were cut from, and dominate memory; everything else is a handful of
-// counters, charged a nominal byte.
+// Window cells hold the chunks of tape their window reads in place, and
+// dominate memory; everything else is a handful of counters, charged a
+// nominal byte.
 func (r CellResult) weight() int64 {
 	if r.Rec != nil {
-		return int64(len(r.Rec.Ops))*int64(unsafe.Sizeof(trace.MicroOp{})) + r.Rec.Tape.Bytes()
+		return r.Rec.Tape.Bytes()
 	}
 	return 1
 }

@@ -7,7 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"vcprof/internal/cbp"
 	"vcprof/internal/encoders"
+	"vcprof/internal/uarch/bpred"
+	"vcprof/internal/uarch/cache"
+	"vcprof/internal/uarch/pipeline"
 )
 
 // equivScale is a heavily reduced scale that still exercises every
@@ -186,18 +190,18 @@ func TestCellCacheBounded(t *testing.T) {
 	defer ResetCellCache()
 	s := equivScale()
 	s.WindowOps = 50_000
-	// A cached window is charged the bytes it holds: its 16-byte ops
-	// and its run's tape.
+	// A cached window is charged the bytes it holds: the chunks of its
+	// run's tape that it reads in place, a few bytes an op.
 	first, _, err := getCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", 10, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := int64(len(first.Rec.Ops))*16 + first.Rec.Tape.Bytes()
-	if w := CellCacheStats().Weight; w != held || len(first.Rec.Ops) != 50_000 {
-		t.Fatalf("a window of %d ops and %d tape bytes is charged %d, want %d", len(first.Rec.Ops), first.Rec.Tape.Bytes(), w, held)
+	held := first.Rec.Tape.Bytes()
+	if w := CellCacheStats().Weight; w != held || first.Rec.Ops.Len() != 50_000 || held > 50_000*16/2 {
+		t.Fatalf("a window of %d ops and %d tape bytes is charged %d, want %d and under half of 16 bytes an op", first.Rec.Ops.Len(), held, w, held)
 	}
-	// Budget fits roughly one window (a 50,000-op window in 60,000 ops'
-	// worth of bytes); recording three must evict.
+	// Budget fits roughly one window (tapes come in whole 128 KB chunks,
+	// so a sixth of slack is less than one); recording three must evict.
 	cellMemo.SetCap(held * 6 / 5)
 	for _, crf := range []int{35, 60} {
 		if _, _, err := getCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", crf, 4)); err != nil {
@@ -216,8 +220,84 @@ func TestCellCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r1.Rec.Ops) == 0 {
+	if r1.Rec.Ops.Len() == 0 {
 		t.Error("recomputed window is empty")
+	}
+}
+
+// TestCachedWindowIsReadConcurrently: a window cell's result is shared
+// by pointer, and its readers read the tape in place, each with its own
+// cursor: a pipeline replay, a championship and a cache study of one
+// cached window run at once, fifty times over, each to the result it
+// reaches alone. Under -race this is the wall for the window's
+// immutability.
+func TestCachedWindowIsReadConcurrently(t *testing.T) {
+	ResetCellCache()
+	defer ResetCellCache()
+	s := equivScale()
+	s.WindowOps = 20_000
+	cell := s.WindowCell(encoders.SVTAV1, "game1", 35, 8)
+	replay := func() (pipeline.Result, []cbp.Score, cache.Stats, error) {
+		win, _, err := getCell(context.Background(), cell)
+		if err != nil {
+			return pipeline.Result{}, nil, cache.Stats{}, err
+		}
+		var (
+			wg     sync.WaitGroup
+			pipe   *pipeline.Result
+			scores []cbp.Score
+			l1     cache.Stats
+			errs   [3]error
+		)
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			sim, err := pipeline.New(pipeline.Broadwell())
+			if err == nil {
+				pipe, err = sim.RunCtx(context.Background(), win.Rec.Ops)
+			}
+			errs[0] = err
+		}()
+		go func() {
+			defer wg.Done()
+			tr, err := cbp.FromRecorder("game1", win.Rec)
+			if err == nil {
+				scores, err = cbp.Championship(bpred.PaperSet(), []cbp.Trace{tr})
+			}
+			errs[1] = err
+		}()
+		go func() {
+			defer wg.Done()
+			h, err := cache.NewHierarchy(pipeline.Broadwell())
+			if err == nil {
+				win.Rec.Ops.Play(nil, cache.Sink{Hierarchy: h})
+				l1 = h.L1.Stats()
+			}
+			errs[2] = err
+		}()
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return pipeline.Result{}, nil, cache.Stats{}, err
+			}
+		}
+		return *pipe, scores, l1, nil
+	}
+	wantPipe, wantScores, wantL1, err := replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round < 50; round++ {
+		pipe, scores, l1, err := replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pipe != wantPipe || fmt.Sprint(scores) != fmt.Sprint(wantScores) || l1 != wantL1 {
+			t.Fatalf("round %d: readers of one cached window disagree with round 0", round)
+		}
+	}
+	if st := CellCacheStats(); st.Misses != 1 {
+		t.Errorf("the window was recorded %d times, want once for all fifty rounds", st.Misses)
 	}
 }
 

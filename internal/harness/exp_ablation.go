@@ -103,8 +103,8 @@ func planAblationCache(s Scale) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			rec.Tape.Play(rec.Start, rec.Limit, nil, cache.Sink{Hierarchy: h})
-			a, b, c := h.MPKI(uint64(len(rec.Ops)))
+			rec.Ops.Play(nil, cache.Sink{Hierarchy: h})
+			a, b, c := h.MPKI(uint64(rec.Ops.Len()))
 			h.Release()
 			t.AddRow(g.name, f2(a), f2(b), f3(c))
 		}
@@ -146,8 +146,8 @@ func planAblationPrefetch(s Scale) (*Plan, error) {
 			name string
 			h    accessor
 		}{{"none", plain}, {"next-line", nl}, {"stride", st}} {
-			rec.Tape.Play(rec.Start, rec.Limit, nil, lineSink(row.h.Access))
-			a, b, c := row.h.MPKI(uint64(len(rec.Ops)))
+			rec.Ops.Play(nil, lineSink(row.h.Access))
+			a, b, c := row.h.MPKI(uint64(rec.Ops.Len()))
 			t.AddRow(row.name, f2(a), f2(b), f3(c))
 		}
 		return []*Table{t}, nil

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
+
+	"vcprof/internal/encoders"
 )
 
 // fast is a minimal scale for unit-level experiment checks: the golden
@@ -332,31 +335,53 @@ func TestFig8PredictorOrdering(t *testing.T) {
 	}
 }
 
+// TestFig11PresetSweepShape: instructions fall by orders of magnitude
+// from the slowest preset to the fastest, bitrate rises and PSNR gives
+// way only modestly. Under the race detector the slow end is preset 3,
+// not 0: presets 0–2 are 94% of the sweep's instructions, all of it
+// cell arithmetic the detector has nothing to find in, and 3 against 8
+// is still the 10× the full sweep is held to (16× in the golden table).
 func TestFig11PresetSweepShape(t *testing.T) {
-	e, err := Lookup("fig11")
-	if err != nil {
-		t.Fatal(err)
+	type point struct{ instsM, kbps, psnr float64 }
+	slow, quick, slowest := point{}, point{}, 0
+	if raceEnabled {
+		slowest = 3
+		s := fast()
+		res, _, err := runCells(context.Background(), []Cell{
+			s.StatCell(encoders.SVTAV1, "game1", fig11CRF, slowest),
+			s.StatCell(encoders.SVTAV1, "game1", fig11CRF, 8),
+		}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := func(r CellResult) point {
+			return point{float64(r.Stat.Instructions) / 1e6, r.Stat.BitrateKbps, r.Stat.PSNR}
+		}
+		slow, quick = at(res[0]), at(res[1])
+	} else {
+		e, err := Lookup("fig11")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := e.Run(fast())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime, rates := out[0], out[1]
+		at := func(row int) point {
+			return point{cell(t, runtime, row, colIndex(t, runtime, "insts_m")),
+				cell(t, rates, row, colIndex(t, rates, "kbps")), cell(t, rates, row, colIndex(t, rates, "psnr_db"))}
+		}
+		slow, quick = at(slowest), at(8)
 	}
-	out, err := e.Run(fast())
-	if err != nil {
-		t.Fatal(err)
+	if slow.instsM < 10*quick.instsM {
+		t.Errorf("preset %d insts (%vM) not ≫ preset 8 (%vM); paper: orders of magnitude", slowest, slow.instsM, quick.instsM)
 	}
-	runtime := out[0]
-	instCol := colIndex(t, runtime, "insts_m")
-	p0 := cell(t, runtime, 0, instCol)
-	p8 := cell(t, runtime, 8, instCol)
-	if p0 < 10*p8 {
-		t.Errorf("preset 0 insts (%vM) not ≫ preset 8 (%vM); paper: orders of magnitude", p0, p8)
+	// Bitrate rises from the slow preset to 8; PSNR falls only modestly (<2dB).
+	if quick.kbps <= slow.kbps {
+		t.Errorf("bitrate did not rise with preset: %v → %v", slow.kbps, quick.kbps)
 	}
-	rates := out[1]
-	kb := colIndex(t, rates, "kbps")
-	ps := colIndex(t, rates, "psnr_db")
-	// Bitrate rises from preset 0 to 8; PSNR falls only modestly (<2dB).
-	if cell(t, rates, 8, kb) <= cell(t, rates, 0, kb) {
-		t.Errorf("bitrate did not rise with preset: %v → %v", cell(t, rates, 0, kb), cell(t, rates, 8, kb))
-	}
-	drop := cell(t, rates, 0, ps) - cell(t, rates, 8, ps)
-	if drop < 0 || drop > 3 {
+	if drop := slow.psnr - quick.psnr; drop < 0 || drop > 3 {
 		t.Errorf("PSNR drop over presets = %v dB, paper shows a modest ~0.8 dB", drop)
 	}
 }

@@ -57,7 +57,7 @@ func observeExperiment(tr *obs.Trace, e Experiment, cells []Cell, res []CellResu
 		case r.Stat != nil:
 			encoders.ObserveFrameStages(tr, r.Stat.FrameStages)
 		case r.Rec != nil:
-			tr.Advance(uint64(len(r.Rec.Ops)))
+			tr.Advance(uint64(r.Rec.Ops.Len()))
 		case r.Pipe != nil:
 			tr.Advance(r.Pipe.Cycles)
 		case r.Sched != nil:

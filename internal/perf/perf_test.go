@@ -3,6 +3,7 @@ package perf
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vcprof/internal/encoders"
@@ -127,19 +128,20 @@ func TestRecordWindow(t *testing.T) {
 	if total == 0 {
 		t.Fatal("total instructions = 0")
 	}
-	if uint64(len(rec.Ops)) != 50_000 && uint64(len(rec.Ops)) != total {
-		t.Errorf("recorded %d ops, want window of 50000 (or the whole short run)", len(rec.Ops))
+	ops := rec.Ops.MicroOps()
+	if len(ops) != rec.Ops.Len() || uint64(len(ops)) != 50_000 && uint64(len(ops)) != total {
+		t.Errorf("recorded %d ops in a window of %d, want 50000 (or the whole short run)", len(ops), rec.Ops.Len())
 	}
 	if rec.Start < total/4 {
 		t.Errorf("window start %d not near halfway of %d", rec.Start, total)
 	}
-	// The window is sized once, up front: a buffer regrown by append
-	// would end with spare capacity.
-	if cap(rec.Ops) != len(rec.Ops) {
-		t.Errorf("window buffer has cap %d for %d ops, want it allocated exactly once", cap(rec.Ops), len(rec.Ops))
+	// The window is read where it was written: it holds only the
+	// chunks of tape its records are in.
+	if rec.Tape.Bytes() > 16*50_000/2 {
+		t.Errorf("a window of %d ops holds %d bytes of tape, want under half of 16 bytes an op", len(ops), rec.Tape.Bytes())
 	}
 	hasBranch, hasMem := false, false
-	for _, op := range rec.Ops {
+	for _, op := range ops {
 		if op.IsBranch() {
 			hasBranch = true
 		}
@@ -155,13 +157,8 @@ func TestRecordWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total2 != total || len(rec2.Ops) != len(rec.Ops) {
-		t.Fatalf("second recording differs: %d/%d vs %d/%d", total2, len(rec2.Ops), total, len(rec.Ops))
-	}
-	for i := range rec.Ops {
-		if rec.Ops[i] != rec2.Ops[i] {
-			t.Fatalf("op %d differs between identical recordings", i)
-		}
+	if total2 != total || !slices.Equal(rec2.Ops.MicroOps(), ops) {
+		t.Fatalf("second recording differs: %d/%d vs %d/%d", total2, rec2.Ops.Len(), total, len(ops))
 	}
 }
 

@@ -65,7 +65,7 @@ func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, o
 		}
 	}
 	rec.Cut(start, limit)
-	if len(rec.Ops) == 0 {
+	if rec.Ops.Len() == 0 {
 		return nil, 0, fmt.Errorf("perf: recorded window is empty (total=%d start=%d limit=%d)", total, start, limit)
 	}
 	return rec, total, nil

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"vcprof/internal/encoders"
 	"vcprof/internal/trace"
@@ -95,13 +94,13 @@ func TestRecordWindowMatchesTwoPass(t *testing.T) {
 					t.Fatalf("%s frac %v limit %d: window [%d, +%d) of %d, two-pass reference [%d, +%d) of %d",
 						fam, frac, limit, got.Start, got.Limit, total, want.Start, want.Limit, wantTotal)
 				}
-				if !slices.Equal(got.Ops, want.Ops) {
-					t.Fatalf("%s frac %v limit %d: %d ops differ from the reference's %d", fam, frac, limit, len(got.Ops), len(want.Ops))
+				if !slices.Equal(got.Ops.MicroOps(), want.Ops.MicroOps()) {
+					t.Fatalf("%s frac %v limit %d: %d ops differ from the reference's %d", fam, frac, limit, got.Ops.Len(), want.Ops.Len())
 				}
-				if uint64(len(got.Ops)) != got.Limit {
-					t.Fatalf("%s frac %v limit %d: %d ops in a window of %d", fam, frac, limit, len(got.Ops), got.Limit)
+				if uint64(got.Ops.Len()) != got.Limit {
+					t.Fatalf("%s frac %v limit %d: %d ops in a window of %d", fam, frac, limit, got.Ops.Len(), got.Limit)
 				}
-				if br := got.Tape.Branches(got.Start, got.Limit); !slices.Equal(br, wantBranches) {
+				if br := got.Ops.Branches(); !slices.Equal(br, wantBranches) {
 					t.Fatalf("%s frac %v limit %d: the tape lists %d branches, a live sink saw %d", fam, frac, limit, len(br), len(wantBranches))
 				}
 			}
@@ -170,11 +169,11 @@ func TestRecordWindowOfARunLongerThanATape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if encodes != tc.encodes || total != branches || rec.Start != uint64(tc.frac*branches) || len(rec.Ops) != 10_000 {
+		if encodes != tc.encodes || total != branches || rec.Start != uint64(tc.frac*branches) || rec.Ops.Len() != 10_000 {
 			t.Fatalf("frac %v: %d encodes, total %d, window [%d, +%d), want %d encodes, total %d, window [%d, +10000)",
-				tc.frac, encodes, total, rec.Start, len(rec.Ops), tc.encodes, branches, uint64(tc.frac*branches))
+				tc.frac, encodes, total, rec.Start, rec.Ops.Len(), tc.encodes, branches, uint64(tc.frac*branches))
 		}
-		for i, op := range rec.Ops {
+		for i, op := range rec.Ops.MicroOps() {
 			if want := (trace.MicroOp{PC: trace.Site("perf/flood"), Class: trace.OpBranch, Taken: (int(rec.Start)+i)%7 == 0}); op != want {
 				t.Fatalf("frac %v: op %d = %+v, want %+v", tc.frac, i, op, want)
 			}
@@ -187,9 +186,10 @@ func TestRecordWindowOfARunLongerThanATape(t *testing.T) {
 
 // TestRecordWindowSteadyStateAlloc is the window half of the allocation
 // budget, on the clip vcbench's replay grid encodes (2 frames, div 20):
-// a warm RecordWindow allocates its 16-byte ops once, its tape in
-// chunks that are never regrown, and otherwise what one counted encode
-// of the clip allocates. It was 24 bytes an op and two encodes.
+// a warm RecordWindow allocates its tape in chunks that are never
+// regrown, and otherwise what one counted encode of the clip allocates:
+// nothing per op. It was the tape and 16 bytes an op besides, and
+// before that 24 bytes an op and two encodes.
 func TestRecordWindowSteadyStateAlloc(t *testing.T) {
 	c := clip(t, "game1", 2, 20)
 	enc := encoders.MustNew(encoders.SVTAV1)
@@ -219,16 +219,15 @@ func TestRecordWindowSteadyStateAlloc(t *testing.T) {
 	}
 	// The window is the whole run, so the tape the recorder retains is
 	// all the tape there was.
-	if len(rec.Ops) < 300_000 || uint64(len(rec.Ops)) != total {
-		t.Fatalf("window holds %d ops of %d, want all of a few hundred thousand", len(rec.Ops), total)
+	if rec.Ops.Len() < 300_000 || uint64(rec.Ops.Len()) != total {
+		t.Fatalf("window holds %d ops of %d, want all of a few hundred thousand", rec.Ops.Len(), total)
 	}
-	opBytes := uint64(len(rec.Ops)) * uint64(unsafe.Sizeof(trace.MicroOp{}))
-	if budget := opBytes + uint64(rec.Tape.Bytes()) + encBytes + 256<<10; bytes > budget {
-		t.Errorf("a warm RecordWindow allocated %d bytes, want at most %d: %d of ops, %d of tape, %d the encode",
-			bytes, budget, opBytes, rec.Tape.Bytes(), encBytes)
+	if budget := uint64(rec.Tape.Bytes()) + encBytes + 256<<10; bytes > budget || bytes > 8*total {
+		t.Errorf("a warm RecordWindow allocated %d bytes, want at most %d (%d of tape, %d the encode) and under 8 an op",
+			bytes, budget, rec.Tape.Bytes(), encBytes)
 	}
-	t.Logf("%d ops: %d bytes (%d ops, %d tape, %d encode), %d objects (%d encode)",
-		len(rec.Ops), bytes, opBytes, rec.Tape.Bytes(), encBytes, objects, encObjects)
+	t.Logf("%d ops: %d bytes (%d tape, %d encode), %d objects (%d encode)",
+		rec.Ops.Len(), bytes, rec.Tape.Bytes(), encBytes, objects, encObjects)
 	if objects > encObjects+200 {
 		t.Errorf("a warm RecordWindow allocated %d objects, one counted encode %d: want at most 200 more", objects, encObjects)
 	}

@@ -1,9 +1,9 @@
 package trace
 
-// MicroOp is one recorded dynamic instruction, the unit replayed by the
-// out-of-order pipeline model and the CBP branch-prediction harness.
-// It is 16 bytes (Addr first, a 32-bit PC): a window is millions of
-// them, written once and read by every replay.
+// MicroOp is one dynamic instruction written out: an entry of the CBP
+// harness's branch lists, the unit a hand-built window is assembled
+// from, and the input of the per-op oracles. It is 16 bytes (Addr
+// first, a 32-bit PC).
 type MicroOp struct {
 	Addr  uint64 // memory ops: effective address; others: 0
 	PC    PC
@@ -26,21 +26,22 @@ func (o MicroOp) IsMem() bool { return o.Class == OpLoad || o.Class == OpStore }
 // ready to attach.
 type Recorder struct {
 	// Start and Limit bound the window in dynamic instruction indices
-	// and Ops holds its micro-ops, those with index in
+	// and Ops is the view of its instructions, those the run has in
 	// [Start, Start+Limit); all three are set by Cut.
 	Start uint64
 	Limit uint64
-	Ops   []MicroOp
+	Ops   Window
 	Tape  Tape
 }
 
 // Cut places the window at [start, start+limit), which the tape must
-// hold, materialises its micro-ops and lets go of the rest of the tape;
-// a window reaching past the end of the run holds the ops that exist.
+// hold, and lets go of the rest of the tape; a window reaching past the
+// end of the run holds the instructions that exist. The tape is not
+// written again: readers share the window from here on.
 func (r *Recorder) Cut(start, limit uint64) {
 	r.Start, r.Limit = start, limit
-	r.Ops = r.Tape.Expand(start, limit)
 	r.Tape.Trim(start, limit)
+	r.Ops = r.Tape.Window(start, limit)
 }
 
 // classPC returns a stable synthetic PC for batched anonymous ops of a

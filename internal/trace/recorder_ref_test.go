@@ -1,7 +1,8 @@
 package trace
 
 // refRecorder is the per-op window recorder the tape replaced, moved
-// here verbatim as the oracle of the differential wall: it sees every
+// here as the oracle of the differential wall (verbatim but for the
+// size it keeps, which is the format's: 1..255): it sees every
 // event with the dynamic index of its first instruction and appends the
 // ops that fall inside [Start, Start+Limit) one at a time.
 type refRecorder struct {
@@ -36,10 +37,7 @@ func (r *refRecorder) mems(firstIdx uint64, pc PC, addr uint64, count, stride, s
 	if store {
 		class = OpStore
 	}
-	sz := uint8(size)
-	if size > 255 {
-		sz = 255
-	}
+	sz := uint8(min(max(size, 1), 255))
 	a := addr
 	for i := 0; i < count; i++ {
 		if r.inWindow(firstIdx + uint64(i)) {

@@ -17,14 +17,17 @@ import (
 //
 //	bits  0–1   kind: op, mem, branch, loop
 //	bit   2     mem: store · branch: taken · loop: set
-//	bits  8–15  op: class · mem: access size in bytes, clamped to 255
+//	bits  8–15  op: class · mem: access size in bytes, 1..255
 //	bits 16–31  count: the instructions the record stands for, 1..65535
-//	bits 32–63  pc (mem, branch, loop; an op's pc follows from its class)
+//	bits 32–63  pc (an op's is its class's bulk site, unless the window
+//	            was built by hand from micro-ops that chose their own)
 //	mem only:   word 1 = first address, word 2 = stride (two's complement)
 //
-// Nothing is truncated to fit: a count wider than its field becomes
-// several records (a loop's leading iterations become a record of taken
-// branches), and the writers count every instruction they are shown.
+// No instruction is dropped to fit: a count wider than its field
+// becomes several records (a loop's leading iterations become a record
+// of taken branches), and the writers count every instruction they are
+// shown. An access size is clamped to 1..255 the way the cache model
+// reads one: a size below 1 is 1, and no access is wider than 255.
 //
 // What a tape keeps is bounded. Shown a whole run, it keeps the most
 // recent tapeChunks chunks of it: a run can be a thousand times longer
@@ -32,7 +35,7 @@ import (
 // at its end. Told the window beforehand (Keep), it keeps exactly the
 // records that reach into it, whatever their number.
 type Tape struct {
-	chunks [][]uint64 // each of capacity chunkWords; a record never straddles two
+	chunks [][]uint64 // a record never straddles two; written ones have capacity chunkWords
 	first  []uint64   // first[i]: dynamic index of the first instruction in chunks[i]
 	total  uint64     // instructions shown to the tape
 	end    uint64     // index after the last instruction kept
@@ -103,10 +106,11 @@ func (t *Tape) reserve(words, n int) *[]uint64 {
 
 // Op appends n non-memory, non-branch instructions of one class.
 func (t *Tape) Op(class OpClass, n int) {
+	hdr := header(recOp, 0, classPC(class)) | uint64(class)<<8
 	for n > 0 {
 		k := min(n, maxCount)
 		if c := t.reserve(1, k); c != nil {
-			*c = append(*c, header(recOp, k, 0)|uint64(class)<<8)
+			*c = append(*c, hdr|uint64(k)<<16)
 		}
 		n -= k
 	}
@@ -115,11 +119,7 @@ func (t *Tape) Op(class OpClass, n int) {
 // Mem appends a strided run of count loads or stores of size bytes, the
 // i-th at addr + i·stride.
 func (t *Tape) Mem(pc PC, addr uint64, count, stride, size int, store bool) {
-	sz := uint8(size)
-	if size > 255 {
-		sz = 255
-	}
-	hdr := header(recMem, 0, pc) | uint64(sz)<<8
+	hdr := header(recMem, 0, pc) | uint64(min(max(size, 1), 255))<<8
 	if store {
 		hdr |= recFlag
 	}
@@ -167,7 +167,13 @@ func (t *Tape) Loop(pc PC, iters int) {
 func (t *Tape) Total() uint64 { return t.total }
 
 // Bytes returns the storage the tape holds.
-func (t *Tape) Bytes() int64 { return int64(len(t.chunks)) * chunkWords * 8 }
+func (t *Tape) Bytes() int64 {
+	var words int
+	for _, c := range t.chunks {
+		words += cap(c)
+	}
+	return int64(words) * 8
+}
 
 // clip intersects the window [start, start+limit) with the run.
 func (t *Tape) clip(start, limit uint64) (lo, hi uint64) {
@@ -186,149 +192,25 @@ func (t *Tape) Holds(start, limit uint64) bool {
 	return lo == hi || len(t.first) > 0 && t.first[0] <= lo && hi <= t.end
 }
 
-// window is clip for the readers, which can only serve what was kept.
-func (t *Tape) window(start, limit uint64) (lo, hi uint64) {
+// Window returns the view of the instructions the run has in
+// [start, start+limit), which the tape must hold. The view reads the
+// tape in place: it stays valid through a Trim to the same window and
+// must not outlive a later write.
+func (t *Tape) Window(start, limit uint64) Window {
 	if !t.Holds(start, limit) {
 		panic(fmt.Sprintf("trace: window [%d, +%d) of a %d-instruction run is not on the tape", start, limit, t.total))
 	}
-	return t.clip(start, limit)
+	lo, hi := t.clip(start, limit)
+	return Window{t, lo, hi}
 }
 
 // Trim lets go of every chunk that holds nothing of the window.
 func (t *Tape) Trim(start, limit uint64) {
-	lo, hi := t.window(start, limit)
-	a := max(sort.Search(len(t.first), func(i int) bool { return t.first[i] > lo })-1, 0)
-	b := sort.Search(len(t.first), func(i int) bool { return t.first[i] >= hi })
+	w := t.Window(start, limit)
+	a := max(sort.Search(len(t.first), func(i int) bool { return t.first[i] > w.start })-1, 0)
+	b := sort.Search(len(t.first), func(i int) bool { return t.first[i] >= w.end })
 	if b < len(t.first) {
 		t.end = t.first[b]
 	}
 	t.chunks, t.first = slices.Clone(t.chunks[a:b]), slices.Clone(t.first[a:b])
-}
-
-// walk visits, in order, every record with an instruction in
-// [start, end), end ≤ Total: w is the record's words and [lo, hi) the
-// part of its count that lies inside the window.
-func (t *Tape) walk(start, end uint64, visit func(w []uint64, lo, hi int)) {
-	if start >= end {
-		return
-	}
-	ci := sort.Search(len(t.first), func(i int) bool { return t.first[i] > start }) - 1
-	for ; ci < len(t.chunks) && t.first[ci] < end; ci++ {
-		idx := t.first[ci]
-		c := t.chunks[ci]
-		for i := 0; i < len(c) && idx < end; {
-			words := 1
-			if c[i]&3 == recMem {
-				words = 3
-			}
-			n := uint64(countOf(c[i]))
-			if idx+n > start {
-				lo := 0
-				if start > idx {
-					lo = int(start - idx)
-				}
-				visit(c[i:i+words], lo, int(min(n, end-idx)))
-			}
-			idx += n
-			i += words
-		}
-	}
-}
-
-// Expand materialises the micro-ops with dynamic index in
-// [start, start+limit): the slice is sized once, and each record fills
-// its clipped share.
-func (t *Tape) Expand(start, limit uint64) []MicroOp {
-	start, end := t.window(start, limit)
-	ops := make([]MicroOp, end-start)
-	rest := ops
-	t.walk(start, end, func(w []uint64, lo, hi int) {
-		dst := rest[:hi-lo]
-		rest = rest[hi-lo:]
-		switch w[0] & 3 {
-		case recOp:
-			class := OpClass(w[0] >> 8)
-			fill(dst, MicroOp{PC: classPC(class), Class: class})
-		case recMem:
-			op := MicroOp{Addr: w[1] + uint64(lo)*w[2], PC: PC(w[0] >> 32), Class: OpLoad, Size: uint8(w[0] >> 8)}
-			if w[0]&recFlag != 0 {
-				op.Class = OpStore
-			}
-			for i := range dst {
-				dst[i] = op
-				op.Addr += w[2]
-			}
-		default:
-			fillBranches(dst, w[0], hi)
-		}
-	})
-	return ops
-}
-
-func fill(dst []MicroOp, op MicroOp) {
-	for i := range dst {
-		dst[i] = op
-	}
-}
-
-// fillBranches writes the outcomes of a branch or loop record's share
-// that ends at the record's hi-th instruction.
-func fillBranches(dst []MicroOp, hdr uint64, hi int) {
-	fill(dst, MicroOp{PC: PC(hdr >> 32), Class: OpBranch, Taken: hdr&recFlag != 0})
-	if hdr&3 == recLoop && hi == countOf(hdr) {
-		dst[len(dst)-1].Taken = false
-	}
-}
-
-// Branches returns the conditional branches among the same window's
-// instructions, the CBP harness's input, sized exactly and without
-// materialising the other ops.
-func (t *Tape) Branches(start, limit uint64) []MicroOp {
-	start, end := t.window(start, limit)
-	n := 0
-	t.walk(start, end, func(w []uint64, lo, hi int) {
-		if w[0]&3 >= recBranch {
-			n += hi - lo
-		}
-	})
-	out := make([]MicroOp, n)
-	rest := out
-	t.walk(start, end, func(w []uint64, lo, hi int) {
-		if w[0]&3 >= recBranch {
-			fillBranches(rest[:hi-lo], w[0], hi)
-			rest = rest[hi-lo:]
-		}
-	})
-	return out
-}
-
-// Play feeds the same window's branches to b and its memory accesses
-// to m as the runs they were recorded as, clipped at the window's
-// edges; a sink without the run method sees every event, as one
-// attached to a Ctx does. A nil sink is skipped. A loop cut short by
-// the window's end has no not-taken outcome, so it arrives as taken
-// branches.
-func (t *Tape) Play(start, limit uint64, b BranchSink, m MemSink) {
-	var ls LoopSink
-	if b != nil {
-		ls = asLoopSink(b)
-	}
-	var rs RunSink
-	if m != nil {
-		rs = asRunSink(m)
-	}
-	start, end := t.window(start, limit)
-	t.walk(start, end, func(w []uint64, lo, hi int) {
-		pc := PC(w[0] >> 32)
-		switch kind := w[0] & 3; {
-		case kind == recMem && rs != nil:
-			rs.Run(w[1]+uint64(lo)*w[2], hi-lo, int(w[2]), int(uint8(w[0]>>8)), w[0]&recFlag != 0)
-		case kind == recLoop && ls != nil && hi == countOf(w[0]):
-			ls.Loop(pc, hi-lo)
-		case kind >= recBranch && ls != nil:
-			for ; lo < hi; lo++ {
-				ls.Branch(pc, w[0]&recFlag != 0)
-			}
-		}
-	})
 }

@@ -127,15 +127,16 @@ func checkTape(t testing.TB, where string, tape *Tape, ref *refRecorder, total, 
 	if !tape.Holds(start, limit) {
 		t.Fatalf("%s: not held", where)
 	}
-	got := tape.Expand(start, limit)
+	win := tape.Window(start, limit)
+	got := win.MicroOps()
 	if len(got) != cap(got) {
-		t.Fatalf("%s: Expand returned len %d cap %d, want an exact-size slice", where, len(got), cap(got))
+		t.Fatalf("%s: MicroOps returned len %d cap %d, want an exact-size slice", where, len(got), cap(got))
 	}
 	if i := firstDiff(got, ref.Ops); i >= 0 {
-		t.Fatalf("%s: Expand differs from the reference at op %d of %d/%d:\n got %+v\nwant %+v",
+		t.Fatalf("%s: MicroOps differs from the reference at op %d of %d/%d:\n got %+v\nwant %+v",
 			where, i, len(got), len(ref.Ops), at(got, i), at(ref.Ops, i))
 	}
-	br, refBr := tape.Branches(start, limit), ref.Branches()
+	br, refBr := win.Branches(), ref.Branches()
 	if len(br) != cap(br) {
 		t.Fatalf("%s: Branches returned len %d cap %d, want an exact-size slice", where, len(br), cap(br))
 	}
@@ -153,7 +154,7 @@ func checkTape(t testing.TB, where string, tape *Tape, ref *refRecorder, total, 
 		}
 	}
 	seen := perEvent{branches: make([]MicroOp, 0, len(br)), accesses: make([]MicroOp, 0, len(mem))}
-	tape.Play(start, limit, &seen, &seen)
+	win.Play(&seen, &seen)
 	if i := firstDiff(seen.branches, br); i >= 0 {
 		t.Fatalf("%s: Play delivered a different branch %d of %d/%d", where, i, len(seen.branches), len(br))
 	}
@@ -278,7 +279,7 @@ func TestTapeClipsLoopsAtWindowEdges(t *testing.T) {
 	tape.Mem(pc, 0x1000, 6, 8, 4, true) // 10..15
 	tape.Loop(pc, 5)                    // 16..20
 	var s runSink
-	tape.Play(7, 11, &s, &s) // 7..17
+	tape.Window(7, 11).Play(&s, &s) // 7..17
 	want := []string{
 		fmt.Sprintf("loop %#x 3", pc),
 		"run 0x1000 6 8 4 true",
@@ -289,11 +290,11 @@ func TestTapeClipsLoopsAtWindowEdges(t *testing.T) {
 		t.Fatalf("run sink saw\n%q, want\n%q", s.log, want)
 	}
 	s.log = nil
-	tape.Play(12, 2, nil, &s)
+	tape.Window(12, 2).Play(nil, &s)
 	if want := []string{"run 0x1010 2 8 4 true"}; !slices.Equal(s.log, want) {
 		t.Fatalf("run sink saw %q, want %q", s.log, want)
 	}
-	tape.Play(0, 100, nil, nil) // nil sinks are skipped, not called
+	tape.Window(0, 100).Play(nil, nil) // nil sinks are skipped, not called
 }
 
 // TestTapeKeepsTheMostRecentOfALongRun: shown more than tapeChunks
@@ -313,7 +314,7 @@ func TestTapeKeepsTheMostRecentOfALongRun(t *testing.T) {
 	if oldest := uint64(3 * chunkWords); tape.first[0] != oldest || tape.Holds(oldest-1, 5) || !tape.Holds(oldest, uint64(n)) {
 		t.Fatalf("oldest kept instruction %d, want %d, and windows held from there on only", tape.first[0], oldest)
 	}
-	for i, op := range tape.Expand(uint64(n)-1000, 1000) {
+	for i, op := range tape.Window(uint64(n)-1000, 1000).MicroOps() {
 		i += n - 1000
 		if want := (MicroOp{PC: pcs[i%3], Class: OpBranch, Taken: i%5 == 0}); op != want {
 			t.Fatalf("op %d = %+v, want %+v", i, op, want)
@@ -321,10 +322,10 @@ func TestTapeKeepsTheMostRecentOfALongRun(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Expand served a window the tape no longer holds")
+			t.Error("the tape served a window it no longer holds")
 		}
 	}()
-	tape.Expand(0, 10)
+	tape.Window(0, 10)
 }
 
 // FuzzTapeVsRefRecorder decodes its input into a run stream and a

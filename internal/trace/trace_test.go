@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -271,25 +270,26 @@ func TestRecorderWindow(t *testing.T) {
 		t.Fatalf("tape holds %d instructions, ctx counted %d", rec.Tape.Total(), c.Total())
 	}
 	rec.Cut(5, 10)
-	if len(rec.Ops) != 10 {
-		t.Fatalf("recorded %d ops, want 10", len(rec.Ops))
+	ops := rec.Ops.MicroOps()
+	if len(ops) != 10 || rec.Ops.Len() != 10 {
+		t.Fatalf("recorded %d ops in a window of %d, want 10", len(ops), rec.Ops.Len())
 	}
 	// First two recorded are loop branches at idx 5 (taken) and 6 (not taken).
-	if !rec.Ops[0].IsBranch() || !rec.Ops[0].Taken {
-		t.Errorf("op 0 = %+v, want taken branch", rec.Ops[0])
+	if !ops[0].IsBranch() || !ops[0].Taken {
+		t.Errorf("op 0 = %+v, want taken branch", ops[0])
 	}
-	if !rec.Ops[1].IsBranch() || rec.Ops[1].Taken {
-		t.Errorf("op 1 = %+v, want not-taken branch", rec.Ops[1])
+	if !ops[1].IsBranch() || ops[1].Taken {
+		t.Errorf("op 1 = %+v, want not-taken branch", ops[1])
 	}
 	for i := 2; i < 10; i++ {
-		if rec.Ops[i].Class != OpLoad {
-			t.Errorf("op %d class = %v, want Load", i, rec.Ops[i].Class)
+		if ops[i].Class != OpLoad {
+			t.Errorf("op %d class = %v, want Load", i, ops[i].Class)
 		}
 	}
-	if rec.Ops[2].Addr != 0x100 || rec.Ops[3].Addr != 0x104 {
-		t.Errorf("load addrs %#x,%#x want 0x100,0x104", rec.Ops[2].Addr, rec.Ops[3].Addr)
+	if ops[2].Addr != 0x100 || ops[3].Addr != 0x104 {
+		t.Errorf("load addrs %#x,%#x want 0x100,0x104", ops[2].Addr, ops[3].Addr)
 	}
-	if n := len(rec.Tape.Branches(rec.Start, rec.Limit)); n != 2 {
+	if n := len(rec.Ops.Branches()); n != 2 {
 		t.Errorf("Branches() = %d entries, want 2", n)
 	}
 }
@@ -400,105 +400,11 @@ func TestAddressSpaceNeverOverlaps(t *testing.T) {
 	}
 }
 
-func TestTraceIORoundTrip(t *testing.T) {
-	ops := []MicroOp{
-		{PC: 0x400010, Class: OpBranch, Taken: true},
-		{PC: 0x400020, Addr: 0x12345678, Class: OpLoad, Size: 32},
-		{PC: 0x400030, Addr: 0xDEADBEEF, Class: OpStore, Size: 16},
-		{PC: 0x400040, Class: OpAVX},
-		{PC: 0x400050, Class: OpOther},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, ops); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("round trip: %d ops, want %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Errorf("op %d = %+v, want %+v", i, got[i], ops[i])
-		}
-	}
-}
-
-func TestTraceIORejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("NOTATRACE HEADER"))); err == nil {
-		t.Error("ReadTrace accepted bad magic")
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, []MicroOp{{Class: OpAVX}}); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadTrace(bytes.NewReader(trunc)); err == nil {
-		t.Error("ReadTrace accepted truncated trace")
-	}
-	// Corrupt class byte.
-	full := buf.Bytes()
-	full[16+16] = 99
-	if _, err := ReadTrace(bytes.NewReader(full)); err == nil {
-		t.Error("ReadTrace accepted invalid op class")
-	}
-}
-
 func TestOpClassString(t *testing.T) {
 	if OpBranch.String() != "Branch" || OpAVX.String() != "AVX" {
 		t.Error("OpClass names wrong")
 	}
 	if OpClass(200).String() != "Invalid" {
 		t.Error("out-of-range class should be Invalid")
-	}
-}
-
-func TestBranchTraceRoundTrip(t *testing.T) {
-	ops := []MicroOp{
-		{PC: 0x400010, Class: OpBranch, Taken: true},
-		{PC: 0x400020, Addr: 0x1234, Class: OpLoad, Size: 8}, // filtered out
-		{PC: 0x400030, Class: OpBranch, Taken: false},
-		{PC: 0x400040, Class: OpAVX}, // filtered out
-		{PC: 0x400050, Class: OpBranch, Taken: true},
-	}
-	var buf bytes.Buffer
-	if err := WriteBranchTrace(&buf, ops, 1234); err != nil {
-		t.Fatal(err)
-	}
-	got, window, err := ReadBranchTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if window != 1234 {
-		t.Errorf("window = %d, want 1234", window)
-	}
-	want := []MicroOp{
-		{PC: 0x400010, Class: OpBranch, Taken: true},
-		{PC: 0x400030, Class: OpBranch, Taken: false},
-		{PC: 0x400050, Class: OpBranch, Taken: true},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d branches, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("branch %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBranchTraceRejectsGarbage(t *testing.T) {
-	if _, _, err := ReadBranchTrace(bytes.NewReader([]byte("VCTRWRONGFORMATHEADERDATA"))); err == nil {
-		t.Error("accepted wrong magic")
-	}
-	var buf bytes.Buffer
-	if err := WriteBranchTrace(&buf, []MicroOp{{Class: OpBranch, Taken: true}}, 10); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if _, _, err := ReadBranchTrace(bytes.NewReader(trunc)); err == nil {
-		t.Error("accepted truncated branch trace")
 	}
 }

@@ -27,7 +27,7 @@ func TestTAGEFastVsRefOnRecordedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	branches := rec.Tape.Branches(rec.Start, rec.Limit)
+	branches := rec.Ops.Branches()
 	if len(branches) < 10_000 {
 		t.Fatalf("window holds only %d branches", len(branches))
 	}

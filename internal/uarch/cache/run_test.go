@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"vcprof/internal/trace"
 	"vcprof/internal/uarch/machine"
 )
 
@@ -97,6 +98,46 @@ func TestRunMatchesUnrolled(t *testing.T) {
 				}
 			}
 			sameHierarchy(t, g.name, fast, ref)
+		}
+	}
+}
+
+// TestTapeMemSizeMatchesLiveSink: a tape keeps an access size the way
+// the hierarchy reads one (below 1 is 1), so a hierarchy a window is
+// played into ends where one attached live to the same Ctx did. Sizes
+// -1 and 0 used to be kept as 255 and 0.
+func TestTapeMemSizeMatchesLiveSink(t *testing.T) {
+	live, err := NewHierarchy(tinyMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	played, err := NewHierarchy(tinyMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := trace.New()
+	rec := &trace.Recorder{}
+	c.AttachRecorder(rec)
+	c.AttachMemSink(Sink{live})
+	pc := trace.Site("t/cache.size")
+	for i, size := range []int{-1, 0, 1, 64, 255} {
+		// 62 bytes into a line: any size past 2 reaches the next one.
+		c.Loads(pc, 1<<20+62+uint64(i)*4096, 9, 64, size)
+		c.Stores(pc, 2<<20+62+uint64(i)*4096, 5, -128, size)
+	}
+	rec.Cut(0, c.Total())
+	rec.Ops.Play(nil, Sink{played})
+	for _, lv := range []struct {
+		name       string
+		live, play *Cache
+	}{{"L1", live.L1, played.L1}, {"L2", live.L2, played.L2}, {"LLC", live.LLC, played.LLC}} {
+		if lv.live.Stats() != lv.play.Stats() {
+			t.Errorf("%s: live sink %+v, window played %+v", lv.name, lv.live.Stats(), lv.play.Stats())
+		}
+	}
+	for _, op := range rec.Ops.MicroOps() {
+		if op.Size == 0 {
+			t.Fatalf("the window holds an access of size 0: %+v", op)
 		}
 	}
 }

@@ -126,10 +126,10 @@ func New(cfg machine.Machine) (*Sim, error) {
 	return &Sim{cfg: cfg, pred: p, btb: btb, icache: ic}, nil
 }
 
-// Run replays ops and returns the result. The simulator state (caches,
-// predictor) is reset first, so runs are independent.
-func (s *Sim) Run(ops []trace.MicroOp) (*Result, error) {
-	return s.RunCtx(context.Background(), ops)
+// Run replays the window and returns the result. The simulator state
+// (caches, predictor) is reset first, so runs are independent.
+func (s *Sim) Run(win trace.Window) (*Result, error) {
+	return s.RunCtx(context.Background(), win)
 }
 
 // flushEvery is the streaming granularity: every this many retired ops
@@ -143,8 +143,8 @@ const flushEvery = 4096
 // accumulators (topdown.WithAccumulator). Replay results are
 // byte-identical with and without a consumer: streaming only reads the
 // provisional slot state, it never alters the model.
-func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) {
-	if len(ops) == 0 {
+func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
+	if win.Len() == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
 	cfg := s.cfg
@@ -157,7 +157,7 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 	s.pred.Reset()
 	s.btb.Reset()
 	s.icache.Reset()
-	res := &Result{Ops: uint64(len(ops))}
+	res := &Result{Ops: uint64(win.Len())}
 
 	alu := newFUPool(cfg.ALUs)
 	vec := newFUPool(cfg.VecUnits)
@@ -188,188 +188,201 @@ func (s *Sim) RunCtx(ctx context.Context, ops []trace.MicroOp) (*Result, error) 
 		// previous fetch used is a hit on the line it touched last:
 		// such fetches are counted here and accounted in one Repeat
 		// when the line changes, which leaves the I-cache exactly as
-		// one Access each would (the ops of a run share one pc).
+		// one Access each would. The ops of a run share one pc, so only
+		// its first looks: the rest follow it to the line it fetched.
 		fetchLine = ^uint64(0) // no line yet
 		sameLine  uint64
 	)
 
-	for i := range ops {
-		op := &ops[i]
-		// --- Fetch: width per cycle; icache miss and redirect bubbles.
-		// Fetch cannot run more than a ROB's worth of ops ahead of
-		// retirement: op i stalls in fetch until op i−ROBSize retires.
-		if fetchInGroup >= cfg.Width {
-			fetchAvail++
-			fetchInGroup = 0
-		}
-		if i >= cfg.ROBSize {
-			if robHead := retireRing[rob]; robHead+1 > fetchAvail {
-				res.StallROB += robHead + 1 - fetchAvail
-				fetchAvail = robHead + 1
+	// The window is stepped run by run, and a run op by op: the model is
+	// per instruction, so a run saves the reading of its instructions,
+	// not their simulation. i is the op's index in the window.
+	var run trace.Run
+	i := 0
+	for cur := win.Cursor(); cur.Next(&run); {
+		pc, addr, size := uint64(run.PC), run.Addr, int(run.Size)
+		for left := run.Count; left > 0; left, i = left-1, i+1 {
+			// --- Fetch: width per cycle; icache miss and redirect bubbles.
+			// Fetch cannot run more than a ROB's worth of ops ahead of
+			// retirement: op i stalls in fetch until op i−ROBSize retires.
+			if fetchInGroup >= cfg.Width {
+				fetchAvail++
 				fetchInGroup = 0
 			}
-		}
-		fetch := fetchAvail
-		if op.PC != 0 {
-			if line := uint64(op.PC) / cache.LineSize; line == fetchLine {
-				sameLine++
-			} else {
-				if sameLine > 0 {
-					s.icache.Repeat(sameLine, false)
-					sameLine = 0
-				}
-				fetchLine = line
-				if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
-					// Instruction fetch miss: frontend bubble (L2 hit
-					// latency — the synthetic code footprint fits L2 easily).
-					fetch += uint64(cfg.L2.LatencyCyc)
-					frontendStall += uint64(cfg.L2.LatencyCyc)
-					fetchAvail = fetch
+			if i >= cfg.ROBSize {
+				if robHead := retireRing[rob]; robHead+1 > fetchAvail {
+					res.StallROB += robHead + 1 - fetchAvail
+					fetchAvail = robHead + 1
 					fetchInGroup = 0
 				}
 			}
-		}
-		fetchInGroup++
+			fetch := fetchAvail
+			if left == run.Count && pc != 0 {
+				if line := pc / cache.LineSize; line == fetchLine {
+					sameLine++
+				} else {
+					if sameLine > 0 {
+						s.icache.Repeat(sameLine, false)
+						sameLine = 0
+					}
+					fetchLine = line
+					if hit, _ := s.icache.Access(pc, false); !hit {
+						// Instruction fetch miss: frontend bubble (L2 hit
+						// latency — the synthetic code footprint fits L2 easily).
+						fetch += uint64(cfg.L2.LatencyCyc)
+						frontendStall += uint64(cfg.L2.LatencyCyc)
+						fetchAvail = fetch
+						fetchInGroup = 0
+					}
+				}
+				sameLine += uint64(left - 1)
+			}
+			fetchInGroup++
 
-		// --- Dispatch after the frontend pipeline.
-		dispatch := fetch + uint64(cfg.FrontendDepth)
+			// --- Dispatch after the frontend pipeline.
+			dispatch := fetch + uint64(cfg.FrontendDepth)
 
-		// --- Ready: dependence on recent producers, class-based.
-		// Dependences: real code has instruction-level parallelism, so
-		// only a fraction of ops extend a producer chain; the modulo
-		// pattern models unrolled kernels with several live chains.
-		var ready uint64 = dispatch
-		switch op.Class {
-		case trace.OpAVX, trace.OpSSE:
-			if i%2 == 0 {
-				ready = max(ready, lastLoadDone) // consume a loaded operand
-			}
-			if i%4 == 1 {
-				ready = max(ready, lastVecDone) // accumulation chain
-			}
-		case trace.OpOther:
-			if i%3 == 0 {
-				ready = max(ready, lastALUDone)
-			}
-			if i%8 == 2 {
-				ready = max(ready, lastLoadDone)
-			}
-		case trace.OpBranch:
-			// Compare feeding the branch: flags come from recent ALU work,
-			// or from a load for data-dependent decisions.
-			if i%2 == 0 {
-				ready = max(ready, lastALUDone)
-			} else {
-				ready = max(ready, lastLoadDone)
-			}
-		case trace.OpStore:
-			ready = max(ready, lastVecDone, lastALUDone)
-		case trace.OpLoad:
-			if i%4 == 0 {
-				ready = max(ready, lastALUDone) // address generation
-			}
-		}
-		if ready > dispatch {
-			res.StallRS += ready - dispatch
-		}
-
-		// --- Issue on a functional unit; execute.
-		var done uint64
-		switch op.Class {
-		case trace.OpLoad:
-			if nLoads >= cfg.LQSize {
-				if lqHead := loadRing[lq]; lqHead > ready {
-					res.StallLQ += lqHead - ready
-					ready = lqHead
+			// --- Ready: dependence on recent producers, class-based.
+			// Dependences: real code has instruction-level parallelism, so
+			// only a fraction of ops extend a producer chain; the modulo
+			// pattern models unrolled kernels with several live chains.
+			var ready uint64 = dispatch
+			switch run.Class {
+			case trace.OpAVX, trace.OpSSE:
+				if i%2 == 0 {
+					ready = max(ready, lastLoadDone) // consume a loaded operand
+				}
+				if i%4 == 1 {
+					ready = max(ready, lastVecDone) // accumulation chain
+				}
+			case trace.OpOther:
+				if i%3 == 0 {
+					ready = max(ready, lastALUDone)
+				}
+				if i%8 == 2 {
+					ready = max(ready, lastLoadDone)
+				}
+			case trace.OpBranch:
+				// Compare feeding the branch: flags come from recent ALU work,
+				// or from a load for data-dependent decisions.
+				if i%2 == 0 {
+					ready = max(ready, lastALUDone)
+				} else {
+					ready = max(ready, lastLoadDone)
+				}
+			case trace.OpStore:
+				ready = max(ready, lastVecDone, lastALUDone)
+			case trace.OpLoad:
+				if i%4 == 0 {
+					ready = max(ready, lastALUDone) // address generation
 				}
 			}
-			start := ldp.reserve(ready, 1)
-			res.StallFU += start - ready
-			lat := mem.SpanAccess(op.Addr, int(op.Size), false)
-			done = start + uint64(lat)
-			loadRing[lq] = done
-			nLoads++
-			if lq++; lq == cfg.LQSize {
-				lq = 0
+			if ready > dispatch {
+				res.StallRS += ready - dispatch
 			}
-			lastLoadDone = done
-		case trace.OpStore:
-			if nStores >= cfg.SQSize {
-				if sqHead := storeRing[sq]; sqHead > ready {
-					res.StallSQ += sqHead - ready
-					ready = sqHead
+
+			// --- Issue on a functional unit; execute.
+			var done uint64
+			switch run.Class {
+			case trace.OpLoad:
+				if nLoads >= cfg.LQSize {
+					if lqHead := loadRing[lq]; lqHead > ready {
+						res.StallLQ += lqHead - ready
+						ready = lqHead
+					}
 				}
-			}
-			start := stp.reserve(ready, 1)
-			res.StallFU += start - ready
-			mem.SpanAccess(op.Addr, int(op.Size), true) // fills line; store buffer hides latency
-			done = start + 1
-			storeRing[sq] = done
-			nStores++
-			if sq++; sq == cfg.SQSize {
-				sq = 0
-			}
-		case trace.OpAVX, trace.OpSSE:
-			start := vec.reserve(ready, 1)
-			res.StallFU += start - ready
-			done = start + uint64(cfg.VecLatency)
-			lastVecDone = done
-		case trace.OpBranch:
-			start := brp.reserve(ready, 1)
-			res.StallFU += start - ready
-			done = start + 1
-			res.Branches++
-			pred := s.pred.Predict(uint64(op.PC))
-			s.pred.Update(uint64(op.PC), op.Taken)
-			if pred != op.Taken {
-				res.Mispredicts++
-				// Redirect: fetch restarts after the branch resolves plus
-				// the flush/refill penalty. The wasted slots are the
-				// penalty window (wrong-path work plus refill bubbles).
-				redirect := done + uint64(cfg.MispredictPenalty)
-				if redirect > fetchAvail {
-					fetchAvail = redirect
+				start := ldp.reserve(ready, 1)
+				res.StallFU += start - ready
+				lat := mem.SpanAccess(addr, size, false)
+				addr += run.Stride
+				done = start + uint64(lat)
+				loadRing[lq] = done
+				nLoads++
+				if lq++; lq == cfg.LQSize {
+					lq = 0
+				}
+				lastLoadDone = done
+			case trace.OpStore:
+				if nStores >= cfg.SQSize {
+					if sqHead := storeRing[sq]; sqHead > ready {
+						res.StallSQ += sqHead - ready
+						ready = sqHead
+					}
+				}
+				start := stp.reserve(ready, 1)
+				res.StallFU += start - ready
+				mem.SpanAccess(addr, size, true) // fills line; store buffer hides latency
+				addr += run.Stride
+				done = start + 1
+				storeRing[sq] = done
+				nStores++
+				if sq++; sq == cfg.SQSize {
+					sq = 0
+				}
+			case trace.OpAVX, trace.OpSSE:
+				start := vec.reserve(ready, 1)
+				res.StallFU += start - ready
+				done = start + uint64(cfg.VecLatency)
+				lastVecDone = done
+			case trace.OpBranch:
+				start := brp.reserve(ready, 1)
+				res.StallFU += start - ready
+				done = start + 1
+				res.Branches++
+				// A counted loop's last iteration is its not-taken exit.
+				taken := run.Taken && !(run.Exit && left == 1)
+				pred := s.pred.Predict(pc)
+				s.pred.Update(pc, taken)
+				if pred != taken {
+					res.Mispredicts++
+					// Redirect: fetch restarts after the branch resolves plus
+					// the flush/refill penalty. The wasted slots are the
+					// penalty window (wrong-path work plus refill bubbles).
+					redirect := done + uint64(cfg.MispredictPenalty)
+					if redirect > fetchAvail {
+						fetchAvail = redirect
+						fetchInGroup = 0
+					}
+					res.BadSpecSlots += uint64(cfg.MispredictPenalty) * uint64(cfg.Width)
+				} else if taken {
+					// Taken branches end the fetch group: a one-cycle bubble,
+					// plus a redirect bubble when the target misses in the BTB.
+					bubble := uint64(1)
+					if _, hit := s.btb.Lookup(pc); !hit {
+						bubble += 2
+					}
+					s.btb.Update(pc, pc+16)
+					fetchAvail += bubble
 					fetchInGroup = 0
+					frontendStall += bubble
 				}
-				res.BadSpecSlots += uint64(cfg.MispredictPenalty) * uint64(cfg.Width)
-			} else if op.Taken {
-				// Taken branches end the fetch group: a one-cycle bubble,
-				// plus a redirect bubble when the target misses in the BTB.
-				bubble := uint64(1)
-				if _, hit := s.btb.Lookup(uint64(op.PC)); !hit {
-					bubble += 2
-				}
-				s.btb.Update(uint64(op.PC), uint64(op.PC)+16)
-				fetchAvail += bubble
-				fetchInGroup = 0
-				frontendStall += bubble
+			default: // OpOther
+				start := alu.reserve(ready, 1)
+				res.StallFU += start - ready
+				done = start + 1
+				lastALUDone = done
 			}
-		default: // OpOther
-			start := alu.reserve(ready, 1)
-			res.StallFU += start - ready
-			done = start + 1
-			lastALUDone = done
-		}
 
-		// --- Retire in order, width per cycle.
-		retire := max(done, lastRetire)
-		if retire == lastRetire {
-			if retireInCycle >= cfg.Width {
-				retire++
+			// --- Retire in order, width per cycle.
+			retire := max(done, lastRetire)
+			if retire == lastRetire {
+				if retireInCycle >= cfg.Width {
+					retire++
+					retireInCycle = 0
+				}
+			} else {
 				retireInCycle = 0
 			}
-		} else {
-			retireInCycle = 0
-		}
-		retireInCycle++
-		lastRetire = retire
-		retireRing[rob] = retire
-		if rob++; rob == cfg.ROBSize {
-			rob = 0
-		}
+			retireInCycle++
+			lastRetire = retire
+			retireRing[rob] = retire
+			if rob++; rob == cfg.ROBSize {
+				rob = 0
+			}
 
-		if prod != nil && (i+1)%flushEvery == 0 {
-			prod.Observe(classifySlots(cfg.Width, uint64(i+1), lastRetire+1, res.BadSpecSlots, frontendStall))
+			if prod != nil && (i+1)%flushEvery == 0 {
+				prod.Observe(classifySlots(cfg.Width, uint64(i+1), lastRetire+1, res.BadSpecSlots, frontendStall))
+			}
 		}
 	}
 

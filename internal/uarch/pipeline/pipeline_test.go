@@ -43,7 +43,7 @@ func TestEmptyTraceRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(nil); err == nil {
+	if _, err := s.Run(trace.Window{}); err == nil {
 		t.Error("accepted empty trace")
 	}
 }
@@ -53,7 +53,7 @@ func TestIPCBoundedByWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(mkOps(20000, trace.OpOther))
+	res, err := s.Run(trace.WindowOf(mkOps(20000, trace.OpOther)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestVectorThroughputLimitedByUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(mkOps(20000, trace.OpAVX))
+	res, err := s.Run(trace.WindowOf(mkOps(20000, trace.OpAVX)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestStreamingLoadsAreMemoryBound(t *testing.T) {
 		ops[i] = trace.MicroOp{PC: 0x400100, Class: trace.OpLoad,
 			Addr: uint64(0x20000000 + i*256), Size: 8}
 	}
-	res, err := s.Run(ops)
+	res, err := s.Run(trace.WindowOf(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMispredictsCreateBadSpecSlots(t *testing.T) {
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 		ops[i] = trace.MicroOp{PC: 0x400200, Class: trace.OpBranch, Taken: (z^(z>>31))&1 == 1}
 	}
-	res, err := s.Run(ops)
+	res, err := s.Run(trace.WindowOf(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMispredictsCreateBadSpecSlots(t *testing.T) {
 	if res.BadSpecSlots == 0 {
 		t.Error("no bad-speculation slots despite mispredicts")
 	}
-	predictable, err := s.Run(mkOps(20000, trace.OpBranch)) // all not-taken
+	predictable, err := s.Run(trace.WindowOf(mkOps(20000, trace.OpBranch))) // all not-taken
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSlotAccountingConsistent(t *testing.T) {
 			trace.MicroOp{PC: 0x400350, Class: trace.OpBranch, Taken: i%5 != 0},
 		)
 	}
-	res, err := s.Run(ops)
+	res, err := s.Run(trace.WindowOf(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +184,11 @@ func TestRunsAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := mkOps(5000, trace.OpLoad)
-	a, err := s.Run(ops)
+	a, err := s.Run(trace.WindowOf(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Run(ops)
+	b, err := s.Run(trace.WindowOf(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func runOn(t *testing.T, m machine.Machine, ops []trace.MicroOp) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(ops)
+	res, err := s.Run(trace.WindowOf(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +239,12 @@ func TestSimSimulatesItsMachinesCaches(t *testing.T) {
 	}
 }
 
-// TestSecondMachine replays on a machine that is not the paper's: a
-// 2-wide core with a 1 MB private L2, after the Graviton2 of "Where to
-// Encode". The L2 keeps the Xeon's 512 sets and gains ways, and the L1D
-// (so the L1 miss stream) is the Xeon's, so by LRU stack inclusion it
+// TestSecondMachine replays on a machine that is not the paper's
+// (graviton, window_test.go): its L2 has the Xeon's sets and more ways
+// and sees the Xeon's L1 miss stream, so by LRU stack inclusion it
 // cannot miss more than the Xeon's L2 does.
 func TestSecondMachine(t *testing.T) {
-	narrow := Broadwell()
-	narrow.Width = 2
-	narrow.L2 = machine.Cache{SizeBytes: 1 << 20, Assoc: 32, LatencyCyc: 14}
+	narrow := graviton()
 	w := stridedWindow()
 	got, xeon := runOn(t, narrow, w), runOn(t, Broadwell(), w)
 	if got.IPC > 2 {
@@ -303,12 +300,12 @@ func TestSimReuseEqualsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Run(w)
+		want, err := fresh.Run(trace.WindowOf(w))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 2; rep++ {
-			got, err := reused.Run(w)
+			got, err := reused.Run(trace.WindowOf(w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +328,7 @@ func TestReplaySteadyStateAllocBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(w); err != nil {
+		if _, err := s.Run(trace.WindowOf(w)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +377,7 @@ func TestPrefixCyclesMonotone(t *testing.T) {
 	}
 	prev := uint64(0)
 	for _, n := range []int{1000, 2000, 4000, 8000} {
-		res, err := s.Run(ops[:n])
+		res, err := s.Run(trace.WindowOf(ops[:n]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,11 +403,11 @@ func TestBTBReducesTakenBranchBubbles(t *testing.T) {
 	for i := range cold {
 		cold[i] = trace.MicroOp{PC: trace.PC(0x400000 + (i%8192)*64), Class: trace.OpBranch, Taken: true}
 	}
-	hres, err := s.Run(hot)
+	hres, err := s.Run(trace.WindowOf(hot))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := s.Run(cold)
+	cres, err := s.Run(trace.WindowOf(cold))
 	if err != nil {
 		t.Fatal(err)
 	}

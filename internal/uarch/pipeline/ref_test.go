@@ -11,9 +11,10 @@ import (
 // refRun is the replay loop RunCtx had before it batched same-line
 // fetches and dropped the ring divisions, moved here verbatim as the
 // oracle (less the top-down streaming and the obs flush, which do not
-// touch the model): every op with a pc asks the I-cache, every ring
-// slot is an index modulo the ring size. It also returns the I-cache's
-// counters.
+// touch the model, and with the L2's latency read from the machine
+// where it was the Xeon's 12): every op with a pc asks the I-cache,
+// every ring slot is an index modulo the ring size. It also returns the
+// I-cache's counters.
 func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 	if len(ops) == 0 {
 		return nil, cache.Stats{}, fmt.Errorf("pipeline: empty trace")
@@ -72,8 +73,8 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 			if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
 				// Instruction fetch miss: frontend bubble (L2 hit latency —
 				// the synthetic code footprint fits L2 easily).
-				fetch += 12
-				frontendStall += 12
+				fetch += uint64(cfg.L2.LatencyCyc)
+				frontendStall += uint64(cfg.L2.LatencyCyc)
 				fetchAvail = fetch
 				fetchInGroup = 0
 			}
@@ -290,7 +291,7 @@ func TestRunMatchesPerOpReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Run(w)
+		got, err := s.Run(trace.WindowOf(w))
 		if err != nil {
 			t.Fatal(err)
 		}
