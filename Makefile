@@ -172,8 +172,13 @@ results-check:
 # gates regressions is `make perf`, not this. The two codec packages
 # carry the /kernel and /generic pairs (BenchmarkBlock2D,
 # BenchmarkBlockSAD): the Go loops are unexported, so the ratio is
-# measured where both sides can be called.
-BENCH_PKGS = . ./internal/obs ./internal/codec/transform ./internal/codec/motion
+# measured where both sides can be called. bpred times one Step of each
+# of the nine predictors on a recorded window (BenchmarkStep/<name>) and
+# cbp the nine-name championship against its parts
+# (BenchmarkChampionshipZoo: zoo < plain + hybrids is each TAGE geometry
+# stepped once).
+BENCH_PKGS = . ./internal/obs ./internal/codec/transform ./internal/codec/motion \
+	./internal/uarch/bpred ./internal/cbp
 
 bench:
 	mkdir -p bench/out

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"testing"
 
-	"vcprof/internal/cbp"
 	"vcprof/internal/codec"
 	"vcprof/internal/codec/entropy"
 	"vcprof/internal/codec/motion"
@@ -260,7 +259,7 @@ func BenchmarkEncodeX265(b *testing.B)   { benchEncode(b, encoders.X265, 30, 4) 
 func BenchmarkEncodeLibaom(b *testing.B) { benchEncode(b, encoders.Libaom, 40, 6) }
 func BenchmarkEncodeVP9(b *testing.B)    { benchEncode(b, encoders.VP9, 40, 6) }
 
-// benchTAGE times Predict+Update on a period-3 stream over 512 pcs.
+// benchTAGE times Step on a period-3 stream over 512 pcs.
 func benchTAGE(b *testing.B, sizeBytes int) {
 	p, err := bpred.NewTAGE(sizeBytes)
 	if err != nil {
@@ -270,8 +269,7 @@ func benchTAGE(b *testing.B, sizeBytes int) {
 	for i := 0; i < b.N; i++ {
 		pc := uint64(0x400000 + (i%512)*16)
 		taken := i%3 != 0
-		p.Predict(pc)
-		p.Update(pc, taken)
+		p.Step(pc, taken)
 	}
 }
 
@@ -318,8 +316,7 @@ func BenchmarkGsharePredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pc := uint64(0x400000 + (i%512)*16)
-		p.Predict(pc)
-		p.Update(pc, i%3 != 0)
+		p.Step(pc, i%3 != 0)
 	}
 }
 
@@ -378,7 +375,7 @@ func BenchmarkPipelineReplay(b *testing.B) {
 	b.SetBytes(int64(len(ops)))
 }
 
-// benchWindow records the window the two benchmarks below are about:
+// benchWindow records the window BenchmarkRecordWindow is about:
 // the middle 400k ops of an SVT-AV1 encode of the bench clip.
 func benchWindow(b *testing.B, clip *video.Clip) *trace.Recorder {
 	b.Helper()
@@ -398,24 +395,6 @@ func BenchmarkRecordWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchWindow(b, clip)
-	}
-}
-
-// BenchmarkChampionshipZoo scores all nine predictors NewByName knows
-// on one recorded window, the offline half of a replay.
-func BenchmarkChampionshipZoo(b *testing.B) {
-	tr, err := cbp.FromRecorder("game1", benchWindow(b, benchClip(b)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	zoo := []string{"gshare-2KB", "gshare-32KB", "tage-8KB", "tage-64KB", "bimodal-8KB",
-		"perceptron-8KB", "perceptron-64KB", "tage-l-8KB", "tage-l-64KB"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cbp.Championship(zoo, []cbp.Trace{tr}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -7,6 +7,7 @@ package cbp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,14 +82,34 @@ func replay(p bpred.Predictor, tr Trace) Score {
 	var miss uint64
 	for i := range tr.Branches {
 		b := &tr.Branches[i]
-		if p.Predict(uint64(b.PC)) != b.Taken {
+		if p.Step(uint64(b.PC), b.Taken) != b.Taken {
 			miss++
 		}
-		p.Update(uint64(b.PC), b.Taken)
 	}
+	return score(p.Name(), tr, miss)
+}
+
+// replayBoth scores a validated trace on a reset hybrid and, in the
+// same pass, on the TAGE under it, named under.
+func replayBoth(l *bpred.TAGEL, under string, tr Trace) (tage, hybrid Score) {
+	var missT, missL uint64
+	for i := range tr.Branches {
+		b := &tr.Branches[i]
+		tagePred, pred := l.StepBoth(uint64(b.PC), b.Taken)
+		if tagePred != b.Taken {
+			missT++
+		}
+		if pred != b.Taken {
+			missL++
+		}
+	}
+	return score(under, tr, missT), score(l.Name(), tr, missL)
+}
+
+func score(predictor string, tr Trace, miss uint64) Score {
 	n := uint64(len(tr.Branches))
 	return Score{
-		Predictor:   p.Name(),
+		Predictor:   predictor,
 		Trace:       tr.Name,
 		Branches:    n,
 		Mispredicts: miss,
@@ -97,26 +118,51 @@ func replay(p bpred.Predictor, tr Trace) Score {
 	}
 }
 
-// Championship evaluates every named predictor on every trace. Each
-// trace is validated once, not once per predictor, and a predictor is
-// reset only between traces: it is built in its reset state.
+// Championship evaluates every named predictor on every trace, scores
+// ordered by name as given, then by trace. Each trace is validated
+// once, not once per predictor, and a predictor is reset only between
+// traces: it is built in its reset state. Where the names hold both a
+// TAGE-L hybrid and the TAGE it overlays, that TAGE is never built: the
+// hybrid's own is stepped once for both (replayBoth), since a second
+// would repeat it outcome for outcome.
 func Championship(predictorNames []string, traces []Trace) ([]Score, error) {
 	for _, tr := range traces {
 		if err := tr.validate(); err != nil {
 			return nil, err
 		}
 	}
-	out := make([]Score, 0, len(predictorNames)*len(traces))
-	for _, name := range predictorNames {
+	// plain[i] is the slot of the TAGE the hybrid named at i overlays;
+	// that slot is marked taken and skipped.
+	const none, taken = -1, -2
+	plain := make([]int, len(predictorNames))
+	for i := range plain {
+		plain[i] = none
+	}
+	for i, name := range predictorNames {
+		if under := bpred.TAGEUnder(name); under != "" {
+			if j := slices.Index(predictorNames, under); j >= 0 && plain[j] == none {
+				plain[i], plain[j] = j, taken
+			}
+		}
+	}
+	out := make([]Score, len(predictorNames)*len(traces))
+	for i, name := range predictorNames {
+		if plain[i] == taken {
+			continue
+		}
 		p, err := bpred.NewByName(name)
 		if err != nil {
 			return nil, err
 		}
-		for i, tr := range traces {
-			if i > 0 {
+		for k, tr := range traces {
+			if k > 0 {
 				p.Reset()
 			}
-			out = append(out, replay(p, tr))
+			if j := plain[i]; j >= 0 {
+				out[j*len(traces)+k], out[i*len(traces)+k] = replayBoth(p.(*bpred.TAGEL), predictorNames[j], tr)
+			} else {
+				out[i*len(traces)+k] = replay(p, tr)
+			}
 		}
 	}
 	return out, nil

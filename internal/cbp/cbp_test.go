@@ -86,6 +86,55 @@ func TestChampionshipOrdering(t *testing.T) {
 	}
 }
 
+// TestChampionshipEqualsSoloRuns: sharing one TAGE between tage-N and
+// tage-l-N is invisible. For the full zoo, the zoo reversed (hybrids
+// first), a hybrid without its plain TAGE, a hybrid with the other
+// geometry's, and a name given twice, over two different traces,
+// every score and its position equal Run on a fresh predictor, one
+// name and one trace at a time.
+func TestChampionshipEqualsSoloRuns(t *testing.T) {
+	zoo := bpred.Names()
+	reversed := make([]string, len(zoo))
+	for i, name := range zoo {
+		reversed[len(zoo)-1-i] = name
+	}
+	second := synthTrace("second", 9000)
+	for i := range second.Branches {
+		second.Branches[i].PC += trace.PC(i % 5 * 64)
+	}
+	traces := []Trace{synthTrace("first", 20000), second}
+	for _, names := range [][]string{
+		zoo,
+		reversed,
+		{"tage-l-8KB", "gshare-2KB"},
+		{"tage-64KB", "tage-l-8KB"},
+		{"tage-8KB", "tage-l-8KB", "tage-8KB", "tage-l-8KB"},
+	} {
+		got, err := Championship(names, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(names)*len(traces) {
+			t.Fatalf("%v: %d scores, want %d", names, len(got), len(names)*len(traces))
+		}
+		for i, name := range names {
+			for k, tr := range traces {
+				p, err := bpred.NewByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Run(p, tr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s := got[i*len(traces)+k]; s != want {
+					t.Errorf("%v: score %d = %+v, solo run %+v", names, i*len(traces)+k, s, want)
+				}
+			}
+		}
+	}
+}
+
 func TestChampionshipErrors(t *testing.T) {
 	tr := synthTrace("x", 100)
 	if _, err := Championship([]string{"bogus"}, []Trace{tr}); err == nil {

@@ -27,16 +27,26 @@ func TestRunCellPreCancelled(t *testing.T) {
 	}
 }
 
+// heavyCell is an operating point with many task boundaries to abort
+// at and a second or two of host time to abort in. Under the race
+// detector that is preset 4: preset 2 there is 17 s of cell arithmetic
+// per full computation, and each test below runs one to the end.
+func heavyCell(crf int) Cell {
+	preset := 2
+	if raceEnabled {
+		preset = 4
+	}
+	return Cell{Kind: CellCounted, Family: encoders.SVTAV1, Clip: "game1",
+		Frames: 4, Div: 12, CRF: crf, Preset: preset, Threads: 1}
+}
+
 // TestRunCellCancelMidFlight cancels a computation after it starts and
 // checks (a) the requester gets a cancellation error promptly — the
 // encode aborts between tasks, not at the end — and (b) the cache is
 // not poisoned: a fresh request recomputes and succeeds.
 func TestRunCellCancelMidFlight(t *testing.T) {
 	ResetCellCache()
-	// A heavier operating point so there are many task boundaries to
-	// abort at.
-	cell := Cell{Kind: CellCounted, Family: encoders.SVTAV1, Clip: "game1",
-		Frames: 4, Div: 12, CRF: 10, Preset: 2, Threads: 1}
+	cell := heavyCell(10)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -78,8 +88,7 @@ func TestRunCellCancelMidFlight(t *testing.T) {
 // a real result.
 func TestRunCellWaiterSurvivesRequesterCancel(t *testing.T) {
 	ResetCellCache()
-	cell := Cell{Kind: CellCounted, Family: encoders.SVTAV1, Clip: "game1",
-		Frames: 4, Div: 12, CRF: 20, Preset: 2, Threads: 1}
+	cell := heavyCell(20)
 
 	first, cancelFirst := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -154,7 +163,7 @@ func TestClipWaiterHonoursContext(t *testing.T) {
 		}
 		generated <- clip
 	}()
-	for clipMemo.Stats().Misses == 0 {
+	for video.ClipMemoStats().Misses == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -172,7 +181,7 @@ func TestClipWaiterHonoursContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != first || clipMemo.Stats().Misses != 1 {
-		t.Errorf("next caller regenerated the clip (%d generations)", clipMemo.Stats().Misses)
+	if again != first || video.ClipMemoStats().Misses != 1 {
+		t.Errorf("next caller regenerated the clip (%d generations)", video.ClipMemoStats().Misses)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"vcprof/internal/uarch/bpred"
 	"vcprof/internal/uarch/cache"
 	"vcprof/internal/uarch/pipeline"
+	"vcprof/internal/video"
 )
 
 // equivScale is a heavily reduced scale that still exercises every
@@ -361,7 +362,7 @@ func TestClipCacheExactlyOnce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := clipMemo.Stats().Misses; got != 1 {
+	if got := video.ClipMemoStats().Misses; got != 1 {
 		t.Errorf("clip generated %d times, want exactly 1", got)
 	}
 	for i := 1; i < n; i++ {
@@ -373,7 +374,7 @@ func TestClipCacheExactlyOnce(t *testing.T) {
 	if _, err := s.ThreadClip("desktop"); err != nil {
 		t.Fatal(err)
 	}
-	if got := clipMemo.Stats().Misses; got != 2 {
+	if got := video.ClipMemoStats().Misses; got != 2 {
 		t.Errorf("generations = %d after second key, want 2", got)
 	}
 }
@@ -382,13 +383,13 @@ func TestClipCacheBounded(t *testing.T) {
 	ResetClipCache()
 	defer ResetClipCache()
 	// Insert more keys than the cap by varying frame counts.
-	for f := 1; f <= clipCacheCap+4; f++ {
+	for f := 1; f <= video.ClipMemoCap+4; f++ {
 		if _, err := cachedClip(context.Background(), "desktop", f%3+1, 64+f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := clipMemo.Stats().Entries; n != clipCacheCap {
-		t.Errorf("clip cache holds %d entries after %d inserts, cap is %d", n, clipCacheCap+4, clipCacheCap)
+	if n := video.ClipMemoStats().Entries; n != video.ClipMemoCap {
+		t.Errorf("clip cache holds %d entries after %d inserts, cap is %d", n, video.ClipMemoCap+4, video.ClipMemoCap)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"vcprof/internal/encoders"
-	"vcprof/internal/memo"
 	"vcprof/internal/uarch/machine"
 	"vcprof/internal/video"
 )
@@ -116,24 +115,6 @@ func midPreset(fam encoders.Family) int {
 	return (lo + hi + 1) / 2
 }
 
-// clipKey names one generated clip: catalog name at a frame count and
-// resolution divisor.
-type clipKey struct {
-	name        string
-	frames, div int
-}
-
-// clipCacheCap bounds the clip cache by entry count. A full
-// DefaultScale run touches 16 distinct (name, frames, div) clips, so
-// the default never evicts mid-suite.
-const clipCacheCap = 32
-
-// clipMemo avoids regenerating procedural clips across experiments:
-// concurrent requests for the same clip generate it exactly once while
-// distinct clips generate in parallel; evicted clips regenerate on
-// next use.
-var clipMemo = memo.New[clipKey, *video.Clip](clipCacheCap, nil)
-
 // Clip returns the (cached) procedural clip for a catalog name at the
 // scale's characterization size.
 func (s Scale) Clip(name string) (*video.Clip, error) {
@@ -145,23 +126,18 @@ func (s Scale) ThreadClip(name string) (*video.Clip, error) {
 	return cachedClip(context.Background(), name, s.ThreadFrames, s.ThreadScaleDiv)
 }
 
-// cachedClip waits for the clip only as long as ctx lives; generation
-// itself is not cancellable, so whatever a generator started is kept
-// for the next caller.
+// cachedClip takes the clip from the process's one clip memo
+// (video.Memoized) and counts the generations the harness caused.
 func cachedClip(ctx context.Context, name string, frames, div int) (*video.Clip, error) {
-	clip, _, err := clipMemo.Do(ctx, clipKey{name, frames, div}, func(context.Context) (*video.Clip, error) {
+	clip, hit, err := video.Memoized(ctx, name, frames, div)
+	if !hit {
 		obsClipGens.Add(1)
-		meta, err := video.LookupClip(name)
-		if err != nil {
-			return nil, err
-		}
-		return video.Generate(meta, video.GenerateOptions{Frames: frames, ScaleDiv: div})
-	})
+	}
 	return clip, err
 }
 
-// ResetClipCache empties the clip cache and its counters.
-func ResetClipCache() { clipMemo.Reset() }
+// ResetClipCache empties the clip memo and its counters.
+func ResetClipCache() { video.ResetClipMemo() }
 
 // The harness reports deterministic modeled wall time instead of host
 // time: cycle counts (or instruction counts at a nominal IPC of 2) at

@@ -116,8 +116,8 @@ type Session struct {
 	done       bool
 }
 
-// New creates a fresh session: the clip is generated up front (the
-// camera the feed reads from), nothing is encoded yet.
+// New creates a fresh session: the clip (the camera the feed reads
+// from) is taken up front, nothing is encoded yet.
 func New(spec SessionSpec, cfg Config) (*Session, error) {
 	return Resume(spec, cfg, ResumeToken{})
 }
@@ -125,23 +125,14 @@ func New(spec SessionSpec, cfg Config) (*Session, error) {
 // Resume creates a session continuing from a failover token (the zero
 // token means a fresh session). The token is client-supplied state: it
 // must sit on a GOP boundary and carry no negative shed level or
-// counter.
+// counter, and it is checked before anything is paid for on its
+// behalf. The clip comes from the process's clip memo, shared with
+// every session and cell on the same (clip, frames, div): sessions
+// only read it.
 func Resume(spec SessionSpec, cfg Config, tok ResumeToken) (*Session, error) {
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	meta, err := video.LookupClip(spec.Clip)
-	if err != nil {
-		return nil, err
-	}
-	clip, err := video.Generate(meta, video.GenerateOptions{Frames: spec.Frames, ScaleDiv: spec.Div})
-	if err != nil {
-		return nil, err
-	}
-	fps := spec.FPS
-	if fps == 0 {
-		fps = meta.FPS
 	}
 	if tok.StartFrame < 0 || tok.StartFrame > spec.Frames || tok.StartFrame%spec.GOP != 0 {
 		return nil, fmt.Errorf("live: resume frame %d not on a GOP boundary of %d", tok.StartFrame, spec.GOP)
@@ -155,6 +146,14 @@ func Resume(spec SessionSpec, cfg Config, tok ResumeToken) (*Session, error) {
 	if tok.Degrade < 0 || tok.DegradeTotal < 0 || tok.Misses < 0 || tok.Dropped < 0 || tok.SharedGOPs < 0 {
 		return nil, fmt.Errorf("live: resume token carries a negative counter (degrade %d, degrade_total %d, misses %d, dropped %d, shared_gops %d)",
 			tok.Degrade, tok.DegradeTotal, tok.Misses, tok.Dropped, tok.SharedGOPs)
+	}
+	clip, _, err := video.Memoized(context.TODO(), spec.Clip, spec.Frames, spec.Div)
+	if err != nil {
+		return nil, err
+	}
+	fps := spec.FPS
+	if fps == 0 {
+		fps = clip.Meta.FPS
 	}
 	s := &Session{
 		spec: spec, cfg: cfg, clip: clip, fps: fps,

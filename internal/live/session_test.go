@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"vcprof/internal/encoders"
 	"vcprof/internal/obs"
 	"vcprof/internal/sched"
+	"vcprof/internal/video"
 )
 
 // baseSpec is the calibrated reference session: at 30 fps the div-8
@@ -347,6 +349,86 @@ func TestResumeRejectsNegativeToken(t *testing.T) {
 			if _, err := s.Feed(context.Background(), 8, true); err != nil {
 				t.Errorf("%s: feed after resume: %v", c.name, err)
 			}
+		}
+	}
+}
+
+// TestResumeChecksTokenBeforeTheClip: a forged token is refused before
+// the clip it names is generated — a refusal costs no generation.
+func TestResumeChecksTokenBeforeTheClip(t *testing.T) {
+	video.ResetClipMemo()
+	defer video.ResetClipMemo()
+	spec := baseSpec()
+	spec.Frames = 24 // a clip no other test asks for
+	for _, tok := range []ResumeToken{{StartFrame: 3}, {StartFrame: 8, GOP: 2}, {StartFrame: 8, GOP: 1, Misses: -1}} {
+		if _, err := Resume(spec, Config{}, tok); err == nil {
+			t.Errorf("token %+v accepted", tok)
+		}
+	}
+	if st := video.ClipMemoStats(); st.Misses != 0 {
+		t.Errorf("refused tokens caused %d clip generations", st.Misses)
+	}
+	if _, err := Resume(spec, Config{}, ResumeToken{StartFrame: 8, GOP: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if st := video.ClipMemoStats(); st.Misses != 1 {
+		t.Errorf("an accepted token caused %d clip generations, want 1", st.Misses)
+	}
+}
+
+// TestSessionsShareOneReadOnlyClip: sessions on one (clip, frames,
+// div) hold the same generated clip, and running them — ladder rungs,
+// shared GOPs and a family switch, concurrently on one pool, which is
+// what the race detector watches — leaves every pixel as generated.
+func TestSessionsShareOneReadOnlyClip(t *testing.T) {
+	video.ResetClipMemo()
+	defer video.ResetClipMemo()
+	spec := baseSpec()
+	spec.Rungs = []int{36, 44}
+	spec.Switches = []Switch{{AtGOP: 1, Family: "x264", CRF: 30, Preset: 8}}
+	pool := sched.NewPool(sched.Config{Workers: 4, Seed: 1})
+	defer pool.Close()
+	sessions := make([]*Session, 4)
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, err := New(spec, Config{Pool: pool})
+			if err != nil {
+				t.Errorf("New: %v", err)
+				return
+			}
+			sessions[i] = s
+			if _, err := s.Feed(context.Background(), spec.Frames, true); err != nil {
+				t.Errorf("Feed: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if st := video.ClipMemoStats(); st.Misses != 1 {
+		t.Errorf("%d sessions generated the clip %d times", len(sessions), st.Misses)
+	}
+	meta, err := video.LookupClip(spec.Clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := video.Generate(meta, video.GenerateOptions{Frames: spec.Frames, ScaleDiv: spec.Div})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sessions {
+		if s.clip != sessions[0].clip {
+			t.Fatal("sessions on one spec hold different clips")
+		}
+	}
+	for i, f := range sessions[0].clip.Frames {
+		g := fresh.Frames[i]
+		if !bytes.Equal(f.Y.Pix, g.Y.Pix) || !bytes.Equal(f.U.Pix, g.U.Pix) || !bytes.Equal(f.V.Pix, g.V.Pix) || f.Index != g.Index {
+			t.Fatalf("frame %d of the shared clip was written to", i)
 		}
 	}
 }

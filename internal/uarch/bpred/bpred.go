@@ -2,7 +2,7 @@
 // with the CBP-2016 framework: Gshare at 2KB and 32KB budgets and
 // TAGE at 8KB and 64KB budgets, plus a bimodal baseline and a hashed
 // perceptron used by the ablation benches. All predictors implement the
-// same Predict/Update protocol the CBP harness drives.
+// same one-call Step protocol the CBP harness drives.
 package bpred
 
 import (
@@ -16,11 +16,10 @@ type Predictor interface {
 	Name() string
 	// SizeBits returns the storage budget in bits.
 	SizeBits() int
-	// Predict returns the predicted direction for a branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved direction. It must
-	// be called exactly once after each Predict, with the same pc.
-	Update(pc uint64, taken bool)
+	// Step predicts the branch at pc, then trains on its resolved
+	// direction, and returns the prediction. Every caller resolves a
+	// branch as it predicts it, so one call is the whole protocol.
+	Step(pc uint64, taken bool) (pred bool)
 	// Reset clears all state.
 	Reset()
 }
@@ -74,13 +73,12 @@ func (b *Bimodal) SizeBits() int { return len(b.table) * 2 }
 
 func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
 
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.index(pc)].taken() }
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := b.index(pc)
-	b.table[i] = b.table[i].update(taken)
+// Step implements Predictor.
+func (b *Bimodal) Step(pc uint64, taken bool) bool {
+	c := &b.table[b.index(pc)]
+	pred := c.taken()
+	*c = c.update(taken)
+	return pred
 }
 
 // Reset implements Predictor.
@@ -143,17 +141,16 @@ func (g *Gshare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ h) & g.mask
 }
 
-// Predict implements Predictor.
-func (g *Gshare) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
-
-// Update implements Predictor.
-func (g *Gshare) Update(pc uint64, taken bool) {
-	i := g.index(pc)
-	g.table[i] = g.table[i].update(taken)
+// Step implements Predictor.
+func (g *Gshare) Step(pc uint64, taken bool) bool {
+	c := &g.table[g.index(pc)]
+	pred := c.taken()
+	*c = c.update(taken)
 	g.ghist <<= 1
 	if taken {
 		g.ghist |= 1
 	}
+	return pred
 }
 
 // Reset implements Predictor.

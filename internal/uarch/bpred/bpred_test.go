@@ -12,10 +12,9 @@ func runTrace(p Predictor, stream func(i int) (pc uint64, taken bool), n int) fl
 	miss := 0
 	for i := 0; i < n; i++ {
 		pc, taken := stream(i)
-		if p.Predict(pc) != taken {
+		if p.Step(pc, taken) != taken {
 			miss++
 		}
-		p.Update(pc, taken)
 	}
 	return float64(miss) / float64(n)
 }
@@ -180,8 +179,8 @@ func TestResetRestoresColdBehaviour(t *testing.T) {
 	// A Reset predictor must be indistinguishable from a new one,
 	// prediction by prediction (cbp.Run resets between traces). The
 	// warm-up runs every phase of diffStream, far past the longest
-	// history (180 outcomes), so stale history, fold registers or
-	// Predict-to-Update bookkeeping would all show.
+	// history (180 outcomes), so stale history or fold registers would
+	// show.
 	const n = 5 * 4096
 	for _, name := range everyName {
 		used, err := NewByName(name)
@@ -195,17 +194,14 @@ func TestResetRestoresColdBehaviour(t *testing.T) {
 		rng := uint64(7)
 		for i := 0; i < n; i++ {
 			pc, taken := diffStream(i, &rng)
-			used.Predict(pc)
-			used.Update(pc, taken)
+			used.Step(pc, taken)
 		}
 		used.Reset()
 		for i := 0; i < n; i++ {
 			pc, taken := diffStream(i, &rng)
-			if u, f := used.Predict(pc), fresh.Predict(pc); u != f {
+			if u, f := used.Step(pc, taken), fresh.Step(pc, taken); u != f {
 				t.Fatalf("%s: prediction %d after Reset is %v, a new predictor says %v", name, i, u, f)
 			}
-			used.Update(pc, taken)
-			fresh.Update(pc, taken)
 		}
 	}
 }

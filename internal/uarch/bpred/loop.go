@@ -44,7 +44,7 @@ func NewLoopPredictor(entries int) (*LoopPredictor, error) {
 
 // set returns the ways of pc's set and its tag.
 func (l *LoopPredictor) set(pc uint64) ([]loopEntry, uint16) {
-	idx := int(((pc >> 2) ^ (pc >> 8)) % uint64(l.sets))
+	idx := int(((pc >> 2) ^ (pc >> 8)) & uint64(l.sets-1)) // sets is a power of two
 	tag := uint16((pc >> 2) >> 6)
 	return l.entries[idx*loopWays : (idx+1)*loopWays], tag
 }
@@ -140,11 +140,6 @@ type TAGEL struct {
 	name string
 	// withLoop adapts whether confident loop predictions are trusted.
 	withLoop int8
-
-	// prediction bookkeeping between Predict and Update
-	loopConf bool
-	loopPred bool
-	tagePred bool
 }
 
 // NewTAGEL builds the hybrid at the given TAGE byte budget; the loop
@@ -167,28 +162,35 @@ func (t *TAGEL) Name() string { return t.name }
 // SizeBits implements Predictor.
 func (t *TAGEL) SizeBits() int { return t.tage.SizeBits() + len(t.loop.entries)*(16+16+16+3+1) }
 
-// Predict implements Predictor.
-func (t *TAGEL) Predict(pc uint64) bool {
-	t.tagePred = t.tage.Predict(pc)
-	t.loopPred, t.loopConf = t.loop.Predict(pc)
-	if t.loopConf && t.withLoop >= 0 {
-		return t.loopPred
-	}
-	return t.tagePred
+// Step implements Predictor.
+func (t *TAGEL) Step(pc uint64, taken bool) bool {
+	_, pred := t.StepBoth(pc, taken)
+	return pred
 }
 
-// Update implements Predictor.
-func (t *TAGEL) Update(pc uint64, taken bool) {
-	// Train the arbitration whenever the components disagree.
-	if t.loopConf && t.loopPred != t.tagePred {
-		if t.loopPred == taken && t.withLoop < 63 {
-			t.withLoop++
-		} else if t.loopPred != taken && t.withLoop > -64 {
-			t.withLoop--
+// StepBoth is Step that also returns what the TAGE under the overlay
+// predicted. The loop component only overrides that prediction and
+// never reads or writes TAGE's state, so tagePred is, branch for
+// branch, what the plain TAGE of this budget (TAGEUnder) returns: one
+// simulation scores both.
+func (t *TAGEL) StepBoth(pc uint64, taken bool) (tagePred, pred bool) {
+	tagePred = t.tage.Step(pc, taken)
+	pred = tagePred
+	if loopPred, conf := t.loop.Predict(pc); conf {
+		if t.withLoop >= 0 {
+			pred = loopPred
+		}
+		// Train the arbitration whenever the components disagree.
+		if loopPred != tagePred {
+			if loopPred == taken && t.withLoop < 63 {
+				t.withLoop++
+			} else if loopPred != taken && t.withLoop > -64 {
+				t.withLoop--
+			}
 		}
 	}
-	t.tage.Update(pc, taken)
 	t.loop.Update(pc, taken)
+	return tagePred, pred
 }
 
 // Reset implements Predictor.
@@ -196,5 +198,4 @@ func (t *TAGEL) Reset() {
 	t.tage.Reset()
 	t.loop.Reset()
 	t.withLoop = 0
-	t.loopConf = false
 }

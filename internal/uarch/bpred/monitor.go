@@ -20,10 +20,8 @@ func NewMonitor(p Predictor) *Monitor { return &Monitor{P: p} }
 
 // Branch implements trace.BranchSink.
 func (m *Monitor) Branch(pc trace.PC, taken bool) {
-	pred := m.P.Predict(uint64(pc))
-	m.P.Update(uint64(pc), taken)
 	m.Branches++
-	if pred != taken {
+	if m.P.Step(uint64(pc), taken) != taken {
 		m.Mispredict++
 	}
 }
@@ -35,15 +33,13 @@ func (m *Monitor) Branch(pc trace.PC, taken bool) {
 func (m *Monitor) Loop(pc trace.PC, iters int) {
 	p, at := m.P, uint64(pc)
 	for i := 1; i < iters; i++ {
-		if !p.Predict(at) {
+		if !p.Step(at, true) {
 			m.Mispredict++
 		}
-		p.Update(at, true)
 	}
-	if p.Predict(at) {
+	if p.Step(at, false) {
 		m.Mispredict++
 	}
-	p.Update(at, false)
 	m.Branches += uint64(iters)
 }
 
@@ -64,20 +60,22 @@ func (m *Monitor) MPKI(instructions uint64) float64 {
 }
 
 // byName is the one table of report names: the predictors the paper
-// studies, then the ablation extras.
+// studies, then the ablation extras. under names the TAGE a hybrid is
+// an overlay on.
 var byName = []struct {
 	name  string
 	build func() (Predictor, error)
+	under string
 }{
-	{"gshare-2KB", func() (Predictor, error) { return NewGshare(2 << 10) }},
-	{"gshare-32KB", func() (Predictor, error) { return NewGshare(32 << 10) }},
-	{"tage-8KB", func() (Predictor, error) { return NewTAGE(8 << 10) }},
-	{"tage-64KB", func() (Predictor, error) { return NewTAGE(64 << 10) }},
-	{"bimodal-8KB", func() (Predictor, error) { return NewBimodal(32 << 10) }}, // 32K 2-bit counters = 8KB
-	{"perceptron-8KB", func() (Predictor, error) { return NewPerceptron(8 << 10) }},
-	{"perceptron-64KB", func() (Predictor, error) { return NewPerceptron(64 << 10) }},
-	{"tage-l-8KB", func() (Predictor, error) { return NewTAGEL(8 << 10) }},
-	{"tage-l-64KB", func() (Predictor, error) { return NewTAGEL(64 << 10) }},
+	{name: "gshare-2KB", build: func() (Predictor, error) { return NewGshare(2 << 10) }},
+	{name: "gshare-32KB", build: func() (Predictor, error) { return NewGshare(32 << 10) }},
+	{name: "tage-8KB", build: func() (Predictor, error) { return NewTAGE(8 << 10) }},
+	{name: "tage-64KB", build: func() (Predictor, error) { return NewTAGE(64 << 10) }},
+	{name: "bimodal-8KB", build: func() (Predictor, error) { return NewBimodal(32 << 10) }}, // 32K 2-bit counters = 8KB
+	{name: "perceptron-8KB", build: func() (Predictor, error) { return NewPerceptron(8 << 10) }},
+	{name: "perceptron-64KB", build: func() (Predictor, error) { return NewPerceptron(64 << 10) }},
+	{name: "tage-l-8KB", build: func() (Predictor, error) { return NewTAGEL(8 << 10) }, under: "tage-8KB"},
+	{name: "tage-l-64KB", build: func() (Predictor, error) { return NewTAGEL(64 << 10) }, under: "tage-64KB"},
 }
 
 // NewByName constructs a predictor by its report name.
@@ -88,6 +86,18 @@ func NewByName(name string) (Predictor, error) {
 		}
 	}
 	return nil, fmt.Errorf("bpred: unknown predictor %q", name)
+}
+
+// TAGEUnder returns the name of the TAGE a hybrid name is built over
+// (the *TAGEL's StepBoth predicts as that one does); any other name has
+// none.
+func TAGEUnder(name string) string {
+	for _, p := range byName {
+		if p.name == name {
+			return p.under
+		}
+	}
+	return ""
 }
 
 // Names lists every name NewByName accepts.

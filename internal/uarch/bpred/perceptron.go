@@ -12,7 +12,6 @@ type Perceptron struct {
 	weights []int8 // rows × perceptronRow, one row after another
 	mask    uint64
 	ghist   uint64
-	lastSum int32
 	size    int
 }
 
@@ -56,11 +55,11 @@ func (p *Perceptron) row(pc uint64) *[perceptronRow]int8 {
 	return (*[perceptronRow]int8)(p.weights[i:])
 }
 
-// Predict implements Predictor. The sum adds a weight where the history
+// Step implements Predictor. The sum adds a weight where the history
 // bit is set and subtracts it where it is clear, as ±1 times the
 // weight: the history is data, and a branch on each of its bits is one
 // the host mispredicts about as often as the simulated branch does.
-func (p *Perceptron) Predict(pc uint64) bool {
+func (p *Perceptron) Step(pc uint64, taken bool) bool {
 	w := p.row(pc)
 	s := int32(w[0])
 	h := p.ghist
@@ -68,28 +67,22 @@ func (p *Perceptron) Predict(pc uint64) bool {
 		s += int32(w[i]) * (int32(h&1)<<1 - 1)
 		h >>= 1
 	}
-	p.lastSum = s
-	return s >= 0
-}
-
-// Update implements Predictor.
-func (p *Perceptron) Update(pc uint64, taken bool) {
 	var t uint64
 	if taken {
 		t = 1
 	}
-	if mag := max(p.lastSum, -p.lastSum); (p.lastSum >= 0) != taken || mag <= perceptronTheta {
+	if (s >= 0) != taken || max(s, -s) <= perceptronTheta {
 		// Each weight moves one step, saturating, towards agreement of
 		// its history bit with the outcome; the bias agrees when taken.
-		w := p.row(pc)
 		w[0] = sat8(int32(w[0]) + int32(t)<<1 - 1)
-		h := p.ghist
+		h = p.ghist
 		for i := 1; i < perceptronRow; i++ {
 			w[i] = sat8(int32(w[i]) + 1 - int32((h^t)&1)<<1)
 			h >>= 1
 		}
 	}
 	p.ghist = p.ghist<<1 | t
+	return s >= 0
 }
 
 func sat8(v int32) int8 { return int8(min(max(v, -128), 127)) }
@@ -98,5 +91,4 @@ func sat8(v int32) int8 { return int8(min(max(v, -128), 127)) }
 func (p *Perceptron) Reset() {
 	clear(p.weights)
 	p.ghist = 0
-	p.lastSum = 0
 }

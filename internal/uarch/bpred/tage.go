@@ -19,18 +19,6 @@ type TAGE struct {
 
 	ghist history
 
-	// prediction bookkeeping between Predict and Update
-	provider int // component index (-1 = base)
-	altPred  bool
-	provPred bool
-	provIdx  uint64
-	// look holds Predict's per-component index and tag so Update does
-	// not recompute them; it is valid for lookPC until the history
-	// moves.
-	look   [tageMaxComps]tageLookup
-	lookPC uint64
-	lookOK bool
-
 	useAltOnNA int8 // counter favouring alt prediction for fresh entries
 	sizeBits   int
 	rng        uint32 // deterministic PRNG for allocation tie-break
@@ -44,37 +32,34 @@ type tageEntry struct {
 
 type tageComp struct {
 	entries []tageEntry
-	mask    uint64
-	histLen int
-	tagBits uint
-	width   uint // index bits: log2(len(entries))
+	mask    uint64 // index mask: len(entries)-1
+	tagMask uint64
+	shift   uint8 // 2 + the index width: the second pc slice an index mixes in
+	out     uint8 // age of the outcome leaving the history window: histLen-1
 
 	// The three folds of the newest histLen outcomes, kept current by
-	// Update: index width, tag width, tag width minus one.
+	// Step: index width, tag width, tag width minus one.
 	idxFold, tagFold, tag1Fold fold
-}
-
-type tageLookup struct {
-	idx uint64
-	tag uint16
 }
 
 // tageMaxComps bounds the tagged components of any geometry (the 64KB
 // point has five).
 const tageMaxComps = 5
 
-// history is the packed global direction history: the outcome of age i
-// (0 = newest) is bit i&63 of word i>>6. 256 outcomes cover the longest
-// geometric length (180) and let every age fit a uint8.
-type history [4]uint64
+// history is the global direction history as a ring of outcomes, one
+// a byte: the outcome of age i (0 = newest) is ring[head+i], the sum
+// wrapping in a uint8. 256 outcomes cover the longest geometric length
+// (180), reading an age is one load, and a push writes one byte.
+type history struct {
+	ring [256]uint8
+	head uint8
+}
 
-func (h *history) bit(age uint8) uint64 { return h[age>>6] >> (age & 63) & 1 }
+func (h *history) bit(age uint8) uint64 { return uint64(h.ring[h.head+age]) }
 
 func (h *history) push(in uint64) {
-	for i := len(h) - 1; i > 0; i-- {
-		h[i] = h[i]<<1 | h[i-1]>>63
-	}
-	h[0] = h[0]<<1 | in
+	h.head--
+	h.ring[h.head] = uint8(in)
 }
 
 // fold is an incrementally maintained fold of the newest n history
@@ -82,7 +67,7 @@ func (h *history) push(in uint64) {
 // sits at bit w-1-(i mod w) of its chunk, the chunks are XORed, and a
 // partial last chunk of r = n mod w outcomes is right-aligned (outcome
 // qw+k at bit r-1-k). A history shorter than the width is one whole
-// chunk of w = n bits. See DESIGN.md §4 for the update's derivation.
+// chunk of w = n bits.
 type fold struct {
 	val      uint64
 	top      uint64 // bit w-1, w = min(width, n) the chunk width
@@ -125,43 +110,17 @@ type tageGeometry struct {
 	tagBits     uint
 }
 
-// NewTAGE builds a TAGE predictor at one of the supported budgets
-// (8192 or 65536 bytes, the paper's 8KB and 64KB configurations), or
-// any power-of-two budget in between for ablations.
+// NewTAGE builds a TAGE predictor at a power-of-two budget from 1KB to
+// 1MB: the paper's 8KB point with its tables scaled to the budget, but
+// for its 64KB point, which spends half of the eightfold on a fifth,
+// longer-history component and wider tags.
 func NewTAGE(sizeBytes int) (*TAGE, error) {
-	var g tageGeometry
-	switch {
-	case sizeBytes == 8<<10:
-		g = tageGeometry{baseEntries: 1 << 12, compEntries: 1 << 10, histLens: []int{5, 14, 36, 90}, tagBits: 9}
-	case sizeBytes == 64<<10:
-		g = tageGeometry{baseEntries: 1 << 14, compEntries: 1 << 12, histLens: []int{5, 14, 36, 90, 180}, tagBits: 11}
-	case sizeBytes > 0 && sizeBytes&(sizeBytes-1) == 0 && sizeBytes >= 1<<10 && sizeBytes <= 1<<20:
-		// Generic scaling for ablation studies.
-		scale := 0
-		for s := 8 << 10; s < sizeBytes; s <<= 1 {
-			scale++
-		}
-		for s := 8 << 10; s > sizeBytes; s >>= 1 {
-			scale--
-		}
-		base := 1 << 12
-		comp := 1 << 10
-		if scale > 0 {
-			base <<= uint(scale)
-			comp <<= uint(scale)
-		} else {
-			base >>= uint(-scale)
-			comp >>= uint(-scale)
-		}
-		if base < 64 {
-			base = 64
-		}
-		if comp < 64 {
-			comp = 64
-		}
-		g = tageGeometry{baseEntries: base, compEntries: comp, histLens: []int{5, 14, 36, 90}, tagBits: 9}
-	default:
+	if sizeBytes < 1<<10 || sizeBytes > 1<<20 || sizeBytes&(sizeBytes-1) != 0 {
 		return nil, fmt.Errorf("bpred: unsupported TAGE budget %d bytes", sizeBytes)
+	}
+	g := tageGeometry{baseEntries: sizeBytes / 2, compEntries: sizeBytes / 8, histLens: []int{5, 14, 36, 90}, tagBits: 9}
+	if sizeBytes == 64<<10 {
+		g = tageGeometry{baseEntries: 1 << 14, compEntries: 1 << 12, histLens: []int{5, 14, 36, 90, 180}, tagBits: 11}
 	}
 	t := &TAGE{
 		name:     fmt.Sprintf("tage-%dKB", sizeBytes/1024),
@@ -174,9 +133,9 @@ func NewTAGE(sizeBytes int) (*TAGE, error) {
 		t.comps = append(t.comps, tageComp{
 			entries: make([]tageEntry, g.compEntries),
 			mask:    uint64(g.compEntries - 1),
-			histLen: hl,
-			tagBits: g.tagBits,
-			width:   width,
+			tagMask: 1<<g.tagBits - 1,
+			shift:   uint8(2 + width),
+			out:     uint8(hl - 1),
 
 			idxFold:  newFold(hl, width),
 			tagFold:  newFold(hl, g.tagBits),
@@ -194,85 +153,73 @@ func (t *TAGE) Name() string { return t.name }
 func (t *TAGE) SizeBits() int { return t.sizeBits }
 
 func (c *tageComp) index(pc uint64) uint64 {
-	return ((pc >> 2) ^ (pc >> (2 + c.width)) ^ c.idxFold.val) & c.mask
+	// shift is under 64; the mask says so and spares the shift a compare.
+	return ((pc >> 2) ^ (pc >> (c.shift & 63)) ^ c.idxFold.val) & c.mask
 }
 
 func (c *tageComp) tag(pc uint64) uint16 {
-	return uint16(((pc >> 2) ^ c.tagFold.val ^ c.tag1Fold.val<<1) & (1<<c.tagBits - 1))
+	return uint16(((pc >> 2) ^ c.tagFold.val ^ c.tag1Fold.val<<1) & c.tagMask)
 }
 
-// lookup computes every component's index and tag for pc against the
-// current history.
-func (t *TAGE) lookup(pc uint64) {
-	for ci := range t.comps {
-		c := &t.comps[ci]
-		t.look[ci] = tageLookup{idx: c.index(pc), tag: c.tag(pc)}
+// Step implements Predictor. One pass over the components computes each
+// index and tag against the current history, notes the two longest
+// matches and — the outcome being known — advances that component's
+// folds; nothing is kept from one branch to the next but the tables,
+// the folds and the history.
+func (t *TAGE) Step(pc uint64, taken bool) bool {
+	var in uint64
+	if taken {
+		in = 1
 	}
-	t.lookPC, t.lookOK = pc, true
-}
-
-// Predict implements Predictor.
-func (t *TAGE) Predict(pc uint64) bool {
-	t.lookup(pc)
-	t.provider = -1
-	alt := -1
-	for ci := len(t.comps) - 1; ci >= 0; ci-- {
-		l := t.look[ci]
-		if t.comps[ci].entries[l.idx].tag == l.tag {
-			if t.provider == -1 {
-				t.provider = ci
-				t.provIdx = l.idx
+	var idx [tageMaxComps]uint64
+	var tag [tageMaxComps]uint16
+	comps := t.comps
+	provider, alt := -1, -1
+	for ci := len(comps) - 1; ci >= 0; ci-- {
+		c := &comps[ci]
+		i, g := c.index(pc), c.tag(pc)
+		idx[ci], tag[ci] = i, g
+		if c.entries[i].tag == g {
+			if provider == -1 {
+				provider = ci
 			} else if alt == -1 {
 				alt = ci
 			}
 		}
+		// The folds read the outgoing outcomes, so the history moves
+		// after every component has.
+		d := in ^ t.ghist.bit(c.out)
+		c.idxFold.push(&t.ghist, d)
+		c.tagFold.push(&t.ghist, d)
+		c.tag1Fold.push(&t.ghist, d)
 	}
-	basePred := t.base[(pc>>2)&t.baseMask].taken()
-	t.altPred = basePred
+	t.ghist.push(in)
+
+	bi := (pc >> 2) & t.baseMask
+	altPred := t.base[bi].taken()
 	if alt != -1 {
-		t.altPred = t.comps[alt].entries[t.look[alt].idx].ctr >= 0
+		altPred = comps[alt].entries[idx[alt]].ctr >= 0
 	}
-	if t.provider == -1 {
-		t.provPred = basePred
-		return basePred
-	}
-	e := &t.comps[t.provider].entries[t.provIdx]
-	t.provPred = e.ctr >= 0
-	// Weak fresh entries defer to the alternate prediction when the
-	// use-alt counter suggests so.
-	if e.use == 0 && (e.ctr == 0 || e.ctr == -1) && t.useAltOnNA >= 0 {
-		return t.altPred
-	}
-	return t.provPred
-}
-
-func (t *TAGE) nextRand() uint32 {
-	t.rng ^= t.rng << 13
-	t.rng ^= t.rng >> 17
-	t.rng ^= t.rng << 5
-	return t.rng
-}
-
-// Update implements Predictor.
-func (t *TAGE) Update(pc uint64, taken bool) {
-	if !t.lookOK || t.lookPC != pc {
-		t.lookup(pc)
-	}
-	pred := t.provPred
-	if t.provider == -1 {
-		pred = t.altPred
-	}
-	mispred := pred != taken
-
-	if t.provider >= 0 {
-		e := &t.comps[t.provider].entries[t.provIdx]
-		// Track whether alt would have been the better choice for weak
-		// entries.
-		if e.use == 0 && (e.ctr == 0 || e.ctr == -1) && t.provPred != t.altPred {
-			if t.altPred == taken && t.useAltOnNA < 7 {
-				t.useAltOnNA++
-			} else if t.altPred != taken && t.useAltOnNA > -8 {
-				t.useAltOnNA--
+	pred, provPred := altPred, altPred
+	if provider == -1 {
+		t.base[bi] = t.base[bi].update(taken)
+	} else {
+		e := &comps[provider].entries[idx[provider]]
+		provPred = e.ctr >= 0
+		pred = provPred
+		// Weak fresh entries defer to the alternate prediction when the
+		// use-alt counter suggests so, and train that counter on whether
+		// alt would have been the better choice.
+		if e.use == 0 && (e.ctr == 0 || e.ctr == -1) {
+			if t.useAltOnNA >= 0 {
+				pred = altPred
+			}
+			if provPred != altPred {
+				if altPred == taken && t.useAltOnNA < 7 {
+					t.useAltOnNA++
+				} else if altPred != taken && t.useAltOnNA > -8 {
+					t.useAltOnNA--
+				}
 			}
 		}
 		if taken && e.ctr < 3 {
@@ -280,8 +227,8 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		} else if !taken && e.ctr > -4 {
 			e.ctr--
 		}
-		if t.provPred != t.altPred {
-			if t.provPred == taken {
+		if provPred != altPred {
+			if provPred == taken {
 				if e.use < 3 {
 					e.use++
 				}
@@ -289,19 +236,17 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 				e.use--
 			}
 		}
-	} else {
-		i := (pc >> 2) & t.baseMask
-		t.base[i] = t.base[i].update(taken)
 	}
 
-	// Allocate a new entry in a longer-history component on mispredict.
-	if mispred && t.provider < len(t.comps)-1 {
-		start := t.provider + 1
+	// Allocate a new entry in a longer-history component when the
+	// provider (not the use-alt choice) mispredicted.
+	if provPred != taken && provider < len(comps)-1 {
+		start := provider + 1
 		allocated := false
-		for ci := start; ci < len(t.comps); ci++ {
-			e := &t.comps[ci].entries[t.look[ci].idx]
+		for ci := start; ci < len(comps); ci++ {
+			e := &comps[ci].entries[idx[ci]]
 			if e.use == 0 {
-				e.tag = t.look[ci].tag
+				e.tag = tag[ci]
 				if taken {
 					e.ctr = 0
 				} else {
@@ -316,28 +261,21 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 			// eventually succeeds on persistent mispredictions. The
 			// modulo stays in uint32: converted first, a 32-bit int
 			// would go negative.
-			ci := start + int(t.nextRand()%uint32(len(t.comps)-start))
-			e := &t.comps[ci].entries[t.look[ci].idx]
+			ci := start + int(t.nextRand()%uint32(len(comps)-start))
+			e := &comps[ci].entries[idx[ci]]
 			if e.use > 0 {
 				e.use--
 			}
 		}
 	}
+	return pred
+}
 
-	// Shift history: the folds first, they read the outgoing outcomes.
-	var in uint64
-	if taken {
-		in = 1
-	}
-	for ci := range t.comps {
-		c := &t.comps[ci]
-		d := in ^ t.ghist.bit(uint8(c.histLen-1))
-		c.idxFold.push(&t.ghist, d)
-		c.tagFold.push(&t.ghist, d)
-		c.tag1Fold.push(&t.ghist, d)
-	}
-	t.ghist.push(in)
-	t.lookOK = false
+func (t *TAGE) nextRand() uint32 {
+	t.rng ^= t.rng << 13
+	t.rng ^= t.rng >> 17
+	t.rng ^= t.rng << 5
+	return t.rng
 }
 
 // Reset implements Predictor.
@@ -353,7 +291,6 @@ func (t *TAGE) Reset() {
 		c.idxFold.val, c.tagFold.val, c.tag1Fold.val = 0, 0, 0
 	}
 	t.ghist = history{}
-	t.lookOK = false
 	t.useAltOnNA = 0
 	t.rng = 0x2545F491
 }

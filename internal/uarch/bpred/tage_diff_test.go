@@ -71,24 +71,24 @@ func diffStream(i int, rng *uint64) (pc uint64, taken bool) {
 	}
 }
 
-// stepBoth runs one Predict/Update on the fast and the reference
-// predictor and fails on any difference in the prediction or in any
-// component's index or tag.
+// stepBoth runs one Step on the fast predictor and one Predict/Update
+// on the reference and fails on any difference in the prediction or,
+// going in, in any component's index or tag (what Step is about to
+// compute from its folds).
 func stepBoth(t testing.TB, fast *TAGE, ref *refTAGE, i int, pc uint64, taken bool) {
 	t.Helper()
-	fp, rp := fast.Predict(pc), ref.Predict(pc)
+	for ci := range fast.comps {
+		idx, tag := ref.compIndex(ci, pc), ref.compTag(ci, pc)
+		if c := &fast.comps[ci]; c.index(pc) != idx || c.tag(pc) != tag {
+			t.Fatalf("%s step %d pc %#x comp %d: index/tag %#x/%#x, reference %#x/%#x",
+				fast.name, i, pc, ci, c.index(pc), c.tag(pc), idx, tag)
+		}
+	}
+	fp, rp := fast.Step(pc, taken), ref.Predict(pc)
+	ref.Update(pc, taken)
 	if fp != rp {
 		t.Fatalf("%s step %d pc %#x: predicted %v, reference %v", fast.name, i, pc, fp, rp)
 	}
-	for ci := range fast.comps {
-		idx, tag := ref.compIndex(ci, pc), ref.compTag(ci, pc)
-		if l := fast.look[ci]; l.idx != idx || l.tag != tag {
-			t.Fatalf("%s step %d pc %#x comp %d: index/tag %#x/%#x, reference %#x/%#x",
-				fast.name, i, pc, ci, l.idx, l.tag, idx, tag)
-		}
-	}
-	fast.Update(pc, taken)
-	ref.Update(pc, taken)
 }
 
 // sameTables fails unless both predictors hold the same state.
@@ -170,9 +170,9 @@ func DiffTAGEOnWindow(t *testing.T, sizeBytes int, branches []trace.MicroOp) {
 
 // FuzzTAGEFastVsRef turns bytes into a (pc, taken) stream — three
 // bytes a branch: two of pc, one whose low bit is the outcome, whose
-// bit 1 makes Update see a different pc than Predict did and whose
-// value 0xFF resets both predictors — and checks the fast TAGE against
-// the reference at both paper budgets.
+// bit 1 moves the pc by its upper bits and whose value 0xFF resets
+// both predictors — and checks the one-call TAGE against the two-call
+// reference at both paper budgets.
 func FuzzTAGEFastVsRef(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x10, 0x00, 0x01, 0x10, 0x00, 0x00, 0x10, 0x00, 0x01})
@@ -187,20 +187,10 @@ func FuzzTAGEFastVsRef(f *testing.F) {
 					ref.Reset()
 					continue
 				}
-				taken := ctl&1 == 1
-				if ctl&2 == 0 {
-					stepBoth(t, fast, ref, i/3, pc, taken)
-					continue
+				if ctl&2 != 0 {
+					pc ^= uint64(ctl>>2) << 3
 				}
-				// A caller breaking the protocol: Update's pc is not
-				// the predicted one, so Predict's lookups must not be
-				// reused.
-				if fast.Predict(pc) != ref.Predict(pc) {
-					t.Fatalf("step %d: predictions differ", i/3)
-				}
-				other := pc ^ uint64(ctl>>2)<<3
-				fast.Update(other, taken)
-				ref.Update(other, taken)
+				stepBoth(t, fast, ref, i/3, pc, ctl&1 == 1)
 			}
 			sameTables(t, fast, ref)
 		}

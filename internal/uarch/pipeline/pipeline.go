@@ -331,9 +331,7 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 				res.Branches++
 				// A counted loop's last iteration is its not-taken exit.
 				taken := run.Taken && !(run.Exit && left == 1)
-				pred := s.pred.Predict(pc)
-				s.pred.Update(pc, taken)
-				if pred != taken {
+				if s.pred.Step(pc, taken) != taken {
 					res.Mispredicts++
 					// Redirect: fetch restarts after the branch resolves plus
 					// the flush/refill penalty. The wasted slots are the

@@ -163,9 +163,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 			res.StallFU += start - ready
 			done = start + 1
 			res.Branches++
-			pred := s.pred.Predict(uint64(op.PC))
-			s.pred.Update(uint64(op.PC), op.Taken)
-			if pred != op.Taken {
+			if s.pred.Step(uint64(op.PC), op.Taken) != op.Taken {
 				res.Mispredicts++
 				// Redirect: fetch restarts after the branch resolves plus
 				// the flush/refill penalty. The wasted slots are the

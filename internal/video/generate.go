@@ -1,8 +1,11 @@
 package video
 
 import (
+	"context"
 	"fmt"
 	"math"
+
+	"vcprof/internal/memo"
 )
 
 // rng is a splitmix64 generator: tiny, fast, and deterministic across
@@ -85,6 +88,43 @@ func Generate(meta ClipMeta, opts GenerateOptions) (*Clip, error) {
 	}
 	return clip, nil
 }
+
+// clipMemo is the process's one cache of generated catalog clips, keyed
+// by name, frame count and resolution divisor and shared by the
+// harness's cells and the live sessions: concurrent requests for one
+// clip generate it exactly once, distinct clips generate in parallel,
+// an evicted clip regenerates on next use. ClipMemoCap bounds it by
+// entry count; a full default-scale repro run touches 16 clips.
+const ClipMemoCap = 32
+
+type clipKey struct {
+	name        string
+	frames, div int
+}
+
+var clipMemo = memo.New[clipKey, *Clip](ClipMemoCap, nil)
+
+// Memoized returns the catalog clip name at a frame count and
+// resolution divisor, generating it on the first request. Every caller
+// gets the same *Clip, so it is read-only to all of them; hit is false
+// for the one whose request ran the generation. A caller waits only as
+// long as ctx lives; generation itself is not cancellable, so whatever
+// a generator started is kept for the next caller.
+func Memoized(ctx context.Context, name string, frames, div int) (clip *Clip, hit bool, err error) {
+	return clipMemo.Do(ctx, clipKey{name, frames, div}, func(context.Context) (*Clip, error) {
+		meta, err := LookupClip(name)
+		if err != nil {
+			return nil, err
+		}
+		return Generate(meta, GenerateOptions{Frames: frames, ScaleDiv: div})
+	})
+}
+
+// ResetClipMemo empties the clip memo and its counters.
+func ResetClipMemo() { clipMemo.Reset() }
+
+// ClipMemoStats reports the clip memo's traffic and occupancy.
+func ClipMemoStats() memo.Stats { return clipMemo.Stats() }
 
 type object struct {
 	x, y   float64 // center, luma coordinates
