@@ -331,9 +331,10 @@ func BenchmarkCacheHierarchyAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHierarchyRun feeds the hierarchy the shape the live
-// sink receives: 16-access rows of 8-byte loads, two lines a row, the
-// rows a frame stride apart. One op is one access, as above.
+// BenchmarkCacheHierarchyRun feeds the hierarchy 16-access rows of
+// 8-byte loads, two lines a row, the rows a frame stride apart over
+// 190 MB: a miss-heavy walk of the run path, not the stream a stat cell
+// sends (BenchmarkCacheWindowPlay is that). One op is one access.
 func BenchmarkCacheHierarchyRun(b *testing.B) {
 	h, err := cache.NewXeonHierarchy()
 	if err != nil {
@@ -385,6 +386,33 @@ func benchWindow(b *testing.B, clip *video.Clip) *trace.Recorder {
 		b.Fatal(err)
 	}
 	return rec
+}
+
+// BenchmarkCacheWindowPlay plays the memory runs of benchWindow into a
+// cold paper-machine hierarchy through the live sink: the stream a stat
+// cell's cache sees, L1-resident and mostly single-access runs. One op
+// is one pass; ns/access is per memory instruction, as vcbench's
+// cache.ns_per_access, and l1-miss% is the bit-exactness tell.
+func BenchmarkCacheWindowPlay(b *testing.B) {
+	rec := benchWindow(b, benchClip(b))
+	accesses := 0
+	var r trace.Run
+	for c := rec.Ops.Cursor(); c.Next(&r); {
+		if r.Class == trace.OpLoad || r.Class == trace.OpStore {
+			accesses += r.Count
+		}
+	}
+	h, err := cache.NewXeonHierarchy()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Reset()
+		rec.Ops.Play(nil, cache.Sink{Hierarchy: h})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses), "ns/access")
+	b.ReportMetric(100*h.L1.Stats().MissRate(), "l1-miss%")
 }
 
 // BenchmarkRecordWindow is the Pin substitute end to end: one encode

@@ -57,19 +57,6 @@ type Counters struct {
 // milliseconds: retired cycles at the measurement machine's clock.
 func (c *Counters) ModeledMS() float64 { return float64(c.Cycles) / machine.Xeon().ClockHz * 1e3 }
 
-// takenCounter tracks taken branches for the frontend model.
-type takenCounter struct {
-	taken uint64
-}
-
-func (t *takenCounter) Branch(_ trace.PC, taken bool) {
-	if taken {
-		t.taken++
-	}
-}
-
-func (t *takenCounter) Loop(_ trace.PC, iters int) { t.taken += uint64(iters - 1) }
-
 // Stat encodes the clip with full live instrumentation on worker 0 and
 // returns the measured counters. Characterization runs are
 // single-threaded like the paper's perf runs; opts.Threads and
@@ -94,17 +81,15 @@ func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, cl
 		return nil, err
 	}
 	mon := bpred.NewMonitor(pred)
-	taken := &takenCounter{}
 	tc := trace.New()
 	tc.AttachBranchSink(mon)
-	tc.AttachBranchSink(taken)
 	tc.AttachMemSink(cache.Sink{Hierarchy: hier})
-	// Streaming top-down: attached last so each flush sees the monitors
+	// Streaming top-down: attached last so each flush sees the monitor
 	// already updated for the triggering branch. Disabled (nil producer)
 	// unless the context carries accumulators.
 	prod := topdown.StartProducer(ctx)
 	if prod != nil {
-		tc.AttachBranchSink(&tdFlusher{prod: prod, tc: tc, mon: mon, taken: taken, hier: hier})
+		tc.AttachBranchSink(&tdFlusher{prod: prod, tc: tc, mon: mon, hier: hier})
 	}
 
 	opts.Threads = 1
@@ -138,7 +123,7 @@ func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, cl
 	c.BranchMPKI = mon.MPKI(res.Insts)
 	c.L1DMPKI, c.L2MPKI, c.LLCMPKI = hier.MPKI(res.Insts)
 
-	cyc, td, slots, err := cycleModel(res.Insts, &res.Mix, mon.Mispredict, taken.taken, hier)
+	cyc, td, slots, err := cycleModel(res.Insts, &res.Mix, mon.Mispredict, mon.Taken, hier)
 	if err != nil {
 		prod.Abort()
 		return nil, err

@@ -35,12 +35,11 @@ const tdFlushEvery = 1 << 13
 // It runs on the encode goroutine (Stat forces Threads=1), so reading
 // the live monitors is race-free.
 type tdFlusher struct {
-	prod  *topdown.Producer
-	tc    *trace.Ctx
-	mon   *bpred.Monitor
-	taken *takenCounter
-	hier  *cache.Hierarchy
-	n     uint64
+	prod *topdown.Producer
+	tc   *trace.Ctx
+	mon  *bpred.Monitor
+	hier *cache.Hierarchy
+	n    uint64
 }
 
 func (f *tdFlusher) Branch(pc trace.PC, _ bool) { f.Loop(pc, 1) }
@@ -60,7 +59,7 @@ func (f *tdFlusher) flush() {
 	if insts == 0 {
 		return
 	}
-	if _, _, slots, err := cycleModel(insts, &f.tc.Mix, f.mon.Mispredict, f.taken.taken, f.hier); err == nil {
+	if _, _, slots, err := cycleModel(insts, &f.tc.Mix, f.mon.Mispredict, f.mon.Taken, f.hier); err == nil {
 		f.prod.Observe(slots)
 	}
 }

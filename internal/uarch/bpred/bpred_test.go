@@ -237,10 +237,10 @@ func TestMonitorCounts(t *testing.T) {
 }
 
 // TestMonitorLoopEqualsBranches: for every predictor, a monitor fed
-// counted loops through Loop ends with the counters of one fed the
-// same branches one at a time, and the two predictors agree on every
-// branch that follows. Trip counts span 1 (the lone not-taken) to past
-// the longest history.
+// counted loops through Loop ends with the counters (taken outcomes
+// too) of one fed the same branches one at a time, and the two
+// predictors agree on every branch that follows. Trip counts span 1
+// (the lone not-taken) to past the longest history.
 func TestMonitorLoopEqualsBranches(t *testing.T) {
 	for _, name := range everyName {
 		pr, err := NewByName(name)
@@ -268,9 +268,9 @@ func TestMonitorLoopEqualsBranches(t *testing.T) {
 			// A data-dependent branch between loops, as in a kernel.
 			byRun.Branch(trace.PC(pc), taken)
 			byEvent.Branch(trace.PC(pc), taken)
-			if byRun.Branches != byEvent.Branches || byRun.Mispredict != byEvent.Mispredict {
-				t.Fatalf("%s after loop %d (%d iterations): %d/%d by run, %d/%d by event", name, i, iters,
-					byRun.Mispredict, byRun.Branches, byEvent.Mispredict, byEvent.Branches)
+			if byRun.Branches != byEvent.Branches || byRun.Mispredict != byEvent.Mispredict || byRun.Taken != byEvent.Taken {
+				t.Fatalf("%s after loop %d (%d iterations): %d/%d (%d taken) by run, %d/%d (%d taken) by event", name, i, iters,
+					byRun.Mispredict, byRun.Branches, byRun.Taken, byEvent.Mispredict, byEvent.Branches, byEvent.Taken)
 			}
 		}
 	}

@@ -7,12 +7,13 @@ import (
 )
 
 // Monitor wraps a predictor as a live trace.BranchSink, counting
-// predictions and mispredictions as an encode runs — the substitute for
-// reading the hardware branch-miss counter with perf.
+// predictions, mispredictions and taken outcomes as an encode runs —
+// the substitute for reading the hardware branch counters with perf.
 type Monitor struct {
 	P          Predictor
 	Branches   uint64
 	Mispredict uint64
+	Taken      uint64
 }
 
 // NewMonitor wraps p.
@@ -21,6 +22,9 @@ func NewMonitor(p Predictor) *Monitor { return &Monitor{P: p} }
 // Branch implements trace.BranchSink.
 func (m *Monitor) Branch(pc trace.PC, taken bool) {
 	m.Branches++
+	if taken {
+		m.Taken++
+	}
 	if m.P.Step(uint64(pc), taken) != taken {
 		m.Mispredict++
 	}
@@ -41,6 +45,7 @@ func (m *Monitor) Loop(pc trace.PC, iters int) {
 		m.Mispredict++
 	}
 	m.Branches += uint64(iters)
+	m.Taken += uint64(iters - 1)
 }
 
 // MissRate returns mispredictions per branch.

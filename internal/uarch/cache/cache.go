@@ -53,17 +53,24 @@ type line struct {
 	lru uint64 // clock value of the last touch; larger is more recent
 }
 
+// hintSlots caps a level's way hints at the L1's line count: the L1 has
+// a slot a line, the larger levels, which see only its misses, share
+// them. A fixed array keeps the hints in the Cache's own allocation.
+const hintSlots = 512
+
 // Cache is one set-associative level.
 type Cache struct {
-	cfg     Config
-	sets    int
-	setMask uint64 // sets-1 when sets is a power of two, else 0: use %
-	shift   uint
-	lines   []line // sets × assoc
-	last    int    // index of the line the previous access touched
-	clock   uint64 // never rewinds, so stamps order across resets
-	floor   uint64 // clock at the last Reset; stamps ≤ floor are invalid
-	stats   Stats
+	cfg       Config
+	sets      int
+	setMask   uint64 // sets-1 when sets is a power of two, else 0: use %
+	shift     uint
+	hintShift uint   // 64 − log2 of the hint slots in use
+	lines     []line // sets × assoc
+	last      int    // index of the line the previous access touched
+	clock     uint64 // never rewinds, so stamps order across resets
+	floor     uint64 // clock at the last Reset; stamps ≤ floor are invalid
+	stats     Stats
+	hint      [hintSlots]uint8 // by tag hash: the way its line was last found in, a guess
 }
 
 // New builds a cache level from its configuration.
@@ -83,6 +90,7 @@ func New(cfg Config) (*Cache, error) {
 	for s := LineSize; s > 1; s >>= 1 {
 		c.shift++
 	}
+	c.hintShift = 64 - uint(bits.Len(uint(min(len(c.lines), hintSlots)-1)))
 	return c, nil
 }
 
@@ -102,7 +110,7 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and counters in O(1): every stamp written so
-// far is at or below the new floor.
+// far is at or below the new floor. Hints stay; Access verifies them.
 func (c *Cache) Reset() {
 	c.floor = c.clock
 	c.last = 0
@@ -117,14 +125,24 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 	c.clock++
 	c.stats.Accesses++
 	tag := addr >> c.shift
-	// Same line as the previous access: tags are whole line addresses,
-	// so a match is the hit the scan below would find, with nothing
-	// else in the set touched.
+	// Same line as the previous access, then the way the hint names:
+	// tags are whole line addresses and a valid line holding one is
+	// unique and lies in its set, so a verified match is the hit the
+	// scan below would find, with nothing else in the set touched. A
+	// stale or colliding hint only costs the scan.
 	if ln := &c.lines[c.last]; ln.lru > c.floor && ln.key>>1 == tag {
 		ln.touch(c.clock, store)
 		return true, false
 	}
 	base := c.base(tag)
+	h := tag * 0x9E3779B97F4A7C15 >> c.hintShift & (hintSlots - 1) // multiplicative hash
+	if i := base + int(c.hint[h]); i < len(c.lines) {
+		if ln := &c.lines[i]; ln.lru > c.floor && ln.key>>1 == tag {
+			ln.touch(c.clock, store)
+			c.last = i
+			return true, false
+		}
+	}
 	victim := base
 	// Invalid ways win, the last one scanned; among valid ways the
 	// oldest stamp. Valid stamps all exceed the floor, so they compare
@@ -138,6 +156,7 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 		} else if ln.key>>1 == tag {
 			ln.touch(c.clock, store)
 			c.last = i
+			c.hint[h] = uint8(i - base)
 			return true, false
 		} else if ln.lru < oldest {
 			victim = i
@@ -155,6 +174,7 @@ func (c *Cache) Access(addr uint64, store bool) (hit, writeback bool) {
 		v.key |= 1
 	}
 	c.last = victim
+	c.hint[h] = uint8(victim - base)
 	return false, writeback
 }
 
@@ -286,6 +306,11 @@ func (h *Hierarchy) Access(addr uint64, store bool) int {
 	if hit, _ := h.L1.Access(addr, store); hit {
 		return h.L1.cfg.LatencyCyc
 	}
+	return h.below(addr)
+}
+
+// below is the walk of an L1 miss: L2, then the LLC, then memory.
+func (h *Hierarchy) below(addr uint64) int {
 	if hit, _ := h.L2.Access(addr, false); hit {
 		return h.L2.cfg.LatencyCyc
 	}
@@ -316,13 +341,19 @@ func (h *Hierarchy) MPKI(instructions uint64) (l1, l2, llc float64) {
 
 // SpanAccess issues line-granular accesses covering [addr, addr+size)
 // and returns the worst latency, modeling one memory instruction that
-// may straddle a line boundary.
+// may straddle a line boundary. One inside a line is Access, inlined.
 func (h *Hierarchy) SpanAccess(addr uint64, size int, store bool) int {
 	if size <= 0 {
 		size = 1
 	}
 	first := addr &^ (LineSize - 1)
 	last := (addr + uint64(size) - 1) &^ (LineSize - 1)
+	if first == last {
+		if hit, _ := h.L1.Access(addr, store); hit {
+			return h.L1.cfg.LatencyCyc
+		}
+		return h.below(addr)
+	}
 	worst := 0
 	for a := first; ; a += LineSize {
 		if lat := h.Access(a, store); lat > worst {
@@ -345,9 +376,10 @@ func (s Sink) Access(addr uint64, size int, store bool) { s.SpanAccess(addr, siz
 
 // Run issues count accesses of size bytes, the i-th at addr + i·stride,
 // and leaves every level exactly as count SpanAccess calls would. The
-// first access to reach a line walks the hierarchy; the accesses after
-// it that stay wholly inside that line are hits on the line L1 touched
-// last, and are accounted there in one step.
+// first access to reach a line walks the hierarchy (one L1 lookup when
+// it lies inside a line); the accesses after it that stay wholly inside
+// that line are hits on the line L1 touched last, and are accounted
+// there in one step.
 func (h *Hierarchy) Run(addr uint64, count, stride, size int, store bool) {
 	if size <= 0 {
 		size = 1
@@ -362,7 +394,13 @@ func (h *Hierarchy) Run(addr uint64, count, stride, size int, store bool) {
 		shift = bits.TrailingZeros64(step)
 	}
 	for count > 0 {
-		h.SpanAccess(addr, size, store)
+		if addr%LineSize+span < LineSize {
+			if hit, _ := h.L1.Access(addr, store); !hit {
+				h.below(addr)
+			}
+		} else {
+			h.SpanAccess(addr, size, store)
+		}
 		line := (addr + span) &^ (LineSize - 1)
 		addr += uint64(stride)
 		count--

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 
 	"vcprof/internal/uarch/machine"
@@ -87,48 +88,77 @@ func sameLines(t *testing.T, what string, fast *Cache, ref *refCache) {
 // the same final lines (valid, tag, dirty bit, LRU stamp since the
 // reset) as the full-scan reference, on power-of-two and on the LLC's
 // set counts, with Probe agreeing along the way and a Reset in the
-// middle — O(1) here, a full clear in the reference.
+// middle — O(1) here, a full clear in the reference. Way hints are only
+// guesses: a 512-way set whose way numbers wrap the hint's byte, every
+// tag squeezed onto four slots, and a hint table of seeded garbage at
+// the start and after the Reset must all change nothing.
 func TestCacheMatchesReference(t *testing.T) {
 	for _, cfg := range []struct {
 		Name string
 		Config
+		slots int // hint slots in use, when not what New chose
 	}{
-		{"tiny", Config{SizeBytes: 1 << 10, Assoc: 2}},
-		{"full", Config{SizeBytes: 512, Assoc: 8}},       // one set
-		{"odd", Config{SizeBytes: 3 * 5 * 64, Assoc: 3}}, // five sets
-		{"l1", Config{SizeBytes: 32 << 10, Assoc: 8}},
-		{"llc/16", Config{SizeBytes: 30 << 16, Assoc: 20}}, // 1536 sets
+		{"tiny", Config{SizeBytes: 1 << 10, Assoc: 2}, 0},
+		{"full", Config{SizeBytes: 512, Assoc: 8}, 0},                 // one set
+		{"full512", Config{SizeBytes: 512 * LineSize, Assoc: 512}, 0}, // one set, ways past a byte
+		{"odd", Config{SizeBytes: 3 * 5 * 64, Assoc: 3}, 0},           // five sets
+		{"l1", Config{SizeBytes: 32 << 10, Assoc: 8}, 0},
+		{"l1/4slots", Config{SizeBytes: 32 << 10, Assoc: 8}, 4},
+		{"llc/16", Config{SizeBytes: 30 << 16, Assoc: 20}, 0}, // 1536 sets
 	} {
-		for name, stream := range diffStreams(60_000, uint64(cfg.SizeBytes)*6) {
-			fast, err := New(cfg.Config)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := newRefCache(cfg.Config)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, a := range stream {
-				if i == len(stream)/2 {
-					fast.Reset()
-					ref.Reset()
+		for _, garbage := range []bool{false, true} {
+			for name, stream := range diffStreams(60_000, uint64(cfg.SizeBytes)*6) {
+				what := cfg.Name + "/" + name
+				if garbage {
+					what += "/garbage"
 				}
-				if i%5 == 0 {
-					if p, rp := fast.Probe(a.addr), ref.Probe(a.addr); p != rp {
-						t.Fatalf("%s/%s access %d: Probe %v, reference %v", cfg.Name, name, i, p, rp)
+				fast, err := New(cfg.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.slots != 0 {
+					fast.hintShift = 64 - uint(bits.TrailingZeros(uint(cfg.slots)))
+				}
+				ref, err := newRefCache(cfg.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := uint64(len(what))*0x9E3779B97F4A7C15 | 1
+				scramble := func() {
+					for i := range fast.hint {
+						if !garbage {
+							return
+						}
+						s ^= s << 13
+						s ^= s >> 7
+						s ^= s << 17
+						fast.hint[i] = uint8(s)
 					}
 				}
-				hit, wb := fast.Access(a.addr, a.store)
-				rhit, rwb := ref.Access(a.addr, a.store)
-				if hit != rhit || wb != rwb {
-					t.Fatalf("%s/%s access %d (%#x store=%v): hit/writeback %v/%v, reference %v/%v",
-						cfg.Name, name, i, a.addr, a.store, hit, wb, rhit, rwb)
+				scramble()
+				for i, a := range stream {
+					if i == len(stream)/2 {
+						fast.Reset()
+						ref.Reset()
+						scramble()
+					}
+					if i%5 == 0 {
+						if p, rp := fast.Probe(a.addr), ref.Probe(a.addr); p != rp {
+							t.Fatalf("%s access %d: Probe %v, reference %v", what, i, p, rp)
+						}
+					}
+					hit, wb := fast.Access(a.addr, a.store)
+					rhit, rwb := ref.Access(a.addr, a.store)
+					if hit != rhit || wb != rwb {
+						t.Fatalf("%s access %d (%#x store=%v): hit/writeback %v/%v, reference %v/%v",
+							what, i, a.addr, a.store, hit, wb, rhit, rwb)
+					}
 				}
+				if fast.Stats() != ref.Stats() {
+					t.Fatalf("%s: stats %+v, reference %+v", what, fast.Stats(), ref.Stats())
+				}
+				sameLines(t, what, fast, ref)
 			}
-			if fast.Stats() != ref.Stats() {
-				t.Fatalf("%s/%s: stats %+v, reference %+v", cfg.Name, name, fast.Stats(), ref.Stats())
-			}
-			sameLines(t, cfg.Name+"/"+name, fast, ref)
 		}
 	}
 }
