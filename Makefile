@@ -23,9 +23,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait one-api loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait one-api test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -121,6 +121,16 @@ one-wait:
 	@! awk '/^func \(c Client\) Drive/,/^}/' internal/service/client.go | grep -n 'Sleep'
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
 		'^func \(c Client\) Status|MethodGet, [^,]*"/v1/jobs/"|delay \*= 2' .
+
+# One API, two backends (DESIGN.md §8): the job and session routes a
+# daemon and a gate both serve are registered by service.(*API).Mount
+# alone, so no non-test file outside internal/service mounts a
+# /v1/jobs, /v1/results, /v1/sessions, /v1/trace, /v1/cluster/trace,
+# /v1/slo, /metrics or /healthz pattern of its own.
+one-api:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' \
+		'Handle(Func)?\("([A-Z]+ )?/(v1/(jobs|results|sessions|trace|cluster/trace|slo)|metrics|healthz)' . | \
+		grep -v '^\./internal/service/'
 
 # The canonical size figure every simplicity PR quotes: non-test Go
 # lines outside bench/. Assembly is counted on its own line.
@@ -225,29 +235,30 @@ sched-smoke:
 	GO="$(GO)" sh scripts/sched_smoke.sh
 
 # End-to-end smoke of the shard router: a single-daemon baseline, a
-# chaotic cold pass through vcgate over 3 shards (one SIGKILLed
-# mid-run, replication factor 2), and a warm pass through a fresh gate
-# must all produce identical digests; the warm pass must route >=80%
-# of jobs to a shard already holding the bytes. See
+# chaotic cold pass through a gate (vcprofd -shards) over 3 shards (one
+# SIGKILLed mid-run, replication factor 2), and a warm pass through a
+# fresh gate must all produce identical digests; the warm pass must
+# route >=80% of jobs to a shard already holding the bytes. See
 # scripts/cluster_smoke.sh.
 cluster-smoke:
 	GO="$(GO)" sh scripts/cluster_smoke.sh
 
 # End-to-end smoke of the live-encode session engine: the same seeded
-# session mix in-process, over a single vcprofd, and through vcgate
-# over 3 shards with one SIGKILLed mid-run must produce identical
-# digests with zero deadline misses; ABR ladder sharing must save
-# >=20% instructions with byte-identical output. See
+# session mix in-process, over a single vcprofd, and through a gate
+# (vcprofd -shards) over 3 shards with one SIGKILLed mid-run must
+# produce identical digests with zero deadline misses; ABR ladder
+# sharing must save >=20% instructions with byte-identical output. See
 # scripts/live_smoke.sh.
 live-smoke:
 	GO="$(GO)" sh scripts/live_smoke.sh
 
-# End-to-end smoke of the tracing and federation surfaces: vcgate over
-# 3 shards (R=2) with a live session whose pinned shard is SIGKILLed
-# mid-stream must serve a merged deterministic trace byte-identical to
-# a bare daemon's, record the failover re-anchor in the full view,
-# federate /v1/cluster/metrics byte-stably, and pass `vcperf slo
-# -assert` with zero burn. See scripts/trace_smoke.sh.
+# End-to-end smoke of the tracing and federation surfaces: a gate
+# (vcprofd -shards) over 3 shards (R=2) with a live session whose
+# pinned shard is SIGKILLed mid-stream must serve a merged
+# deterministic trace byte-identical to a bare daemon's, record the
+# failover re-anchor in the full view, federate /v1/cluster/metrics
+# byte-stably, and pass `vcperf slo -assert` with zero burn. See
+# scripts/trace_smoke.sh.
 trace-smoke:
 	GO="$(GO)" sh scripts/trace_smoke.sh
 

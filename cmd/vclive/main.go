@@ -3,17 +3,17 @@
 // fixed session mix over the clip catalog × encoder families × ladder
 // shapes × mid-stream preset switches; -c workers each drive one
 // session at a time — create, feed the arrival watermark in batches,
-// eos — either in-process (-addr empty) or over the vcprofd/vcgate
-// session protocol. Every pass with the same seed and count generates
-// byte-identical specs, and the tool folds every session digest into
-// one order-independent digest: the in-process run, a single daemon,
-// and a gate with a shard dying mid-run must all print the same line
-// or the serving layer broke determinism.
+// eos — either in-process (-addr empty) or over vcprofd's session
+// protocol, to a daemon or a gate. Every pass with the same seed and
+// count generates byte-identical specs, and the tool folds every
+// session digest into one order-independent digest: the in-process
+// run, a single daemon, and a gate with a shard dying mid-run must all
+// print the same line or the serving layer broke determinism.
 //
 // Usage:
 //
 //	vclive -n 8 -c 4                      # in-process engine
-//	vclive -addr 127.0.0.1:8791 -n 8 -c 4 # vcprofd or vcgate
+//	vclive -addr 127.0.0.1:8791 -n 8 -c 4 # a vcprofd daemon or gate
 //	vclive -ladder-compare                # ABR ladder sharing saving
 //	vclive -study                         # live-vs-VOD top-down table
 package main
@@ -48,7 +48,7 @@ func main() {
 
 func run() error {
 	var (
-		addr     = flag.String("addr", "", "vcprofd/vcgate address (host:port); empty runs the engine in-process")
+		addr     = flag.String("addr", "", "vcprofd daemon or gate address (host:port); empty runs the engine in-process")
 		n        = flag.Int("n", 8, "total sessions to complete")
 		conc     = flag.Int("c", 4, "closed-loop concurrency (in-flight sessions)")
 		seed     = flag.Uint64("seed", 1, "session-mix seed")

@@ -63,7 +63,7 @@ func run() error {
 		heavy   = flag.Int("heavy-every", 0, "make every k-th encode heavy (4× frames, 4× resolution, slowest preset) — the bimodal mix the tail-latency study uses (0 = off)")
 		flat    = flag.Bool("flat-prio", false, "serve everything at one priority class (the tail-latency study isolates cost-aware ordering from priority tiers)")
 		bench   = flag.Bool("bench", false, "print the run as Go-benchmark-format lines")
-		gate    = flag.Bool("gate", false, "the target is a vcgate router: fetch /v1/cluster/stats after the run and print per-route stats (warm-rate, hedges, failovers, per-shard rows)")
+		gate    = flag.Bool("gate", false, "the target is a gate (vcprofd -shards): fetch /v1/cluster/stats after the run and print per-route stats (warm-rate, hedges, failovers, per-shard rows)")
 	)
 	flag.Parse()
 	if *n < 1 || *conc < 1 {
@@ -202,7 +202,7 @@ func run() error {
 func printGateStats(ctx context.Context, gate service.Client) error {
 	body, err := gate.Get(ctx, "/v1/cluster/stats")
 	if err != nil {
-		return fmt.Errorf("%w (is the target really a vcgate?)", err)
+		return fmt.Errorf("%w (is the target really a gate?)", err)
 	}
 	var s cluster.Stats
 	if err := json.Unmarshal(body, &s); err != nil {

@@ -12,9 +12,9 @@
 //	vcperf trace j-0123abcd -o t.json # merged cluster Chrome trace for one job
 //	vcperf slo -assert                # live SLO burn rates; exit 1 over budget
 //
-// trace and slo speak to a gate (vcgate) or a single daemon alike —
-// both serve /v1/cluster/trace/{id} and /v1/slo; the daemon's answer
-// is the one-shard degenerate case.
+// trace and slo speak to a gate (vcprofd -shards) or a single daemon
+// alike — both serve /v1/cluster/trace/{id} and /v1/slo; the daemon's
+// answer is the one-shard degenerate case.
 //
 // Exit codes: 0 ok, 1 assertion failed (-assert), 2 usage, 3 the
 // daemon could not be reached or answered malformed data.
@@ -309,7 +309,7 @@ func cmdFlame(args []string) int {
 
 func cmdTrace(args []string) int {
 	fs := flag.NewFlagSet("vcperf trace", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8791", "vcgate or vcprofd address (host:port)")
+	addr := fs.String("addr", "127.0.0.1:8791", "vcprofd daemon or gate address (host:port)")
 	det := fs.Bool("det", false, "deterministic view only (?volatile=0): byte-stable across topologies")
 	out := fs.String("o", "", "write the Chrome trace to this file (default stdout)")
 	fs.Parse(args)
@@ -343,7 +343,7 @@ func cmdTrace(args []string) int {
 
 func cmdSlo(args []string) int {
 	fs := flag.NewFlagSet("vcperf slo", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8791", "vcgate or vcprofd address (host:port)")
+	addr := fs.String("addr", "127.0.0.1:8791", "vcprofd daemon or gate address (host:port)")
 	assert := fs.Bool("assert", false, "exit 1 when a burn rate exceeds its budget")
 	maxMiss := fs.Uint64("max-miss-ppm", 0, "deadline-miss burn budget, misses per million frames")
 	maxDegrade := fs.Uint64("max-degrade-ppm", 0, "degrade-step burn budget, steps per million GOPs")

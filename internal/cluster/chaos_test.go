@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -282,6 +283,7 @@ func TestHedgeRaceHammer(t *testing.T) {
 	set.injs[0].StallNext(10, 50*time.Millisecond)
 	set.injs[1].StallNext(10, 50*time.Millisecond)
 
+	h := rt.Handler()
 	var wg sync.WaitGroup
 	bodies := make([][]byte, len(specs))
 	for pass := 0; pass < 3; pass++ { // duplicates: 3 submitters per spec
@@ -289,33 +291,20 @@ func TestHedgeRaceHammer(t *testing.T) {
 			wg.Add(1)
 			go func(pass, i int) {
 				defer wg.Done()
-				s := specs[i]
-				id, _, code, err := rt.Submit(s)
-				if err != nil && code != http.StatusTooManyRequests {
-					t.Errorf("submit %s: HTTP %d: %v", id[:8], code, err)
+				payload, _ := json.Marshal(specs[i])
+				id := specs[i].Key()
+				if code, body := call(h, http.MethodPost, "/v1/jobs", payload); code != http.StatusOK && code != http.StatusAccepted {
+					t.Errorf("submit %s: HTTP %d %s", id[:8], code, body)
 					return
 				}
-				deadline := time.Now().Add(60 * time.Second)
-				for time.Now().Before(deadline) {
-					state, errMsg, _, ok := rt.Status(id)
-					if ok && state == service.StateDone {
-						if pass == 0 {
-							body, ok := rt.CachedResult(id)
-							if !ok {
-								t.Errorf("job %s: no cached result", id[:8])
-								return
-							}
-							bodies[i] = body
-						}
-						return
-					}
-					if ok && state == service.StateFailed {
-						t.Errorf("job %s failed: %s", id[:8], errMsg)
-						return
-					}
-					time.Sleep(time.Millisecond)
+				code, body := call(h, http.MethodGet, "/v1/results/"+id+"?wait=60s", nil)
+				if code != http.StatusOK {
+					t.Errorf("job %s: HTTP %d %s", id[:8], code, body)
+					return
 				}
-				t.Errorf("job %s: timed out", id[:8])
+				if pass == 0 {
+					bodies[i] = body
+				}
 			}(pass, i)
 		}
 	}

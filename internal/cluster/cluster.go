@@ -3,9 +3,11 @@
 // shards with replication factor R, warm-cache-aware routing (prefer
 // the shard whose result store already holds the id), hedged requests
 // after a quantile-derived delay to cut tail latency, and
-// retry-with-backoff failover when a shard dies mid-job. cmd/vcgate is
-// the daemon front-end; internal/cluster/chaos is the deterministic
-// fault-injection harness the test wall drives shards through.
+// retry-with-backoff failover when a shard dies mid-job. The Router is
+// the gate's backend behind the job and session API internal/service
+// serves (vcprofd -shards is the daemon front-end);
+// internal/cluster/chaos is the deterministic fault-injection harness
+// the test wall drives shards through.
 //
 // The cluster inherits the serving layer's determinism contract and
 // extends it across topology: a job's result bytes depend only on its
@@ -33,26 +35,21 @@ type Shard struct {
 type Config struct {
 	Shards   []Shard
 	Replicas int // replication factor R: owners per key (default 1, clamped to len(Shards))
-	VNodes   int // virtual nodes per shard on the hash ring (default 64)
 
 	// Hedging: when the primary attempt has not produced a result
-	// after a delay derived from the serving shard's observed latency
-	// quantile, a second attempt starts on the next replica owner and
-	// the first response wins. HedgeQuantile picks the quantile
-	// (default 0.95); the derived delay is clamped to
+	// after a delay derived from the serving shard's observed p95
+	// latency, a second attempt starts on the next replica owner and
+	// the first response wins. The derived delay is clamped to
 	// [HedgeMin, HedgeMax] (defaults 25ms, 2s); until a shard has
 	// HedgeAfter observations (default 16) the delay is HedgeMax —
 	// hedge late rather than double work on a cold cluster.
-	HedgeQuantile float64
-	HedgeMin      time.Duration
-	HedgeMax      time.Duration
-	HedgeAfter    int
+	HedgeMin   time.Duration
+	HedgeMax   time.Duration
+	HedgeAfter int
 
 	// Failover: an attempt that dies (connect error, 5xx, failed job)
 	// moves to the next candidate shard after a backoff that doubles
-	// per attempt (default 10ms base), up to MaxAttempts candidates
-	// (default: one per configured shard).
-	MaxAttempts  int
+	// per attempt (default 10ms base), one candidate per shard.
 	RetryBackoff time.Duration
 
 	// Health probing: every ProbeInterval (default 250ms; 0 disables
@@ -64,10 +61,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	ProbeFails    int
 
-	// DriveTimeout bounds one job's whole routed lifecycle across all
-	// attempts (default 5m).
-	DriveTimeout time.Duration
-
 	// MaxInflight bounds concurrently driven jobs; submissions beyond
 	// it get 429 (default 64). ResultCacheEntries bounds the completed
 	// result bodies the gate keeps in memory for GET /v1/results
@@ -75,17 +68,23 @@ type Config struct {
 	MaxInflight        int
 	ResultCacheEntries int
 
-	// HopTraces bounds the gate's distributed-trace hop log (default
-	// 512 traces; oldest evicted first). Tracing itself is always on —
-	// hops are cheap fixed-size records, and the cluster-trace endpoint
-	// is how cross-shard behavior is debugged.
-	HopTraces int
-
 	// Client is the shard-side HTTP transport (default: a dedicated
 	// client with no overall timeout — per-drive contexts bound every
 	// request). Tests inject fault-wrapped transports here.
 	Client service.Doer
 }
+
+// The router's fixed parameters: virtual nodes per shard on the hash
+// ring, the hedge delay's latency quantile, one job's whole routed
+// lifecycle across all attempts, and the gate's hop log in traces
+// (oldest evicted first; hops are cheap fixed-size records, so tracing
+// is always on).
+const (
+	vnodes        = 64
+	hedgeQuantile = 0.95
+	driveTimeout  = 5 * time.Minute
+	hopTraces     = 512
+)
 
 func (c *Config) fill() {
 	if c.Replicas < 1 {
@@ -93,12 +92,6 @@ func (c *Config) fill() {
 	}
 	if c.Replicas > len(c.Shards) {
 		c.Replicas = len(c.Shards)
-	}
-	if c.VNodes < 1 {
-		c.VNodes = 64
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.HedgeMin <= 0 {
 		c.HedgeMin = 25 * time.Millisecond
@@ -112,25 +105,16 @@ func (c *Config) fill() {
 	if c.HedgeAfter < 1 {
 		c.HedgeAfter = 16
 	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = len(c.Shards)
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
 	}
 	if c.ProbeFails < 1 {
 		c.ProbeFails = 2
 	}
-	if c.DriveTimeout <= 0 {
-		c.DriveTimeout = 5 * time.Minute
-	}
 	if c.MaxInflight < 1 {
 		c.MaxInflight = 64
 	}
 	if c.ResultCacheEntries < 1 {
 		c.ResultCacheEntries = 512
-	}
-	if c.HopTraces < 1 {
-		c.HopTraces = 512
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -117,8 +118,9 @@ func testSpecs(t *testing.T, n int) []*service.JobSpec {
 	return specs
 }
 
-// driveRouter pushes every spec through the router's own API — submit,
-// wait, fetch — and folds the result bodies into the topology digest.
+// driveRouter pushes every spec through the gate's handler — submit,
+// then one waiting fetch — and folds the result bodies into the topology
+// digest.
 func driveRouter(t *testing.T, rt *Router, specs []*service.JobSpec) string {
 	t.Helper()
 	bodies := make([][]byte, len(specs))
@@ -128,42 +130,45 @@ func driveRouter(t *testing.T, rt *Router, specs []*service.JobSpec) string {
 	return obs.FoldDigest(bodyDigests(bodies))
 }
 
-func driveOne(t *testing.T, rt *Router, s *service.JobSpec) []byte {
-	t.Helper()
-	id, _, code, err := rt.Submit(s)
-	if err != nil {
-		t.Fatalf("submit %s: HTTP %d: %v", id[:8], code, err)
-	}
-	waitDone(t, rt, id, 60*time.Second)
-	body, ok := rt.CachedResult(id)
-	if !ok {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		body, ok = rt.FetchThrough(ctx, id)
-	}
-	if !ok {
-		t.Fatalf("job %s: done but no result bytes", id[:8])
-	}
-	return body
+// call answers one request through h, in process.
+func call(h http.Handler, method, path string, body []byte) (int, []byte) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return w.Code, w.Body.Bytes()
 }
 
-func waitDone(t *testing.T, rt *Router, id string, budget time.Duration) {
+// submit posts a spec through h and decodes the JobStatus answered.
+func submit(t *testing.T, h http.Handler, s *service.JobSpec) (service.JobStatus, int) {
 	t.Helper()
-	deadline := time.Now().Add(budget)
-	for time.Now().Before(deadline) {
-		state, errMsg, _, ok := rt.Status(id)
-		if !ok {
-			t.Fatalf("job %s: unknown to router", id[:8])
-		}
-		switch state {
-		case service.StateDone:
-			return
-		case service.StateFailed:
-			t.Fatalf("job %s failed: %s", id[:8], errMsg)
-		}
-		time.Sleep(time.Millisecond)
+	payload, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("job %s did not finish within %v", id[:8], budget)
+	code, body := call(h, http.MethodPost, "/v1/jobs", payload)
+	var st service.JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("submit: HTTP %d: %s", code, body)
+	}
+	return st, code
+}
+
+func driveOne(t *testing.T, rt *Router, s *service.JobSpec) []byte {
+	t.Helper()
+	h := rt.Handler()
+	if st, code := submit(t, h, s); code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("submit %s: HTTP %d: %s", s.Key()[:8], code, st.Error)
+	}
+	return fetchDone(t, h, s.Key())
+}
+
+// fetchDone fetches a job's bytes through h, waiting for it to finish.
+func fetchDone(t *testing.T, h http.Handler, id string) []byte {
+	t.Helper()
+	code, body := call(h, http.MethodGet, "/v1/results/"+id+"?wait=60s", nil)
+	if code != http.StatusOK {
+		t.Fatalf("job %s: HTTP %d: %s", id[:8], code, body)
+	}
+	return body
 }
 
 // baselineDigest computes the single-daemon reference digest by
@@ -298,9 +303,8 @@ func TestGateCachedResubmit(t *testing.T) {
 	driveOne(t, rt, spec)
 
 	before := set.injs[0].Served() + set.injs[1].Served()
-	id, state, code, err := rt.Submit(spec)
-	if err != nil || code != http.StatusOK || state != service.StateDone {
-		t.Fatalf("resubmit %s: state=%s code=%d err=%v", id[:8], state, code, err)
+	if st, code := submit(t, rt.Handler(), spec); code != http.StatusOK || st.Status != service.StateDone {
+		t.Fatalf("resubmit %s: HTTP %d %+v", spec.Key()[:8], code, st)
 	}
 	if after := set.injs[0].Served() + set.injs[1].Served(); after != before {
 		t.Fatalf("cached resubmit reached the shards (%d new requests)", after-before)

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"net/http"
 
+	"vcprof/internal/obs"
 	"vcprof/internal/service"
 	"vcprof/internal/telemetry"
 )
@@ -36,9 +38,6 @@ type Stats struct {
 
 // StatsNow snapshots the router's routing statistics.
 func (r *Router) StatsNow() Stats {
-	r.st.mu.Lock()
-	inflight := r.st.inflight
-	r.st.mu.Unlock()
 	s := Stats{
 		Routes:         r.n.routes.Load(),
 		WarmHits:       r.n.warmHits.Load(),
@@ -53,8 +52,8 @@ func (r *Router) StatsNow() Stats {
 		ProbeUp:        r.n.probeUp.Load(),
 		Rejected:       r.n.rejected.Load(),
 		DrivesFailed:   r.n.drivesFailed.Load(),
-		Inflight:       inflight,
-		Shards:         r.reg.snapshot(shardLatency),
+		Inflight:       r.api.Inflight(),
+		Shards:         r.reg.snapshot(),
 
 		SessionsOpened:   r.sessions.opened.Load(),
 		SessionFailovers: r.sessions.failovers.Load(),
@@ -65,73 +64,48 @@ func (r *Router) StatsNow() Stats {
 	return s
 }
 
-// Handler returns the gate's HTTP surface: the vcprofd job lifecycle
-// endpoints (so any daemon client — vcload included — can point at the
-// gate unchanged) plus the cluster introspection endpoints.
+// Handler returns the gate's HTTP surface: the shared job and session
+// API over the router — any daemon client, vcload included, points at a
+// gate unchanged — plus the cluster introspection routes.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", r.handleSubmit)
-	mux.HandleFunc("POST /v1/sessions", r.handleSessionCreate)
-	mux.HandleFunc("POST /v1/sessions/{id}/frames", r.handleSessionFeed)
-	mux.HandleFunc("GET /v1/sessions/{id}/stats", r.handleSessionStats)
-	mux.HandleFunc("GET /v1/jobs/{id}", r.handleStatus)
-	mux.HandleFunc("GET /v1/results/{id}", r.handleResult)
-	mux.HandleFunc("GET /v1/cluster/stats", r.handleStats)
-	mux.HandleFunc("GET /v1/cluster/shards", r.handleShards)
-	mux.HandleFunc("GET /v1/trace/{id}", r.handleTraceSlice)
-	mux.HandleFunc("GET /v1/cluster/trace/{id}", r.handleClusterTrace)
+	r.api.Mount(mux)
+	mux.HandleFunc("GET /v1/cluster/stats", func(w http.ResponseWriter, _ *http.Request) {
+		service.WriteJSON(w, http.StatusOK, r.StatsNow())
+	})
+	mux.HandleFunc("GET /v1/cluster/shards", func(w http.ResponseWriter, _ *http.Request) {
+		service.WriteJSON(w, http.StatusOK, r.reg.snapshot())
+	})
 	mux.HandleFunc("GET /v1/cluster/metrics", r.handleClusterMetrics)
-	mux.HandleFunc("GET /v1/slo", r.handleSLO)
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.HandleFunc("GET /healthz", r.handleHealth)
 	return mux
 }
 
-func (r *Router) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var spec service.JobSpec
-	if err := service.DecodeJSON(w, req, &spec); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, state, code, err := r.Submit(&spec)
-	if err != nil {
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		service.WriteError(w, code, "%v", err)
-		return
-	}
-	service.WriteJSON(w, code, service.JobStatus{ID: id, Status: state, Cached: code == http.StatusOK})
+// Draining reports whether Shutdown has begun.
+func (r *Router) Draining() bool {
+	r.st.mu.Lock()
+	defer r.st.mu.Unlock()
+	return r.st.draining
 }
 
-func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
-	if req.URL.RawQuery != "" && !service.AwaitTerminal(w, req, r.driveDone) {
-		return
-	}
-	id := req.PathValue("id")
-	if state, errMsg, cached, ok := r.Status(id); ok {
-		service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: id, Status: state, Cached: cached, Error: errMsg})
-		return
-	}
-	// Unknown to this gate (restart, evicted): a cheap owner probe
-	// still answers "done" for anything the shards hold.
-	if r.headThrough(req, id) {
-		service.WriteJSON(w, http.StatusOK, service.JobStatus{ID: id, Status: service.StateDone, Cached: true})
-		return
-	}
-	service.WriteError(w, http.StatusNotFound, "unknown job %q", id)
+// Refuse is Draining: the gate keeps no refusal counter.
+func (r *Router) Refuse() bool { return r.Draining() }
+
+// Cached reports whether the gate's result cache holds key.
+func (r *Router) Cached(key string) bool {
+	_, ok, _ := r.Result(key)
+	return ok
 }
 
-// headThrough asks the key's live candidate shards whether any already
-// owns the result — the ownership-hint probe (HEAD /v1/results/{id}).
-func (r *Router) headThrough(req *http.Request, id string) (found bool) {
+// Has reports whether the result cache or, failing it, one of the key's
+// live candidate shards holds id — the ownership-hint probe (HEAD
+// /v1/results/{id}), so a gate that never drove a job (a restart, an
+// evicted entry) still answers "done" for anything the shards hold.
+func (r *Router) Has(ctx context.Context, id string) (found bool) {
+	if r.Cached(id) {
+		return true
+	}
 	askShards(r, r.candidateList(id), true,
-		func(c service.Client) (bool, error) { return c.HasResult(req.Context(), id) },
+		func(c service.Client) (bool, error) { return c.HasResult(ctx, id) },
 		func(_ string, has bool) bool {
 			found = has
 			return has
@@ -139,73 +113,91 @@ func (r *Router) headThrough(req *http.Request, id string) (found bool) {
 	return found
 }
 
-func (r *Router) handleResult(w http.ResponseWriter, req *http.Request) {
-	if req.URL.RawQuery != "" && !service.AwaitTerminal(w, req, r.driveDone) {
-		return
-	}
-	id := req.PathValue("id")
-	if body, ok := r.CachedResult(id); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-	if state, errMsg, _, ok := r.Status(id); ok {
-		if state == service.StateFailed {
-			service.WriteJSON(w, http.StatusInternalServerError, service.JobStatus{ID: id, Status: state, Error: errMsg})
-			return
-		}
-		service.WriteJSON(w, http.StatusConflict, service.JobStatus{ID: id, Status: state})
-		return
-	}
-	if body, ok := r.FetchThrough(req.Context(), id); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-	service.WriteError(w, http.StatusNotFound, "no result for %q", id)
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	service.WriteJSON(w, http.StatusOK, r.StatsNow())
-}
-
-func (r *Router) handleShards(w http.ResponseWriter, req *http.Request) {
-	service.WriteJSON(w, http.StatusOK, r.reg.snapshot(shardLatency))
-}
-
-// handleMetrics renders the gate process's obs registry plus the
-// router's instantaneous routing gauges in the Prometheus text
-// exposition.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s := r.StatsNow()
-	opts := telemetry.PromOptions{IncludeVolatile: req.URL.Query().Get("volatile") != "0"}
-	if opts.IncludeVolatile {
-		opts.Gauges = []telemetry.GaugeSample{
-			{Name: "gate.routes.total", Value: float64(s.Routes)},
-			{Name: "gate.routes.warm", Value: float64(s.WarmHits)},
-			{Name: "gate.routes.fallback", Value: float64(s.Fallbacks)},
-			{Name: "gate.hedges.launched", Value: float64(s.HedgesLaunched)},
-			{Name: "gate.hedges.won", Value: float64(s.HedgesWon)},
-			{Name: "gate.failovers", Value: float64(s.Failovers)},
-			{Name: "gate.retries_429", Value: float64(s.Retries429)},
-			{Name: "gate.replicas.pushed", Value: float64(s.ReplicasPushed)},
-			{Name: "gate.replicas.failed", Value: float64(s.ReplicasFailed)},
-			{Name: "gate.inflight", Value: float64(s.Inflight)},
-		}
-	}
-	if err := telemetry.WriteProm(w, opts); err != nil {
-		return
-	}
-}
-
-func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
+// Result returns a completed job's bytes from the gate's result cache.
+func (r *Router) Result(id string) ([]byte, bool, error) {
 	r.st.mu.Lock()
-	draining := r.st.draining
-	r.st.mu.Unlock()
-	if draining {
-		service.WriteError(w, http.StatusServiceUnavailable, "draining")
+	defer r.st.mu.Unlock()
+	body, ok := r.st.results.Get(id)
+	return body, ok, nil
+}
+
+// Gauges are the router's instantaneous routing counters for /metrics.
+func (r *Router) Gauges() []telemetry.GaugeSample {
+	s := r.StatsNow()
+	return []telemetry.GaugeSample{
+		{Name: "gate.routes.total", Value: float64(s.Routes)},
+		{Name: "gate.routes.warm", Value: float64(s.WarmHits)},
+		{Name: "gate.routes.fallback", Value: float64(s.Fallbacks)},
+		{Name: "gate.hedges.launched", Value: float64(s.HedgesLaunched)},
+		{Name: "gate.hedges.won", Value: float64(s.HedgesWon)},
+		{Name: "gate.failovers", Value: float64(s.Failovers)},
+		{Name: "gate.retries_429", Value: float64(s.Retries429)},
+		{Name: "gate.replicas.pushed", Value: float64(s.ReplicasPushed)},
+		{Name: "gate.replicas.failed", Value: float64(s.ReplicasFailed)},
+		{Name: "gate.inflight", Value: float64(s.Inflight)},
+	}
+}
+
+// Cluster-wide trace collection and telemetry federation. Each process
+// — the gate and every vcprofd shard — keeps its own bounded hop log
+// and serves raw slices at GET /v1/trace/{id}; the gate's
+// /v1/cluster/trace/{id} collects the slices from every live shard
+// plus its own, merges them with obs.MergeHops and renders one Chrome
+// trace. The deterministic view (?volatile=0) is byte-stable across
+// topologies and reruns because every hop in it is content-derived and
+// the gate mirrors the content facts it witnesses, so even slices lost
+// to a killed shard leave no hole. /v1/cluster/metrics federates the
+// shards' Prometheus expositions under per-shard labels, and /v1/slo
+// folds the shards' live-SLO reports into cluster burn rates.
+
+// Hops is the gate's own hop log.
+func (r *Router) Hops() *obs.HopLog { return r.hops }
+
+// TraceSlices gathers the hop slices for one trace: the gate's own,
+// then every live shard's in sorted-name order. A shard that cannot
+// answer (killed, draining) contributes nothing — by design the merged
+// deterministic view is already whole without it.
+func (r *Router) TraceSlices(ctx context.Context, id string) [][]obs.HopEvent {
+	slices := [][]obs.HopEvent{r.hops.Slice(id)}
+	askShards(r, r.reg.aliveNames(), true,
+		func(c service.Client) (service.TraceSlice, error) { return c.TraceSlice(ctx, id) },
+		func(_ string, slice service.TraceSlice) bool {
+			slices = append(slices, slice.Events)
+			return false
+		})
+	return slices
+}
+
+// handleClusterMetrics federates the live shards' Prometheus
+// expositions: every sample reappears under a shard="<name>" label,
+// plus a shard="cluster" rollup (sum). The volatile query parameter
+// passes through, so ?volatile=0 federates only the deterministic
+// subset — byte-stable for a fixed completed workload.
+func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) {
+	volatile := req.URL.Query().Get("volatile") != "0"
+	var shards []telemetry.ShardExposition
+	askShards(r, r.reg.aliveNames(), true,
+		func(c service.Client) (*telemetry.ParsedProm, error) { return c.Metrics(req.Context(), volatile) },
+		func(name string, parsed *telemetry.ParsedProm) bool {
+			shards = append(shards, telemetry.ShardExposition{Shard: name, P: parsed})
+			return false
+		})
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := telemetry.WriteFederation(w, shards); err != nil {
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// SLO folds every live shard's /v1/slo report into one cluster
+// document with recomputed burn rates. Ratios survive aggregation: the
+// cluster miss burn is total misses over total frames, not an average
+// of per-shard rates.
+func (r *Router) SLO(ctx context.Context) (total telemetry.SLOReport) {
+	askShards(r, r.reg.aliveNames(), true,
+		func(c service.Client) (telemetry.SLOReport, error) { return c.SLO(ctx) },
+		func(_ string, rep telemetry.SLOReport) bool {
+			total = total.Add(rep)
+			return false
+		})
+	return total
 }

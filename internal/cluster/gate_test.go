@@ -14,7 +14,7 @@ import (
 	"vcprof/internal/service"
 )
 
-// The gate tests exercise the vcgate HTTP surface end to end — a real
+// The gate tests exercise the gate's HTTP surface end to end — a real
 // router over real shards, reached through Router.Handler() — so the
 // wire contract vcload and scripts depend on is pinned, not implied.
 
@@ -128,6 +128,119 @@ func TestGateStatusBytesEqualDaemon(t *testing.T) {
 	same("status of an unknown job", "GET", "/v1/jobs/"+unknown, nil)
 	same("result of an unknown job", "GET", "/v1/results/"+unknown, nil)
 	same("malformed submit", "POST", "/v1/jobs", []byte("{not json"))
+	same("abandon of an unknown job", "DELETE", "/v1/jobs/"+unknown, nil)
+	same("delete of an unknown session", "DELETE", "/v1/sessions/"+unknown, nil)
+	same("stats of an unknown session", "GET", "/v1/sessions/"+unknown+"/stats", nil)
+	same("health", "GET", "/healthz", nil)
+}
+
+// TestSharedRoutesServedByBoth walks the shared route list against a
+// daemon's handler and a gate's: each mounts every route, so none
+// answers 405 or the mux's bare 404.
+func TestSharedRoutesServedByBoth(t *testing.T) {
+	set := newShardSet(t, 1)
+	rt, _ := newTestRouter(t, set, nil)
+	for name, h := range map[string]http.Handler{"daemon": set.srvs[0].Handler(), "gate": rt.Handler()} {
+		for _, pattern := range service.SharedRoutes() {
+			method, path, _ := strings.Cut(pattern, " ")
+			code, body := call(h, method, strings.ReplaceAll(path, "{id}", "x"), nil)
+			if code == http.StatusMethodNotAllowed || string(body) == "404 page not found\n" {
+				t.Errorf("%s: %s answers HTTP %d %q", name, pattern, code, body)
+			}
+		}
+	}
+}
+
+// TestGateDeleteAbandonsShardJob mirrors service/abandon_test.go through
+// the gate: the only submitter's DELETE at the gate cancels the drive,
+// the drive gives its interest back to the shard on the way out, and the
+// shard stops computing the job for nobody.
+func TestGateDeleteAbandonsShardJob(t *testing.T) {
+	set := newShardSet(t, 1)
+	_, hts := gateServer(t, set, nil)
+	long := service.JobSpec{Kind: service.KindEncode, Family: "svt-av1", Clip: "desktop",
+		Frames: 64, ScaleDiv: 16, CRF: 29, Preset: 0, Threads: 1}
+	long.Normalize()
+	key := long.Key()
+	payload, _ := json.Marshal(&long)
+	resp, err := http.Post(hts.URL+"/v1/jobs", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	// Accepted: the shard is running it.
+	shard := set.shards[0].URL
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+		if a := get(context.Background(), shard+"/v1/jobs/"+key); strings.Contains(a.body, service.StateRunning) {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("the shard never ran the job: %v", a)
+		}
+	}
+
+	abandon := func() int {
+		req, _ := http.NewRequest(http.MethodDelete, hts.URL+"/v1/jobs/"+key, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := abandon(); code != http.StatusNoContent {
+		t.Fatalf("DELETE at the gate: HTTP %d, want 204", code)
+	}
+	if a := get(context.Background(), shard+"/v1/jobs/"+key+"?wait=60s"); !strings.Contains(a.body, `"failed"`) ||
+		!strings.Contains(a.body, context.Canceled.Error()) {
+		t.Errorf("the shard's job reads %v, want it failed by its cancellation", a)
+	}
+	if set.srvs[0].Store().Contains(key) {
+		t.Error("the shard computed the job anyway")
+	}
+	if a := get(context.Background(), hts.URL+"/v1/jobs/"+key+"?wait=60s"); !strings.Contains(a.body, `"failed"`) {
+		t.Errorf("the gate's job reads %v, want it failed", a)
+	}
+	if code := abandon(); code != http.StatusNotFound {
+		t.Errorf("second DELETE at the gate: HTTP %d, want 404", code)
+	}
+}
+
+// TestGateDeleteSessionFreesShardSlot: a session deleted at the gate
+// gives its slot back on the pinned shard, so a one-shard gate can open
+// and close more sessions than the shard's 64-slot table holds.
+func TestGateDeleteSessionFreesShardSlot(t *testing.T) {
+	_, hts := gateServer(t, newShardSet(t, 1), nil)
+	create := func() (service.SessionCreateResp, int) {
+		var created service.SessionCreateResp
+		code := gatePostJSON(t, http.DefaultClient, hts.URL+"/v1/sessions", service.SessionCreateReq{Spec: liveSessionSpec()}, &created)
+		return created, code
+	}
+	var last string
+	for i := 0; i < 65; i++ {
+		created, code := create()
+		if code != http.StatusCreated {
+			t.Fatalf("create %d: HTTP %d", i, code)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, hts.URL+"/v1/sessions/"+created.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("DELETE of session %d: HTTP %d, want 204", i, resp.StatusCode)
+		}
+		last = created.ID
+	}
+	if _, code := create(); code != http.StatusCreated {
+		t.Fatalf("create after 65 deleted sessions: HTTP %d, want 201", code)
+	}
+	if a := get(context.Background(), hts.URL+"/v1/sessions/"+last+"/stats"); a.code != http.StatusNotFound {
+		t.Errorf("stats of a deleted session: %v, want 404", a)
+	}
 }
 
 func driveDirectFetch(t *testing.T, base, id string) []byte {
@@ -271,8 +384,8 @@ func TestGateSaturation429(t *testing.T) {
 
 	// Stall the shard so the first drive holds the only inflight slot.
 	set.injs[0].StallNext(1, 2*time.Second)
-	if _, _, code, err := rt.Submit(specs[0]); err != nil || code != http.StatusAccepted {
-		t.Fatalf("first submit: HTTP %d err=%v", code, err)
+	if st, code := submit(t, rt.Handler(), specs[0]); code != http.StatusAccepted {
+		t.Fatalf("first submit: HTTP %d %+v", code, st)
 	}
 
 	payload, _ := json.Marshal(specs[1])
@@ -287,7 +400,7 @@ func TestGateSaturation429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	waitDone(t, rt, specs[0].Key(), 30*time.Second)
+	fetchDone(t, rt.Handler(), specs[0].Key())
 }
 
 // TestShardRegistryEndpoint pins the shard-side protocol the router

@@ -3,6 +3,9 @@ package cluster
 import (
 	"sort"
 	"sync"
+
+	"vcprof/internal/obs"
+	"vcprof/internal/telemetry"
 )
 
 // registry tracks per-shard liveness and routing statistics. One
@@ -30,10 +33,7 @@ type shardState struct {
 func newRegistry(shards []Shard) *registry {
 	m := make(map[string]*shardState, len(shards))
 	order := make([]string, 0, len(shards))
-	for _, s := range shards {
-		if _, dup := m[s.Name]; dup || s.Name == "" {
-			continue
-		}
+	for _, s := range shards { // NewRouter has checked the names: set, distinct
 		m[s.Name] = &shardState{shard: s, alive: true}
 		order = append(order, s.Name)
 	}
@@ -138,10 +138,9 @@ type ShardStats struct {
 }
 
 // snapshot renders every shard's row in sorted-name order; quantiles
-// come from the per-shard served-latency histograms. latencyOf is
-// called after the registry mutex is released so the mutex stays a
-// leaf lock.
-func (r *registry) snapshot(latencyOf func(name string) (p50, p95, count uint64)) []ShardStats {
+// come from the per-shard served-latency histograms, read after the
+// registry mutex is released so the mutex stays a leaf lock.
+func (r *registry) snapshot() []ShardStats {
 	r.mu.Lock()
 	out := make([]ShardStats, 0, len(r.order))
 	for _, n := range r.order {
@@ -156,10 +155,21 @@ func (r *registry) snapshot(latencyOf func(name string) (p50, p95, count uint64)
 		})
 	}
 	r.mu.Unlock()
-	if latencyOf != nil {
-		for i := range out {
-			out[i].LatencyP50MS, out[i].LatencyP95MS, out[i].LatencyObs = latencyOf(out[i].Name)
-		}
+	for i := range out {
+		snap := shardHist(out[i].Name).Snapshot()
+		out[i].LatencyP50MS, out[i].LatencyP95MS, out[i].LatencyObs = snap.Quantile(0.50), snap.Quantile(0.95), snap.Count
 	}
 	return out
+}
+
+// Per-shard served-latency histograms, on the shared latency bucket
+// layout so gate quantiles line up with vcprofd's svc.job.latency_ms
+// and vcload's client-side distribution. Volatile: they measure wall
+// time. Names follow the cluster-wide convention documented in
+// internal/telemetry/naming.go (gate.<group>.<metric>, like the
+// gate.* gauges). The obs registry is process-global and registration
+// finds an existing name, so routers built over recurring shard names
+// share their shards' histograms.
+func shardHist(name string) *obs.Histogram {
+	return obs.NewVolatileHistogram("gate.shard.latency_ms."+name, telemetry.LatencyBucketsMS)
 }

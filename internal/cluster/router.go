@@ -15,10 +15,11 @@ import (
 	"vcprof/internal/service"
 )
 
-// Router drives content-addressed jobs across the shard set: one
-// in-flight drive per key (cluster-level singleflight), candidate
+// Router is the gate's backend behind the shared service API: it drives
+// content-addressed jobs across the shard set — one in-flight drive per
+// key (the API's job table is the cluster-level singleflight), candidate
 // shards chosen warm-first then by ring ownership, hedged after a
-// quantile-derived delay, failed over with backoff, and — with R>1 —
+// quantile-derived delay, failed over with backoff, and, with R>1,
 // completed bytes pushed to the other owners so a later primary death
 // still leaves the result warm somewhere.
 type Router struct {
@@ -26,6 +27,7 @@ type Router struct {
 	ring     *Ring
 	reg      *registry
 	client   service.Doer
+	api      *service.API // the shared handlers; its job table holds the drives
 	sessions *gateSessionTable
 	hops     *obs.HopLog
 
@@ -36,10 +38,8 @@ type Router struct {
 
 	n gateCounters
 
-	probeStop chan struct{}
-	probeOnce sync.Once
-	probeWG   sync.WaitGroup
-	wg        sync.WaitGroup // drives + replication pushes
+	stopProber func()         // set by Start when probing is on
+	wg         sync.WaitGroup // drives + replication pushes
 }
 
 // routerState is the router's mutable routing state; every field is
@@ -47,11 +47,8 @@ type Router struct {
 // convention — mutex siblings are guarded — reads literally).
 type routerState struct {
 	mu       sync.Mutex
-	drives   map[string]*drive         // queued and running drives
-	failed   *memo.LRU[string, string] // key → error of the latest failed drives, oldest dropped first
 	warm     *memo.LRU[string, string] // key → shard that last served it: a hint, so losing one costs a ring lookup
 	results  *memo.LRU[string, []byte] // completed result bodies, one unit each
-	inflight int
 	draining bool
 }
 
@@ -59,32 +56,17 @@ type routerState struct {
 // volatile by nature: they follow health, scheduling and wall-clock,
 // never result bytes.
 type gateCounters struct {
-	routes, warmHits, fallbacks     atomic.Uint64
-	hedgesLaunched, hedgesWon       atomic.Uint64
-	failovers, retries429           atomic.Uint64
-	replicasPushed, replicasFailed  atomic.Uint64
-	probeDown, probeUp              atomic.Uint64
-	rejected, refused, drivesFailed atomic.Uint64
+	routes, warmHits, fallbacks    atomic.Uint64
+	hedgesLaunched, hedgesWon      atomic.Uint64
+	failovers, retries429          atomic.Uint64
+	replicasPushed, replicasFailed atomic.Uint64
+	probeDown, probeUp             atomic.Uint64
+	rejected, drivesFailed         atomic.Uint64
 }
 
-// drive is one in-flight routed job. state changes, and done is closed
-// (exactly once, when runDrive takes the drive out of the table), only
-// under routerState.mu.
-type drive struct {
-	key     string
-	trace   string // hop-trace id, derived from the key at submit
-	payload []byte
-	state   string
-	done    chan struct{}
-}
-
-// maxFailedDrives bounds how many failed drives stay readable, and
 // warmHintsPerResult sizes the warm-hint table from the result cache: a
 // hint is a shard name where a cached result is a whole body.
-const (
-	maxFailedDrives    = 1024
-	warmHintsPerResult = 16
-)
+const warmHintsPerResult = 16
 
 // NewRouter builds a stopped router; Start launches the health prober.
 // The base context — parent of every drive — derives from ctx, so
@@ -119,19 +101,17 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:      cfg,
-		ring:     NewRing(names, cfg.VNodes),
+		ring:     NewRing(names, vnodes),
 		reg:      newRegistry(cfg.Shards),
 		client:   cfg.Client,
 		sessions: newGateSessionTable(),
-		hops:     obs.NewHopLog("gate", cfg.HopTraces),
+		hops:     obs.NewHopLog("gate", hopTraces),
 		st: routerState{
-			drives:  make(map[string]*drive),
-			failed:  memo.NewLRU[string, string](maxFailedDrives, nil),
 			warm:    memo.NewLRU[string, string](int64(warmHintsPerResult*cfg.ResultCacheEntries), nil),
 			results: memo.NewLRU[string, []byte](int64(cfg.ResultCacheEntries), nil),
 		},
-		probeStop: make(chan struct{}),
 	}
+	r.api = service.NewAPI(r)
 	r.baseCtx, r.baseCancel = context.WithCancel(ctx)
 	return r, nil
 }
@@ -139,24 +119,7 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 // Start launches the health prober (when configured).
 func (r *Router) Start() {
 	if r.cfg.ProbeInterval > 0 {
-		r.probeWG.Add(1)
-		go r.probeLoop()
-	}
-}
-
-func (r *Router) probeLoop() {
-	defer r.probeWG.Done()
-	t := time.NewTicker(r.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.probeStop:
-			return
-		case <-r.baseCtx.Done():
-			return
-		case <-t.C:
-			r.ProbeNow()
-		}
+		r.stopProber = service.Every(r.baseCtx, r.cfg.ProbeInterval, func(time.Time) { r.ProbeNow() })
 	}
 }
 
@@ -218,11 +181,6 @@ func askShards[T any](r *Router, names []string, liveOnly bool,
 	}
 }
 
-func (r *Router) stopProber() {
-	r.probeOnce.Do(func() { close(r.probeStop) })
-	r.probeWG.Wait()
-}
-
 // Shutdown drains the router: new submissions get 503, in-flight
 // drives get until ctx's deadline to finish, then the base context is
 // cancelled and they abort. Safe to call more than once.
@@ -230,99 +188,15 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	r.st.mu.Lock()
 	r.st.draining = true
 	r.st.mu.Unlock()
-	r.stopProber()
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		r.baseCancel()
-		<-done
+	if r.stopProber != nil {
+		r.stopProber()
 	}
-	r.baseCancel()
+	err := service.Drain(ctx, r.wg.Wait, r.baseCancel)
 	// Every drive has returned its connection; nothing will reuse them.
 	if c, ok := r.client.(*http.Client); ok {
 		c.CloseIdleConnections()
 	}
 	return err
-}
-
-// Submit routes one normalized, validated spec: cluster-level
-// singleflight per key, bounded in-flight drives. It returns the job
-// id plus an HTTP-shaped (status string, code) mirroring vcprofd's
-// submit semantics, so gate clients are daemon clients.
-func (r *Router) Submit(spec *service.JobSpec) (id, state string, code int, err error) {
-	key := spec.Key()
-	payload, merr := json.Marshal(spec)
-	if merr != nil {
-		return key, "", http.StatusBadRequest, merr
-	}
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	if r.st.draining {
-		r.n.refused.Add(1)
-		return key, "", http.StatusServiceUnavailable, errors.New("gate is draining")
-	}
-	if _, ok := r.st.results.Get(key); ok {
-		return key, service.StateDone, http.StatusOK, nil
-	}
-	if d, ok := r.st.drives[key]; ok {
-		return key, d.state, http.StatusAccepted, nil
-	}
-	if r.st.inflight >= r.cfg.MaxInflight {
-		r.n.rejected.Add(1)
-		return key, "", http.StatusTooManyRequests,
-			fmt.Errorf("gate saturated (%d drives in flight)", r.st.inflight)
-	}
-	// A failed drive is replaced by a fresh attempt (mirrors vcprofd's
-	// job table).
-	r.st.failed.Remove(key)
-	d := &drive{key: key, trace: obs.JobTraceID(key), payload: payload,
-		state: service.StateQueued, done: make(chan struct{})}
-	r.st.drives[key] = d
-	r.st.inflight++
-	r.wg.Add(1)
-	go r.runDrive(d)
-	return key, service.StateQueued, http.StatusAccepted, nil
-}
-
-// Status reports a routed job's lifecycle state.
-func (r *Router) Status(id string) (state, errMsg string, cached, ok bool) {
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	if d, ok := r.st.drives[id]; ok {
-		return d.state, "", false, true
-	}
-	if errMsg, ok := r.st.failed.Peek(id); ok {
-		return service.StateFailed, errMsg, false, true
-	}
-	if _, ok := r.st.results.Get(id); ok {
-		return service.StateDone, "", true, true
-	}
-	return "", "", false, false
-}
-
-// driveDone returns the channel closed when id's queued or running
-// drive turns terminal, nil when there is none to wait for.
-func (r *Router) driveDone(id string) <-chan struct{} {
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	if d, ok := r.st.drives[id]; ok {
-		return d.done
-	}
-	return nil
-}
-
-// CachedResult returns a completed job's bytes from the gate cache.
-func (r *Router) CachedResult(id string) ([]byte, bool) {
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	return r.st.results.Get(id)
 }
 
 // FetchThrough serves a result the gate no longer holds by proxying
@@ -342,36 +216,49 @@ func (r *Router) FetchThrough(ctx context.Context, id string) (body []byte, ok b
 	return body, ok
 }
 
-// runDrive owns one key's routed lifecycle end to end.
-func (r *Router) runDrive(d *drive) {
-	defer r.wg.Done()
-	ctx, cancel := context.WithTimeout(r.baseCtx, r.cfg.DriveTimeout)
-	defer cancel()
-	out, err := r.race(ctx, d)
-
+// Run starts the drive of a job the API has just admitted, unless the
+// gate is draining or MaxInflight drives are running already (the
+// table's count includes j).
+func (r *Router) Run(j *service.Job) error {
 	r.st.mu.Lock()
-	r.st.inflight--
-	delete(r.st.drives, d.key)
-	close(d.done)
+	defer r.st.mu.Unlock()
+	if r.st.draining {
+		return service.ErrClosed
+	}
+	if n := r.api.Inflight() - 1; n >= r.cfg.MaxInflight {
+		r.n.rejected.Add(1)
+		return fmt.Errorf("gate %w (%d drives in flight)", service.ErrSaturated, n)
+	}
+	r.wg.Add(1)
+	go r.runDrive(j)
+	return nil
+}
+
+// Joined counts nothing: the gate keeps no dedup counter.
+func (r *Router) Joined() {}
+
+// runDrive owns one job's routed lifecycle end to end.
+func (r *Router) runDrive(j *service.Job) {
+	defer r.wg.Done()
+	ctx, cancel := context.WithTimeout(r.baseCtx, driveTimeout)
+	defer cancel()
+	if !j.Start(cancel) {
+		return // every submitter withdrew before the drive began
+	}
+	out, err := r.race(ctx, j)
 	if err != nil {
 		r.n.drivesFailed.Add(1)
-		// The error stays readable until the key is resubmitted or
-		// maxFailedDrives newer failures displace it.
-		r.st.failed.Put(d.key, err.Error(), 1)
-		r.st.mu.Unlock()
+		j.Finish(err.Error())
 		return
 	}
-	r.st.results.Put(d.key, out.body, 1) // the result cache answers later requests
-	r.st.warm.Put(d.key, out.shard, 1)
-	r.st.mu.Unlock()
-
+	key, trace := j.Key(), j.Trace()
 	r.n.routes.Add(1)
 	if out.warm {
 		r.n.warmHits.Add(1)
 	}
 	if out.hedge {
 		r.n.hedgesWon.Add(1)
-		r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopHedgeWinner,
+		r.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopHedgeWinner,
 			Arg: out.shard, StartMS: time.Now().UnixMilli()})
 	}
 	// Where the job landed is a routing fact — volatile. What the job
@@ -380,14 +267,21 @@ func (r *Router) runDrive(d *drive) {
 	// deterministic view survives even when the serving shard is killed
 	// before its slice can be collected. A surviving shard's own hops
 	// carry identical tuples and dedup to one.
-	r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopRoute,
+	r.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopRoute,
 		Arg: out.shard, StartMS: time.Now().UnixMilli()})
-	r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopAdmitted})
-	r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopExec,
-		Arg: obs.ShortKey(d.key), Dur: uint64(len(out.body))})
+	r.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopAdmitted})
+	r.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopExec,
+		Arg: obs.ShortKey(key), Dur: uint64(len(out.body))})
 	r.reg.observeWin(out.shard, out.warm)
+	// The result cache answers later requests. It holds the bytes, and
+	// the counters and hops above are in, before Finish wakes the waiters.
+	r.st.mu.Lock()
+	r.st.results.Put(key, out.body, 1)
+	r.st.warm.Put(key, out.shard, 1)
+	r.st.mu.Unlock()
+	j.Finish("")
 	if r.cfg.Replicas > 1 {
-		r.replicate(d.key, d.trace, out.shard, out.body)
+		r.replicate(key, trace, out.shard, out.body)
 	}
 }
 
@@ -407,10 +301,14 @@ type attemptOut struct {
 // loser's standing request, the loser's Drive tells its shard to abandon
 // the job on its way out, and the WaitGroup join guarantees no attempt
 // goroutine outlives the race.
-func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
+func (r *Router) race(ctx context.Context, j *service.Job) (attemptOut, error) {
+	payload, err := json.Marshal(j.Spec())
+	if err != nil {
+		return attemptOut{}, err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	maxLaunches := r.cfg.MaxAttempts + 1 // failover chain plus one hedge slot
+	maxLaunches := len(r.cfg.Shards) + 1 // failover chain plus one hedge slot
 	results := make(chan attemptOut, maxLaunches)
 	tried := make(map[string]bool, maxLaunches)
 	var wg sync.WaitGroup
@@ -418,7 +316,7 @@ func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 
 	active, launched := 0, 0
 	launch := func(hedge bool) (string, bool) {
-		name, ok := r.nextCandidate(d.key, tried)
+		name, ok := r.nextCandidate(j.Key(), tried)
 		if !ok {
 			return "", false
 		}
@@ -427,20 +325,20 @@ func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 		active++
 		if hedge {
 			r.n.hedgesLaunched.Add(1)
-			r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopHedgeFired,
+			r.hops.Emit(obs.HopEvent{Trace: j.Trace(), Kind: obs.HopHedgeFired,
 				Arg: name, StartMS: time.Now().UnixMilli()})
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results <- r.attempt(ctx, name, d, hedge)
+			results <- r.attempt(ctx, name, j.Key(), j.Trace(), payload, hedge)
 		}()
 		return name, true
 	}
 
 	primary, ok := launch(false)
 	if !ok {
-		return attemptOut{}, errors.New("no live shard for key " + d.key)
+		return attemptOut{}, errors.New("no live shard for key " + j.Key())
 	}
 	hedgeTimer := time.NewTimer(r.hedgeDelay(primary))
 	defer hedgeTimer.Stop()
@@ -472,7 +370,7 @@ func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 					lost := <-results
 					active--
 					if lost.err != nil {
-						r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopHedgeLoser,
+						r.hops.Emit(obs.HopEvent{Trace: j.Trace(), Kind: obs.HopHedgeLoser,
 							Arg: lost.shard, StartMS: time.Now().UnixMilli()})
 					}
 				}
@@ -489,7 +387,7 @@ func (r *Router) race(ctx context.Context, d *drive) (attemptOut, error) {
 				backoff *= 2
 				if name, ok := launch(false); ok {
 					r.n.failovers.Add(1)
-					r.hops.Emit(obs.HopEvent{Trace: d.trace, Kind: obs.HopFailover,
+					r.hops.Emit(obs.HopEvent{Trace: j.Trace(), Kind: obs.HopFailover,
 						Arg: name, StartMS: time.Now().UnixMilli()})
 				}
 			}
@@ -552,18 +450,12 @@ func (r *Router) hedgeDelay(shard string) time.Duration {
 	if snap.Count < uint64(r.cfg.HedgeAfter) {
 		return r.cfg.HedgeMax
 	}
-	d := time.Duration(snap.Quantile(r.cfg.HedgeQuantile)) * time.Millisecond
-	if d < r.cfg.HedgeMin {
-		d = r.cfg.HedgeMin
-	}
-	if d > r.cfg.HedgeMax {
-		d = r.cfg.HedgeMax
-	}
-	return d
+	d := time.Duration(snap.Quantile(hedgeQuantile)) * time.Millisecond
+	return min(max(d, r.cfg.HedgeMin), r.cfg.HedgeMax)
 }
 
 // attempt runs one shard attempt and observes its served latency.
-func (r *Router) attempt(ctx context.Context, name string, d *drive, hedge bool) attemptOut {
+func (r *Router) attempt(ctx context.Context, name, key, trace string, payload []byte, hedge bool) attemptOut {
 	sh, _, ok := r.reg.lookup(name)
 	if !ok {
 		return attemptOut{shard: name, hedge: hedge, err: fmt.Errorf("unknown shard %q", name)}
@@ -573,10 +465,7 @@ func (r *Router) attempt(ctx context.Context, name string, d *drive, hedge bool)
 	// the race fails over to another shard. A warm route is a submit
 	// answered from the shard's store — the signal the cluster smoke
 	// asserts on.
-	body, ds, err := r.shardClient(sh).Drive(ctx, d.key, d.payload, service.DriveOpts{
-		Trace:    d.trace,
-		Accepted: func() { r.setRunning(d) },
-	})
+	body, ds, err := r.shardClient(sh).Drive(ctx, key, payload, service.DriveOpts{Trace: trace})
 	r.n.retries429.Add(uint64(ds.Retries429))
 	if err != nil {
 		return attemptOut{shard: name, hedge: hedge, err: fmt.Errorf("shard %s: %w", name, err)}
@@ -584,14 +473,6 @@ func (r *Router) attempt(ctx context.Context, name string, d *drive, hedge bool)
 	shardHist(name).Observe(uint64(time.Since(t0).Milliseconds()))
 	r.reg.observeSuccess(name)
 	return attemptOut{shard: name, body: body, warm: ds.Cached, hedge: hedge}
-}
-
-func (r *Router) setRunning(d *drive) {
-	r.st.mu.Lock()
-	defer r.st.mu.Unlock()
-	if d.state == service.StateQueued {
-		d.state = service.StateRunning
-	}
 }
 
 // replicate pushes completed bytes to the key's other live owners so a

@@ -52,44 +52,25 @@ func newGateSessionTable() *gateSessionTable {
 	return &gateSessionTable{m: make(map[string]*gateSession)}
 }
 
-func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
-	r.st.mu.Lock()
-	draining := r.st.draining
-	r.st.mu.Unlock()
-	if draining {
-		service.WriteError(w, http.StatusServiceUnavailable, "gate is draining")
-		return
-	}
-	var body service.SessionCreateReq
-	if err := service.DecodeJSON(w, req, &body); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad session spec: %v", err)
-		return
-	}
-	if body.Resume != nil {
-		service.WriteError(w, http.StatusBadRequest, "resume tokens are gate-internal; create a fresh session")
-		return
-	}
-	key, err := body.Spec.Key()
-	if err != nil {
-		service.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
+// CreateSession opens a routed session on the best live shard. Resume
+// tokens stay gate-internal: a client resumes nothing here, the gate
+// re-anchors for it.
+func (r *Router) CreateSession(ctx context.Context, req service.SessionCreateReq, key, trace string) (service.SessionCreateResp, error) {
+	if req.Resume != nil {
+		return service.SessionCreateResp{}, service.Errorf(http.StatusBadRequest, "resume tokens are gate-internal; create a fresh session")
 	}
 	r.sessions.mu.Lock()
 	r.sessions.seq++
-	gs := &gateSession{id: fmt.Sprintf("%.16s-g%04x", key, r.sessions.seq),
-		trace: service.TraceIDFromRequest(req, obs.SessionTraceID(key)), spec: body.Spec}
+	gs := &gateSession{id: fmt.Sprintf("%.16s-g%04x", key, r.sessions.seq), trace: trace, spec: req.Spec}
 	r.sessions.m[gs.id] = gs
 	r.sessions.mu.Unlock()
 
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	created, err := r.anchorSessionLocked(req.Context(), gs, nil)
+	created, err := r.anchorSessionLocked(ctx, gs, nil)
 	if err != nil {
-		r.sessions.mu.Lock()
-		delete(r.sessions.m, gs.id)
-		r.sessions.mu.Unlock()
-		service.WriteError(w, http.StatusBadGateway, "%v", err)
-		return
+		r.dropSession(gs.id)
+		return service.SessionCreateResp{}, service.Errorf(http.StatusBadGateway, "%v", err)
 	}
 	r.sessions.opened.Add(1)
 	// Mirror the deterministic open hop from the spec key (the shard
@@ -98,9 +79,26 @@ func (r *Router) handleSessionCreate(w http.ResponseWriter, req *http.Request) {
 	r.hops.Emit(obs.HopEvent{Trace: gs.trace, Kind: obs.HopSessionOpen, Arg: obs.ShortKey(key)})
 	r.hops.Emit(obs.HopEvent{Trace: gs.trace, Kind: obs.HopRoute,
 		Arg: gs.shard, StartMS: time.Now().UnixMilli()})
-	service.WriteJSON(w, http.StatusCreated, service.SessionCreateResp{
+	return service.SessionCreateResp{
 		ID: gs.id, Key: key, Spec: created.Spec, Shard: gs.shard, Trace: gs.trace,
-	})
+	}, nil
+}
+
+// session looks a routed session up; dropSession forgets it and returns
+// what it held.
+func (r *Router) session(id string) (*gateSession, bool) {
+	r.sessions.mu.Lock()
+	defer r.sessions.mu.Unlock()
+	gs, ok := r.sessions.m[id]
+	return gs, ok
+}
+
+func (r *Router) dropSession(id string) (*gateSession, bool) {
+	r.sessions.mu.Lock()
+	defer r.sessions.mu.Unlock()
+	gs, ok := r.sessions.m[id]
+	delete(r.sessions.m, id)
+	return gs, ok
 }
 
 // anchorSessionLocked creates (or, with a token, re-creates) gs on the best
@@ -137,33 +135,28 @@ func (r *Router) anchorSessionLocked(ctx context.Context, gs *gateSession, tok *
 	}
 }
 
-func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	r.sessions.mu.Lock()
-	gs, ok := r.sessions.m[id]
-	r.sessions.mu.Unlock()
+// FeedSession forwards a feed to the pinned shard, re-anchoring the
+// session on the next candidate when that shard has died.
+func (r *Router) FeedSession(ctx context.Context, id string, req service.SessionFeedReq) (service.SessionFeedResp, error) {
+	gs, ok := r.session(id)
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, "unknown session %q", id)
-		return
+		return service.SessionFeedResp{}, service.Errorf(http.StatusNotFound, "unknown session %q", id)
 	}
-	var body service.SessionFeedReq
-	if err := service.DecodeJSON(w, req, &body); err != nil {
-		service.WriteError(w, http.StatusBadRequest, "bad feed request: %v", err)
-		return
-	}
-
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if body.Fed > gs.fed {
-		gs.fed = body.Fed
+	if gs.done { // ended, or deleted, while this feed waited for it
+		return service.SessionFeedResp{}, service.Errorf(http.StatusNotFound, "unknown session %q", id)
+	}
+	if req.Fed > gs.fed {
+		gs.fed = req.Fed
 	}
 	feedOnce := func() (service.SessionFeedResp, error) {
 		sh, alive, ok := r.reg.lookup(gs.shard)
 		if !ok || !alive {
 			return service.SessionFeedResp{}, fmt.Errorf("shard %s down", gs.shard)
 		}
-		return r.shardClient(sh).FeedSession(req.Context(), gs.remoteID,
-			service.SessionFeedReq{Fed: gs.fed, EOS: body.EOS}, gs.trace)
+		return r.shardClient(sh).FeedSession(ctx, gs.remoteID,
+			service.SessionFeedReq{Fed: gs.fed, EOS: req.EOS}, gs.trace)
 	}
 
 	resp, err := feedOnce()
@@ -174,9 +167,8 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 		r.reg.observeFailure(gs.shard, r.cfg.ProbeFails)
 		r.sessions.failovers.Add(1)
 		tok := gs.resume
-		if _, aerr := r.anchorSessionLocked(req.Context(), gs, &tok); aerr != nil {
-			service.WriteError(w, http.StatusBadGateway, "session failover: %v (after %v)", aerr, err)
-			return
+		if _, aerr := r.anchorSessionLocked(ctx, gs, &tok); aerr != nil {
+			return service.SessionFeedResp{}, service.Errorf(http.StatusBadGateway, "session failover: %v (after %v)", aerr, err)
 		}
 		// The re-anchor hop names the new shard and carries the token's
 		// GOP index — where in the stream the encode picked back up.
@@ -184,8 +176,7 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 			Seq: uint64(tok.GOP), Arg: gs.shard, StartMS: time.Now().UnixMilli()})
 		resp, err = feedOnce()
 		if err != nil {
-			service.WriteError(w, http.StatusBadGateway, "session feed after failover: %v", err)
-			return
+			return service.SessionFeedResp{}, service.Errorf(http.StatusBadGateway, "session feed after failover: %v", err)
 		}
 	}
 
@@ -209,35 +200,45 @@ func (r *Router) handleSessionFeed(w http.ResponseWriter, req *http.Request) {
 	gs.resume = resp.Resume
 	gs.done = resp.Stats.Done
 	if gs.done {
-		r.sessions.mu.Lock()
-		delete(r.sessions.m, id)
-		r.sessions.mu.Unlock()
+		r.dropSession(id)
 	}
 	resp.ID = id
-	service.WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (r *Router) handleSessionStats(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	r.sessions.mu.Lock()
-	gs, ok := r.sessions.m[id]
-	r.sessions.mu.Unlock()
+// SessionStats answers the pinned shard's stats document.
+func (r *Router) SessionStats(ctx context.Context, id string) (service.SessionStatsResp, error) {
+	gs, ok := r.session(id)
 	if !ok {
-		service.WriteError(w, http.StatusNotFound, "unknown session %q", id)
-		return
+		return service.SessionStatsResp{}, service.Errorf(http.StatusNotFound, "unknown session %q", id)
 	}
 	gs.mu.Lock()
 	shard, remoteID := gs.shard, gs.remoteID
 	gs.mu.Unlock()
 	sh, _, ok := r.reg.lookup(shard)
 	if !ok {
-		service.WriteError(w, http.StatusBadGateway, "shard %s unknown", shard)
-		return
+		return service.SessionStatsResp{}, service.Errorf(http.StatusBadGateway, "shard %s unknown", shard)
 	}
-	stats, err := r.shardClient(sh).SessionStats(req.Context(), remoteID)
+	stats, err := r.shardClient(sh).SessionStats(ctx, remoteID)
 	if err != nil {
-		service.WriteError(w, http.StatusBadGateway, "%v", err)
-		return
+		return service.SessionStatsResp{}, service.Errorf(http.StatusBadGateway, "%v", err)
 	}
-	service.WriteJSON(w, http.StatusOK, stats)
+	return stats, nil
+}
+
+// DeleteSession forgets a routed session and forwards the DELETE to its
+// pinned shard, freeing the slot it holds there. The forward is best
+// effort: a shard that is gone has freed the slot with everything else.
+func (r *Router) DeleteSession(ctx context.Context, id string) error {
+	gs, ok := r.dropSession(id)
+	if !ok {
+		return service.Errorf(http.StatusNotFound, "unknown session %q", id)
+	}
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	gs.done = true
+	if sh, _, ok := r.reg.lookup(gs.shard); ok {
+		r.shardClient(sh).DeleteSession(ctx, gs.remoteID)
+	}
+	return nil
 }

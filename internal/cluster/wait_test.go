@@ -183,20 +183,21 @@ func wakeBudget() time.Duration {
 	return 10 * time.Millisecond
 }
 
-// gateSubmit submits through the router and returns the key and a
-// channel stamped when the drive leaves the table.
+// gateSubmit submits through the gate's handler and returns the key and
+// a channel stamped when the drive is over: an in-process waiting GET
+// answers then with the drive's terminal state.
 func gateSubmit(t *testing.T, rt *Router, spec *service.JobSpec) (string, <-chan time.Time) {
 	t.Helper()
-	key, _, code, err := rt.Submit(spec)
-	if err != nil || code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d: %v", code, err)
+	h := rt.Handler()
+	if st, code := submit(t, h, spec); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d %+v", code, st)
 	}
-	done := rt.driveDone(key)
-	if done == nil {
-		t.Fatalf("drive %s finished with its shard holding it", key[:8])
-	}
+	key := spec.Key()
 	ended := make(chan time.Time, 1)
-	go func() { <-done; ended <- time.Now() }()
+	go func() {
+		call(h, http.MethodGet, "/v1/jobs/"+key+"?wait=60s", nil)
+		ended <- time.Now()
+	}()
 	return key, ended
 }
 
@@ -209,8 +210,12 @@ func TestGateWaitWakesAtTheTerminalTransition(t *testing.T) {
 		collect := parked(t,
 			hts.URL+"/v1/jobs/"+key+"?wait=30s", hts.URL+"/v1/jobs/"+key+"?wait=30s",
 			hts.URL+"/v1/results/"+key+"?wait=30s", hts.URL+"/v1/results/"+key+"?wait=30s")
+		// The drive ends one loopback answer after the shard lets its
+		// fetch go; the waiters are judged against that moment.
+		end := time.Now()
 		shard.letGo()
-		got, end := collect(), <-ended
+		got := collect()
+		<-ended
 
 		wantStatus := `200 {"id":"` + key + `","status":"done","cached":true}`
 		wantResult := `200 {"bytes-of":"` + key[:8] + `"}`
@@ -227,7 +232,7 @@ func TestGateWaitWakesAtTheTerminalTransition(t *testing.T) {
 				t.Errorf("fail=%v waiter %d: got %v, want HTTP %s", fail, i, a, want)
 			}
 			if late := a.at.Sub(end); late > wakeBudget() {
-				t.Errorf("fail=%v waiter %d answered %v after the drive ended, want within %v", fail, i, late, wakeBudget())
+				t.Errorf("fail=%v waiter %d answered %v after the shard let the drive end, want within %v", fail, i, late, wakeBudget())
 			}
 		}
 
@@ -366,33 +371,29 @@ func TestWarmHintsAreBounded(t *testing.T) {
 }
 
 // TestFailedDrivesAreBounded: failed drives of distinct keys used to
-// stay in the drive table until resubmitted, i.e. for good.
+// stay in the drive table until resubmitted, i.e. for good; the job
+// table keeps only the latest failures, so the oldest answers 404.
 func TestFailedDrivesAreBounded(t *testing.T) {
 	shard := &heldShard{refuse: true}
 	rt, _ := newTestRouter(t, &shardSet{shards: shard.serve(t)}, func(c *Config) {
 		c.RetryBackoff = time.Nanosecond // no second shard to back off towards
 	})
+	h := rt.Handler()
 	specs := distinctSpecs(10000)
 	for _, s := range specs {
-		key, _, code, err := rt.Submit(s)
-		if err != nil {
-			t.Fatalf("submit: HTTP %d: %v", code, err)
+		if st, code := submit(t, h, s); code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d %+v", code, st)
 		}
-		if done := rt.driveDone(key); done != nil {
-			<-done
-		}
+		call(h, http.MethodGet, "/v1/jobs/"+s.Key()+"?wait=60s", nil)
 	}
-	rt.st.mu.Lock()
-	tracked := len(rt.st.drives) + rt.st.failed.Len()
-	rt.st.mu.Unlock()
-	if tracked > maxFailedDrives {
-		t.Fatalf("%d drives tracked after %d failures, want at most %d", tracked, len(specs), maxFailedDrives)
+	if n := rt.api.Inflight(); n != 0 {
+		t.Fatalf("%d drives still tracked after every one failed", n)
 	}
-	if _, _, _, ok := rt.Status(specs[0].Key()); ok {
-		t.Error("the oldest failed drive is still tracked")
+	if code, body := call(h, http.MethodGet, "/v1/jobs/"+specs[0].Key(), nil); code != http.StatusNotFound {
+		t.Errorf("the oldest failed drive is still tracked: HTTP %d %s", code, body)
 	}
-	if state, errMsg, _, ok := rt.Status(specs[len(specs)-1].Key()); !ok || state != service.StateFailed || errMsg == "" {
-		t.Errorf("the newest failed drive reads %q %q %v", state, errMsg, ok)
+	if code, body := call(h, http.MethodGet, "/v1/jobs/"+specs[len(specs)-1].Key(), nil); code != http.StatusOK || !strings.Contains(string(body), `"failed","error":"all`) {
+		t.Errorf("the newest failed drive reads HTTP %d %s", code, body)
 	}
 }
 

@@ -33,8 +33,8 @@ import (
 //     reads a clock) and appear only in the full merged view, which is
 //     never byte-compared.
 
-// TraceHeader is the HTTP header carrying the trace id between vcgate
-// and vcprofd.
+// TraceHeader is the HTTP header carrying the trace id between a gate
+// and its vcprofd shards.
 const TraceHeader = "X-Vcprof-Trace"
 
 // Deterministic hop kinds, in lane (tid) order.

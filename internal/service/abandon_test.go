@@ -193,7 +193,7 @@ func TestDriveAbandonsItsJobWhenCancelled(t *testing.T) {
 // the race detector and the double-close panic.
 func TestInterestInterleavings(t *testing.T) {
 	type model struct {
-		j         *job
+		j         *Job
 		interest  int
 		running   bool
 		cancelled bool // model: the running job has been aborted
@@ -228,7 +228,7 @@ func TestInterestInterleavings(t *testing.T) {
 					if m != nil {
 						// The dying job finishes after its replacement was
 						// admitted, and must leave the replacement's record be.
-						tab.finish(m.j, context.Canceled.Error())
+						m.j.Finish(context.Canceled.Error())
 						if now, _, ok := tab.status(key); !ok || now != state {
 							t.Fatalf("seed %d step %d: a dying job's end disturbed its replacement (%q %v)", seed, step, now, ok)
 						}
@@ -248,7 +248,7 @@ func TestInterestInterleavings(t *testing.T) {
 					}
 				}
 			case op == 2 && m != nil && !m.running: // a worker pops it
-				started := tab.start(m.j, func() { m.aborts++ })
+				started := m.j.Start(func() { m.aborts++ })
 				if started != (m.interest > 0) {
 					t.Fatalf("seed %d step %d: start = %v at interest %d", seed, step, started, m.interest)
 				}
@@ -256,7 +256,7 @@ func TestInterestInterleavings(t *testing.T) {
 					delete(live, key)
 				}
 			case op == 3 && m != nil && m.running: // it finishes, either way
-				tab.finish(m.j, []string{"", "boom"}[next(2)])
+				m.j.Finish([]string{"", "boom"}[next(2)])
 				delete(live, key)
 			}
 			for key, m := range live {
@@ -289,9 +289,9 @@ func TestInterestInterleavings(t *testing.T) {
 					tab.release(s.Key())
 				}
 				if !joined { // this goroutine is the job's worker
-					if tab.start(j, func() {}) {
+					if j.Start(func() {}) {
 						tab.status(s.Key())
-						tab.finish(j, [2]string{"", "boom"}[i%2])
+						j.Finish([2]string{"", "boom"}[i%2])
 					}
 					<-j.done
 				}
@@ -321,8 +321,8 @@ func TestFailedJobsAreBounded(t *testing.T) {
 		if joined {
 			t.Fatalf("spec %d is not distinct", i)
 		}
-		tab.start(j, func() {})
-		tab.finish(j, "context deadline exceeded")
+		j.Start(func() {})
+		j.Finish("context deadline exceeded")
 	}
 	tab.mu.Lock()
 	tracked := len(tab.m) + tab.failed.Len()

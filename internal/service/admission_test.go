@@ -29,13 +29,13 @@ func lightSpec(crf int) JobSpec {
 	}
 }
 
-func mustJob(t *testing.T, s JobSpec) *job {
+func mustJob(t *testing.T, s JobSpec) *Job {
 	t.Helper()
 	s.Normalize()
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return newJob(s, "")
+	return newJob(s, s.Key(), "")
 }
 
 // TestSJFPopsLightJobsFirst pins the admission policy:
@@ -49,14 +49,14 @@ func TestSJFPopsLightJobsFirst(t *testing.T) {
 	light := mustJob(t, lightSpec(30))
 	batchLight := mustJob(t, lightSpec(31))
 	batchLight.spec.Priority = PriorityBatch
-	for _, j := range []*job{heavy1, heavy2, batchLight, light} {
+	for _, j := range []*Job{heavy1, heavy2, batchLight, light} {
 		if err := q.push(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := []*job{light, heavy1, heavy2, batchLight}
+	want := []*Job{light, heavy1, heavy2, batchLight}
 	if heavy1.cost < heavy2.cost == false {
-		want = []*job{light, heavy2, heavy1, batchLight}
+		want = []*Job{light, heavy2, heavy1, batchLight}
 	}
 	for i, w := range want {
 		j, ok := q.pop()

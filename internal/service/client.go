@@ -20,12 +20,12 @@ type Doer interface {
 	Do(req *http.Request) (*http.Response, error)
 }
 
-// Client speaks the shard wire protocol to one vcprofd — or to a vcgate,
-// which serves the same protocol. It is the only HTTP client in the
-// tree: the router, vcload, vclive and vcperf all go through it, so a
-// status code, a size limit or a header is decided here once. A nil HTTP
-// means http.DefaultClient. Every body read is bounded by
-// MaxResultBytes.
+// Client speaks the shard wire protocol to one vcprofd — a daemon or a
+// gate (vcprofd -shards), which serve the same protocol. It is the only
+// HTTP client in the tree: the router, vcload, vclive and vcperf all go
+// through it, so a status code, a size limit or a header is decided
+// here once. A nil HTTP means http.DefaultClient. Every body read is
+// bounded by MaxResultBytes.
 type Client struct {
 	Base string // e.g. http://127.0.0.1:8791
 	HTTP Doer
@@ -148,16 +148,8 @@ func (c Client) Result(ctx context.Context, id string) ([]byte, error) {
 
 // PutResult pushes result bytes to a shard as a replica write.
 func (c Client) PutResult(ctx context.Context, id string, body []byte) error {
-	resp, err := c.do(ctx, http.MethodPut, c.Base+"/v1/results/"+id, body, "")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<14))
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replica put: HTTP %d", resp.StatusCode)
-	}
-	return nil
+	_, err := c.read(ctx, http.MethodPut, c.Base+"/v1/results/"+id, body, "", http.StatusNoContent)
+	return err
 }
 
 // HasResult is the ownership-hint probe (HEAD /v1/results/{id}).
@@ -224,6 +216,12 @@ func (c Client) SessionStats(ctx context.Context, id string) (SessionStatsResp, 
 	return call[SessionStatsResp](ctx, c, http.MethodGet, c.Base+"/v1/sessions/"+id+"/stats", nil, "", http.StatusOK)
 }
 
+// DeleteSession closes a session, freeing its slot.
+func (c Client) DeleteSession(ctx context.Context, id string) error {
+	_, err := c.read(ctx, http.MethodDelete, c.Base+"/v1/sessions/"+id, nil, "", http.StatusNoContent)
+	return err
+}
+
 // DriveOpts are the two points where Drive's callers differ.
 type DriveOpts struct {
 	// Trace is the hop-trace id propagated on the submit ("" sends none).
@@ -232,9 +230,6 @@ type DriveOpts struct {
 	// transport: vcload rides out a gate failing over or a listener
 	// mid-restart; the router passes 0 and fails over to another shard.
 	Reconnects int
-	// Accepted, when set, runs once the submit is accepted — the router
-	// flips its drive from queued to running here.
-	Accepted func()
 }
 
 // DriveStats is one drive's attempt accounting. Served measures the
@@ -265,9 +260,6 @@ func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOp
 	// The served clock starts here: the job is accepted (or cached);
 	// everything before this point was admission, not service.
 	accepted := time.Now()
-	if o.Accepted != nil {
-		o.Accepted()
-	}
 	body, err := c.awaitResult(ctx, key)
 	if err != nil {
 		if ctx.Err() != nil && !ds.Cached {
@@ -350,15 +342,13 @@ func (c Client) awaitResult(ctx context.Context, key string) ([]byte, error) {
 }
 
 // abandon gives back the interest an accepted submit holds (DELETE
-// /v1/jobs/{id}). Best effort, on a short context of its own because
-// the caller's has ended: a server that is gone, or one without the
-// endpoint (a gate), is not an error.
+// /v1/jobs/{id}, which a daemon and a gate both serve). Best effort, on a
+// short context of its own because the caller's has ended: a server that
+// is gone is not an error.
 func (c Client) abandon(ctx context.Context, key string) {
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
 	defer cancel()
-	if resp, err := c.do(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+key, nil, ""); err == nil {
-		resp.Body.Close()
-	}
+	c.read(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+key, nil, "", http.StatusNoContent)
 }
 
 // SleepCtx sleeps for d, or returns ctx's error as soon as ctx ends.

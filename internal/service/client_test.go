@@ -121,8 +121,7 @@ func TestDriveSplitsRetriesFromServedLatency(t *testing.T) {
 	const serveDelay = 30 * time.Millisecond
 	c := (&fakeShard{submitID: key, reject429: rejects, serveDelay: serveDelay}).serve(t)
 
-	accepted := 0
-	body, ds, err := c.Drive(context.Background(), key, payload, DriveOpts{Accepted: func() { accepted++ }})
+	body, ds, err := c.Drive(context.Background(), key, payload, DriveOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +130,6 @@ func TestDriveSplitsRetriesFromServedLatency(t *testing.T) {
 	}
 	if ds.Retries429 != rejects || ds.Reconnects != 0 {
 		t.Fatalf("retries_429=%d reconnects=%d, want %d and 0", ds.Retries429, ds.Reconnects, rejects)
-	}
-	if accepted != 1 {
-		t.Fatalf("Accepted ran %d times, want once", accepted)
 	}
 	// The served clock must exclude the ~75ms of 429 backoff: it has
 	// to cover the serve delay but stay well under delay + backoffs.

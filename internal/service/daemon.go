@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// RunDaemon is the serving tail vcprofd and vcgate share: listen on
-// addr, print "listening on <host:port>" once the socket is bound
-// (scripts parse this to discover a random port), serve h until
-// SIGINT/SIGTERM, then drain. shutdown gets the drain budget to finish
+// RunDaemon is vcprofd's serving tail, over the local engine or a gate's
+// router alike: listen on addr, print "listening on <host:port>" once
+// the socket is bound (scripts parse this to discover a random port),
+// serve h until SIGINT/SIGTERM, then drain. shutdown gets the drain budget to finish
 // in-flight work while the HTTP surface stays up — clients see 503 on
 // submit and can still poll and fetch what completes during the drain —
 // and only then does the listener close. name prefixes the one
@@ -54,4 +54,49 @@ func RunDaemon(name, addr string, h http.Handler, drain time.Duration, shutdown 
 	}
 	fmt.Fprintln(os.Stderr, "bye")
 	return nil
+}
+
+// Every calls f with the tick's time every interval, on a goroutine of
+// its own, until ctx ends or stop is called; stop waits for that
+// goroutine to exit and may be called more than once.
+func Every(ctx context.Context, interval time.Duration, f func(time.Time)) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case now := <-t.C:
+				f(now)
+			}
+		}
+	}()
+	return func() { cancel(); <-done }
+}
+
+// Drain is a backend's shutdown barrier: it waits for wait to return,
+// and if ctx ends first it aborts (cancels the base context every job
+// runs under) and still waits, so nothing wait covers outlives it. abort
+// runs once more either way. The error is ctx's when its deadline forced
+// the abort.
+func Drain(ctx context.Context, wait func(), abort context.CancelFunc) error {
+	done := make(chan struct{})
+	go func() {
+		wait()
+		close(done)
+	}()
+	var err error
+	select {
+	case <-done:
+	case <-ctx.Done():
+		err = ctx.Err()
+		abort()
+		<-done
+	}
+	abort()
+	return err
 }

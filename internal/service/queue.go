@@ -23,7 +23,7 @@ var (
 // function of the admitted set. Arrival order breaks all remaining
 // ties, so equal work is served in submission order no matter how
 // workers race.
-type jobHeap []*job
+type jobHeap []*Job
 
 func (h jobHeap) Len() int { return len(h) }
 func (h jobHeap) Less(i, j int) bool {
@@ -36,7 +36,7 @@ func (h jobHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*job)) }
+func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Job)) }
 func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -68,9 +68,12 @@ func newQueue(limit int) *queue {
 	return q
 }
 
-// push enqueues a job, assigning its arrival sequence. It never blocks:
-// a full queue is an admission-control decision, not a wait.
-func (q *queue) push(j *job) error {
+// push enqueues a job, assigning its cost estimate and arrival
+// sequence. It never blocks: a full queue is an admission-control
+// decision, not a wait.
+func (q *queue) push(j *Job) error {
+	j.cost = j.spec.EstimatedCost()
+	j.class = classOf(j.cost)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -89,7 +92,7 @@ func (q *queue) push(j *job) error {
 // pop blocks until a job is available and returns it; ok is false once
 // the queue is closed AND fully drained, which is the workers' exit
 // signal (queued jobs are still completed during a graceful drain).
-func (q *queue) pop() (j *job, ok bool) {
+func (q *queue) pop() (j *Job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.h) == 0 && !q.closed {
@@ -98,7 +101,7 @@ func (q *queue) pop() (j *job, ok bool) {
 	if len(q.h) == 0 {
 		return nil, false
 	}
-	return heap.Pop(&q.h).(*job), true
+	return heap.Pop(&q.h).(*Job), true
 }
 
 // depth reports the current number of queued jobs.

@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-func qjob(prio int) *job {
+func qjob(prio int) *Job {
 	s := validEncodeSpec()
 	s.Priority = prio
 	s.CRF = 20 + prio // make specs distinct
-	return newJob(s, "")
+	return newJob(s, s.Key(), "")
 }
 
 func TestQueuePriorityThenArrival(t *testing.T) {
@@ -20,12 +20,12 @@ func TestQueuePriorityThenArrival(t *testing.T) {
 	defA := qjob(PriorityDefault)
 	defB := qjob(PriorityDefault)
 	defB.spec.Frames = 3 // distinct from defA
-	for _, j := range []*job{batch, defA, defB, interactive} {
+	for _, j := range []*Job{batch, defA, defB, interactive} {
 		if err := q.push(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := []*job{interactive, defA, defB, batch}
+	want := []*Job{interactive, defA, defB, batch}
 	for i, w := range want {
 		j, ok := q.pop()
 		if !ok {
@@ -81,7 +81,7 @@ func TestQueueCloseDrains(t *testing.T) {
 
 func TestQueuePopBlocksUntilPush(t *testing.T) {
 	q := newQueue(4)
-	got := make(chan *job, 1)
+	got := make(chan *Job, 1)
 	go func() {
 		j, ok := q.pop()
 		if ok {

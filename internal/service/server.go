@@ -46,7 +46,7 @@ type Config struct {
 	SampleInterval time.Duration
 	// SeriesCap bounds the ring buffer (default 1024 samples).
 	SeriesCap int
-	// ShardName identifies this daemon in a vcgate cluster; it is
+	// ShardName identifies this daemon behind a gate; it is
 	// echoed by GET /v1/registry so router probes can confirm they
 	// reached the shard they meant to (default "vcprofd").
 	ShardName string
@@ -89,21 +89,18 @@ type Server struct {
 	cfg      Config
 	store    *Store
 	q        *queue
-	jobs     *jobTable
+	api      *API // the shared handlers and the job table
 	board    *traceBoard
 	tele     *teleBoard
 	sessions *sessionTable
 	hops     *obs.HopLog
 	pool     *sched.Pool // shared shard scheduler
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	wg         sync.WaitGroup
-	draining   atomic.Bool
-
-	samplerStop chan struct{}
-	samplerOnce sync.Once
-	samplerWG   sync.WaitGroup
+	baseCtx     context.Context
+	baseCancel  context.CancelFunc
+	wg          sync.WaitGroup
+	draining    atomic.Bool
+	stopSampler func() // set by Start when sampling is on
 }
 
 // NewServer opens the store and builds a stopped server; Start launches
@@ -119,15 +116,14 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:         cfg,
-		store:       store,
-		q:           newQueue(cfg.QueueCap),
-		jobs:        newJobTable(),
-		board:       newTraceBoard(cfg.Obs, cfg.Workers),
-		sessions:    newSessionTable(),
-		hops:        obs.NewHopLog(cfg.ShardName, cfg.HopTraces),
-		samplerStop: make(chan struct{}),
+		cfg:      cfg,
+		store:    store,
+		q:        newQueue(cfg.QueueCap),
+		board:    newTraceBoard(cfg.Obs, cfg.Workers),
+		sessions: newSessionTable(),
+		hops:     obs.NewHopLog(cfg.ShardName, cfg.HopTraces),
 	}
+	s.api = NewAPI(s)
 	s.pool = sched.NewPool(sched.Config{Workers: cfg.Workers, Observer: s.board.shardObserver()})
 	s.tele = newTeleBoard(s, cfg.SeriesCap)
 	s.baseCtx, s.baseCancel = context.WithCancel(ctx)
@@ -142,33 +138,12 @@ func (s *Server) Start() {
 		go s.worker(i)
 	}
 	if s.cfg.SampleInterval > 0 {
-		s.samplerWG.Add(1)
-		go s.sampleLoop()
-	}
-}
-
-// sampleLoop appends one gauge row per tick until shutdown. It lives
-// outside the worker WaitGroup: the drain waits for jobs, not for the
-// sampler, which stops via its own channel the moment Shutdown begins.
-func (s *Server) sampleLoop() {
-	defer s.samplerWG.Done()
-	t := time.NewTicker(s.cfg.SampleInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.samplerStop:
-			return
-		case <-s.baseCtx.Done():
-			return
-		case now := <-t.C:
+		// One gauge row per tick until shutdown. The sampler is not part
+		// of the drain: it stops the moment Shutdown begins.
+		s.stopSampler = Every(s.baseCtx, s.cfg.SampleInterval, func(now time.Time) {
 			s.tele.series.Sample(now.UnixMilli())
-		}
+		})
 	}
-}
-
-func (s *Server) stopSampler() {
-	s.samplerOnce.Do(func() { close(s.samplerStop) })
-	s.samplerWG.Wait()
 }
 
 // Store exposes the result store (read-side: tests and vcprofd stats).
@@ -181,28 +156,16 @@ func (s *Server) Store() *Store { return s.store }
 // resumes with the same LRU order. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	s.stopSampler()
+	if s.stopSampler != nil {
+		s.stopSampler()
+	}
 	s.q.close()
 	// Live sessions stop admitting feeds now; ones already accepted
-	// finish their in-flight GOPs before the pool closes.
+	// finish their in-flight GOPs before the pool closes. Out of
+	// patience, in-flight jobs abort at their next (fine-grained) task
+	// boundary.
 	s.sessions.close()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		s.sessions.wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Out of patience: abort in-flight jobs and wait for the pool
-		// to notice (task boundaries are fine-grained, so this is fast).
-		err = ctx.Err()
-		s.baseCancel()
-		<-done
-	}
-	s.baseCancel()
+	err := Drain(ctx, func() { s.wg.Wait(); s.sessions.wait() }, s.baseCancel)
 	// Streams still open after the drain barrier were cut short by
 	// shutdown, not end-of-stream; their traces record the fact so a
 	// merged cluster view shows where each stream stopped and why.
@@ -222,175 +185,87 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // SchedStats snapshots the shard pool's scheduling counters.
 func (s *Server) SchedStats() sched.Stats { return s.pool.Stats() }
 
-// Handler returns the HTTP surface.
+// Handler returns the HTTP surface: the shared job and session API over
+// the local engine, plus the daemon's own routes — the shard protocol a
+// gate speaks (HEAD/PUT results, the registry), streaming telemetry and
+// the self-profile.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/sessions", s.handleSessionCreate)
-	mux.HandleFunc("POST /v1/sessions/{id}/frames", s.handleSessionFeed)
-	mux.HandleFunc("GET /v1/sessions/{id}/stats", s.handleSessionStats)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleAbandon)
-	mux.HandleFunc("GET /v1/results/{id}", s.handleResult)
+	s.api.Mount(mux)
 	mux.HandleFunc("HEAD /v1/results/{id}", s.handleResultHead)
 	mux.HandleFunc("PUT /v1/results/{id}", s.handleResultPut)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	mux.HandleFunc("GET /v1/jobs/{id}/topdown", s.handleJobTopdown)
 	mux.HandleFunc("GET /v1/telemetry/topdown", s.handleTopdown)
 	mux.HandleFunc("GET /v1/telemetry/series", s.handleSeries)
-	mux.HandleFunc("GET /v1/trace/{id}", s.handleTraceSlice)
-	mux.HandleFunc("GET /v1/cluster/trace/{id}", s.handleClusterTrace)
-	mux.HandleFunc("GET /v1/slo", s.handleSLO)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	mux.HandleFunc("GET /debug/profile", s.handleProfile)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		obsJobsRefused.Add(1)
-		WriteError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+// Draining reports whether Shutdown has begun.
+func (s *Server) Draining() bool { return s.draining.Load() }
+
+// Refuse turns new work away while draining, counting each refusal.
+func (s *Server) Refuse() bool {
+	if !s.draining.Load() {
+		return false
 	}
-	var spec JobSpec
-	if err := DecodeJSON(w, r, &spec); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
+	obsJobsRefused.Add(1)
+	return true
+}
+
+// Cached answers a submit from the store, counting the hit.
+func (s *Server) Cached(key string) bool {
+	if !s.store.Contains(key) {
+		return false
 	}
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := spec.Key()
-	if s.store.Contains(key) {
-		obsJobsCached.Add(1)
-		WriteJSON(w, http.StatusOK, JobStatus{ID: key, Status: StateDone, Cached: true})
-		return
-	}
-	j, state, joined := s.jobs.getOrAdd(spec, key, TraceIDFromRequest(r, obs.JobTraceID(key)))
-	if joined {
-		// Singleflight: this submission rides the identical in-flight
-		// job; one computation will satisfy both.
-		obsJobsDeduped.Add(1)
-		WriteJSON(w, http.StatusAccepted, JobStatus{ID: key, Status: state})
-		return
-	}
+	obsJobsCached.Add(1)
+	return true
+}
+
+// Has reports whether the store holds id.
+func (s *Server) Has(_ context.Context, id string) bool { return s.store.Contains(id) }
+
+// Result reads id's bytes from the store.
+func (s *Server) Result(id string) ([]byte, bool, error) { return s.store.Get(id) }
+
+// FetchThrough finds nothing: no process stands behind a daemon.
+func (s *Server) FetchThrough(context.Context, string) ([]byte, bool) { return nil, false }
+
+// Run queues an admitted job for the workers.
+func (s *Server) Run(j *Job) error {
 	if err := s.q.push(j); err != nil {
-		s.jobs.finish(j, "") // never queued: untracked, and a twin that joined meanwhile is woken
-		switch err {
-		case ErrSaturated:
+		if err == ErrSaturated {
 			obsJobsRejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			WriteError(w, http.StatusTooManyRequests, "queue saturated (%d queued)", s.q.depth())
-		default:
-			obsJobsRefused.Add(1)
-			WriteError(w, http.StatusServiceUnavailable, "server is draining")
+			return fmt.Errorf("queue %w (%d queued)", ErrSaturated, s.q.depth())
 		}
-		return
+		obsJobsRefused.Add(1)
+		return err
 	}
 	obsJobsSubmitted.Add(1)
 	obsQueuePeak.Max(uint64(s.q.depth()))
 	// Deterministic admission hop: the fact the job was admitted is
 	// content-derived, so the tuple merges clean across topologies.
 	s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopAdmitted})
-	WriteJSON(w, http.StatusAccepted, JobStatus{ID: key, Status: StateQueued})
+	return nil
 }
 
-// MaxWait caps the ?wait= a lifecycle GET may ask for; a longer wait is
-// served as this one.
-const MaxWait = time.Minute
+// Joined counts a submit that rode an in-flight twin.
+func (s *Server) Joined() { obsJobsDeduped.Add(1) }
 
-// AwaitTerminal serves the wait parameter of GET /v1/jobs/{id} and GET
-// /v1/results/{id}, on a daemon and on a gate: it parks the request
-// until the job doneOf names is terminal, the wait (at most MaxWait)
-// has passed or the client has gone, and the handler then answers
-// exactly what it would answer a plain GET at that instant. An id with
-// no queued or running job (doneOf answers nil) and wait=0 never park.
-// It reports false once it has refused a malformed or negative wait
-// with 400. Handlers call it only when the request has a query, so a
-// plain GET pays nothing for it.
-func AwaitTerminal(w http.ResponseWriter, r *http.Request, doneOf func(id string) <-chan struct{}) bool {
-	v := r.URL.Query().Get("wait")
-	if v == "" {
-		return true
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		WriteError(w, http.StatusBadRequest, "bad wait %q (want a duration such as 10s)", v)
-		return false
-	}
-	done := doneOf(r.PathValue("id"))
-	if done == nil || d == 0 {
-		return true
-	}
-	t := time.NewTimer(min(d, MaxWait))
-	defer t.Stop()
-	select {
-	case <-done:
-	case <-t.C:
-	case <-r.Context().Done():
-	}
-	return true
+// Hops is the daemon's bounded hop log (internal/obs/hop.go).
+func (s *Server) Hops() *obs.HopLog { return s.hops }
+
+// TraceSlices is the daemon's own slice alone: the degenerate one-slice
+// merge answers exactly what a gate assembles for a one-shard cluster,
+// which is what the topology equivalence tests pin.
+func (s *Server) TraceSlices(_ context.Context, id string) [][]obs.HopEvent {
+	return [][]obs.HopEvent{s.hops.Slice(id)}
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.URL.RawQuery != "" && !AwaitTerminal(w, r, s.jobs.doneOf) {
-		return
-	}
-	id := r.PathValue("id")
-	if state, errMsg, ok := s.jobs.status(id); ok {
-		WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: state, Error: errMsg})
-		return
-	}
-	if s.store.Contains(id) {
-		WriteJSON(w, http.StatusOK, JobStatus{ID: id, Status: StateDone, Cached: true})
-		return
-	}
-	WriteError(w, http.StatusNotFound, "unknown job %q", id)
-}
-
-// handleAbandon gives back the interest one accepted submit holds in a
-// queued or running job; the job is cancelled once no submitter is left
-// (jobTable.release). 404 means there was nothing to give back: the id
-// is unknown or its job already finished.
-func (s *Server) handleAbandon(w http.ResponseWriter, r *http.Request) {
-	if id := r.PathValue("id"); !s.jobs.release(id) {
-		WriteError(w, http.StatusNotFound, "no queued or running job %q", id)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if r.URL.RawQuery != "" && !AwaitTerminal(w, r, s.jobs.doneOf) {
-		return
-	}
-	id := r.PathValue("id")
-	data, ok, err := s.store.Get(id)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-		return
-	}
-	if state, errMsg, ok := s.jobs.status(id); ok {
-		if state == StateFailed {
-			WriteJSON(w, http.StatusInternalServerError, JobStatus{ID: id, Status: state, Error: errMsg})
-			return
-		}
-		// Known but not finished: ask again.
-		WriteJSON(w, http.StatusConflict, JobStatus{ID: id, Status: state})
-		return
-	}
-	WriteError(w, http.StatusNotFound, "no result for %q", id)
-}
+// SLO reads the live-session report off the registry.
+func (s *Server) SLO(context.Context) telemetry.SLOReport { return telemetry.SLOFromRegistry() }
 
 // handleResultHead is the router's ownership-hint probe: 200 when this
 // shard's store holds the result, 404 otherwise, no body either way. A
@@ -426,8 +301,7 @@ func isResultKey(id string) bool {
 // and concurrent identical puts converge on the same bytes — the write
 // is idempotent by construction.
 func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		obsJobsRefused.Add(1)
+	if s.Refuse() {
 		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -471,24 +345,6 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics renders the Prometheus text exposition v0.0.4 over the
-// obs registry plus the server's instantaneous gauges (including SLO
-// quantiles from the latency histograms). Every family is sorted by
-// name and no timestamps are emitted, so equal registry/store states
-// expose equal bytes — across worker counts and warm restarts alike.
-// ?volatile=0 narrows to the deterministic subset (counters and
-// histograms only), the form golden tests pin.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	opts := telemetry.PromOptions{IncludeVolatile: r.URL.Query().Get("volatile") != "0"}
-	if opts.IncludeVolatile {
-		opts.Gauges = s.gaugeSamples()
-	}
-	if err := telemetry.WriteProm(w, opts); err != nil {
-		return
-	}
-}
-
 // handleJobTopdown streams the per-job top-down: while the job runs,
 // fractions come from the producers' provisional mid-run snapshots;
 // after completion they settle to the committed totals.
@@ -508,7 +364,7 @@ func (s *Server) handleJobTopdown(w http.ResponseWriter, r *http.Request) {
 
 // jobState reports a job's lifecycle state for telemetry responses.
 func (s *Server) jobState(id string) string {
-	if state, _, ok := s.jobs.status(id); ok {
+	if state, _, ok := s.api.jobs.status(id); ok {
 		return state
 	}
 	if s.store.Contains(id) {
@@ -578,12 +434,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// Too late for a status change; the body is already partial.
 		return
 	}
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -167,75 +168,54 @@ func sloOfStats(st live.Stats) telemetry.SLOReport {
 	return r.WithBurn()
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		obsJobsRefused.Add(1)
-		WriteError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req SessionCreateReq
-	if err := DecodeJSON(w, r, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad session spec: %v", err)
-		return
-	}
-	key, err := req.Spec.Key()
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// CreateSession opens a live session on the shared pool, or with
+// req.Resume re-creates one from a GOP-boundary token.
+func (s *Server) CreateSession(_ context.Context, req SessionCreateReq, key, trace string) (SessionCreateResp, error) {
 	cfg := live.Config{Pool: s.pool}
 	var sess *live.Session
+	var err error
 	if req.Resume != nil {
 		sess, err = live.Resume(req.Spec, cfg, *req.Resume)
 	} else {
 		sess, err = live.New(req.Spec, cfg)
 	}
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
+		return SessionCreateResp{}, Errorf(http.StatusBadRequest, "%v", err)
 	}
-	tid := TraceIDFromRequest(r, obs.SessionTraceID(key))
-	e, err := s.sessions.add(key, sess, s.cfg.Obs != nil, tid)
+	e, err := s.sessions.add(key, sess, s.cfg.Obs != nil, trace)
 	if err != nil {
 		obsJobsRefused.Add(1)
-		WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+		return SessionCreateResp{}, Errorf(http.StatusServiceUnavailable, "%v", err)
 	}
 	obsSessionsOpened.Add(1)
 	if req.Resume != nil {
 		// A resume is a placement fact (which process picked the stream
 		// back up, and where in it): volatile, stamped by the caller.
-		s.hops.Emit(obs.HopEvent{Trace: tid, Kind: obs.HopSessionResume,
+		s.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopSessionResume,
 			Seq: uint64(req.Resume.StartFrame), StartMS: time.Now().UnixMilli()})
 	} else {
 		// Opening is content-derived — every topology opens the same
 		// stream exactly once — so it lands in the deterministic view.
-		s.hops.Emit(obs.HopEvent{Trace: tid, Kind: obs.HopSessionOpen, Arg: obs.ShortKey(key)})
+		s.hops.Emit(obs.HopEvent{Trace: trace, Kind: obs.HopSessionOpen, Arg: obs.ShortKey(key)})
 	}
 	e.mu.Lock()
 	id := e.id
 	e.mu.Unlock()
-	WriteJSON(w, http.StatusCreated, SessionCreateResp{
-		ID: id, Key: key, Resumed: req.Resume != nil, Spec: sess.Spec(),
-	})
+	return SessionCreateResp{ID: id, Key: key, Resumed: req.Resume != nil, Spec: sess.Spec()}, nil
 }
 
-func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req SessionFeedReq
-	if err := DecodeJSON(w, r, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad feed request: %v", err)
-		return
-	}
+// FeedSession advances a session's arrival watermark and encodes the
+// GOPs it completes. The encodes run under the server's base context,
+// not the request's: a graceful drain lets them finish, a hard shutdown
+// cancels them at the next task boundary.
+func (s *Server) FeedSession(_ context.Context, id string, req SessionFeedReq) (SessionFeedResp, error) {
 	e, err := s.sessions.beginFeed(id)
 	if err != nil {
 		obsJobsRefused.Add(1)
-		WriteError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+		return SessionFeedResp{}, Errorf(http.StatusServiceUnavailable, "server is draining")
 	}
 	if e == nil {
-		WriteError(w, http.StatusNotFound, "unknown session %q", id)
-		return
+		return SessionFeedResp{}, Errorf(http.StatusNotFound, "unknown session %q", id)
 	}
 	defer s.sessions.endFeed()
 	trace := s.sessions.trace(id)
@@ -246,15 +226,12 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	if delta < 0 {
 		delta = 0 // replayed watermark: arrivals never rewind
 	}
-	// Encodes run under the server's base context: a graceful drain lets
-	// them finish (beginFeed pinned us), a hard shutdown cancels them at
-	// the next task boundary. The trace context rides along so nested
-	// layers can attribute their work to this stream.
+	// The trace context rides along so nested layers can attribute their
+	// work to this stream.
 	ctx := obs.WithTraceContext(s.baseCtx, obs.TraceContext{Trace: trace})
 	gops, err := e.s.Feed(ctx, delta, req.EOS)
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return SessionFeedResp{}, err
 	}
 	for i := range gops {
 		gops[i].Bitstreams = nil
@@ -280,28 +257,26 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 		}
 		obsSessionsClosed.Add(1)
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// SessionStats reads a session's cumulative stats and SLO burn.
+func (s *Server) SessionStats(_ context.Context, id string) (SessionStatsResp, error) {
 	e, ok := s.sessions.get(id)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown session %q", id)
-		return
+		return SessionStatsResp{}, Errorf(http.StatusNotFound, "unknown session %q", id)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.s.Stats()
-	WriteJSON(w, http.StatusOK, SessionStatsResp{ID: id, Spec: e.s.Spec(), Stats: st, SLO: sloOfStats(st)})
+	return SessionStatsResp{ID: id, Spec: e.s.Spec(), Stats: st, SLO: sloOfStats(st)}, nil
 }
 
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+// DeleteSession closes a session and frees its slot.
+func (s *Server) DeleteSession(_ context.Context, id string) error {
 	e, ok := s.sessions.remove(id)
 	if !ok {
-		WriteError(w, http.StatusNotFound, "unknown session %q", id)
-		return
+		return Errorf(http.StatusNotFound, "unknown session %q", id)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -309,7 +284,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		s.board.adopt(e.sess)
 	}
 	obsSessionsClosed.Add(1)
-	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 var obsSessionGOPName = obs.Name("session/gop")

@@ -114,10 +114,10 @@ func (b *teleBoard) findJobAcc(key string) (*topdown.Accumulator, bool) {
 	return t.lru.Peek(key)
 }
 
-// gaugeSamples reads every gauge once for /metrics exposition: the
-// sampled series gauges plus the SLO quantiles derived from the
-// latency histograms.
-func (s *Server) gaugeSamples() []telemetry.GaugeSample {
+// Gauges reads every gauge once for /metrics exposition: the sampled
+// series gauges plus the SLO quantiles derived from the latency
+// histograms.
+func (s *Server) Gauges() []telemetry.GaugeSample {
 	var out []telemetry.GaugeSample
 	for _, g := range seriesGauges(s, s.tele) {
 		out = append(out, telemetry.GaugeSample{Name: g.Name, Value: g.Sample()})

@@ -72,12 +72,12 @@ func parked(t *testing.T, urls ...string) func() []answer {
 
 // trackQueued registers spec in the job table the way an accepted
 // submit does, without a worker ever seeing it.
-func trackQueued(t *testing.T, srv *Server, crf int) (*job, string) {
+func trackQueued(t *testing.T, srv *Server, crf int) (*Job, string) {
 	t.Helper()
 	spec := validEncodeSpec()
 	spec.CRF = crf
 	spec.Normalize()
-	j, _, joined := srv.jobs.getOrAdd(spec, spec.Key(), "")
+	j, _, joined := srv.api.jobs.getOrAdd(spec, spec.Key(), "")
 	if joined {
 		t.Fatalf("crf %d already tracked", crf)
 	}
@@ -112,7 +112,7 @@ func TestWaitWakesAtTheTerminalTransition(t *testing.T) {
 			}
 		}
 		end := time.Now()
-		srv.jobs.finish(j, errMsg)
+		j.Finish(errMsg)
 		got := collect()
 
 		wantStatus, wantResult := `200 {"id":"`+key+`","status":"done","cached":true}`, `200 {"stored":"bytes"}`
@@ -168,12 +168,12 @@ func TestWaitNeverParksWithoutALiveJob(t *testing.T) {
 	srv, hts := testServer(t, Config{Workers: 1}, false)
 	_, queued := trackQueued(t, srv, 20)
 	failedJob, failed := trackQueued(t, srv, 21)
-	srv.jobs.finish(failedJob, "boom")
+	failedJob.Finish("boom")
 	storedJob, stored := trackQueued(t, srv, 22)
 	if err := srv.store.Put(stored, []byte(`{"stored":"bytes"}`)); err != nil {
 		t.Fatal(err)
 	}
-	srv.jobs.finish(storedJob, "")
+	storedJob.Finish("")
 	unknown := strings.Repeat("0", 64)
 
 	for _, c := range []struct{ name, id, wait string }{
@@ -201,7 +201,7 @@ func TestWaitNeverParksWithoutALiveJob(t *testing.T) {
 
 	j, key := trackQueued(t, srv, 23)
 	collect := parked(t, hts.URL+"/v1/jobs/"+key+"?wait=9999h")
-	srv.jobs.finish(j, "boom")
+	j.Finish("boom")
 	if a := collect()[0]; a.code != http.StatusOK || !strings.Contains(a.body, StateFailed) {
 		t.Errorf("over-cap wait: %v, want it granted and woken by the failure", a)
 	}
@@ -352,7 +352,7 @@ func TestDriveIsSubmitPlusOneFetch(t *testing.T) {
 		ended, returned := make(chan time.Time, 1), make(chan struct{})
 		go func() {
 			for {
-				if done := srv.jobs.doneOf(key); done != nil {
+				if done := srv.api.jobs.doneOf(key); done != nil {
 					<-done
 					ended <- time.Now()
 					return
@@ -416,7 +416,7 @@ func TestPlainGetAllocatesWhatItDid(t *testing.T) {
 	if err := srv.store.Put(stored, []byte(`{"stored":"bytes"}`)); err != nil {
 		t.Fatal(err)
 	}
-	srv.jobs.finish(storedJob, "")
+	storedJob.Finish("")
 
 	for _, c := range []struct {
 		name    string
@@ -424,12 +424,12 @@ func TestPlainGetAllocatesWhatItDid(t *testing.T) {
 		id      string
 		want    float64
 	}{
-		{"status of a queued job", srv.handleStatus, queued, 3},
-		{"status of a stored job", srv.handleStatus, stored, 3},
-		{"status of an unknown job", srv.handleStatus, strings.Repeat("0", 64), 9},
-		{"result of a queued job", srv.handleResult, queued, 3},
-		{"result of a stored job", srv.handleResult, stored, 8},
-		{"result of an unknown job", srv.handleResult, strings.Repeat("0", 64), 9},
+		{"status of a queued job", srv.api.status, queued, 3},
+		{"status of a stored job", srv.api.status, stored, 3},
+		{"status of an unknown job", srv.api.status, strings.Repeat("0", 64), 9},
+		{"result of a queued job", srv.api.result, queued, 3},
+		{"result of a stored job", srv.api.result, stored, 8},
+		{"result of an unknown job", srv.api.result, strings.Repeat("0", 64), 9},
 	} {
 		req := httptest.NewRequest(http.MethodGet, "/v1/x/"+c.id, nil)
 		req.SetPathValue("id", c.id)

@@ -11,7 +11,7 @@ import (
 )
 
 // The shard wire protocol (DESIGN.md §8, "Wire protocol"). These are the
-// only definitions of the JSON documents vcprofd and vcgate exchange
+// only definitions of the JSON documents a daemon and a gate exchange
 // with their clients and with each other: the handlers marshal them,
 // Client decodes them, and TestWireShapes pins their bytes.
 
@@ -113,7 +113,7 @@ type Topdown struct {
 }
 
 // WriteJSON answers with v as one JSON line. It is the only place a
-// handler — daemon or gate — sets the JSON content type.
+// handler — shared, daemon or gate — sets the JSON content type.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -137,11 +137,11 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// TraceIDFromRequest reads the propagated trace id off the wire,
+// traceIDFromRequest reads the propagated trace id off the wire,
 // falling back to the content-derived default — which a gate, deriving
 // from the same key, sends anyway. The validation bound keeps
 // arbitrary header bytes out of exports.
-func TraceIDFromRequest(r *http.Request, fallback string) string {
+func traceIDFromRequest(r *http.Request, fallback string) string {
 	if v := r.Header.Get(obs.TraceHeader); obs.ValidTraceID(v) {
 		return v
 	}

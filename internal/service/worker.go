@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strconv"
 	"sync"
@@ -34,12 +35,12 @@ func (s *Server) worker(idx int) {
 // the context, and — when tracing — a per-job span session adopted
 // into the board afterwards. All of it observes; none of it feeds the
 // result bytes, which stay identical with telemetry on or off.
-func (s *Server) runJob(idx int, j *job) {
+func (s *Server) runJob(idx int, j *Job) {
 	// A twin submitted, computed and stored while this one waited in
 	// the queue satisfies it for free.
 	if s.store.Contains(j.key) {
 		obsJobsCompleted.Add(1)
-		s.jobs.finish(j, "")
+		j.Finish("")
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -48,7 +49,7 @@ func (s *Server) runJob(idx int, j *job) {
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
 	defer cancel()
-	if !s.jobs.start(j, cancel) {
+	if !j.Start(cancel) {
 		obsJobsFailed.Add(1)
 		return
 	}
@@ -77,21 +78,19 @@ func (s *Server) runJob(idx int, j *job) {
 	res, err := ExecuteObserved(ctx, &j.spec, jobSess)
 	obsJobLatencyMS.Observe(uint64(time.Since(start).Milliseconds()))
 	s.board.adopt(jobSess)
+	var data []byte
+	if err == nil {
+		data = res.Encode()
+		if perr := s.store.Put(j.key, data); perr != nil {
+			err = fmt.Errorf("store: %w", perr)
+		}
+	}
 	if err != nil {
 		obsJobsFailed.Add(1)
 		s.board.span(idx, obsJobFailedName, j.key, 1)
 		s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopJobFailed,
 			Arg: obs.ShortKey(j.key), StartMS: time.Now().UnixMilli()})
-		s.jobs.finish(j, err.Error())
-		return
-	}
-	data := res.Encode()
-	if perr := s.store.Put(j.key, data); perr != nil {
-		obsJobsFailed.Add(1)
-		s.board.span(idx, obsJobFailedName, j.key, 1)
-		s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopJobFailed,
-			Arg: obs.ShortKey(j.key), StartMS: time.Now().UnixMilli()})
-		s.jobs.finish(j, "store: "+perr.Error())
+		j.Finish(err.Error())
 		return
 	}
 	obsJobsCompleted.Add(1)
@@ -102,7 +101,7 @@ func (s *Server) runJob(idx int, j *job) {
 	s.board.span(idx, obsJobDoneName, j.key, uint64(len(data)))
 	s.hops.Emit(obs.HopEvent{Trace: j.traceID, Kind: obs.HopExec,
 		Arg: obs.ShortKey(j.key), Dur: uint64(len(data))})
-	s.jobs.finish(j, "")
+	j.Finish("")
 }
 
 // traceBoard owns the per-worker span lanes. obs Traces are

@@ -5,8 +5,8 @@
 #
 # Boots one vcprofd as the single-daemon baseline and runs a seeded
 # bimodal vcload mix against it, then boots three fresh-store shards
-# plus a vcgate router (replication factor 2) and drives the same mix
-# through the gate twice:
+# plus a gate — vcprofd -shards, replication factor 2 — and drives the
+# same mix through the gate twice:
 #   pass A (cold + chaos): while the load runs, shard s2 is SIGKILLed
 #     mid-run — the router must fail the orphaned jobs over and finish
 #     with zero failures and the baseline's exact digest;
@@ -33,7 +33,7 @@ WARM_MIN="${SMOKE_WARM_MIN:-80}"
 SMOKE=cluster-smoke
 . scripts/lib.sh
 
-build vcprofd vcgate vcload
+build vcprofd vcload
 
 run_load() { # run_load <logname> <addr> [extra vcload flags...]
     log="$workdir/$1.log"
@@ -57,7 +57,7 @@ boot base vcprofd -store "$workdir/store-base" -j 1
 run_load baseline "$addr"
 stop_pid "$pid" "baseline daemon"
 
-echo "cluster-smoke: booting 3 shards + vcgate (R=2)"
+echo "cluster-smoke: booting 3 shards + a gate (vcprofd -shards, R=2)"
 shard_spec=""
 shard_pids=""
 for i in 0 1 2; do
@@ -67,7 +67,7 @@ for i in 0 1 2; do
 done
 s2_pid="${shard_pids##* }"
 
-boot gate1 vcgate -shards "$shard_spec" -replicas 2
+boot gate1 vcprofd -shards "$shard_spec" -replicas 2
 gate1_pid=$pid
 
 echo "cluster-smoke: pass A — cold routed run, SIGKILL shard s2 after ${KILL_AFTER}s"
@@ -81,7 +81,7 @@ wait "$load_pid" || fail "cold routed pass failed"
 stop_fast "$gate1_pid" "gate (pass A)" "$workdir/gate1.log"
 
 echo "cluster-smoke: pass B — warm routed run through a fresh gate (s2 still dead)"
-boot gate2 vcgate -shards "$shard_spec" -replicas 2
+boot gate2 vcprofd -shards "$shard_spec" -replicas 2
 gate2_pid=$pid
 run_load warm "$addr" -gate
 

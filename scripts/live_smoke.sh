@@ -10,10 +10,10 @@
 #     feed rate;
 #   pass 1 (daemon): the mix over a single vcprofd's session endpoints
 #     — transport must not touch a byte;
-#   pass 2 (routed + chaos): the mix through vcgate over three shards,
-#     with one shard SIGKILLed mid-run — sticky sessions must fail
-#     over from their GOP-boundary resume tokens with no client-visible
-#     divergence.
+#   pass 2 (routed + chaos): the mix through a gate (vcprofd -shards,
+#     R=2) over three shards, with one shard SIGKILLed mid-run — sticky
+#     sessions must fail over from their GOP-boundary resume tokens
+#     with no client-visible divergence.
 # Then the ABR ladder comparison must report >= LADDER_MIN% instruction
 # saving with byte-identical output, and the daemon and gate must drain
 # cleanly on SIGTERM.
@@ -29,7 +29,7 @@ LADDER_MIN="${LADDER_MIN:-20}"
 SMOKE=live-smoke
 . scripts/lib.sh
 
-build vcprofd vcgate vclive
+build vcprofd vclive
 
 run_live() { # run_live <logname> [vclive flags...]
     log="$workdir/$1.log"
@@ -50,7 +50,7 @@ boot solo vcprofd -store "$workdir/store-solo" -j 2
 run_live daemon -addr "$addr"
 stop_pid "$pid" "daemon"
 
-echo "live-smoke: pass 2 — 3 shards + vcgate, SIGKILL one shard after ${KILL_AFTER}s"
+echo "live-smoke: pass 2 — 3 shards + a gate, SIGKILL one shard after ${KILL_AFTER}s"
 shard_spec=""
 shard_pids=""
 for i in 0 1 2; do
@@ -60,7 +60,7 @@ for i in 0 1 2; do
 done
 s1_pid="$(echo $shard_pids | cut -d' ' -f2)"
 
-boot gate vcgate -shards "$shard_spec"
+boot gate vcprofd -shards "$shard_spec" -replicas 2
 gate_pid=$pid
 
 run_live routed -addr "$addr" &

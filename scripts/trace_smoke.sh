@@ -3,15 +3,15 @@
 # telemetry-federation surfaces against their headline claim: placement
 # is never content. The deterministic merged trace of one live session
 # must be byte-identical whether the session ran on a bare vcprofd or
-# through vcgate over three shards with its pinned shard SIGKILLed
-# mid-stream — and the kill itself must be visible in the full
-# (volatile) view as a failover-re-anchor hop.
+# through a gate (vcprofd -shards) over three shards with its pinned
+# shard SIGKILLed mid-stream — and the kill itself must be visible in
+# the full (volatile) view as a failover-re-anchor hop.
 #
 # Passes:
 #   pass 0 (bare daemon): one session against a solo vcprofd; fetch
 #     /v1/cluster/trace/<id>?volatile=0 as the reference bytes;
-#   pass 1 (routed + chaos): the same session through vcgate (3 shards,
-#     R=2); after the first feed the shard named in the create response
+#   pass 1 (routed + chaos): the same session through the gate (3
+#     shards, R=2); after the first feed the shard named in the create response
 #     is SIGKILLed; the gate's deterministic merged trace must equal
 #     pass 0 byte for byte, and the full view must record the
 #     re-anchor;
@@ -23,7 +23,7 @@ set -eu
 SMOKE=trace-smoke
 . scripts/lib.sh
 
-build vcprofd vcgate vcperf
+build vcprofd vcperf
 
 spec='{"clip":"game1","frames":24,"div":8,"family":"svt-av1","crf":28,"preset":8,"gop":8,"fps":30,"deadline":16,"rungs":[36,44],"share":true}'
 
@@ -59,14 +59,14 @@ boot solo vcprofd -store "$workdir/store-solo" -j 2
 drive_session "http://$addr" solo
 stop_pid "$pid" "daemon"
 
-echo "trace-smoke: pass 1 — vcgate over 3 shards (R=2), kill pinned shard mid-stream"
+echo "trace-smoke: pass 1 — a gate over 3 shards (R=2), kill pinned shard mid-stream"
 shard_spec=""
 for i in 0 1 2; do
     boot "s$i" vcprofd -store "$workdir/store-s$i" -j 2 -name "s$i"
     eval "pid_s$i=$pid"
     shard_spec="$shard_spec${shard_spec:+,}s$i=http://$addr"
 done
-boot gate vcgate -shards "$shard_spec" -replicas 2
+boot gate vcprofd -shards "$shard_spec" -replicas 2
 gate_pid=$pid
 gate_addr=$addr
 
