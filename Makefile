@@ -66,7 +66,7 @@ one-table:
 # The modeled machine is written down once, in internal/uarch/machine
 # (DESIGN.md §4): outside it and bench/ no non-test file spells out a
 # cache level's geometry or defaults to the machine's predictor by name
-# (bpred's name table and the harness and example predictor lists name
+# (bpred's name table and the harness's ablation predictor list name
 # predictors, not the machine), and none outside the cache package
 # builds the paper machine's hierarchy per cell with NewXeonHierarchy
 # instead of borrowing one from the free list.
@@ -74,7 +74,7 @@ one-machine:
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=machine --exclude-dir=bench \
 		'(cache\.Config|machine\.Cache)\{[^}]*SizeBytes:' .
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=machine --exclude-dir=bench \
-		'"tage-8KB"' . | grep -vE '^\./internal/uarch/bpred/monitor\.go:|^\./(internal/harness/exp_ablation|examples/branchhunt/main)\.go:.*\[\]string\{'
+		'"tage-8KB"' . | grep -vE '^\./internal/uarch/bpred/monitor\.go:|^\./internal/harness/exp_ablation\.go:.*\[\]string\{'
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=cache --exclude-dir=bench \
 		'NewXeonHierarchy(' .
 

@@ -106,7 +106,6 @@ func VCProfAnalyzers() []*Analyzer {
 				"vcprof/internal/codec",
 				"vcprof/internal/uarch",
 				"vcprof/internal/cbp",
-				"vcprof/internal/core",
 				"vcprof/internal/cluster",
 				"vcprof/internal/live",
 			},

@@ -47,7 +47,7 @@ func ObserveFrameStages(tr *obs.Trace, frames []trace.StageCounts) {
 }
 
 // ObserveResult appends the encode's frame/stage spans to tr — the
-// cmd/vencode entry point for the obs trace of a single encode.
+// `vlab encode -trace` entry point for the obs trace of a single encode.
 func ObserveResult(tr *obs.Trace, res *Result) {
 	if !tr.Enabled() || res == nil {
 		return

@@ -371,7 +371,7 @@ func TestClipCacheExactlyOnce(t *testing.T) {
 		}
 	}
 	// Distinct keys generate independently.
-	if _, err := s.ThreadClip("desktop"); err != nil {
+	if _, err := cachedClip(context.Background(), "desktop", s.ThreadFrames, s.ThreadScaleDiv); err != nil {
 		t.Fatal(err)
 	}
 	if got := video.ClipMemoStats().Misses; got != 2 {

@@ -121,11 +121,6 @@ func (s Scale) Clip(name string) (*video.Clip, error) {
 	return cachedClip(context.Background(), name, s.Frames, s.ScaleDiv)
 }
 
-// ThreadClip returns the larger clip used by thread-scaling runs.
-func (s Scale) ThreadClip(name string) (*video.Clip, error) {
-	return cachedClip(context.Background(), name, s.ThreadFrames, s.ThreadScaleDiv)
-}
-
 // cachedClip takes the clip from the process's one clip memo
 // (video.Memoized) and counts the generations the harness caused.
 func cachedClip(ctx context.Context, name string, frames, div int) (*video.Clip, error) {

@@ -9,8 +9,8 @@ import (
 	"slices"
 )
 
-// The window container cmd/vencode writes and cmd/uarchsim and
-// cmd/cbpsim read: a window's records, each clipped to the window, in
+// The window container `vlab encode -optrace` writes and `vlab uarch`
+// and `vlab cbp` read: a window's records, each clipped to the window, in
 // the tape's own format. Little-endian:
 //
 //	magic "VCTW" | u32 version | u64 instructions | u64 words...

@@ -78,7 +78,7 @@ func TestTraceIORoundTrip(t *testing.T) {
 	}
 }
 
-// TestBranchTraceRoundTrip: what cbpsim takes from a file is what the
+// TestBranchTraceRoundTrip: what `vlab cbp` takes from a file is what the
 // CBP harness takes from the recorder the file was written from.
 func TestBranchTraceRoundTrip(t *testing.T) {
 	rec := midRecordWindow()
@@ -225,7 +225,7 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
-// FuzzReadBranchTrace is the same wall for what cbpsim takes from a
+// FuzzReadBranchTrace is the same wall for what `vlab cbp` takes from a
 // file: the window's branches are the branches among its ops, however
 // they are asked for. Seeds: a round trip, a truncated body, a lying
 // count, a window smaller than its records, an empty one and the

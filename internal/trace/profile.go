@@ -83,16 +83,6 @@ func (p *Profile) Flat() []Entry {
 	return out
 }
 
-// Hottest returns the name of the function with the most instructions,
-// or "" for an empty profile.
-func (p *Profile) Hottest() string {
-	flat := p.Flat()
-	if len(flat) == 0 {
-		return ""
-	}
-	return flat[0].Name
-}
-
 // Render formats the flat profile like gprof's flat listing.
 func (p *Profile) Render() string {
 	var b strings.Builder

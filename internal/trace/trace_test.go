@@ -317,9 +317,6 @@ func TestProfileAttribution(t *testing.T) {
 	if flat[1].Insts != 15 {
 		t.Errorf("test.Encode insts = %d, want 15", flat[1].Insts)
 	}
-	if p.Hottest() != "test.SAD" {
-		t.Errorf("Hottest = %q", p.Hottest())
-	}
 	if flat[0].Percent < 85 || flat[0].Percent > 86 {
 		t.Errorf("percent = %v, want ~85.7", flat[0].Percent)
 	}
