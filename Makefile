@@ -23,9 +23,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait one-api loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
 
-ci: fmt vet build cross lint lint-fixtures one-table one-machine one-recorder one-kernel one-wait one-api test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -37,24 +37,16 @@ vet:
 	$(GO) vet $(VET_PASSES) ./...
 
 # vclint enforces the determinism and concurrency invariants documented
-# in DESIGN.md §6 (wall-clock reads, map-order-dependent output,
-# randomness sources, mutex discipline, kernel-loop allocations,
-# host-environment reads, plus the whole-program passes: detflow taint
-# reachability, lockorder deadlock cycles, shardpure task-body purity).
-# The ./... pattern covers vclint's own source, so the linter
-# self-checks. Findings are fix-by-hand; suppress a deliberate one with
+# in DESIGN.md §6 (detflow: wall-clock, randomness, host-environment and
+# map-order sources in deterministic code and reachable from its roots;
+# mutex discipline, lockorder deadlock cycles, shardpure task-body
+# purity, kernel-loop allocations, handler contexts). The analyzers'
+# want-comment fixtures run in `make test`. The ./... pattern covers
+# vclint's own source, so the linter self-checks. Findings are fix-by-hand; suppress a deliberate one with
 # //lint:ignore <analyzer> <reason> (for chain findings, on the sink's
 # enclosing function declaration).
 lint:
 	$(GO) run ./cmd/vclint ./...
-
-# Fixture liveness gate: every analyzer's want-comment fixture must
-# keep producing exactly its annotated findings, and each fixture
-# package must still trip the CLI with exit 1. A refactor that silently
-# blinds an analyzer fails here, not in review.
-lint-fixtures:
-	$(GO) test ./internal/analysis -run 'TestFixtures'
-	$(GO) test ./cmd/vclint -run TestFixturePackagesTrip
 
 # internal/memo is the only place bounded-table policy is written
 # (DESIGN.md §4): no other non-test file may import container/list or

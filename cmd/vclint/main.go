@@ -6,7 +6,7 @@
 //	vclint [-json] [-why] [-list] [packages]
 //
 // Packages are directory patterns relative to the working directory
-// ("./...", "./internal/harness", "internal/analysis/testdata/detnow");
+// ("./...", "./internal/harness", "internal/analysis/testdata/lockheld");
 // the default is "./...". Wildcard patterns skip testdata directories,
 // so the repo gate stays clean while fixture trees remain individually
 // lintable.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"vcprof/internal/analysis"
 )
 
 const fixtures = "../../internal/analysis/testdata/"
@@ -25,7 +27,7 @@ func TestExitCodes(t *testing.T) {
 		want int
 	}{
 		{"clean-fixture", []string{fixtures + "clean"}, 0},
-		{"findings", []string{fixtures + "detrand"}, 1},
+		{"findings", []string{fixtures + "detflow/rand"}, 1},
 		{"missing-dir", []string{fixtures + "nosuch"}, 2},
 		{"broken-fixture", []string{fixtures + "broken"}, 2},
 		{"bad-flag", []string{"-definitely-not-a-flag"}, 2},
@@ -41,32 +43,30 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestFixturePackagesTrip: every analyzer's fixture package must make
+// TestFixturePackagesTrip: every shipped analyzer's fixture tree, and
+// each of detflow's per-source fixture packages on its own, must make
 // the CLI exit non-zero — the acceptance contract for the fixtures.
 func TestFixturePackagesTrip(t *testing.T) {
-	for _, tc := range []struct {
-		pattern  string // fixture pattern under testdata
-		analyzer string // analyzer that must be attributed in output
-	}{
-		{"detnow", "detnow"},
-		{"detmaprange", "detmaprange"},
-		{"detrand", "detrand"},
-		{"lockheld", "lockheld"},
-		{"hotalloc", "hotalloc"},
-		{"detenv", "detenv"},
-		{"detflow/...", "detflow"},
-		{"lockorder", "lockorder"},
-		{"shardpure", "shardpure"},
+	trip := func(t *testing.T, pattern, analyzer string) {
+		code, stdout, _ := runCLI(t, fixtures+pattern)
+		if code != 1 {
+			t.Fatalf("exit = %d, want 1", code)
+		}
+		if !strings.Contains(stdout, analyzer+": ") {
+			t.Errorf("output does not attribute findings to %s:\n%s", analyzer, stdout)
+		}
+	}
+	for _, az := range analysis.VCProfAnalyzers() {
+		t.Run(az.Name, func(t *testing.T) { trip(t, az.Name+"/...", az.Name) })
+	}
+	// Named after the source check each package pins.
+	for _, src := range []struct{ name, dir string }{
+		{"detnow", "detflow/clock"},
+		{"detenv", "detflow/env"},
+		{"detrand", "detflow/rand"},
+		{"detmaprange", "detflow/maprange"},
 	} {
-		t.Run(tc.analyzer, func(t *testing.T) {
-			code, stdout, _ := runCLI(t, fixtures+tc.pattern)
-			if code != 1 {
-				t.Fatalf("exit = %d, want 1", code)
-			}
-			if !strings.Contains(stdout, tc.analyzer+": ") {
-				t.Errorf("output does not attribute findings to %s:\n%s", tc.analyzer, stdout)
-			}
-		})
+		t.Run(src.name, func(t *testing.T) { trip(t, src.dir, "detflow") })
 	}
 }
 
@@ -103,10 +103,11 @@ func TestWhyOutput(t *testing.T) {
 	}
 }
 
-// TestJSONChain: whole-program findings carry their call chain in the
-// JSON output; per-package findings omit the key entirely.
+// TestJSONChain: findings reachable from a root carry their root-first
+// call chain in the JSON output. The detflow root package (with the
+// inner package it imports) holds only such findings.
 func TestJSONChain(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-json", fixtures+"detflow/...")
+	code, stdout, _ := runCLI(t, "-json", fixtures+"detflow")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -146,7 +147,7 @@ func TestJSONChain(t *testing.T) {
 // TestJSONOutput: -json emits one parseable object with the documented
 // shape and still exits 1 on findings.
 func TestJSONOutput(t *testing.T) {
-	code, stdout, _ := runCLI(t, "-json", fixtures+"detrand")
+	code, stdout, _ := runCLI(t, "-json", fixtures+"detflow/rand")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -167,7 +168,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("count %d vs %d findings", doc.Count, len(doc.Findings))
 	}
 	f := doc.Findings[0]
-	if f.Analyzer != "detrand" || f.Line == 0 || !strings.HasSuffix(f.File, ".go") {
+	if f.Analyzer != "detflow" || f.Line == 0 || !strings.HasSuffix(f.File, ".go") {
 		t.Errorf("unexpected finding: %+v", f)
 	}
 }
@@ -175,22 +176,23 @@ func TestJSONOutput(t *testing.T) {
 // TestHumanOutput: the default rendering is file:line:col: analyzer:
 // message, one per line.
 func TestHumanOutput(t *testing.T) {
-	_, stdout, _ := runCLI(t, fixtures+"detrand")
+	_, stdout, _ := runCLI(t, fixtures+"detflow/rand")
 	line := strings.SplitN(strings.TrimSpace(stdout), "\n", 2)[0]
-	if !strings.Contains(line, ".go:") || !strings.Contains(line, ": detrand: ") {
+	if !strings.Contains(line, ".go:") || !strings.Contains(line, ": detflow: ") {
 		t.Errorf("unexpected human output line: %q", line)
 	}
 }
 
-// TestListOutput names every shipped analyzer.
+// TestListOutput names every shipped analyzer, one per line.
 func TestListOutput(t *testing.T) {
 	_, stdout, _ := runCLI(t, "-list")
-	for _, name := range []string{
-		"detnow", "detmaprange", "detrand", "lockheld", "hotalloc", "detenv",
-		"detflow", "lockorder", "shardpure",
-	} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("-list output missing %s:\n%s", name, stdout)
+	azs := analysis.VCProfAnalyzers()
+	if lines := strings.Count(stdout, "\n"); lines != len(azs) {
+		t.Errorf("-list printed %d lines, want %d:\n%s", lines, len(azs), stdout)
+	}
+	for _, az := range azs {
+		if !strings.Contains(stdout, az.Name+" ") {
+			t.Errorf("-list output missing %s:\n%s", az.Name, stdout)
 		}
 	}
 }

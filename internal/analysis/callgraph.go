@@ -422,13 +422,13 @@ func (g *CallGraph) chainTo(reached map[*Node]chainStep, n *Node) []ChainHop {
 	}
 	hops := make([]ChainHop, 0, len(rev))
 	for i := len(rev) - 1; i >= 0; i-- {
-		pos := g.prog.Fset.Position(rev[i].Decl.Pos())
-		hops = append(hops, ChainHop{
-			Func: rev[i].Name(),
-			File: pos.Filename,
-			Line: pos.Line,
-			Col:  pos.Column,
-		})
+		hops = append(hops, g.hop(rev[i]))
 	}
 	return hops
+}
+
+// hop positions one function as a chain hop, at its declaration.
+func (g *CallGraph) hop(n *Node) ChainHop {
+	pos := g.prog.Fset.Position(n.Decl.Pos())
+	return ChainHop{Func: n.Name(), File: pos.Filename, Line: pos.Line, Col: pos.Column}
 }

@@ -11,8 +11,8 @@ import (
 // Run applies every analyzer to every package, filters findings through
 // //lint:ignore directives, and returns the surviving diagnostics in a
 // deterministic order (file, line, col, analyzer, message). Malformed
-// ignore directives are reported as findings of the pseudo-analyzer
-// "vclint".
+// ignore directives, and directives naming an analyzer not in
+// analyzers, are reported as findings of the pseudo-analyzer "vclint".
 //
 // Per-package analyzers (Run) see one package at a time; whole-program
 // analyzers (RunProgram) execute once afterwards over the packages plus
@@ -24,8 +24,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
 	var diags []Diagnostic
 	ignores := make(ignoreSet)
+	known := make(map[string]bool, len(analyzers))
+	for _, az := range analyzers {
+		known[az.Name] = true
+	}
 	for _, pkg := range pkgs {
-		pkgIgnores, bad := parseIgnores(fsetOf(pkg), pkg.Files)
+		pkgIgnores, bad := parseIgnores(fsetOf(pkg), pkg.Files, known)
 		out = append(out, bad...)
 		ignores.union(pkgIgnores)
 		for _, az := range analyzers {
@@ -53,7 +57,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		// they were not asked for.
 		for _, pkg := range prog.Pkgs {
 			if !selected[pkg.Path] {
-				pkgIgnores, _ := parseIgnores(fsetOf(pkg), pkg.Files)
+				pkgIgnores, _ := parseIgnores(fsetOf(pkg), pkg.Files, known)
 				ignores.union(pkgIgnores)
 			}
 		}

@@ -21,42 +21,53 @@ func TestCleanFixture(t *testing.T) {
 // line) must silence their findings, and nothing else may fire.
 func TestIgnoreSuppression(t *testing.T) {
 	pkgs := loadFixture(t, "ignore")
-	diags := Run(pkgs, VCProfAnalyzers())
-	for _, d := range diags {
+	for _, d := range Run(pkgs, VCProfAnalyzers()) {
 		t.Errorf("suppressed fixture produced finding: %s", d)
 	}
-	// The same package without suppression honored must trip detrand
-	// and detmaprange — proving the directives did the silencing.
+	// The same package without suppression honored must trip detflow
+	// twice (rand and map order) — proving the directives did the
+	// silencing.
 	var raw []Diagnostic
-	for _, pkg := range pkgs {
-		for _, az := range VCProfAnalyzers() {
-			if az.Run == nil {
-				continue // whole-program analyzers run via Run()
-			}
-			pass := &Pass{Analyzer: az, Fset: pkg.fset, Pkg: pkg, diags: &raw}
-			az.Run(pass)
+	prog := NewProgram(pkgs)
+	for _, az := range VCProfAnalyzers() {
+		if az.Name == "detflow" {
+			az.RunProgram(&ProgramPass{Analyzer: az, Prog: prog, diags: &raw})
 		}
 	}
-	seen := map[string]bool{}
-	for _, d := range raw {
-		seen[d.Analyzer] = true
+	if len(raw) != 2 {
+		t.Errorf("ignore fixture tripped detflow %d times, want 2; suppression test is vacuous: %v", len(raw), raw)
 	}
-	for _, want := range []string{"detrand", "detmaprange"} {
-		if !seen[want] {
-			t.Errorf("ignore fixture never tripped %s; suppression test is vacuous", want)
+}
+
+// vclintFindings runs the badignore fixture, whose findings are all
+// about its directives.
+func vclintFindings(t *testing.T) []Diagnostic {
+	t.Helper()
+	diags := Run(loadFixture(t, "badignore"), VCProfAnalyzers())
+	if len(diags) != 2 {
+		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
+	}
+	for _, d := range diags {
+		if d.Analyzer != "vclint" {
+			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
+	return diags
 }
 
 // TestMalformedIgnoreReported: a directive without a reason is itself a
 // finding, attributed to the "vclint" pseudo-analyzer.
 func TestMalformedIgnoreReported(t *testing.T) {
-	diags := Run(loadFixture(t, "badignore"), VCProfAnalyzers())
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want 1: %v", len(diags), diags)
+	if d := vclintFindings(t)[0]; !strings.Contains(d.Message, "malformed lint:ignore") {
+		t.Errorf("unexpected diagnostic: %s", d)
 	}
-	d := diags[0]
-	if d.Analyzer != "vclint" || !strings.Contains(d.Message, "malformed lint:ignore") {
+}
+
+// TestUnknownIgnoreReported: a directive naming an analyzer vclint does
+// not ship (here a typo of detflow) suppresses nothing, so it is itself
+// a finding rather than a silent no-op.
+func TestUnknownIgnoreReported(t *testing.T) {
+	if d := vclintFindings(t)[1]; !strings.Contains(d.Message, `unknown analyzer "detflwo"`) || d.Line != 10 {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }
@@ -66,7 +77,7 @@ func TestMalformedIgnoreReported(t *testing.T) {
 // analyzer/file/line/col/message.
 func TestJSONShape(t *testing.T) {
 	diags := []Diagnostic{
-		{Analyzer: "detnow", File: "a.go", Line: 3, Col: 7, Message: "m"},
+		{Analyzer: "detflow", File: "a.go", Line: 3, Col: 7, Message: "m"},
 	}
 	var buf bytes.Buffer
 	if err := RenderJSON(&buf, diags); err != nil {
@@ -103,7 +114,7 @@ func TestJSONShape(t *testing.T) {
 // TestRunOrdersDiagnostics: findings come back sorted by position so
 // output is byte-stable run to run.
 func TestRunOrdersDiagnostics(t *testing.T) {
-	diags := Run(loadFixture(t, "detenv"), VCProfAnalyzers())
+	diags := Run(loadFixture(t, "detflow/..."), VCProfAnalyzers())
 	if !sort.SliceIsSorted(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -118,21 +129,6 @@ func TestRunOrdersDiagnostics(t *testing.T) {
 	}
 }
 
-// TestLookupAnalyzer covers the CLI's analyzer registry.
-func TestLookupAnalyzer(t *testing.T) {
-	for _, name := range []string{
-		"detnow", "detmaprange", "detrand", "lockheld", "hotalloc", "detenv",
-	} {
-		az, err := LookupAnalyzer(name)
-		if err != nil || az.Name != name {
-			t.Errorf("LookupAnalyzer(%q) = %v, %v", name, az, err)
-		}
-	}
-	if _, err := LookupAnalyzer("nosuch"); err == nil {
-		t.Error("LookupAnalyzer accepted an unknown name")
-	}
-}
-
 // TestDirectiveParsing unit-tests the directive grammar.
 func TestDirectiveParsing(t *testing.T) {
 	cases := []struct {
@@ -140,10 +136,10 @@ func TestDirectiveParsing(t *testing.T) {
 		names   string // comma-joined expected names; "" = not a directive or malformed
 		ok      bool
 	}{
-		{"//lint:ignore detnow reason here", "detnow", true},
-		{"// lint:ignore detnow spaced form", "detnow", true},
-		{"//lint:ignore detnow,detenv shared reason", "detnow,detenv", true},
-		{"//lint:ignore detnow", "", false},      // no reason
+		{"//lint:ignore detflow reason here", "detflow", true},
+		{"// lint:ignore detflow spaced form", "detflow", true},
+		{"//lint:ignore detflow,lockheld shared reason", "detflow,lockheld", true},
+		{"//lint:ignore detflow", "", false},     // no reason
 		{"//lint:ignore", "", false},             // nothing at all
 		{"//lint:ignorance is bliss", "", false}, // not the directive
 		{"// plain comment", "", false},
@@ -154,12 +150,12 @@ func TestDirectiveParsing(t *testing.T) {
 			if tc.ok {
 				t.Errorf("%q: not recognized as directive", tc.comment)
 			}
-			if tc.comment == "//lint:ignore detnow" || tc.comment == "//lint:ignore" {
+			if tc.comment == "//lint:ignore detflow" || tc.comment == "//lint:ignore" {
 				t.Errorf("%q: must be recognized (then rejected as malformed)", tc.comment)
 			}
 			continue
 		}
-		names, _, ok := splitDirective(text)
+		names, ok := splitDirective(text)
 		if ok != tc.ok {
 			t.Errorf("%q: ok = %v, want %v", tc.comment, ok, tc.ok)
 			continue

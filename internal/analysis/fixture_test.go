@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -11,8 +12,8 @@ import (
 //
 //	// want `regexp` [`regexp` ...]
 //
-// Every diagnostic must match a want on its exact line and every want
-// must be matched, so fixtures pin both positives and negatives. The
+// Every diagnostic must match its own want on its exact line and every
+// want must be matched, so fixtures pin both positives and negatives. The
 // patterns match against "analyzer: message", and the harness runs the
 // full shipped analyzer set — the same instances cmd/vclint uses — so
 // the fixtures also prove the scope rules route each package to the
@@ -73,6 +74,8 @@ func collectWants(t *testing.T, pkgs []*Package) []*expectation {
 }
 
 // runFixture checks one fixture package against its want comments.
+// Each want absorbs exactly one diagnostic, so a site reported twice
+// fails just like a site reported without a want.
 func runFixture(t *testing.T, dir string) {
 	t.Helper()
 	pkgs := loadFixture(t, dir)
@@ -82,9 +85,10 @@ func runFixture(t *testing.T, dir string) {
 		msg := d.Analyzer + ": " + d.Message
 		matched := false
 		for _, w := range wants {
-			if w.file == d.File && w.line == d.Line && w.re.MatchString(msg) {
+			if !w.hit && w.file == d.File && w.line == d.Line && w.re.MatchString(msg) {
 				w.hit = true
 				matched = true
+				break
 			}
 		}
 		if !matched {
@@ -98,34 +102,63 @@ func runFixture(t *testing.T, dir string) {
 	}
 }
 
-// TestFixtures runs every analyzer fixture. Each fixture must both trip
-// its analyzer on the annotated lines and stay silent on the
+// fixturePattern is the testdata pattern of an analyzer's fixture tree:
+// the directory named after it, with its subpackages when it has any
+// (detflow's pin a cross-package chain and one package per source).
+func fixturePattern(t *testing.T, name string) string {
+	t.Helper()
+	ents, err := os.ReadDir("testdata/" + name)
+	if err != nil {
+		t.Fatalf("analyzer %s has no fixture: %v", name, err)
+	}
+	for _, e := range ents {
+		if e.IsDir() {
+			return name + "/..."
+		}
+	}
+	return name
+}
+
+// detflowSources are detflow's per-source fixture packages. Each is also
+// run on its own, named after the source check it pins (wall clock, host
+// environment, randomness, map order), so a regression in one source's
+// scope fails by name and does not lean on the rest of the tree.
+var detflowSources = []struct{ name, dir string }{
+	{"detnow", "detflow/clock"},
+	{"detenv", "detflow/env"},
+	{"detrand", "detflow/rand"},
+	{"detmaprange", "detflow/maprange"},
+}
+
+// TestFixtures runs every shipped analyzer's fixture. Each fixture must
+// both trip its analyzer on the annotated lines and stay silent on the
 // counter-example functions.
 func TestFixtures(t *testing.T) {
-	for _, dir := range []string{
-		"detnow", "detmaprange", "detrand", "lockheld", "hotalloc", "detenv",
-		"httpctx", "histbuckets",
-		// Whole-program fixtures; detflow loads its inner subpackage
-		// too, pinning a cross-package call chain.
-		"detflow/...", "lockorder", "shardpure",
-	} {
+	for _, az := range VCProfAnalyzers() {
+		dir := fixturePattern(t, az.Name)
 		t.Run(dir, func(t *testing.T) { runFixture(t, dir) })
+	}
+	for _, src := range detflowSources {
+		t.Run(src.name, func(t *testing.T) { runFixture(t, src.dir) })
 	}
 }
 
 // TestFixturesFindSomething guards against a silently dead analyzer: a
 // fixture with zero findings and zero wants would pass runFixture.
 func TestFixturesFindSomething(t *testing.T) {
-	for _, dir := range []string{
-		"detnow", "detmaprange", "detrand", "lockheld", "hotalloc", "detenv",
-		"httpctx", "histbuckets",
-		"detflow/...", "lockorder", "shardpure",
-	} {
-		t.Run(dir, func(t *testing.T) {
-			diags := Run(loadFixture(t, dir), VCProfAnalyzers())
-			if len(diags) == 0 {
-				t.Fatalf("fixture %s produced no findings", dir)
+	findSome := func(t *testing.T, dir, analyzer string) {
+		for _, d := range Run(loadFixture(t, dir), VCProfAnalyzers()) {
+			if d.Analyzer == analyzer {
+				return
 			}
-		})
+		}
+		t.Fatalf("fixture %s produced no %s findings", dir, analyzer)
+	}
+	for _, az := range VCProfAnalyzers() {
+		dir := fixturePattern(t, az.Name)
+		t.Run(dir, func(t *testing.T) { findSome(t, dir, az.Name) })
+	}
+	for _, src := range detflowSources {
+		t.Run(src.name, func(t *testing.T) { findSome(t, src.dir, "detflow") })
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -57,10 +58,11 @@ func (s ignoreSet) union(other ignoreSet) {
 }
 
 // parseIgnores scans a package's comments for directives. Malformed
-// directives (no analyzer name or no reason) are returned as
+// directives (no analyzer name or no reason) and names outside known
+// (a typo, or an analyzer vclint no longer ships) are returned as
 // diagnostics under the pseudo-analyzer "vclint" so the driver surfaces
 // them instead of silently ignoring nothing.
-func parseIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnostic) {
+func parseIgnores(fset *token.FileSet, files []*ast.File, known map[string]bool) (ignoreSet, []Diagnostic) {
 	set := make(ignoreSet)
 	var bad []Diagnostic
 	for _, f := range files {
@@ -71,19 +73,18 @@ func parseIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnost
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				names, reason, ok := splitDirective(text)
+				report := func(msg string) {
+					bad = append(bad, Diagnostic{Analyzer: "vclint", File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg})
+				}
+				names, ok := splitDirective(text)
 				if !ok {
-					bad = append(bad, Diagnostic{
-						Analyzer: "vclint",
-						File:     pos.Filename,
-						Line:     pos.Line,
-						Col:      pos.Column,
-						Message:  "malformed lint:ignore directive: want //lint:ignore <analyzer> <reason>",
-					})
+					report("malformed lint:ignore directive: want //lint:ignore <analyzer> <reason>")
 					continue
 				}
-				_ = reason
 				for _, name := range names {
+					if !known[name] {
+						report(fmt.Sprintf("lint:ignore names unknown analyzer %q (vclint -list shows the shipped set)", name))
+					}
 					set[ignoreKey{pos.Filename, pos.Line, name}] = true
 				}
 			}
@@ -111,18 +112,15 @@ func directiveText(comment string) (string, bool) {
 
 // splitDirective parses "<analyzer>[,...] <reason>"; both parts are
 // required.
-func splitDirective(text string) (names []string, reason string, ok bool) {
+func splitDirective(text string) (names []string, ok bool) {
 	fields := strings.Fields(text)
 	if len(fields) < 2 {
-		return nil, "", false
+		return nil, false
 	}
 	for _, n := range strings.Split(fields[0], ",") {
 		if n = strings.TrimSpace(n); n != "" {
 			names = append(names, n)
 		}
 	}
-	if len(names) == 0 {
-		return nil, "", false
-	}
-	return names, strings.Join(fields[1:], " "), true
+	return names, len(names) > 0
 }

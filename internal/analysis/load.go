@@ -39,8 +39,8 @@ type Package struct {
 // GOPATH layout, or golang.org/x/tools dependency is needed.
 //
 // Test files (_test.go) are never loaded: vclint's invariants are about
-// shipped measurement paths, and several analyzers (detrand) explicitly
-// exempt tests. Files a build constraint excludes on the host platform
+// shipped measurement paths, so a test may, say, draw from math/rand.
+// Files a build constraint excludes on the host platform
 // (a _GOARCH.go suffix, a //go:build line) are skipped as the compiler
 // skips them, so a package with per-platform twins — internal/codec's
 // kernels beside their _other.go files — is checked as the one package

@@ -31,10 +31,10 @@ func step() float64 {
 	return float64(t0.Nanosecond())
 }
 
-// hostName leaks a host-environment read; detenv also flags the site
-// per-package, detflow adds the reachability claim.
+// hostName leaks a host-environment read: reported once, with its
+// reachability claim.
 func hostName() string {
-	return os.Getenv("HOST") // want `detenv: host-dependent os\.Getenv` `detflow: host-dependent os\.Getenv reachable from deterministic root detflow\.DetRootCell`
+	return os.Getenv("HOST") // want `detflow: host-dependent os\.Getenv reachable from deterministic root detflow\.DetRootCell`
 }
 
 // narrate owns wall-clock legitimately (progress narration); the
@@ -60,18 +60,18 @@ func DetRootMerge() int {
 	return total
 }
 
-// DetRootTable renders from a map in randomized order; detmaprange
-// flags the range per-package, detflow adds root reachability.
+// DetRootTable renders from a map in randomized order: reported once,
+// with root reachability.
 func DetRootTable(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want `detmaprange: map iteration` `detflow: map iteration with order-dependent effects`
+	for k := range m { // want `detflow: map iteration over m appends to a slice in randomized order .* reachable from deterministic root`
 		keys = append(keys, k)
 	}
 	return keys
 }
 
-// orphan is volatile but unreachable from any root: no detflow finding
-// (detnow does not apply — this package is outside its scope).
+// orphan is volatile but unreachable from any root: no finding, since
+// this package is outside the clock scope (testdata/detflow/clock).
 func orphan() time.Time { return time.Now() }
 
 func work() {}

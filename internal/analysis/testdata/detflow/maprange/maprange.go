@@ -1,7 +1,7 @@
-// Package detmaprange is vclint's fixture for the detmaprange
-// analyzer: map iterations with order-dependent effects must be
-// flagged, commutative or sorted-afterwards iterations must not.
-package detmaprange
+// Package maprange is vclint's fixture for detflow's map-order source:
+// map iterations with order-dependent effects are flagged in any
+// package, commutative or sorted-afterwards iterations are not.
+package maprange
 
 import (
 	"fmt"
@@ -12,7 +12,7 @@ import (
 // BadAppend collects keys in randomized order and never sorts them.
 func BadAppend(rows map[string]int) []string {
 	var out []string
-	for name := range rows { // want `detmaprange: .*appends to a slice in randomized order`
+	for name := range rows { // want `detflow: .*appends to a slice in randomized order`
 		out = append(out, name)
 	}
 	return out
@@ -20,14 +20,14 @@ func BadAppend(rows map[string]int) []string {
 
 // BadWrite renders output directly from map order.
 func BadWrite(rows map[string]int, b *strings.Builder) {
-	for name, v := range rows { // want `detmaprange: .*ordered output via fmt\.Fprintf`
+	for name, v := range rows { // want `detflow: .*ordered output via fmt\.Fprintf`
 		fmt.Fprintf(b, "%s=%d\n", name, v)
 	}
 }
 
 // BadSink streams into a builder method.
 func BadSink(rows map[string]int, b *strings.Builder) {
-	for name := range rows { // want `detmaprange: .*ordered output via .*Builder.*WriteString`
+	for name := range rows { // want `detflow: .*ordered output via .*Builder.*WriteString`
 		b.WriteString(name)
 	}
 }
@@ -37,7 +37,7 @@ type table struct{ rows []string }
 // BadFieldAppend appends into a struct field, where the later-sort
 // heuristic cannot apply.
 func BadFieldAppend(rows map[string]int, t *table) {
-	for name := range rows { // want `detmaprange: .*appends to a struct field`
+	for name := range rows { // want `detflow: .*appends to a struct field`
 		t.rows = append(t.rows, name)
 	}
 }

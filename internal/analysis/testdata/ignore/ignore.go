@@ -3,20 +3,18 @@
 // reasoned directive, so vclint must report nothing here.
 package ignorefix
 
-import (
-	//lint:ignore detrand suppression fixture: exercises the directive on the line above an import
-	"math/rand"
-)
+import "math/rand"
 
-// Roll uses the suppressed import.
+// Roll uses the suppressed randomness source.
 func Roll() int {
+	//lint:ignore detflow suppression fixture: exercises the directive on the line above a finding
 	return rand.Intn(6)
 }
 
 // Dump iterates a map into a slice; suppressed on the same line.
 func Dump(m map[string]int) []string {
 	var out []string
-	for k := range m { //lint:ignore detmaprange suppression fixture: consumer treats the result as a set
+	for k := range m { //lint:ignore detflow suppression fixture: consumer treats the result as a set
 		out = append(out, k)
 	}
 	return out

@@ -9,7 +9,7 @@ import (
 
 // pathScope restricts an analyzer to configured import-path prefixes.
 // A package is additionally in scope when it sits under a testdata
-// directory segment named after the analyzer ("testdata/detnow/..."),
+// directory segment named after the analyzer ("testdata/lockheld/..."),
 // so the fixture trees exercise the exact analyzer instances that
 // cmd/vclint ships, end to end, without widening the repo config.
 type pathScope struct {

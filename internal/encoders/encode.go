@@ -49,7 +49,7 @@ func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore detnow,detflow Result.Wall is host wall-clock by contract (live-run reporting); tables use modeled cycles (harness.cycleMS), never this value
+	//lint:ignore detflow Result.Wall is host wall-clock by contract (live-run reporting); tables use modeled cycles (harness.cycleMS), never this value
 	start := time.Now()
 	if pool == nil {
 		err = runInline(ctx, g, ws)
@@ -59,7 +59,7 @@ func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start) //lint:ignore detnow,detflow same contract as above: informational Result.Wall only
+	wall := time.Since(start) //lint:ignore detflow same contract as above: informational Result.Wall only
 
 	if c := opts.AnalysisPublish; c != nil {
 		c.seal()

@@ -89,7 +89,7 @@ func (r *Report) Tables() []*Table {
 // cancels the run and is returned wrapped with its experiment ID.
 // Cancelling ctx stops new cells from starting.
 //
-//lint:ignore detnow,detflow engine progress/timing layer: Report.Wall and per-experiment Wall are wall-clock reporting for the operator, never table cells
+//lint:ignore detflow engine progress/timing layer: Report.Wall and per-experiment Wall are wall-clock reporting for the operator, never table cells
 func RunAll(ctx context.Context, s Scale, opts Options) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func (e Experiment) Run(s Scale) ([]*Table, error) {
 // computation). Cancelling ctx aborts the measurement at the next task
 // boundary; aborted computations are never cached.
 //
-//lint:ignore detnow,detflow engine progress/timing layer: lookup latency feeds a volatile histogram, never a table cell
+//lint:ignore detflow engine progress/timing layer: lookup latency feeds a volatile histogram, never a table cell
 func RunCell(ctx context.Context, c Cell) (CellResult, bool, error) {
 	obsOccupancyPeak.Max(uint64(engineInflight.Add(1)))
 	defer engineInflight.Add(-1)
@@ -237,7 +237,7 @@ func RunCell(ctx context.Context, c Cell) (CellResult, bool, error) {
 // shares the memo cache with every other caller in the process, so a
 // daemon serving repeat traffic recomputes nothing.
 //
-//lint:ignore detnow,detflow engine progress/timing layer: ExperimentReport.Wall is operator reporting, never a table cell (same contract as RunAll)
+//lint:ignore detflow engine progress/timing layer: ExperimentReport.Wall is operator reporting, never a table cell (same contract as RunAll)
 func RunExperiment(ctx context.Context, id string, s Scale, workers int, sess *obs.Session) (*ExperimentReport, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

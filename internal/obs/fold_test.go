@@ -62,7 +62,7 @@ func treeGen(tr *obs.Trace, rng *splitmixState, names []obs.NameID, depth int) u
 }
 
 // TestFoldedProfileProperties is the fold invariants under randomized
-// span trees (deterministic splitmix seeds, per the detrand rule):
+// span trees (deterministic splitmix seeds, per the detflow randomness rule):
 //
 //   - conservation: folded ticks sum exactly to the ticks covered by
 //     root spans — nothing is dropped, nothing counted twice;

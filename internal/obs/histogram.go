@@ -87,9 +87,10 @@ var histRegistry = struct {
 
 // NewHistogram registers (or returns the existing) deterministic
 // histogram. bounds must be strictly increasing and non-empty — a
-// programmer error, panicked on here and linted by vclint's
-// histbuckets check. Call from package var initializers so
-// registration never depends on execution order.
+// programmer error, panicked on here. Call from package var
+// initializers: registration then never depends on execution order,
+// and a bad layout panics at init, failing every test of every
+// package that links it before it can ship.
 func NewHistogram(name string, bounds []uint64) *Histogram {
 	return newHistogram(name, bounds, false)
 }

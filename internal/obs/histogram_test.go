@@ -81,8 +81,9 @@ func TestHistogramRegistry(t *testing.T) {
 	}
 }
 
-// TestHistogramPanicsOnBadBounds pins the init-time guard histbuckets
-// lints for.
+// TestHistogramPanicsOnBadBounds pins the registration guard that
+// checks every bucket layout: registered from package var initializers,
+// a bad one panics at init in any test binary that links it.
 func TestHistogramPanicsOnBadBounds(t *testing.T) {
 	for name, bounds := range map[string][]uint64{
 		"test.hist.empty":      {},
@@ -196,7 +197,7 @@ func TestHistogramConcurrentHammer(t *testing.T) {
 }
 
 // splitmix is the repo's deterministic test PRNG (splitmix64) — no
-// math/rand, per the detrand invariant.
+// math/rand, per the detflow randomness rule.
 type splitmixState uint64
 
 func (s *splitmixState) next() uint64 {

@@ -135,7 +135,6 @@ func NewPool(cfg Config) *Pool {
 		seed = 1
 	}
 	p := &Pool{workers: n, seed: seed, observer: cfg.Observer, deques: make([]deque, n)}
-	//lint:ignore lockheld constructor: p is not shared until NewPool returns
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < n; w++ {
 		p.wg.Add(1)

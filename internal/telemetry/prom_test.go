@@ -135,9 +135,10 @@ func TestRenderHistogramHuman(t *testing.T) {
 	}
 }
 
-// TestSharedBucketLayouts sanity-checks the exported layouts the
+// TestSharedBucketLayouts is the check on the exported layouts the
 // serving layer and the load generator share: non-empty and strictly
-// increasing (the histbuckets lint proves the same statically).
+// increasing. Layouts passed to obs.NewHistogram are also checked by
+// its registration panic.
 func TestSharedBucketLayouts(t *testing.T) {
 	for name, bs := range map[string][]uint64{
 		"LatencyBucketsMS": LatencyBucketsMS,

@@ -291,7 +291,7 @@ func (h *Hierarchy) Release() {
 	if !xeonShaped(h.L1.cfg, h.L2.cfg, h.LLC.cfg, h.memLat) {
 		return
 	}
-	//lint:ignore detenv,detflow the bound only decides how many idle hierarchies stay allocated; no counter or table can observe it
+	//lint:ignore detflow the bound only decides how many idle hierarchies stay allocated; no counter or table can observe it
 	bound := runtime.GOMAXPROCS(0)
 	xeonFree.mu.Lock()
 	if len(xeonFree.idle) < bound {
