@@ -3,7 +3,7 @@
 # the vclint determinism/concurrency analyzers, the full test suite, a
 # short smoke of the ten fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
-# pass of vcbench, the six end-to-end smokes, the check that the
+# pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
 # over the concurrent packages (harness engine + encoders). The race pass
 # re-runs the golden and equivalence suites under the detector, so it
@@ -23,9 +23,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api loc test race golden results-check bench bench-short perf perf-short fuzz-smoke serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke
+.PHONY: ci fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api loc test race golden results-check bench bench-short perf perf-short fuzz-smoke smoke
 
-ci: fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api test fuzz-smoke bench-short perf-short serve-smoke telemetry-smoke sched-smoke cluster-smoke live-smoke trace-smoke results-check race
+ci: fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api test fuzz-smoke bench-short perf-short smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -203,56 +203,18 @@ perf:
 perf-short:
 	$(GO) run ./bench -short
 
-# End-to-end smoke of the serving layer: boots vcprofd on a random
-# port, drives it with vcload twice (200 jobs, c=16), and requires zero
-# failures, identical digests across passes, a >=90% store hit rate on
-# the warm pass, and a clean SIGTERM drain. See scripts/serve_smoke.sh.
-serve-smoke:
-	GO="$(GO)" sh scripts/serve_smoke.sh
-
-# End-to-end smoke of the live telemetry pipeline: the same seeded
-# vcload mix against a telemetry-off and a telemetry-on daemon must
-# produce identical digests; `vcperf top -once -assert` must hold
-# mid-load (top-down sums to 1 +/- 0.001, p99 >= p50); series and
-# folded-stack surfaces must serve. See scripts/telemetry_smoke.sh.
-telemetry-smoke:
-	GO="$(GO)" sh scripts/telemetry_smoke.sh
-
-# End-to-end smoke of the shard scheduler: the same seeded bimodal
-# vcload mix against default daemons at -j 1 and -j 4 must produce
-# identical digests, and on each the light-job p99 must sit >=5x below
-# the heavy-job p99 (equal tails are what head-of-line blocking looks
-# like). See scripts/sched_smoke.sh.
-sched-smoke:
-	GO="$(GO)" sh scripts/sched_smoke.sh
-
-# End-to-end smoke of the shard router: a single-daemon baseline, a
-# chaotic cold pass through a gate (vcprofd -shards) over 3 shards (one
-# SIGKILLed mid-run, replication factor 2), and a warm pass through a
-# fresh gate must all produce identical digests; the warm pass must
-# route >=80% of jobs to a shard already holding the bytes. See
-# scripts/cluster_smoke.sh.
-cluster-smoke:
-	GO="$(GO)" sh scripts/cluster_smoke.sh
-
-# End-to-end smoke of the live-encode session engine: the same seeded
-# session mix in-process, over a single vcprofd, and through a gate
-# (vcprofd -shards) over 3 shards with one SIGKILLed mid-run must
-# produce identical digests with zero deadline misses; ABR ladder
-# sharing must save >=20% instructions with byte-identical output. See
-# scripts/live_smoke.sh.
-live-smoke:
-	GO="$(GO)" sh scripts/live_smoke.sh
-
-# End-to-end smoke of the tracing and federation surfaces: a gate
-# (vcprofd -shards) over 3 shards (R=2) with a live session whose
-# pinned shard is SIGKILLed mid-stream must serve a merged
-# deterministic trace byte-identical to a bare daemon's, record the
-# failover re-anchor in the full view, federate /v1/cluster/metrics
-# byte-stably, and pass `vcperf slo -assert` with zero burn. See
-# scripts/trace_smoke.sh.
-trace-smoke:
-	GO="$(GO)" sh scripts/trace_smoke.sh
+# The end-to-end smoke of the serving stack (scripts/smoke.sh): one
+# build of vcprofd, vcload, vclive and vcperf; two daemons (-j 1 with no
+# sampler, -j 4 with sampling and tracing) and one cluster (3 shards, a
+# gate with R=2, a fresh second gate). One seeded job mix, one session
+# mix and one traced session must each give one digest (one trace) on
+# every topology, through a SIGKILL of a shard while the gate has all
+# three in flight. Also: light p99 >=5x below heavy p99, >=90% warm store
+# hits, >=80% warm routes, ladder sharing >=20%, zero deadline misses,
+# live top-down/series/flame/federation/SLO surfaces, and every daemon
+# stopped says bye within 2 s of SIGTERM.
+smoke:
+	GO="$(GO)" sh scripts/smoke.sh
 
 # Ten-second smoke of each fuzz target over its committed seed corpus.
 # Finding a crasher here fails CI; reproduce with the file Go writes

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,9 +97,13 @@ func run() error {
 		if !strings.Contains(base, "://") {
 			base = "http://" + base
 		}
+		// ^C ends every drive in flight, and each gives its session's
+		// slot back to the server on the way out (driveRemote).
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		defer stop()
 		daemon := service.Client{Base: base, HTTP: &http.Client{Timeout: 5 * time.Minute}}
 		drive = func(i int) (sessionOutcome, error) {
-			return driveRemote(context.Background(), daemon, &specs[i], *feed)
+			return driveRemote(ctx, daemon, &specs[i], *feed)
 		}
 	}
 
@@ -263,12 +268,22 @@ func driveLocal(spec *live.SessionSpec, cfg live.Config, batch int) (sessionOutc
 
 // driveRemote drives one session over the HTTP protocol: create, then
 // absolute arrival watermarks in batches, eos on the last. The digests
-// come back per GOP and fold client-side.
-func driveRemote(ctx context.Context, daemon service.Client, spec *live.SessionSpec, batch int) (sessionOutcome, error) {
+// come back per GOP and fold client-side. A session it created but did
+// not finish is DELETEd: the server frees a slot only at EOS or DELETE.
+func driveRemote(ctx context.Context, daemon service.Client, spec *live.SessionSpec, batch int) (_ sessionOutcome, err error) {
 	created, err := daemon.CreateSession(ctx, service.SessionCreateReq{Spec: *spec}, "")
 	if err != nil {
 		return sessionOutcome{}, fmt.Errorf("create: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			// Best effort, on a short context of its own because the
+			// caller's may have ended: a server that is gone is not an error.
+			ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
+			defer cancel()
+			daemon.DeleteSession(ctx, created.ID)
+		}
+	}()
 	var ds [][32]byte
 	var last service.SessionFeedResp
 	for fed := 0; ; {

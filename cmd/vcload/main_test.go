@@ -30,7 +30,8 @@ func testSpec(t *testing.T) *service.JobSpec {
 // waiting result fetch until serveDelay after the accept, as a daemon
 // holds it until the job ends. The served latency a correct client
 // reports is ~serveDelay — the 429 backoff sleeps must not leak into it.
-func slowAdmitServer(t *testing.T, spec *service.JobSpec, reject429 int, serveDelay time.Duration) *httptest.Server {
+// *held gets how long the server held the fetch.
+func slowAdmitServer(t *testing.T, spec *service.JobSpec, reject429 int, serveDelay time.Duration, held *time.Duration) *httptest.Server {
 	t.Helper()
 	id := spec.Key()
 	var submits int
@@ -49,10 +50,12 @@ func slowAdmitServer(t *testing.T, spec *service.JobSpec, reject429 int, serveDe
 		json.NewEncoder(w).Encode(map[string]string{"id": id, "status": service.StateQueued})
 	})
 	mux.HandleFunc("GET /v1/results/{id}", func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		select {
 		case <-time.After(serveDelay - time.Since(acceptedAt)):
 		case <-r.Context().Done():
 		}
+		*held = time.Since(start)
 		fmt.Fprint(w, `{"result":"bytes"}`)
 	})
 	srv := httptest.NewServer(mux)
@@ -69,7 +72,8 @@ func TestDriveJobSplitsRetriesFromServedLatency(t *testing.T) {
 	spec := testSpec(t)
 	const rejects = 3
 	const serveDelay = 30 * time.Millisecond
-	srv := slowAdmitServer(t, spec, rejects, serveDelay)
+	var held time.Duration
+	srv := slowAdmitServer(t, spec, rejects, serveDelay, &held)
 
 	body, ds, err := driveJob(context.Background(), service.Client{Base: srv.URL, HTTP: srv.Client()}, spec)
 	if err != nil {
@@ -85,9 +89,11 @@ func TestDriveJobSplitsRetriesFromServedLatency(t *testing.T) {
 		t.Fatalf("reconnects = %d, want 0", ds.Reconnects)
 	}
 	// The served clock must exclude the ~75ms of 429 backoff: it has
-	// to cover the serve delay but stay well under delay + backoffs.
-	if ds.Served < serveDelay {
-		t.Fatalf("served latency %v < serve delay %v — clock started too late", ds.Served, serveDelay)
+	// to cover the time the server held the fetch (which, unlike
+	// serveDelay, lies wholly inside the client's clock) but stay well
+	// under delay + backoffs.
+	if ds.Served < held {
+		t.Fatalf("served latency %v < %v the server held the fetch — clock started too late", ds.Served, held)
 	}
 	if max := serveDelay + 2*rejects*25*time.Millisecond; ds.Served >= max {
 		t.Fatalf("served latency %v >= %v — 429 backoff leaked into the served clock", ds.Served, max)
@@ -114,7 +120,8 @@ func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // counted in their own field, and never reach the latency clock.
 func TestDriveJobCountsReconnectsSeparately(t *testing.T) {
 	spec := testSpec(t)
-	srv := slowAdmitServer(t, spec, 0, time.Millisecond)
+	var held time.Duration
+	srv := slowAdmitServer(t, spec, 0, time.Millisecond, &held)
 
 	client := &http.Client{Transport: &flakyTransport{fails: 2, next: http.DefaultTransport}}
 	_, ds, err := driveJob(context.Background(), service.Client{Base: srv.URL, HTTP: client}, spec)

@@ -22,7 +22,8 @@ import (
 // result endpoint honours ?wait= the way a daemon does — it holds the
 // fetch until serveDelay after the accept (then serves bytes), the wait
 // runs out (409) or the client goes. result, when set, replaces that
-// handler. Every request is counted, and DELETEs are recorded.
+// handler. Every request is counted, DELETEs are recorded, and held sums
+// how long the result handler kept waiting fetches.
 type fakeShard struct {
 	submitID   string
 	reject429  int
@@ -34,6 +35,7 @@ type fakeShard struct {
 	requests   int
 	deleted    []string
 	acceptedAt time.Time
+	held       time.Duration
 }
 
 // seen reports the requests served and the ids DELETEd so far.
@@ -77,12 +79,16 @@ func (f *fakeShard) serve(t *testing.T) Client {
 		f.mu.Lock()
 		left := f.serveDelay - time.Since(f.acceptedAt)
 		f.mu.Unlock()
+		start := time.Now()
 		if left > 0 {
 			select {
 			case <-time.After(min(left, wait)):
 			case <-r.Context().Done():
 			}
 		}
+		f.mu.Lock()
+		f.held += time.Since(start)
+		f.mu.Unlock()
 		if left > wait {
 			WriteJSON(w, http.StatusConflict, JobStatus{ID: r.PathValue("id"), Status: StateRunning})
 			return
@@ -119,7 +125,8 @@ func TestDriveSplitsRetriesFromServedLatency(t *testing.T) {
 	key, payload := drivePayload(t)
 	const rejects = 3
 	const serveDelay = 30 * time.Millisecond
-	c := (&fakeShard{submitID: key, reject429: rejects, serveDelay: serveDelay}).serve(t)
+	f := &fakeShard{submitID: key, reject429: rejects, serveDelay: serveDelay}
+	c := f.serve(t)
 
 	body, ds, err := c.Drive(context.Background(), key, payload, DriveOpts{})
 	if err != nil {
@@ -132,9 +139,16 @@ func TestDriveSplitsRetriesFromServedLatency(t *testing.T) {
 		t.Fatalf("retries_429=%d reconnects=%d, want %d and 0", ds.Retries429, ds.Reconnects, rejects)
 	}
 	// The served clock must exclude the ~75ms of 429 backoff: it has
-	// to cover the serve delay but stay well under delay + backoffs.
-	if ds.Served < serveDelay {
-		t.Fatalf("served latency %v < serve delay %v — clock started too late", ds.Served, serveDelay)
+	// to cover the time the shard held the fetch, but stay well under
+	// delay + backoffs. Held, not serveDelay, is the lower bound: the
+	// shard's serveDelay clock starts before it writes the 202 and
+	// Drive's after reading it, so a slow 202 may eat into serveDelay,
+	// while the fetch the shard held sits wholly inside Drive's clock.
+	f.mu.Lock()
+	held := f.held
+	f.mu.Unlock()
+	if held <= 0 || ds.Served < held {
+		t.Fatalf("served latency %v < %v the shard held the fetch — clock started too late", ds.Served, held)
 	}
 	if max := serveDelay + 2*rejects*25*time.Millisecond; ds.Served >= max {
 		t.Fatalf("served latency %v >= %v — 429 backoff leaked into the served clock", ds.Served, max)
