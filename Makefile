@@ -178,9 +178,14 @@ results-check:
 # of the nine predictors on a recorded window (BenchmarkStep/<name>) and
 # cbp the nine-name championship against its parts
 # (BenchmarkChampionshipZoo: zoo < plain + hybrids is each TAGE geometry
-# stepped once).
+# stepped once). trace times a round of every reporting call with
+# nothing attached and with two no-op sinks (BenchmarkCtx/{count,hooked})
+# and entropy one coded bit with no, a count-only and a recording
+# context (BenchmarkEncoderBit/{nil,count,record}); trace's
+# TestCountOnlyDoesNotAllocate (in `make test`) holds the count-only
+# path at 0 allocs.
 BENCH_PKGS = . ./internal/obs ./internal/codec/transform ./internal/codec/motion \
-	./internal/uarch/bpred ./internal/cbp
+	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy
 
 bench:
 	mkdir -p bench/out

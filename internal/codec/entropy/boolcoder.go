@@ -82,11 +82,10 @@ func (e *Encoder) Bit(bit int, p Prob) {
 	prevStage := e.tc.BeginStage(trace.StageEntropy)
 	split := 1 + (((e.rng - 1) * uint32(p)) >> 8)
 	// The split comparison is the canonical data-dependent branch of a
-	// range coder: its direction is the coded bit itself.
-	e.tc.Branch(e.site, bit != 0)
-	e.tc.Loads(e.site, trace.ScratchBase+0x4000, 1, 8, 2)
-	e.tc.Stores(e.site, trace.ScratchBase+0x4000, 1, 8, 2) // context adaptation writeback
-	e.tc.Op(trace.OpOther, 6)                              // split mul/shift/add, interval update
+	// range coder: its direction is the coded bit itself. The context
+	// probability is loaded and its adaptation written back; six scalar
+	// ops are the split mul/shift/add and the interval update.
+	e.tc.Step(e.site, bit != 0, trace.ScratchBase+0x4000, 8, 2, 6)
 	if bit != 0 {
 		e.low += split
 		e.rng -= split

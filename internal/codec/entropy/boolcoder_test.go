@@ -1,6 +1,7 @@
 package entropy
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -163,21 +164,87 @@ func TestAdaptMovesTowardObservedBit(t *testing.T) {
 	}
 }
 
-func TestEncoderInstrumentation(t *testing.T) {
-	tc := trace.New()
+// encodePinned codes the pinned stream to tc: 1,000 adaptive bits, a
+// quarter of them ones, over four contexts, then the 32 flush bits.
+func encodePinned(tc *trace.Ctx) []byte {
 	e := NewEncoder(tc, 0x9000)
-	for i := 0; i < 100; i++ {
-		e.Bit(i&1, 128)
+	var probs [4]Prob
+	for i := range probs {
+		probs[i] = DefaultProb
 	}
-	if tc.Mix[trace.OpBranch] == 0 {
-		t.Error("encoder emitted no branch events")
+	x := uint32(1)
+	for i := 0; i < 1000; i++ {
+		x = x*1664525 + 1013904223
+		bit := 0
+		if x>>28 < 3 {
+			bit = 1
+		}
+		e.BitAdaptive(bit, &probs[i%4])
 	}
-	if tc.Mix[trace.OpOther] == 0 {
-		t.Error("encoder emitted no scalar ops")
+	return e.Finish()
+}
+
+// TestEncoderInstrumentation pins what a coded bit reports: per bit one
+// split branch, one context load, one context store and six scalar ops,
+// plus one carry branch and one byte-out store per output byte, all of
+// it in the entropy stage — counted alone or fed to a recorder.
+func TestEncoderInstrumentation(t *testing.T) {
+	const bits, bytes = 1032, 93
+	want := trace.Mix{
+		trace.OpBranch: bits + bytes,
+		trace.OpLoad:   bits,
+		trace.OpStore:  bits + bytes,
+		trace.OpOther:  6 * bits,
 	}
-	_ = e.Finish()
-	if tc.Mix[trace.OpStore] == 0 {
-		t.Error("encoder emitted no byte-out stores")
+	counted, recorded := trace.New(), trace.New()
+	recorded.AttachRecorder(&trace.Recorder{})
+	for _, tc := range []*trace.Ctx{counted, recorded} {
+		if out := encodePinned(tc); len(out) != bytes {
+			t.Fatalf("pinned stream coded to %d bytes, want %d", len(out), bytes)
+		}
+		if tc.Mix != want {
+			t.Errorf("mix %v, want %v", tc.Mix, want)
+		}
+		var stages trace.StageCounts
+		stages[trace.StageEntropy] = want.Total()
+		if got := tc.StageCounts(); got != stages || tc.Total() != want.Total() {
+			t.Errorf("stages %v and total %d, want %v and %d", got, tc.Total(), stages, want.Total())
+		}
+	}
+	if !slices.Equal(encodePinned(nil), encodePinned(counted)) {
+		t.Error("the stream depends on instrumentation")
+	}
+}
+
+// BenchmarkEncoderBit times one adaptive coded bit with no context
+// (nil), a count-only context (count) and a recording one (record).
+func BenchmarkEncoderBit(b *testing.B) {
+	bitsIn := make([]int, 4096)
+	x := uint32(7)
+	for i := range bitsIn {
+		x = x*1664525 + 1013904223
+		bitsIn[i] = int(x>>27) & 1
+	}
+	for _, mode := range []string{"nil", "count", "record"} {
+		b.Run(mode, func(b *testing.B) {
+			var tc *trace.Ctx
+			if mode != "nil" {
+				tc = trace.New()
+			}
+			if mode == "record" {
+				tc.AttachRecorder(&trace.Recorder{})
+			}
+			e := NewEncoder(tc, 0x9000)
+			var probs [8]Prob
+			for i := range probs {
+				probs[i] = DefaultProb
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.BitAdaptive(bitsIn[i%len(bitsIn)], &probs[i%len(probs)])
+			}
+		})
 	}
 }
 

@@ -9,10 +9,16 @@ package trace
 // branch-predictor and cache simulation; an optional Recorder keeps the
 // run on a Tape, from which micro-op windows are cut for replay; an
 // optional Profile accumulates gprof-style per-function instruction
-// counts.
+// counts. Every report adds to the mix and to the active stage, then
+// tests one flag: a context with nothing attached stops there, and only
+// a hooked one goes on to charge the profile, feed the sinks and write
+// the tape, in that order.
 type Ctx struct {
-	Mix   Mix
-	total uint64
+	// What every report touches, together at the front.
+	Mix    Mix
+	stages StageCounts
+	stage  Stage
+	hooked bool // a sink, recorder or profile is attached
 
 	branchSinks []LoopSink
 	memSinks    []RunSink
@@ -21,9 +27,6 @@ type Ctx struct {
 
 	cur   FuncID
 	stack []FuncID
-
-	stage  Stage
-	stages StageCounts
 }
 
 // New returns an empty counting context.
@@ -36,6 +39,7 @@ func New() *Ctx { return &Ctx{} }
 // run is issued.
 func (c *Ctx) AttachBranchSink(s BranchSink) {
 	c.branchSinks = append(c.branchSinks, asLoopSink(s))
+	c.hooked = true
 }
 
 // AttachMemSink adds a live memory-access consumer, by the same rule:
@@ -43,21 +47,28 @@ func (c *Ctx) AttachBranchSink(s BranchSink) {
 // wrapped and sees every access.
 func (c *Ctx) AttachMemSink(s MemSink) {
 	c.memSinks = append(c.memSinks, asRunSink(s))
+	c.hooked = true
 }
 
 // AttachRecorder sets the recorder whose tape every instruction
 // reported from here on is written to.
-func (c *Ctx) AttachRecorder(r *Recorder) { c.tape = &r.Tape }
+func (c *Ctx) AttachRecorder(r *Recorder) {
+	c.tape = &r.Tape
+	c.hooked = true
+}
 
 // AttachProfile sets the per-function profile accumulator.
-func (c *Ctx) AttachProfile(p *Profile) { c.prof = p }
+func (c *Ctx) AttachProfile(p *Profile) {
+	c.prof = p
+	c.hooked = true
+}
 
 // Total returns the dynamic instruction count seen so far.
 func (c *Ctx) Total() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.total
+	return c.Mix.Total()
 }
 
 // Op reports n non-memory, non-branch instructions of the given class.
@@ -66,7 +77,11 @@ func (c *Ctx) Op(class OpClass, n int) {
 		return
 	}
 	c.Mix[class] += uint64(n)
-	c.account(uint64(n))
+	c.stages[c.stage] += uint64(n)
+	if !c.hooked {
+		return
+	}
+	c.profile(n)
 	if c.tape != nil {
 		c.tape.Op(class, n)
 	}
@@ -75,25 +90,32 @@ func (c *Ctx) Op(class OpClass, n int) {
 // Loads reports count load instructions starting at addr with the given
 // byte stride, each loading size bytes.
 func (c *Ctx) Loads(pc PC, addr uint64, count, stride, size int) {
-	c.mem(pc, addr, count, stride, size, false)
+	if c == nil || count <= 0 {
+		return
+	}
+	c.Mix[OpLoad] += uint64(count)
+	c.stages[c.stage] += uint64(count)
+	if c.hooked {
+		c.memHooked(pc, addr, count, stride, size, false)
+	}
 }
 
 // Stores reports count store instructions starting at addr with the
 // given byte stride, each storing size bytes.
 func (c *Ctx) Stores(pc PC, addr uint64, count, stride, size int) {
-	c.mem(pc, addr, count, stride, size, true)
-}
-
-func (c *Ctx) mem(pc PC, addr uint64, count, stride, size int, store bool) {
 	if c == nil || count <= 0 {
 		return
 	}
-	class := OpLoad
-	if store {
-		class = OpStore
+	c.Mix[OpStore] += uint64(count)
+	c.stages[c.stage] += uint64(count)
+	if c.hooked {
+		c.memHooked(pc, addr, count, stride, size, true)
 	}
-	c.Mix[class] += uint64(count)
-	c.account(uint64(count))
+}
+
+// memHooked is the hooked half of Loads and Stores.
+func (c *Ctx) memHooked(pc PC, addr uint64, count, stride, size int, store bool) {
+	c.profile(count)
 	for _, s := range c.memSinks {
 		s.Run(addr, count, stride, size, store)
 	}
@@ -108,7 +130,11 @@ func (c *Ctx) Branch(pc PC, taken bool) {
 		return
 	}
 	c.Mix[OpBranch]++
-	c.account(1)
+	c.stages[c.stage]++
+	if !c.hooked {
+		return
+	}
+	c.profile(1)
 	for _, s := range c.branchSinks {
 		s.Branch(pc, taken)
 	}
@@ -129,14 +155,59 @@ func (c *Ctx) Loop(pc PC, iters int) {
 		c.Branch(pc, false)
 		return
 	}
-	n := uint64(iters)
-	c.Mix[OpBranch] += n
-	c.account(n)
+	c.Mix[OpBranch] += uint64(iters)
+	c.stages[c.stage] += uint64(iters)
+	if !c.hooked {
+		return
+	}
+	c.profile(iters)
 	for _, s := range c.branchSinks {
 		s.Loop(pc, iters)
 	}
 	if c.tape != nil {
 		c.tape.Loop(pc, iters)
+	}
+}
+
+// Step reports the bundle one step of a table-driven coder executes: a
+// branch at pc with its outcome, then one load and one store of size
+// bytes at addr (the context read and its adapted writeback), then ops
+// OpOther instructions. It is exactly
+//
+//	c.Branch(pc, taken)
+//	c.Loads(pc, addr, 1, stride, size)
+//	c.Stores(pc, addr, 1, stride, size)
+//	c.Op(OpOther, ops)
+//
+// and a hooked context is made those four calls, so its sinks, tape
+// and profile see the same events in the same order. Unhooked, Step
+// counts the bundle in one go.
+func (c *Ctx) Step(pc PC, taken bool, addr uint64, stride, size, ops int) {
+	if c == nil {
+		return
+	}
+	if c.hooked {
+		c.Branch(pc, taken)
+		c.Loads(pc, addr, 1, stride, size)
+		c.Stores(pc, addr, 1, stride, size)
+		c.Op(OpOther, ops)
+		return
+	}
+	c.Mix[OpBranch]++
+	c.Mix[OpLoad]++
+	c.Mix[OpStore]++
+	n := uint64(3)
+	if ops > 0 {
+		c.Mix[OpOther] += uint64(ops)
+		n += uint64(ops)
+	}
+	c.stages[c.stage] += n
+}
+
+// profile charges n instructions to the current function.
+func (c *Ctx) profile(n int) {
+	if c.prof != nil {
+		c.prof.ops(c.cur, uint64(n))
 	}
 }
 
@@ -161,14 +232,6 @@ func (c *Ctx) Leave() {
 	c.stack = c.stack[:len(c.stack)-1]
 }
 
-func (c *Ctx) account(n uint64) {
-	c.total += n
-	c.stages[c.stage] += n
-	if c.prof != nil {
-		c.prof.ops(c.cur, n)
-	}
-}
-
 // Merge folds the counters of another context into c (used to combine
 // per-worker contexts after a parallel encode). Sinks and recorders are
 // not merged; workers share sinks only if the sinks are thread-safe.
@@ -177,7 +240,6 @@ func (c *Ctx) Merge(o *Ctx) {
 		return
 	}
 	c.Mix.Add(&o.Mix)
-	c.total += o.total
 	c.stages.Add(&o.stages)
 	if c.prof != nil && o.prof != nil && c.prof != o.prof {
 		c.prof.Merge(o.prof)

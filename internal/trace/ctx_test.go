@@ -1,0 +1,60 @@
+package trace
+
+import "testing"
+
+// countAll makes every reporting call once: 71 instructions.
+func countAll(c *Ctx, pc PC) {
+	c.Op(OpAVX, 16)
+	c.Loads(pc, 0x1000, 8, 64, 32)
+	c.Stores(pc, 0x2000, 4, 64, 32)
+	c.Branch(pc, true)
+	c.Loop(pc, 32)
+	c.Step(pc, false, 0x3000, 8, 2, 6)
+	c.Loop(pc, 0)
+}
+
+// TestCountOnlyDoesNotAllocate: with nothing attached, reporting is
+// counting, and counting allocates nothing.
+func TestCountOnlyDoesNotAllocate(t *testing.T) {
+	c, pc := New(), Site("t/ctx.allocs")
+	if n := testing.AllocsPerRun(1000, func() { countAll(c, pc) }); n != 0 {
+		t.Fatalf("count-only reporting allocates %v allocs/op, want 0", n)
+	}
+	if got := c.Total(); got != 1001*71 {
+		t.Fatalf("Total = %d after 1001 rounds, want %d", got, 1001*71)
+	}
+}
+
+// nopSink consumes runs and does nothing with them: what is left of a
+// hooked report is the dispatch.
+type nopSink struct{}
+
+func (*nopSink) Branch(PC, bool)                 {}
+func (*nopSink) Loop(PC, int)                    {}
+func (*nopSink) Access(uint64, int, bool)        {}
+func (*nopSink) Run(uint64, int, int, int, bool) {}
+
+// BenchmarkCtx times one round of every reporting call on a context
+// with nothing attached (count) and with a branch and a memory sink
+// that do no work (hooked).
+func BenchmarkCtx(b *testing.B) {
+	pc := Site("t/ctx.bench")
+	b.Run("count", func(b *testing.B) {
+		c := New()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			countAll(c, pc)
+		}
+	})
+	b.Run("hooked", func(b *testing.B) {
+		c, s := New(), &nopSink{}
+		c.AttachBranchSink(s)
+		c.AttachMemSink(s)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			countAll(c, pc)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
@@ -19,9 +20,11 @@ func TestMicroOpIs16Bytes(t *testing.T) {
 	}
 }
 
-// event is one call a kernel makes on a Ctx.
+// event is one call a kernel makes on a Ctx, in the stage it is
+// attributed to. A step's n is its OpOther count.
 type event struct {
-	kind            int // 0 Op, 1 Loads, 2 Stores, 3 Branch, 4 Loop
+	kind            int // 0 Op, 1 Loads, 2 Stores, 3 Branch, 4 Loop, 5 Step
+	stage           Stage
 	class           OpClass
 	pc              PC
 	addr            uint64
@@ -33,7 +36,14 @@ type event struct {
 func emit(events []event, rec *Recorder) *Recorder {
 	c := New()
 	c.AttachRecorder(rec)
+	report(c, events)
+	return rec
+}
+
+// report makes each event's call on c, in its stage.
+func report(c *Ctx, events []event) {
 	for _, e := range events {
+		c.BeginStage(e.stage)
 		switch e.kind {
 		case 0:
 			c.Op(e.class, e.n)
@@ -43,11 +53,31 @@ func emit(events []event, rec *Recorder) *Recorder {
 			c.Stores(e.pc, e.addr, e.n, e.stride, e.size)
 		case 3:
 			c.Branch(e.pc, e.taken)
-		default:
+		case 4:
 			c.Loop(e.pc, e.n)
+		default:
+			c.Step(e.pc, e.taken, e.addr, e.stride, e.size, e.n)
 		}
 	}
-	return rec
+}
+
+// unbundle rewrites each step as the four calls it stands for.
+func unbundle(events []event) []event {
+	var out []event
+	for _, e := range events {
+		if e.kind != 5 {
+			out = append(out, e)
+			continue
+		}
+		mem := event{stage: e.stage, pc: e.pc, addr: e.addr, n: 1, stride: e.stride, size: e.size}
+		load, store := mem, mem
+		load.kind, store.kind = 1, 2
+		out = append(out,
+			event{kind: 3, stage: e.stage, pc: e.pc, taken: e.taken},
+			load, store,
+			event{kind: 0, stage: e.stage, class: OpOther, n: e.n})
+	}
+	return out
 }
 
 // refWindow records the window of the same events the way the parent's
@@ -55,7 +85,7 @@ func emit(events []event, rec *Recorder) *Recorder {
 func refWindow(events []event, start, limit uint64) (*refRecorder, uint64) {
 	r := &refRecorder{Start: start, Limit: limit}
 	var total uint64
-	for _, e := range events {
+	for _, e := range unbundle(events) {
 		switch {
 		case e.kind <= 2 && e.n <= 0:
 		case e.kind == 0:
@@ -192,17 +222,21 @@ func randomEvents(rng *rand.Rand, n int) []event {
 	pcs := Sites("t/tape", 8)
 	events := make([]event, n)
 	for i := range events {
-		e := event{kind: rng.Intn(5), pc: pcs[rng.Intn(len(pcs))], n: rng.Intn(40)}
+		e := event{kind: rng.Intn(6), stage: Stage(rng.Intn(int(NumStages))), pc: pcs[rng.Intn(len(pcs))], n: rng.Intn(40)}
 		if rng.Intn(max(200, n/4)) == 0 {
 			e.n = maxCount - 2 + rng.Intn(3*maxCount)
 		}
 		switch e.kind {
 		case 0:
 			e.class = []OpClass{OpAVX, OpSSE, OpOther}[rng.Intn(3)]
-		case 1, 2:
+		case 1, 2, 5:
 			e.addr = 0x10000000 + uint64(rng.Intn(1<<20))
 			e.stride = []int{1, 4, 64, 0, -8, -64, 640, 3}[rng.Intn(8)]
 			e.size = []int{1, 4, 8, 32, 255, 256, 1000, 0}[rng.Intn(8)]
+			if e.kind == 5 {
+				e.taken = rng.Intn(2) == 0
+				e.n -= 2 // a step with no ops, or a negative count, reports none
+			}
 		case 3:
 			e.taken = rng.Intn(2) == 0
 		default:
@@ -216,7 +250,8 @@ func randomEvents(rng *rand.Rand, n int) []event {
 // TestTapeExpandMatchesRef is the differential wall: on seeded random
 // run streams, every window the tape cuts — starting and ending inside
 // runs, at 0, of one op, of the whole run and past its end — holds
-// exactly what the per-op recorder kept.
+// exactly what the per-op recorder kept, and a bare context, which
+// takes the count-only path, counts what the recording one counts.
 func TestTapeExpandMatchesRef(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -225,8 +260,20 @@ func TestTapeExpandMatchesRef(t *testing.T) {
 			n = 40_000 // several chunks
 		}
 		events := randomEvents(rng, n)
-		rec := emit(events, &Recorder{})
+		rec := &Recorder{}
+		c, bare := New(), New()
+		c.AttachRecorder(rec)
+		report(c, events)
+		report(bare, events)
 		total := rec.Tape.Total()
+		if bare.Mix != c.Mix || bare.StageCounts() != c.StageCounts() || bare.Total() != c.Total() {
+			t.Fatalf("seed %d: count-only context counts mix %v, stages %v, total %d; recording one %v, %v, %d",
+				seed, bare.Mix, bare.StageCounts(), bare.Total(), c.Mix, c.StageCounts(), c.Total())
+		}
+		if sc := c.StageCounts(); c.Total() != c.Mix.Total() || c.Total() != sc.Total() || c.Total() != total {
+			t.Fatalf("seed %d: Total %d, Mix.Total %d, StageCounts.Total %d, tape total %d: want all equal",
+				seed, c.Total(), c.Mix.Total(), sc.Total(), total)
+		}
 		if seed == 1 && len(rec.Tape.chunks) < 3 {
 			t.Fatalf("the long stream fills %d chunks, want at least 3", len(rec.Tape.chunks))
 		}
@@ -245,6 +292,89 @@ func TestTapeExpandMatchesRef(t *testing.T) {
 		for _, w := range windows {
 			checkWindow(t, events, rec, w[0], w[1])
 		}
+	}
+}
+
+// totalSink sees every event one by one and notes the context's Total
+// as it stood when the event arrived, the way perf's top-down flusher
+// reads it.
+type totalSink struct {
+	c    *Ctx
+	seen []string
+}
+
+func (s *totalSink) Branch(pc PC, taken bool) {
+	s.seen = append(s.seen, fmt.Sprintf("branch %#x %v @%d", pc, taken, s.c.Total()))
+}
+
+func (s *totalSink) Access(addr uint64, size int, store bool) {
+	s.seen = append(s.seen, fmt.Sprintf("access %#x %d %v @%d", addr, size, store, s.c.Total()))
+}
+
+// wantSeen is what a totalSink sees from the events: each is counted
+// before any sink is shown it, and a run reaches a per-event sink one
+// event at a time.
+func wantSeen(events []event) []string {
+	var total uint64
+	var seen []string
+	for _, e := range unbundle(events) {
+		switch {
+		case e.kind <= 2 && e.n <= 0:
+		case e.kind == 0:
+			total += uint64(e.n)
+		case e.kind <= 2:
+			total += uint64(e.n)
+			for i, addr := 0, e.addr; i < e.n; i, addr = i+1, addr+uint64(e.stride) {
+				seen = append(seen, fmt.Sprintf("access %#x %d %v @%d", addr, e.size, e.kind == 2, total))
+			}
+		case e.kind == 3 || e.n < 1:
+			total++
+			seen = append(seen, fmt.Sprintf("branch %#x %v @%d", e.pc, e.kind == 3 && e.taken, total))
+		default:
+			total += uint64(e.n)
+			for i := 1; i <= e.n; i++ {
+				seen = append(seen, fmt.Sprintf("branch %#x %v @%d", e.pc, i < e.n, total))
+			}
+		}
+	}
+	return seen
+}
+
+// TestStepIsItsFourCalls: on a hooked context a Step is its branch,
+// load, store and ops calls, so sinks that read Total on every event,
+// the tape and the profile see the same thing from either, and the
+// sinks see each event already counted.
+func TestStepIsItsFourCalls(t *testing.T) {
+	events := randomEvents(rand.New(rand.NewSource(9)), 2000)
+	fn := Func("t/tape.step")
+	run := func(events []event) (*Ctx, *totalSink, *Recorder, *Profile) {
+		c, s, rec, prof := New(), &totalSink{}, &Recorder{}, NewProfile()
+		s.c = c
+		c.AttachBranchSink(s)
+		c.AttachMemSink(s)
+		c.AttachRecorder(rec)
+		c.AttachProfile(prof)
+		c.Enter(fn)
+		report(c, events)
+		return c, s, rec, prof
+	}
+	c, s, rec, prof := run(events)
+	uc, us, urec, uprof := run(unbundle(events))
+	if want := wantSeen(events); !slices.Equal(us.seen, want) {
+		t.Fatalf("sinks saw %d events from the four calls, want %d, or a different sequence", len(us.seen), len(want))
+	}
+	if !slices.Equal(s.seen, us.seen) {
+		t.Fatalf("sinks saw %d events from Step and %d from its four calls, or a different sequence", len(s.seen), len(us.seen))
+	}
+	if c.Mix != uc.Mix || c.StageCounts() != uc.StageCounts() {
+		t.Fatalf("Step counts %v %v, its four calls %v %v", c.Mix, c.StageCounts(), uc.Mix, uc.StageCounts())
+	}
+	total := rec.Tape.Total()
+	if i := firstDiff(rec.Tape.Window(0, total).MicroOps(), urec.Tape.Window(0, total).MicroOps()); i >= 0 || urec.Tape.Total() != total {
+		t.Fatalf("tapes differ at op %d", i)
+	}
+	if !reflect.DeepEqual(prof.Flat(), uprof.Flat()) {
+		t.Fatalf("profiles differ: %v vs %v", prof.Flat(), uprof.Flat())
 	}
 }
 
@@ -338,7 +468,7 @@ func FuzzTapeVsRefRecorder(f *testing.F) {
 		var events []event
 		for ; len(data) >= 4 && len(events) < 64; data = data[4:] {
 			e := event{
-				kind:   int(data[0] % 5),
+				kind:   int(data[0] % 6),
 				class:  OpAVX + OpClass(data[3]%3), // Op's contract: not a branch, load or store
 				pc:     pcs[data[3]%4],
 				addr:   0x20000000 + uint64(data[3])<<8,
@@ -350,8 +480,8 @@ func FuzzTapeVsRefRecorder(f *testing.F) {
 			if data[2] >= 0xf0 {
 				e.n += int(data[2]&15) << 14 // up to four records' worth
 			}
-			if e.kind == 4 {
-				e.n -= 1
+			if e.kind >= 4 {
+				e.n -= 1 // Loop(-1) is the guard test; Step(..., -1) reports no ops
 			}
 			events = append(events, e)
 		}

@@ -14,6 +14,7 @@ func TestNilCtxIsSafe(t *testing.T) {
 	c.Stores(0, 0, 4, 1, 4)
 	c.Branch(0, true)
 	c.Loop(0, 5)
+	c.Step(0, true, 0, 8, 2, 6)
 	c.Enter(0)
 	c.Leave()
 	c.Merge(New())
