@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
 # the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the ten fuzz targets, a single-iteration benchmark pass
+# short smoke of the twelve fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -183,8 +183,12 @@ results-check:
 # and entropy one coded bit with no, a count-only and a recording
 # context (BenchmarkEncoderBit/{nil,count,record}); trace's
 # TestCountOnlyDoesNotAllocate (in `make test`) holds the count-only
-# path at 0 allocs.
-BENCH_PKGS = . ./internal/obs ./internal/codec/transform ./internal/codec/motion \
+# path at 0 allocs. codec, quant and transform time each integer
+# mode-decision kernel against its pre-rewrite oracle (BenchmarkResidual,
+# BenchmarkQuantize, BenchmarkDequantize, BenchmarkSATD: /N against
+# /N/ref).
+BENCH_PKGS = . ./internal/obs ./internal/codec ./internal/codec/quant \
+	./internal/codec/transform ./internal/codec/motion \
 	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy
 
 bench:
@@ -227,6 +231,8 @@ smoke:
 fuzz-smoke:
 	$(GO) test ./internal/codec/entropy -run=^$$ -fuzz=FuzzBoolCoderRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzDCTKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzSATDVsRef -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/quant -run=^$$ -fuzz=FuzzQuantVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSADKernelVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFastVsRef -fuzztime=$(FUZZTIME)

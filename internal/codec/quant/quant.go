@@ -17,11 +17,32 @@ const MaxQIndex = 255
 // The mapping is exponential like the AV1/VP9 lookup tables: every 24
 // index points double the step, anchored so qindex 0 is near-lossless.
 func StepSize(qindex int) (float64, error) {
-	if qindex < 0 || qindex > MaxQIndex {
-		return 0, fmt.Errorf("quant: qindex %d out of range [0, %d]", qindex, MaxQIndex)
+	if err := checkQIndex(qindex); err != nil {
+		return 0, err
 	}
 	return 0.8 * math.Exp2(float64(qindex)/24), nil
 }
+
+func checkQIndex(qindex int) error {
+	if qindex < 0 || qindex > MaxQIndex {
+		return fmt.Errorf("quant: qindex %d out of range [0, %d]", qindex, MaxQIndex)
+	}
+	return nil
+}
+
+// steps holds, per qindex, the fixed-point forms of StepSize that the
+// quantizer pair uses, so no block pays for math.Exp2: the reciprocal
+// (hardware-friendly quantizers multiply rather than divide), the
+// dead-zone rounding offset (~3/8 step) and the 8.8 dequantizer step.
+var steps = func() (t [MaxQIndex + 1]struct{ inv, round, stepFx int64 }) {
+	for qi := range t {
+		step, _ := StepSize(qi)
+		t[qi].inv = int64(math.Round((1 << 16) / step))
+		t[qi].round = int64(math.Round(step * 0.375))
+		t[qi].stepFx = int64(math.Round(step * 256))
+	}
+	return t
+}()
 
 var (
 	pcQuantLoop   = trace.Sites("quant.Quantize/coefloop", 4)
@@ -52,30 +73,21 @@ func Quantize(tc *trace.Ctx, coefs []int32, qindex int, levels []int32) (nonzero
 	if len(levels) != len(coefs) {
 		return 0, fmt.Errorf("quant: levels length %d != coefs length %d", len(levels), len(coefs))
 	}
-	step, err := StepSize(qindex)
-	if err != nil {
+	if err := checkQIndex(qindex); err != nil {
 		return 0, err
 	}
 	tc.Enter(fnQuantize)
 	defer tc.Leave()
-	// Fixed-point reciprocal multiply, as hardware-friendly quantizers do.
-	inv := int64(math.Round((1 << 16) / step))
-	round := int64(math.Round(step * 0.375 * float64(1))) // dead zone ~3/8 step
+	inv, round := steps[qindex].inv, steps[qindex].round
+	levels = levels[:len(coefs)]
+	nz := 0 // a register: the deferred Leave keeps nonzero in memory
 	for i, c := range coefs {
-		neg := c < 0
-		a := int64(c)
-		if neg {
-			a = -a
-		}
-		l := (a + round) * inv >> 16
-		if l != 0 {
-			nonzero++
-		}
-		if neg {
-			l = -l
-		}
-		levels[i] = int32(l)
+		m := int64(c >> 31) // -1 for a negative coefficient, else 0
+		l := (((int64(c) ^ m) - m) + round) * inv >> 16
+		nz += int(uint64(-l) >> 63) // l >= 0: 1 unless it is zero
+		levels[i] = int32((l ^ m) - m)
 	}
+	nonzero = nz
 	// The kernel is fully vectorized (abs, madd, shift, sign restore,
 	// nonzero population count); like production quantizers it has no
 	// per-coefficient branch — the data-dependent branches happen later,
@@ -99,11 +111,11 @@ func Dequantize(tc *trace.Ctx, levels []int32, qindex int, coefs []int32) error 
 	if len(levels) != len(coefs) {
 		return fmt.Errorf("quant: coefs length %d != levels length %d", len(coefs), len(levels))
 	}
-	step, err := StepSize(qindex)
-	if err != nil {
+	if err := checkQIndex(qindex); err != nil {
 		return err
 	}
-	stepFx := int64(math.Round(step * 256))
+	stepFx := steps[qindex].stepFx
+	coefs = coefs[:len(levels)]
 	for i, l := range levels {
 		coefs[i] = int32(int64(l) * stepFx >> 8)
 	}

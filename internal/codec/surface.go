@@ -81,15 +81,13 @@ func (m MV) Add(o MV) MV { return MV{m.X + o.X, m.Y + o.Y} }
 // w) and reports the vector arithmetic to tc. cur and pred must each
 // hold w*h samples.
 func Residual(tc *trace.Ctx, cur, pred []byte, w, h int, dst []int32) {
-	for j := 0; j < h; j++ {
-		for i := 0; i < w; i++ {
-			idx := j*w + i
-			dst[idx] = int32(cur[idx]) - int32(pred[idx])
-		}
+	n := w * h
+	dst, cur, pred = dst[:n], cur[:n], pred[:n]
+	for i := range dst {
+		dst[i] = int32(cur[i]) - int32(pred[i])
 	}
 	// Two source loads and one widened store per 8 samples, one 8-wide
 	// subtract; the row loop is 4x unrolled.
-	n := w * h
 	tc.Loads(pcResidualLoop, trace.ScratchBase+0x3000, n/4+2, 8, 8)
 	tc.Stores(pcResidualLoop, trace.ScratchBase+0x3800, n/8+1, 8, 8)
 	tc.Op(trace.OpAVX, n/8+1)
@@ -100,14 +98,9 @@ func Residual(tc *trace.Ctx, cur, pred []byte, w, h int, dst []int32) {
 // Reconstruct computes dst = clamp(pred + res) for a w×h block.
 func Reconstruct(tc *trace.Ctx, pred []byte, res []int32, w, h int, dst []byte) {
 	n := w * h
-	for i := 0; i < n; i++ {
-		v := int32(pred[i]) + res[i]
-		if v < 0 {
-			v = 0
-		} else if v > 255 {
-			v = 255
-		}
-		dst[i] = byte(v)
+	dst, pred, res = dst[:n], pred[:n], res[:n]
+	for i := range dst {
+		dst[i] = byte(min(max(int32(pred[i])+res[i], 0), 255)) // compiles to CMOVs
 	}
 	tc.Loads(pcReconLoop, trace.ScratchBase+0x3000, n/4+2, 8, 8)
 	tc.Stores(pcReconLoop, trace.ScratchBase+0x3800, n/4+2, 8, 8)

@@ -11,40 +11,40 @@ var (
 	fnSATD     = trace.Func("transform.SATD")
 )
 
-// hadamard4 applies an in-place 4-point Walsh–Hadamard butterfly to
-// v[0..3] with the given stride.
-func hadamard4(v []int32, i0, stride int) {
-	a := v[i0]
-	b := v[i0+stride]
-	c := v[i0+2*stride]
-	d := v[i0+3*stride]
-	s0, s1 := a+c, a-c
-	s2, s3 := b+d, b-d
-	v[i0] = s0 + s2
-	v[i0+stride] = s1 + s3
-	v[i0+2*stride] = s0 - s2
-	v[i0+3*stride] = s1 - s3
+// abs32 is |v| without a branch; like negation, it wraps MinInt32 to
+// itself.
+func abs32(v int32) int32 {
+	m := v >> 31
+	return (v ^ m) - m
 }
 
-// SATD4x4 returns the sum of absolute Hadamard-transformed differences
-// of a 4×4 residual block (row-major, stride 4). The result is
-// normalized by 2 to approximate SAD scale, the convention x264 uses.
-func satd4x4(tc *trace.Ctx, res []int32) int32 {
-	var t [16]int32
-	copy(t[:], res[:16])
-	for r := 0; r < 4; r++ {
-		hadamard4(t[:], r*4, 1)
-	}
-	for c := 0; c < 4; c++ {
-		hadamard4(t[:], c, 4)
-	}
+// satd4x4 returns the sum of absolute Hadamard-transformed differences
+// of the 4×4 residual tile whose rows start at res[0], res[w], res[2w]
+// and res[3w], halved to approximate SAD scale, the convention x264
+// uses. The 4-point Walsh–Hadamard butterflies run over the rows into
+// locals, then down the columns; integer adds wrap, so the order of
+// the sum does not change it.
+func satd4x4(tc *trace.Ctx, res []int32, w int) int32 {
+	r0, r1, r2, r3 := res[0:4], res[w:w+4], res[2*w:2*w+4], res[3*w:3*w+4]
+	// Row butterflies: (a, b, c, d) → (a+b+c+d, a−c+b−d, a+c−b−d, a−c−b+d).
+	s0, s1, s2, s3 := r0[0]+r0[2], r0[0]-r0[2], r0[1]+r0[3], r0[1]-r0[3]
+	a0, a1, a2, a3 := s0+s2, s1+s3, s0-s2, s1-s3
+	s0, s1, s2, s3 = r1[0]+r1[2], r1[0]-r1[2], r1[1]+r1[3], r1[1]-r1[3]
+	b0, b1, b2, b3 := s0+s2, s1+s3, s0-s2, s1-s3
+	s0, s1, s2, s3 = r2[0]+r2[2], r2[0]-r2[2], r2[1]+r2[3], r2[1]-r2[3]
+	c0, c1, c2, c3 := s0+s2, s1+s3, s0-s2, s1-s3
+	s0, s1, s2, s3 = r3[0]+r3[2], r3[0]-r3[2], r3[1]+r3[3], r3[1]-r3[3]
+	d0, d1, d2, d3 := s0+s2, s1+s3, s0-s2, s1-s3
+	// Column butterflies, summed as they come.
 	var sum int32
-	for _, v := range t {
-		if v < 0 {
-			v = -v
-		}
-		sum += v
-	}
+	s0, s1, s2, s3 = a0+c0, a0-c0, b0+d0, b0-d0
+	sum += abs32(s0+s2) + abs32(s1+s3) + abs32(s0-s2) + abs32(s1-s3)
+	s0, s1, s2, s3 = a1+c1, a1-c1, b1+d1, b1-d1
+	sum += abs32(s0+s2) + abs32(s1+s3) + abs32(s0-s2) + abs32(s1-s3)
+	s0, s1, s2, s3 = a2+c2, a2-c2, b2+d2, b2-d2
+	sum += abs32(s0+s2) + abs32(s1+s3) + abs32(s0-s2) + abs32(s1-s3)
+	s0, s1, s2, s3 = a3+c3, a3-c3, b3+d3, b3-d3
+	sum += abs32(s0+s2) + abs32(s1+s3) + abs32(s0-s2) + abs32(s1-s3)
 	tc.Loads(pcSATDLoop, trace.ScratchBase+0x5000, 4, 8, 8)
 	tc.Op(trace.OpAVX, 8) // 4x4 tiles batched through 8-wide butterflies
 	tc.Op(trace.OpSSE, 1) // transpose fix-up
@@ -52,9 +52,9 @@ func satd4x4(tc *trace.Ctx, res []int32) int32 {
 	return sum / 2
 }
 
-// SATD computes the Hadamard-domain cost of a w×h residual (both
-// multiples of 4) by tiling 4×4 SATDs, the standard mode-decision
-// distortion metric at fast presets.
+// SATD computes the Hadamard-domain cost of a w×h residual (row-major,
+// stride w; both multiples of 4) by tiling 4×4 SATDs, the standard
+// mode-decision distortion metric at fast presets.
 func SATD(tc *trace.Ctx, res []int32, w, h int) (int32, error) {
 	defer tc.EndStage(tc.BeginStage(trace.StageTransform))
 	if w%4 != 0 || h%4 != 0 || w <= 0 || h <= 0 {
@@ -63,13 +63,9 @@ func SATD(tc *trace.Ctx, res []int32, w, h int) (int32, error) {
 	tc.Enter(fnSATD)
 	defer tc.Leave()
 	var total int32
-	var tile [16]int32
 	for y := 0; y < h; y += 4 {
 		for x := 0; x < w; x += 4 {
-			for j := 0; j < 4; j++ {
-				copy(tile[j*4:j*4+4], res[(y+j)*w+x:(y+j)*w+x+4])
-			}
-			total += satd4x4(tc, tile[:])
+			total += satd4x4(tc, res[y*w+x:], w)
 		}
 		tc.Loop(pcSATDLoop, w/4)
 	}

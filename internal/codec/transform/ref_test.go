@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -114,4 +115,67 @@ func refInverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 	}
 	reportPass(tc, pcInvRow[sizeIdx(n)], n)
 	return nil
+}
+
+// refSATD is SATD as it shipped before the straight-line rewrite, moved
+// here verbatim (identifiers prefixed): each 4×4 tile is copied out of
+// the residual and transformed by eight calls of a strided butterfly.
+// It is the oracle of the SATD differential tests.
+func refSATD(tc *trace.Ctx, res []int32, w, h int) (int32, error) {
+	defer tc.EndStage(tc.BeginStage(trace.StageTransform))
+	if w%4 != 0 || h%4 != 0 || w <= 0 || h <= 0 {
+		return 0, fmt.Errorf("transform: SATD size %dx%d not a positive multiple of 4", w, h)
+	}
+	tc.Enter(fnSATD)
+	defer tc.Leave()
+	var total int32
+	var tile [16]int32
+	for y := 0; y < h; y += 4 {
+		for x := 0; x < w; x += 4 {
+			for j := 0; j < 4; j++ {
+				copy(tile[j*4:j*4+4], res[(y+j)*w+x:(y+j)*w+x+4])
+			}
+			total += refSatd4x4(tc, tile[:])
+		}
+		tc.Loop(pcSATDLoop, w/4)
+	}
+	return total, nil
+}
+
+// refHadamard4 applies an in-place 4-point Walsh–Hadamard butterfly to
+// v[0..3] with the given stride.
+func refHadamard4(v []int32, i0, stride int) {
+	a := v[i0]
+	b := v[i0+stride]
+	c := v[i0+2*stride]
+	d := v[i0+3*stride]
+	s0, s1 := a+c, a-c
+	s2, s3 := b+d, b-d
+	v[i0] = s0 + s2
+	v[i0+stride] = s1 + s3
+	v[i0+2*stride] = s0 - s2
+	v[i0+3*stride] = s1 - s3
+}
+
+func refSatd4x4(tc *trace.Ctx, res []int32) int32 {
+	var t [16]int32
+	copy(t[:], res[:16])
+	for r := 0; r < 4; r++ {
+		refHadamard4(t[:], r*4, 1)
+	}
+	for c := 0; c < 4; c++ {
+		refHadamard4(t[:], c, 4)
+	}
+	var sum int32
+	for _, v := range t {
+		if v < 0 {
+			v = -v
+		}
+		sum += v
+	}
+	tc.Loads(pcSATDLoop, trace.ScratchBase+0x5000, 4, 8, 8)
+	tc.Op(trace.OpAVX, 8) // 4x4 tiles batched through 8-wide butterflies
+	tc.Op(trace.OpSSE, 1) // transpose fix-up
+	tc.Op(trace.OpOther, 2)
+	return sum / 2
 }

@@ -55,10 +55,11 @@ type decoder struct {
 	pics   []*decPicture
 	output []*video.Frame
 	// scratch
-	pred []byte
-	res  []int32
-	res2 []int32
-	rec  []byte
+	pred   []byte
+	res    []int32
+	res2   []int32
+	rec    []byte
+	border [2 * sbSize]byte
 }
 
 func newDecoder(hdr *bitstreamHeader) (*decoder, error) {
@@ -297,7 +298,7 @@ func (sc *decSeg) parseLeaf(x, y, w, h int) (decLeaf, error) {
 		if w != h {
 			return lf, fmt.Errorf("encoders: rectangular intra leaf %dx%d in bitstream", w, h)
 		}
-		nb := gatherBordersPlane(sc.pic.y, x, y, w, sc.segTopPx, sc.segLeftPx)
+		nb := gatherBordersPlane(sc.pic.y, x, y, w, sc.segTopPx, sc.segLeftPx, d.border[:])
 		if err := intra.Predict(nil, mode, nb, w, d.pred); err != nil {
 			return lf, err
 		}
@@ -359,7 +360,7 @@ func (sc *decSeg) decodeChromaSB(sbx, sby int, leaves []decLeaf) error {
 			}
 			copyBlockPlane(refPlane, cx+int(cmv.X), cy+int(cmv.Y), cb, cb, d.pred)
 		} else {
-			nb := gatherBordersPlane(rec, cx, cy, cb, sc.segTopPx/2, sc.segLeftPx/2)
+			nb := gatherBordersPlane(rec, cx, cy, cb, sc.segTopPx/2, sc.segLeftPx/2, d.border[:])
 			if err := intra.Predict(nil, intra.DC, nb, cb, d.pred); err != nil {
 				return err
 			}
@@ -399,23 +400,6 @@ func writeBlockPlane(p *video.Plane, x, y, w, h int, src []byte) {
 	for j := 0; j < h; j++ {
 		copy(p.Pix[(y+j)*p.Stride+x:(y+j)*p.Stride+x+w], src[j*w:(j+1)*w])
 	}
-}
-
-func gatherBordersPlane(p *video.Plane, x, y, n, topPx, leftPx int) intra.Neighbors {
-	nb := intra.Neighbors{}
-	if y > topPx {
-		nb.HasTop = true
-		nb.Top = make([]byte, n)
-		copy(nb.Top, p.Pix[(y-1)*p.Stride+x:(y-1)*p.Stride+x+n])
-	}
-	if x > leftPx {
-		nb.HasLeft = true
-		nb.Left = make([]byte, n)
-		for j := 0; j < n; j++ {
-			nb.Left[j] = p.Pix[(y+j)*p.Stride+x-1]
-		}
-	}
-	return nb
 }
 
 // clampMVTo mirrors segCtx.clampMV for arbitrary plane bounds.

@@ -295,14 +295,15 @@ func padInto(dst, src *video.Plane) {
 // workScratch is per-segment scratch memory, registered in the traced
 // address space so its (hot, small) accesses shape L1 behaviour.
 type workScratch struct {
-	pred  []byte
-	pred2 []byte
-	res   []int32
-	res2  []int32
-	coef  []int32
-	lev   []int32
-	rec   []byte
-	vbase uint64
+	pred   []byte
+	pred2  []byte
+	res    []int32
+	res2   []int32
+	coef   []int32
+	lev    []int32
+	rec    []byte
+	border [2 * sbSize]byte // intra neighbours: top row, then left column
+	vbase  uint64
 }
 
 func newWorkScratch(as *trace.AddressSpace, name string) (*workScratch, error) {
@@ -474,20 +475,34 @@ func extractPred(tc *trace.Ctx, ref codec.Surface, x, y, w, h int, dst []byte, d
 // gatherBorders collects reconstructed (or, during search, source)
 // border samples for intra prediction of an n-wide block at (x, y).
 func (sc *segCtx) gatherBorders(surf codec.Surface, x, y, n int) intra.Neighbors {
-	nb := intra.Neighbors{}
-	if y > sc.segTopPx {
-		nb.HasTop = true
-		nb.Top = make([]byte, n)
-		copy(nb.Top, surf.Pix[(y-1)*surf.Stride+x:(y-1)*surf.Stride+x+n])
+	nb := gatherBordersPlane(surf.Plane, x, y, n, sc.segTopPx, sc.segLeftPx, sc.scratch.border[:])
+	if nb.HasTop {
 		sc.tc.Loads(pcBorderLoad, surf.VAddr(x, y-1), (n+31)/32, 32, min(n, 32))
 	}
-	if x > sc.segLeftPx {
-		nb.HasLeft = true
-		nb.Left = make([]byte, n)
-		for j := 0; j < n; j++ {
-			nb.Left[j] = surf.Pix[(y+j)*surf.Stride+x-1]
-		}
+	if nb.HasLeft {
 		sc.tc.Loads(pcBorderLoad, surf.VAddr(x-1, y), n, surf.Stride, 1)
+	}
+	return nb
+}
+
+// gatherBordersPlane collects the border samples intra prediction of an
+// n-wide block at (x, y) reads from p: the row above when y > topPx and
+// the column to its left when x > leftPx. It copies them into buf
+// (caller-owned, 2n bytes) and the Neighbors alias it, so they are dead
+// once buf is gathered into again.
+func gatherBordersPlane(p *video.Plane, x, y, n, topPx, leftPx int, buf []byte) intra.Neighbors {
+	nb := intra.Neighbors{}
+	if y > topPx {
+		nb.HasTop = true
+		nb.Top = buf[:n:n]
+		copy(nb.Top, p.Pix[(y-1)*p.Stride+x:(y-1)*p.Stride+x+n])
+	}
+	if x > leftPx {
+		nb.HasLeft = true
+		nb.Left = buf[n : 2*n : 2*n]
+		for j := range nb.Left {
+			nb.Left[j] = p.Pix[(y+j)*p.Stride+x-1]
+		}
 	}
 	return nb
 }
@@ -1101,7 +1116,7 @@ func (sc *segCtx) encodeChromaSB(sbx, sby int, lumaPlan *planNode) error {
 			}
 			extractPred(tc, refPlane, cx+int(cmv.X), cy+int(cmv.Y), cb, cb, s.pred, s.vbase)
 		} else {
-			nb := sc.gatherChromaBorders(pl.rec, cx, cy, cb)
+			nb := gatherBordersPlane(pl.rec.Plane, cx, cy, cb, sc.segTopPx/2, sc.segLeftPx/2, s.border[:])
 			if err := intra.Predict(tc, intra.DC, nb, cb, s.pred); err != nil {
 				return err
 			}
@@ -1183,23 +1198,6 @@ func (sc *segCtx) clampChromaMV(mv codec.MV, cx, cy, cb int) codec.MV {
 		my = se.ah/2 - cb - cy
 	}
 	return codec.MV{X: int16(mx), Y: int16(my)}
-}
-
-func (sc *segCtx) gatherChromaBorders(surf codec.Surface, x, y, n int) intra.Neighbors {
-	nb := intra.Neighbors{}
-	if y > sc.segTopPx/2 {
-		nb.HasTop = true
-		nb.Top = make([]byte, n)
-		copy(nb.Top, surf.Pix[(y-1)*surf.Stride+x:(y-1)*surf.Stride+x+n])
-	}
-	if x > sc.segLeftPx/2 {
-		nb.HasLeft = true
-		nb.Left = make([]byte, n)
-		for j := 0; j < n; j++ {
-			nb.Left[j] = surf.Pix[(y+j)*surf.Stride+x-1]
-		}
-	}
-	return nb
 }
 
 // ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ var lookaheadModes = [...]intra.Mode{intra.DC, intra.Vertical, intra.Horizontal}
 func (se *streamEncoder) analyzeIntraRows(tc *trace.Ctx, pic *picture, gy0, gy1, gx0, gx1 int) error {
 	const n = analysisGrid
 	var cur, pred [n * n]byte
+	var border [2 * n]byte
 	var res [n * n]int32
 	for gy := gy0; gy < gy1; gy++ {
 		for gx := gx0; gx < gx1; gx++ {
@@ -35,19 +36,11 @@ func (se *streamEncoder) analyzeIntraRows(tc *trace.Ctx, pic *picture, gy0, gy1,
 			tc.Loads(pcLookaheadLoad, pic.srcY.VAddr(x, y), n, pic.srcY.Stride, n)
 			tc.Op(trace.OpSSE, n+2)
 
-			nb := intra.Neighbors{}
-			if y > 0 {
-				nb.HasTop = true
-				nb.Top = make([]byte, n)
-				copy(nb.Top, pic.srcY.Pix[(y-1)*pic.srcY.Stride+x:(y-1)*pic.srcY.Stride+x+n])
+			nb := gatherBordersPlane(pic.srcY.Plane, x, y, n, 0, 0, border[:])
+			if nb.HasTop {
 				tc.Loads(pcLookaheadLoad, pic.srcY.VAddr(x, y-1), 1, 1, n)
 			}
-			if x > 0 {
-				nb.HasLeft = true
-				nb.Left = make([]byte, n)
-				for j := 0; j < n; j++ {
-					nb.Left[j] = pic.srcY.Pix[(y+j)*pic.srcY.Stride+x-1]
-				}
+			if nb.HasLeft {
 				tc.Loads(pcLookaheadLoad, pic.srcY.VAddr(x-1, y), n, pic.srcY.Stride, 1)
 			}
 
