@@ -77,15 +77,7 @@ func (e *Encoder) SetSite(pc trace.PC) {
 
 // Bit encodes one bit with probability p that the bit is zero.
 func (e *Encoder) Bit(bit int, p Prob) {
-	// Stage attribution is inline (no defer): Bit is the per-coded-bit
-	// hot path and has a single exit.
-	prevStage := e.tc.BeginStage(trace.StageEntropy)
 	split := 1 + (((e.rng - 1) * uint32(p)) >> 8)
-	// The split comparison is the canonical data-dependent branch of a
-	// range coder: its direction is the coded bit itself. The context
-	// probability is loaded and its adaptation written back; six scalar
-	// ops are the split mul/shift/add and the interval update.
-	e.tc.Step(e.site, bit != 0, trace.ScratchBase+0x4000, 8, 2, 6)
 	if bit != 0 {
 		e.low += split
 		e.rng -= split
@@ -95,11 +87,12 @@ func (e *Encoder) Bit(bit int, p Prob) {
 	shift := bits.LeadingZeros8(uint8(e.rng))
 	e.rng <<= uint(shift)
 	e.count += shift
+	carry, out := false, 0 // out: the bytes this bit emits
 	if e.count >= 0 {
+		out = 1
 		offset := shift - e.count
-		if (e.low<<uint(offset-1))&0x80000000 != 0 {
+		if carry = (e.low<<uint(offset-1))&0x80000000 != 0; carry {
 			// Carry propagation into already-emitted bytes.
-			e.tc.Branch(pcCarry, true)
 			i := len(e.out) - 1
 			for i >= 0 && e.out[i] == 0xFF {
 				e.out[i] = 0
@@ -108,17 +101,43 @@ func (e *Encoder) Bit(bit int, p Prob) {
 			if i >= 0 {
 				e.out[i]++
 			}
-		} else {
-			e.tc.Branch(pcCarry, false)
 		}
 		e.out = append(e.out, byte(e.low>>uint(24-offset)))
-		e.tc.Stores(pcByteOut, e.vbase+uint64(len(e.out)-1), 1, 1, 1)
 		e.low <<= uint(offset)
 		shift = e.count
 		e.low &= 0xFFFFFF
 		e.count -= 8
 	}
 	e.low <<= uint(shift)
+
+	// What the bit reports: the split step (a branch on the coded bit,
+	// the context probability loaded and its adaptation written back,
+	// and splitOps scalar ops), and for an output byte the carry branch
+	// and its store.
+	if t := e.tc.Tally(trace.StageEntropy); t.Ok() {
+		t.Add(trace.OpBranch, 1+out)
+		t.Add(trace.OpLoad, 1)
+		t.Add(trace.OpStore, 1+out)
+		t.Add(trace.OpOther, splitOps)
+	} else if e.tc != nil {
+		e.report(bit != 0, carry, out == 1)
+	}
+}
+
+// splitOps is what a coded bit's split mul/shift/add and interval
+// update execute.
+const splitOps = 6
+
+// report is Bit's event sequence on a hooked context.
+func (e *Encoder) report(taken, carry, byteOut bool) {
+	prevStage := e.tc.BeginStage(trace.StageEntropy)
+	// The split comparison is the canonical data-dependent branch of a
+	// range coder: its direction is the coded bit itself.
+	e.tc.Step(e.site, taken, trace.ScratchBase+0x4000, 8, 2, splitOps)
+	if byteOut {
+		e.tc.Branch(pcCarry, carry)
+		e.tc.Stores(pcByteOut, e.vbase+uint64(len(e.out)-1), 1, 1, 1)
+	}
 	e.tc.EndStage(prevStage)
 }
 

@@ -216,6 +216,61 @@ func TestEncoderInstrumentation(t *testing.T) {
 	}
 }
 
+// codeOn runs code on a count-only context and on a recording one,
+// each entered in a stage the coder does not use, then reports one
+// probe op to whatever stage is active. It fails unless both produce
+// the same stream and count the same Mix, stage counts and total.
+func codeOn(t *testing.T, id string, code func(*trace.Ctx) []byte) {
+	t.Helper()
+	count, rec := trace.New(), trace.New()
+	rec.AttachRecorder(&trace.Recorder{})
+	var outs [2][]byte
+	for i, tc := range []*trace.Ctx{count, rec} {
+		tc.BeginStage(trace.StageQuant)
+		outs[i] = code(tc)
+		tc.Op(trace.OpOther, 1)
+	}
+	if !slices.Equal(outs[0], outs[1]) {
+		t.Fatalf("%s: the count-only stream differs from the recorded one", id)
+	}
+	if count.Mix != rec.Mix || count.StageCounts() != rec.StageCounts() || count.Total() != rec.Total() {
+		t.Fatalf("%s: count-only mix %v stages %v, recorded %v %v", id, count.Mix, count.StageCounts(), rec.Mix, rec.StageCounts())
+	}
+}
+
+// TestEncoderCountsWhatItRecords: adaptive bits, literals, a stream
+// whose every byte carries, and a coder moved between contexts by
+// SetCtx count on a count-only context what they record.
+func TestEncoderCountsWhatItRecords(t *testing.T) {
+	codeOn(t, "pinned", encodePinned)
+	codeOn(t, "literals", func(tc *trace.Ctx) []byte {
+		e := NewEncoder(tc, 0x9000)
+		for i := 0; i < 300; i++ {
+			e.Literal(uint32(i*2654435761), 1+i%32)
+		}
+		return e.Finish()
+	})
+	codeOn(t, "carries", func(tc *trace.Ctx) []byte {
+		e := NewEncoder(tc, 0x9000)
+		for i := 0; i < 4000; i++ {
+			e.Bit(1, 250)
+		}
+		return e.Finish()
+	})
+	codeOn(t, "retargeted", func(tc *trace.Ctx) []byte {
+		e := NewEncoder(nil, 0x9000)
+		for i := 0; i < 600; i++ {
+			if i%200 == 100 {
+				e.SetCtx(tc)
+			} else if i%200 == 0 {
+				e.SetCtx(nil)
+			}
+			e.Bit(i%3&1, Prob(i))
+		}
+		return e.Finish()
+	})
+}
+
 // BenchmarkEncoderBit times one adaptive coded bit with no context
 // (nil), a count-only context (count) and a recording one (record).
 func BenchmarkEncoderBit(b *testing.B) {

@@ -1,6 +1,11 @@
 package entropy
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"vcprof/internal/trace"
+)
 
 // boolOp is one fuzz-derived coder operation. The same derivation feeds
 // the encoder and the decoder, so any divergence is a genuine
@@ -39,7 +44,9 @@ func deriveOps(data []byte) []boolOp {
 // FuzzBoolCoderRoundTrip asserts the range coder's fundamental
 // contract: any operation sequence the encoder accepts decodes back to
 // exactly the same bits with the same adapted probabilities, and the
-// decoder never reads meaningfully past the flushed stream.
+// decoder never reads meaningfully past the flushed stream. The
+// sequence codes to the same stream, and the same counts, on a
+// count-only context as on a recording one.
 func FuzzBoolCoderRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x00})
@@ -52,22 +59,37 @@ func FuzzBoolCoderRoundTrip(f *testing.F) {
 		}
 		ops := deriveOps(data)
 
+		// The stream and the adapted contexts are coded on no context;
+		// a count-only and a recording context code them again and must
+		// agree with it and count the same.
 		var encCtx [8]Prob
-		for i := range encCtx {
-			encCtx[i] = DefaultProb
-		}
-		enc := NewEncoder(nil, 0)
-		for _, o := range ops {
-			switch o.kind {
-			case 0:
-				enc.Bit(o.bit, o.p)
-			case 1:
-				enc.BitAdaptive(o.bit, &encCtx[o.ctx])
-			default:
-				enc.Literal(o.v, o.n)
+		encode := func(tc *trace.Ctx) []byte {
+			for i := range encCtx {
+				encCtx[i] = DefaultProb
 			}
+			enc := NewEncoder(tc, 0x9000)
+			for _, o := range ops {
+				switch o.kind {
+				case 0:
+					enc.Bit(o.bit, o.p)
+				case 1:
+					enc.BitAdaptive(o.bit, &encCtx[o.ctx])
+				default:
+					enc.Literal(o.v, o.n)
+				}
+			}
+			return enc.Finish()
 		}
-		stream := enc.Finish()
+		count, rec := trace.New(), trace.New()
+		rec.AttachRecorder(&trace.Recorder{})
+		counted, recorded := encode(count), encode(rec)
+		stream := encode(nil)
+		if !bytes.Equal(counted, stream) || !bytes.Equal(recorded, stream) {
+			t.Fatal("the stream depends on the context kind")
+		}
+		if count.Mix != rec.Mix || count.StageCounts() != rec.StageCounts() {
+			t.Fatalf("count-only mix %v stages %v, recorded %v %v", count.Mix, count.StageCounts(), rec.Mix, rec.StageCounts())
+		}
 
 		var decCtx [8]Prob
 		for i := range decCtx {

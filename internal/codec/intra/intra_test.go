@@ -209,3 +209,16 @@ func TestAngularDistinctFromBaseModes(t *testing.T) {
 		t.Error("all angular modes identical to Vertical")
 	}
 }
+
+// TestPredictDoesNotAllocate: every mode, angular ones included,
+// predicts without allocating, uninstrumented or counting.
+func TestPredictDoesNotAllocate(t *testing.T) {
+	nb, dst := borders(16), make([]byte, 16*16)
+	for _, tc := range []*trace.Ctx{nil, trace.New()} {
+		for m := Mode(0); m < NumModes+NumAngles; m++ {
+			if a := testing.AllocsPerRun(50, func() { _ = Predict(tc, m, nb, 16, dst) }); a != 0 {
+				t.Errorf("%v (ctx %v): %v allocs a call", m, tc != nil, a)
+			}
+		}
+	}
+}

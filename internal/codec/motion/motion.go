@@ -48,32 +48,43 @@ func sadSite(w, h int) int { return sizeClass(w)*6 + sizeClass(h) }
 // (cx, cy) in cur and the block at (rx, ry) in ref. Both blocks must be
 // fully inside their surfaces.
 func SAD(tc *trace.Ctx, cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry, w, h int) (int32, error) {
-	defer tc.EndStage(tc.BeginStage(trace.StageMotion))
 	if cx < 0 || cy < 0 || cx+w > cur.W || cy+h > cur.H {
 		return 0, fmt.Errorf("motion: current block %d,%d %dx%d outside %dx%d", cx, cy, w, h, cur.W, cur.H)
 	}
 	if rx < 0 || ry < 0 || rx+w > ref.W || ry+h > ref.H {
 		return 0, fmt.Errorf("motion: reference block %d,%d %dx%d outside %dx%d", rx, ry, w, h, ref.W, ref.H)
 	}
-	tc.Enter(fnSAD)
 	sum := blockSAD(cur, cx, cy, ref, rx, ry, w, h)
-	if tc != nil {
-		// Vectorized psadbw-style kernel. Memory traffic is reported at
-		// 8-byte granularity (the scalar/SSE-width mixture Pin sees);
-		// arithmetic as one abs-diff-accumulate per 16 samples, SSE-width
-		// for narrow blocks; the row loop is 4x unrolled.
-		sc := sadSite(w, h)
-		vec := (w + 15) / 16
-		tc.Loads(pcSADCur[sc], cur.VAddr(cx, cy), h*vec, cur.Stride, 16)
-		tc.Loads(pcSADLoad[sc], ref.VAddr(rx, ry), h*vec, ref.Stride, 16)
-		class := trace.OpAVX
-		if w <= 8 {
-			class = trace.OpSSE
-		}
-		tc.Op(class, h*((w+15)/16)+h/4+1)
-		tc.Op(trace.OpOther, h/2+2)
-		tc.Loop(pcSADRow[sc], (h+3)/4)
+	if tc == nil {
+		return sum, nil
 	}
+	// Vectorized psadbw-style kernel. Memory traffic is reported at
+	// 8-byte granularity (the scalar/SSE-width mixture Pin sees);
+	// arithmetic as one abs-diff-accumulate per 16 samples, SSE-width
+	// for narrow blocks; the row loop is 4x unrolled.
+	rows := h * ((w + 15) / 16)
+	class := trace.OpAVX
+	if w <= 8 {
+		class = trace.OpSSE
+	}
+	arith, other, iters := rows+h/4+1, h/2+2, (h+3)/4
+	if t := tc.Tally(trace.StageMotion); t.Ok() {
+		// What the calls below count, down to their floors: a report
+		// of no instructions counts none, a loop of none one branch.
+		t.Add(trace.OpLoad, 2*max(rows, 0))
+		t.Add(class, max(arith, 0))
+		t.Add(trace.OpOther, max(other, 0))
+		t.Add(trace.OpBranch, max(iters, 1))
+		return sum, nil
+	}
+	defer tc.EndStage(tc.BeginStage(trace.StageMotion))
+	tc.Enter(fnSAD)
+	sc := sadSite(w, h)
+	tc.Loads(pcSADCur[sc], cur.VAddr(cx, cy), rows, cur.Stride, 16)
+	tc.Loads(pcSADLoad[sc], ref.VAddr(rx, ry), rows, ref.Stride, 16)
+	tc.Op(class, arith)
+	tc.Op(trace.OpOther, other)
+	tc.Loop(pcSADRow[sc], iters)
 	tc.Leave()
 	return sum, nil
 }
@@ -135,12 +146,18 @@ const stackRange = 32
 // in-frame positions. pred seeds the search (the MV predictor from
 // neighbouring blocks).
 func Search(tc *trace.Ctx, alg Algorithm, cur codec.Surface, bx, by int, ref codec.Surface, w, h, rng int, pred codec.MV) (Result, error) {
-	defer tc.EndStage(tc.BeginStage(trace.StageMotion))
 	if rng < 1 {
 		return Result{}, fmt.Errorf("motion: invalid search range %d", rng)
 	}
-	tc.Enter(fnSearch)
-	defer tc.Leave()
+	// A count-only context is tallied in place; a hooked one is told
+	// every event, inside the stage and the profiled function.
+	t := tc.Tally(trace.StageMotion)
+	hooked := tc != nil && !t.Ok()
+	if hooked {
+		defer tc.EndStage(tc.BeginStage(trace.StageMotion))
+		tc.Enter(fnSearch)
+		defer tc.Leave()
+	}
 
 	clampMV := func(mv codec.MV) codec.MV {
 		x, y := int(mv.X), int(mv.Y)
@@ -195,11 +212,18 @@ func Search(tc *trace.Ctx, alg Algorithm, cur codec.Surface, bx, by int, ref cod
 			return err
 		}
 		best.Points++
-		// The improvement test: genuinely data-dependent direction.
+		// The improvement test: genuinely data-dependent direction;
+		// then the candidate bookkeeping, clamp and cost update.
 		better := cost < best.Cost
-		tc.Branch(pcBetter[int(alg)%3], better)
-		tc.Op(trace.OpOther, 9) // candidate bookkeeping, clamp, cost update
-		tc.Stores(pcBetter[int(alg)%3], trace.ScratchBase+0x7000, 1, 8, 8)
+		if t.Ok() {
+			t.Add(trace.OpBranch, 1)
+			t.Add(trace.OpOther, candOps)
+			t.Add(trace.OpStore, 1)
+		} else if hooked {
+			tc.Branch(pcBetter[int(alg)%3], better)
+			tc.Op(trace.OpOther, candOps)
+			tc.Stores(pcBetter[int(alg)%3], trace.ScratchBase+0x7000, 1, 8, 8)
+		}
 		if better {
 			best.Cost = cost
 			best.MV = mv
@@ -222,14 +246,18 @@ func Search(tc *trace.Ctx, alg Algorithm, cur codec.Surface, bx, by int, ref cod
 					return Result{}, err
 				}
 			}
-			tc.Loop(pcCandLoop, 2*rng+1)
+			if t.Ok() {
+				t.Add(trace.OpBranch, 2*rng+1)
+			} else if hooked {
+				tc.Loop(pcCandLoop, 2*rng+1)
+			}
 		}
 	case Diamond:
-		if err := patternSearch(tc, alg, eval, &best, largeDiamond[:], smallDiamond[:], rng); err != nil {
+		if err := patternSearch(tc, t, alg, eval, &best, largeDiamond[:], smallDiamond[:], rng); err != nil {
 			return Result{}, err
 		}
 	case Hex:
-		if err := patternSearch(tc, alg, eval, &best, hexagon[:], smallDiamond[:], rng); err != nil {
+		if err := patternSearch(tc, t, alg, eval, &best, hexagon[:], smallDiamond[:], rng); err != nil {
 			return Result{}, err
 		}
 	default:
@@ -244,36 +272,32 @@ var (
 	smallDiamond = [4]codec.MV{{X: 0, Y: -1}, {X: 1, Y: 0}, {X: 0, Y: 1}, {X: -1, Y: 0}}
 )
 
+// candOps is what one evaluated candidate's bookkeeping executes.
+const candOps = 9
+
 // patternSearch iterates a coarse pattern around the best point until no
 // candidate improves, then refines with a fine pattern, the classic
-// EPZS/hex structure. Iterations are bounded by the search range.
-func patternSearch(tc *trace.Ctx, alg Algorithm, eval func(codec.MV) error, best *Result, coarse, fine []codec.MV, rng int) error {
-	for iter := 0; iter < rng; iter++ {
-		center := best.MV
-		prevCost := best.Cost
-		for _, d := range coarse {
-			if err := eval(center.Add(d)); err != nil {
-				return err
+// EPZS/hex structure. Iterations are bounded by the search range. Each
+// round's improvement test is tallied in t when it is Ok.
+func patternSearch(tc *trace.Ctx, t trace.Tally, alg Algorithm, eval func(codec.MV) error, best *Result, coarse, fine []codec.MV, rng int) error {
+	for _, pattern := range [2][]codec.MV{coarse, fine} {
+		for iter := 0; iter < rng; iter++ {
+			center := best.MV
+			prevCost := best.Cost
+			for _, d := range pattern {
+				if err := eval(center.Add(d)); err != nil {
+					return err
+				}
 			}
-		}
-		improved := best.Cost < prevCost
-		tc.Branch(pcRefine[int(alg)%3], improved)
-		if !improved {
-			break
-		}
-	}
-	for iter := 0; iter < rng; iter++ {
-		center := best.MV
-		prevCost := best.Cost
-		for _, d := range fine {
-			if err := eval(center.Add(d)); err != nil {
-				return err
+			improved := best.Cost < prevCost
+			if t.Ok() {
+				t.Add(trace.OpBranch, 1)
+			} else if tc != nil {
+				tc.Branch(pcRefine[int(alg)%3], improved)
 			}
-		}
-		improved := best.Cost < prevCost
-		tc.Branch(pcRefine[int(alg)%3], improved)
-		if !improved {
-			break
+			if !improved {
+				break
+			}
 		}
 	}
 	return nil

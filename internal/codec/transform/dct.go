@@ -203,7 +203,8 @@ func rowsTimes(in, m, out []float64, n int) {
 // not n²), vectorized 8-wide for sizes ≥ 16 and SSE-width for the small
 // sizes, and they stream the tile through registers: one 8-byte load and
 // store per 8 coefficients, per-row pointer arithmetic, and a loop
-// branch per unrolled group of rows.
+// branch per unrolled group of rows. A count-only context gets the
+// pass's counts in one go, charged to the transform stage.
 func reportPass(tc *trace.Ctx, pc trace.PC, n int) {
 	if tc == nil {
 		return
@@ -212,17 +213,23 @@ func reportPass(tc *trace.Ctx, pc trace.PC, n int) {
 	for v := 4; v < n; v <<= 1 {
 		log2n++
 	}
-	macs := n * n * log2n / 8
-	if macs < 1 {
-		macs = 1
-	}
+	macs := max(n*n*log2n/8, 1)
 	class := trace.OpAVX
 	if n <= 4 {
 		class = trace.OpSSE
 	}
+	mem, other, iters := n*n/8+1, n+log2n, (n+3)/4
+	if t := tc.Tally(trace.StageTransform); t.Ok() {
+		t.Add(class, macs)
+		t.Add(trace.OpLoad, mem)
+		t.Add(trace.OpStore, mem)
+		t.Add(trace.OpOther, other)
+		t.Add(trace.OpBranch, iters)
+		return
+	}
 	tc.Op(class, macs)
-	tc.Loads(pc, trace.ScratchBase+0x2000, n*n/8+1, 8, 8)
-	tc.Stores(pc, trace.ScratchBase+0x2800, n*n/8+1, 8, 8)
-	tc.Op(trace.OpOther, n+log2n)
-	tc.Loop(pc, (n+3)/4)
+	tc.Loads(pc, trace.ScratchBase+0x2000, mem, 8, 8)
+	tc.Stores(pc, trace.ScratchBase+0x2800, mem, 8, 8)
+	tc.Op(trace.OpOther, other)
+	tc.Loop(pc, iters)
 }

@@ -12,7 +12,8 @@ package trace
 // counts. Every report adds to the mix and to the active stage, then
 // tests one flag: a context with nothing attached stops there, and only
 // a hooked one goes on to charge the profile, feed the sinks and write
-// the tape, in that order.
+// the tape, in that order. The hottest kernels skip even those calls on
+// a count-only context: they add their counts through a Tally.
 type Ctx struct {
 	// What every report touches, together at the front.
 	Mix    Mix
@@ -179,29 +180,48 @@ func (c *Ctx) Loop(pc PC, iters int) {
 //	c.Stores(pc, addr, 1, stride, size)
 //	c.Op(OpOther, ops)
 //
-// and a hooked context is made those four calls, so its sinks, tape
-// and profile see the same events in the same order. Unhooked, Step
-// counts the bundle in one go.
+// so sinks, tape and profile see those events in that order. A coder
+// counting on a count-only context adds the bundle through a Tally.
 func (c *Ctx) Step(pc PC, taken bool, addr uint64, stride, size, ops int) {
-	if c == nil {
-		return
+	c.Branch(pc, taken)
+	c.Loads(pc, addr, 1, stride, size)
+	c.Stores(pc, addr, 1, stride, size)
+	c.Op(OpOther, ops)
+}
+
+// Tally is a count-only context's counters seen from one kernel: the
+// context's Mix and the counter of the stage the kernel attributes its
+// work to. A kernel whose counts are known once its arithmetic is done
+// asks for one, and when it is Ok adds them in place, a few adds per
+// call where the per-event methods make a call per event. A Tally of a
+// nil context (report nothing) or a hooked one (report event by event,
+// as sinks, tape and profile need) is not Ok.
+type Tally struct {
+	c *Ctx
+	s Stage
+}
+
+// Tally returns the Tally charging stage s, Ok only on a count-only
+// context. Skipping BeginStage,
+// EndStage, Enter and Leave on the Ok path loses nothing: on a context
+// with nothing attached they change no counter.
+func (c *Ctx) Tally(s Stage) Tally {
+	if c == nil || c.hooked {
+		return Tally{s: s} // s either way: a constant stage stays one
 	}
-	if c.hooked {
-		c.Branch(pc, taken)
-		c.Loads(pc, addr, 1, stride, size)
-		c.Stores(pc, addr, 1, stride, size)
-		c.Op(OpOther, ops)
-		return
-	}
-	c.Mix[OpBranch]++
-	c.Mix[OpLoad]++
-	c.Mix[OpStore]++
-	n := uint64(3)
-	if ops > 0 {
-		c.Mix[OpOther] += uint64(ops)
-		n += uint64(ops)
-	}
-	c.stages[c.stage] += n
+	return Tally{c, s}
+}
+
+// Ok reports whether t counts in place.
+func (t Tally) Ok() bool { return t.c != nil }
+
+// Add counts n instructions of class, n ≥ 0, like Op on a count-only
+// context. Both counters hang off the one context pointer, so the
+// compiler can tell them apart and keep a run of Adds to the stage in
+// a register.
+func (t Tally) Add(class OpClass, n int) {
+	t.c.Mix[class] += uint64(n)
+	t.c.stages[t.s] += uint64(n)
 }
 
 // profile charges n instructions to the current function.

@@ -58,3 +58,34 @@ func BenchmarkCtx(b *testing.B) {
 		}
 	})
 }
+
+// TestTallyCountsLikeOp: a Tally is Ok only on a count-only context,
+// and an Add there counts what Op would, charged to the Tally's stage
+// whatever stage is active.
+func TestTallyCountsLikeOp(t *testing.T) {
+	var nilCtx *Ctx
+	hooked := New()
+	hooked.AttachRecorder(&Recorder{})
+	if nilCtx.Tally(StageMotion).Ok() || hooked.Tally(StageMotion).Ok() {
+		t.Fatal("a nil or hooked context handed out an Ok Tally")
+	}
+	tallied, opped := New(), New()
+	tallied.BeginStage(StageQuant)
+	tally := tallied.Tally(StageMotion)
+	if !tally.Ok() {
+		t.Fatal("a count-only context's Tally is not Ok")
+	}
+	prev := opped.BeginStage(StageMotion)
+	for c := OpClass(0); c < NumClasses; c++ {
+		tally.Add(c, int(c)+3)
+		opped.Op(c, int(c)+3)
+	}
+	opped.EndStage(prev)
+	tally.Add(OpAVX, 0)
+	if tallied.Mix != opped.Mix || tallied.StageCounts() != opped.StageCounts() {
+		t.Fatalf("tallied mix %v stages %v, Op's %v %v", tallied.Mix, tallied.StageCounts(), opped.Mix, opped.StageCounts())
+	}
+	if n := testing.AllocsPerRun(100, func() { tallied.Tally(StageEntropy).Add(OpBranch, 1) }); n != 0 {
+		t.Fatalf("Tally allocates %v times a call", n)
+	}
+}
