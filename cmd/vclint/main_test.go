@@ -43,21 +43,31 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestFixturePackagesTrip: every shipped analyzer's fixture tree, and
-// each of detflow's per-source fixture packages on its own, must make
-// the CLI exit non-zero — the acceptance contract for the fixtures.
+// TestFixturePackagesTrip: one CLI run over every shipped analyzer's
+// fixture tree must exit 1 and attribute findings to each analyzer by
+// name inside its own fixture, and to detflow inside each of its
+// per-source fixture packages — the acceptance contract for the
+// fixtures.
 func TestFixturePackagesTrip(t *testing.T) {
-	trip := func(t *testing.T, pattern, analyzer string) {
-		code, stdout, _ := runCLI(t, fixtures+pattern)
-		if code != 1 {
-			t.Fatalf("exit = %d, want 1", code)
-		}
-		if !strings.Contains(stdout, analyzer+": ") {
-			t.Errorf("output does not attribute findings to %s:\n%s", analyzer, stdout)
-		}
+	azs := analysis.VCProfAnalyzers()
+	var patterns []string
+	for _, az := range azs {
+		patterns = append(patterns, fixtures+az.Name+"/...")
 	}
-	for _, az := range analysis.VCProfAnalyzers() {
-		t.Run(az.Name, func(t *testing.T) { trip(t, az.Name+"/...", az.Name) })
+	code, stdout, stderr := runCLI(t, patterns...)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, stderr)
+	}
+	trip := func(t *testing.T, dir, analyzer string) {
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.Contains(line, "testdata/"+dir+"/") && strings.Contains(line, ": "+analyzer+": ") {
+				return
+			}
+		}
+		t.Errorf("no %s finding in testdata/%s:\n%s", analyzer, dir, stdout)
+	}
+	for _, az := range azs {
+		t.Run(az.Name, func(t *testing.T) { trip(t, az.Name, az.Name) })
 	}
 	// Named after the source check each package pins.
 	for _, src := range []struct{ name, dir string }{

@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// The whole-program layer: a Program aggregates every loaded package
-// (plus the module-internal import closure the loader pulled in), and a
-// CallGraph over it resolves who can call whom. Resolution is
-// class-hierarchy style (CHA) over go/types:
+// The whole-program layer: a Program aggregates the analyzed packages
+// plus their module-internal import closure, and a CallGraph over it
+// resolves who can call whom. Resolution is class-hierarchy style (CHA)
+// over go/types:
 //
 //   - static calls and method calls on concrete receivers get one edge;
 //   - interface method calls get an edge to the matching method of
@@ -43,35 +43,32 @@ type Program struct {
 }
 
 // NewProgram assembles the whole-program view over the given packages
-// plus the module-internal import closure (the loader caches every
-// package it type-checked), so call chains cross package boundaries
-// even when a single package directory was named on the command line.
+// plus their module-internal import closure, so call chains cross
+// package boundaries even when a single package directory was named on
+// the command line. The closure is walked through each package's
+// imports, so the program is a function of pkgs alone: whatever else
+// their loader has loaded stays out of it.
 func NewProgram(pkgs []*Package) *Program {
-	seen := make(map[string]*Package)
-	var fset *token.FileSet
-	for _, p := range pkgs {
-		if fset == nil {
-			fset = p.fset
+	prog := &Program{}
+	seen := make(map[*Package]bool)
+	var walk func(p *Package)
+	walk = func(p *Package) {
+		if seen[p] {
+			return
 		}
-		seen[p.Path] = p
-		if p.loader == nil {
-			continue
-		}
-		for path, q := range p.loader.pkgs {
-			if _, ok := seen[path]; !ok {
-				seen[path] = q
+		seen[p] = true
+		prog.Pkgs = append(prog.Pkgs, p)
+		for _, imp := range p.Types.Imports() {
+			if q := p.loader.pkgs[imp.Path()]; q != nil {
+				walk(q)
 			}
 		}
 	}
-	prog := &Program{Fset: fset}
-	var paths []string
-	for path := range seen {
-		paths = append(paths, path)
+	for _, p := range pkgs {
+		prog.Fset = p.loader.Fset
+		walk(p)
 	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		prog.Pkgs = append(prog.Pkgs, seen[path])
-	}
+	sort.Slice(prog.Pkgs, func(i, j int) bool { return prog.Pkgs[i].Path < prog.Pkgs[j].Path })
 	return prog
 }
 

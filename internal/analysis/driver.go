@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"go/token"
 	"io"
 	"sort"
 )
@@ -29,14 +28,14 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		known[az.Name] = true
 	}
 	for _, pkg := range pkgs {
-		pkgIgnores, bad := parseIgnores(fsetOf(pkg), pkg.Files, known)
+		pkgIgnores, bad := parseIgnores(pkg.loader.Fset, pkg.Files, known)
 		out = append(out, bad...)
 		ignores.union(pkgIgnores)
 		for _, az := range analyzers {
 			if az.Run == nil {
 				continue
 			}
-			pass := &Pass{Analyzer: az, Fset: fsetOf(pkg), Pkg: pkg, diags: &diags}
+			pass := &Pass{Analyzer: az, Fset: pkg.loader.Fset, Pkg: pkg, diags: &diags}
 			az.Run(pass)
 		}
 	}
@@ -57,7 +56,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		// they were not asked for.
 		for _, pkg := range prog.Pkgs {
 			if !selected[pkg.Path] {
-				pkgIgnores, _ := parseIgnores(fsetOf(pkg), pkg.Files, known)
+				pkgIgnores, _ := parseIgnores(pkg.loader.Fset, pkg.Files, known)
 				ignores.union(pkgIgnores)
 			}
 		}
@@ -89,11 +88,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	})
 	return out
 }
-
-// fsetOf recovers the FileSet a package was parsed into. Every package
-// from one Loader shares one FileSet; it is threaded through Package
-// positions rather than stored globally.
-func fsetOf(pkg *Package) *token.FileSet { return pkg.fset }
 
 // RenderText renders findings one per line in compiler style. With why
 // set, each chain-carrying finding is followed by its root→sink call

@@ -28,8 +28,7 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	fset   *token.FileSet // the loader's FileSet, for position lookup
-	loader *Loader        // the loader that produced the package, for closure walks
+	loader *Loader // the loader that produced it: its Fset, its cache for closure walks
 }
 
 // Loader loads module packages from source and type-checks them with
@@ -317,7 +316,7 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, fset: l.Fset, loader: l}
+	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

@@ -13,10 +13,7 @@ func TestLoadModuleTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := sharedLoader(t)
 	if loader.Module != "vcprof" {
 		t.Fatalf("module = %q, want vcprof", loader.Module)
 	}
@@ -43,10 +40,7 @@ func TestLoadModuleTree(t *testing.T) {
 // TestLoadSkipsTestdataButAllowsExplicit: wildcard patterns must not
 // pick up fixture trees, explicit patterns must.
 func TestLoadSkipsTestdataButAllowsExplicit(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := sharedLoader(t)
 	pkgs, err := loader.Load("./...")
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +61,7 @@ func TestLoadSkipsTestdataButAllowsExplicit(t *testing.T) {
 
 // TestLoadErrors covers the failure modes the CLI maps to exit 2.
 func TestLoadErrors(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := sharedLoader(t)
 	if _, err := loader.Load("./nosuchdir"); err == nil {
 		t.Error("missing directory accepted")
 	}
@@ -85,17 +76,14 @@ func TestLoadErrors(t *testing.T) {
 // TestLoadTestFilesExcluded: the loader must never parse _test.go
 // files — several analyzers exempt tests structurally.
 func TestLoadTestFilesExcluded(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := sharedLoader(t)
 	pkgs, err := loader.Load(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			name := pkg.fset.Position(f.Pos()).Filename
+			name := pkg.loader.Fset.Position(f.Pos()).Filename
 			if strings.HasSuffix(name, "_test.go") {
 				t.Errorf("loader parsed test file %s", name)
 			}

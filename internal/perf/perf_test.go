@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vcprof/internal/encoders"
+	"vcprof/internal/trace"
 	"vcprof/internal/video"
 )
 
@@ -191,5 +192,23 @@ func TestProfileFindsHotFunctions(t *testing.T) {
 	}
 	if !names["motion.SAD"] && !names["encoders.ModeDecision"] && !names["transform.SATD"] {
 		t.Errorf("hottest functions %v do not include the expected kernels", names)
+	}
+	// Every instruction is on exactly one row: the rows add up to the
+	// encode's count, the work outside any profiled function included.
+	res, err := enc.Encode(context.Background(), c, encoders.Options{
+		CRF: 30, Preset: 4, Threads: 1, NewWorkerCtx: func(int) *trace.Ctx { return trace.New() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum, root uint64
+	for _, e := range flat {
+		sum += e.Insts
+		if e.Name == "(unprofiled)" {
+			root = e.Insts
+		}
+	}
+	if sum != res.Insts || root == 0 {
+		t.Errorf("profile rows sum to %d with %d unprofiled, encode counted %d", sum, root, res.Insts)
 	}
 }

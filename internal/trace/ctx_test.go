@@ -25,6 +25,21 @@ func TestCountOnlyDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRecordingDoesNotAllocate: once the tape's first chunk is open,
+// recording a report appends words in place and allocates nothing.
+func TestRecordingDoesNotAllocate(t *testing.T) {
+	c, pc := New(), Site("t/ctx.record.allocs")
+	var rec Recorder
+	c.AttachRecorder(&rec)
+	countAll(c, pc)
+	if n := testing.AllocsPerRun(500, func() { countAll(c, pc) }); n != 0 {
+		t.Fatalf("recording allocates %v allocs/op after the first chunk, want 0", n)
+	}
+	if got := len(rec.Tape.chunks); got != 1 {
+		t.Fatalf("tape holds %d chunks, want 1: the guard outgrew its first chunk", got)
+	}
+}
+
 // nopSink consumes runs and does nothing with them: what is left of a
 // hooked report is the dispatch.
 type nopSink struct{}

@@ -91,11 +91,14 @@ func SiteName(pc PC) string {
 	return r.names[pc]
 }
 
+// funcRegistry reserves ID 0, where a Ctx starts, for the work no
+// Enter covers, so a profile books it on a row of its own rather than
+// on whichever function registered first.
 var funcRegistry = struct {
 	sync.Mutex
 	byName map[string]FuncID
 	names  []string
-}{byName: make(map[string]FuncID)}
+}{byName: map[string]FuncID{"(unprofiled)": 0}, names: []string{"(unprofiled)"}}
 
 // Func registers (or looks up) a profiled function name and returns its
 // identifier. Used with Ctx.Enter / Ctx.Leave for flat profiles.

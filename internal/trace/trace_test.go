@@ -326,6 +326,32 @@ func TestProfileAttribution(t *testing.T) {
 	}
 }
 
+// TestProfileBooksRootWorkApart: instructions reported outside any
+// Enter land on the "(unprofiled)" row, never on a registered function,
+// and the rows add up to everything the context counted.
+func TestProfileBooksRootWorkApart(t *testing.T) {
+	fn := Func("test.Root")
+	c := New()
+	p := NewProfile()
+	c.AttachProfile(p)
+	c.Op(OpOther, 7)
+	c.Enter(fn)
+	c.Op(OpAVX, 3)
+	c.Leave()
+	c.Op(OpOther, 2)
+	want := map[string]uint64{"(unprofiled)": 9, "test.Root": 3}
+	var sum uint64
+	for _, e := range p.Flat() {
+		if e.Insts != want[e.Name] {
+			t.Errorf("row %s = %d instructions, want %d", e.Name, e.Insts, want[e.Name])
+		}
+		sum += e.Insts
+	}
+	if sum != c.Total() {
+		t.Errorf("rows sum to %d, context counted %d", sum, c.Total())
+	}
+}
+
 func TestCtxMerge(t *testing.T) {
 	a, b := New(), New()
 	a.Op(OpAVX, 10)

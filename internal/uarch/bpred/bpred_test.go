@@ -353,3 +353,23 @@ func TestTAGELBeatsTAGEOnLoopHeavyStream(t *testing.T) {
 		t.Errorf("registry missing tage-l-64KB: %v", err)
 	}
 }
+
+// TestStepAndLoopDoNotAllocate: a branch through any shipped predictor,
+// by Step or through Monitor.Loop, allocates nothing.
+func TestStepAndLoopDoNotAllocate(t *testing.T) {
+	for _, name := range Names() {
+		p, err := NewByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMonitor(p)
+		var pc uint64
+		if n := testing.AllocsPerRun(1000, func() {
+			pc += 0x44
+			p.Step(pc, pc&0x80 != 0)
+			m.Loop(trace.PC(pc), int(pc>>2&7))
+		}); n != 0 {
+			t.Errorf("%s: Step/Monitor.Loop allocate %v allocs/op, want 0", name, n)
+		}
+	}
+}

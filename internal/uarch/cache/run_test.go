@@ -299,3 +299,22 @@ func TestAcquireXeonConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestAccessAndRunDoNotAllocate: the per-access paths hotalloc scopes
+// allocate nothing once the cache and the hierarchy exist.
+func TestAccessAndRunDoNotAllocate(t *testing.T) {
+	c := small(t)
+	h, err := NewHierarchy(tinyMachine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addr uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		addr += 4160
+		c.Access(addr, addr&LineSize != 0)
+		h.Run(addr, 16, 72, 8, addr&LineSize == 0)
+		h.SpanAccess(addr+8, 120, false)
+	}); n != 0 {
+		t.Fatalf("Access/Run/SpanAccess allocate %v allocs/op, want 0", n)
+	}
+}

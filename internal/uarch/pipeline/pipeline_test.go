@@ -342,6 +342,27 @@ func TestReplaySteadyStateAllocBytes(t *testing.T) {
 	}
 }
 
+// TestPerOpStepDoesNotAllocate: a replay allocates its setup (rings,
+// FU pools, the result) and nothing per op, so a window eight times
+// longer costs the same allocations.
+func TestPerOpStepDoesNotAllocate(t *testing.T) {
+	s, err := New(Broadwell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(w []trace.MicroOp) float64 {
+		win := trace.WindowOf(w)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := s.Run(win); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(mixedWindow(2_000, 3)), allocs(mixedWindow(16_000, 3)); short != long {
+		t.Fatalf("a 2,000-op replay allocates %v times, a 16,000-op one %v: the per-op step allocates", short, long)
+	}
+}
+
 func TestFUPoolReserve(t *testing.T) {
 	p := newFUPool(2)
 	if got := p.reserve(10, 5); got != 10 {
