@@ -186,10 +186,14 @@ results-check:
 # path at 0 allocs. codec, quant and transform time each integer
 # mode-decision kernel against its pre-rewrite oracle (BenchmarkResidual,
 # BenchmarkQuantize, BenchmarkDequantize, BenchmarkSATD: /N against
-# /N/ref).
+# /N/ref). encoders times the encode a served job runs, SVT-AV1 preset 4
+# on a small clip, on a count-only context and on one with two no-op
+# sinks (BenchmarkEncodeServed/{count,hooked}): the count-only search
+# decides each shared sub-block once, the hooked one every time.
 BENCH_PKGS = . ./internal/obs ./internal/codec ./internal/codec/quant \
 	./internal/codec/transform ./internal/codec/motion \
-	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy
+	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy \
+	./internal/encoders
 
 bench:
 	mkdir -p bench/out

@@ -9,15 +9,19 @@ import (
 )
 
 // TestCountOnlyEncodeMatchesHooked is the contract of the kernels'
-// count-only path: every family at its fastest preset and at a middle
-// one, and SVT-AV1 at its slowest (the one point here that runs the
-// full motion search; on a quarter-size clip to keep it quick), over a
-// keyframe and two inter frames, returns the same Result — bitstream,
-// Mix, Insts, WorkerInsts, per-frame stage counts and all the rest —
-// on a count-only context as on one with a Recorder attached, which is
-// told every event.
+// count-only path and of the partition search's leaf memo. Every family
+// at its fastest preset and at a middle one, SVT-AV1 and libaom at each
+// preset that searches HORZ_A/B and VERT_A/B (the shapes whose
+// sub-blocks a count-only search decides once and replays; on small
+// clips to keep presets 0–2's full motion search quick), and
+// x265 at a transform-split preset, over a keyframe and two inter
+// frames, returns the same Result — bitstream, Mix, Insts, WorkerInsts,
+// per-frame stage counts and all the rest — on a count-only context as
+// on one with a Recorder attached, which is told every event. A nil
+// context, which reuses leaves too, codes the same Result but for the
+// instrumentation.
 func TestCountOnlyEncodeMatchesHooked(t *testing.T) {
-	clip, small := testClip(t, "game1", 3, 16), testClip(t, "game1", 3, 32)
+	clip, small, tiny := testClip(t, "game1", 3, 16), testClip(t, "game1", 3, 32), testClip(t, "game1", 3, 48)
 	for _, fam := range Families() {
 		enc := MustNew(fam)
 		lo, hi, reversed := enc.PresetRange()
@@ -29,9 +33,19 @@ func TestCountOnlyEncodeMatchesHooked(t *testing.T) {
 			preset int
 			clip   *video.Clip
 		}
-		points := []point{{fastest, clip}, {(lo + hi) / 2, clip}}
-		if fam == SVTAV1 {
-			points = append(points, point{lo, small})
+		mid := (lo + hi) / 2
+		points := []point{{fastest, clip}, {mid, clip}}
+		switch fam {
+		case SVTAV1, Libaom:
+			for p := lo; p < mid; p++ {
+				c := tiny
+				if fam == SVTAV1 && p == lo {
+					c = small // the full motion search over more than two superblocks
+				}
+				points = append(points, point{p, c})
+			}
+		case X265:
+			points = append(points, point{6, small})
 		}
 		for _, pt := range points {
 			preset, clip := pt.preset, pt.clip
@@ -63,6 +77,56 @@ func TestCountOnlyEncodeMatchesHooked(t *testing.T) {
 				t.Errorf("%s preset %d: the count-only Result differs from the hooked one in %v (Mix %v vs %v)",
 					fam, preset, d, count.Mix, hooked.Mix)
 			}
+			plain := encode(func() *trace.Ctx { return nil })
+			if plain.Insts != 0 {
+				t.Fatalf("%s preset %d: a nil context counted %d instructions", fam, preset, plain.Insts)
+			}
+			plain.Mix, plain.Insts, plain.WorkerInsts, plain.FrameStages = hooked.Mix, hooked.Insts, hooked.WorkerInsts, hooked.FrameStages
+			if d := resultDiff(plain, hooked); d != nil {
+				t.Errorf("%s preset %d: the nil-context Result differs from the hooked one in %v", fam, preset, d)
+			}
 		}
+	}
+}
+
+// nopSink takes every event run and does nothing with it: a hooked
+// context whose sinks cost only their dispatch.
+type nopSink struct{}
+
+func (nopSink) Branch(trace.PC, bool)           {}
+func (nopSink) Loop(trace.PC, int)              {}
+func (nopSink) Access(uint64, int, bool)        {}
+func (nopSink) Run(uint64, int, int, int, bool) {}
+
+// BenchmarkEncodeServed times the encode a served job runs: SVT-AV1 at
+// preset 4, whose partition search reuses leaf decisions, over a small
+// clip on one thread. count is the served path, a count-only context
+// per worker; hooked attaches a branch and a memory sink that do no
+// work, so every leaf is decided again and every event dispatched.
+func BenchmarkEncodeServed(b *testing.B) {
+	clip := testClip(b, "game1", 4, 16)
+	enc := MustNew(SVTAV1)
+	for _, bc := range []struct {
+		name   string
+		newCtx func() *trace.Ctx
+	}{
+		{"count", trace.New},
+		{"hooked", func() *trace.Ctx {
+			tc := trace.New()
+			tc.AttachBranchSink(nopSink{})
+			tc.AttachMemSink(nopSink{})
+			return tc
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := Options{CRF: 30, Preset: 4, Threads: 1,
+				NewWorkerCtx: func(int) *trace.Ctx { return bc.newCtx() }}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.Encode(context.Background(), clip, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

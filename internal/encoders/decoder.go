@@ -240,7 +240,8 @@ func (sc *decSeg) parseNode(x, y, n, depth int) ([]decLeaf, error) {
 		}
 		return all, nil
 	}
-	rects := shape.subBlocks(x, y, n)
+	var buf [4]rect
+	rects := shape.subBlocks(x, y, n, &buf)
 	if rects == nil {
 		return nil, fmt.Errorf("encoders: shape %v not applicable at size %d", shape, n)
 	}

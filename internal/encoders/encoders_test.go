@@ -322,7 +322,8 @@ func TestScanOrderIsPermutation(t *testing.T) {
 
 func TestShapeSubBlocksCoverExactly(t *testing.T) {
 	for s := ShapeNone; s < numShapes; s++ {
-		rects := s.subBlocks(32, 64, 32)
+		var buf [4]rect
+		rects := s.subBlocks(32, 64, 32, &buf)
 		if rects == nil {
 			t.Fatalf("%v not applicable at 32", s)
 		}
@@ -346,10 +347,10 @@ func TestShapeSubBlocksCoverExactly(t *testing.T) {
 		}
 	}
 	// Quarter shapes are not applicable below 16.
-	if ShapeHorz4.subBlocks(0, 0, 8) != nil {
+	if ShapeHorz4.subBlocks(0, 0, 8, new([4]rect)) != nil {
 		t.Error("HORZ_4 applicable at 8 (strips below 4 samples)")
 	}
-	if ShapeSplit.subBlocks(0, 0, 4) != nil {
+	if ShapeSplit.subBlocks(0, 0, 4, new([4]rect)) != nil {
 		t.Error("SPLIT applicable at 4")
 	}
 }

@@ -611,11 +611,11 @@ func (sc *segCtx) chooseLeafMode(x, y, w, h int) (leafPlan, error) {
 
 		// Motion refinement around the analysis MV.
 		seed := sc.analysisMV(x, y)
-		refs := []*picture{sc.prev}
+		refs, nrefs := [2]*picture{sc.prev, sc.prev2}, 1
 		if se.ts.refs >= 2 && sc.prev2 != nil {
-			refs = append(refs, sc.prev2)
+			nrefs = 2
 		}
-		for ri, ref := range refs {
+		for ri, ref := range refs[:nrefs] {
 			res, err := motion.Search(tc, se.ts.motionAlg, sc.pic.srcY, x, y, ref.recY, w, h, se.ts.refineRange+int16abs(seed), seed)
 			if err != nil {
 				return best, err
@@ -803,17 +803,19 @@ func blockOf(surf codec.Surface, x, y, w, h int, buf []byte) []byte {
 func (sc *segCtx) shapeSignalBits(depth int) float64 { return float64(2 + depth) }
 
 // searchPartition explores the family's partition shapes for the n×n
-// block at (x, y) and returns the cheapest plan.
-func (sc *segCtx) searchPartition(x, y, n, depth int) (*planNode, error) {
+// block at (x, y) and returns the cheapest plan. none is the block's
+// entry in its parent's sub-block memo (nil at the superblock root): the
+// block whole is its parent's quadrant. Candidates are costed on the
+// stack; only the winner is allocated.
+func (sc *segCtx) searchPartition(x, y, n, depth int, none *leafMemo) (*planNode, error) {
 	se := sc.se
 	sc.tc.Op(trace.OpOther, 14) // partition-context bookkeeping
-	leaf, err := sc.chooseLeafMode(x, y, n, n)
+	leaf, err := sc.decideLeaf(none, x, y, n, n)
 	if err != nil {
 		return nil, err
 	}
-	node := &planNode{shape: ShapeNone, x: x, y: y, n: n,
-		leaves: []leafPlan{leaf},
-		cost:   leaf.cost + int64(sc.rateMul()*sc.shapeSignalBits(depth))}
+	signal := int64(sc.rateMul() * sc.shapeSignalBits(depth))
+	best := planNode{shape: ShapeNone, x: x, y: y, n: n, cost: leaf.cost + signal}
 
 	// Early exit: cheap blocks do not justify exploring more shapes.
 	// Full-RD presets exit when the whole block codes into a trivial
@@ -825,34 +827,35 @@ func (sc *segCtx) searchPartition(x, y, n, depth int) (*planNode, error) {
 	if se.ts.fullRD {
 		early = leaf.skip || leaf.bits <= int(14*se.ts.earlyExitBias)
 	} else {
-		early = leaf.skip || node.cost < sc.earlyExitThreshold(n*n)
+		early = leaf.skip || best.cost < sc.earlyExitThreshold(n*n)
 	}
 	sc.tc.Branch(pcPartEarly[min(depth, 3)], early)
 	if early || n <= se.ts.minBlock {
-		return node, nil
+		best.leaves = []leafPlan{leaf}
+		return &best, nil
 	}
 
-	consider := func(cand *planNode) {
-		better := cand.cost < node.cost
-		sc.tc.Branch(pcPartBetter[int(cand.shape)%len(pcPartBetter)], better)
-		if better {
-			node = cand
-		}
-	}
+	var (
+		memo       [8]leafMemo // this node's sub-blocks, see memoSlot
+		bestLeaves [4]leafPlan
+		leaves     [4]leafPlan
+		rects      [4]rect
+	)
+	bestLeaves[0] = leaf
+	nBest := 1
 
 	// Rectangular (non-recursive) shapes; inter-only, so skipped on
 	// keyframes.
 	if !sc.pic.isKey {
 		for _, shape := range se.ts.shapes {
-			rects := shape.subBlocks(x, y, n)
-			if rects == nil {
+			sub := shape.subBlocks(x, y, n, &rects)
+			if sub == nil {
 				continue
 			}
-			cand := &planNode{shape: shape, x: x, y: y, n: n}
-			cand.cost = int64(sc.rateMul() * sc.shapeSignalBits(depth))
+			cost := signal
 			ok := true
-			for _, r := range rects {
-				lf, err := sc.chooseLeafMode(r.x, r.y, r.w, r.h)
+			for i, r := range sub {
+				lf, err := sc.decideLeaf(memoSlot(&memo, x, y, n, r), r.x, r.y, r.w, r.h)
 				if err != nil {
 					return nil, err
 				}
@@ -860,31 +863,102 @@ func (sc *segCtx) searchPartition(x, y, n, depth int) (*planNode, error) {
 					ok = false
 					break
 				}
-				cand.leaves = append(cand.leaves, lf)
-				cand.cost += lf.cost
+				leaves[i] = lf
+				cost += lf.cost
 			}
-			if ok {
-				consider(cand)
+			if ok && sc.beats(shape, cost, best.cost) {
+				best = planNode{shape: shape, x: x, y: y, n: n, cost: cost}
+				bestLeaves, nBest = leaves, len(sub)
 			}
 		}
 	}
 
-	// Recursive split.
+	// Recursive split: each child's block whole is this node's quadrant.
 	if se.ts.trySplit && n/2 >= se.ts.minBlock {
-		cand := &planNode{shape: ShapeSplit, x: x, y: y, n: n}
-		cand.cost = int64(sc.rateMul() * sc.shapeSignalBits(depth))
+		cand := planNode{shape: ShapeSplit, x: x, y: y, n: n, cost: signal}
 		half := n / 2
 		for i, off := range [4][2]int{{0, 0}, {half, 0}, {0, half}, {half, half}} {
-			child, err := sc.searchPartition(x+off[0], y+off[1], half, depth+1)
+			child, err := sc.searchPartition(x+off[0], y+off[1], half, depth+1, &memo[i])
 			if err != nil {
 				return nil, err
 			}
 			cand.children[i] = child
 			cand.cost += child.cost
 		}
-		consider(cand)
+		if sc.beats(ShapeSplit, cand.cost, best.cost) {
+			best, nBest = cand, 0
+		}
 	}
-	return node, nil
+	if nBest > 0 {
+		best.leaves = append([]leafPlan(nil), bestLeaves[:nBest]...)
+	}
+	return &best, nil
+}
+
+// beats reports, as the modeled shape-comparison branch, whether a
+// candidate of the given shape costs less than the best plan so far.
+func (sc *segCtx) beats(shape Shape, cost, best int64) bool {
+	better := cost < best
+	sc.tc.Branch(pcPartBetter[int(shape)%len(pcPartBetter)], better)
+	return better
+}
+
+// leafMemo is one sub-block's mode decision, kept for the other shapes
+// of the same partition node that code the same rectangle.
+type leafMemo struct {
+	done   bool
+	leaf   leafPlan
+	counts trace.Counts // what deciding it counted, on a count-only context
+}
+
+// memoSlot returns the entry of memo, the sub-block memo of the n×n
+// node at (x, y), that r takes: quadrants 0–3 in raster order, then the
+// horizontal halves and the vertical halves. The quarter strips of
+// HORZ_4 and VERT_4 are coded by no other shape and take none.
+func memoSlot(memo *[8]leafMemo, x, y, n int, r rect) *leafMemo {
+	h := n / 2
+	i, j := (r.x-x)/h, (r.y-y)/h
+	switch {
+	case r.w == h && r.h == h:
+		return &memo[2*j+i]
+	case r.w == n && r.h == h:
+		return &memo[4+j]
+	case r.w == h && r.h == n:
+		return &memo[6+i]
+	}
+	return nil
+}
+
+// decideLeaf is chooseLeafMode through m, the rectangle's memo entry
+// (nil: none). Within one superblock's search a leaf decision is a pure
+// function of its rectangle, so on a count-only or nil context each
+// entry is decided once, and a repeat returns the kept plan and replays
+// the counts deciding it took. A hooked context decides every time: its
+// sinks, tape and profile see every event.
+func (sc *segCtx) decideLeaf(m *leafMemo, x, y, w, h int) (leafPlan, error) {
+	t := sc.tc.Tally(trace.StageOther) // any stage: Counts holds them all
+	if m == nil || sc.tc != nil && !t.Ok() {
+		return sc.chooseLeafMode(x, y, w, h)
+	}
+	if m.done {
+		if t.Ok() {
+			t.Replay(&m.counts)
+		}
+		return m.leaf, nil
+	}
+	var before trace.Counts
+	if t.Ok() {
+		before = t.Counts()
+	}
+	lf, err := sc.chooseLeafMode(x, y, w, h)
+	if err != nil {
+		return lf, err
+	}
+	m.done, m.leaf = true, lf
+	if t.Ok() {
+		m.counts = t.Since(before)
+	}
+	return lf, nil
 }
 
 // ---------------------------------------------------------------------

@@ -43,60 +43,71 @@ func (s Shape) String() string {
 // rect is a sub-block of a partition.
 type rect struct{ x, y, w, h int }
 
-// subBlocks returns the sub-rectangles of shape s applied to an n×n
-// block at (x, y). ShapeSplit returns the four quadrants (the caller
-// recurses into them); nil means the shape is not applicable at size n.
-func (s Shape) subBlocks(x, y, n int) []rect {
+// subBlocks fills out with the sub-rectangles of shape s applied to an
+// n×n block at (x, y) and returns them, a slice of out. ShapeSplit
+// returns the four quadrants (the caller recurses into them); nil means
+// the shape is not applicable at size n.
+func (s Shape) subBlocks(x, y, n int, out *[4]rect) []rect {
 	h := n / 2
 	q := n / 4
 	switch s {
 	case ShapeNone:
-		return []rect{{x, y, n, n}}
+		*out = [4]rect{{x, y, n, n}}
+		return out[:1]
 	case ShapeSplit:
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, h, h}, {x + h, y, h, h}, {x, y + h, h, h}, {x + h, y + h, h, h}}
+		*out = [4]rect{{x, y, h, h}, {x + h, y, h, h}, {x, y + h, h, h}, {x + h, y + h, h, h}}
+		return out[:4]
 	case ShapeHorz:
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, n, h}, {x, y + h, n, h}}
+		*out = [4]rect{{x, y, n, h}, {x, y + h, n, h}}
+		return out[:2]
 	case ShapeVert:
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, h, n}, {x + h, y, h, n}}
+		*out = [4]rect{{x, y, h, n}, {x + h, y, h, n}}
+		return out[:2]
 	case ShapeHorzA: // two quarters on top, full-width half below
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, h, h}, {x + h, y, h, h}, {x, y + h, n, h}}
+		*out = [4]rect{{x, y, h, h}, {x + h, y, h, h}, {x, y + h, n, h}}
+		return out[:3]
 	case ShapeHorzB:
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, n, h}, {x, y + h, h, h}, {x + h, y + h, h, h}}
+		*out = [4]rect{{x, y, n, h}, {x, y + h, h, h}, {x + h, y + h, h, h}}
+		return out[:3]
 	case ShapeVertA:
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, h, h}, {x, y + h, h, h}, {x + h, y, h, n}}
+		*out = [4]rect{{x, y, h, h}, {x, y + h, h, h}, {x + h, y, h, n}}
+		return out[:3]
 	case ShapeVertB:
 		if h < 4 {
 			return nil
 		}
-		return []rect{{x, y, h, n}, {x + h, y, h, h}, {x + h, y + h, h, h}}
+		*out = [4]rect{{x, y, h, n}, {x + h, y, h, h}, {x + h, y + h, h, h}}
+		return out[:3]
 	case ShapeHorz4:
 		if q < 4 {
 			return nil
 		}
-		return []rect{{x, y, n, q}, {x, y + q, n, q}, {x, y + 2*q, n, q}, {x, y + 3*q, n, q}}
+		*out = [4]rect{{x, y, n, q}, {x, y + q, n, q}, {x, y + 2*q, n, q}, {x, y + 3*q, n, q}}
+		return out[:4]
 	case ShapeVert4:
 		if q < 4 {
 			return nil
 		}
-		return []rect{{x, y, q, n}, {x + q, y, q, n}, {x + 2*q, y, q, n}, {x + 3*q, y, q, n}}
+		*out = [4]rect{{x, y, q, n}, {x + q, y, q, n}, {x + 2*q, y, q, n}, {x + 3*q, y, q, n}}
+		return out[:4]
 	}
 	return nil
 }

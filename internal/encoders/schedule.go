@@ -377,7 +377,7 @@ func (se *streamEncoder) encodeSegment(worker int, tc *trace.Ctx, ws *workerSet,
 	}
 	for row := r.row0; row < r.row1; row++ {
 		for c := r.col0; c < r.col1; c++ {
-			node, err := sc.searchPartition(c*sbSize, row*sbSize, sbSize, 0)
+			node, err := sc.searchPartition(c*sbSize, row*sbSize, sbSize, 0, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -649,7 +649,7 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 						}
 					}
 					for c := 0; c < cols; c++ {
-						node, err := sc.searchPartition(c*sbSize, r*sbSize, sbSize, 0)
+						node, err := sc.searchPartition(c*sbSize, r*sbSize, sbSize, 0, nil)
 						if err != nil {
 							return err
 						}

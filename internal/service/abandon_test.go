@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -181,6 +182,65 @@ func TestDriveAbandonsItsJobWhenCancelled(t *testing.T) {
 	awaitState(t, hts.URL, long.Key(), StateFailed)
 	if took := time.Since(t0); took > 5*wakeBudget() {
 		t.Errorf("job ran %v past its only client's cancellation", took)
+	}
+}
+
+// TestDriveAbandonsASubmitCancelledInFlight: the daemon has taken the
+// job, but its answer is still on the wire when the Drive's context
+// ends. Drive reads the answer anyway and gives the interest back, so
+// the job is skipped instead of computed for nobody. (A Drive that gave
+// up on the answer never learned it held an interest.)
+func TestDriveAbandonsASubmitCancelledInFlight(t *testing.T) {
+	srv, err := NewServer(context.Background(), Config{StoreDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, release := make(chan struct{}), make(chan struct{})
+	h := srv.Handler()
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		held := httptest.NewRecorder()
+		h.ServeHTTP(held, r)
+		close(accepted)
+		<-release
+		for k, v := range held.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(held.Code)
+		w.Write(held.Body.Bytes())
+	}))
+	t.Cleanup(func() {
+		hts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	long := longSpec(30)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := Client{Base: hts.URL}.Drive(ctx, long.Key(), mustJSON(t, &long), DriveOpts{})
+		errc <- err
+	}()
+	<-accepted
+	cancel()
+	select {
+	case err := <-errc:
+		close(release)
+		t.Fatalf("Drive returned (%v) without its submit's answer", err)
+	case <-time.After(abandonGrace / 10):
+	}
+	close(release)
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled Drive returned a result")
+	}
+	srv.Start()
+	if st := awaitState(t, hts.URL, long.Key(), StateFailed); st.Error != errAbandoned {
+		t.Errorf("job failed with %q, want %q", st.Error, errAbandoned)
 	}
 }
 

@@ -251,7 +251,8 @@ type DriveStats struct {
 // echo; payload is the marshalled spec, built once by the caller and
 // reused across attempts. When ctx ends while the job is still the
 // server's to compute, Drive gives its submit's interest back, so a job
-// nobody else asked for stops there too.
+// nobody else asked for stops there too; a submit already on the wire
+// is answered first (submitSeen), since the server may have taken it.
 func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOpts) ([]byte, DriveStats, error) {
 	var ds DriveStats
 	if err := c.submitAccepted(ctx, key, payload, o, &ds); err != nil {
@@ -276,7 +277,7 @@ func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOp
 // echoed key. The retries are counted in ds, which is valid on error too.
 func (c Client) submitAccepted(ctx context.Context, key string, payload []byte, o DriveOpts, ds *DriveStats) error {
 	for {
-		st, code, err := c.Submit(ctx, payload, o.Trace)
+		st, code, err := c.submitSeen(ctx, payload, o.Trace)
 		if err != nil {
 			if ds.Reconnects >= o.Reconnects || ctx.Err() != nil {
 				return fmt.Errorf("submit (after %d reconnects): %w", ds.Reconnects, err)
@@ -303,6 +304,32 @@ func (c Client) submitAccepted(ctx context.Context, key string, payload []byte, 
 		ds.Cached = code == http.StatusOK
 		return nil
 	}
+}
+
+// submitSeen is Submit seen through to its answer. The server may take
+// the job, and with it one interest, before it answers, and only the
+// answer tells Drive it holds an interest to give back: a submit
+// cancelled in flight would leave the job running for nobody. So the
+// request outlives ctx by up to abandonGrace; an accepted submit whose
+// caller has gone then goes on to Drive's abandon like any other.
+func (c Client) submitSeen(ctx context.Context, payload []byte, trace string) (JobStatus, int, error) {
+	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer cancel()
+	go func() {
+		select {
+		case <-ctx.Done():
+		case <-sctx.Done():
+			return
+		}
+		grace := time.NewTimer(abandonGrace)
+		defer grace.Stop()
+		select {
+		case <-grace.C:
+			cancel()
+		case <-sctx.Done():
+		}
+	}()
+	return c.Submit(sctx, payload, trace)
 }
 
 // driveWait is the wait Drive asks of each result fetch (at most
@@ -341,12 +368,16 @@ func (c Client) awaitResult(ctx context.Context, key string) ([]byte, error) {
 	}
 }
 
+// abandonGrace bounds what a Drive whose context has ended still waits
+// for: a submit's answer, then the DELETE that gives its interest back.
+const abandonGrace = time.Second
+
 // abandon gives back the interest an accepted submit holds (DELETE
 // /v1/jobs/{id}, which a daemon and a gate both serve). Best effort, on a
 // short context of its own because the caller's has ended: a server that
 // is gone is not an error.
 func (c Client) abandon(ctx context.Context, key string) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abandonGrace)
 	defer cancel()
 	c.read(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+key, nil, "", http.StatusNoContent)
 }

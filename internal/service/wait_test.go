@@ -303,8 +303,9 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// longSpec is an encode long enough (~1 s) to still be running when a
-// test acts on it, with sub-millisecond task boundaries to abort at.
+// longSpec is an encode long enough (0.3–0.6 s of encoding on a 2-vCPU
+// Xeon, after the clip is generated) to still be running when a test
+// acts on it, with sub-millisecond task boundaries to abort at.
 func longSpec(crf int) JobSpec {
 	s := JobSpec{Kind: KindEncode, Family: "svt-av1", Clip: "desktop",
 		Frames: 64, ScaleDiv: 16, CRF: crf, Preset: 0, Threads: 1}

@@ -224,6 +224,37 @@ func (t Tally) Add(class OpClass, n int) {
 	t.c.stages[t.s] += uint64(n)
 }
 
+// Counts is what a count-only context counts: its Mix and its stage
+// counters. A caller that repeats a pure piece of work on one count-only
+// context can run it once between Counts and Since, keep the delta, and
+// Replay that delta for each repeat: the counters end exactly as if the
+// work had run again. Only an Ok Tally has these methods' premise; a
+// hooked context must see the events themselves.
+type Counts struct {
+	mix    Mix
+	stages StageCounts
+}
+
+// Counts snapshots t's context. t must be Ok.
+func (t Tally) Counts() Counts { return Counts{t.c.Mix, t.c.stages} }
+
+// Since returns what t's context counted after the snapshot before. t
+// must be Ok.
+func (t Tally) Since(before Counts) Counts {
+	d := t.Counts()
+	for i := range d.mix {
+		d.mix[i] -= before.mix[i]
+	}
+	d.stages = d.stages.Sub(before.stages)
+	return d
+}
+
+// Replay adds a delta Since returned to t's context. t must be Ok.
+func (t Tally) Replay(d *Counts) {
+	t.c.Mix.Add(&d.mix)
+	t.c.stages.Add(&d.stages)
+}
+
 // profile charges n instructions to the current function.
 func (c *Ctx) profile(n int) {
 	if c.prof != nil {

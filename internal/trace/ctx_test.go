@@ -104,3 +104,33 @@ func TestTallyCountsLikeOp(t *testing.T) {
 		t.Fatalf("Tally allocates %v times a call", n)
 	}
 }
+
+// TestReplayCountsLikeRerun: what a count-only context counted over a
+// piece of work, replayed, leaves its Mix and stage counters where
+// running the work again would, whichever stages the work charged.
+func TestReplayCountsLikeRerun(t *testing.T) {
+	pc := Site("t/ctx.replay")
+	work := func(c *Ctx) {
+		prev := c.BeginStage(StageTransform)
+		countAll(c, pc)
+		c.EndStage(prev)
+		c.Op(OpSSE, 5) // charged to the caller's stage
+	}
+	replayed, rerun := New(), New()
+	for _, c := range []*Ctx{replayed, rerun} {
+		c.BeginStage(StageIntra)
+		c.Op(OpOther, 7)
+	}
+	tally := replayed.Tally(StageOther)
+	before := tally.Counts()
+	work(replayed)
+	d := tally.Since(before)
+	tally.Replay(&d)
+	tally.Replay(&d)
+	for i := 0; i < 3; i++ {
+		work(rerun)
+	}
+	if replayed.Mix != rerun.Mix || replayed.StageCounts() != rerun.StageCounts() {
+		t.Fatalf("replayed mix %v stages %v, rerun %v %v", replayed.Mix, replayed.StageCounts(), rerun.Mix, rerun.StageCounts())
+	}
+}
