@@ -193,7 +193,7 @@ results-check:
 BENCH_PKGS = . ./internal/obs ./internal/codec ./internal/codec/quant \
 	./internal/codec/transform ./internal/codec/motion \
 	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy \
-	./internal/encoders
+	./internal/encoders ./internal/uarch/pipeline
 
 bench:
 	mkdir -p bench/out

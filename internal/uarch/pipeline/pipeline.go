@@ -73,7 +73,8 @@ type Result struct {
 	BackendSlots  uint64
 }
 
-// fuPool models k identical units by next-free timestamps.
+// fuPool models k identical units by next-free timestamps, kept sorted
+// ascending: only the multiset of free times decides when an op starts.
 type fuPool struct {
 	free []uint64
 }
@@ -81,19 +82,16 @@ type fuPool struct {
 func newFUPool(k int) *fuPool { return &fuPool{free: make([]uint64, k)} }
 
 // reserve returns the earliest cycle ≥ ready at which a unit is free and
-// books it until done.
+// books it until start+busy: the earliest free time leaves the multiset
+// and start+busy, never below it, goes in, a min and a max a slot.
 func (f *fuPool) reserve(ready, busy uint64) (start uint64) {
-	best := 0
-	for i, fr := range f.free {
-		if fr < f.free[best] {
-			best = i
-		}
+	free := f.free
+	start = max(ready, free[0])
+	v, last := start+busy, len(free)-1
+	for j := 0; j < last; j++ {
+		free[j] = min(free[j+1], max(free[j], v))
 	}
-	start = ready
-	if f.free[best] > start {
-		start = f.free[best]
-	}
-	f.free[best] = start + busy
+	free[last] = max(free[last], v)
 	return start
 }
 
@@ -147,12 +145,18 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 	if win.Len() == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
-	cfg := s.cfg
-	mem, err := cache.Acquire(cfg)
+	mem, err := cache.Acquire(s.cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer mem.Release()
+	return s.replay(ctx, win, mem), nil
+}
+
+// replay is RunCtx on a cold data hierarchy the caller holds, whose
+// counters the caller may read afterwards.
+func (s *Sim) replay(ctx context.Context, win trace.Window, mem *cache.Hierarchy) *Result {
+	cfg := s.cfg
 	prod := topdown.StartProducer(ctx)
 	s.pred.Reset()
 	s.btb.Reset()
@@ -165,14 +169,16 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 	stp := newFUPool(cfg.StorePorts)
 	brp := newFUPool(cfg.BranchUnits)
 
-	// Ring buffers of retirement/completion cycles for structural limits.
+	// Ring buffers for the structural limits: the cycles the last ROBSize
+	// ops free their ROB entries for fetch (retirement + 1), and the
+	// completion cycles of the last loads and stores. A slot not yet
+	// written holds 0, which bounds nothing.
 	retireRing := make([]uint64, cfg.ROBSize)
 	loadRing := make([]uint64, cfg.LQSize)
 	storeRing := make([]uint64, cfg.SQSize)
 	// rob, lq and sq are the ring slots of the current op, load and
-	// store: i, nLoads and nStores modulo the ring sizes, kept by
-	// wrapping instead of three divisions per op.
-	var nLoads, nStores, rob, lq, sq int
+	// store, kept by wrapping instead of three divisions per op.
+	var rob, lq, sq int
 
 	var (
 		fetchAvail    uint64 // earliest fetch cycle for the next op
@@ -188,10 +194,15 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 		// previous fetch used is a hit on the line it touched last:
 		// such fetches are counted here and accounted in one Repeat
 		// when the line changes, which leaves the I-cache exactly as
-		// one Access each would. The ops of a run share one pc, so only
-		// its first looks: the rest follow it to the line it fetched.
+		// one Access each would.
 		fetchLine = ^uint64(0) // no line yet
 		sameLine  uint64
+
+		// The same rule on the data side (Hierarchy.Run's): an access
+		// wholly inside the line its run's previous access ended on is
+		// an L1 hit, counted until the line changes or the run ends.
+		follow uint64
+		l1Lat  = mem.L1.Config().LatencyCyc
 	)
 
 	// The window is stepped run by run, and a run op by op: the model is
@@ -200,54 +211,107 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 	var run trace.Run
 	i := 0
 	for cur := win.Cursor(); cur.Next(&run); {
-		pc, addr, size := uint64(run.PC), run.Addr, int(run.Size)
+		pc := uint64(run.PC)
+		// The ops of a run share one pc, so its first fetch looks in the
+		// I-cache, once, and the rest follow it to the line it fetched.
+		var miss uint64 // the first fetch's bubble
+		if pc != 0 {
+			if line := pc / cache.LineSize; line == fetchLine {
+				sameLine++
+			} else {
+				if sameLine > 0 {
+					s.icache.Repeat(sameLine, false)
+					sameLine = 0
+				}
+				fetchLine = line
+				if hit, _ := s.icache.Access(pc, false); !hit {
+					// Instruction fetch miss: frontend bubble (L2 hit
+					// latency — the synthetic code footprint fits L2 easily).
+					miss = uint64(cfg.L2.LatencyCyc)
+				}
+			}
+			sameLine += uint64(run.Count - 1)
+		}
+		addr, size := run.Addr, max(int(run.Size), 1)
+		span := uint64(size - 1)
+		dline := addr + cache.LineSize // no data line yet: the first access walks
 		for left := run.Count; left > 0; left, i = left-1, i+1 {
 			// --- Fetch: width per cycle; icache miss and redirect bubbles.
-			// Fetch cannot run more than a ROB's worth of ops ahead of
-			// retirement: op i stalls in fetch until op i−ROBSize retires.
 			if fetchInGroup >= cfg.Width {
 				fetchAvail++
 				fetchInGroup = 0
 			}
-			if i >= cfg.ROBSize {
-				if robHead := retireRing[rob]; robHead+1 > fetchAvail {
-					res.StallROB += robHead + 1 - fetchAvail
-					fetchAvail = robHead + 1
-					fetchInGroup = 0
-				}
+			// Fetch cannot run more than a ROB's worth of ops ahead of
+			// retirement: op i stalls in fetch until op i−ROBSize retires.
+			nf := max(fetchAvail, retireRing[rob])
+			res.StallROB += nf - fetchAvail
+			fetch := nf + miss // and after the run's I-cache miss
+			frontendStall += miss
+			if fetch != fetchAvail {
+				fetchInGroup = 0
 			}
-			fetch := fetchAvail
-			if left == run.Count && pc != 0 {
-				if line := pc / cache.LineSize; line == fetchLine {
-					sameLine++
-				} else {
-					if sameLine > 0 {
-						s.icache.Repeat(sameLine, false)
-						sameLine = 0
-					}
-					fetchLine = line
-					if hit, _ := s.icache.Access(pc, false); !hit {
-						// Instruction fetch miss: frontend bubble (L2 hit
-						// latency — the synthetic code footprint fits L2 easily).
-						fetch += uint64(cfg.L2.LatencyCyc)
-						frontendStall += uint64(cfg.L2.LatencyCyc)
-						fetchAvail = fetch
-						fetchInGroup = 0
-					}
-				}
-				sameLine += uint64(left - 1)
-			}
+			fetchAvail, miss = fetch, 0
 			fetchInGroup++
 
 			// --- Dispatch after the frontend pipeline.
 			dispatch := fetch + uint64(cfg.FrontendDepth)
 
-			// --- Ready: dependence on recent producers, class-based.
-			// Dependences: real code has instruction-level parallelism, so
-			// only a fraction of ops extend a producer chain; the modulo
-			// pattern models unrolled kernels with several live chains.
-			var ready uint64 = dispatch
+			// --- Ready on recent producers, class-based, then issue on a
+			// functional unit and execute. Dependences: real code has
+			// instruction-level parallelism, so only a fraction of ops
+			// extend a producer chain; the modulo pattern models unrolled
+			// kernels with several live chains.
+			var ready, done uint64 = dispatch, 0
 			switch run.Class {
+			case trace.OpLoad:
+				if i%4 == 0 {
+					ready = max(ready, lastALUDone) // address generation
+				}
+				nr := max(ready, loadRing[lq])
+				res.StallLQ += nr - ready
+				start := ldp.reserve(nr, 1)
+				res.StallFU += start - nr
+				lat := l1Lat
+				if off := addr - dline; off < cache.LineSize && off+span < cache.LineSize {
+					follow++
+				} else {
+					if follow > 0 {
+						mem.L1.Repeat(follow, false)
+						follow = 0
+					}
+					dline = (addr + span) &^ (cache.LineSize - 1)
+					lat = mem.SpanAccess(addr, size, false)
+				}
+				addr += run.Stride
+				done = start + uint64(lat)
+				loadRing[lq] = done
+				if lq++; lq == cfg.LQSize {
+					lq = 0
+				}
+				lastLoadDone = done
+			case trace.OpStore:
+				ready = max(ready, lastVecDone, lastALUDone)
+				nr := max(ready, storeRing[sq])
+				res.StallSQ += nr - ready
+				start := stp.reserve(nr, 1)
+				res.StallFU += start - nr
+				// A store fills its line; the store buffer hides latency.
+				if off := addr - dline; off < cache.LineSize && off+span < cache.LineSize {
+					follow++
+				} else {
+					if follow > 0 {
+						mem.L1.Repeat(follow, true)
+						follow = 0
+					}
+					dline = (addr + span) &^ (cache.LineSize - 1)
+					mem.SpanAccess(addr, size, true)
+				}
+				addr += run.Stride
+				done = start + 1
+				storeRing[sq] = done
+				if sq++; sq == cfg.SQSize {
+					sq = 0
+				}
 			case trace.OpAVX, trace.OpSSE:
 				if i%2 == 0 {
 					ready = max(ready, lastLoadDone) // consume a loaded operand
@@ -255,13 +319,10 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 				if i%4 == 1 {
 					ready = max(ready, lastVecDone) // accumulation chain
 				}
-			case trace.OpOther:
-				if i%3 == 0 {
-					ready = max(ready, lastALUDone)
-				}
-				if i%8 == 2 {
-					ready = max(ready, lastLoadDone)
-				}
+				start := vec.reserve(ready, 1)
+				res.StallFU += start - ready
+				done = start + uint64(cfg.VecLatency)
+				lastVecDone = done
 			case trace.OpBranch:
 				// Compare feeding the branch: flags come from recent ALU work,
 				// or from a load for data-dependent decisions.
@@ -270,61 +331,6 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 				} else {
 					ready = max(ready, lastLoadDone)
 				}
-			case trace.OpStore:
-				ready = max(ready, lastVecDone, lastALUDone)
-			case trace.OpLoad:
-				if i%4 == 0 {
-					ready = max(ready, lastALUDone) // address generation
-				}
-			}
-			if ready > dispatch {
-				res.StallRS += ready - dispatch
-			}
-
-			// --- Issue on a functional unit; execute.
-			var done uint64
-			switch run.Class {
-			case trace.OpLoad:
-				if nLoads >= cfg.LQSize {
-					if lqHead := loadRing[lq]; lqHead > ready {
-						res.StallLQ += lqHead - ready
-						ready = lqHead
-					}
-				}
-				start := ldp.reserve(ready, 1)
-				res.StallFU += start - ready
-				lat := mem.SpanAccess(addr, size, false)
-				addr += run.Stride
-				done = start + uint64(lat)
-				loadRing[lq] = done
-				nLoads++
-				if lq++; lq == cfg.LQSize {
-					lq = 0
-				}
-				lastLoadDone = done
-			case trace.OpStore:
-				if nStores >= cfg.SQSize {
-					if sqHead := storeRing[sq]; sqHead > ready {
-						res.StallSQ += sqHead - ready
-						ready = sqHead
-					}
-				}
-				start := stp.reserve(ready, 1)
-				res.StallFU += start - ready
-				mem.SpanAccess(addr, size, true) // fills line; store buffer hides latency
-				addr += run.Stride
-				done = start + 1
-				storeRing[sq] = done
-				nStores++
-				if sq++; sq == cfg.SQSize {
-					sq = 0
-				}
-			case trace.OpAVX, trace.OpSSE:
-				start := vec.reserve(ready, 1)
-				res.StallFU += start - ready
-				done = start + uint64(cfg.VecLatency)
-				lastVecDone = done
-			case trace.OpBranch:
 				start := brp.reserve(ready, 1)
 				res.StallFU += start - ready
 				done = start + 1
@@ -336,11 +342,11 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 					// Redirect: fetch restarts after the branch resolves plus
 					// the flush/refill penalty. The wasted slots are the
 					// penalty window (wrong-path work plus refill bubbles).
-					redirect := done + uint64(cfg.MispredictPenalty)
-					if redirect > fetchAvail {
-						fetchAvail = redirect
+					nf := max(fetchAvail, done+uint64(cfg.MispredictPenalty))
+					if nf != fetchAvail {
 						fetchInGroup = 0
 					}
+					fetchAvail = nf
 					res.BadSpecSlots += uint64(cfg.MispredictPenalty) * uint64(cfg.Width)
 				} else if taken {
 					// Taken branches end the fetch group: a one-cycle bubble,
@@ -355,25 +361,32 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 					frontendStall += bubble
 				}
 			default: // OpOther
+				if i%3 == 0 {
+					ready = max(ready, lastALUDone)
+				}
+				if i%8 == 2 {
+					ready = max(ready, lastLoadDone)
+				}
 				start := alu.reserve(ready, 1)
 				res.StallFU += start - ready
 				done = start + 1
 				lastALUDone = done
 			}
+			res.StallRS += ready - dispatch // ready ≥ dispatch
 
-			// --- Retire in order, width per cycle.
-			retire := max(done, lastRetire)
-			if retire == lastRetire {
-				if retireInCycle >= cfg.Width {
-					retire++
-					retireInCycle = 0
-				}
-			} else {
+			// --- Retire in order, width per cycle: not before done, nor
+			// before the previous op, nor in its cycle once that is full.
+			var full uint64
+			if retireInCycle >= cfg.Width {
+				full = 1
+			}
+			retire := max(done, lastRetire+full)
+			if retire != lastRetire {
 				retireInCycle = 0
 			}
 			retireInCycle++
 			lastRetire = retire
-			retireRing[rob] = retire
+			retireRing[rob] = retire + 1
 			if rob++; rob == cfg.ROBSize {
 				rob = 0
 			}
@@ -381,6 +394,10 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 			if prod != nil && (i+1)%flushEvery == 0 {
 				prod.Observe(classifySlots(cfg.Width, uint64(i+1), lastRetire+1, res.BadSpecSlots, frontendStall))
 			}
+		}
+		if follow > 0 {
+			mem.L1.Repeat(follow, run.Class == trace.OpStore)
+			follow = 0
 		}
 	}
 
@@ -398,7 +415,7 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 		sl.Total, sl.Retiring, sl.BadSpec, sl.Frontend, sl.Backend
 	prod.Commit(sl)
 	flushObs(res, mem)
-	return res, nil
+	return res
 }
 
 // classifySlots is the slot accounting of a window, whole or partly

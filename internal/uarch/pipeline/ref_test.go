@@ -1,27 +1,81 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vcprof/internal/trace"
 	"vcprof/internal/uarch/cache"
 )
 
-// refRun is the replay loop RunCtx had before it batched same-line
-// fetches and dropped the ring divisions, moved here verbatim as the
-// oracle (less the top-down streaming and the obs flush, which do not
-// touch the model, and with the L2's latency read from the machine
-// where it was the Xeon's 12): every op with a pc asks the I-cache,
-// every ring slot is an index modulo the ring size. It also returns the
-// I-cache's counters.
-func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
-	if len(ops) == 0 {
-		return nil, cache.Stats{}, fmt.Errorf("pipeline: empty trace")
+// scanPool is the functional-unit pool RunCtx had before it kept the
+// free times sorted, moved here verbatim as refRun's own: it books the
+// unit a scan finds earliest free.
+type scanPool struct {
+	free []uint64
+}
+
+func newScanPool(k int) *scanPool { return &scanPool{free: make([]uint64, k)} }
+
+// reserve returns the earliest cycle ≥ ready at which a unit is free and
+// books it until done.
+func (f *scanPool) reserve(ready, busy uint64) (start uint64) {
+	best := 0
+	for i, fr := range f.free {
+		if fr < f.free[best] {
+			best = i
+		}
+	}
+	start = ready
+	if f.free[best] > start {
+		start = f.free[best]
+	}
+	f.free[best] = start + busy
+	return start
+}
+
+// counters are the cache levels a replay leaves behind: the Sim's
+// I-cache and the data hierarchy it ran on.
+type counters struct{ L1I, L1D, L2, LLC cache.Stats }
+
+func countersOf(s *Sim, mem *cache.Hierarchy) counters {
+	return counters{s.icache.Stats(), mem.L1.Stats(), mem.L2.Stats(), mem.LLC.Stats()}
+}
+
+// runCounted is Run on a data hierarchy the test holds, so that its
+// counters can be read after the replay.
+func runCounted(s *Sim, win trace.Window) (*Result, counters, error) {
+	if win.Len() == 0 {
+		res, err := s.Run(win)
+		return res, counters{}, err
 	}
 	mem, err := cache.Acquire(s.cfg)
 	if err != nil {
-		return nil, cache.Stats{}, err
+		return nil, counters{}, err
+	}
+	defer mem.Release()
+	res := s.replay(context.Background(), win, mem)
+	return res, countersOf(s, mem), nil
+}
+
+// refRun is the replay loop RunCtx had before it batched same-line
+// fetches and data accesses, dropped the ring divisions and computed
+// its stalls and unit bookings without branches, moved here verbatim
+// as the oracle (less the top-down streaming and the obs flush, which
+// do not touch the model, and with the L2's latency read from the
+// machine where it was the Xeon's 12): every op with a pc asks the
+// I-cache, every load and store walks the data hierarchy, every ring
+// slot is an index modulo the ring size, every unit is found by a scan.
+// It also returns the counters of every cache level.
+func refRun(s *Sim, ops []trace.MicroOp) (*Result, counters, error) {
+	if len(ops) == 0 {
+		return nil, counters{}, fmt.Errorf("pipeline: empty trace")
+	}
+	mem, err := cache.Acquire(s.cfg)
+	if err != nil {
+		return nil, counters{}, err
 	}
 	defer mem.Release()
 	s.pred.Reset()
@@ -30,11 +84,11 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 	cfg := s.cfg
 	res := &Result{Ops: uint64(len(ops))}
 
-	alu := newFUPool(cfg.ALUs)
-	vec := newFUPool(cfg.VecUnits)
-	ldp := newFUPool(cfg.LoadPorts)
-	stp := newFUPool(cfg.StorePorts)
-	brp := newFUPool(cfg.BranchUnits)
+	alu := newScanPool(cfg.ALUs)
+	vec := newScanPool(cfg.VecUnits)
+	ldp := newScanPool(cfg.LoadPorts)
+	stp := newScanPool(cfg.StorePorts)
+	brp := newScanPool(cfg.BranchUnits)
 
 	// Ring buffers of retirement/completion cycles for structural limits.
 	retireRing := make([]uint64, cfg.ROBSize)
@@ -225,7 +279,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, cache.Stats, error) {
 		res.FrontendSlots = rem
 	}
 	res.BackendSlots = rem - res.FrontendSlots
-	return res, s.icache.Stats(), nil
+	return res, countersOf(s, mem), nil
 }
 
 // runWindow draws a window shaped like a tape's expansion: runs of
@@ -270,9 +324,10 @@ func runWindow(n int, seed uint64) []trace.MicroOp {
 	return ops[:n]
 }
 
-// TestRunMatchesPerOpReference: batching same-line fetches and
-// wrapping the ring indices changed no cycle of the model and no
-// counter of the I-cache.
+// TestRunMatchesPerOpReference: batching same-line fetches and data
+// accesses, wrapping the ring indices and the branch-free stalls and
+// unit bookings changed no cycle of the model and no counter of any
+// cache level.
 func TestRunMatchesPerOpReference(t *testing.T) {
 	windows := [][]trace.MicroOp{
 		runWindow(60_000, 1), runWindow(60_000, 2), mixedWindow(30_000, 3),
@@ -285,19 +340,43 @@ func TestRunMatchesPerOpReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range windows {
-		want, wantIC, err := refRun(s, w)
+		want, wantC, err := refRun(s, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Run(trace.WindowOf(w))
+		got, gotC, err := runCounted(s, trace.WindowOf(w))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if *got != *want {
 			t.Errorf("window %d: Run\n%+v\nper-op reference\n%+v", i, *got, *want)
 		}
-		if ic := s.icache.Stats(); ic != wantIC {
-			t.Errorf("window %d: I-cache after Run %+v, after the per-op reference %+v", i, ic, wantIC)
+		if gotC != wantC {
+			t.Errorf("window %d: caches after Run %+v, after the per-op reference %+v", i, gotC, wantC)
+		}
+	}
+}
+
+// TestFUPoolMatchesScan: the sorted pool books what the scanning pool
+// it replaced books — the same start for every request and the same
+// multiset of free times after it — for pools of one to eight units,
+// idle and congested.
+func TestFUPoolMatchesScan(t *testing.T) {
+	for k := 1; k <= 8; k++ {
+		p, ref := newFUPool(k), newScanPool(k)
+		seed, clock := uint64(k), uint64(0)
+		for n := 0; n < 3000; n++ {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			clock += seed >> 62 // ready drifts forward, with jitter below
+			ready, busy := clock+seed>>33%8, seed>>40%9
+			if got, want := p.reserve(ready, busy), ref.reserve(ready, busy); got != want {
+				t.Fatalf("k=%d call %d: reserve(%d, %d) = %d, the scan's %d", k, n, ready, busy, got, want)
+			}
+			free := slices.Clone(ref.free)
+			slices.Sort(free)
+			if !slices.Equal(p.free, free) {
+				t.Fatalf("k=%d call %d: free times %v, the scan's %v", k, n, p.free, free)
+			}
 		}
 	}
 }

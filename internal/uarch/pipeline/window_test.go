@@ -44,12 +44,12 @@ func writeTape(t *trace.Tape, data []byte) {
 }
 
 // checkWindow holds a replay of the window to the per-op reference on
-// its micro-ops: the result and the I-cache's counters.
+// its micro-ops: the result and the counters of every cache level.
 func checkWindow(t *testing.T, s *Sim, win trace.Window) *Result {
 	t.Helper()
 	ops := win.MicroOps()
-	want, wantIC, wantErr := refRun(s, ops)
-	got, err := s.Run(win)
+	want, wantC, wantErr := refRun(s, ops)
+	got, gotC, err := runCounted(s, win)
 	if (err == nil) != (wantErr == nil) || len(ops) != win.Len() {
 		t.Fatalf("window of %d: Run says %v, the per-op reference on its %d ops %v", win.Len(), err, len(ops), wantErr)
 	}
@@ -59,10 +59,41 @@ func checkWindow(t *testing.T, s *Sim, win trace.Window) *Result {
 	if *got != *want {
 		t.Fatalf("window of %d: Run\n%+v\nper-op reference\n%+v", win.Len(), *got, *want)
 	}
-	if ic := s.icache.Stats(); ic != wantIC {
-		t.Fatalf("window of %d: I-cache after Run %+v, after the per-op reference %+v", win.Len(), ic, wantIC)
+	if gotC != wantC {
+		t.Fatalf("window of %d: caches after Run %+v, after the per-op reference %+v", win.Len(), gotC, wantC)
 	}
 	return got
+}
+
+// followerWindow is memory runs on a tape, one record each, whose
+// accesses follow one another within a line: strides 0, ±8 and ±24,
+// size-16 accesses straddling a line (the first of a run, and ones
+// that land on the boundary going down), and a load run ending mid-line
+// followed by a store run on that line; then a sweep that evicts them
+// all, so a dirty bit set wrongly shows. ALU work sits between runs.
+func followerWindow() trace.Window {
+	const base = 0x30000000
+	var t trace.Tape
+	for _, m := range []struct {
+		addr                uint64
+		count, stride, size int
+		store               bool
+	}{
+		{base, 20, 0, 8, false},                 // one walk, nineteen followers
+		{base + 0x1000, 40, 8, 8, false},        // a walk a line, seven followers
+		{base + 0x2400, 40, -8, 8, true},        // going down, stores
+		{base + 0x3000, 30, 24, 8, false},       // two or three a line
+		{base + 0x4000 + 40, 30, -24, 16, true}, // offsets 40, 16, then 56: straddles
+		{base + 0x5000 + 56, 6, 8, 16, false},   // straddles, then follows on the second line
+		{base + 0x6000, 5, 8, 8, false},         // ends mid-line, at offset 32...
+		{base + 0x6000 + 40, 3, 8, 8, true},     // ...where a store run goes on
+		{base + 0x6000 + 8, 4, 0, 8, false},     // and a load run after it, stride 0
+		{base + 0x100000, 1024, 64, 8, false},   // 64 KB: evicts every line, the dirty ones written back
+	} {
+		t.Mem(0x400800, m.addr, m.count, m.stride, m.size, m.store)
+		t.Op(trace.OpOther, 3)
+	}
+	return t.Window(0, t.Total())
 }
 
 // seededBytes is a deterministic byte stream for writeTape, with a
@@ -81,8 +112,9 @@ func seededBytes(n int, seed uint64) []byte {
 
 // TestRunWindowMatchesRef: stepping a window by runs is replaying its
 // ops one by one, on the paper's machine and on another — for hand-built
-// windows of one op a record (the seeded streams of ref_test.go) and
-// for tapes written in runs, whole and cut mid-record.
+// windows of one op a record (the seeded streams of ref_test.go), for
+// data runs whose accesses follow within a line, and for tapes written
+// in runs, whole and cut mid-record.
 func TestRunWindowMatchesRef(t *testing.T) {
 	for _, m := range []machine.Machine{Broadwell(), graviton()} {
 		s, err := New(m)
@@ -92,6 +124,7 @@ func TestRunWindowMatchesRef(t *testing.T) {
 		for _, ops := range [][]trace.MicroOp{runWindow(60_000, 1), runWindow(40_000, 2), mixedWindow(30_000, 3), stridedWindow()} {
 			checkWindow(t, s, trace.WindowOf(ops))
 		}
+		checkWindow(t, s, followerWindow())
 		for seed := uint64(1); seed <= 4; seed++ {
 			var tape trace.Tape
 			writeTape(&tape, seededBytes(4*600, seed))
