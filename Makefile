@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
 # the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the twelve fuzz targets, a single-iteration benchmark pass
+# short smoke of the thirteen fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -190,10 +190,12 @@ results-check:
 # on a small clip, on a count-only context and on one with two no-op
 # sinks (BenchmarkEncodeServed/{count,hooked}): the count-only search
 # decides each shared sub-block once, the hooked one every time.
+# service times one 4 KiB result appended to and read back from the
+# segment store, checksum included (BenchmarkStorePut, BenchmarkStoreGet).
 BENCH_PKGS = . ./internal/obs ./internal/codec ./internal/codec/quant \
 	./internal/codec/transform ./internal/codec/motion \
 	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy \
-	./internal/encoders ./internal/uarch/pipeline
+	./internal/encoders ./internal/uarch/pipeline ./internal/service
 
 bench:
 	mkdir -p bench/out
@@ -245,3 +247,4 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzReadBranchTrace -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/pipeline -run=^$$ -fuzz=FuzzPipelineWindowVsOps -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/service -run=^$$ -fuzz=FuzzStoreOpen -fuzztime=$(FUZZTIME)

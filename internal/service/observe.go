@@ -27,6 +27,7 @@ var (
 	obsStoreMisses    = obs.NewVolatileCounter("svc.store.misses")
 	obsStoreEvictions = obs.NewVolatileCounter("svc.store.evictions")
 	obsStorePutBytes  = obs.NewVolatileCounter("svc.store.put_bytes")
+	obsStoreCorrupt   = obs.NewVolatileCounter("svc.store.corrupt") // records failing their checksum, at open or Get
 
 	// Cluster traffic: replica writes a gate pushed (PUT /v1/results)
 	// and ownership-hint probes (HEAD /v1/results). Volatile — both
