@@ -34,6 +34,9 @@ func FromRecorder(name string, rec *trace.Recorder) (Trace, error) {
 // FromWindow extracts a CBP trace from a window. The branches are
 // listed once, sized exactly, because every predictor walks them:
 // stepping all the window's records nine times over measured slower.
+// The size is the tape's own branch count for each chunk wholly inside
+// the window, kept as the records were written, plus a walk of the
+// window's share of its edge chunks (Window.Branches).
 func FromWindow(name string, win trace.Window) (Trace, error) {
 	br := win.Branches()
 	if len(br) == 0 {

@@ -2,6 +2,8 @@ package encoders
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"testing"
 
 	"vcprof/internal/trace"
@@ -17,11 +19,17 @@ import (
 // x265 at a transform-split preset, over a keyframe and two inter
 // frames, returns the same Result — bitstream, Mix, Insts, WorkerInsts,
 // per-frame stage counts and all the rest — on a count-only context as
-// on one with a Recorder attached, which is told every event. A nil
-// context, which reuses leaves too, codes the same Result but for the
-// instrumentation.
+// on one with a Recorder and a sink attached, which is told every event
+// and decides every leaf. A context whose only hook is a Recorder
+// decides each shared leaf once and copies its tape records for a
+// repeat: it returns the same Result, and its tape equals the
+// decide-every-leaf tape record for record, on points that outgrow the
+// tape's ring (SVT-AV1 preset 0 records ~63 M instructions) as on the
+// others. A nil context, which reuses leaves too, codes the same Result
+// but for the instrumentation.
 func TestCountOnlyEncodeMatchesHooked(t *testing.T) {
 	clip, small, tiny := testClip(t, "game1", 3, 16), testClip(t, "game1", 3, 32), testClip(t, "game1", 3, 48)
+	outgrown := false
 	for _, fam := range Families() {
 		enc := MustNew(fam)
 		lo, hi, reversed := enc.PresetRange()
@@ -59,24 +67,42 @@ func TestCountOnlyEncodeMatchesHooked(t *testing.T) {
 				}
 				return res
 			}
-			rec := &trace.Recorder{}
+			recording := func(rec *trace.Recorder, sink bool) func() *trace.Ctx {
+				return func() *trace.Ctx {
+					tc := trace.New()
+					tc.AttachRecorder(rec)
+					if sink {
+						tc.AttachBranchSink(nopSink{})
+					}
+					return tc
+				}
+			}
+			every, copied := &trace.Recorder{}, &trace.Recorder{}
 			count := encode(trace.New)
-			hooked := encode(func() *trace.Ctx {
-				tc := trace.New()
-				tc.AttachRecorder(rec)
-				return tc
-			})
+			hooked := encode(recording(every, true))
+			recorded := encode(recording(copied, false))
 			if len(count.KeyFrames) != 1 || len(count.FrameStages) != 3 || count.Insts == 0 {
 				t.Fatalf("%s preset %d: keyframes %v, %d frames, %d instructions; want one keyframe of three frames, counted",
 					fam, preset, count.KeyFrames, len(count.FrameStages), count.Insts)
 			}
-			if rec.Tape.Total() != hooked.Insts {
-				t.Fatalf("%s preset %d: the tape holds %d instructions, the Result counts %d", fam, preset, rec.Tape.Total(), hooked.Insts)
+			for _, arm := range []struct {
+				name string
+				rec  *trace.Recorder
+				res  *Result
+			}{{"hooked", every, hooked}, {"recorder-only", copied, recorded}} {
+				if arm.rec.Tape.Total() != arm.res.Insts {
+					t.Fatalf("%s preset %d: the %s tape holds %d instructions, the Result counts %d",
+						fam, preset, arm.name, arm.rec.Tape.Total(), arm.res.Insts)
+				}
+				if d := resultDiff(count, arm.res); d != nil {
+					t.Errorf("%s preset %d: the count-only Result differs from the %s one in %v (Mix %v vs %v)",
+						fam, preset, arm.name, d, count.Mix, arm.res.Mix)
+				}
 			}
-			if d := resultDiff(count, hooked); d != nil {
-				t.Errorf("%s preset %d: the count-only Result differs from the hooked one in %v (Mix %v vs %v)",
-					fam, preset, d, count.Mix, hooked.Mix)
+			if msg := tapeDiff(&copied.Tape, &every.Tape); msg != "" {
+				t.Errorf("%s preset %d: the recorder-only tape differs from the decide-every-leaf one: %s", fam, preset, msg)
 			}
+			outgrown = outgrown || !every.Tape.Holds(0, 1)
 			plain := encode(func() *trace.Ctx { return nil })
 			if plain.Insts != 0 {
 				t.Fatalf("%s preset %d: a nil context counted %d instructions", fam, preset, plain.Insts)
@@ -87,6 +113,39 @@ func TestCountOnlyEncodeMatchesHooked(t *testing.T) {
 			}
 		}
 	}
+	if !outgrown {
+		t.Error("no point outgrew the tape's ring: the copy's ring handling went unchecked")
+	}
+}
+
+// tapeDiff compares two tapes record for record over everything each
+// holds, and describes the first difference ("" if none).
+func tapeDiff(got, want *trace.Tape) string {
+	total := want.Total()
+	if got.Total() != total || got.Bytes() != want.Bytes() {
+		return fmt.Sprintf("%d instructions in %d bytes, want %d in %d", got.Total(), got.Bytes(), total, want.Bytes())
+	}
+	from := heldFrom(want)
+	if heldFrom(got) != from {
+		return fmt.Sprintf("holds from instruction %d, want %d", heldFrom(got), from)
+	}
+	gc, wc := got.Window(from, total-from).Cursor(), want.Window(from, total-from).Cursor()
+	var g, w trace.Run
+	for i := 0; wc.Next(&w); i++ {
+		if !gc.Next(&g) || g != w {
+			return fmt.Sprintf("record %d after instruction %d: %+v, want %+v", i, from, g, w)
+		}
+	}
+	if gc.Next(&g) {
+		return fmt.Sprintf("an extra record %+v", g)
+	}
+	return ""
+}
+
+// heldFrom returns the first instruction of the run a tape still holds.
+func heldFrom(tape *trace.Tape) uint64 {
+	total := tape.Total()
+	return uint64(sort.Search(int(total), func(i int) bool { return tape.Holds(uint64(i), total-uint64(i)) }))
 }
 
 // nopSink takes every event run and does nothing with it: a hooked

@@ -906,9 +906,9 @@ func (sc *segCtx) beats(shape Shape, cost, best int64) bool {
 // leafMemo is one sub-block's mode decision, kept for the other shapes
 // of the same partition node that code the same rectangle.
 type leafMemo struct {
-	done   bool
-	leaf   leafPlan
-	counts trace.Counts // what deciding it counted, on a count-only context
+	done bool
+	leaf leafPlan
+	span trace.Span // what deciding it reported, on a context that can repeat it
 }
 
 // memoSlot returns the entry of memo, the sub-block memo of the n×n
@@ -931,33 +931,26 @@ func memoSlot(memo *[8]leafMemo, x, y, n int, r rect) *leafMemo {
 
 // decideLeaf is chooseLeafMode through m, the rectangle's memo entry
 // (nil: none). Within one superblock's search a leaf decision is a pure
-// function of its rectangle, so on a count-only or nil context each
-// entry is decided once, and a repeat returns the kept plan and replays
-// the counts deciding it took. A hooked context decides every time: its
-// sinks, tape and profile see every event.
+// function of its rectangle, so on a context that can repeat a span
+// (nil, count-only, or recording and nothing else; see trace.Ctx.Mark)
+// each entry is decided once, and a repeat returns the kept plan and
+// reports again what deciding it reported: its counts, and on a
+// recording context its tape records, copied. A span that has left the
+// tape's ring is decided again. A context with sinks or a profile
+// decides every time: they see every event.
 func (sc *segCtx) decideLeaf(m *leafMemo, x, y, w, h int) (leafPlan, error) {
-	t := sc.tc.Tally(trace.StageOther) // any stage: Counts holds them all
-	if m == nil || sc.tc != nil && !t.Ok() {
+	if m == nil {
 		return sc.chooseLeafMode(x, y, w, h)
 	}
-	if m.done {
-		if t.Ok() {
-			t.Replay(&m.counts)
-		}
+	if m.done && sc.tc.Repeat(&m.span) {
 		return m.leaf, nil
 	}
-	var before trace.Counts
-	if t.Ok() {
-		before = t.Counts()
-	}
+	mark, ok := sc.tc.Mark()
 	lf, err := sc.chooseLeafMode(x, y, w, h)
-	if err != nil {
+	if err != nil || !ok {
 		return lf, err
 	}
-	m.done, m.leaf = true, lf
-	if t.Ok() {
-		m.counts = t.Since(before)
-	}
+	m.done, m.leaf, m.span = true, lf, sc.tc.Since(mark)
 	return lf, nil
 }
 

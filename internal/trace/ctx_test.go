@@ -121,12 +121,15 @@ func TestReplayCountsLikeRerun(t *testing.T) {
 		c.BeginStage(StageIntra)
 		c.Op(OpOther, 7)
 	}
-	tally := replayed.Tally(StageOther)
-	before := tally.Counts()
+	mark, ok := replayed.Mark()
+	if !ok {
+		t.Fatal("a count-only context cannot repeat a span")
+	}
 	work(replayed)
-	d := tally.Since(before)
-	tally.Replay(&d)
-	tally.Replay(&d)
+	d := replayed.Since(mark)
+	if !replayed.Repeat(&d) || !replayed.Repeat(&d) {
+		t.Fatal("a count-only context refused to repeat a span")
+	}
 	for i := 0; i < 3; i++ {
 		work(rerun)
 	}

@@ -60,7 +60,7 @@ func Read(r io.Reader) (Window, error) {
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(data[16+8*i:])
 	}
-	var total uint64
+	var total, brs uint64
 	for rest := words; len(rest) > 0; {
 		n := recWords(rest[0])
 		if len(rest) < n {
@@ -74,11 +74,14 @@ func Read(r io.Reader) (Window, error) {
 			return Window{}, fmt.Errorf("trace: malformed record %#x at instruction %d", rest[0], total)
 		}
 		total += uint64(run.Count)
+		if run.Class == OpBranch {
+			brs += uint64(run.Count)
+		}
 		rest = rest[n:]
 	}
 	if claimed := binary.LittleEndian.Uint64(data[8:]); total != claimed {
 		return Window{}, fmt.Errorf("trace: header claims %d instructions, the records hold %d", claimed, total)
 	}
-	t := &Tape{chunks: [][]uint64{words}, first: []uint64{0}, total: total, end: total}
+	t := &Tape{chunks: [][]uint64{words}, heads: []chunkHead{{0, brs}}, total: total, end: total}
 	return t.Window(0, total), nil
 }

@@ -67,6 +67,7 @@ func TestTraceIORoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		checkBranchCounts(t, name+", read back", got.tape)
 		if got.Len() != win.Len() || firstDiff(got.MicroOps(), win.MicroOps()) >= 0 {
 			t.Errorf("%s: read back %d ops, first difference at %d of %d", name, got.Len(), firstDiff(got.MicroOps(), win.MicroOps()), win.Len())
 		}

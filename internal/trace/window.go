@@ -1,7 +1,5 @@
 package trace
 
-import "sort"
-
 // Window is a read-only view of a stretch of a tape: the form a
 // recorded window takes for every reader. The core model steps a Cursor
 // over it, the CBP harness takes its Branches, a cache study Plays it
@@ -86,7 +84,7 @@ func recWords(hdr uint64) int {
 // put appends the run as one record.
 func (t *Tape) put(r Run) {
 	w, n := r.words()
-	if c := t.reserve(n, r.Count); c != nil {
+	if c := t.reserve(n, r.Count, r.Class == OpBranch); c != nil {
 		*c = append(*c, w[:n]...)
 	}
 }
@@ -117,8 +115,8 @@ type Cursor struct {
 func (w Window) Cursor() Cursor {
 	c := Cursor{left: w.end - w.start}
 	if t := w.tape; c.left > 0 {
-		ci := sort.Search(len(t.first), func(i int) bool { return t.first[i] > w.start }) - 1
-		c.chunk, c.rest, c.skip = t.chunks[ci], t.chunks[ci+1:], int(w.start-t.first[ci])
+		ci := t.chunkOf(w.start)
+		c.chunk, c.rest, c.skip = t.chunks[ci], t.chunks[ci+1:], int(w.start-t.heads[ci].first)
 	}
 	return c
 }
@@ -147,21 +145,42 @@ func (c *Cursor) Next(r *Run) bool {
 	return false
 }
 
+// branchCount returns the number of branch instructions in the window:
+// the tape's own count for each chunk wholly inside it, and a walk of
+// the part of each edge chunk inside it, so a window of a whole run
+// walks nothing.
+func (w Window) branchCount() int {
+	t := w.tape
+	if w.start == w.end {
+		return 0
+	}
+	var n uint64
+	for i := t.chunkOf(w.start); i < len(t.heads) && t.heads[i].first < w.end; i++ {
+		lo, hi := t.heads[i].first, t.chunkEnd(i)
+		if w.start <= lo && hi <= w.end {
+			n += t.heads[i].branches
+			continue
+		}
+		var r Run
+		for c := (Window{t, max(lo, w.start), min(hi, w.end)}).Cursor(); c.Next(&r); {
+			if r.Class == OpBranch {
+				n += uint64(r.Count)
+			}
+		}
+	}
+	return int(n)
+}
+
 // list writes out the window's instructions, or only its branches, one
 // MicroOp each in a slice sized exactly.
 func (w Window) list(branches bool) []MicroOp {
 	n := w.Len()
-	var r Run
 	if branches {
-		n = 0
-		for c := w.Cursor(); c.Next(&r); {
-			if r.Class == OpBranch {
-				n += r.Count
-			}
-		}
+		n = w.branchCount()
 	}
 	out := make([]MicroOp, n)
 	rest := out
+	var r Run
 	for c := w.Cursor(); c.Next(&r); {
 		if branches && r.Class != OpBranch {
 			continue

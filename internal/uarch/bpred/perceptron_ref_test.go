@@ -194,3 +194,80 @@ func TestSat8(t *testing.T) {
 		}
 	}
 }
+
+// TestPerceptronRails holds the word path to the reference where
+// saturation decides the step: one row is put at +127, then at −128,
+// then at +127 again, and stepped 400 times from each. Before every
+// step the row is written afresh, each weight at the rail, one step off
+// it or anywhere, so that the weights a step pushes into their rail sit
+// in every byte of the three words and beside every other case; every
+// other step takes the outcome the row mispredicts, so it trains. After
+// every step every weight of the row, the prediction and the history
+// must equal the reference's. The rows are written, not trained: no
+// step trains a row whose weights all agree with its history, so a row
+// at a rail is reached through Step only weight by weight.
+func TestPerceptronRails(t *testing.T) {
+	p, err := NewPerceptron(8 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newRefPerceptron(8 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pc = 0x401230
+	r := int(((pc >> 2) ^ (pc >> 13)) & ref.mask)
+	rng := rand.New(rand.NewSource(7))
+	railed := 0 // weights a training step pushed into their rail
+	for _, rail := range []int8{127, -128, 127} {
+		off := rail - 1
+		if rail < 0 {
+			off = rail + 1
+		}
+		for i := 0; i < 400; i++ {
+			for j := range ref.weights[r] {
+				w := rail
+				switch rng.Intn(4) {
+				case 0:
+					w = off
+				case 1:
+					w = int8(rng.Intn(256))
+				}
+				ref.weights[r][j], p.weights[r*perceptronRow+j] = w, w
+			}
+			h := rng.Uint64()
+			switch i % 5 { // whole words of agreement as well as mixed bytes
+			case 1:
+				h = ^uint64(0)
+			case 2:
+				h = 0
+			}
+			p.ghist, ref.ghist = h, h
+			want := ref.Predict(pc)
+			taken := !want
+			if i%2 == 1 {
+				taken = rng.Intn(2) == 0
+			}
+			if want != taken || max(ref.lastSum, -ref.lastSum) <= perceptronTheta {
+				for j, w := range ref.weights[r][1:] {
+					if w == rail && (h>>j&1 == 1) == (taken == (rail > 0)) {
+						railed++
+					}
+				}
+			}
+			got := p.Step(pc, taken)
+			ref.Update(pc, taken)
+			if got != want || p.ghist != ref.ghist {
+				t.Fatalf("rail %d, step %d: predicted %v, history %#x; reference %v, %#x", rail, i, got, p.ghist, want, ref.ghist)
+			}
+			for j, w := range ref.weights[r] {
+				if got := p.weights[r*perceptronRow+j]; got != w {
+					t.Fatalf("rail %d, step %d: weight %d = %d, reference %d", rail, i, j, got, w)
+				}
+			}
+		}
+	}
+	if railed < 1000 {
+		t.Fatalf("training pushed %d weights into their rail, want the rails exercised", railed)
+	}
+}
