@@ -171,10 +171,11 @@ results-check:
 
 # Full pass of the Go micro-benchmarks, kept as benchstat-compatible
 # text (compare runs with `benchstat old.txt new.txt`). The ledger that
-# gates regressions is `make perf`, not this. The two codec packages
-# carry the /kernel and /generic pairs (BenchmarkBlock2D,
-# BenchmarkBlockSAD): the Go loops are unexported, so the ratio is
-# measured where both sides can be called. bpred times one Step of each
+# gates regressions is `make perf`, not this. The codec packages carry
+# the /kernel and /generic pairs of every AVX2 kernel (BenchmarkBlock2D,
+# BenchmarkSATD, BenchmarkBlockSAD, BenchmarkInterpHalfPel,
+# BenchmarkResidual, BenchmarkTileSSE): the Go loops are unexported, so
+# the ratio is measured where both sides can be called. bpred times one Step of each
 # of the nine predictors on a recorded window (BenchmarkStep/<name>) and
 # cbp the nine-name championship against its parts
 # (BenchmarkChampionshipZoo: zoo < plain + hybrids is each TAGE geometry
@@ -183,9 +184,8 @@ results-check:
 # and entropy one coded bit with no, a count-only and a recording
 # context (BenchmarkEncoderBit/{nil,count,record}); trace's
 # TestCountOnlyDoesNotAllocate (in `make test`) holds the count-only
-# path at 0 allocs. codec, quant and transform time each integer
-# mode-decision kernel against its pre-rewrite oracle (BenchmarkResidual,
-# BenchmarkQuantize, BenchmarkDequantize, BenchmarkSATD: /N against
+# path at 0 allocs. quant times the quantizer pair against its
+# pre-rewrite oracle (BenchmarkQuantize, BenchmarkDequantize: /N against
 # /N/ref). encoders times the encode a served job runs, SVT-AV1 preset 4
 # on a small clip, on a count-only context and on one with two no-op
 # sinks (BenchmarkEncodeServed/{count,hooked}): the count-only search
@@ -243,6 +243,10 @@ fuzz-smoke:
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzSATDVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/quant -run=^$$ -fuzz=FuzzQuantVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSADKernelVsScalar -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzInterpKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzSATDKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec -run=^$$ -fuzz=FuzzResidualKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec -run=^$$ -fuzz=FuzzTileSSEKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/encoders -run=^$$ -fuzz=FuzzDecodeBitstream -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/bpred -run=^$$ -fuzz=FuzzTAGEFastVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/uarch/cache -run=^$$ -fuzz=FuzzHierarchyRunVsUnrolled -fuzztime=$(FUZZTIME)

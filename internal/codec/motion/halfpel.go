@@ -49,7 +49,30 @@ func InterpHalfPel(tc *trace.Ctx, ref codec.Surface, x, y int, sub SubPel, w, h 
 		for j := 0; j < h; j++ {
 			copy(dst[j*w:(j+1)*w], ref.Pix[(y+j)*ref.Stride+x:(y+j)*ref.Stride+x+w])
 		}
-	case sub.X == 1 && sub.Y == 0:
+	default:
+		interpHalf(ref, x, y, sub, w, h, dst)
+	}
+	if tc != nil {
+		tc.Enter(fnInterp)
+		sc := sizeClass(w)
+		vec := (w + 15) / 16
+		taps := 1 + int(sub.X) + int(sub.Y)
+		tc.Loads(pcInterp[sc], ref.VAddr(x, y), h*vec*taps, ref.Stride, 16)
+		tc.Stores(pcInterp[sc], trace.ScratchBase+0x7800, h*vec, 16, 16)
+		tc.Op(trace.OpAVX, h*((w+15)/16)*taps+2)
+		tc.Op(trace.OpOther, h/2+2)
+		tc.Loop(pcInterp[sc], (h+3)/4)
+		tc.Leave()
+	}
+	return nil
+}
+
+// interpGeneric is the half phases of InterpHalfPel in portable Go: the
+// only path off amd64 and on processors without AVX2, and the oracle
+// the kernels are held to.
+func interpGeneric(ref codec.Surface, x, y int, sub SubPel, w, h int, dst []byte) {
+	switch {
+	case sub.Y == 0: // horizontal half-pel
 		for j := 0; j < h; j++ {
 			row := ref.Pix[(y+j)*ref.Stride+x:]
 			out := dst[j*w:]
@@ -57,7 +80,7 @@ func InterpHalfPel(tc *trace.Ctx, ref codec.Surface, x, y int, sub SubPel, w, h 
 				out[i] = byte((int(row[i]) + int(row[i+1]) + 1) / 2)
 			}
 		}
-	case sub.X == 0 && sub.Y == 1:
+	case sub.X == 0: // vertical half-pel
 		for j := 0; j < h; j++ {
 			rowA := ref.Pix[(y+j)*ref.Stride+x:]
 			rowB := ref.Pix[(y+j+1)*ref.Stride+x:]
@@ -76,17 +99,4 @@ func InterpHalfPel(tc *trace.Ctx, ref codec.Surface, x, y int, sub SubPel, w, h 
 			}
 		}
 	}
-	if tc != nil {
-		tc.Enter(fnInterp)
-		sc := sizeClass(w)
-		vec := (w + 15) / 16
-		taps := 1 + int(sub.X) + int(sub.Y)
-		tc.Loads(pcInterp[sc], ref.VAddr(x, y), h*vec*taps, ref.Stride, 16)
-		tc.Stores(pcInterp[sc], trace.ScratchBase+0x7800, h*vec, 16, 16)
-		tc.Op(trace.OpAVX, h*((w+15)/16)*taps+2)
-		tc.Op(trace.OpOther, h/2+2)
-		tc.Loop(pcInterp[sc], (h+3)/4)
-		tc.Leave()
-	}
-	return nil
 }

@@ -107,6 +107,25 @@ func sadGeneric(cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry, w, h i
 	return sum
 }
 
+// BufferSAD returns the sum of absolute differences of two w×h blocks
+// held row-major at stride w, such as InterpHalfPel's output. It
+// reports nothing: the caller charges its own vector work.
+func BufferSAD(a, b []byte, w, h int) int32 { return bufferSAD(a, b, w*h) }
+
+// bufferSADGeneric is bufferSAD in portable Go, the reference the
+// kernel is held to.
+func bufferSADGeneric(a, b []byte, n int) int32 {
+	var sum int32
+	for i := 0; i < n; i++ {
+		d := int32(a[i]) - int32(b[i])
+		if d < 0 {
+			d = -d
+		}
+		sum += d
+	}
+	return sum
+}
+
 // Result reports the outcome of a motion search.
 type Result struct {
 	MV     codec.MV

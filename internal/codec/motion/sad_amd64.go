@@ -29,5 +29,22 @@ func sadKernel(cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry, w, h in
 	return sadAVX2(&c[0], cur.Stride, &r[0], ref.Stride, w, h)
 }
 
+// bufferSAD is the arithmetic of BufferSAD, selected as blockSAD's is.
+// The n bytes of each buffer are one row for the SAD kernel.
+func bufferSAD(a, b []byte, n int) int32 {
+	if !cpuid.AVX2 || n <= 0 {
+		return bufferSADGeneric(a, b, n)
+	}
+	return bufferSADKernel(a, b, n)
+}
+
+// bufferSADKernel is the bounds proof and the call; n > 0. Indexing
+// each buffer's last byte panics, as the Go loop would, on one too
+// short.
+func bufferSADKernel(a, b []byte, n int) int32 {
+	_, _ = a[n-1], b[n-1]
+	return sadAVX2(&a[0], n, &b[0], n, n, 1)
+}
+
 //go:noescape
 func sadAVX2(cur *byte, cstride int, ref *byte, rstride int, w, h int) int32

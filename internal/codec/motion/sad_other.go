@@ -9,3 +9,7 @@ import "vcprof/internal/codec"
 func blockSAD(cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry, w, h int) int32 {
 	return sadGeneric(cur, cx, cy, ref, rx, ry, w, h)
 }
+
+// bufferSAD is the arithmetic of BufferSAD; the Go loop is the only
+// path.
+func bufferSAD(a, b []byte, n int) int32 { return bufferSADGeneric(a, b, n) }

@@ -1,0 +1,294 @@
+package codec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"vcprof/internal/codec/cpuid"
+)
+
+// The wall between the AVX2 Residual and TileSSE kernels and their Go
+// loops. Both sides are called directly (residualKernel against
+// residualGeneric, tileSSEKernel against tileSSEGeneric), so nothing
+// here depends on what the dispatch selects, and a host that cannot run
+// the kernels skips rather than comparing the Go loops with themselves.
+
+func needKernel(t testing.TB) {
+	t.Helper()
+	if !cpuid.AVX2 {
+		t.Skip("host has no AVX2 (or the OS does not save YMM state): the kernel cannot run here")
+	}
+}
+
+// noiseBytes and noiseInt32s are n seeded samples; an int32 sample is
+// drawn from the given values, or from the whole range when none are
+// given.
+func noiseBytes(n int, seed uint64) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		b[i] = byte(seed >> 56)
+	}
+	return b
+}
+
+func noiseInt32s(n int, seed uint64, vs ...int32) []int32 {
+	b := make([]int32, n)
+	for i := range b {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		if len(vs) == 0 {
+			b[i] = int32(seed >> 32)
+		} else {
+			b[i] = vs[(seed>>33)%uint64(len(vs))]
+		}
+	}
+	return b
+}
+
+func bytesOf(v byte, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = v
+	}
+	return b
+}
+
+func int32sOf(v int32, n int) []int32 {
+	b := make([]int32, n)
+	for i := range b {
+		b[i] = v
+	}
+	return b
+}
+
+func checkResidual(t *testing.T, cur, pred []byte, n int) {
+	t.Helper()
+	got, want := make([]int32, n), make([]int32, n)
+	residualKernel(cur, pred, got)
+	residualGeneric(cur, pred, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d samples: kernel %v, Go loop %v", n, got, want)
+	}
+}
+
+// TestResidualMatchesGeneric covers every length to 300 (each mix of
+// 32-, 8- and 1-sample steps) and the blocks the encoders subtract, at
+// every source offset mod 32, on noise, on 0 against 255 both ways and
+// on sources that end on their slices' last byte.
+func TestResidualMatchesGeneric(t *testing.T) {
+	needKernel(t)
+	cur, pred := noiseBytes(64*64+64, 1), noiseBytes(64*64+64, 2)
+	black, white := make([]byte, 64*64), bytesOf(255, 64*64)
+	var ns []int
+	for n := 1; n <= 300; n++ {
+		ns = append(ns, n)
+	}
+	for _, w := range []int{4, 8, 16, 32, 64} {
+		for _, h := range []int{4, 8, 16, 32, 64} {
+			ns = append(ns, w*h)
+		}
+	}
+	for _, n := range ns {
+		for off := 0; off < 32; off++ {
+			checkResidual(t, cur[off:], pred[31-off:], n)
+		}
+		checkResidual(t, cur[len(cur)-n:], pred[len(pred)-n:], n)
+		if n <= len(black) {
+			checkResidual(t, black[:n], white[:n], n)
+			checkResidual(t, white[:n], black[:n], n)
+		}
+	}
+	got := make([]int32, 64*64)
+	residualKernel(black, white, got)
+	if got[0] != -255 || got[len(got)-1] != -255 {
+		t.Fatalf("0 − 255 gave %d … %d", got[0], got[len(got)-1])
+	}
+}
+
+func checkTileSSE(t *testing.T, a []int32, astride int, b []int32, bstride, w, h int) {
+	t.Helper()
+	got := tileSSEKernel(a, astride, b, bstride, w, h)
+	if want := tileSSEGeneric(a, astride, b, bstride, w, h); got != want {
+		t.Fatalf("%dx%d strides %d, %d: kernel %d, Go loop %d", w, h, astride, bstride, got, want)
+	}
+}
+
+// TestTileSSEMatchesGeneric covers every width to 72 at several heights
+// with strides beyond the width, the square tiles the RD search
+// measures, blocks that end on their slices' last sample, and the int32
+// extremes, where the difference wraps before it is squared and the
+// int64 sum wraps too.
+func TestTileSSEMatchesGeneric(t *testing.T) {
+	needKernel(t)
+	inputs := map[string][2][]int32{
+		"residual": {noiseInt32s(80*80, 1, -255, -17, 0, 3, 255), noiseInt32s(80*80, 2, -300, -1, 0, 1, 300)},
+		"noise":    {noiseInt32s(80*80, 3), noiseInt32s(80*80, 4)},
+		"limits":   {noiseInt32s(80*80, 5, math.MinInt32, math.MaxInt32, 0, -1), noiseInt32s(80*80, 6, math.MinInt32, math.MaxInt32, 1)},
+	}
+	for name, in := range inputs {
+		a, b := in[0], in[1]
+		t.Run(name, func(t *testing.T) {
+			for w := 1; w <= 72; w++ {
+				for _, h := range []int{1, 2, 5, 16} {
+					checkTileSSE(t, a, w, b, w, w, h)
+					checkTileSSE(t, a[w%7:], w+3, b[w%5:], w+8, w, h)
+					checkTileSSE(t, a[len(a)-(h-1)*(w+1)-w:], w+1, b[len(b)-(h-1)*(w+5)-w:], w+5, w, h)
+				}
+			}
+			for _, side := range []int{4, 8, 16, 32, 64} {
+				checkTileSSE(t, a[3:], 80, b, side, side, side)
+				checkTileSSE(t, a, side, b[1:], 79, side, side)
+			}
+		})
+	}
+	// The largest square difference, every lane: (MaxInt32 − MinInt32)
+	// wraps to −1, so each sample adds 1; MinInt32 − 0 squares to 2⁶².
+	lo, hi := int32sOf(math.MinInt32, 64*64), int32sOf(math.MaxInt32, 64*64)
+	if got := tileSSEKernel(hi, 64, lo, 64, 64, 64); got != 64*64 {
+		t.Fatalf("MaxInt32 − MinInt32 over 64×64: %d, want %d", got, 64*64)
+	}
+	zero := make([]int32, 64*64)
+	checkTileSSE(t, lo, 64, zero, 64, 64, 64)
+}
+
+// TestKernelsKeepTheGoLoopsEdges pins what the wrappers do where the
+// kernels must not run: empty blocks sum to zero, and inputs one sample
+// short panic as the Go loops' bounds checks do instead of reaching the
+// assembly.
+func TestKernelsKeepTheGoLoopsEdges(t *testing.T) {
+	needKernel(t)
+	a, b := noiseInt32s(64, 1), noiseInt32s(64, 2)
+	for _, wh := range [][2]int{{0, 8}, {8, 0}, {-4, 8}, {8, -4}} {
+		if got := tileSSE(a, 8, b, 8, wh[0], wh[1]); got != 0 {
+			t.Errorf("%dx%d block sums to %d, want 0", wh[0], wh[1], got)
+		}
+	}
+	residual(nil, nil, nil)
+	short := noiseBytes(64, 3)[:63:63]
+	for name, f := range map[string]func(){
+		"residual kernel":  func() { residualKernel(short, short, make([]int32, 64)) },
+		"residual Go loop": func() { residualGeneric(short, short, make([]int32, 64)) },
+		"SSE kernel":       func() { tileSSEKernel(a[:63], 8, b, 8, 8, 8) },
+		"SSE Go loop":      func() { tileSSEGeneric(a[:63], 8, b, 8, 8, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a block one sample past its slice did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+func TestResidualAndTileSSEDoNotAllocate(t *testing.T) {
+	cur, pred, dst := noiseBytes(64*64, 1), noiseBytes(64*64, 2), make([]int32, 64*64)
+	a, b := noiseInt32s(64*64, 3), noiseInt32s(64*64, 4)
+	if n := testing.AllocsPerRun(100, func() { residual(cur, pred, dst) }); n != 0 {
+		t.Errorf("residual allocates %v times a call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = TileSSE(a, 64, b, 64, 64, 64) }); n != 0 {
+		t.Errorf("TileSSE allocates %v times a call", n)
+	}
+}
+
+// FuzzResidualKernelVsGeneric: the first two bytes are the length (to
+// 4,159) and the source offset (to 63); the rest fill the sources.
+func FuzzResidualKernelVsGeneric(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x01, 0xff, 0x00})
+	f.Add([]byte{0x10, 0x03, 0x00, 0xff, 0x80, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		needKernel(t)
+		var hdr [2]int
+		for i := range hdr {
+			if i < len(data) {
+				hdr[i] = int(data[i])
+			}
+		}
+		n, off := 1+(hdr[0]<<4|hdr[1]>>4)%4159, hdr[1]%64
+		cur, pred := noiseBytes(off+n, 7), noiseBytes(n+off, 8)
+		if fill := data[min(len(data), len(hdr)):]; len(fill) > 0 {
+			for i := range cur {
+				cur[i] = fill[i%len(fill)]
+				pred[i] ^= fill[(i*7+3)%len(fill)]
+			}
+		}
+		checkResidual(t, cur[off:], pred[:n], n)
+	})
+}
+
+// FuzzTileSSEKernelVsGeneric lays two blocks out from raw bytes —
+// width to 80, height to 40, row gaps to 15 — and fills them from the
+// rest, four little-endian bytes a sample.
+func FuzzTileSSEKernelVsGeneric(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{31, 31, 0, 0, 0x00, 0x00, 0x00, 0x80, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{6, 2, 7, 15, 0xff, 0x00, 0x00, 0x00, 0x01, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		needKernel(t)
+		var hdr [4]int
+		for i := range hdr {
+			if i < len(data) {
+				hdr[i] = int(data[i])
+			}
+		}
+		w, h := 1+hdr[0]%80, 1+hdr[1]%40
+		as, bs := w+hdr[2]%16, w+hdr[3]%16
+		a, b := noiseInt32s((h-1)*as+w, 9), noiseInt32s((h-1)*bs+w, 10)
+		if fill := data[min(len(data), len(hdr)):]; len(fill) >= 4 {
+			for i := range a {
+				a[i] = int32(binary.LittleEndian.Uint32(fill[4*i%(len(fill)-3):]))
+			}
+			for i := range b {
+				b[i] ^= int32(binary.LittleEndian.Uint32(fill[(4*i+1)%(len(fill)-3):]))
+			}
+		}
+		checkTileSSE(t, a, as, b, bs, w, h)
+	})
+}
+
+var sseSink int64
+
+// BenchmarkResidual and BenchmarkTileSSE show the ratios `make bench`
+// records: the same n×n block by the kernel and by the Go loop.
+func BenchmarkResidual(b *testing.B) {
+	for _, n := range []int{8, 16, 32, 64} {
+		cur, pred, dst := noiseBytes(n*n, 1), noiseBytes(n*n, 2), make([]int32, n*n)
+		b.Run(fmt.Sprintf("%d/kernel", n), func(b *testing.B) {
+			needKernel(b)
+			for i := 0; i < b.N; i++ {
+				residualKernel(cur, pred, dst)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/generic", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				residualGeneric(cur, pred, dst)
+			}
+		})
+	}
+}
+
+// BenchmarkTileSSE measures tiles the way the RD search does: one
+// strided out of a 64-wide residual against a packed reconstruction.
+func BenchmarkTileSSE(b *testing.B) {
+	res := noiseInt32s(64*64, 3, -255, -40, -3, 0, 2, 17, 255)
+	for _, n := range []int{8, 16, 32, 64} {
+		tile := noiseInt32s(n*n, 4, -250, -37, -2, 0, 3, 15, 251)
+		b.Run(fmt.Sprintf("%d/kernel", n), func(b *testing.B) {
+			needKernel(b)
+			for i := 0; i < b.N; i++ {
+				sseSink = tileSSEKernel(res, 64, tile, n, n, n)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/generic", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sseSink = tileSSEGeneric(res, 64, tile, n, n, n)
+			}
+		})
+	}
+}

@@ -153,22 +153,3 @@ func TestBlockKernelsDoNotAllocate(t *testing.T) {
 		t.Errorf("Reconstruct allocates %v times a call", n)
 	}
 }
-
-// BenchmarkResidual times one block on a count-only context, flat (/N)
-// and through the reference (/N/ref).
-func BenchmarkResidual(b *testing.B) {
-	for _, n := range []int{8, 16, 32, 64} {
-		in, dst, tc := blockInputs(n, n)["noise"], make([]int32, n*n), trace.New()
-		for _, side := range []struct {
-			name string
-			f    func(*trace.Ctx, []byte, []byte, int, int, []int32)
-		}{{fmt.Sprint(n), Residual}, {fmt.Sprintf("%d/ref", n), refResidual}} {
-			b.Run(side.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					side.f(tc, in.cur, in.pred, n, n, dst)
-				}
-			})
-		}
-	}
-}

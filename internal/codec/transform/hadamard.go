@@ -65,12 +65,7 @@ func SATD(tc *trace.Ctx, res []int32, w, h int) (int32, error) {
 	if w%4 != 0 || h%4 != 0 || w <= 0 || h <= 0 {
 		return 0, fmt.Errorf("transform: SATD size %dx%d not a positive multiple of 4", w, h)
 	}
-	var total int32
-	for y := 0; y < h; y += 4 {
-		for x := 0; x < w; x += 4 {
-			total += satd4x4(res[y*w+x:], w)
-		}
-	}
+	total := satdTiles(res, w, h)
 	// Per tile the four tile counts, per row of tiles its loop: one
 	// branch a tile.
 	if t := tc.Tally(trace.StageTransform); t.Ok() {
@@ -84,6 +79,18 @@ func SATD(tc *trace.Ctx, res []int32, w, h int) (int32, error) {
 		reportSATD(tc, w, h)
 	}
 	return total, nil
+}
+
+// satdGeneric is satdTiles in portable Go: the only path off amd64 and
+// on processors without AVX2, and the oracle the kernel is held to.
+func satdGeneric(res []int32, w, h int) int32 {
+	var total int32
+	for y := 0; y < h; y += 4 {
+		for x := 0; x < w; x += 4 {
+			total += satd4x4(res[y*w+x:], w)
+		}
+	}
+	return total
 }
 
 // reportSATD is SATD's event sequence on a hooked context.

@@ -169,27 +169,3 @@ func FuzzSATDVsRef(f *testing.F) {
 		}
 	})
 }
-
-var satdSink int32
-
-// BenchmarkSATD times one block with no context (/N), on a count-only
-// context (/N/count), and through the reference on a count-only
-// context (/N/ref).
-func BenchmarkSATD(b *testing.B) {
-	for _, n := range []int{4, 8, 16, 32} {
-		res, tc := satdBlocks(n, n)["dense"], trace.New()
-		_, _ = refSATD(tc, res, n, n) // the first Enter grows the context's call stack
-		for _, side := range []struct {
-			name string
-			tc   *trace.Ctx
-			f    func(*trace.Ctx, []int32, int, int) (int32, error)
-		}{{fmt.Sprint(n), nil, SATD}, {fmt.Sprintf("%d/count", n), tc, SATD}, {fmt.Sprintf("%d/ref", n), tc, refSATD}} {
-			b.Run(side.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					satdSink, _ = side.f(side.tc, res, n, n)
-				}
-			})
-		}
-	}
-}

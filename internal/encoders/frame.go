@@ -546,13 +546,7 @@ func (sc *segCtx) residualCost(w, h int) (int64, int, error) {
 				if err := transform.Inverse(sc.tc, s.coef[:side*side], side, tile[:side*side]); err != nil {
 					return 0, 0, err
 				}
-				var sse int64
-				for j := 0; j < side; j++ {
-					for i := 0; i < side; i++ {
-						d := int64(s.res[(ty+j)*w+tx+i] - tile[j*side+i])
-						sse += d * d
-					}
-				}
+				sse := codec.TileSSE(s.res[ty*w+tx:], w, tile, side, side, side)
 				sc.tc.Op(trace.OpAVX, side*side/8+1)
 				total += rdo.Cost(sse, bitsEst, sc.pic.lambda)
 				bits += bitsEst
@@ -748,14 +742,7 @@ func (sc *segCtx) halfPelRefine(ref *picture, mv codec.MV, x, y, w, h int) (moti
 		if err := motion.InterpHalfPel(tc, ref.recY, rx, ry, sub, w, h, s.pred2); err != nil {
 			return best, err
 		}
-		var sad int32
-		for i := 0; i < w*h; i++ {
-			d := int32(cur[i]) - int32(s.pred2[i])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
+		sad := motion.BufferSAD(cur, s.pred2, w, h)
 		tc.Op(trace.OpAVX, w*h/16+1)
 		betterSub := sad < bestSAD
 		tc.Branch(pcSkipTest[blkClass(w)], betterSub)
