@@ -41,9 +41,9 @@ type Package struct {
 // shipped measurement paths, so a test may, say, draw from math/rand.
 // Files a build constraint excludes on the host platform
 // (a _GOARCH.go suffix, a //go:build line) are skipped as the compiler
-// skips them, so a package with per-platform twins — internal/codec's
-// kernels beside their _other.go files — is checked as the one package
-// this host builds.
+// skips them, so a package with per-platform files — internal/codec/
+// kernel's assembly declarations beside its kernel_other.go — is
+// checked as the one package this host builds.
 type Loader struct {
 	// Root is the module root (the directory containing go.mod).
 	Root string

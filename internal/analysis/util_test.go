@@ -5,7 +5,7 @@ import "testing"
 // TestPathScopeFileEntry: a scope entry ending in a file name puts that
 // one file in scope and leaves its siblings and its package out.
 func TestPathScopeFileEntry(t *testing.T) {
-	s := pathScope{name: "hotalloc", paths: []string{"m/kernels", "m/trace/ctx.go"}}
+	s := pathScope{name: "lockheld", paths: []string{"m/kernels", "m/trace/ctx.go"}}
 	for _, tc := range []struct {
 		pkg, file string
 		want      bool
@@ -15,7 +15,7 @@ func TestPathScopeFileEntry(t *testing.T) {
 		{"m/trace", "/src/m/trace/ctx.go", true},
 		{"m/trace", "/src/m/trace/io.go", false},
 		{"m/other", "/src/m/other/ctx.go", false},
-		{"m/analysis/testdata/hotalloc", "/src/m/analysis/testdata/hotalloc/a.go", true},
+		{"m/analysis/testdata/lockheld", "/src/m/analysis/testdata/lockheld/a.go", true},
 	} {
 		if got := s.inFile(tc.pkg, tc.file); got != tc.want {
 			t.Errorf("inFile(%q, %q) = %v, want %v", tc.pkg, tc.file, got, tc.want)

@@ -42,11 +42,6 @@ package analysis
 //     sched.Graph implementations plus run closures handed to the
 //     encode graph builder) may write shared state only through their
 //     own shard-indexed slot.
-//   - hotalloc: the codec kernels, the per-op simulator loops and the
-//     run consumers between them (the trace sink adapters, the tape's
-//     writers and its Expand/Branches/Play readers, bpred.Monitor.Loop,
-//     cache.Hierarchy.Run) are the measured hot paths; allocations
-//     there distort the counts the experiments report.
 //   - httpctx: the service daemon's and the cluster gate's HTTP
 //     handlers must derive contexts from r.Context(); a
 //     context.Background()/TODO() minted inside a handler severs
@@ -127,19 +122,6 @@ func VCProfAnalyzers() []*Analyzer {
 				"vcprof/internal/encoders.graph.add",
 				"vcprof/internal/analysis/testdata/shardpure.graph.add",
 			},
-		}),
-		NewHotAlloc([]string{
-			"vcprof/internal/codec/transform",
-			"vcprof/internal/codec/motion",
-			"vcprof/internal/codec/intra",
-			"vcprof/internal/codec/quant",
-			"vcprof/internal/uarch/cache",
-			"vcprof/internal/uarch/pipeline",
-			"vcprof/internal/uarch/bpred",
-			"vcprof/internal/uarch/machine",
-			"vcprof/internal/trace/ctx.go",
-			"vcprof/internal/trace/sink.go",
-			"vcprof/internal/trace/tape.go",
 		}),
 		NewHTTPCtx([]string{
 			"vcprof/internal/service",

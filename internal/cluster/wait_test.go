@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"sync"
@@ -30,7 +30,6 @@ import (
 // makes it turn submits away instead, serveAny serve any id at once.
 type heldShard struct {
 	fail, refuse, serveAny bool
-	connState              func(net.Conn, http.ConnState)
 
 	mu       sync.Mutex
 	accepted map[string]bool
@@ -85,9 +84,7 @@ func (h *heldShard) serve(t *testing.T) []Shard {
 		}
 		fmt.Fprintf(w, `{"bytes-of":%q}`, r.PathValue("id")[:8])
 	})
-	srv := httptest.NewUnstartedServer(mux)
-	srv.Config.ConnState = h.connState
-	srv.Start()
+	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return []Shard{{Name: "s0", URL: srv.URL}}
 }
@@ -401,19 +398,37 @@ func TestFailedDrivesAreBounded(t *testing.T) {
 // TestRouterReusesShardConnections: with one standing request per
 // in-flight drive, the router's own transport keeps as many idle
 // connections per shard as it may have drives, so a second wave of 16
-// concurrent drives dials nothing. (http.DefaultTransport keeps two per
-// host: every drive past the second dialled, then closed, its own.)
+// concurrent drives dials nothing: every request it makes is served
+// from the idle pool. (http.DefaultTransport keeps two per host: every
+// drive past the second dialled, then closed, its own.)
+//
+// The count is taken at the client. A request that finds no idle
+// connection starts a dial and takes whichever comes first, that dial
+// or a connection another request hands back, and a dial it no longer
+// needs still lands, in the pool; on a loaded machine that dial's
+// goroutine may not run until the wave has ended. Counting the
+// connections the shard accepted charged such a first-wave dial to the
+// second wave whenever it landed there (1 run in 10 under a concurrent
+// `go test ./...`), and no barrier outside the transport can see a dial
+// that has not yet connected. GotConnInfo.WasIdle false is exactly a
+// request that did not find an idle connection, in whichever wave it
+// ran.
 func TestRouterReusesShardConnections(t *testing.T) {
 	var mu sync.Mutex
-	opened := 0
-	shard := &heldShard{connState: func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			mu.Lock()
-			opened++
-			mu.Unlock()
-		}
-	}}
-	rt, err := NewRouter(context.Background(), Config{Shards: shard.serve(t)}) // the default client
+	missed := 0 // requests not served from the idle pool
+	// The trace rides the router's base context into every request it
+	// makes; the router keeps its default client.
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			if !info.WasIdle {
+				mu.Lock()
+				missed++
+				mu.Unlock()
+			}
+		},
+	})
+	shard := &heldShard{}
+	rt, err := NewRouter(ctx, Config{Shards: shard.serve(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +449,11 @@ func TestRouterReusesShardConnections(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		return opened
+		return missed
 	}
 	first := wave(specs[:16])
 	if second := wave(specs[16:]); second != first {
-		t.Fatalf("the second wave of 16 drives opened %d new connections (the first opened %d), want none", second-first, first)
+		t.Fatalf("%d of the second wave's 32 requests found no idle connection (%d of the first wave's), want none", second-first, first)
 	}
 }
 

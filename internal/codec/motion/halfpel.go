@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vcprof/internal/codec"
+	"vcprof/internal/codec/kernel"
 	"vcprof/internal/trace"
 )
 
@@ -50,7 +51,7 @@ func InterpHalfPel(tc *trace.Ctx, ref codec.Surface, x, y int, sub SubPel, w, h 
 			copy(dst[j*w:(j+1)*w], ref.Pix[(y+j)*ref.Stride+x:(y+j)*ref.Stride+x+w])
 		}
 	default:
-		interpHalf(ref, x, y, sub, w, h, dst)
+		kernel.InterpHalf(ref.Pix, ref.Stride, x, y, int(sub.X), int(sub.Y), w, h, dst)
 	}
 	if tc != nil {
 		tc.Enter(fnInterp)
@@ -65,38 +66,4 @@ func InterpHalfPel(tc *trace.Ctx, ref codec.Surface, x, y int, sub SubPel, w, h 
 		tc.Leave()
 	}
 	return nil
-}
-
-// interpGeneric is the half phases of InterpHalfPel in portable Go: the
-// only path off amd64 and on processors without AVX2, and the oracle
-// the kernels are held to.
-func interpGeneric(ref codec.Surface, x, y int, sub SubPel, w, h int, dst []byte) {
-	switch {
-	case sub.Y == 0: // horizontal half-pel
-		for j := 0; j < h; j++ {
-			row := ref.Pix[(y+j)*ref.Stride+x:]
-			out := dst[j*w:]
-			for i := 0; i < w; i++ {
-				out[i] = byte((int(row[i]) + int(row[i+1]) + 1) / 2)
-			}
-		}
-	case sub.X == 0: // vertical half-pel
-		for j := 0; j < h; j++ {
-			rowA := ref.Pix[(y+j)*ref.Stride+x:]
-			rowB := ref.Pix[(y+j+1)*ref.Stride+x:]
-			out := dst[j*w:]
-			for i := 0; i < w; i++ {
-				out[i] = byte((int(rowA[i]) + int(rowB[i]) + 1) / 2)
-			}
-		}
-	default: // diagonal half-pel
-		for j := 0; j < h; j++ {
-			rowA := ref.Pix[(y+j)*ref.Stride+x:]
-			rowB := ref.Pix[(y+j+1)*ref.Stride+x:]
-			out := dst[j*w:]
-			for i := 0; i < w; i++ {
-				out[i] = byte((int(rowA[i]) + int(rowA[i+1]) + int(rowB[i]) + int(rowB[i+1]) + 2) / 4)
-			}
-		}
-	}
 }

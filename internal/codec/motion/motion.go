@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"vcprof/internal/codec"
+	"vcprof/internal/codec/kernel"
 	"vcprof/internal/trace"
 )
 
@@ -54,7 +55,7 @@ func SAD(tc *trace.Ctx, cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry
 	if rx < 0 || ry < 0 || rx+w > ref.W || ry+h > ref.H {
 		return 0, fmt.Errorf("motion: reference block %d,%d %dx%d outside %dx%d", rx, ry, w, h, ref.W, ref.H)
 	}
-	sum := blockSAD(cur, cx, cy, ref, rx, ry, w, h)
+	sum := kernel.SAD(cur.Pix, cur.Stride, cx, cy, ref.Pix, ref.Stride, rx, ry, w, h)
 	if tc == nil {
 		return sum, nil
 	}
@@ -89,42 +90,10 @@ func SAD(tc *trace.Ctx, cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry
 	return sum, nil
 }
 
-// sadGeneric is blockSAD in portable Go: the only path off amd64 and on
-// processors without AVX2, and the reference the kernel is held to.
-func sadGeneric(cur codec.Surface, cx, cy int, ref codec.Surface, rx, ry, w, h int) int32 {
-	var sum int32
-	for j := 0; j < h; j++ {
-		crow := cur.Pix[(cy+j)*cur.Stride+cx:]
-		rrow := ref.Pix[(ry+j)*ref.Stride+rx:]
-		for i := 0; i < w; i++ {
-			d := int32(crow[i]) - int32(rrow[i])
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return sum
-}
-
 // BufferSAD returns the sum of absolute differences of two w×h blocks
 // held row-major at stride w, such as InterpHalfPel's output. It
 // reports nothing: the caller charges its own vector work.
-func BufferSAD(a, b []byte, w, h int) int32 { return bufferSAD(a, b, w*h) }
-
-// bufferSADGeneric is bufferSAD in portable Go, the reference the
-// kernel is held to.
-func bufferSADGeneric(a, b []byte, n int) int32 {
-	var sum int32
-	for i := 0; i < n; i++ {
-		d := int32(a[i]) - int32(b[i])
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum
-}
+func BufferSAD(a, b []byte, w, h int) int32 { return kernel.BufferSAD(a, b, w*h) }
 
 // Result reports the outcome of a motion search.
 type Result struct {

@@ -6,6 +6,7 @@ package codec
 import (
 	"fmt"
 
+	"vcprof/internal/codec/kernel"
 	"vcprof/internal/trace"
 	"vcprof/internal/video"
 )
@@ -83,7 +84,7 @@ func (m MV) Add(o MV) MV { return MV{m.X + o.X, m.Y + o.Y} }
 func Residual(tc *trace.Ctx, cur, pred []byte, w, h int, dst []int32) {
 	n := w * h
 	dst, cur, pred = dst[:n], cur[:n], pred[:n]
-	residual(cur, pred, dst)
+	kernel.Residual(cur, pred, dst)
 	// Two source loads and one widened store per 8 samples, one 8-wide
 	// subtract; the row loop is 4x unrolled.
 	tc.Loads(pcResidualLoop, trace.ScratchBase+0x3000, n/4+2, 8, 8)
@@ -93,34 +94,13 @@ func Residual(tc *trace.Ctx, cur, pred []byte, w, h int, dst []int32) {
 	tc.Loop(pcResidualLoop, (h+3)/4)
 }
 
-// residualGeneric is residual in portable Go: the only path off amd64
-// and on processors without AVX2, and the oracle the kernel is held to.
-func residualGeneric(cur, pred []byte, dst []int32) {
-	cur, pred = cur[:len(dst)], pred[:len(dst)]
-	for i := range dst {
-		dst[i] = int32(cur[i]) - int32(pred[i])
-	}
-}
-
 // TileSSE returns the sum of squared differences of two w×h int32
 // blocks whose rows start astride and bstride samples apart: each
 // difference is taken in int32, wrapping as a[i]−b[i] does, then
 // squared and summed in int64. It reports nothing; the caller charges
 // its own vector work.
 func TileSSE(a []int32, astride int, b []int32, bstride, w, h int) int64 {
-	return tileSSE(a, astride, b, bstride, w, h)
-}
-
-// tileSSEGeneric is tileSSE in portable Go, the oracle of the kernel.
-func tileSSEGeneric(a []int32, astride int, b []int32, bstride, w, h int) int64 {
-	var sse int64
-	for j := 0; j < h; j++ {
-		for i := 0; i < w; i++ {
-			d := int64(a[j*astride+i] - b[j*bstride+i])
-			sse += d * d
-		}
-	}
-	return sse
+	return kernel.TileSSE(a, astride, b, bstride, w, h)
 }
 
 // Reconstruct computes dst = clamp(pred + res) for a w×h block.

@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"vcprof/internal/codec/kernel"
 	"vcprof/internal/trace"
 )
 
@@ -110,92 +111,20 @@ func Inverse(tc *trace.Ctx, src []int32, n int, dst []int32) error {
 var separable = [4]func(t *dctTable, src, dst []int32, inverse bool){
 	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 4 * 4]float64
-		block2D(t, 4, src, dst, s[:], inverse)
+		kernel.Transform2D(t.m, t.mt, 4, src, dst, s[:], inverse)
 	},
 	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 8 * 8]float64
-		block2D(t, 8, src, dst, s[:], inverse)
+		kernel.Transform2D(t.m, t.mt, 8, src, dst, s[:], inverse)
 	},
 	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 16 * 16]float64
-		block2D(t, 16, src, dst, s[:], inverse)
+		kernel.Transform2D(t.m, t.mt, 16, src, dst, s[:], inverse)
 	},
 	func(t *dctTable, src, dst []int32, inverse bool) {
 		var s [2 * 32 * 32]float64
-		block2D(t, 32, src, dst, s[:], inverse)
+		kernel.Transform2D(t.m, t.mt, 32, src, dst, s[:], inverse)
 	},
-}
-
-// transform2D is block2D in portable Go: the only path off amd64 and
-// on processors without AVX2, and the reference the kernel is held to.
-// It computes round(m · X · mᵀ) with m the forward matrix; with inverse
-// set m is the transposed matrix and it works on Xᵀ and transposes the
-// result back, so the column side of X is multiplied first, which is
-// the order Inverse sums in. Every output is one accumulator adding its
-// n products in index order, exactly as the textbook double loop would
-// (ref_test.go holds that loop); the layout around the sums is what
-// makes it fast: src is converted to float64 once, and both passes read
-// and write whole rows.
-func transform2D(t *dctTable, n int, src, dst []int32, s []float64, inverse bool) {
-	nn := n * n
-	a, b := s[:nn], s[nn:2*nn]
-	src, dst = src[:nn], dst[:nn]
-	m := t.m
-	if inverse {
-		m = t.mt
-		for r := 0; r < n; r++ {
-			for c, v := range src[r*n : r*n+n] {
-				a[c*n+r] = float64(v)
-			}
-		}
-	} else {
-		for i, v := range src {
-			a[i] = float64(v)
-		}
-	}
-	rowsTimes(a, m, b, n)
-	rowsTimes(b, m, a, n)
-	if inverse {
-		for r := 0; r < n; r++ {
-			for c, v := range a[r*n : r*n+n] {
-				dst[c*n+r] = int32(math.Round(v))
-			}
-		}
-	} else {
-		for i, v := range a {
-			dst[i] = int32(math.Round(v))
-		}
-	}
-}
-
-// rowsTimes sets out[k*n+r] to the dot product of row r of in and row k
-// of m, summed left to right: out = m · inᵀ. Four rows of m share each
-// load of in; their accumulators are independent, so no sum is
-// reordered. Each product is an explicit conversion, which the language
-// makes a rounding point: without it the compiler fuses multiply and add
-// on arm64, ppc64le, s390x and riscv64, and a product rounded once, not
-// twice, moves near-tie coefficients — the tables would depend on GOARCH.
-func rowsTimes(in, m, out []float64, n int) {
-	for r := 0; r < n; r++ {
-		v := in[r*n : r*n+n]
-		for k := 0; k < n; k += 4 {
-			m0 := m[k*n : k*n+n][:len(v)]
-			m1 := m[(k+1)*n : (k+1)*n+n][:len(v)]
-			m2 := m[(k+2)*n : (k+2)*n+n][:len(v)]
-			m3 := m[(k+3)*n : (k+3)*n+n][:len(v)]
-			var s0, s1, s2, s3 float64
-			for x, f := range v {
-				s0 += float64(f * m0[x])
-				s1 += float64(f * m1[x])
-				s2 += float64(f * m2[x])
-				s3 += float64(f * m3[x])
-			}
-			out[k*n+r] = s0
-			out[(k+1)*n+r] = s1
-			out[(k+2)*n+r] = s2
-			out[(k+3)*n+r] = s3
-		}
-	}
 }
 
 // reportPass reports one separable transform pass. Production

@@ -40,6 +40,43 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// countingSink has only the per-event methods, so a context hands it
+// runs through the unrolling adapters of sink.go.
+type countingSink struct{ branches, accesses int }
+
+func (s *countingSink) Branch(PC, bool)          { s.branches++ }
+func (s *countingSink) Access(uint64, int, bool) { s.accesses++ }
+
+// TestUnrollingAdaptersDoNotAllocate: unrolledBranches.Loop and
+// unrolledAccesses.Run expand a run into events in place, allocating
+// nothing, whether called directly or through a hooked context.
+func TestUnrollingAdaptersDoNotAllocate(t *testing.T) {
+	s, pc := &countingSink{}, Site("t/ctx.unrolled.allocs")
+	ls, rs := asLoopSink(s), asRunSink(s)
+	if _, ok := ls.(unrolledBranches); !ok {
+		t.Fatalf("a Branch-only sink is attached as %T, not behind unrolledBranches", ls)
+	}
+	if _, ok := rs.(unrolledAccesses); !ok {
+		t.Fatalf("an Access-only sink is attached as %T, not behind unrolledAccesses", rs)
+	}
+	if n := testing.AllocsPerRun(1000, func() { ls.Loop(pc, 32); rs.Run(0x1000, 8, 64, 32, false) }); n != 0 {
+		t.Fatalf("the unrolling adapters allocate %v allocs/op, want 0", n)
+	}
+	c := New()
+	c.AttachBranchSink(s)
+	c.AttachMemSink(s)
+	if n := testing.AllocsPerRun(1000, func() { countAll(c, pc) }); n != 0 {
+		t.Fatalf("reporting to per-event sinks allocates %v allocs/op, want 0", n)
+	}
+	// 1001 rounds of each: 32 branches and 8 accesses directly; through
+	// countAll a branch, a 32-iteration loop, a step's branch and a
+	// zero-iteration loop's guard (35), and 8+4 accesses plus the
+	// step's load and store (14).
+	if s.branches != 1001*(32+35) || s.accesses != 1001*(8+14) {
+		t.Fatalf("sink saw %d branches and %d accesses, want %d and %d", s.branches, s.accesses, 1001*(32+35), 1001*(8+14))
+	}
+}
+
 // nopSink consumes runs and does nothing with them: what is left of a
 // hooked report is the dispatch.
 type nopSink struct{}

@@ -300,7 +300,7 @@ func TestAcquireXeonConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAccessAndRunDoNotAllocate: the per-access paths hotalloc scopes
+// TestAccessAndRunDoNotAllocate: the per-access paths of the live cache
 // allocate nothing once the cache and the hierarchy exist.
 func TestAccessAndRunDoNotAllocate(t *testing.T) {
 	c := small(t)
