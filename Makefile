@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
 # the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of the thirteen fuzz targets, a single-iteration benchmark pass
+# short smoke of all 17 of the tree's fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -40,7 +40,7 @@ vet:
 # in DESIGN.md §6 (detflow: wall-clock, randomness, host-environment and
 # map-order sources in deterministic code and reachable from its roots;
 # mutex discipline, lockorder deadlock cycles, shardpure task-body
-# purity, handler contexts). The analyzers'
+# purity). The analyzers'
 # want-comment fixtures run in `make test`. The ./... pattern covers
 # vclint's own source, so the linter self-checks. Findings are fix-by-hand; suppress a deliberate one with
 # //lint:ignore <analyzer> <reason> (for chain findings, on the sink's

@@ -277,10 +277,7 @@ func driveRemote(ctx context.Context, daemon service.Client, spec *live.SessionS
 	}
 	defer func() {
 		if err != nil {
-			// Best effort, on a short context of its own because the
-			// caller's may have ended: a server that is gone is not an error.
-			ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), time.Second)
-			defer cancel()
+			// Best effort: a server that is gone is not an error.
 			daemon.DeleteSession(ctx, created.ID)
 		}
 	}()

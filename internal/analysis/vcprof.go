@@ -42,11 +42,6 @@ package analysis
 //     sched.Graph implementations plus run closures handed to the
 //     encode graph builder) may write shared state only through their
 //     own shard-indexed slot.
-//   - httpctx: the service daemon's and the cluster gate's HTTP
-//     handlers must derive contexts from r.Context(); a
-//     context.Background()/TODO() minted inside a handler severs
-//     client disconnects, per-job deadlines and the graceful drain
-//     from the harness work they should cancel.
 //
 // Fixture packages under internal/analysis/testdata/<name> opt into the
 // matching analyzer's scope automatically (see pathScope), so the CLI
@@ -122,12 +117,6 @@ func VCProfAnalyzers() []*Analyzer {
 				"vcprof/internal/encoders.graph.add",
 				"vcprof/internal/analysis/testdata/shardpure.graph.add",
 			},
-		}),
-		NewHTTPCtx([]string{
-			"vcprof/internal/service",
-			"vcprof/internal/cluster",
-			"vcprof/internal/live",
-			"vcprof/cmd",
 		}),
 	}
 }

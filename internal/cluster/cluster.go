@@ -75,15 +75,12 @@ type Config struct {
 }
 
 // The router's fixed parameters: virtual nodes per shard on the hash
-// ring, the hedge delay's latency quantile, one job's whole routed
-// lifecycle across all attempts, and the gate's hop log in traces
-// (oldest evicted first; hops are cheap fixed-size records, so tracing
-// is always on).
+// ring, the hedge delay's latency quantile, and one job's whole routed
+// lifecycle across all attempts.
 const (
 	vnodes        = 64
 	hedgeQuantile = 0.95
 	driveTimeout  = 5 * time.Minute
-	hopTraces     = 512
 )
 
 func (c *Config) fill() {

@@ -33,6 +33,17 @@ type shardSet struct {
 
 func newShardSet(t *testing.T, n int) *shardSet {
 	t.Helper()
+	set := newIdleShardSet(t, n)
+	for _, srv := range set.srvs {
+		srv.Start()
+	}
+	return set
+}
+
+// newIdleShardSet is newShardSet with the daemons' workers not started:
+// a job they take stays queued until the test starts them.
+func newIdleShardSet(t *testing.T, n int) *shardSet {
+	t.Helper()
 	set := &shardSet{}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("s%d", i)
@@ -45,7 +56,6 @@ func newShardSet(t *testing.T, n int) *shardSet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.Start()
 		inj := chaos.New()
 		hts := httptest.NewServer(inj.Wrap(srv.Handler()))
 		set.srvs = append(set.srvs, srv)

@@ -105,7 +105,7 @@ func NewRouter(ctx context.Context, cfg Config) (*Router, error) {
 		reg:      newRegistry(cfg.Shards),
 		client:   cfg.Client,
 		sessions: newGateSessionTable(),
-		hops:     obs.NewHopLog("gate", hopTraces),
+		hops:     obs.NewHopLog("gate", obs.HopLogTraces),
 		st: routerState{
 			warm:    memo.NewLRU[string, string](int64(warmHintsPerResult*cfg.ResultCacheEntries), nil),
 			results: memo.NewLRU[string, []byte](int64(cfg.ResultCacheEntries), nil),

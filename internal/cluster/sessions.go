@@ -121,6 +121,9 @@ func (r *Router) anchorSessionLocked(ctx context.Context, gs *gateSession, tok *
 			continue
 		}
 		created, err := r.shardClient(sh).CreateSession(ctx, service.SessionCreateReq{Spec: gs.spec, Resume: tok}, gs.trace)
+		if err != nil && ctx.Err() != nil {
+			return service.SessionCreateResp{}, err // the caller has gone, not the shard
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -5,7 +5,7 @@
 // +0 and adds its n individually rounded products in ascending index
 // order — VMULPD then VADDPD, never a fused multiply-add — which is the
 // arithmetic of rowsTimes, so the two agree on every bit. The Go
-// wrappers in kernel_amd64.go prove every range these routines touch.
+// wrappers in dct.go prove every range these routines touch.
 
 // MAC1 adds a·Y8 to the accumulator acc, a being one element of A
 // broadcast to every lane; MAC does the same for the column pair

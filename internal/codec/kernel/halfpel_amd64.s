@@ -8,7 +8,7 @@
 // mean of unsigned bytes. A row is covered by 32- and 16-byte chunks,
 // one 8- and one 4-byte chunk, then single bytes, so exactly w bytes of
 // each row of a and b are read and w bytes of dst written per row. The
-// Go wrapper in halfpel_amd64.go proves the last byte of each block
+// Go wrapper in halfpel.go proves the last byte of each block
 // lies inside its slice.
 TEXT ·avg2AVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DX

@@ -7,7 +7,7 @@
 // them, 32 samples a round and then 8 at a time; fewer than eight left
 // go one at a time. Exactly n bytes of each source are read and n int32
 // written. The differences lie in [−255, 255], so the lanes hold the
-// Go loop's int32 values exactly. The Go wrapper in residual_amd64.go
+// Go loop's int32 values exactly. The Go wrapper in residual.go
 // proves all three slices hold n samples.
 TEXT ·residualAVX2(SB), NOSPLIT, $0-32
 	MOVQ cur+0(FP), SI

@@ -9,7 +9,7 @@
 // arithmetic is integer, so the sum equals the scalar loop's by
 // construction; it is kept in 64-bit lanes and truncated on return,
 // which is the scalar int32's wrap-around. The Go wrapper in
-// sad_amd64.go proves the last byte of the last row lies inside both
+// sad.go proves the last byte of the last row lies inside both
 // planes.
 TEXT ·sadAVX2(SB), NOSPLIT, $0-52
 	MOVQ  cur+0(FP), SI

@@ -18,7 +18,7 @@
 // magnitudes sum to an even number, wrapped or not: Go's / 2, which
 // truncates toward zero, is then exactly VPSRAD $1. The halving is per
 // tile, as in the Go loop; halving the wrapped total would not be. Exactly
-// the samples of the tiles are read. The Go wrapper in satd_amd64.go
+// the samples of the tiles are read. The Go wrapper in satd.go
 // proves the last sample lies inside the residual.
 TEXT ·satdAVX2(SB), NOSPLIT, $0-36
 	MOVQ     res+0(FP), SI

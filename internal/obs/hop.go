@@ -181,12 +181,15 @@ type HopLog struct {
 	traces *memo.LRU[string, []HopEvent] // one unit per trace
 }
 
+// HopLogTraces is how many traces a daemon's or a gate's hop log keeps,
+// oldest evicted first. Hop tracing is always on: hops are cheap
+// fixed-size records, two map operations per lifecycle edge, far off the
+// encode path.
+const HopLogTraces = 512
+
 // NewHopLog builds a log stamping proc onto every event, retaining at
-// most maxTraces traces (default 512 when <= 0).
+// most maxTraces traces.
 func NewHopLog(proc string, maxTraces int) *HopLog {
-	if maxTraces <= 0 {
-		maxTraces = 512
-	}
 	return &HopLog{proc: proc, traces: memo.NewLRU[string, []HopEvent](int64(maxTraces), nil)}
 }
 

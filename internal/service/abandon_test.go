@@ -232,7 +232,7 @@ func TestDriveAbandonsASubmitCancelledInFlight(t *testing.T) {
 	case err := <-errc:
 		close(release)
 		t.Fatalf("Drive returned (%v) without its submit's answer", err)
-	case <-time.After(abandonGrace / 10):
+	case <-time.After(AbandonGrace / 10):
 	}
 	close(release)
 	if err := <-errc; err == nil {

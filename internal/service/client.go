@@ -137,8 +137,19 @@ func (c Client) Get(ctx context.Context, path string) ([]byte, error) {
 
 // Submit posts a marshalled JobSpec. The code distinguishes 200 (already
 // stored), 202 (queued or joined), 429 (saturated) and 503 (draining).
+// The submit is seen through: a job accepted for a caller whose ctx has
+// ended is abandoned again, and the caller gets ctx's error.
 func (c Client) Submit(ctx context.Context, payload []byte, trace string) (JobStatus, int, error) {
-	return c.status(ctx, http.MethodPost, c.Base+"/v1/jobs", payload, trace)
+	code := 0
+	st, err := seen(ctx, func(sctx context.Context) (st JobStatus, err error) {
+		st, code, err = c.status(sctx, http.MethodPost, c.Base+"/v1/jobs", payload, trace)
+		return st, err
+	}, func(st JobStatus) {
+		if code == http.StatusAccepted {
+			c.giveBack(ctx, "/v1/jobs/"+st.ID)
+		}
+	})
+	return st, code, err
 }
 
 // Result fetches a finished job's result bytes.
@@ -202,8 +213,13 @@ func (c Client) Topdown(ctx context.Context, jobID string) (Topdown, error) {
 }
 
 // CreateSession opens (or, with req.Resume, re-creates) a live session.
+// The create is seen through: a session opened for a caller whose ctx
+// has ended is deleted again, since it would hold one of the server's
+// slots for nobody, and the caller gets ctx's error.
 func (c Client) CreateSession(ctx context.Context, req SessionCreateReq, trace string) (SessionCreateResp, error) {
-	return call[SessionCreateResp](ctx, c, http.MethodPost, c.Base+"/v1/sessions", req, trace, http.StatusCreated)
+	return seen(ctx, func(sctx context.Context) (SessionCreateResp, error) {
+		return call[SessionCreateResp](sctx, c, http.MethodPost, c.Base+"/v1/sessions", req, trace, http.StatusCreated)
+	}, func(created SessionCreateResp) { c.DeleteSession(ctx, created.ID) })
 }
 
 // FeedSession advances a session's arrival watermark.
@@ -216,10 +232,11 @@ func (c Client) SessionStats(ctx context.Context, id string) (SessionStatsResp, 
 	return call[SessionStatsResp](ctx, c, http.MethodGet, c.Base+"/v1/sessions/"+id+"/stats", nil, "", http.StatusOK)
 }
 
-// DeleteSession closes a session, freeing its slot.
+// DeleteSession closes a session, freeing its slot. The DELETE rides a
+// grace context (giveBack), so a caller whose ctx has ended still frees
+// the slot it holds.
 func (c Client) DeleteSession(ctx context.Context, id string) error {
-	_, err := c.read(ctx, http.MethodDelete, c.Base+"/v1/sessions/"+id, nil, "", http.StatusNoContent)
-	return err
+	return c.giveBack(ctx, "/v1/sessions/"+id)
 }
 
 // DriveOpts are the two points where Drive's callers differ.
@@ -252,7 +269,8 @@ type DriveStats struct {
 // reused across attempts. When ctx ends while the job is still the
 // server's to compute, Drive gives its submit's interest back, so a job
 // nobody else asked for stops there too; a submit already on the wire
-// is answered first (submitSeen), since the server may have taken it.
+// is answered first (Submit sees it through), since the server may have
+// taken it.
 func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOpts) ([]byte, DriveStats, error) {
 	var ds DriveStats
 	if err := c.submitAccepted(ctx, key, payload, o, &ds); err != nil {
@@ -264,7 +282,7 @@ func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOp
 	body, err := c.awaitResult(ctx, key)
 	if err != nil {
 		if ctx.Err() != nil && !ds.Cached {
-			c.abandon(ctx, key)
+			c.giveBack(ctx, "/v1/jobs/"+key)
 		}
 		return nil, ds, err
 	}
@@ -277,7 +295,7 @@ func (c Client) Drive(ctx context.Context, key string, payload []byte, o DriveOp
 // echoed key. The retries are counted in ds, which is valid on error too.
 func (c Client) submitAccepted(ctx context.Context, key string, payload []byte, o DriveOpts, ds *DriveStats) error {
 	for {
-		st, code, err := c.submitSeen(ctx, payload, o.Trace)
+		st, code, err := c.Submit(ctx, payload, o.Trace)
 		if err != nil {
 			if ds.Reconnects >= o.Reconnects || ctx.Err() != nil {
 				return fmt.Errorf("submit (after %d reconnects): %w", ds.Reconnects, err)
@@ -306,30 +324,25 @@ func (c Client) submitAccepted(ctx context.Context, key string, payload []byte, 
 	}
 }
 
-// submitSeen is Submit seen through to its answer. The server may take
-// the job, and with it one interest, before it answers, and only the
-// answer tells Drive it holds an interest to give back: a submit
-// cancelled in flight would leave the job running for nobody. So the
-// request outlives ctx by up to abandonGrace; an accepted submit whose
-// caller has gone then goes on to Drive's abandon like any other.
-func (c Client) submitSeen(ctx context.Context, payload []byte, trace string) (JobStatus, int, error) {
+// seen sends a request that may take something on the server before it
+// answers — a submit's interest in its job, a session's slot — and sees
+// it through. Only the answer says what was taken, and a request
+// cancelled in flight would leave it held for nobody, so send runs on a
+// context that outlives ctx by up to AbandonGrace. When ctx has ended by
+// the time the answer is in, giveBack returns what the answer took and
+// the caller gets ctx's error.
+func seen[T any](ctx context.Context, send func(context.Context) (T, error), giveBack func(T)) (T, error) {
 	sctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-sctx.Done():
-			return
-		}
-		grace := time.NewTimer(abandonGrace)
-		defer grace.Stop()
-		select {
-		case <-grace.C:
-			cancel()
-		case <-sctx.Done():
-		}
-	}()
-	return c.Submit(sctx, payload, trace)
+	stop := context.AfterFunc(ctx, func() { time.AfterFunc(AbandonGrace, cancel) })
+	v, err := send(sctx)
+	stop()
+	if err == nil && ctx.Err() != nil {
+		giveBack(v)
+		var zero T
+		return zero, ctx.Err()
+	}
+	return v, err
 }
 
 // driveWait is the wait Drive asks of each result fetch (at most
@@ -368,18 +381,20 @@ func (c Client) awaitResult(ctx context.Context, key string) ([]byte, error) {
 	}
 }
 
-// abandonGrace bounds what a Drive whose context has ended still waits
-// for: a submit's answer, then the DELETE that gives its interest back.
-const abandonGrace = time.Second
+// AbandonGrace bounds what a caller whose context has ended still waits
+// for: a submit's or a create's answer, then the DELETE that gives back
+// what it took.
+const AbandonGrace = time.Second
 
-// abandon gives back the interest an accepted submit holds (DELETE
-// /v1/jobs/{id}, which a daemon and a gate both serve). Best effort, on a
-// short context of its own because the caller's has ended: a server that
-// is gone is not an error.
-func (c Client) abandon(ctx context.Context, key string) {
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abandonGrace)
+// giveBack sends the DELETE of path — an accepted submit's interest
+// (/v1/jobs/{id}, which a daemon and a gate both serve), a session's
+// slot — on a grace context of its own, since the caller's may have
+// ended: what it frees is held until it arrives.
+func (c Client) giveBack(ctx context.Context, path string) error {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), AbandonGrace)
 	defer cancel()
-	c.read(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+key, nil, "", http.StatusNoContent)
+	_, err := c.read(ctx, http.MethodDelete, c.Base+path, nil, "", http.StatusNoContent)
+	return err
 }
 
 // SleepCtx sleeps for d, or returns ctx's error as soon as ctx ends.

@@ -44,17 +44,10 @@ type Config struct {
 	// reports 404) — sampling is strictly read-only, so results are
 	// byte-identical either way.
 	SampleInterval time.Duration
-	// SeriesCap bounds the ring buffer (default 1024 samples).
-	SeriesCap int
 	// ShardName identifies this daemon behind a gate; it is
 	// echoed by GET /v1/registry so router probes can confirm they
 	// reached the shard they meant to (default "vcprofd").
 	ShardName string
-	// HopTraces bounds the distributed-tracing hop log: how many trace
-	// ids this daemon retains hop events for, FIFO-evicted (default
-	// 512). Hop tracing is always on — emission is two map ops per
-	// lifecycle edge, far off the encode path.
-	HopTraces int
 }
 
 func (c *Config) fill() {
@@ -70,14 +63,8 @@ func (c *Config) fill() {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.SeriesCap < 1 {
-		c.SeriesCap = 1024
-	}
 	if c.ShardName == "" {
 		c.ShardName = "vcprofd"
-	}
-	if c.HopTraces < 1 {
-		c.HopTraces = 512
 	}
 }
 
@@ -121,11 +108,11 @@ func NewServer(ctx context.Context, cfg Config) (*Server, error) {
 		q:        newQueue(cfg.QueueCap),
 		board:    newTraceBoard(cfg.Obs, cfg.Workers),
 		sessions: newSessionTable(),
-		hops:     obs.NewHopLog(cfg.ShardName, cfg.HopTraces),
+		hops:     obs.NewHopLog(cfg.ShardName, obs.HopLogTraces),
 	}
 	s.api = NewAPI(s)
 	s.pool = sched.NewPool(sched.Config{Workers: cfg.Workers, Observer: s.board.shardObserver()})
-	s.tele = newTeleBoard(s, cfg.SeriesCap)
+	s.tele = newTeleBoard(s)
 	s.baseCtx, s.baseCancel = context.WithCancel(ctx)
 	return s, nil
 }
@@ -148,6 +135,11 @@ func (s *Server) Start() {
 
 // Store exposes the result store (read-side: tests and vcprofd stats).
 func (s *Server) Store() *Store { return s.store }
+
+// Inflight counts the queued and running jobs, Sessions the open live
+// sessions: what a client that has gone may still hold here.
+func (s *Server) Inflight() int { return s.api.Inflight() }
+func (s *Server) Sessions() int { return s.sessions.len() }
 
 // Shutdown drains the server: admission stops (new submissions get
 // 503), queued and in-flight jobs get until ctx's deadline to finish,

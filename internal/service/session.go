@@ -96,6 +96,12 @@ func (t *sessionTable) openTraces() map[string]string {
 	return out
 }
 
+func (t *sessionTable) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
 func (t *sessionTable) get(id string) (*sessionEntry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

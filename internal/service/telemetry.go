@@ -39,6 +39,9 @@ var (
 // finished jobs queryable.
 const maxJobAccumulators = 512
 
+// seriesCap bounds the sampled series' ring buffer, in samples.
+const seriesCap = 1024
+
 // teleBoard owns the serving layer's live telemetry: the process
 // aggregate and per-job streaming top-down accumulators, the running
 // job gauge and the ring-buffer time series the sampler feeds. The
@@ -59,7 +62,7 @@ type jobAccTable struct {
 	lru *memo.LRU[string, *topdown.Accumulator]
 }
 
-func newTeleBoard(s *Server, seriesCap int) *teleBoard {
+func newTeleBoard(s *Server) *teleBoard {
 	b := &teleBoard{agg: topdown.NewAccumulator()}
 	b.jobs.lru = memo.NewLRU[string, *topdown.Accumulator](maxJobAccumulators, nil)
 	b.series = telemetry.NewSeries(seriesCap, seriesGauges(s, b))

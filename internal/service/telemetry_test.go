@@ -207,7 +207,7 @@ func TestSeriesEndpoint(t *testing.T) {
 		t.Fatalf("series with sampling disabled: HTTP %d, want 404", code)
 	}
 
-	_, hts := testServer(t, Config{Workers: 1, SampleInterval: 2 * time.Millisecond, SeriesCap: 8}, true)
+	_, hts := testServer(t, Config{Workers: 1, SampleInterval: 2 * time.Millisecond}, true)
 	var win struct {
 		Names   []string    `json:"names"`
 		TimesMS []int64     `json:"times_ms"`

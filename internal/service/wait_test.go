@@ -237,6 +237,40 @@ func TestWaitFreedByClientDisconnect(t *testing.T) {
 	waitGoroutines(t, func(n int) bool { return n <= before+4 }, "be freed")
 }
 
+// TestWaitStopsAtDisconnect: a parked ?wait= fetch is work of its
+// request. When the client goes, its handler returns within a tick.
+func TestWaitStopsAtDisconnect(t *testing.T) {
+	srv, _ := testServer(t, Config{Workers: 1}, false)
+	_, key := trackQueued(t, srv, 20)
+	entered, returned := make(chan struct{}), make(chan time.Time, 1)
+	h := srv.Handler()
+	hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		h.ServeHTTP(w, r)
+		returned <- time.Now()
+	}))
+	t.Cleanup(hts.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go get(ctx, hts.URL+"/v1/results/"+key+"?wait=60s")
+	<-entered
+	select {
+	case <-returned:
+		t.Fatal("the fetch was answered while its job was still queued")
+	case <-time.After(30 * time.Millisecond):
+	}
+	t0 := time.Now()
+	cancel()
+	select {
+	case at := <-returned:
+		if took := at.Sub(t0); took > wakeBudget() {
+			t.Errorf("the handler returned %v after the disconnect, want within %v", took, wakeBudget())
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the handler is still parked 5s after the disconnect")
+	}
+}
+
 func waitGoroutines(t *testing.T, ok func(int) bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
