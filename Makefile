@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
 # the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of all 17 of the tree's fuzz targets, a single-iteration benchmark pass
+# short smoke of all 19 of the tree's fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -95,13 +95,10 @@ one-recorder:
 # internal/codec/kernel, whose one _other.go (the package on every other
 # platform) is the only one in the tree, and no fused multiply-add in
 # it, whose single rounding is exactly what the Go loops must not and
-# cannot match.
+# cannot match. TestKernelLayout walks the module and checks all three,
+# so `make test` checks them too.
 one-kernel:
-	@out="$$(find . -name '*.s' -not -path './internal/codec/kernel/*')"; \
-	if [ -n "$$out" ]; then echo "assembly outside internal/codec/kernel:"; echo "$$out"; exit 1; fi
-	@test "$$(find . -name '*_other.go')" = ./internal/codec/kernel/kernel_other.go || \
-		{ echo "internal/codec/kernel/kernel_other.go must be the one _other.go"; exit 1; }
-	@! grep -nE 'VF(N?M(ADD|SUB)|MADDSUB|MSUBADD)' internal/codec/kernel/*.s
+	$(GO) test ./internal/codec/kernel -run '^TestKernelLayout$$' -count=1
 
 # A job's completion is pushed to whoever waits for it (DESIGN.md §8):
 # Client.Drive is the submit helper plus one held request, so its body
@@ -174,10 +171,12 @@ results-check:
 # gates regressions is `make perf`, not this. The codec packages that
 # call the host kernels carry the /kernel and /generic pairs of every
 # AVX2 kernel (BenchmarkBlock2D, BenchmarkSATD, BenchmarkBlockSAD,
-# BenchmarkInterpHalfPel, BenchmarkResidual, BenchmarkTileSSE), timing
-# kernel.…Kernel against kernel.…Generic. bpred times one Step of each
-# of the nine predictors on a recorded window (BenchmarkStep/<name>) and
-# cbp the nine-name championship against its parts
+# BenchmarkInterpHalfPel, BenchmarkResidual, BenchmarkTileSSE,
+# BenchmarkQuantizeKernel, BenchmarkDequantizeKernel and rdo's
+# BenchmarkBitsEstimate), timing kernel.…Kernel against
+# kernel.…Generic. bpred times one Step of each of the nine predictors
+# on a recorded window (BenchmarkStep/<name>) and cbp the nine-name
+# championship against its parts
 # (BenchmarkChampionshipZoo: zoo < plain + hybrids is each TAGE geometry
 # stepped once). trace times a round of every reporting call with
 # nothing attached and with two no-op sinks (BenchmarkCtx/{count,hooked})
@@ -196,7 +195,7 @@ results-check:
 # shape, in ms/op (BenchmarkRecordWindow/<family>), and the branch list
 # of that whole-run window, in µs/op (BenchmarkWindowBranches/<family>).
 BENCH_PKGS = . ./internal/obs ./internal/codec ./internal/codec/quant \
-	./internal/codec/transform ./internal/codec/motion \
+	./internal/codec/rdo ./internal/codec/transform ./internal/codec/motion \
 	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy \
 	./internal/encoders ./internal/uarch/pipeline ./internal/service ./internal/perf
 
@@ -242,6 +241,8 @@ fuzz-smoke:
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzDCTKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzSATDVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/quant -run=^$$ -fuzz=FuzzQuantVsRef -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/quant -run=^$$ -fuzz=FuzzQuantKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/rdo -run=^$$ -fuzz=FuzzBitsEstimateKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSADKernelVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzInterpKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzSATDKernelVsGeneric -fuzztime=$(FUZZTIME)

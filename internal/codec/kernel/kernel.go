@@ -12,6 +12,6 @@
 // A selector's two halves are exported as well: …Generic, the Go loop,
 // and …Kernel, the bounds proof and the call, which runs only where
 // AVX2 is true. Codec code calls the selectors; the walls between the
-// halves sit beside the callers, in codec, motion and transform, with
-// their shared helpers in kerneltest.
+// halves sit beside the callers, in codec, motion, transform, quant and
+// rdo, with their shared helpers in kerneltest.
 package kernel

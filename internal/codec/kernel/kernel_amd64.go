@@ -58,3 +58,12 @@ func roundNarrow(a *float64, dst *int32, nn int)
 
 //go:noescape
 func satdAVX2(res *int32, stride, pairs, rows int) int32
+
+//go:noescape
+func quantizeAVX2(coefs *int32, levels *int32, n int, inv, round int64) int
+
+//go:noescape
+func dequantizeAVX2(levels *int32, coefs *int32, n int, stepFx int64)
+
+//go:noescape
+func bitsEstimateAVX2(levels *int32, n int) int

@@ -25,3 +25,9 @@ func widen(src *int32, a *float64, nn int) { panic(noAVX2) }
 func roundNarrow(a *float64, dst *int32, nn int) { panic(noAVX2) }
 
 func satdAVX2(res *int32, stride, pairs, rows int) int32 { panic(noAVX2) }
+
+func quantizeAVX2(coefs *int32, levels *int32, n int, inv, round int64) int { panic(noAVX2) }
+
+func dequantizeAVX2(levels *int32, coefs *int32, n int, stepFx int64) { panic(noAVX2) }
+
+func bitsEstimateAVX2(levels *int32, n int) int { panic(noAVX2) }

@@ -1,14 +1,15 @@
 // Package kerneltest holds the helpers of the walls between each
 // kernel.…Kernel and its kernel.…Generic, which live in the packages
-// that call the selectors: seeded inputs, the skip on hosts without
-// AVX2, the panic check, guard pages and the /kernel and /generic
-// benchmark pair. Only tests import it.
+// that call the selectors: seeded inputs, a clip's residual blocks, the
+// skip on hosts without AVX2, the panic check, guard pages and the
+// /kernel and /generic benchmark pair. Only tests import it.
 package kerneltest
 
 import (
 	"testing"
 
 	"vcprof/internal/codec/kernel"
+	"vcprof/internal/video"
 )
 
 // NeedKernel skips on a host that cannot run the assembly, rather than
@@ -56,6 +57,37 @@ func Filled[T any](v T, n int) []T {
 		b[i] = v
 	}
 	return b
+}
+
+// ClipResiduals is every n×n block of the luma residual of a
+// zero-motion prediction: frame 1 of game1 at 1/4 scale less frame 0.
+// Through the transform and the quantizer it gives levels shaped like an
+// encoder's, mostly zero and small where not, on which a branch on the
+// level predicts as it does in an encode; uniform noise would not.
+func ClipResiduals(tb testing.TB, n int) [][]int32 {
+	tb.Helper()
+	meta, err := video.LookupClip("game1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	clip, err := video.Generate(meta, video.GenerateOptions{Frames: 2, ScaleDiv: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prev, cur := clip.Frames[0].Y, clip.Frames[1].Y
+	var blocks [][]int32
+	for y := 0; y+n <= cur.H; y += n {
+		for x := 0; x+n <= cur.W; x += n {
+			b := make([]int32, 0, n*n)
+			for j := y; j < y+n; j++ {
+				for i := x; i < x+n; i++ {
+					b = append(b, int32(cur.At(i, j))-int32(prev.At(i, j)))
+				}
+			}
+			blocks = append(blocks, b)
+		}
+	}
+	return blocks
 }
 
 // BlockLengths is every length to 300 (each mix of 32-, 8- and

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 
+	"vcprof/internal/codec/kernel"
 	"vcprof/internal/trace"
 )
 
@@ -69,62 +70,75 @@ func quantClass(n int) int {
 // the number of nonzero levels. coefs and levels must have equal length
 // and may alias.
 func Quantize(tc *trace.Ctx, coefs []int32, qindex int, levels []int32) (nonzero int, err error) {
-	defer tc.EndStage(tc.BeginStage(trace.StageQuant))
 	if len(levels) != len(coefs) {
 		return 0, fmt.Errorf("quant: levels length %d != coefs length %d", len(levels), len(coefs))
 	}
 	if err := checkQIndex(qindex); err != nil {
 		return 0, err
 	}
-	tc.Enter(fnQuantize)
-	defer tc.Leave()
-	inv, round := steps[qindex].inv, steps[qindex].round
-	levels = levels[:len(coefs)]
-	nz := 0 // a register: the deferred Leave keeps nonzero in memory
-	for i, c := range coefs {
-		m := int64(c >> 31) // -1 for a negative coefficient, else 0
-		l := (((int64(c) ^ m) - m) + round) * inv >> 16
-		nz += int(uint64(-l) >> 63) // l >= 0: 1 unless it is zero
-		levels[i] = int32((l ^ m) - m)
-	}
-	nonzero = nz
+	nonzero = kernel.Quantize(coefs, steps[qindex].inv, steps[qindex].round, levels)
 	// The kernel is fully vectorized (abs, madd, shift, sign restore,
 	// nonzero population count); like production quantizers it has no
 	// per-coefficient branch — the data-dependent branches happen later,
-	// in entropy coding of the levels.
+	// in entropy coding of the levels. One residual branch: was anything
+	// nonzero (sets the coded flag).
 	n := len(coefs)
+	if t := tc.Tally(trace.StageQuant); t.Ok() {
+		t.Add(trace.OpLoad, n/8+1)
+		t.Add(trace.OpStore, n/8+1)
+		t.Add(trace.OpAVX, n/4+1)
+		t.Add(trace.OpOther, n/8+4)
+		t.Add(trace.OpBranch, 1+n/32+1) // the coded flag, then the loop
+	} else if tc != nil {
+		reportQuantize(tc, n, nonzero != 0)
+	}
+	return nonzero, nil
+}
+
+// reportQuantize is Quantize's event sequence on a hooked context.
+func reportQuantize(tc *trace.Ctx, n int, coded bool) {
+	defer tc.EndStage(tc.BeginStage(trace.StageQuant))
+	tc.Enter(fnQuantize)
+	defer tc.Leave()
 	qc := quantClass(n)
 	tc.Loads(pcQuantLoop[qc], trace.ScratchBase, n/8+1, 8, 8)
 	tc.Stores(pcQuantLoop[qc], trace.ScratchBase+0x400, n/8+1, 8, 8)
 	tc.Op(trace.OpAVX, n/4+1)
 	tc.Op(trace.OpOther, n/8+4)
-	// One residual branch: was anything nonzero (sets the coded flag).
-	tc.Branch(pcQuantNZ[qc], nonzero != 0)
+	tc.Branch(pcQuantNZ[qc], coded)
 	tc.Loop(pcQuantLoop[qc], n/32+1)
-	return nonzero, nil
 }
 
 // Dequantize reconstructs coefficients from levels. levels and coefs
 // must have equal length and may alias.
 func Dequantize(tc *trace.Ctx, levels []int32, qindex int, coefs []int32) error {
-	defer tc.EndStage(tc.BeginStage(trace.StageQuant))
 	if len(levels) != len(coefs) {
 		return fmt.Errorf("quant: coefs length %d != levels length %d", len(coefs), len(levels))
 	}
 	if err := checkQIndex(qindex); err != nil {
 		return err
 	}
-	stepFx := steps[qindex].stepFx
-	coefs = coefs[:len(levels)]
-	for i, l := range levels {
-		coefs[i] = int32(int64(l) * stepFx >> 8)
-	}
+	kernel.Dequantize(levels, steps[qindex].stepFx, coefs)
 	n := len(levels)
+	if t := tc.Tally(trace.StageQuant); t.Ok() {
+		t.Add(trace.OpLoad, n/8+1)
+		t.Add(trace.OpStore, n/8+1)
+		t.Add(trace.OpAVX, n/8+1)
+		t.Add(trace.OpOther, n/16+2)
+		t.Add(trace.OpBranch, n/32+1)
+	} else if tc != nil {
+		reportDequantize(tc, n)
+	}
+	return nil
+}
+
+// reportDequantize is Dequantize's event sequence on a hooked context.
+func reportDequantize(tc *trace.Ctx, n int) {
+	defer tc.EndStage(tc.BeginStage(trace.StageQuant))
 	qc := quantClass(n)
 	tc.Loads(pcDequantLoop[qc], trace.ScratchBase+0x800, n/8+1, 8, 8)
 	tc.Stores(pcDequantLoop[qc], trace.ScratchBase+0xC00, n/8+1, 8, 8)
 	tc.Op(trace.OpAVX, n/8+1)
 	tc.Op(trace.OpOther, n/16+2)
 	tc.Loop(pcDequantLoop[qc], n/32+1)
-	return nil
 }

@@ -6,7 +6,8 @@ package rdo
 import (
 	"fmt"
 	"math"
-	"math/bits"
+
+	"vcprof/internal/codec/kernel"
 )
 
 // Lambda returns the RD multiplier for a quantizer step size, using the
@@ -23,26 +24,7 @@ func Lambda(step float64) (float64, error) {
 // costs a sign bit plus ~2·log2(|level|+1) bits of magnitude and context
 // overhead; runs of zeros amortize to a fraction of a bit each. This is
 // the fast rate model encoders use inside mode decision.
-func BitsEstimate(levels []int32) int {
-	total := 0
-	zeroRun := 0
-	for _, l := range levels {
-		if l == 0 {
-			zeroRun++
-			continue
-		}
-		m := uint32(l)
-		if l < 0 {
-			m = uint32(-l)
-		}
-		total += 3 + 2*bits.Len32(m) + zeroRun/4
-		zeroRun = 0
-	}
-	if total == 0 {
-		return 1 // coded-block flag
-	}
-	return total + 2
-}
+func BitsEstimate(levels []int32) int { return kernel.BitsEstimate(levels) }
 
 // Cost combines distortion (SSE or SATD units) with an estimated bit
 // count under multiplier lambda.
