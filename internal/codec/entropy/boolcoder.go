@@ -49,6 +49,13 @@ type Encoder struct {
 	vbase  uint64
 	site   trace.PC
 	closed bool
+
+	// An open syntax writer on a count-only context: held is Ok,
+	// BitAdaptive counts the bits coded in pending, and End adds them,
+	// with the bytes emitted since len(out) was mark, through held.
+	held    trace.Tally
+	pending int
+	mark    int
 }
 
 // NewEncoder returns an encoder reporting instrumentation to tc (which
@@ -60,8 +67,38 @@ func NewEncoder(tc *trace.Ctx, vbase uint64) *Encoder {
 
 // SetCtx redirects instrumentation to another context. Schedulers that
 // move an in-progress entropy partition between workers (x264's
-// frame-row tasks) retarget the coder at each task boundary.
-func (e *Encoder) SetCtx(tc *trace.Ctx) { e.tc = tc }
+// frame-row tasks) retarget the coder at each task boundary. An open
+// writer's counts go to the context they were coded on, and the rest
+// of its bits report one by one.
+func (e *Encoder) SetCtx(tc *trace.Ctx) {
+	e.End()
+	e.tc = tc
+}
+
+// Begin opens a syntax writer, a run of bits nothing reads the
+// context's counters in the middle of. On a count-only context the
+// encoder then counts the bits itself and End adds them with one
+// Tally; on a nil or hooked one Begin does nothing, and every bit
+// reports as it is coded. A Begin inside an open writer is a no-op.
+func (e *Encoder) Begin() {
+	if !e.held.Ok() {
+		e.held, e.pending, e.mark = e.tc.Tally(trace.StageEntropy), 0, len(e.out)
+	}
+}
+
+// End closes the writer Begin opened, adding what its bits count to the
+// context's Mix and entropy stage. Without an open writer it does
+// nothing.
+func (e *Encoder) End() {
+	if t := e.held; t.Ok() {
+		n, out := e.pending, len(e.out)-e.mark
+		t.Add(trace.OpBranch, n+out)
+		t.Add(trace.OpLoad, n)
+		t.Add(trace.OpStore, n+out)
+		t.Add(trace.OpOther, splitOps*n)
+		e.held = trace.Tally{}
+	}
+}
 
 // SetSite selects the static call site subsequent bits are attributed
 // to (the inlined copy of the coder in the caller), restoring the
@@ -76,15 +113,24 @@ func (e *Encoder) SetSite(pc trace.PC) {
 }
 
 // Bit encodes one bit with probability p that the bit is zero.
-func (e *Encoder) Bit(bit int, p Prob) {
+func (e *Encoder) Bit(bit int, p Prob) { e.BitAdaptive(bit, &p) }
+
+// BitAdaptive encodes a bit against a context probability and adapts
+// it. It holds the coder itself, so that a coded bit is one call
+// whichever of the two its caller makes.
+func (e *Encoder) BitAdaptive(bit int, pp *Prob) {
+	// one is all ones for a nonzero bit: the adaptation (Adapt's two
+	// steps) and the interval (a one takes the part above split, a zero
+	// the part below) are picked with it, so neither is a branch.
+	one := uint32((bit | -bit) >> (bits.UintSize - 1))
+	p := *pp
+	*pp = p + Prob(uint32((255-p)>>5)&^one) - Prob(uint32(p>>5)&one)
 	split := 1 + (((e.rng - 1) * uint32(p)) >> 8)
-	if bit != 0 {
-		e.low += split
-		e.rng -= split
-	} else {
-		e.rng = split
-	}
-	shift := bits.LeadingZeros8(uint8(e.rng))
+	e.low += split & one
+	e.rng = split&^one | (e.rng-split)&one
+	// rng is 1..255 here, so shift is 0..7. The & 31 spares the shifts
+	// by it Go's fix-up for counts past 31.
+	shift := (bits.LeadingZeros32(e.rng) - 24) & 31
 	e.rng <<= uint(shift)
 	e.count += shift
 	carry, out := false, 0 // out: the bytes this bit emits
@@ -108,12 +154,16 @@ func (e *Encoder) Bit(bit int, p Prob) {
 		e.low &= 0xFFFFFF
 		e.count -= 8
 	}
-	e.low <<= uint(shift)
+	e.low <<= uint(shift) & 31
 
 	// What the bit reports: the split step (a branch on the coded bit,
 	// the context probability loaded and its adaptation written back,
 	// and splitOps scalar ops), and for an output byte the carry branch
-	// and its store.
+	// and its store. An open writer adds them up at End.
+	if e.held.Ok() {
+		e.pending++
+		return
+	}
 	if t := e.tc.Tally(trace.StageEntropy); t.Ok() {
 		t.Add(trace.OpBranch, 1+out)
 		t.Add(trace.OpLoad, 1)
@@ -141,12 +191,6 @@ func (e *Encoder) report(taken, carry, byteOut bool) {
 	e.tc.EndStage(prevStage)
 }
 
-// BitAdaptive encodes a bit against a context probability and adapts it.
-func (e *Encoder) BitAdaptive(bit int, p *Prob) {
-	e.Bit(bit, *p)
-	*p = p.Adapt(bit)
-}
-
 // Literal encodes an n-bit value MSB-first with flat probability.
 func (e *Encoder) Literal(v uint32, n int) {
 	for i := n - 1; i >= 0; i-- {
@@ -154,13 +198,16 @@ func (e *Encoder) Literal(v uint32, n int) {
 	}
 }
 
-// Finish flushes the encoder and returns the complete bitstream. It is
+// Finish flushes the encoder, its 32 flush bits one writer (with the
+// open one, if any), and returns the complete bitstream. It is
 // idempotent; no bits may be encoded after the first call.
 func (e *Encoder) Finish() []byte {
 	if !e.closed {
+		e.Begin()
 		for i := 0; i < 32; i++ {
 			e.Bit(0, DefaultProb)
 		}
+		e.End()
 		e.closed = true
 	}
 	return e.out
@@ -217,7 +264,7 @@ func (d *Decoder) Bit(p Prob) int {
 	} else {
 		d.rng = split
 	}
-	shift := bits.LeadingZeros8(uint8(d.rng))
+	shift := (bits.LeadingZeros32(d.rng) - 24) & 31 // as in Encoder.BitAdaptive
 	d.rng <<= uint(shift)
 	d.value <<= uint(shift)
 	d.count -= shift

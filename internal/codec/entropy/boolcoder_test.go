@@ -1,11 +1,13 @@
 package entropy
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"vcprof/internal/trace"
+	"vcprof/internal/trace/tracetest"
 )
 
 func TestRoundTripFixedProb(t *testing.T) {
@@ -216,48 +218,33 @@ func TestEncoderInstrumentation(t *testing.T) {
 	}
 }
 
-// codeOn runs code on a count-only context and on a recording one,
-// each entered in a stage the coder does not use, then reports one
-// probe op to whatever stage is active. It fails unless both produce
-// the same stream and count the same Mix, stage counts and total.
-func codeOn(t *testing.T, id string, code func(*trace.Ctx) []byte) {
-	t.Helper()
-	count, rec := trace.New(), trace.New()
-	rec.AttachRecorder(&trace.Recorder{})
-	var outs [2][]byte
-	for i, tc := range []*trace.Ctx{count, rec} {
-		tc.BeginStage(trace.StageQuant)
-		outs[i] = code(tc)
-		tc.Op(trace.OpOther, 1)
-	}
-	if !slices.Equal(outs[0], outs[1]) {
-		t.Fatalf("%s: the count-only stream differs from the recorded one", id)
-	}
-	if count.Mix != rec.Mix || count.StageCounts() != rec.StageCounts() || count.Total() != rec.Total() {
-		t.Fatalf("%s: count-only mix %v stages %v, recorded %v %v", id, count.Mix, count.StageCounts(), rec.Mix, rec.StageCounts())
-	}
-}
-
 // TestEncoderCountsWhatItRecords: adaptive bits, literals, a stream
-// whose every byte carries, and a coder moved between contexts by
-// SetCtx count on a count-only context what they record.
+// whose every byte carries, a coder moved between contexts by SetCtx,
+// and runs of bits inside writers count on a count-only context what
+// they record. The writer cases are the spots where an open writer's
+// counts could be left behind: a one-bit writer (an all-zero
+// coefficient block's coded-block flag) just before a retarget, with
+// and without its End, and Finish's 32 flush bits, alone and with a
+// writer still open.
 func TestEncoderCountsWhatItRecords(t *testing.T) {
-	codeOn(t, "pinned", encodePinned)
-	codeOn(t, "literals", func(tc *trace.Ctx) []byte {
+	tracetest.CountMatchesRecorded(t, "pinned", trace.StageQuant, encodePinned)
+	tracetest.CountMatchesRecorded(t, "literals", trace.StageQuant, func(tc *trace.Ctx) []byte {
 		e := NewEncoder(tc, 0x9000)
 		for i := 0; i < 300; i++ {
 			e.Literal(uint32(i*2654435761), 1+i%32)
 		}
 		return e.Finish()
 	})
-	codeOn(t, "carries", func(tc *trace.Ctx) []byte {
+	tracetest.CountMatchesRecorded(t, "carries", trace.StageQuant, func(tc *trace.Ctx) []byte {
 		e := NewEncoder(tc, 0x9000)
+		e.Begin()
 		for i := 0; i < 4000; i++ {
 			e.Bit(1, 250)
 		}
+		e.End()
 		return e.Finish()
 	})
-	codeOn(t, "retargeted", func(tc *trace.Ctx) []byte {
+	tracetest.CountMatchesRecorded(t, "retargeted", trace.StageQuant, func(tc *trace.Ctx) []byte {
 		e := NewEncoder(nil, 0x9000)
 		for i := 0; i < 600; i++ {
 			if i%200 == 100 {
@@ -265,8 +252,39 @@ func TestEncoderCountsWhatItRecords(t *testing.T) {
 			} else if i%200 == 0 {
 				e.SetCtx(nil)
 			}
+			if i%7 == 0 {
+				e.Begin()
+			} else if i%7 == 5 {
+				e.End()
+			}
 			e.Bit(i%3&1, Prob(i))
 		}
+		return e.Finish()
+	})
+	for _, end := range []bool{true, false} {
+		tracetest.CountMatchesRecorded(t, fmt.Sprintf("zero block, retarget, End %v", end), trace.StageQuant, func(tc *trace.Ctx) []byte {
+			e := NewEncoder(tc, 0x9000)
+			cbf := DefaultProb
+			for i := 0; i < 40; i++ {
+				e.Begin()
+				e.BitAdaptive(0, &cbf)
+				if end {
+					e.End()
+				}
+				e.SetCtx(nil)
+				e.BitAdaptive(i&1, &cbf)
+				e.SetCtx(tc)
+			}
+			return e.Finish()
+		})
+	}
+	tracetest.CountMatchesRecorded(t, "flush bits only", trace.StageQuant, func(tc *trace.Ctx) []byte {
+		return NewEncoder(tc, 0x9000).Finish()
+	})
+	tracetest.CountMatchesRecorded(t, "flush bits, writer open", trace.StageQuant, func(tc *trace.Ctx) []byte {
+		e := NewEncoder(tc, 0x9000)
+		e.Begin()
+		e.Literal(0xABCDE, 20)
 		return e.Finish()
 	})
 }

@@ -2,37 +2,13 @@ package motion
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"vcprof/internal/codec"
 	"vcprof/internal/trace"
+	"vcprof/internal/trace/tracetest"
 	"vcprof/internal/video"
 )
-
-// countMatchesRecorded runs f on a count-only context and on a
-// recording one, each entered in a stage no kernel here uses, then
-// reports one probe op to whatever stage is active. It fails unless
-// both runs return the same output and count the same Mix, stage
-// counts and total: the count-only path adds what the events add, to
-// the kernel's stage, and leaves the caller's stage as it found it.
-func countMatchesRecorded[T any](t *testing.T, id string, f func(*trace.Ctx) T) {
-	t.Helper()
-	count, rec := trace.New(), trace.New()
-	rec.AttachRecorder(&trace.Recorder{})
-	var outs [2]T
-	for i, tc := range []*trace.Ctx{count, rec} {
-		tc.BeginStage(trace.StageQuant)
-		outs[i] = f(tc)
-		tc.Op(trace.OpOther, 1)
-	}
-	if !reflect.DeepEqual(outs[0], outs[1]) {
-		t.Fatalf("%s: count-only output %v, recorded %v", id, outs[0], outs[1])
-	}
-	if count.Mix != rec.Mix || count.StageCounts() != rec.StageCounts() || count.Total() != rec.Total() {
-		t.Fatalf("%s: count-only mix %v stages %v, recorded %v %v", id, count.Mix, count.StageCounts(), rec.Mix, rec.StageCounts())
-	}
-}
 
 // TestSADCountsWhatItRecords: SSE-class (≤ 8) and AVX-class widths,
 // heights off and on the 4-row unroll, blocks without pixels and
@@ -45,13 +21,13 @@ func TestSADCountsWhatItRecords(t *testing.T) {
 	cur, ref := shiftedPair(t, 160, 136, 3, 1)
 	for _, w := range []int{0, 1, 3, 4, 8, 12, 16, 24, 32, 33, 64, 128} {
 		for _, h := range []int{-5, 0, 1, 2, 4, 5, 16, 64, 128} {
-			countMatchesRecorded(t, fmt.Sprintf("%dx%d", w, h), func(tc *trace.Ctx) out {
+			tracetest.CountMatchesRecorded(t, fmt.Sprintf("%dx%d", w, h), trace.StageQuant, func(tc *trace.Ctx) out {
 				s, err := SAD(tc, cur, 7, 5, ref, 9, 6, w, h)
 				return out{s, err}
 			})
 		}
 	}
-	countMatchesRecorded(t, "outside", func(tc *trace.Ctx) out {
+	tracetest.CountMatchesRecorded(t, "outside", trace.StageQuant, func(tc *trace.Ctx) out {
 		s, err := SAD(tc, cur, 150, 0, ref, 0, 0, 16, 16)
 		return out{s, err}
 	})
@@ -80,7 +56,7 @@ func TestSearchCountsWhatItRecords(t *testing.T) {
 		{"bad-range", ref, 40, 40, 16, 0, codec.MV{}},
 	} {
 		for _, alg := range []Algorithm{Full, Diamond, Hex, Algorithm(9)} {
-			countMatchesRecorded(t, fmt.Sprintf("%s/%v", c.name, alg), func(tc *trace.Ctx) out {
+			tracetest.CountMatchesRecorded(t, fmt.Sprintf("%s/%v", c.name, alg), trace.StageQuant, func(tc *trace.Ctx) out {
 				res, err := Search(tc, alg, cur, c.bx, c.by, c.ref, c.w, c.w, c.rg, c.pred)
 				return out{res, err}
 			})

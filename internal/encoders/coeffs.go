@@ -3,7 +3,6 @@ package encoders
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"vcprof/internal/codec"
 	"vcprof/internal/codec/entropy"
@@ -65,16 +64,23 @@ func newProbModel() *probModel {
 	return pm
 }
 
-// zigzag scan tables, cached per transform size.
-var scanTables sync.Map // int -> []int
+// scanTables holds the diagonal scan of each transform size, n = 4, 8,
+// 16 and 32 in turn.
+var scanTables = [...][]int{zigzag(4), zigzag(8), zigzag(16), zigzag(32)}
 
-// scanOrder returns the diagonal (zigzag) scan for an n×n block:
-// coefficients ordered by anti-diagonal, which front-loads the
-// low-frequency coefficients so end-of-block indices stay small.
+// scanOrder returns the diagonal (zigzag) scan for an n×n block, or nil
+// for a size no transform has.
 func scanOrder(n int) []int {
-	if t, ok := scanTables.Load(n); ok {
-		return t.([]int)
+	if i := bits.Len(uint(n)) - 3; i >= 0 && i < len(scanTables) && len(scanTables[i]) == n*n {
+		return scanTables[i]
 	}
+	return nil
+}
+
+// zigzag orders an n×n block's coefficients by anti-diagonal, which
+// front-loads the low-frequency coefficients so end-of-block indices
+// stay small.
+func zigzag(n int) []int {
 	order := make([]int, 0, n*n)
 	for d := 0; d <= 2*(n-1); d++ {
 		if d%2 == 0 {
@@ -87,8 +93,7 @@ func scanOrder(n int) []int {
 			}
 		}
 	}
-	actual, _ := scanTables.LoadOrStore(n, order)
-	return actual.([]int)
+	return order
 }
 
 func coefBand(i int) int {
@@ -132,21 +137,26 @@ func readUnsigned(dec *entropy.Decoder, pfx *entropy.Prob) uint32 {
 
 // writeCoefBlock entropy-codes an n×n block of quantized levels:
 // coded-block flag, end-of-block index, then per-coefficient zero flag,
-// sign and magnitude in zigzag order.
+// sign and magnitude in zigzag order. The block is one writer of enc.
 func writeCoefBlock(enc *entropy.Encoder, pm *probModel, levels []int32, n int) error {
+	scan := scanOrder(n)
+	if scan == nil {
+		return fmt.Errorf("encoders: no scan order for %d×%d blocks", n, n)
+	}
 	if len(levels) < n*n {
 		return fmt.Errorf("encoders: coef block %d×%d but %d levels", n, n, len(levels))
 	}
-	scan := scanOrder(n)
 	eob := 0
 	for i, idx := range scan {
 		if levels[idx] != 0 {
 			eob = i + 1
 		}
 	}
+	enc.Begin()
 	if eob == 0 {
 		enc.SetSite(pcSynCBF)
 		enc.BitAdaptive(0, &pm.cbf)
+		enc.End()
 		return nil
 	}
 	enc.SetSite(pcSynCBF)
@@ -184,6 +194,7 @@ func writeCoefBlock(enc *entropy.Encoder, pm *probModel, levels []int32, n int) 
 		}
 	}
 	enc.SetSite(0)
+	enc.End()
 	return nil
 }
 
@@ -194,6 +205,9 @@ func readCoefBlock(dec *entropy.Decoder, pm *probModel, n int) ([]int32, error) 
 		return levels, nil
 	}
 	scan := scanOrder(n)
+	if scan == nil {
+		return nil, fmt.Errorf("encoders: no scan order for %d×%d blocks", n, n)
+	}
 	eobBits := bits.Len32(uint32(n*n - 1))
 	eob := 0
 	for i := eobBits - 1; i >= 0; i-- {

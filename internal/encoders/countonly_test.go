@@ -6,6 +6,10 @@ import (
 	"sort"
 	"testing"
 
+	"vcprof/internal/codec/entropy"
+	"vcprof/internal/codec/kernel/kerneltest"
+	"vcprof/internal/codec/quant"
+	"vcprof/internal/codec/transform"
 	"vcprof/internal/trace"
 	"vcprof/internal/video"
 )
@@ -187,5 +191,49 @@ func BenchmarkEncodeServed(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWriteCoefBlock times writeCoefBlock on the levels an encode
+// codes: kerneltest's clip residual, transformed and quantized at
+// qindex 120, cycled block by block for each transform size. nil codes
+// with no context, count on a count-only one (one tally per block) and
+// record on a recording one (every bit's events to the tape). Each pass
+// over the blocks starts a fresh encoder and context, so the tape holds
+// one pass at most.
+func BenchmarkWriteCoefBlock(b *testing.B) {
+	for _, n := range []int{4, 8, 16, 32} {
+		blocks := kerneltest.ClipResiduals(b, n)
+		for _, blk := range blocks {
+			if err := transform.Forward(nil, blk, n, blk); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := quant.Quantize(nil, blk, 120, blk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, mode := range []string{"nil", "count", "record"} {
+			b.Run(fmt.Sprintf("%s/%d", mode, n*n), func(b *testing.B) {
+				var enc *entropy.Encoder
+				pm := newProbModel()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k := i % len(blocks)
+					if k == 0 {
+						var tc *trace.Ctx
+						if mode != "nil" {
+							tc = trace.New()
+						}
+						if mode == "record" {
+							tc.AttachRecorder(&trace.Recorder{})
+						}
+						enc = entropy.NewEncoder(tc, 0x9000)
+					}
+					if err := writeCoefBlock(enc, pm, blocks[k], n); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

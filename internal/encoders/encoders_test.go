@@ -315,6 +315,16 @@ func TestScanOrderIsPermutation(t *testing.T) {
 			t.Errorf("scan(%d)[0] = %d, want 0 (DC)", n, scan[0])
 		}
 	}
+	// No transform has another size: there is no table, and the
+	// coefficient writer rejects such a block.
+	for _, n := range []int{0, 2, 12, 64} {
+		if scan := scanOrder(n); scan != nil {
+			t.Errorf("scan(%d) has %d entries, want none", n, len(scan))
+		}
+		if err := writeCoefBlock(entropy.NewEncoder(nil, 0), newProbModel(), make([]int32, n*n), n); err == nil {
+			t.Errorf("writeCoefBlock accepted a %d×%d block", n, n)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
