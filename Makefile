@@ -1,7 +1,7 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
 # the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of all 19 of the tree's fuzz targets, a single-iteration benchmark pass
+# short smoke of all 21 of the tree's fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -174,7 +174,10 @@ results-check:
 # BenchmarkInterpHalfPel, BenchmarkResidual, BenchmarkTileSSE,
 # BenchmarkQuantizeKernel, BenchmarkDequantizeKernel and rdo's
 # BenchmarkBitsEstimate), timing kernel.…Kernel against
-# kernel.…Generic. bpred times one Step of each of the nine predictors
+# kernel.…Generic; BenchmarkSADx4 times the four-position SAD against
+# four SADKernel calls. motion times one search per algorithm with no,
+# a count-only and a recording context (BenchmarkSearch/<alg>/{nil,
+# count,record}). bpred times one Step of each of the nine predictors
 # on a recorded window (BenchmarkStep/<name>) and cbp the nine-name
 # championship against its parts
 # (BenchmarkChampionshipZoo: zoo < plain + hybrids is each TAGE geometry
@@ -235,7 +238,8 @@ smoke:
 
 # Ten-second smoke of each fuzz target over its committed seed corpus.
 # Finding a crasher here fails CI; reproduce with the file Go writes
-# under testdata/fuzz/<Target>/.
+# under testdata/fuzz/<Target>/. TestFuzzSmokeListsEveryTarget (in
+# `make test`) keeps this list equal to the tree's Fuzz functions.
 fuzz-smoke:
 	$(GO) test ./internal/codec/entropy -run=^$$ -fuzz=FuzzBoolCoderRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzDCTKernelVsGeneric -fuzztime=$(FUZZTIME)
@@ -245,6 +249,8 @@ fuzz-smoke:
 	$(GO) test ./internal/codec/rdo -run=^$$ -fuzz=FuzzBitsEstimateKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSADKernelVsScalar -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzInterpKernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSADx4KernelVsGeneric -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/codec/motion -run=^$$ -fuzz=FuzzSearchVsRef -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec/transform -run=^$$ -fuzz=FuzzSATDKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec -run=^$$ -fuzz=FuzzResidualKernelVsGeneric -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/codec -run=^$$ -fuzz=FuzzTileSSEKernelVsGeneric -fuzztime=$(FUZZTIME)

@@ -14,6 +14,10 @@ func tileSSEAVX2(a *int32, astride int, b *int32, bstride int, w, h int) int64 {
 
 func sadAVX2(cur *byte, cstride int, ref *byte, rstride int, w, h int) int32 { panic(noAVX2) }
 
+func sadx4AVX2(cur *byte, cstride int, r0, r1, r2, r3 *byte, rstride, w, h int, sums *[4]int32) {
+	panic(noAVX2)
+}
+
 func avg2AVX2(dst *byte, a *byte, b *byte, stride int, w, h int) { panic(noAVX2) }
 
 func avg4AVX2(dst *byte, src *byte, stride int, w, h int) { panic(noAVX2) }

@@ -44,6 +44,52 @@ func SADKernel(cur []byte, cstride, cx, cy int, ref []byte, rstride, rx, ry, w, 
 	return sadAVX2(&c[0], cstride, &r[0], rstride, w, h)
 }
 
+// SADx4 writes to sums[k], for each k < n, the sum of absolute
+// differences between the w×h block at (cx, cy) of cur and the block
+// at (xs[k], ys[k]) of ref, and zero past n: up to four reference
+// positions for one current block, whose rows the assembly reads once
+// for all of them (x264's sad_x4). The assembly takes 1 ≤ n ≤ 4.
+func SADx4(cur []byte, cstride, cx, cy int, ref []byte, rstride int, xs, ys *[4]int, n, w, h int, sums *[4]int32) {
+	if !AVX2 || n < 1 || n > 4 || w <= 0 || h <= 0 || cstride < 0 || rstride < 0 {
+		SADx4Generic(cur, cstride, cx, cy, ref, rstride, xs, ys, n, w, h, sums)
+		return
+	}
+	SADx4Kernel(cur, cstride, cx, cy, ref, rstride, xs, ys, n, w, h, sums)
+}
+
+// SADx4Generic is SADx4's Go loop: SADGeneric at each position.
+func SADx4Generic(cur []byte, cstride, cx, cy int, ref []byte, rstride int, xs, ys *[4]int, n, w, h int, sums *[4]int32) {
+	*sums = [4]int32{}
+	for k := 0; k < n; k++ {
+		sums[k] = SADGeneric(cur, cstride, cx, cy, ref, rstride, xs[k], ys[k], w, h)
+	}
+}
+
+// SADx4Kernel is the bounds proof and the call; 1 ≤ n ≤ 4, w, h > 0,
+// strides ≥ 0. It indexes the first byte and the last byte of the last
+// row of the current block and of each of the n reference blocks, as
+// SADKernel does for one. The assembly always sums four blocks: the
+// positions past n repeat the last one, so it reads nothing that is
+// not a candidate's, and their sums are cleared.
+func SADx4Kernel(cur []byte, cstride, cx, cy int, ref []byte, rstride int, xs, ys *[4]int, n, w, h int, sums *[4]int32) {
+	c := cy*cstride + cx
+	_ = cur[c+(h-1)*cstride+w-1]
+	last := (h-1)*rstride + w - 1
+	var r [4]*byte
+	for k := 0; k < n; k++ {
+		o := ys[k]*rstride + xs[k]
+		_ = ref[o+last]
+		r[k] = &ref[o]
+	}
+	for k := n; k < 4; k++ {
+		r[k] = r[n-1]
+	}
+	sadx4AVX2(&cur[c], cstride, r[0], r[1], r[2], r[3], rstride, w, h, sums)
+	for k := n; k < 4; k++ {
+		sums[k] = 0
+	}
+}
+
 // BufferSAD returns the sum of absolute differences of the first n
 // bytes of a and b.
 func BufferSAD(a, b []byte, n int) int32 {
