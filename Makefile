@@ -191,7 +191,10 @@ results-check:
 # /N/ref). encoders times the encode a served job runs, SVT-AV1 preset 4
 # on a small clip, on a count-only context and on one with two no-op
 # sinks (BenchmarkEncodeServed/{count,hooked}): the count-only search
-# decides each shared sub-block once, the hooked one every time.
+# decides each shared sub-block once, the hooked one every time; and
+# the B/op and allocs/op of a count-only encode on a warm working set
+# (BenchmarkEncodeWarm/<family>), which allocates its outputs and the
+# per-encode task graph.
 # service times one 4 KiB result appended to and read back from the
 # segment store, checksum included (BenchmarkStorePut, BenchmarkStoreGet).
 # perf times one window recording per family at vcbench replay_grid's

@@ -136,23 +136,23 @@ func TestChaosIdempotentSideEffects(t *testing.T) {
 // multiple of the healthy-path latency — failover is bounded, not an
 // eventual retry crawl.
 func TestChaosBoundedFailover(t *testing.T) {
-	specs := testSpecs(t, 6)
+	victim := testSpecs(t, 1)[0]
 	set := newShardSet(t, 3)
 	rt, _ := newTestRouter(t, set, func(c *Config) { c.Replicas = 2 })
 
-	// Pick a spec whose primary ring owner is shard s0, then kill s0.
-	ring := NewRing([]string{"s0", "s1", "s2"}, 64)
-	var victim *service.JobSpec
-	for _, s := range specs {
-		if ring.Owners(s.Key(), 1)[0] == "s0" {
-			victim = s
-			break
+	// Kill whichever shard the router's ring makes the spec's primary
+	// owner. A spec always has one, so a missing shard is a failure.
+	owner := rt.ring.Owners(victim.Key(), 1)
+	killed := -1
+	for i, sh := range set.shards {
+		if len(owner) == 1 && sh.Name == owner[0] {
+			set.injs[i].Kill()
+			killed = i
 		}
 	}
-	if victim == nil {
-		t.Skip("no spec in the sample hashes to s0; widen testSpecs")
+	if killed < 0 {
+		t.Fatalf("the ring names %v as the primary owner of the spec, which is no shard of the set", owner)
 	}
-	set.injs[0].Kill()
 
 	t0 := time.Now()
 	driveOne(t, rt, victim)

@@ -62,7 +62,17 @@ type Encoder struct {
 // may be nil). vbase is the virtual address of the output bitstream
 // buffer for cache modeling.
 func NewEncoder(tc *trace.Ctx, vbase uint64) *Encoder {
-	return &Encoder{rng: 255, count: -24, tc: tc, vbase: vbase, site: pcBitBranch}
+	e := &Encoder{}
+	e.Reset(tc, vbase)
+	return e
+}
+
+// Reset makes e a new encoder on tc and vbase that writes into the
+// output buffer it already has: the bytes a previous Finish returned
+// are overwritten, and a coder that is reset per segment grows its
+// buffer only past the longest segment it has coded.
+func (e *Encoder) Reset(tc *trace.Ctx, vbase uint64) {
+	*e = Encoder{out: e.out[:0], rng: 255, count: -24, tc: tc, vbase: vbase, site: pcBitBranch}
 }
 
 // SetCtx redirects instrumentation to another context. Schedulers that
@@ -199,7 +209,8 @@ func (e *Encoder) Literal(v uint32, n int) {
 }
 
 // Finish flushes the encoder, its 32 flush bits one writer (with the
-// open one, if any), and returns the complete bitstream. It is
+// open one, if any), and returns the complete bitstream, which is the
+// encoder's own buffer and valid until its next Reset. It is
 // idempotent; no bits may be encoded after the first call.
 func (e *Encoder) Finish() []byte {
 	if !e.closed {

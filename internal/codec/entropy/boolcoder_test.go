@@ -348,3 +348,37 @@ func TestFinishIdempotent(t *testing.T) {
 		t.Errorf("Len = %d, want %d", e.Len(), len(a))
 	}
 }
+
+// TestResetMatchesNewEncoder codes two streams, a long one and then a
+// short one, on one encoder reset in between: each equals what a new
+// encoder codes, counts included, and the second reuses the first's
+// buffer.
+func TestResetMatchesNewEncoder(t *testing.T) {
+	code := func(e *Encoder, n int) []byte {
+		p := DefaultProb
+		e.Begin()
+		for i := 0; i < n; i++ {
+			e.BitAdaptive(i%5&1, &p)
+		}
+		e.End()
+		e.Literal(uint32(n), 12)
+		return e.Finish()
+	}
+	reused := NewEncoder(trace.New(), 0x1000)
+	buf := code(reused, 4000)
+	for _, n := range []int{300, 4000} {
+		tc, fresh := trace.New(), trace.New()
+		reused.Reset(tc, 0x2000)
+		got := code(reused, n)
+		want := code(NewEncoder(fresh, 0x2000), n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d bits: the reset encoder coded %x, a new one %x", n, got, want)
+		}
+		if tc.Mix != fresh.Mix {
+			t.Fatalf("%d bits: the reset encoder counted %+v, a new one %+v", n, tc.Mix, fresh.Mix)
+		}
+		if &got[0] != &buf[0] {
+			t.Fatalf("%d bits: the reset encoder did not code into its own buffer", n)
+		}
+	}
+}

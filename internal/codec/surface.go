@@ -19,19 +19,6 @@ type Surface struct {
 	VBase uint64
 }
 
-// NewSurface allocates a surface of the given size in the address space
-// under the given buffer name.
-func NewSurface(as *trace.AddressSpace, name string, w, h int) (Surface, error) {
-	if w <= 0 || h <= 0 {
-		return Surface{}, fmt.Errorf("codec: invalid surface %q size %dx%d", name, w, h)
-	}
-	r, err := as.Alloc(name, w*h)
-	if err != nil {
-		return Surface{}, err
-	}
-	return Surface{Plane: video.NewPlane(w, h), VBase: r.Base}, nil
-}
-
 // WrapSurface binds an existing plane to an address-space region.
 func WrapSurface(as *trace.AddressSpace, name string, p *video.Plane) (Surface, error) {
 	if p == nil {

@@ -28,7 +28,15 @@ func (se *streamEncoder) assembleBitstream() ([]byte, error) {
 	if len(famName) > 255 {
 		return nil, fmt.Errorf("encoders: family name too long")
 	}
-	out := make([]byte, 0, 1024)
+	// The container's exact size, field by field as laid out above.
+	size := len(bitstreamMagic) + 2 + len(famName) + 6 + 3 + 1 + len(se.shapes) + 1
+	for _, pic := range se.pics {
+		size += 4 + 8*len(pic.segRects)
+		for _, s := range pic.segStreams {
+			size += len(s)
+		}
+	}
+	out := make([]byte, 0, size)
 	out = append(out, bitstreamMagic...)
 	out = append(out, bitstreamVersion, byte(len(famName)))
 	out = append(out, famName...)
@@ -45,7 +53,7 @@ func (se *streamEncoder) assembleBitstream() ([]byte, error) {
 		tools |= 1
 	}
 	out = append(out, byte(se.qindex), byte(se.ts.refs), tools)
-	shapes := se.shapeList()
+	shapes := se.shapes
 	out = append(out, byte(len(shapes)))
 	for _, sh := range shapes {
 		out = append(out, byte(sh))

@@ -43,6 +43,12 @@ type probModel struct {
 // newProbModel returns contexts initialized to the uninformed prior.
 func newProbModel() *probModel {
 	pm := &probModel{}
+	pm.reset()
+	return pm
+}
+
+// reset returns every context to the uninformed prior.
+func (pm *probModel) reset() {
 	pm.skip = entropy.DefaultProb
 	pm.interFlg = entropy.DefaultProb
 	pm.cbf = entropy.DefaultProb
@@ -61,7 +67,6 @@ func newProbModel() *probModel {
 	for i := range pm.mvPfx {
 		pm.mvPfx[i] = entropy.DefaultProb
 	}
-	return pm
 }
 
 // scanTables holds the diagonal scan of each transform size, n = 4, 8,

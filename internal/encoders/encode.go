@@ -15,7 +15,9 @@ import (
 // quality metrics and (if instrumented) instruction-level counters are
 // returned in the Result. Cancelling ctx aborts the encode at the next
 // task boundary and returns ctx's error, so a killed job stops burning
-// its worker instead of running to completion.
+// its worker instead of running to completion. The encode works in a
+// working set from the free list, given back once the Result is
+// assembled and dropped on any error.
 func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Result, error) {
 	if err := m.validate(clip, opts); err != nil {
 		return nil, err
@@ -64,7 +66,12 @@ func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Re
 	if c := opts.AnalysisPublish; c != nil {
 		c.seal()
 	}
-	return m.assemble(se, ws, clip, wall)
+	res, err := m.assemble(se, ws, clip, wall)
+	if err != nil {
+		return nil, err
+	}
+	se.set.release()
+	return res, nil
 }
 
 // assemble collects the Result from a completed stream encode.
@@ -156,13 +163,14 @@ func ProfileSchedule(ctx context.Context, enc Encoder, clip *video.Clip, opts Op
 	}
 	sc := &Schedule{Costs: costs}
 	for _, t := range g.tasks {
-		sc.Deps = append(sc.Deps, t.deps)
+		sc.Deps = append(sc.Deps, append([]int(nil), t.deps...))
 		sc.Names = append(sc.Names, t.name)
 	}
 	res, err := m.assemble(se, ws, clip, 0)
 	if err != nil {
 		return nil, nil, err
 	}
+	se.set.release()
 	return sc, res, nil
 }
 

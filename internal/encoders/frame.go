@@ -60,18 +60,23 @@ var (
 
 // picture is the per-frame encoding state.
 type picture struct {
-	index  int
-	isKey  bool
-	srcY   codec.Surface
-	srcU   codec.Surface
-	srcV   codec.Surface
-	recY   codec.Surface
-	recU   codec.Surface
-	recV   codec.Surface
-	mvGrid []codec.MV
+	index int
+	isKey bool
+	srcY  codec.Surface
+	srcU  codec.Surface
+	srcV  codec.Surface
+	recY  codec.Surface
+	recU  codec.Surface
+	recV  codec.Surface
+	// regions names the six surfaces' address-space regions, in the
+	// order of surfaces().
+	regions [6]string
+	mvGrid  []codec.MV
 	// intraGrid holds the open-loop lookahead intra cost per analysis
-	// cell (only with Options.AnalyzeIntra).
+	// cell (only with Options.AnalyzeIntra); it is intraBuf, kept by the
+	// working set when an encode runs without it.
 	intraGrid []uint32
+	intraBuf  []uint32
 	bytes     int
 	// Per-frame quantizer parameters: equal to the stream defaults in
 	// CRF mode, adapted per frame by the rate controller in ABR mode.
@@ -79,9 +84,14 @@ type picture struct {
 	step   float64
 	lambda float64
 	sqrtL  float64
-	// Entropy partitions of the coded frame, in slot order.
-	segRects   []segRect
-	segStreams [][]byte
+	// Entropy partitions of the coded frame, in slot order: each one's
+	// rectangle, finished bitstream (its coder's buffer) and coder.
+	// streamNames holds the output-region name of each partition origin
+	// this slot has coded.
+	segRects    []segRect
+	segStreams  [][]byte
+	segs        []segCtx
+	streamNames map[[2]int]string
 	// Partition-decision statistics, merged from segments under statMu.
 	statMu     sync.Mutex
 	shapeCount [numShapes]uint64
@@ -91,6 +101,15 @@ type picture struct {
 	// scheduling-independent, so these sums are deterministic across
 	// thread counts (the obs frame-span contract).
 	stages trace.StageCounts
+}
+
+// surfaceNames are the surfaces' region suffixes, in surfaces() order.
+var surfaceNames = [6]string{"srcY", "srcU", "srcV", "recY", "recU", "recV"}
+
+// surfaces returns the picture's six surfaces: luma, then the two
+// chroma planes, of the source and then of the reconstruction.
+func (p *picture) surfaces() [6]*codec.Surface {
+	return [6]*codec.Surface{&p.srcY, &p.srcU, &p.srcV, &p.recY, &p.recU, &p.recV}
 }
 
 // mergeStats folds a finished segment's decision tallies into the
@@ -129,12 +148,36 @@ func (p *picture) setQIndex(qindex int, rdBonus float64) error {
 	return nil
 }
 
-// initSegments sizes the partition slots (idempotent).
+// initSegments sizes the partition slots (idempotent). Slots beyond n
+// keep their coders and buffers for a later encode that codes more.
 func (p *picture) initSegments(n int) {
-	if len(p.segRects) != n {
-		p.segRects = make([]segRect, n)
-		p.segStreams = make([][]byte, n)
+	p.segs, p.segRects, p.segStreams = resize(p.segs, n), resize(p.segRects, n), resize(p.segStreams, n)
+}
+
+// resize returns s with length n, keeping what its backing array holds
+// past len(s) and growing it when n passes its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
+	return s[:n]
+}
+
+// setSegment places partition slot at r and names the region its
+// stream is registered under, formatting the name only the first time
+// this picture slot codes a partition at r's origin.
+func (p *picture) setSegment(slot int, r segRect) {
+	p.segRects[slot] = r
+	k := [2]int{r.row0, r.col0}
+	name, ok := p.streamNames[k]
+	if !ok {
+		if p.streamNames == nil {
+			p.streamNames = make(map[[2]int]string)
+		}
+		name = fmt.Sprintf("stream/p%d/r%d/c%d", p.index, r.row0, r.col0)
+		p.streamNames[k] = name
+	}
+	p.segs[slot].region = name
 }
 
 // finalizeBytes computes the coded frame size from the partitions.
@@ -152,14 +195,20 @@ type streamEncoder struct {
 	opts   Options
 	qindex int
 	step   float64
-	lambda float64 // SSE-domain RD multiplier
-	sqrtL  float64 // SATD-domain RD multiplier
-	w, h   int     // original luma dims
-	aw, ah int     // aligned (padded) luma dims
-	gw, gh int     // analysis grid dims
-	as     *trace.AddressSpace
+	lambda float64     // SSE-domain RD multiplier
+	sqrtL  float64     // SATD-domain RD multiplier
+	w, h   int         // original luma dims
+	aw, ah int         // aligned (padded) luma dims
+	gw, gh int         // analysis grid dims
+	set    *workingSet // what the encode works in, its address space included
 	pics   []*picture
 	rc     *rateController
+	// shapes lists the non-NONE shapes this configuration can signal,
+	// in canonical order (SPLIT first, then the toolset's rect shapes);
+	// NONE itself is carried by the partition flag. shapeBits flat bits
+	// signal an index into it.
+	shapes    []Shape
+	shapeBits int
 }
 
 func align(v, m int) int { return (v + m - 1) / m * m }
@@ -183,8 +232,10 @@ func newStreamEncoder(spec familySpec, clip *video.Clip, opts Options) (*streamE
 		sqrtL:  math.Sqrt(lambda) * spec.rdBonus,
 		w:      w, h: h,
 		aw: align(w, sbSize), ah: align(h, sbSize),
-		as: trace.NewAddressSpace(),
+		shapes: append([]Shape{ShapeSplit}, ts.shapes...),
 	}
+	se.shapeBits = max(bits.Len(uint(len(se.shapes)-1)), 1)
+	se.set = acquireWorkingSet(se.aw, se.ah)
 	se.gw = se.aw / analysisGrid
 	se.gh = se.ah / analysisGrid
 	for i, f := range clip.Frames {
@@ -237,37 +288,33 @@ func (se *streamEncoder) rateUpdate(pic *picture) error {
 	return se.pics[pic.index+1].setQIndex(q, se.spec.rdBonus)
 }
 
-// newPicture pads the source frame to superblock alignment by edge
-// replication and allocates its surfaces in the traced address space.
+// newPicture readies the working set's slot idx for frame f: it pads
+// the source frame to superblock alignment by edge replication into the
+// slot's source surfaces and registers the six surfaces in the traced
+// address space. Every reconstruction sample is written before it is
+// read, so the reconstruction planes are not cleared; the grids are.
 func (se *streamEncoder) newPicture(idx int, f *video.Frame) (*picture, error) {
-	p := &picture{index: idx}
+	p := se.set.picture(idx, se.gw, se.gh)
 	ki := se.opts.KeyInterval
 	p.isKey = idx == 0 || (ki > 0 && idx%ki == 0)
-	caw, cah := se.aw/2, se.ah/2
-	var err error
-	mk := func(name string, w, h int) codec.Surface {
-		if err != nil {
-			return codec.Surface{}
+	p.bytes, p.shapeCount, p.skipCount, p.stages = 0, [numShapes]uint64{}, 0, trace.StageCounts{}
+	for i, s := range p.surfaces() {
+		var err error
+		if *s, err = codec.WrapSurface(se.set.as, p.regions[i], s.Plane); err != nil {
+			return nil, err
 		}
-		var s codec.Surface
-		s, err = codec.NewSurface(se.as, fmt.Sprintf("pic%d/%s", idx, name), w, h)
-		return s
-	}
-	p.srcY = mk("srcY", se.aw, se.ah)
-	p.srcU = mk("srcU", caw, cah)
-	p.srcV = mk("srcV", caw, cah)
-	p.recY = mk("recY", se.aw, se.ah)
-	p.recU = mk("recU", caw, cah)
-	p.recV = mk("recV", caw, cah)
-	if err != nil {
-		return nil, err
 	}
 	padInto(p.srcY.Plane, f.Y)
 	padInto(p.srcU.Plane, f.U)
 	padInto(p.srcV.Plane, f.V)
-	p.mvGrid = make([]codec.MV, se.gw*se.gh)
+	clear(p.mvGrid)
+	p.intraGrid = nil
 	if se.opts.AnalyzeIntra {
-		p.intraGrid = make([]uint32, se.gw*se.gh)
+		if p.intraBuf == nil {
+			p.intraBuf = make([]uint32, se.gw*se.gh)
+		}
+		p.intraGrid = p.intraBuf
+		clear(p.intraGrid)
 	}
 	if err := p.setQIndex(se.qindex, se.spec.rdBonus); err != nil {
 		return nil, err
@@ -292,8 +339,9 @@ func padInto(dst, src *video.Plane) {
 	}
 }
 
-// workScratch is per-segment scratch memory, registered in the traced
-// address space so its (hot, small) accesses shape L1 behaviour.
+// workScratch is per-worker scratch memory, registered in the traced
+// address space so its (hot, small) accesses shape L1 behaviour, and
+// the worker's plan arena.
 type workScratch struct {
 	pred   []byte
 	pred2  []byte
@@ -303,25 +351,79 @@ type workScratch struct {
 	lev    []int32
 	rec    []byte
 	border [2 * sbSize]byte // intra neighbours: top row, then left column
+	plans  planArena
+	task   trace.Ctx // the private context of the task the worker runs
+	region string    // the address-space region's name
 	vbase  uint64
 }
 
-func newWorkScratch(as *trace.AddressSpace, name string) (*workScratch, error) {
+// scratchBytes is the size of a worker's scratch region; its buffers
+// hold a little less.
+const scratchBytes = sbSize * sbSize * 24
+
+func newWorkScratch(name string) *workScratch {
 	const n = sbSize * sbSize
-	r, err := as.Alloc("scratch/"+name, n*24)
-	if err != nil {
-		return nil, err
-	}
 	return &workScratch{
-		pred:  make([]byte, n),
-		pred2: make([]byte, n),
-		res:   make([]int32, n),
-		res2:  make([]int32, n),
-		coef:  make([]int32, n),
-		lev:   make([]int32, n),
-		rec:   make([]byte, n),
-		vbase: r.Base,
-	}, nil
+		pred:   make([]byte, n),
+		pred2:  make([]byte, n),
+		res:    make([]int32, n),
+		res2:   make([]int32, n),
+		coef:   make([]int32, n),
+		lev:    make([]int32, n),
+		rec:    make([]byte, n),
+		region: "scratch/" + name,
+	}
+}
+
+// register places the scratch in the encode's address space.
+func (s *workScratch) register(as *trace.AddressSpace) error {
+	r, err := as.Alloc(s.region, scratchBytes)
+	s.vbase = r.Base
+	return err
+}
+
+// planArena holds the plan nodes and leaf lists of one superblock's
+// partition search, which commit reads; the next superblock's search
+// starts by resetting it. Chunks never move, so a node stays where it
+// was put until the reset.
+type planArena struct {
+	nodes  []*[arenaNodes]planNode
+	leaves []*[arenaLeaves]leafPlan
+	nn, nl int // nodes and leaves handed out since the reset
+}
+
+const (
+	arenaNodes  = 64
+	arenaLeaves = 4 * arenaNodes
+)
+
+func (a *planArena) reset() { a.nn, a.nl = 0, 0 }
+
+// node returns a copy of n in the arena.
+func (a *planArena) node(n *planNode) *planNode {
+	c := a.nn / arenaNodes
+	if c == len(a.nodes) {
+		a.nodes = append(a.nodes, new([arenaNodes]planNode))
+	}
+	p := &a.nodes[c][a.nn%arenaNodes]
+	a.nn++
+	*p = *n
+	return p
+}
+
+// leafList returns a copy of src (at most four leaves) in the arena.
+func (a *planArena) leafList(src []leafPlan) []leafPlan {
+	if a.nl%arenaLeaves+len(src) > arenaLeaves {
+		a.nl += arenaLeaves - a.nl%arenaLeaves // a list never straddles two chunks
+	}
+	c, i := a.nl/arenaLeaves, a.nl%arenaLeaves
+	if c == len(a.leaves) {
+		a.leaves = append(a.leaves, new([arenaLeaves]leafPlan))
+	}
+	a.nl += len(src)
+	dst := a.leaves[c][i : i+len(src) : i+len(src)]
+	copy(dst, src)
+	return dst
 }
 
 // segCtx is the state of one entropy partition (segment/tile) during a
@@ -331,8 +433,9 @@ type segCtx struct {
 	pic        *picture
 	prev       *picture // reference picture (nil on keyframes)
 	prev2      *picture // second reference (may be nil)
-	enc        *entropy.Encoder
-	pm         *probModel
+	enc        entropy.Encoder
+	region     string // the name of the output stream's region
+	pm         probModel
 	tc         *trace.Ctx
 	scratch    *workScratch
 	prevMV     codec.MV
@@ -793,7 +896,7 @@ func (sc *segCtx) shapeSignalBits(depth int) float64 { return float64(2 + depth)
 // block at (x, y) and returns the cheapest plan. none is the block's
 // entry in its parent's sub-block memo (nil at the superblock root): the
 // block whole is its parent's quadrant. Candidates are costed on the
-// stack; only the winner is allocated.
+// stack; only the winner is copied, into the worker's plan arena.
 func (sc *segCtx) searchPartition(x, y, n, depth int, none *leafMemo) (*planNode, error) {
 	se := sc.se
 	sc.tc.Op(trace.OpOther, 14) // partition-context bookkeeping
@@ -817,9 +920,10 @@ func (sc *segCtx) searchPartition(x, y, n, depth int, none *leafMemo) (*planNode
 		early = leaf.skip || best.cost < sc.earlyExitThreshold(n*n)
 	}
 	sc.tc.Branch(pcPartEarly[min(depth, 3)], early)
+	plans := &sc.scratch.plans
 	if early || n <= se.ts.minBlock {
-		best.leaves = []leafPlan{leaf}
-		return &best, nil
+		best.leaves = plans.leafList([]leafPlan{leaf})
+		return plans.node(&best), nil
 	}
 
 	var (
@@ -877,9 +981,9 @@ func (sc *segCtx) searchPartition(x, y, n, depth int, none *leafMemo) (*planNode
 		}
 	}
 	if nBest > 0 {
-		best.leaves = append([]leafPlan(nil), bestLeaves[:nBest]...)
+		best.leaves = plans.leafList(bestLeaves[:nBest])
 	}
-	return &best, nil
+	return plans.node(&best), nil
 }
 
 // beats reports, as the modeled shape-comparison branch, whether a
@@ -944,25 +1048,6 @@ func (sc *segCtx) decideLeaf(m *leafMemo, x, y, w, h int) (leafPlan, error) {
 // ---------------------------------------------------------------------
 // Commit: signal the chosen tree and write the reconstruction.
 
-// shapeList returns the non-NONE shapes this configuration can signal,
-// in canonical order (SPLIT first, then the toolset's rect shapes).
-// NONE itself is carried by the partition flag.
-func (se *streamEncoder) shapeList() []Shape {
-	out := make([]Shape, 0, 1+len(se.ts.shapes))
-	out = append(out, ShapeSplit)
-	return append(out, se.ts.shapes...)
-}
-
-// shapeIndexBits returns how many flat bits signal a non-NONE shape
-// choice: an index into shapeList.
-func (se *streamEncoder) shapeIndexBits() int {
-	n := bits.Len(uint(len(se.shapeList()) - 1))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 func (sc *segCtx) commitNode(node *planNode, depth int) error {
 	sc.shapeCount[node.shape]++
 	isNone := node.shape == ShapeNone
@@ -970,7 +1055,7 @@ func (sc *segCtx) commitNode(node *planNode, depth int) error {
 	sc.enc.BitAdaptive(boolBit(!isNone), &sc.pm.partNone[min(depth, 3)])
 	if !isNone {
 		idx := -1
-		for i, sh := range sc.se.shapeList() {
+		for i, sh := range sc.se.shapes {
 			if sh == node.shape {
 				idx = i
 				break
@@ -979,7 +1064,7 @@ func (sc *segCtx) commitNode(node *planNode, depth int) error {
 		if idx < 0 {
 			return fmt.Errorf("encoders: shape %v not in the configuration's shape list", node.shape)
 		}
-		sc.enc.Literal(uint32(idx), sc.se.shapeIndexBits())
+		sc.enc.Literal(uint32(idx), sc.se.shapeBits)
 	}
 	sc.enc.SetSite(0)
 	if node.shape == ShapeSplit {
@@ -1040,7 +1125,7 @@ func (sc *segCtx) commitLeaf(lf *leafPlan) error {
 	}
 
 	if lf.inter {
-		writeMV(sc.enc, sc.pm, lf.mv, sc.prevMV)
+		writeMV(&sc.enc, &sc.pm, lf.mv, sc.prevMV)
 		ref := sc.prev
 		if lf.ref2 {
 			sc.enc.Bit(1, entropy.DefaultProb)
@@ -1088,7 +1173,7 @@ func (sc *segCtx) commitLeaf(lf *leafPlan) error {
 			if _, err := quant.Quantize(tc, s.coef[:side*side], sc.pic.qindex, s.lev[:side*side]); err != nil {
 				return err
 			}
-			if err := writeCoefBlock(sc.enc, sc.pm, s.lev[:side*side], side); err != nil {
+			if err := writeCoefBlock(&sc.enc, &sc.pm, s.lev[:side*side], side); err != nil {
 				return err
 			}
 			if err := quant.Dequantize(tc, s.lev[:side*side], sc.pic.qindex, s.coef[:side*side]); err != nil {
@@ -1183,7 +1268,7 @@ func (sc *segCtx) encodeChromaSB(sbx, sby int, lumaPlan *planNode) error {
 		if _, err := quant.Quantize(tc, s.coef[:cb*cb], sc.pic.qindex, s.lev[:cb*cb]); err != nil {
 			return err
 		}
-		if err := writeCoefBlock(sc.enc, sc.pm, s.lev[:cb*cb], cb); err != nil {
+		if err := writeCoefBlock(&sc.enc, &sc.pm, s.lev[:cb*cb], cb); err != nil {
 			return err
 		}
 		if err := quant.Dequantize(tc, s.lev[:cb*cb], sc.pic.qindex, s.coef[:cb*cb]); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"vcprof/internal/codec/entropy"
 	"vcprof/internal/sched"
 	"vcprof/internal/trace"
 )
@@ -53,9 +52,18 @@ type task struct {
 }
 
 // graph is a DAG of tasks in insertion order (a valid topological
-// order: builders only reference earlier tasks).
+// order: builders only reference earlier tasks). Its storage is the
+// working set's, reused by the next encode's graph.
 type graph struct {
 	tasks []task
+	deps  []int // every task's deps, back to back
+}
+
+// reset empties g for a new encode's tasks, dropping the last one's.
+func (g *graph) reset() *graph {
+	clear(g.tasks)
+	g.tasks, g.deps = g.tasks[:0], g.deps[:0]
+	return g
 }
 
 // add appends a task attributed to pic and returns its id. All deps
@@ -67,7 +75,9 @@ func (g *graph) add(pic *picture, name string, deps []int, cost uint64, run func
 			panic(fmt.Sprintf("encoders: task %q depends on invalid task %d", name, d))
 		}
 	}
-	g.tasks = append(g.tasks, task{name: name, deps: append([]int(nil), deps...), pic: pic, cost: cost, run: run})
+	at := len(g.deps)
+	g.deps = append(g.deps, deps...)
+	g.tasks = append(g.tasks, task{name: name, deps: g.deps[at:len(g.deps):len(g.deps)], pic: pic, cost: cost, run: run})
 	return id
 }
 
@@ -99,25 +109,28 @@ func runTask(t *task, worker int, tc *trace.Ctx) error {
 // encode is uninstrumented) and one scratch buffer per executing
 // worker — one on the inline path, the pool's width on a pool. The two
 // counts are independent: lanes are keyed by task index, scratch by
-// the worker that claimed the task.
+// the worker that claimed the task. It is part of the encode's working
+// set, whose scratch may outnumber this encode's workers.
 type workerSet struct {
 	ctxs    []*trace.Ctx
 	scratch []*workScratch
 }
 
+// newWorkerSet readies the working set's workers for the encode: the
+// lanes' contexts, and the first workers scratch buffers, registered
+// in the address space in worker order.
 func newWorkerSet(se *streamEncoder, opts Options, workers int) (*workerSet, error) {
-	ws := &workerSet{ctxs: make([]*trace.Ctx, opts.Threads), scratch: make([]*workScratch, workers)}
+	ws := &se.set.workers
+	ws.ctxs = append(ws.ctxs[:0], make([]*trace.Ctx, opts.Threads)...)
 	if opts.NewWorkerCtx != nil {
 		for i := range ws.ctxs {
 			ws.ctxs[i] = opts.NewWorkerCtx(i)
 		}
 	}
-	for i := range ws.scratch {
-		s, err := newWorkScratch(se.as, fmt.Sprintf("w%d", i))
-		if err != nil {
+	for i := 0; i < workers; i++ {
+		if err := se.set.scratchAt(i).register(se.set.as); err != nil {
 			return nil, err
 		}
-		ws.scratch[i] = s
 	}
 	return ws, nil
 }
@@ -144,11 +157,12 @@ func runInline(ctx context.Context, g *graph, ws *workerSet) error {
 // tasks, like runInline.
 func runProfiled(ctx context.Context, g *graph, ws *workerSet) ([]uint64, error) {
 	costs := make([]uint64, len(g.tasks))
+	tc := &ws.scratch[0].task
 	for i := range g.tasks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tc := trace.New()
+		tc.Reset()
 		if err := runTask(&g.tasks[i], 0, tc); err != nil {
 			return nil, fmt.Errorf("task %s: %w", g.tasks[i].name, err)
 		}
@@ -165,10 +179,10 @@ func runProfiled(ctx context.Context, g *graph, ws *workerSet) ([]uint64, error)
 
 // shardGraph is a built encode graph as a sched.Graph. Run may be
 // called concurrently for independent tasks. Each task runs with a
-// private trace context that is merged into the worker set's context
-// slot chosen by task index — a schedule-free assignment, so Insts,
-// Mix and WorkerInsts are identical no matter which pool worker ran
-// what. Frame stage attribution stays exact
+// private trace context (its worker's, reset) that is merged into the
+// worker set's context slot chosen by task index — a schedule-free
+// assignment, so Insts, Mix and WorkerInsts are identical no matter
+// which pool worker ran what. Frame stage attribution stays exact
 // because runTask snapshots the private context around the body.
 type shardGraph struct {
 	g  *graph
@@ -188,7 +202,8 @@ func (s *shardGraph) Run(ctx context.Context, i, worker int) error {
 	t := &s.g.tasks[i]
 	var tc *trace.Ctx
 	if s.mu != nil {
-		tc = trace.New()
+		tc = &s.ws.scratch[worker].task
+		tc.Reset()
 	}
 	err := runTask(t, worker, tc)
 	if tc != nil {
@@ -360,43 +375,71 @@ func (se *streamEncoder) refsFor(pic *picture) (prev, prev2 *picture) {
 // [col0,col1).
 type segRect struct{ row0, row1, col0, col1 int }
 
-// encodeSegment encodes one rectangular entropy partition of pic and
-// returns the partition's finished bitstream.
-func (se *streamEncoder) encodeSegment(worker int, tc *trace.Ctx, ws *workerSet, pic *picture, r segRect) ([]byte, error) {
+// beginSegment readies pic's partition slot for coding on tc with s:
+// the slot's coder starts again on its own output buffer, and its
+// stream region is registered now, when the partition's first task
+// runs.
+func (se *streamEncoder) beginSegment(pic *picture, slot int, tc *trace.Ctx, s *workScratch) *segCtx {
+	sc := &pic.segs[slot]
+	r := pic.segRects[slot]
 	prev, prev2 := se.refsFor(pic)
-	sc := &segCtx{
+	*sc = segCtx{
 		se: se, pic: pic, prev: prev, prev2: prev2,
-		enc:        entropy.NewEncoder(tc, se.streamVBase(pic, r.row0, r.col0)),
-		pm:         newProbModel(),
+		enc:        sc.enc,
+		region:     sc.region,
 		tc:         tc,
-		scratch:    ws.scratch[worker],
+		scratch:    s,
 		segTopPx:   r.row0 * sbSize,
 		segEndPx:   r.row1 * sbSize,
 		segLeftPx:  r.col0 * sbSize,
 		segRightPx: r.col1 * sbSize,
 	}
+	sc.enc.Reset(tc, se.streamVBase(sc.region))
+	sc.pm.reset()
+	return sc
+}
+
+// encodeSegment encodes pic's entropy partition in slot, whose
+// rectangle and region setSegment placed, and stores its finished
+// bitstream.
+func (se *streamEncoder) encodeSegment(worker int, tc *trace.Ctx, ws *workerSet, pic *picture, slot int) error {
+	sc := se.beginSegment(pic, slot, tc, ws.scratch[worker])
+	r := pic.segRects[slot]
 	for row := r.row0; row < r.row1; row++ {
 		for c := r.col0; c < r.col1; c++ {
-			node, err := sc.searchPartition(c*sbSize, row*sbSize, sbSize, 0, nil)
-			if err != nil {
-				return nil, err
+			if err := sc.encodeSB(c, row); err != nil {
+				return err
 			}
-			if err := sc.commitNode(node, 0); err != nil {
-				return nil, err
-			}
-			if err := sc.encodeChromaSB(c, row, node); err != nil {
-				return nil, err
-			}
-			sc.cdefSB(c, row)
 		}
 	}
 	pic.mergeStats(sc)
-	return sc.enc.Finish(), nil
+	pic.segStreams[slot] = sc.enc.Finish()
+	return nil
 }
 
-// streamVBase returns a virtual address for a segment's output stream.
-func (se *streamEncoder) streamVBase(pic *picture, row0, col0 int) uint64 {
-	r, err := se.as.Alloc(fmt.Sprintf("stream/p%d/r%d/c%d", pic.index, row0, col0), 1<<20)
+// encodeSB searches, commits, codes the chroma of and filters the
+// superblock at column c, row r. The search starts on an empty plan
+// arena: the previous superblock's plan is dead once it is committed.
+func (sc *segCtx) encodeSB(c, r int) error {
+	sc.scratch.plans.reset()
+	node, err := sc.searchPartition(c*sbSize, r*sbSize, sbSize, 0, nil)
+	if err != nil {
+		return err
+	}
+	if err := sc.commitNode(node, 0); err != nil {
+		return err
+	}
+	if err := sc.encodeChromaSB(c, r, node); err != nil {
+		return err
+	}
+	sc.cdefSB(c, r)
+	return nil
+}
+
+// streamVBase returns a virtual address for a segment's output stream,
+// registered under name.
+func (se *streamEncoder) streamVBase(name string) uint64 {
+	r, err := se.set.as.Alloc(name, 1<<20)
 	if err != nil {
 		return 0
 	}
@@ -463,7 +506,7 @@ func (se *streamEncoder) addAnalysisTasks(g *graph) [][]int {
 // they can run concurrently); frames chain through the deblocked
 // reference.
 func (se *streamEncoder) buildSegments(ws *workerSet) *graph {
-	g := &graph{}
+	g := se.set.graph.reset()
 	analysis := se.addAnalysisTasks(g)
 	rows, cols := se.sbRows(), se.sbCols()
 	// Two column chunks per SB row when the frame is wide enough.
@@ -486,13 +529,11 @@ func (se *streamEncoder) buildSegments(ws *workerSet) *graph {
 				deps := append([]int(nil), analysis[pic.index]...)
 				deps = append(deps, prevDeblock...)
 				slot := r*colChunks + cc
-				pic.segRects[slot] = rect
+				pic.setSegment(slot, rect)
 				id := g.add(pic, fmt.Sprintf("seg/p%d/r%d/c%d", pic.index, r, cc), deps,
 					uint64((rect.row1-rect.row0)*(rect.col1-rect.col0))*se.sbCost(),
 					func(w int, tc *trace.Ctx) error {
-						data, err := se.encodeSegment(w, tc, ws, pic, rect)
-						pic.segStreams[slot] = data
-						return err
+						return se.encodeSegment(w, tc, ws, pic, slot)
 					})
 				segIDs = append(segIDs, id)
 				segAt[r] = append(segAt[r], id)
@@ -534,7 +575,7 @@ func (se *streamEncoder) buildSegments(ws *workerSet) *graph {
 // parallelism near 4x regardless of core count; each tile runs its own
 // analysis and encode, and frames chain through the deblocked reference.
 func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
-	g := &graph{}
+	g := se.set.graph.reset()
 	rows, cols := se.sbRows(), se.sbCols()
 	tileRows := 2
 	if rows < 2 {
@@ -557,7 +598,7 @@ func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
 					col0: tcI * cols / tileCols, col1: (tcI + 1) * cols / tileCols,
 				}
 				slot := tr*tileCols + tcI
-				pic.segRects[slot] = rect
+				pic.setSegment(slot, rect)
 				id := g.add(pic, fmt.Sprintf("tile/p%d/t%d", pic.index, slot), prevPicDone,
 					uint64((rect.row1-rect.row0)*(rect.col1-rect.col0))*(se.sbCost()+1),
 					func(w int, tc *trace.Ctx) error {
@@ -570,9 +611,7 @@ func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
 								return err
 							}
 						}
-						data, err := se.encodeSegment(w, tc, ws, pic, rect)
-						pic.segStreams[slot] = data
-						return err
+						return se.encodeSegment(w, tc, ws, pic, slot)
 					})
 				tileIDs = append(tileIDs, id)
 			}
@@ -595,24 +634,20 @@ func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
 // depends on row r+lag of frame i−1, where lag covers the downward
 // motion-search reach — x264's classic threading design.
 func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
-	g := &graph{}
+	g := se.set.graph.reset()
 	rows, cols := se.sbRows(), se.sbCols()
 	mvReach := se.ts.motionRange + se.ts.refineRange + 16
 	lag := (mvReach + sbSize - 1) / sbSize
-	type picState struct {
-		sc     *segCtx
-		rowIDs []int
-	}
-	states := make([]*picState, len(se.pics))
+	rowIDs := make([][]int, len(se.pics))
 	for _, pic := range se.pics {
 		pic := pic
-		st := &picState{}
-		states[pic.index] = st
+		pic.initSegments(1)
+		pic.setSegment(0, segRect{row0: 0, row1: rows, col0: 0, col1: cols})
 		for r := 0; r < rows; r++ {
 			r := r
 			var deps []int
 			if r > 0 {
-				deps = append(deps, st.rowIDs[r-1])
+				deps = append(deps, rowIDs[pic.index][r-1])
 			}
 			if pic.index > 0 {
 				refRow := r + lag
@@ -621,23 +656,18 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 					// is only known once the previous frame finalizes.
 					refRow = rows - 1
 				}
-				deps = append(deps, states[pic.index-1].rowIDs[refRow])
+				deps = append(deps, rowIDs[pic.index-1][refRow])
 			}
 			id := g.add(pic, fmt.Sprintf("row/p%d/r%d", pic.index, r), deps,
 				uint64(cols)*(se.sbCost()+2),
 				func(w int, tc *trace.Ctx) error {
-					if st.sc == nil {
-						prev, prev2 := se.refsFor(pic)
-						//lint:ignore shardpure row tasks of one frame share st through a dependency chain (row r waits on row r-1), so exactly one task initializes sc — never concurrent
-						st.sc = &segCtx{
-							se: se, pic: pic, prev: prev, prev2: prev2,
-							enc:      entropy.NewEncoder(tc, se.streamVBase(pic, 0, 0)),
-							pm:       newProbModel(),
-							scratch:  ws.scratch[w],
-							segTopPx: 0, segEndPx: se.ah, segLeftPx: 0, segRightPx: se.aw,
-						}
+					// Row tasks of one frame share its one partition
+					// through a dependency chain (row r waits on row r-1):
+					// row 0 begins it, and each row retargets it.
+					sc := &pic.segs[0]
+					if r == 0 {
+						sc = se.beginSegment(pic, 0, tc, ws.scratch[w])
 					}
-					sc := st.sc
 					sc.tc = tc
 					sc.enc.SetCtx(tc)
 					sc.scratch = ws.scratch[w]
@@ -649,17 +679,9 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 						}
 					}
 					for c := 0; c < cols; c++ {
-						node, err := sc.searchPartition(c*sbSize, r*sbSize, sbSize, 0, nil)
-						if err != nil {
+						if err := sc.encodeSB(c, r); err != nil {
 							return err
 						}
-						if err := sc.commitNode(node, 0); err != nil {
-							return err
-						}
-						if err := sc.encodeChromaSB(c, r, node); err != nil {
-							return err
-						}
-						sc.cdefSB(c, r)
 					}
 					// Deblock the region that can no longer change.
 					if r > 0 {
@@ -670,15 +692,13 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 					if r == rows-1 {
 						deblockRows(tc, pic.recY, se.ah-8, se.ah, pic.step)
 						pic.mergeStats(sc)
-						pic.initSegments(1)
-						pic.segRects[0] = segRect{row0: 0, row1: rows, col0: 0, col1: cols}
 						pic.segStreams[0] = sc.enc.Finish()
 						pic.finalizeBytes()
 						return se.rateUpdate(pic)
 					}
 					return nil
 				})
-			st.rowIDs = append(st.rowIDs, id)
+			rowIDs[pic.index] = append(rowIDs[pic.index], id)
 		}
 	}
 	return g
@@ -691,7 +711,7 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 // lookahead's share of total work and concentrates everything else on
 // one core — the imbalance signature the paper reads from x265.
 func (se *streamEncoder) buildMaster(ws *workerSet) *graph {
-	g := &graph{}
+	g := se.set.graph.reset()
 	analysis := se.addAnalysisTasks(g)
 	prev := -1
 	for _, pic := range se.pics {
@@ -700,18 +720,15 @@ func (se *streamEncoder) buildMaster(ws *workerSet) *graph {
 		if prev >= 0 {
 			deps = append(deps, prev)
 		}
+		pic.initSegments(1)
+		pic.setSegment(0, segRect{row0: 0, row1: se.sbRows(), col0: 0, col1: se.sbCols()})
 		prev = g.add(pic, fmt.Sprintf("encode/p%d", pic.index), deps,
 			uint64(se.sbRows()*se.sbCols())*(se.sbCost()+1),
 			func(w int, tc *trace.Ctx) error {
-				rect := segRect{row0: 0, row1: se.sbRows(), col0: 0, col1: se.sbCols()}
-				data, err := se.encodeSegment(w, tc, ws, pic, rect)
-				if err != nil {
+				if err := se.encodeSegment(w, tc, ws, pic, 0); err != nil {
 					return err
 				}
 				deblockRows(tc, pic.recY, 0, se.ah, pic.step)
-				pic.initSegments(1)
-				pic.segRects[0] = rect
-				pic.segStreams[0] = data
 				pic.finalizeBytes()
 				return se.rateUpdate(pic)
 			})

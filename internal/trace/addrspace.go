@@ -40,6 +40,16 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{next: heapBase, byName: make(map[string]Region)}
 }
 
+// Reset forgets every region, so that the space hands out the same
+// addresses, in the same order, as a new one; a recycled encode working
+// set (DESIGN.md §4) keeps its space and resets it per encode.
+func (a *AddressSpace) Reset() {
+	a.mu.Lock()
+	clear(a.byName)
+	a.next = heapBase
+	a.mu.Unlock()
+}
+
 // Alloc reserves size bytes aligned to 64 (a cache line) under the given
 // name and returns the region. Allocating an existing name returns the
 // prior region when the size matches, and an error otherwise; encoders

@@ -33,6 +33,11 @@ type Ctx struct {
 // New returns an empty counting context.
 func New() *Ctx { return &Ctx{} }
 
+// Reset makes c an empty counting context again, as New returns, and
+// keeps its call stack's storage: a context reused per task allocates
+// nothing once warm. Whatever was attached is detached.
+func (c *Ctx) Reset() { *c = Ctx{stack: c.stack[:0]} }
+
 // AttachBranchSink adds a live branch-event consumer. A sink that is
 // also a LoopSink receives each Loop as one call; any other sink is
 // wrapped once, here, and sees the loop's events one by one. With
