@@ -193,8 +193,10 @@ results-check:
 # sinks (BenchmarkEncodeServed/{count,hooked}): the count-only search
 # decides each shared sub-block once, the hooked one every time; and
 # the B/op and allocs/op of a count-only encode on a warm working set
-# (BenchmarkEncodeWarm/<family>), which allocates its outputs and the
-# per-encode task graph.
+# (BenchmarkEncodeWarm/<family>), which allocates its outputs and
+# little else. sched runs a 16- and a 512-task graph of no-op tasks on
+# a 2-worker pool (BenchmarkRunGraph/tasks=<n>): the scheduler's own
+# cost per run, whose allocs/op do not grow with the task count.
 # service times one 4 KiB result appended to and read back from the
 # segment store, checksum included (BenchmarkStorePut, BenchmarkStoreGet).
 # perf times one window recording per family at vcbench replay_grid's
@@ -203,7 +205,8 @@ results-check:
 BENCH_PKGS = . ./internal/obs ./internal/codec ./internal/codec/quant \
 	./internal/codec/rdo ./internal/codec/transform ./internal/codec/motion \
 	./internal/uarch/bpred ./internal/cbp ./internal/trace ./internal/codec/entropy \
-	./internal/encoders ./internal/uarch/pipeline ./internal/service ./internal/perf
+	./internal/encoders ./internal/uarch/pipeline ./internal/service ./internal/perf \
+	./internal/sched
 
 bench:
 	mkdir -p bench/out

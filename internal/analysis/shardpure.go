@@ -14,8 +14,13 @@ type ShardPureConfig struct {
 	TaskIfaces []string
 	// SubmitFuncs are functions or methods, "import/path.Func" or
 	// "import/path.Type.Method", whose function-literal arguments are
-	// task bodies (encoders' graph.add run closures).
+	// task bodies.
 	SubmitFuncs []string
+	// TaskFuncs are functions or methods, spelled like SubmitFuncs,
+	// whose own bodies are task bodies (encoders' graph.exec and the
+	// per-kind task methods it dispatches to): shared state is the
+	// receiver and package-level vars.
+	TaskFuncs []string
 }
 
 // NewShardPure builds the shardpure analyzer: closures and methods the
@@ -59,9 +64,21 @@ func NewShardPure(cfg ShardPureConfig) *Analyzer {
 		for _, s := range cfg.SubmitFuncs {
 			submit[s] = true
 		}
+		taskFuncs := make(map[string]bool, len(cfg.TaskFuncs))
+		for _, s := range cfg.TaskFuncs {
+			taskFuncs[s] = true
+		}
 		for _, n := range g.Nodes {
 			info := n.Pkg.Info
 			sig := n.Func.Type().(*types.Signature)
+			// Named task functions: shared state is the receiver and
+			// package-level vars, as for task-interface methods.
+			if taskFuncs[funcKey(n.Func)] {
+				recvObj := recvVarOf(n)
+				checkTaskBody(pp, n, n.Decl.Body, func(obj types.Object) bool {
+					return (obj == recvObj && recvObj != nil) || isPkgLevelVar(obj)
+				})
+			}
 			// Task-interface method bodies: shared state is the
 			// receiver and package-level vars.
 			if sig.Recv() != nil {

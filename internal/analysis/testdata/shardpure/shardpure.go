@@ -1,8 +1,8 @@
 // Package shardpure is vclint's fixture for the task-body purity
 // analyzer: an impure sched.Graph implementation whose Run updates
 // shared aggregate state, submit-closures that write captured
-// variables, and the pure shard-indexed counterparts that must stay
-// silent. The sched import pulls the real Graph interface into the
+// variables, a task method that writes its receiver, and the pure
+// shard-indexed counterparts that must stay silent. The sched import pulls the real Graph interface into the
 // program so the CHA implementation check runs against the shipped
 // type, not a fixture copy.
 package shardpure
@@ -36,10 +36,21 @@ func (g *cellGraph) Run(ctx context.Context, task, worker int) error {
 	return nil
 }
 
-// graph mimics the encoders' task-graph builder; its add method is a
-// configured submit function, so run closures are task bodies.
+// graph mimics a task-graph builder; its add method is a configured
+// submit function, so run closures are task bodies, and its exec method
+// a configured task function, so its own body is one.
 type graph struct {
 	tasks []func(worker int) error
+	res   []int
+	last  int
+}
+
+// exec fills its worker's slot (fine) and then records the last worker
+// on the receiver, which every task shares.
+func (g *graph) exec(worker int) error {
+	g.res[worker] = worker
+	g.last = worker // want `shardpure: task body writes shared "g" without an element index`
+	return nil
 }
 
 func (g *graph) add(name string, run func(worker int) error) int {

@@ -39,9 +39,9 @@ package analysis
 //     mutex is a leaf, never held across an HTTP call or a histogram
 //     observation — is exactly the shape this analyzer pins.
 //   - shardpure (whole-program): scheduler task bodies (the same
-//     sched.Graph implementations plus run closures handed to the
-//     encode graph builder) may write shared state only through their
-//     own shard-indexed slot.
+//     sched.Graph implementations plus the encode graph's task
+//     dispatch and per-kind task methods) may write shared state only
+//     through their own shard-indexed slot.
 //
 // Fixture packages under internal/analysis/testdata/<name> opt into the
 // matching analyzer's scope automatically (see pathScope), so the CLI
@@ -114,8 +114,14 @@ func VCProfAnalyzers() []*Analyzer {
 				"vcprof/internal/sched.Graph.Run",
 			},
 			SubmitFuncs: []string{
-				"vcprof/internal/encoders.graph.add",
 				"vcprof/internal/analysis/testdata/shardpure.graph.add",
+			},
+			TaskFuncs: []string{
+				"vcprof/internal/encoders.graph.exec",
+				"vcprof/internal/encoders.streamEncoder.encodeSegment",
+				"vcprof/internal/encoders.streamEncoder.encodeTile",
+				"vcprof/internal/encoders.streamEncoder.encodeRow",
+				"vcprof/internal/analysis/testdata/shardpure.graph.exec",
 			},
 		}),
 	}

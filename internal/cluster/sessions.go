@@ -164,6 +164,11 @@ func (r *Router) FeedSession(ctx context.Context, id string, req service.Session
 
 	resp, err := feedOnce()
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			// The caller gave up, not the shard: leave its health, the
+			// failover count and the session's pin alone.
+			return service.SessionFeedResp{}, cerr
+		}
 		// The pinned shard failed mid-stream: re-anchor from the last
 		// GOP-boundary token and replay the watermark. The resumed
 		// engine re-encodes exactly the GOPs the client has not seen.

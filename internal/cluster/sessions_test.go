@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"vcprof/internal/cluster/chaos"
 	"vcprof/internal/live"
 	"vcprof/internal/obs"
 	"vcprof/internal/service"
@@ -169,5 +172,66 @@ func TestSessionFailoverReanchors(t *testing.T) {
 	}
 	if n := rt.sessions.failovers.Load(); n == 0 {
 		t.Fatalf("kill produced no failover")
+	}
+}
+
+// TestSessionFeedCancelIsNotAFailover cancels a feed while the pinned
+// shard holds it: the caller gets its own cancellation back, and the
+// shard stays alive, the session stays pinned to it and no session
+// failover is counted. The session then feeds to its end there.
+func TestSessionFeedCancelIsNotAFailover(t *testing.T) {
+	set := newShardSet(t, 3)
+	rt, _ := newTestRouter(t, set, nil)
+	created, err := rt.CreateSession(context.Background(), service.SessionCreateReq{Spec: liveSessionSpec()}, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.sessions.mu.Lock()
+	pinned := rt.sessions.m[created.ID].shard
+	rt.sessions.mu.Unlock()
+	var inj *chaos.Injector
+	for i, sh := range set.shards {
+		if sh.Name == pinned {
+			inj = set.injs[i]
+		}
+	}
+
+	// Stall the pinned shard's next request, and cancel the feed once
+	// that request is in the shard's handler. The shard serves the
+	// stalled request after the stall; its reply has no reader.
+	inj.StallNext(1, 250*time.Millisecond)
+	served := inj.Served()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for inj.Served() == served {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	if _, err := rt.FeedSession(ctx, created.ID, service.SessionFeedReq{Fed: 8}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled feed returned %v, want context.Canceled", err)
+	}
+	if n := rt.sessions.failovers.Load(); n != 0 {
+		t.Errorf("a cancelled feed counted %d session failovers, want 0", n)
+	}
+	if !rt.reg.isAlive(pinned) {
+		t.Errorf("a cancelled feed took pinned shard %s out of the rotation", pinned)
+	}
+	rt.sessions.mu.Lock()
+	now := rt.sessions.m[created.ID].shard
+	rt.sessions.mu.Unlock()
+	if now != pinned {
+		t.Errorf("a cancelled feed moved the session from %s to %s", pinned, now)
+	}
+
+	resp, err := rt.FeedSession(context.Background(), created.ID, service.SessionFeedReq{Fed: 24, EOS: true})
+	if err != nil {
+		t.Fatalf("feed to the end after the cancelled one: %v", err)
+	}
+	if !resp.Stats.Done {
+		t.Errorf("the session is not done after its last feed: %+v", resp.Stats)
+	}
+	if n := rt.sessions.failovers.Load(); n != 0 {
+		t.Errorf("%d session failovers after the cancelled feed, want 0", n)
 	}
 }

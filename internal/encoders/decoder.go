@@ -15,8 +15,9 @@ import (
 // DecodeBitstream decodes a container produced by an encode with
 // Options.KeepBitstream and returns the reconstructed frames. The
 // decoder mirrors the encoder's commit path exactly, so its output is
-// bit-identical to Result.Recon — the property the round-trip tests
-// assert for every family.
+// bit-identical to the encoder's own reconstruction — the property the
+// round-trip tests assert for every family (they ask the encode for a
+// cropped copy through the unexported Options.recon).
 func DecodeBitstream(data []byte) ([]*video.Frame, error) {
 	r := &bsReader{data: data}
 	hdr, err := parseHeader(r)

@@ -46,7 +46,8 @@ func TestDecodeRoundTripAllFamilies(t *testing.T) {
 		t.Run(string(fam), func(t *testing.T) {
 			enc := MustNew(fam)
 			_, crfHi := enc.CRFRange()
-			res, err := enc.Encode(context.Background(), clip, Options{CRF: crfHi / 2, Preset: midPresetFor(enc), KeepBitstream: true})
+			var recon []*video.Frame
+			res, err := enc.Encode(context.Background(), clip, Options{CRF: crfHi / 2, Preset: midPresetFor(enc), KeepBitstream: true, recon: &recon})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +58,7 @@ func TestDecodeRoundTripAllFamilies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertFramesEqual(t, string(fam), res.Recon, dec)
+			assertFramesEqual(t, string(fam), recon, dec)
 		})
 	}
 }
@@ -78,7 +79,10 @@ func TestDecodeRoundTripOperatingPoints(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := enc.Encode(context.Background(), clip, tc.opts)
+			var recon []*video.Frame
+			opts := tc.opts
+			opts.recon = &recon
+			res, err := enc.Encode(context.Background(), clip, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +90,7 @@ func TestDecodeRoundTripOperatingPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertFramesEqual(t, tc.name, res.Recon, dec)
+			assertFramesEqual(t, tc.name, recon, dec)
 		})
 	}
 }

@@ -7,13 +7,14 @@ import (
 
 	"vcprof/internal/metrics"
 	"vcprof/internal/sched"
+	"vcprof/internal/trace"
 	"vcprof/internal/video"
 )
 
 // Encode runs the model on the clip. It is safe for concurrent use with
-// distinct clips and options. The bitstream size, reconstruction,
-// quality metrics and (if instrumented) instruction-level counters are
-// returned in the Result. Cancelling ctx aborts the encode at the next
+// distinct clips and options. The bitstream size, quality metrics and
+// (if instrumented) instruction-level counters are returned in the
+// Result. Cancelling ctx aborts the encode at the next
 // task boundary and returns ctx's error, so a killed job stops burning
 // its worker instead of running to completion. The encode works in a
 // working set from the free list, given back once the Result is
@@ -74,13 +75,21 @@ func (m *model) Encode(ctx context.Context, clip *video.Clip, opts Options) (*Re
 	return res, nil
 }
 
-// assemble collects the Result from a completed stream encode.
+// assemble collects the Result from a completed stream encode. PSNR
+// and SSIM read each picture's reconstruction in place, through views
+// of its padded surfaces that the working set keeps.
 func (m *model) assemble(se *streamEncoder, ws *workerSet, clip *video.Clip, wall time.Duration) (*Result, error) {
-	res := &Result{Family: m.spec.family, Wall: wall}
+	n := len(se.pics)
+	res := &Result{Family: m.spec.family, Wall: wall,
+		FrameBytes: make([]int, 0, n), QIndices: make([]int, 0, n), FrameStages: make([]trace.StageCounts, 0, n)}
+	if se.opts.AnalyzeIntra {
+		res.IntraCosts = make([]uint64, 0, n)
+	}
+	recon := se.set.recon[:0]
 	for _, pic := range se.pics {
 		res.Bytes += pic.bytes
 		res.FrameBytes = append(res.FrameBytes, pic.bytes)
-		res.Recon = append(res.Recon, se.cropRecon(pic))
+		recon = append(recon, pic.reconView(se.w, se.h))
 		res.QIndices = append(res.QIndices, pic.qindex)
 		for i, n := range pic.shapeCount {
 			res.Shapes[i] += n
@@ -98,11 +107,18 @@ func (m *model) assemble(se *streamEncoder, ws *workerSet, clip *video.Clip, wal
 			res.IntraCosts = append(res.IntraCosts, sum)
 		}
 	}
+	se.set.recon = recon
+	if out := se.opts.recon; out != nil {
+		*out = make([]*video.Frame, len(se.pics))
+		for i, pic := range se.pics {
+			(*out)[i] = se.cropRecon(pic)
+		}
+	}
 	var err error
-	if res.PSNR, err = metrics.SequencePSNR(clip.Frames, res.Recon); err != nil {
+	if res.PSNR, err = metrics.SequencePSNR(clip.Frames, recon); err != nil {
 		return nil, err
 	}
-	if res.SSIM, err = metrics.SequenceSSIM(clip.Frames, res.Recon); err != nil {
+	if res.SSIM, err = metrics.SequenceSSIM(clip.Frames, recon); err != nil {
 		return nil, err
 	}
 	fps := clip.Meta.FPS
@@ -162,9 +178,10 @@ func ProfileSchedule(ctx context.Context, enc Encoder, clip *video.Clip, opts Op
 		return nil, nil, err
 	}
 	sc := &Schedule{Costs: costs}
-	for _, t := range g.tasks {
+	for i := range g.tasks {
+		t := &g.tasks[i]
 		sc.Deps = append(sc.Deps, append([]int(nil), t.deps...))
-		sc.Names = append(sc.Names, t.name)
+		sc.Names = append(sc.Names, t.name())
 	}
 	res, err := m.assemble(se, ws, clip, 0)
 	if err != nil {
@@ -174,7 +191,23 @@ func ProfileSchedule(ctx context.Context, enc Encoder, clip *video.Clip, opts Op
 	return sc, res, nil
 }
 
-// cropRecon extracts the unpadded reconstruction of a picture.
+// reconView points the picture's view frame at the w×h corner of its
+// reconstruction: the unpadded picture, read in place.
+func (p *picture) reconView(w, h int) *video.Frame {
+	p.viewY = window(p.recY.Plane, w, h)
+	p.viewU = window(p.recU.Plane, w/2, h/2)
+	p.viewV = window(p.recV.Plane, w/2, h/2)
+	p.view = video.Frame{Y: &p.viewY, U: &p.viewU, V: &p.viewV, Index: p.index}
+	return &p.view
+}
+
+// window is the w×h top-left corner of p, sharing p's samples.
+func window(p *video.Plane, w, h int) video.Plane {
+	return video.Plane{W: w, H: h, Stride: p.Stride, Pix: p.Pix}
+}
+
+// cropRecon copies the unpadded reconstruction of a picture (only for
+// Options.recon).
 func (se *streamEncoder) cropRecon(pic *picture) *video.Frame {
 	f := &video.Frame{
 		Y:     cropPlane(pic.recY.Plane, se.w, se.h),

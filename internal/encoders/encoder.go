@@ -98,14 +98,19 @@ type Options struct {
 	// ladder-share path. The cache must have been published for the
 	// same source frames and preset toolset.
 	AnalysisConsume *AnalysisCache
+
+	// recon, when non-nil, receives a copy of every picture's
+	// reconstruction cropped to the clip's size: the oracle the
+	// package's tests compare the decoder against. An encode otherwise
+	// reads the reconstruction in place and keeps none of it.
+	recon *[]*video.Frame
 }
 
 // Result reports the outcome of an encode.
 type Result struct {
 	Family      Family
-	Bytes       int   // total bitstream size
-	FrameBytes  []int // per-frame bitstream sizes
-	Recon       []*video.Frame
+	Bytes       int     // total bitstream size
+	FrameBytes  []int   // per-frame bitstream sizes
 	PSNR        float64 // sequence YUV PSNR vs the source
 	SSIM        float64 // sequence luma SSIM vs the source
 	BitrateKbps float64

@@ -188,15 +188,15 @@ func TestKeyIntervalInsertsKeyframes(t *testing.T) {
 
 func TestReconMatchesSourceDimensions(t *testing.T) {
 	clip := testClip(t, "cat", 3, 16)
-	res, err := MustNew(VP9).Encode(context.Background(), clip, Options{CRF: 30, Preset: 4})
-	if err != nil {
+	var recon []*video.Frame
+	if _, err := MustNew(VP9).Encode(context.Background(), clip, Options{CRF: 30, Preset: 4, recon: &recon}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Recon) != 3 {
-		t.Fatalf("%d recon frames, want 3", len(res.Recon))
+	if len(recon) != 3 {
+		t.Fatalf("%d recon frames, want 3", len(recon))
 	}
 	src := clip.Frames[0]
-	for i, f := range res.Recon {
+	for i, f := range recon {
 		if f.Width() != src.Width() || f.Height() != src.Height() {
 			t.Errorf("recon %d is %dx%d, want %dx%d", i, f.Width(), f.Height(), src.Width(), src.Height())
 		}
@@ -527,7 +527,8 @@ func TestABRHitsTargetBitrate(t *testing.T) {
 	}
 	enc := MustNew(SVTAV1)
 	for _, target := range []float64{150, 600} {
-		res, err := enc.Encode(context.Background(), clip, Options{TargetKbps: target, Preset: 6, KeepBitstream: true})
+		var recon []*video.Frame
+		res, err := enc.Encode(context.Background(), clip, Options{TargetKbps: target, Preset: 6, KeepBitstream: true, recon: &recon})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +550,7 @@ func TestABRHitsTargetBitrate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("target %v: decode: %v", target, err)
 		}
-		assertFramesEqual(t, "abr", res.Recon, dec)
+		assertFramesEqual(t, "abr", recon, dec)
 	}
 	// Higher target buys more bytes and quality.
 	lo, err := enc.Encode(context.Background(), clip, Options{TargetKbps: 150, Preset: 6})
@@ -600,7 +601,8 @@ func TestSceneCutInsertsKeyframe(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := MustNew(SVTAV1)
-	res, err := enc.Encode(context.Background(), clip, Options{CRF: 40, Preset: 6, SceneCut: true, KeepBitstream: true})
+	var recon []*video.Frame
+	res, err := enc.Encode(context.Background(), clip, Options{CRF: 40, Preset: 6, SceneCut: true, KeepBitstream: true, recon: &recon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +628,7 @@ func TestSceneCutInsertsKeyframe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertFramesEqual(t, "scenecut", res.Recon, dec)
+	assertFramesEqual(t, "scenecut", recon, dec)
 	// Coding the cut frame as intra should beat coding it as inter from
 	// an unrelated scene (quality at similar-or-better efficiency).
 	if res.PSNR < plain.PSNR-0.1 {
@@ -653,7 +655,8 @@ func TestHalfPelImprovesSlowPresetRD(t *testing.T) {
 	// phases in the bitstream.
 	clip := testClip(t, "game1", 5, 12)
 	enc := MustNew(SVTAV1)
-	res, err := enc.Encode(context.Background(), clip, Options{CRF: 30, Preset: 3, KeepBitstream: true})
+	var recon []*video.Frame
+	res, err := enc.Encode(context.Background(), clip, Options{CRF: 30, Preset: 3, KeepBitstream: true, recon: &recon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +664,7 @@ func TestHalfPelImprovesSlowPresetRD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertFramesEqual(t, "halfpel", res.Recon, dec)
+	assertFramesEqual(t, "halfpel", recon, dec)
 	// The header must advertise the tool at this preset.
 	r := &bsReader{data: res.Bitstream}
 	hdr, err := parseHeader(r)

@@ -68,6 +68,10 @@ type picture struct {
 	recY  codec.Surface
 	recU  codec.Surface
 	recV  codec.Surface
+	// view is the reconstruction at the clip's size, its planes windows
+	// on recY/recU/recV (reconView); assemble reads PSNR and SSIM there.
+	view                video.Frame
+	viewY, viewU, viewV video.Plane
 	// regions names the six surfaces' address-space regions, in the
 	// order of surfaces().
 	regions [6]string
@@ -239,12 +243,11 @@ func newStreamEncoder(spec familySpec, clip *video.Clip, opts Options) (*streamE
 	se.gw = se.aw / analysisGrid
 	se.gh = se.ah / analysisGrid
 	for i, f := range clip.Frames {
-		pic, err := se.newPicture(i, f)
-		if err != nil {
+		if _, err := se.newPicture(i, f); err != nil {
 			return nil, err
 		}
-		se.pics = append(se.pics, pic)
 	}
+	se.pics = se.set.pics[:len(clip.Frames)]
 	if opts.SceneCut {
 		if err := se.detectSceneCuts(nil); err != nil {
 			return nil, err

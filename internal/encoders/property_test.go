@@ -10,6 +10,7 @@ import (
 
 	"vcprof/internal/codec"
 	"vcprof/internal/codec/entropy"
+	"vcprof/internal/video"
 )
 
 // randomDAG builds a random schedule whose edges always point backward,
@@ -214,8 +215,9 @@ func TestCrossEncoderRoundTripAndDeterminism(t *testing.T) {
 			r := rand.New(rand.NewSource(propSeed(fam)))
 			for _, pt := range randomPoints(r, enc, 3) {
 				clip := testClip(t, pt.clip, pt.frames, 16)
+				var recon []*video.Frame
 				opts := Options{CRF: famCRF(enc, pt.crf), Preset: pt.preset,
-					Threads: pt.threads, KeepBitstream: true}
+					Threads: pt.threads, KeepBitstream: true, recon: &recon}
 				res, err := enc.Encode(context.Background(), clip, opts)
 				if err != nil {
 					t.Fatalf("%v: encode: %v", pt, err)
@@ -224,7 +226,7 @@ func TestCrossEncoderRoundTripAndDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v: decode: %v", pt, err)
 				}
-				assertFramesEqual(t, pt.String(), res.Recon, dec)
+				assertFramesEqual(t, pt.String(), recon, dec)
 				res2, err := enc.Encode(context.Background(), clip, opts)
 				if err != nil {
 					t.Fatalf("%v: re-encode: %v", pt, err)

@@ -39,45 +39,106 @@ import (
 // from host wall-clock, so they are deterministic and reproducible on
 // any machine, including single-core CI runners.
 
-// task is one schedulable unit. pic, when set, is the picture the
-// task's work is attributed to for the per-frame stage breakdown.
-// cost is the builder's static work estimate (roughly superblocks
-// scaled by preset effort), used only to steer the pool.
+// taskKind is what a task does. i and j place the task in its
+// picture, as each kind's comment says.
+type taskKind uint8
+
+const (
+	taskAnalyze      taskKind = iota // open-loop analysis of grid rows [i, j)
+	taskSegment                      // SVT-AV1 segment at superblock row i, column chunk j
+	taskDeblock                      // SVT-AV1 deblock of superblock row i
+	taskFinalize                     // SVT-AV1 frame size and rate update
+	taskTile                         // libaom/VP9 tile in partition slot i, its analysis included
+	taskTileFinalize                 // libaom/VP9 whole-frame deblock, size and rate update
+	taskRow                          // x264 superblock row i
+	taskMaster                       // x265 whole-frame encode
+)
+
+// task is one schedulable unit: what it does to picture pic, to which
+// its work is attributed for the per-frame stage breakdown. cost is
+// the builder's static work estimate (roughly superblocks scaled by
+// preset effort), used only to steer the pool. A task holds no closure
+// and no name, so building a graph on a recycled working set
+// allocates nothing; name formats its label when one is asked for.
 type task struct {
-	name string
-	deps []int
+	kind taskKind
 	pic  *picture
+	i, j int
+	deps []int
 	cost uint64
-	run  func(worker int, tc *trace.Ctx) error
+}
+
+// name is the task's label, for errors, pool observers and
+// Schedule.Names.
+func (t *task) name() string {
+	p := t.pic.index
+	switch t.kind {
+	case taskAnalyze:
+		return fmt.Sprintf("analyze/p%d/g%d", p, t.i)
+	case taskSegment:
+		return fmt.Sprintf("seg/p%d/r%d/c%d", p, t.i, t.j)
+	case taskDeblock:
+		return fmt.Sprintf("deblock/p%d/r%d", p, t.i)
+	case taskFinalize, taskTileFinalize:
+		return fmt.Sprintf("finalize/p%d", p)
+	case taskTile:
+		return fmt.Sprintf("tile/p%d/t%d", p, t.i)
+	case taskRow:
+		return fmt.Sprintf("row/p%d/r%d", p, t.i)
+	case taskMaster:
+		return fmt.Sprintf("encode/p%d", p)
+	}
+	return fmt.Sprintf("kind%d/p%d", t.kind, p)
 }
 
 // graph is a DAG of tasks in insertion order (a valid topological
-// order: builders only reference earlier tasks). Its storage is the
-// working set's, reused by the next encode's graph.
+// order: builders only reference earlier tasks), run by the stream
+// encoder se on the workers ws. Its storage is the working set's,
+// reused by the next encode's graph.
 type graph struct {
+	se    *streamEncoder
+	ws    *workerSet
 	tasks []task
-	deps  []int // every task's deps, back to back
+	deps  []int // every task's deps, back to back, then the next task's so far
+	next  int   // where the next task's deps start in deps
 }
 
 // reset empties g for a new encode's tasks, dropping the last one's.
 func (g *graph) reset() *graph {
 	clear(g.tasks)
-	g.tasks, g.deps = g.tasks[:0], g.deps[:0]
+	g.tasks, g.deps, g.next = g.tasks[:0], g.deps[:0], 0
+	g.se, g.ws = nil, nil
 	return g
 }
 
-// add appends a task attributed to pic and returns its id. All deps
-// must already exist.
-func (g *graph) add(pic *picture, name string, deps []int, cost uint64, run func(worker int, tc *trace.Ctx) error) int {
+// span is the task ids [lo, hi): builders add a picture's tasks of one
+// kind back to back.
+type span struct{ lo, hi int }
+
+// need adds ids to the dependences of the next task added.
+func (g *graph) need(ids ...int) { g.deps = append(g.deps, ids...) }
+
+// needSpan adds the ids of s, in order, to the dependences of the next
+// task added.
+func (g *graph) needSpan(s span) {
+	for id := s.lo; id < s.hi; id++ {
+		g.deps = append(g.deps, id)
+	}
+}
+
+// add appends a task of the given kind on pic, depending on the ids
+// need and needSpan gave since the last add, and returns its id. All
+// of them must already exist.
+func (g *graph) add(kind taskKind, pic *picture, i, j int, cost uint64) int {
 	id := len(g.tasks)
-	for _, d := range deps {
+	t := task{kind: kind, pic: pic, i: i, j: j, deps: g.deps[g.next:len(g.deps):len(g.deps)], cost: cost}
+	g.next = len(g.deps)
+	for _, d := range t.deps {
 		if d < 0 || d >= id {
-			panic(fmt.Sprintf("encoders: task %q depends on invalid task %d", name, d))
+			panic(fmt.Sprintf("encoders: task %q depends on invalid task %d", t.name(), d))
 		}
 	}
-	at := len(g.deps)
-	g.deps = append(g.deps, deps...)
-	g.tasks = append(g.tasks, task{name: name, deps: g.deps[at:len(g.deps):len(g.deps)], pic: pic, cost: cost, run: run})
+	g.tasks = append(g.tasks, t)
 	return id
 }
 
@@ -87,21 +148,61 @@ func (se *streamEncoder) sbCost() uint64 {
 	return uint64(4 + int(12*se.spec.effort(se.opts.Preset)))
 }
 
-// runTask executes one task on tc, snapshotting the context's
-// per-stage instruction counters around the body and folding the delta
-// into the task's picture. Each task runs wholly on one worker's
-// context, so the delta is exact; per-frame sums are therefore
-// independent of which worker ran what — the property that keeps the
-// obs frame spans byte-identical across worker counts.
-func runTask(t *task, worker int, tc *trace.Ctx) error {
-	if t.pic == nil || tc == nil {
-		return t.run(worker, tc)
+// runTask executes task i on tc, snapshotting the context's per-stage
+// instruction counters around the body and folding the delta into the
+// task's picture. Each task runs wholly on one worker's context, so
+// the delta is exact; per-frame sums are therefore independent of
+// which worker ran what — the property that keeps the obs frame spans
+// byte-identical across worker counts. A failure is labelled with the
+// task's name.
+func (g *graph) runTask(i, worker int, tc *trace.Ctx) error {
+	t := &g.tasks[i]
+	var err error
+	if tc == nil {
+		err = g.exec(t, worker, tc)
+	} else {
+		before := tc.StageCounts()
+		err = g.exec(t, worker, tc)
+		delta := tc.StageCounts().Sub(before)
+		t.pic.addStages(&delta)
 	}
-	before := tc.StageCounts()
-	err := t.run(worker, tc)
-	delta := tc.StageCounts().Sub(before)
-	t.pic.addStages(&delta)
-	return err
+	if err != nil {
+		return fmt.Errorf("task %s: %w", t.name(), err)
+	}
+	return nil
+}
+
+// exec does task t's work on worker's scratch and context tc.
+func (g *graph) exec(t *task, worker int, tc *trace.Ctx) error {
+	se, pic := g.se, t.pic
+	switch t.kind {
+	case taskAnalyze:
+		return se.analyzeRows(tc, pic, se.pics[pic.index-1], t.i, t.j, 0, se.gw)
+	case taskSegment:
+		return se.encodeSegment(worker, tc, g.ws, pic, t.i*se.colChunks()+t.j)
+	case taskDeblock:
+		deblockRows(tc, pic.recY, t.i*sbSize, (t.i+1)*sbSize, pic.step)
+		return nil
+	case taskFinalize:
+		pic.finalizeBytes()
+		return se.rateUpdate(pic)
+	case taskTile:
+		return se.encodeTile(worker, tc, g.ws, pic, t.i)
+	case taskTileFinalize:
+		deblockRows(tc, pic.recY, 0, se.ah, pic.step)
+		pic.finalizeBytes()
+		return se.rateUpdate(pic)
+	case taskRow:
+		return se.encodeRow(worker, tc, g.ws, pic, t.i)
+	case taskMaster:
+		if err := se.encodeSegment(worker, tc, g.ws, pic, 0); err != nil {
+			return err
+		}
+		deblockRows(tc, pic.recY, 0, se.ah, pic.step)
+		pic.finalizeBytes()
+		return se.rateUpdate(pic)
+	}
+	return fmt.Errorf("unknown task kind %d", t.kind)
 }
 
 // workerSet holds what tasks run against: one instrumentation context
@@ -144,8 +245,8 @@ func runInline(ctx context.Context, g *graph, ws *workerSet) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := runTask(&g.tasks[i], 0, ws.ctxs[0]); err != nil {
-			return fmt.Errorf("task %s: %w", g.tasks[i].name, err)
+		if err := g.runTask(i, 0, ws.ctxs[0]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -163,8 +264,8 @@ func runProfiled(ctx context.Context, g *graph, ws *workerSet) ([]uint64, error)
 			return nil, err
 		}
 		tc.Reset()
-		if err := runTask(&g.tasks[i], 0, tc); err != nil {
-			return nil, fmt.Errorf("task %s: %w", g.tasks[i].name, err)
+		if err := g.runTask(i, 0, tc); err != nil {
+			return nil, err
 		}
 		costs[i] = tc.Total()
 		if ws.ctxs[0] != nil {
@@ -193,29 +294,25 @@ type shardGraph struct {
 func (s *shardGraph) NumTasks() int      { return len(s.g.tasks) }
 func (s *shardGraph) Deps(i int) []int   { return s.g.tasks[i].deps }
 func (s *shardGraph) Cost(i int) uint64  { return s.g.tasks[i].cost }
-func (s *shardGraph) Label(i int) string { return s.g.tasks[i].name }
+func (s *shardGraph) Label(i int) string { return s.g.tasks[i].name() }
 
 func (s *shardGraph) Run(ctx context.Context, i, worker int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	t := &s.g.tasks[i]
 	var tc *trace.Ctx
 	if s.mu != nil {
 		tc = &s.ws.scratch[worker].task
 		tc.Reset()
 	}
-	err := runTask(t, worker, tc)
+	err := s.g.runTask(i, worker, tc)
 	if tc != nil {
 		slot := i % len(s.ws.ctxs)
 		s.mu[slot].Lock()
 		s.ws.ctxs[slot].Merge(tc)
 		s.mu[slot].Unlock()
 	}
-	if err != nil {
-		return fmt.Errorf("task %s: %w", t.name, err)
-	}
-	return nil
+	return err
 }
 
 // runSharded executes the graph on pool; ws must hold a scratch slot
@@ -455,47 +552,62 @@ const (
 
 // buildGraph dispatches to the family's threading architecture.
 func (se *streamEncoder) buildGraph(ws *workerSet) (*graph, error) {
+	g := se.set.graph.reset()
+	g.se, g.ws = se, ws
 	switch se.spec.sched {
 	case schedSegments:
-		return se.buildSegments(ws), nil
+		se.buildSegments(g)
 	case schedTiles:
-		return se.buildTiles(ws), nil
+		se.buildTiles(g)
 	case schedWavefront:
-		return se.buildFrameParallel(ws), nil
+		se.buildFrameParallel(g)
 	case schedMaster:
-		return se.buildMaster(ws), nil
+		se.buildMaster(g)
+	default:
+		return nil, fmt.Errorf("encoders: unknown scheduler %d", se.spec.sched)
 	}
-	return nil, fmt.Errorf("encoders: unknown scheduler %d", se.spec.sched)
+	return g, nil
 }
 
 // analysisBand is the grid-row granularity of analysis tasks.
 const analysisBand = 4
 
+// analysisTasks locates the tasks addAnalysisTasks added: from task
+// first on, bands per inter picture, picture by picture.
+type analysisTasks struct{ first, bands int }
+
+// of returns picture p's analysis tasks (none for picture 0).
+func (a analysisTasks) of(p int) span {
+	if p == 0 {
+		return span{}
+	}
+	lo := a.first + a.bands*(p-1)
+	return span{lo, lo + a.bands}
+}
+
 // addAnalysisTasks appends open-loop analysis tasks for every inter
-// picture (no dependences: analysis reads source frames only) and
-// returns the task ids per picture index.
-func (se *streamEncoder) addAnalysisTasks(g *graph) [][]int {
-	byPic := make([][]int, len(se.pics))
+// picture (no dependences: analysis reads source frames only).
+func (se *streamEncoder) addAnalysisTasks(g *graph) analysisTasks {
+	a := analysisTasks{first: len(g.tasks), bands: (se.gh + analysisBand - 1) / analysisBand}
 	for _, pic := range se.pics {
 		if pic.index == 0 {
 			continue
 		}
-		pic := pic
 		for gy := 0; gy < se.gh; gy += analysisBand {
-			gy := gy
-			end := gy + analysisBand
-			if end > se.gh {
-				end = se.gh
-			}
-			id := g.add(pic, fmt.Sprintf("analyze/p%d/g%d", pic.index, gy), nil,
-				uint64((end-gy)*se.gw+3)/4,
-				func(w int, tc *trace.Ctx) error {
-					return se.analyzeRows(tc, pic, se.pics[pic.index-1], gy, end, 0, se.gw)
-				})
-			byPic[pic.index] = append(byPic[pic.index], id)
+			end := min(gy+analysisBand, se.gh)
+			g.add(taskAnalyze, pic, gy, end, uint64((end-gy)*se.gw+3)/4)
 		}
 	}
-	return byPic
+	return a
+}
+
+// colChunks is the number of SVT-AV1 segments per superblock row: two
+// column chunks when the frame is wide enough.
+func (se *streamEncoder) colChunks() int {
+	if se.sbCols() >= 8 {
+		return 2
+	}
+	return 1
 }
 
 // ---------------------------------------------------------------------
@@ -505,77 +617,53 @@ func (se *streamEncoder) addAnalysisTasks(g *graph) [][]int {
 // segments (SVT disables prediction across segment borders exactly so
 // they can run concurrently); frames chain through the deblocked
 // reference.
-func (se *streamEncoder) buildSegments(ws *workerSet) *graph {
-	g := se.set.graph.reset()
+func (se *streamEncoder) buildSegments(g *graph) {
 	analysis := se.addAnalysisTasks(g)
 	rows, cols := se.sbRows(), se.sbCols()
-	// Two column chunks per SB row when the frame is wide enough.
-	colChunks := 1
-	if cols >= 8 {
-		colChunks = 2
-	}
-	var prevDeblock []int
+	colChunks := se.colChunks()
+	var prevDeblock span // the previous picture's deblock rows and finalize task
 	for _, pic := range se.pics {
-		pic := pic
 		pic.initSegments(rows * colChunks)
-		var segIDs []int
-		segAt := make([][]int, rows)
+		first := len(g.tasks)
+		segRow := func(r int) span {
+			lo := first + r*colChunks
+			return span{lo, lo + colChunks}
+		}
 		for r := 0; r < rows; r++ {
-			r := r
 			for cc := 0; cc < colChunks; cc++ {
-				cc := cc
 				rect := segRect{row0: r, row1: r + 1,
 					col0: cc * cols / colChunks, col1: (cc + 1) * cols / colChunks}
-				deps := append([]int(nil), analysis[pic.index]...)
-				deps = append(deps, prevDeblock...)
-				slot := r*colChunks + cc
-				pic.setSegment(slot, rect)
-				id := g.add(pic, fmt.Sprintf("seg/p%d/r%d/c%d", pic.index, r, cc), deps,
-					uint64((rect.row1-rect.row0)*(rect.col1-rect.col0))*se.sbCost(),
-					func(w int, tc *trace.Ctx) error {
-						return se.encodeSegment(w, tc, ws, pic, slot)
-					})
-				segIDs = append(segIDs, id)
-				segAt[r] = append(segAt[r], id)
+				pic.setSegment(r*colChunks+cc, rect)
+				g.needSpan(analysis.of(pic.index))
+				g.needSpan(prevDeblock)
+				g.add(taskSegment, pic, r, cc, uint64((rect.row1-rect.row0)*(rect.col1-rect.col0))*se.sbCost())
 			}
 		}
-		var deblockIDs []int
+		segs := span{first, len(g.tasks)}
 		for r := 0; r < rows; r++ {
-			r := r
-			deps := append([]int(nil), segAt[r]...)
+			g.needSpan(segRow(r))
 			if r > 0 {
-				deps = append(deps, segAt[r-1]...)
+				g.needSpan(segRow(r - 1))
 				// Boundary rows are touched by both adjacent deblock
 				// passes; chain them so the filter order is fixed.
-				deps = append(deps, deblockIDs[r-1])
+				g.need(len(g.tasks) - 1)
 			}
 			if r+1 < rows {
-				deps = append(deps, segAt[r+1]...)
+				g.needSpan(segRow(r + 1))
 			}
-			id := g.add(pic, fmt.Sprintf("deblock/p%d/r%d", pic.index, r), deps,
-				uint64(cols),
-				func(w int, tc *trace.Ctx) error {
-					deblockRows(tc, pic.recY, r*sbSize, (r+1)*sbSize, pic.step)
-					return nil
-				})
-			deblockIDs = append(deblockIDs, id)
+			g.add(taskDeblock, pic, r, 0, uint64(cols))
 		}
-		fin := g.add(pic, fmt.Sprintf("finalize/p%d", pic.index), segIDs, 1,
-			func(w int, tc *trace.Ctx) error {
-				pic.finalizeBytes()
-				return se.rateUpdate(pic)
-			})
-		prevDeblock = append(deblockIDs, fin)
+		g.needSpan(segs)
+		fin := g.add(taskFinalize, pic, 0, 0, 1)
+		prevDeblock = span{segs.hi, fin + 1}
 	}
-	return g
 }
 
 // ---------------------------------------------------------------------
 // libaom / libvpx-vp9: tile parallelism. A fixed 2×2 tile grid bounds
 // parallelism near 4x regardless of core count; each tile runs its own
 // analysis and encode, and frames chain through the deblocked reference.
-func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
-	g := se.set.graph.reset()
+func (se *streamEncoder) buildTiles(g *graph) {
 	rows, cols := se.sbRows(), se.sbCols()
 	tileRows := 2
 	if rows < 2 {
@@ -585,12 +673,10 @@ func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
 	if cols < 2 {
 		tileCols = 1
 	}
-	var prevPicDone []int
+	var prevPicDone span
 	for _, pic := range se.pics {
-		pic := pic
-		nTiles := tileRows * tileCols
-		pic.initSegments(nTiles)
-		var tileIDs []int
+		pic.initSegments(tileRows * tileCols)
+		first := len(g.tasks)
 		for tr := 0; tr < tileRows; tr++ {
 			for tcI := 0; tcI < tileCols; tcI++ {
 				rect := segRect{
@@ -599,33 +685,30 @@ func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
 				}
 				slot := tr*tileCols + tcI
 				pic.setSegment(slot, rect)
-				id := g.add(pic, fmt.Sprintf("tile/p%d/t%d", pic.index, slot), prevPicDone,
-					uint64((rect.row1-rect.row0)*(rect.col1-rect.col0))*(se.sbCost()+1),
-					func(w int, tc *trace.Ctx) error {
-						if pic.index > 0 {
-							gy0 := rect.row0 * sbSize / analysisGrid
-							gy1 := rect.row1 * sbSize / analysisGrid
-							gx0 := rect.col0 * sbSize / analysisGrid
-							gx1 := rect.col1 * sbSize / analysisGrid
-							if err := se.analyzeRows(tc, pic, se.pics[pic.index-1], gy0, gy1, gx0, gx1); err != nil {
-								return err
-							}
-						}
-						return se.encodeSegment(w, tc, ws, pic, slot)
-					})
-				tileIDs = append(tileIDs, id)
+				g.needSpan(prevPicDone)
+				g.add(taskTile, pic, slot, 0, uint64((rect.row1-rect.row0)*(rect.col1-rect.col0))*(se.sbCost()+1))
 			}
 		}
-		fin := g.add(pic, fmt.Sprintf("finalize/p%d", pic.index), tileIDs,
-			uint64(rows*cols)+1,
-			func(w int, tc *trace.Ctx) error {
-				deblockRows(tc, pic.recY, 0, se.ah, pic.step)
-				pic.finalizeBytes()
-				return se.rateUpdate(pic)
-			})
-		prevPicDone = []int{fin}
+		g.needSpan(span{first, len(g.tasks)})
+		fin := g.add(taskTileFinalize, pic, 0, 0, uint64(rows*cols)+1)
+		prevPicDone = span{fin, fin + 1}
 	}
-	return g
+}
+
+// encodeTile runs tile slot of pic: the open-loop analysis under it
+// (inter pictures), then its encode.
+func (se *streamEncoder) encodeTile(worker int, tc *trace.Ctx, ws *workerSet, pic *picture, slot int) error {
+	if pic.index > 0 {
+		rect := pic.segRects[slot]
+		gy0 := rect.row0 * sbSize / analysisGrid
+		gy1 := rect.row1 * sbSize / analysisGrid
+		gx0 := rect.col0 * sbSize / analysisGrid
+		gx1 := rect.col1 * sbSize / analysisGrid
+		if err := se.analyzeRows(tc, pic, se.pics[pic.index-1], gy0, gy1, gx0, gx1); err != nil {
+			return err
+		}
+	}
+	return se.encodeSegment(worker, tc, ws, pic, slot)
 }
 
 // ---------------------------------------------------------------------
@@ -633,21 +716,18 @@ func (se *streamEncoder) buildTiles(ws *workerSet) *graph {
 // Each frame's superblock rows form a chain; row r of frame i also
 // depends on row r+lag of frame i−1, where lag covers the downward
 // motion-search reach — x264's classic threading design.
-func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
-	g := se.set.graph.reset()
+func (se *streamEncoder) buildFrameParallel(g *graph) {
 	rows, cols := se.sbRows(), se.sbCols()
 	mvReach := se.ts.motionRange + se.ts.refineRange + 16
 	lag := (mvReach + sbSize - 1) / sbSize
-	rowIDs := make([][]int, len(se.pics))
+	prevFirst := 0 // the previous picture's row 0 task
 	for _, pic := range se.pics {
-		pic := pic
 		pic.initSegments(1)
 		pic.setSegment(0, segRect{row0: 0, row1: rows, col0: 0, col1: cols})
+		first := len(g.tasks)
 		for r := 0; r < rows; r++ {
-			r := r
-			var deps []int
 			if r > 0 {
-				deps = append(deps, rowIDs[pic.index][r-1])
+				g.need(first + r - 1)
 			}
 			if pic.index > 0 {
 				refRow := r + lag
@@ -656,52 +736,51 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 					// is only known once the previous frame finalizes.
 					refRow = rows - 1
 				}
-				deps = append(deps, rowIDs[pic.index-1][refRow])
+				g.need(prevFirst + refRow)
 			}
-			id := g.add(pic, fmt.Sprintf("row/p%d/r%d", pic.index, r), deps,
-				uint64(cols)*(se.sbCost()+2),
-				func(w int, tc *trace.Ctx) error {
-					// Row tasks of one frame share its one partition
-					// through a dependency chain (row r waits on row r-1):
-					// row 0 begins it, and each row retargets it.
-					sc := &pic.segs[0]
-					if r == 0 {
-						sc = se.beginSegment(pic, 0, tc, ws.scratch[w])
-					}
-					sc.tc = tc
-					sc.enc.SetCtx(tc)
-					sc.scratch = ws.scratch[w]
-					if pic.index > 0 {
-						gy0 := r * sbSize / analysisGrid
-						gy1 := (r + 1) * sbSize / analysisGrid
-						if err := se.analyzeRows(tc, pic, se.pics[pic.index-1], gy0, gy1, 0, se.gw); err != nil {
-							return err
-						}
-					}
-					for c := 0; c < cols; c++ {
-						if err := sc.encodeSB(c, r); err != nil {
-							return err
-						}
-					}
-					// Deblock the region that can no longer change.
-					if r > 0 {
-						deblockRows(tc, pic.recY, r*sbSize-8, r*sbSize+sbSize-8, pic.step)
-					} else {
-						deblockRows(tc, pic.recY, 0, sbSize-8, pic.step)
-					}
-					if r == rows-1 {
-						deblockRows(tc, pic.recY, se.ah-8, se.ah, pic.step)
-						pic.mergeStats(sc)
-						pic.segStreams[0] = sc.enc.Finish()
-						pic.finalizeBytes()
-						return se.rateUpdate(pic)
-					}
-					return nil
-				})
-			rowIDs[pic.index] = append(rowIDs[pic.index], id)
+			g.add(taskRow, pic, r, 0, uint64(cols)*(se.sbCost()+2))
+		}
+		prevFirst = first
+	}
+}
+
+// encodeRow runs superblock row r of pic on the frame's one partition.
+// Row tasks of one frame share it through a dependency chain (row r
+// waits on row r-1): row 0 begins it, and each row retargets it.
+func (se *streamEncoder) encodeRow(worker int, tc *trace.Ctx, ws *workerSet, pic *picture, r int) error {
+	sc := &pic.segs[0]
+	if r == 0 {
+		sc = se.beginSegment(pic, 0, tc, ws.scratch[worker])
+	}
+	sc.tc = tc
+	sc.enc.SetCtx(tc)
+	sc.scratch = ws.scratch[worker]
+	if pic.index > 0 {
+		gy0 := r * sbSize / analysisGrid
+		gy1 := (r + 1) * sbSize / analysisGrid
+		if err := se.analyzeRows(tc, pic, se.pics[pic.index-1], gy0, gy1, 0, se.gw); err != nil {
+			return err
 		}
 	}
-	return g
+	for c := 0; c < se.sbCols(); c++ {
+		if err := sc.encodeSB(c, r); err != nil {
+			return err
+		}
+	}
+	// Deblock the region that can no longer change.
+	if r > 0 {
+		deblockRows(tc, pic.recY, r*sbSize-8, r*sbSize+sbSize-8, pic.step)
+	} else {
+		deblockRows(tc, pic.recY, 0, sbSize-8, pic.step)
+	}
+	if r == se.sbRows()-1 {
+		deblockRows(tc, pic.recY, se.ah-8, se.ah, pic.step)
+		pic.mergeStats(sc)
+		pic.segStreams[0] = sc.enc.Finish()
+		pic.finalizeBytes()
+		return se.rateUpdate(pic)
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -710,28 +789,16 @@ func (se *streamEncoder) buildFrameParallel(ws *workerSet) *graph {
 // other cores can absorb. That division caps the speedup near the
 // lookahead's share of total work and concentrates everything else on
 // one core — the imbalance signature the paper reads from x265.
-func (se *streamEncoder) buildMaster(ws *workerSet) *graph {
-	g := se.set.graph.reset()
+func (se *streamEncoder) buildMaster(g *graph) {
 	analysis := se.addAnalysisTasks(g)
 	prev := -1
 	for _, pic := range se.pics {
-		pic := pic
-		deps := append([]int(nil), analysis[pic.index]...)
+		g.needSpan(analysis.of(pic.index))
 		if prev >= 0 {
-			deps = append(deps, prev)
+			g.need(prev)
 		}
 		pic.initSegments(1)
 		pic.setSegment(0, segRect{row0: 0, row1: se.sbRows(), col0: 0, col1: se.sbCols()})
-		prev = g.add(pic, fmt.Sprintf("encode/p%d", pic.index), deps,
-			uint64(se.sbRows()*se.sbCols())*(se.sbCost()+1),
-			func(w int, tc *trace.Ctx) error {
-				if err := se.encodeSegment(w, tc, ws, pic, 0); err != nil {
-					return err
-				}
-				deblockRows(tc, pic.recY, 0, se.ah, pic.step)
-				pic.finalizeBytes()
-				return se.rateUpdate(pic)
-			})
+		prev = g.add(taskMaster, pic, 0, 0, uint64(se.sbRows()*se.sbCols())*(se.sbCost()+1))
 	}
-	return g
 }

@@ -13,10 +13,11 @@ import (
 // workingSet is the memory one encode works in: the traced address
 // space, every picture's six surfaces and analysis grids, each entropy
 // partition's coder and output buffer, each worker's scratch with its
-// plan arena and task context, and the task graph's storage. An encode
-// takes one from the free list on entry and gives it back after
-// assemble, so a warm encode allocates little more than its outputs
-// (Result.Recon and the assembled bitstream, which never alias the
+// plan arena and task context, the task graph's storage, and the list
+// of reconstruction views assemble measures quality on. An encode takes
+// one from the free list on entry and gives it back after assemble, so
+// a warm encode allocates little more than its outputs (the Result's
+// per-frame slices and the assembled bitstream, which never alias the
 // set). Slot i of pics is always picture i, and a
 // reused slot registers its regions again under the names it formatted
 // once, in the order a new one would: every traced address is the same
@@ -27,7 +28,8 @@ type workingSet struct {
 	pics    []*picture
 	workers workerSet
 	graph   graph
-	size    int // bytes() when last released
+	recon   []*video.Frame // the pictures' reconstruction views, in order
+	size    int            // bytes() when last released
 }
 
 // idleSets is the free list of working sets between encodes. It is not

@@ -22,15 +22,11 @@ func dropIdleSets() {
 }
 
 // outputBytes is what a Result holds that its encode allocated for the
-// caller: the struct, the reconstructed frames and the bitstream, and
-// the per-frame and per-lane slices.
+// caller: the struct, the bitstream, and the per-frame and per-lane
+// slices.
 func outputBytes(res *Result) int {
 	n := int(unsafe.Sizeof(*res)) + len(res.Bitstream)
-	for _, f := range res.Recon {
-		n += int(unsafe.Sizeof(*f)) + 3*int(unsafe.Sizeof(video.Plane{}))
-		n += len(f.Y.Pix) + len(f.U.Pix) + len(f.V.Pix)
-	}
-	n += 8 * (cap(res.FrameBytes) + cap(res.QIndices) + cap(res.KeyFrames) + cap(res.Recon) +
+	n += 8 * (cap(res.FrameBytes) + cap(res.QIndices) + cap(res.KeyFrames) +
 		cap(res.IntraCosts) + cap(res.WorkerInsts))
 	n += cap(res.FrameStages) * int(unsafe.Sizeof(trace.StageCounts{}))
 	return n
@@ -43,33 +39,42 @@ func midPreset(enc Encoder) int {
 }
 
 // warmSlack is what a warm encode may allocate beyond its outputs: the
-// task graph's closures, names and builder lists and the scheduler's
-// per-run and per-task state, which are made per encode, and the
-// malloc size classes that round every output up: 4–11 KB here, with
-// or without the race detector. The bound is a third of the outputs
-// below (44–48 KB), and under a tenth of what the same encodes
-// allocate on a new working set.
-const warmSlack = 16 << 10
+// stream encoder and its toolset, the lanes' contexts a count-only
+// encode asks NewWorkerCtx for, the scheduler's per-run state on a
+// pool, and the malloc size classes that round every output up. It
+// read 0.8–2.8 KB here, with or without the race detector, against
+// outputs of 5.6–9.3 KB; the bound is that plus 1.2 KB.
+const warmSlack = 4 << 10
+
+// poolSlack is how much more a warm encode on a 2-worker pool may
+// allocate than the same encode inline: the run's bookkeeping, whose
+// allocation count does not grow with the graph (sched's
+// TestRunGraphAllocsIndependentOfTasks) but whose tables do. It read
+// 0.8–1.2 KB here.
+const poolSlack = 2 << 10
 
 // TestWarmEncodeAllocatesOnlyOutputs encodes a clip once and then
 // again on the same options: the later encodes work in the set the
 // first released, so they allocate their outputs and little else, on
-// nil and count-only contexts, inline and on a 2-worker pool.
+// nil and count-only contexts, inline and on a 2-worker pool. An arm on
+// the pool allocates at most poolSlack more than its inline twin.
 func TestWarmEncodeAllocatesOnlyOutputs(t *testing.T) {
 	clip := testClip(t, "cricket", 4, 12)
 	pool := sched.NewPool(sched.Config{Workers: 2})
 	defer pool.Close()
+	count := func(int) *trace.Ctx { return trace.New() }
 	for _, fam := range Families() {
 		enc := MustNew(fam)
+		inline := map[string]int{} // bytes of the inline arm, by context kind
 		for _, arm := range []struct {
-			name   string
-			newCtx func(int) *trace.Ctx
-			pool   *sched.Pool
+			name, ctx string
+			newCtx    func(int) *trace.Ctx
+			pool      *sched.Pool
 		}{
-			{"nil/inline", nil, nil},
-			{"count/inline", func(int) *trace.Ctx { return trace.New() }, nil},
-			{"nil/pool", nil, pool},
-			{"count/pool", func(int) *trace.Ctx { return trace.New() }, pool},
+			{"nil/inline", "nil", nil, nil},
+			{"count/inline", "count", count, nil},
+			{"nil/pool", "nil", nil, pool},
+			{"count/pool", "count", count, pool},
 		} {
 			t.Run(string(fam)+"/"+arm.name, func(t *testing.T) {
 				opts := Options{CRF: 20, Preset: midPreset(enc), Threads: 1, KeepBitstream: true, AnalyzeIntra: true,
@@ -92,9 +97,16 @@ func TestWarmEncodeAllocatesOnlyOutputs(t *testing.T) {
 						got, out = n, outputBytes(res)
 					}
 				}
+				t.Logf("%d B past outputs of %d B", got-out, out)
 				if got > out+warmSlack {
 					t.Errorf("warm encode allocated %d B, outputs are %d B: %d B past them, want at most %d",
 						got, out, got-out, warmSlack)
+				}
+				if arm.pool == nil {
+					inline[arm.ctx] = got
+				} else if base, ok := inline[arm.ctx]; ok && got > base+poolSlack {
+					t.Errorf("warm encode on the pool allocated %d B, %d B more than inline, want at most %d",
+						got, got-base, poolSlack)
 				}
 			})
 		}

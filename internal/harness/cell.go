@@ -179,8 +179,9 @@ func (c Cell) run(ctx context.Context) (CellResult, error) {
 
 // weight returns the eviction weight of a completed cell in bytes.
 // Window cells hold the chunks of tape their window reads in place, and
-// dominate memory; everything else is a handful of counters, charged a
-// nominal byte.
+// dominate memory; everything else is a handful of counters and
+// per-frame slices (an encode's Result holds no reconstruction, and
+// cells ask for no bitstream), charged a nominal byte.
 func (r CellResult) weight() int64 {
 	if r.Rec != nil {
 		return r.Rec.Tape.Bytes()

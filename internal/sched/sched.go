@@ -208,7 +208,7 @@ func (p *Pool) execute(rf taskRef, w int, kind takeKind) {
 	t := int(rf.task)
 	err := r.ctx.Err()
 	if err == nil {
-		err = r.g.Run(withWorker(r.ctx, p, w), t, w)
+		err = r.g.Run(r.workerCtx(p, w), t, w)
 	}
 	p.stats.tasks.Add(1)
 	obsTasks.Add(1)
@@ -242,7 +242,7 @@ func (p *Pool) RunGraph(ctx context.Context, g Graph) error {
 	if n == 0 {
 		return ctx.Err()
 	}
-	r, err := newRun(ctx, g)
+	r, err := newRun(ctx, g, p.workers)
 	if err != nil {
 		return err
 	}
@@ -316,7 +316,7 @@ func (p *Pool) complete(r *run, t, w int, err error) {
 		r.firstErr = err
 		r.cancel()
 	}
-	for _, dep := range r.dependents[t] {
+	for _, dep := range r.dependents(t) {
 		r.indeg[dep]--
 		if r.indeg[dep] == 0 {
 			p.enqueueLocked(r, dep, w)
