@@ -1,7 +1,9 @@
 # CI entry points. `make ci` is the gate: formatting, vet, build (and a
 # cross-build for arm64, where the kernels' Go twins are the only path),
-# the vclint determinism/concurrency analyzers, the full test suite, a
-# short smoke of all 21 of the tree's fuzz targets, a single-iteration benchmark pass
+# the vclint determinism/concurrency analyzers, the full test suite
+# (which checks the architecture contracts, TestArchitectureContracts,
+# and the kernels' layout, kernel.TestKernelLayout), a short smoke of
+# all 21 of the tree's fuzz targets, a single-iteration benchmark pass
 # (which includes the obs disabled-path overhead guard), a 1/50-scale
 # pass of vcbench, the end-to-end smoke, the check that the
 # committed results/ CSVs are what the tree prints, and the race pass
@@ -23,9 +25,9 @@ VET_PASSES = -appends -asmdecl -assign -atomic -bools -buildtag \
 	-stringintconv -structtag -testinggoroutine -tests -timeformat \
 	-unmarshal -unreachable -unsafeptr -unusedresult
 
-.PHONY: ci fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api loc test race golden results-check bench bench-short perf perf-short fuzz-smoke smoke
+.PHONY: ci fmt vet build cross lint loc test race golden results-check bench bench-short perf perf-short fuzz-smoke smoke
 
-ci: fmt vet build cross lint one-table one-machine one-recorder one-kernel one-wait one-api test fuzz-smoke bench-short perf-short smoke results-check race
+ci: fmt vet build cross lint test fuzz-smoke bench-short perf-short smoke results-check race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -47,79 +49,6 @@ vet:
 # enclosing function declaration).
 lint:
 	$(GO) run ./cmd/vclint ./...
-
-# internal/memo is the only place bounded-table policy is written
-# (DESIGN.md §4): no other non-test file may import container/list or
-# declare an evict...Locked function.
-one-table:
-	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=memo \
-		'"container/list"|^func .*evict[A-Za-z]*Locked' .
-
-# The modeled machine is written down once, in internal/uarch/machine
-# (DESIGN.md §4): outside it and bench/ no non-test file spells out a
-# cache level's geometry or defaults to the machine's predictor by name
-# (bpred's name table and the harness's ablation predictor list name
-# predictors, not the machine), and none outside the cache package
-# builds the paper machine's hierarchy per cell with NewXeonHierarchy
-# instead of borrowing one from the free list.
-one-machine:
-	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=machine --exclude-dir=bench \
-		'(cache\.Config|machine\.Cache)\{[^}]*SizeBytes:' .
-	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=machine --exclude-dir=bench \
-		'"tage-8KB"' . | grep -vE '^\./internal/uarch/bpred/monitor\.go:|^\./internal/harness/exp_ablation\.go:.*\[\]string\{'
-	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=cache --exclude-dir=bench \
-		'NewXeonHierarchy(' .
-
-# A recording is a trace.Tape written as the encode runs, and a window
-# is a view of it that every reader reads in place (DESIGN.md §4): no
-# non-test file outside internal/trace and bench/ materialises a window
-# (MicroOps is the per-op oracles' input) or holds micro-ops in a slice,
-# but for the branch lists internal/cbp scores; internal/trace has
-# exactly one Read, the only parser of trace bytes from outside; and
-# perf/record.go holds exactly one Encode call — the recording one, run
-# again only for a run that outgrew its tape — so neither a second copy
-# of the window, a second file format nor a counting encode ahead of
-# every recording can creep back.
-one-recorder:
-	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=trace --exclude-dir=bench \
-		'MicroOps\(|Expand\(' .
-	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=trace --exclude-dir=bench --exclude-dir=cbp \
-		'\[\]trace\.MicroOp' .
-	@test "$$(ls internal/trace/*.go | grep -v _test.go | xargs cat | grep -c '^func Read')" = 1 || \
-		{ echo "internal/trace must have exactly one func Read"; exit 1; }
-	@test "$$(grep -c 'enc\.Encode(' internal/perf/record.go)" = 1 || \
-		{ echo "internal/perf/record.go must call enc.Encode exactly once"; exit 1; }
-
-# The host kernels are assembly twins of Go loops that produce the same
-# bits (DESIGN.md §4), all in one package: no assembly outside
-# internal/codec/kernel, whose one _other.go (the package on every other
-# platform) is the only one in the tree, and no fused multiply-add in
-# it, whose single rounding is exactly what the Go loops must not and
-# cannot match. TestKernelLayout walks the module and checks all three,
-# so `make test` checks them too.
-one-kernel:
-	$(GO) test ./internal/codec/kernel -run '^TestKernelLayout$$' -count=1
-
-# A job's completion is pushed to whoever waits for it (DESIGN.md §8):
-# Client.Drive is the submit helper plus one held request, so its body
-# sleeps nowhere — the 429/reconnect pacing lives in submitAccepted, the
-# guard against a server without ?wait= in awaitResult — and no non-test
-# file outside bench/ brings back a client-side status read, a GET of the
-# status endpoint, or a doubling poll delay to loop on.
-one-wait:
-	@! awk '/^func \(c Client\) Drive/,/^}/' internal/service/client.go | grep -n 'Sleep'
-	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench \
-		'^func \(c Client\) Status|MethodGet, [^,]*"/v1/jobs/"|delay \*= 2' .
-
-# One API, two backends (DESIGN.md §8): the job and session routes a
-# daemon and a gate both serve are registered by service.(*API).Mount
-# alone, so no non-test file outside internal/service mounts a
-# /v1/jobs, /v1/results, /v1/sessions, /v1/trace, /v1/cluster/trace,
-# /v1/slo, /metrics or /healthz pattern of its own.
-one-api:
-	@! grep -rnE --include='*.go' --exclude='*_test.go' \
-		'Handle(Func)?\("([A-Z]+ )?/(v1/(jobs|results|sessions|trace|cluster/trace|slo)|metrics|healthz)' . | \
-		grep -v '^\./internal/service/'
 
 # The canonical size figure every simplicity PR quotes: non-test Go
 # lines outside bench/. Assembly is counted on its own line.

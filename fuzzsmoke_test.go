@@ -1,9 +1,8 @@
 package vcprof
 
 import (
-	"io/fs"
 	"os"
-	"path/filepath"
+	"path"
 	"regexp"
 	"slices"
 	"strings"
@@ -40,26 +39,14 @@ func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 	}
 
 	var declared []string
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata"):
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		src, err := os.ReadFile(path)
+	for _, p := range moduleGoFiles(t, true) {
+		src, err := os.ReadFile(p)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		for _, m := range fuzzFunc.FindAllSubmatch(src, -1) {
-			declared = append(declared, "./"+filepath.ToSlash(filepath.Dir(path))+" "+string(m[1]))
+			declared = append(declared, "./"+path.Dir(p)+" "+string(m[1]))
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(declared) == 0 {
 		t.Fatal("no Fuzz function found: the walk did not reach the packages")

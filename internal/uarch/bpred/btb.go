@@ -13,9 +13,6 @@ type BTB struct {
 	assoc int
 	lines []btbEntry
 	clock uint64
-
-	Lookups uint64
-	Hits    uint64
 }
 
 type btbEntry struct {
@@ -37,24 +34,22 @@ func NewBTB(entries, assoc int) (*BTB, error) {
 	return &BTB{sets: entries / assoc, assoc: assoc, lines: make([]btbEntry, entries)}, nil
 }
 
-// Reset clears all entries and counters.
+// Reset clears all entries.
 func (b *BTB) Reset() {
 	for i := range b.lines {
 		b.lines[i] = btbEntry{}
 	}
-	b.clock, b.Lookups, b.Hits = 0, 0, 0
+	b.clock = 0
 }
 
 // Lookup predicts the target for a branch at pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
 	b.clock++
-	b.Lookups++
 	set := int((pc >> 2) % uint64(b.sets))
 	base := set * b.assoc
 	for i := base; i < base+b.assoc; i++ {
 		if b.lines[i].valid && b.lines[i].tag == pc {
 			b.lines[i].lru = b.clock
-			b.Hits++
 			return b.lines[i].target, true
 		}
 	}
@@ -84,58 +79,4 @@ func (b *BTB) Update(pc, target uint64) {
 		}
 	}
 	b.lines[victim] = btbEntry{tag: pc, target: target, lru: b.clock, valid: true}
-}
-
-// HitRate returns hits per lookup.
-func (b *BTB) HitRate() float64 {
-	if b.Lookups == 0 {
-		return 0
-	}
-	return float64(b.Hits) / float64(b.Lookups)
-}
-
-// RAS is a return-address stack predicting return targets. Calls push,
-// returns pop; overflow wraps (the oldest entries are clobbered), like
-// hardware stacks.
-type RAS struct {
-	stack []uint64
-	top   int
-	depth int
-
-	Pops       uint64
-	Mispredict uint64
-}
-
-// NewRAS builds a return-address stack of the given depth.
-func NewRAS(depth int) (*RAS, error) {
-	if depth <= 0 {
-		return nil, fmt.Errorf("bpred: invalid RAS depth %d", depth)
-	}
-	return &RAS{stack: make([]uint64, depth)}, nil
-}
-
-// Push records a call's return address.
-func (r *RAS) Push(ret uint64) {
-	r.stack[r.top%len(r.stack)] = ret
-	r.top++
-	if r.depth < len(r.stack) {
-		r.depth++
-	}
-}
-
-// Pop predicts a return target and scores it against the actual target.
-func (r *RAS) Pop(actual uint64) (predicted uint64, correct bool) {
-	r.Pops++
-	if r.depth == 0 {
-		r.Mispredict++
-		return 0, false
-	}
-	r.top--
-	r.depth--
-	predicted = r.stack[r.top%len(r.stack)]
-	correct = predicted == actual
-	if !correct {
-		r.Mispredict++
-	}
-	return predicted, correct
 }

@@ -43,30 +43,6 @@ func (p *Plane) Clone() *Plane {
 	return q
 }
 
-// Block copies the w×h block at (x, y) into dst (row-major, stride w).
-// Blocks that overhang the plane edge are padded by edge replication,
-// matching codec reference-frame border extension.
-func (p *Plane) Block(x, y, w, h int, dst []byte) {
-	for j := 0; j < h; j++ {
-		sy := y + j
-		if sy < 0 {
-			sy = 0
-		} else if sy >= p.H {
-			sy = p.H - 1
-		}
-		row := p.Pix[sy*p.Stride:]
-		for i := 0; i < w; i++ {
-			sx := x + i
-			if sx < 0 {
-				sx = 0
-			} else if sx >= p.W {
-				sx = p.W - 1
-			}
-			dst[j*w+i] = row[sx]
-		}
-	}
-}
-
 // Frame is a YUV 4:2:0 picture.
 type Frame struct {
 	Y, U, V *Plane
@@ -121,12 +97,4 @@ func (c *Clip) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PixelsPerFrame returns the luma pixel count of one frame.
-func (c *Clip) PixelsPerFrame() int {
-	if len(c.Frames) == 0 {
-		return 0
-	}
-	return c.Frames[0].Width() * c.Frames[0].Height()
 }

@@ -85,32 +85,6 @@ func TestNewFrameValidation(t *testing.T) {
 	}
 }
 
-func TestPlaneBlockEdgeReplication(t *testing.T) {
-	p := NewPlane(4, 4)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			p.Set(x, y, byte(y*4+x))
-		}
-	}
-	dst := make([]byte, 16)
-	p.Block(-2, -2, 4, 4, dst)
-	if dst[0] != p.At(0, 0) {
-		t.Errorf("top-left overhang = %d, want replicated corner %d", dst[0], p.At(0, 0))
-	}
-	p.Block(2, 2, 4, 4, dst)
-	if dst[15] != p.At(3, 3) {
-		t.Errorf("bottom-right overhang = %d, want replicated corner %d", dst[15], p.At(3, 3))
-	}
-	// Interior extraction must be exact.
-	p.Block(1, 1, 2, 2, dst[:4])
-	want := []byte{5, 6, 9, 10}
-	for i, w := range want {
-		if dst[i] != w {
-			t.Errorf("interior block[%d] = %d, want %d", i, dst[i], w)
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	meta, err := LookupClip("game1")
 	if err != nil {
@@ -188,9 +162,6 @@ func TestClipValidateMismatchedFrames(t *testing.T) {
 	empty := &Clip{}
 	if err := empty.Validate(); err != ErrNoFrames {
 		t.Errorf("Validate(empty) = %v, want ErrNoFrames", err)
-	}
-	if empty.PixelsPerFrame() != 0 {
-		t.Error("PixelsPerFrame on empty clip should be 0")
 	}
 }
 
