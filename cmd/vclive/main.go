@@ -84,7 +84,7 @@ func run() error {
 
 	var drive func(i int) (sessionOutcome, error)
 	if *addr == "" {
-		// One shared work-stealing pool for the whole run: the
+		// One shared shard pool for the whole run: the
 		// schedule-invariance contract says its worker count and seed
 		// cannot change a byte of any digest.
 		pool := sched.NewPool(sched.Config{Workers: *conc, Seed: *seed})

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -25,20 +24,6 @@ func (s pathScope) in(pkgPath string) bool {
 		}
 	}
 	return strings.Contains(pkgPath, "testdata/"+s.name)
-}
-
-// inFile reports whether one file of a package falls inside the scope:
-// its package does, or a scope entry names the file itself
-// ("vcprof/internal/trace/ctx.go") — for a package whose hot path is
-// one file among cold ones.
-func (s pathScope) inFile(pkgPath, filename string) bool {
-	file := pkgPath + "/" + filepath.Base(filename)
-	for _, p := range s.paths {
-		if p == file {
-			return true
-		}
-	}
-	return s.in(pkgPath)
 }
 
 // calleeFunc resolves the function or method a call expression invokes,

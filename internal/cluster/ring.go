@@ -87,6 +87,3 @@ func (r *Ring) Owners(key string, n int) []string {
 	}
 	return owners
 }
-
-// Shards reports the number of distinct shards on the ring.
-func (r *Ring) Shards() int { return r.shards }

@@ -476,12 +476,14 @@ func TestHedgeLoserShardAbandonsJob(t *testing.T) {
 	set := newShardSet(t, 2)
 	rt, _ := newTestRouter(t, set, func(c *Config) { c.HedgeMax = 20 * time.Millisecond })
 
-	// Both of s0's workers are busy with seconds of somebody else's work.
+	// Both of s0's workers are busy with seconds of somebody else's work
+	// (about 3 s each on a 2-vCPU Xeon; at ScaleDiv 16 it was 0.3 s,
+	// which a loaded host's hedged drive could outlast).
 	s0 := service.Client{Base: set.shards[0].URL}
 	var busy []string
 	for _, crf := range []int{30, 34} {
 		long := service.JobSpec{Kind: service.KindEncode, Family: "svt-av1", Clip: "desktop",
-			Frames: 64, ScaleDiv: 16, CRF: crf, Preset: 0, Threads: 1}
+			Frames: 64, ScaleDiv: 2, CRF: crf, Preset: 0, Threads: 1}
 		long.Normalize()
 		payload, _ := json.Marshal(&long)
 		if _, code, err := s0.Submit(context.Background(), payload, ""); err != nil || code != http.StatusAccepted {

@@ -53,7 +53,7 @@ func checkPoolsMatch(t *testing.T, enc Encoder, clip *video.Clip, opts Options, 
 }
 
 // TestExecutorMatchesSerial pins the shard-handoff contract at the
-// encoder level: an encode whose task graph runs on a work-stealing
+// encoder level: an encode whose task graph runs on a shared
 // pool returns a Result identical to the inline serial path — same
 // bitstream, quality, instruction totals, mix, per-worker attribution
 // and per-frame stage breakdown — at several worker counts and seeds.

@@ -1,6 +1,6 @@
 // The experiment engine: every experiment declares its measurement grid
 // as a slice of Cells plus a deterministic assembly function; the engine
-// submits the cells as a task graph to a work-stealing shard pool
+// submits the cells as a task graph to a shard pool
 // (internal/sched), memoizes every cell process-wide (fig4–fig7 and the
 // RD/preset sweeps share their SVT-AV1 stat cells instead of
 // recomputing them), and gathers results by cell index so rendered
@@ -150,7 +150,7 @@ func runExperiment(ctx context.Context, e Experiment, s Scale, workers int, sess
 	return tables, len(p.Cells), hits, err
 }
 
-// runCells evaluates a cell grid on the work-stealing shard pool.
+// runCells evaluates a cell grid on the shard pool.
 // Results land at their cell's index regardless of completion order,
 // which is what makes assembly deterministic. When the context already
 // carries a pool (a daemon's process-wide scheduler, a test's seeded

@@ -24,7 +24,7 @@ const instPerCycle = 2
 // Config carries the session's execution environment.
 type Config struct {
 	// Pool, when non-nil, runs each GOP's encode task graph on the
-	// shared work-stealing pool. Results are byte-identical with and
+	// shared shard pool. Results are byte-identical with and
 	// without it (the schedule-invariance contract).
 	Pool *sched.Pool
 }

@@ -159,41 +159,6 @@ func BDRate(anchor, test RDCurve) (float64, error) {
 	return (math.Pow(10, avgDiff) - 1) * 100, nil
 }
 
-// BDPSNR computes the Bjøntegaard delta PSNR of curve test relative to
-// anchor: the average dB gained at equal bitrate (positive = test is
-// better). It integrates cubic fits of PSNR as a function of log-rate
-// over the overlapping rate interval.
-func BDPSNR(anchor, test RDCurve) (float64, error) {
-	if len(anchor) < 4 || len(test) < 4 {
-		return 0, fmt.Errorf("metrics: BDPSNR needs >=4 points per curve, got %d and %d", len(anchor), len(test))
-	}
-	a := append(RDCurve(nil), anchor...)
-	b := append(RDCurve(nil), test...)
-	a.sortByRate()
-	b.sortByRate()
-	for _, c := range []RDCurve{a, b} {
-		for _, p := range c {
-			if p.BitrateKbps <= 0 {
-				return 0, fmt.Errorf("metrics: BDPSNR requires positive bitrates, got %v", p.BitrateKbps)
-			}
-		}
-	}
-	ca, err := fitCubic(logRates(a), psnrs(a))
-	if err != nil {
-		return 0, err
-	}
-	cb, err := fitCubic(logRates(b), psnrs(b))
-	if err != nil {
-		return 0, err
-	}
-	lo := math.Max(minf(logRates(a)), minf(logRates(b)))
-	hi := math.Min(maxf(logRates(a)), maxf(logRates(b)))
-	if hi <= lo {
-		return 0, fmt.Errorf("metrics: BDPSNR curves share no rate overlap")
-	}
-	return (integratePoly(cb, lo, hi) - integratePoly(ca, lo, hi)) / (hi - lo), nil
-}
-
 func psnrs(c RDCurve) []float64 {
 	out := make([]float64, len(c))
 	for i, p := range c {

@@ -205,51 +205,3 @@ func TestIntegratePoly(t *testing.T) {
 		t.Errorf("integratePoly = %v, want 4", got)
 	}
 }
-
-func TestBDPSNRIdenticalIsZero(t *testing.T) {
-	c := rdFrom(20, 10, []float64{500, 1000, 2000, 4000})
-	bd, err := BDPSNR(c, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(bd) > 1e-6 {
-		t.Errorf("BDPSNR(c, c) = %v, want 0", bd)
-	}
-}
-
-func TestBDPSNRConstantOffset(t *testing.T) {
-	anchor := rdFrom(20, 10, []float64{500, 1000, 2000, 4000})
-	test := make(RDCurve, len(anchor))
-	for i, p := range anchor {
-		test[i] = RDPoint{BitrateKbps: p.BitrateKbps, PSNR: p.PSNR + 1.5}
-	}
-	bd, err := BDPSNR(anchor, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(bd-1.5) > 0.01 {
-		t.Errorf("BDPSNR = %v, want +1.5 dB", bd)
-	}
-	// Consistency with BD-Rate direction: better PSNR curve also has a
-	// negative BD-Rate.
-	bdr, err := BDRate(anchor, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bdr >= 0 {
-		t.Errorf("BDRate = %v, want negative for a better curve", bdr)
-	}
-}
-
-func TestBDPSNRErrors(t *testing.T) {
-	short := rdFrom(20, 10, []float64{500, 1000, 2000})
-	full := rdFrom(20, 10, []float64{500, 1000, 2000, 4000})
-	if _, err := BDPSNR(short, full); err == nil {
-		t.Error("accepted 3-point curve")
-	}
-	bad := rdFrom(20, 10, []float64{500, 1000, 2000, 4000})
-	bad[2].BitrateKbps = 0
-	if _, err := BDPSNR(full, bad); err == nil {
-		t.Error("accepted non-positive bitrate")
-	}
-}

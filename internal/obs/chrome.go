@@ -23,59 +23,92 @@ import (
 // on the link set. One event per line keeps goldens reviewable in a
 // diff.
 func WriteChromeTrace(w io.Writer, s *Session) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	emit := func(line []byte) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.Write(line)
-	}
-	var buf []byte
+	tw := newTraceWriter(w)
 	for i, ln := range s.snapshot() {
 		tid := i + 1
-		buf = buf[:0]
-		buf = append(buf, `{"ph":"M","pid":1,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tid), 10)
-		buf = append(buf, `,"name":"thread_name","args":{"name":`...)
-		buf = appendJSONString(buf, ln.name)
-		buf = append(buf, `}}`...)
-		emit(buf)
+		tw.lane(1, tid, ln.name)
 		for _, r := range ln.tr.spans {
-			buf = buf[:0]
-			buf = append(buf, `{"ph":"X","pid":1,"tid":`...)
-			buf = strconv.AppendInt(buf, int64(tid), 10)
-			buf = append(buf, `,"ts":`...)
-			buf = strconv.AppendUint(buf, r.start, 10)
-			buf = append(buf, `,"dur":`...)
-			buf = strconv.AppendUint(buf, r.dur, 10)
-			buf = append(buf, `,"name":`...)
-			buf = appendJSONString(buf, nameString(r.name))
+			b := tw.span(1, tid, r.start, r.dur, nameString(r.name))
 			if r.arg != "" {
-				buf = append(buf, `,"args":{"arg":`...)
-				buf = appendJSONString(buf, r.arg)
-				buf = append(buf, '}')
+				b = append(b, `,"args":{"arg":`...)
+				b = appendJSONString(b, r.arg)
+				b = append(b, '}')
 			}
-			buf = append(buf, '}')
-			emit(buf)
+			tw.emit(append(b, '}'))
 		}
 	}
 	for _, c := range Counters(false) {
 		if c.Value == 0 {
 			continue
 		}
-		buf = buf[:0]
-		buf = append(buf, `{"ph":"C","pid":1,"tid":0,"ts":0,"name":`...)
-		buf = appendJSONString(buf, c.Name)
-		buf = append(buf, `,"args":{"value":`...)
-		buf = strconv.AppendUint(buf, c.Value, 10)
-		buf = append(buf, `}}`...)
-		emit(buf)
+		b := tw.event('C', 1, 0)
+		b = append(b, `,"ts":0,"name":`...)
+		b = appendJSONString(b, c.Name)
+		b = append(b, `,"args":{"value":`...)
+		b = strconv.AppendUint(b, c.Value, 10)
+		tw.emit(append(b, `}}`...))
 	}
-	bw.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	return bw.Flush()
+	return tw.close()
+}
+
+// traceWriter writes the Chrome trace-event JSON both WriteChromeTrace
+// and WriteHopTrace produce: one event per line, reusing one buffer.
+type traceWriter struct {
+	bw    *bufio.Writer
+	buf   []byte
+	first bool
+}
+
+func newTraceWriter(w io.Writer) *traceWriter {
+	tw := &traceWriter{bw: bufio.NewWriter(w), first: true}
+	tw.bw.WriteString("{\"traceEvents\":[\n")
+	return tw
+}
+
+// event starts an event of phase ph on lane (pid, tid); the caller
+// appends the rest and hands the line to emit.
+func (tw *traceWriter) event(ph byte, pid, tid int) []byte {
+	b := append(tw.buf[:0], `{"ph":"`...)
+	b = append(b, ph)
+	b = append(b, `","pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// lane emits the metadata ("M") event naming lane (pid, tid).
+func (tw *traceWriter) lane(pid, tid int, name string) {
+	b := tw.event('M', pid, tid)
+	b = append(b, `,"name":"thread_name","args":{"name":`...)
+	b = appendJSONString(b, name)
+	tw.emit(append(b, `}}`...))
+}
+
+// span starts a complete ("X") event; the caller appends its args and
+// the closing brace, then emits it.
+func (tw *traceWriter) span(pid, tid int, ts, dur uint64, name string) []byte {
+	b := tw.event('X', pid, tid)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendUint(b, ts, 10)
+	b = append(b, `,"dur":`...)
+	b = strconv.AppendUint(b, dur, 10)
+	b = append(b, `,"name":`...)
+	return appendJSONString(b, name)
+}
+
+// emit writes one finished event and keeps its buffer for the next.
+func (tw *traceWriter) emit(line []byte) {
+	if !tw.first {
+		tw.bw.WriteString(",\n")
+	}
+	tw.first = false
+	tw.bw.Write(line)
+	tw.buf = line
+}
+
+func (tw *traceWriter) close() error {
+	tw.bw.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
+	return tw.bw.Flush()
 }
 
 // appendJSONString appends s as a JSON string literal. Covers the

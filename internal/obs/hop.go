@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"context"
 	"io"
 	"sort"
 	"strconv"
@@ -127,26 +125,6 @@ func ValidTraceID(s string) bool {
 		}
 	}
 	return true
-}
-
-// TraceContext is the propagated trace identity, threaded through
-// request contexts so queue, scheduler and session code observe the hop
-// chain they run under.
-type TraceContext struct {
-	Trace string
-}
-
-type traceCtxKey struct{}
-
-// WithTraceContext attaches tc to ctx.
-func WithTraceContext(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceCtxKey{}, tc)
-}
-
-// TraceContextFrom recovers the propagated trace context, if any.
-func TraceContextFrom(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceCtxKey{}).(TraceContext)
-	return tc, ok
 }
 
 // HopEvent is one per-hop lifecycle record. Dur is a modeled quantity
@@ -323,58 +301,28 @@ func MergeHops(slices [][]HopEvent, includeVolatile bool) []HopEvent {
 // One event per line, fully ordered input in → byte-identical output
 // out, same contract as WriteChromeTrace.
 func WriteHopTrace(w io.Writer, events []HopEvent) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"traceEvents\":[\n")
-	first := true
-	emit := func(line []byte) {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		bw.Write(line)
-	}
+	tw := newTraceWriter(w)
 	seenLane := make(map[[2]int]bool)
-	var buf []byte
 	for _, ev := range events {
 		pid, tid := hopLane(ev.Kind)
 		if k := [2]int{pid, tid}; !seenLane[k] {
 			seenLane[k] = true
-			buf = buf[:0]
-			buf = append(buf, `{"ph":"M","pid":`...)
-			buf = strconv.AppendInt(buf, int64(pid), 10)
-			buf = append(buf, `,"tid":`...)
-			buf = strconv.AppendInt(buf, int64(tid), 10)
-			buf = append(buf, `,"name":"thread_name","args":{"name":`...)
-			buf = appendJSONString(buf, ev.Kind)
-			buf = append(buf, `}}`...)
-			emit(buf)
+			tw.lane(pid, tid, ev.Kind)
 		}
-		buf = buf[:0]
-		buf = append(buf, `{"ph":"X","pid":`...)
-		buf = strconv.AppendInt(buf, int64(pid), 10)
-		buf = append(buf, `,"tid":`...)
-		buf = strconv.AppendInt(buf, int64(tid), 10)
-		buf = append(buf, `,"ts":`...)
-		buf = strconv.AppendUint(buf, ev.Start, 10)
-		buf = append(buf, `,"dur":`...)
-		buf = strconv.AppendUint(buf, ev.Dur, 10)
-		buf = append(buf, `,"name":`...)
-		buf = appendJSONString(buf, HopID(ev.Kind, ev.Seq))
-		buf = append(buf, `,"args":{"trace":`...)
-		buf = appendJSONString(buf, ev.Trace)
+		b := tw.span(pid, tid, ev.Start, ev.Dur, HopID(ev.Kind, ev.Seq))
+		b = append(b, `,"args":{"trace":`...)
+		b = appendJSONString(b, ev.Trace)
 		if ev.Arg != "" {
-			buf = append(buf, `,"arg":`...)
-			buf = appendJSONString(buf, ev.Arg)
+			b = append(b, `,"arg":`...)
+			b = appendJSONString(b, ev.Arg)
 		}
 		if ev.Proc != "" {
-			buf = append(buf, `,"proc":`...)
-			buf = appendJSONString(buf, ev.Proc)
+			b = append(b, `,"proc":`...)
+			b = appendJSONString(b, ev.Proc)
 		}
-		buf = append(buf, `}}`...)
-		emit(buf)
+		tw.emit(append(b, `}}`...))
 	}
-	bw.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
-	return bw.Flush()
+	return tw.close()
 }
 
 // hopLane maps a kind onto its (pid, tid): deterministic lanes under

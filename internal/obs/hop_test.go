@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 )
@@ -78,18 +77,6 @@ func TestTraceIDs(t *testing.T) {
 		if got := ValidTraceID(id); got != want {
 			t.Errorf("ValidTraceID(%q) = %v, want %v", id, got, want)
 		}
-	}
-}
-
-func TestTraceContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if _, ok := TraceContextFrom(ctx); ok {
-		t.Fatal("empty context claims a trace")
-	}
-	ctx = WithTraceContext(ctx, TraceContext{Trace: "j-x"})
-	tc, ok := TraceContextFrom(ctx)
-	if !ok || tc.Trace != "j-x" {
-		t.Fatalf("round-trip = %+v, %v", tc, ok)
 	}
 }
 

@@ -31,7 +31,7 @@ func (g *treeGraph) Label(int) string                    { return "tree" }
 func (g *treeGraph) Run(context.Context, int, int) error { return nil }
 
 // runGraphAllocs is the allocation count of one RunGraph of an n-task
-// treeGraph on p, after a run that grows the pool's deques.
+// treeGraph on p, after AllocsPerRun's warm-up run.
 func runGraphAllocs(t *testing.T, p *Pool, n int) float64 {
 	t.Helper()
 	g := newTreeGraph(n)

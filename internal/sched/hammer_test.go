@@ -11,8 +11,7 @@ import (
 )
 
 // TestHammerStealVsPop floods a wide pool with many concurrent graphs
-// of mixed costs so pops, steals and preempts all fire while claims
-// race. Run under -race this is the steal-vs-pop contention tripwire;
+// of mixed costs so pops and steals both fire while claims race. Run under -race this is the steal-vs-pop contention tripwire;
 // the assertions pin exactly-once execution and full completion.
 func TestHammerStealVsPop(t *testing.T) {
 	p := NewPool(Config{Workers: 8, Seed: 42})
@@ -146,7 +145,7 @@ func TestHammerNestedForkJoinStorm(t *testing.T) {
 // TestNoStarvationWhileWorkHangs is the starvation watchdog: one task
 // blocks a worker indefinitely (until released) while independent work
 // keeps arriving — the remaining workers must keep draining it. A
-// worker idling while any deque holds ready tasks would time this out.
+// worker idling while any run holds ready tasks would time this out.
 func TestNoStarvationWhileWorkHangs(t *testing.T) {
 	p := NewPool(Config{Workers: 4, Seed: 9})
 	defer p.Close()

@@ -8,10 +8,9 @@ import "vcprof/internal/obs"
 // decided by the scheduler and the host, so none of it may appear in a
 // byte-compared export. Per-pool snapshots come from Pool.Stats.
 var (
-	obsTasks    = obs.NewVolatileCounter("sched.tasks")
-	obsGraphs   = obs.NewVolatileCounter("sched.graphs")
-	obsPops     = obs.NewVolatileCounter("sched.pops")
-	obsSteals   = obs.NewVolatileCounter("sched.steals")
-	obsPreempts = obs.NewVolatileCounter("sched.preempts")
-	obsParks    = obs.NewVolatileCounter("sched.parks")
+	obsTasks  = obs.NewVolatileCounter("sched.tasks")
+	obsGraphs = obs.NewVolatileCounter("sched.graphs")
+	obsPops   = obs.NewVolatileCounter("sched.pops")
+	obsSteals = obs.NewVolatileCounter("sched.steals")
+	obsParks  = obs.NewVolatileCounter("sched.parks")
 )

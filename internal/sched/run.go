@@ -5,15 +5,6 @@ import (
 	"fmt"
 )
 
-// Task claim states. All transitions happen under the pool mutex, so
-// every task is claimed and completed exactly once.
-const (
-	taskBlocked uint8 = iota // dependencies outstanding
-	taskReady                // queued (on a deque and its run's ready stack)
-	taskRunning              // claimed by a worker
-	taskDone                 // executed or skipped after cancellation
-)
-
 // run is the pool-side bookkeeping for one RunGraph call.
 type run struct {
 	g      Graph
@@ -22,14 +13,13 @@ type run struct {
 	seq    uint64
 
 	n     int
-	state []uint8
 	indeg []int32
 	// The dependents of task t are deps[depOff[t]:depOff[t+1]], in task
 	// order: one flat table for the whole graph.
 	depOff []int32
 	deps   []int32
-	home   []int32 // worker whose deque holds the task's ready entry
-	ready  []int32 // ready stack (LIFO), lazily pruned of claimed entries
+	home   []int32 // worker that readied the task: a pop if it runs it, else a steal
+	ready  []int32 // ready stack (LIFO): every ready, unclaimed task, newest on top
 	// wctx[w] is ctx marked as running on worker w (workerCtx), made
 	// when worker w first runs one of the run's tasks.
 	wctx []context.Context
@@ -63,7 +53,6 @@ func newRun(ctx context.Context, g Graph, workers int) (*run, error) {
 	ints := make([]int32, 4*n+1+edges)
 	r := &run{
 		g: g, ctx: rctx, cancel: cancel, n: n,
-		state:  make([]uint8, n),
 		indeg:  ints[:n:n],
 		home:   ints[n : 2*n : 2*n],
 		ready:  ints[2*n : 2*n : 3*n],
@@ -121,40 +110,4 @@ func (r *run) cost(t int) uint64 {
 		return c
 	}
 	return 1
-}
-
-// takeReady pops the run's most recently readied task, pruning entries
-// already claimed through a deque. Caller holds the pool mutex.
-func (r *run) takeReady() (int32, bool) {
-	for len(r.ready) > 0 {
-		t := r.ready[len(r.ready)-1]
-		r.ready = r.ready[:len(r.ready)-1]
-		if r.state[t] == taskReady {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
-// hasReady reports whether any unclaimed ready task remains, pruning
-// stale stack entries as a side effect. Caller holds the pool mutex.
-func (r *run) hasReady() bool {
-	for len(r.ready) > 0 {
-		if r.state[r.ready[len(r.ready)-1]] == taskReady {
-			return true
-		}
-		r.ready = r.ready[:len(r.ready)-1]
-	}
-	return false
-}
-
-// readyLen counts unclaimed ready tasks. Caller holds the pool mutex.
-func (r *run) readyLen() int {
-	n := 0
-	for _, t := range r.ready {
-		if r.state[t] == taskReady {
-			n++
-		}
-	}
-	return n
 }

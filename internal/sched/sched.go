@@ -1,37 +1,36 @@
-// Package sched is the work-stealing shard scheduler: a pool of
-// standing workers with per-worker deques that executes task graphs
-// below the cell boundary. The harness engine submits whole cell grids
-// as graphs; a counted encode running inside a pool worker hands its
-// frame/slice task graph to the same pool (nested fork-join), so one
-// heavy cell no longer monopolizes a worker while cheap work queues
-// behind it — the scheduler interleaves shards of every active graph.
+// Package sched is the shard scheduler: a pool of standing workers
+// that executes task graphs below the cell boundary. The harness
+// engine submits whole cell grids as graphs; a counted encode running
+// inside a pool worker hands its frame/slice task graph to the same
+// pool (nested fork-join), so one heavy cell no longer monopolizes a
+// worker while cheap work queues behind it — the scheduler interleaves
+// shards of every active graph.
 //
-// Scheduling policy. Ready tasks live in two structures at once: the
-// deque of the worker that made them ready (LIFO pop for locality) and
-// their graph run's ready stack. A worker prefers its own deque as
-// long as its top task belongs to the lightest active run — the run
-// with the least expected remaining work; otherwise it takes from the
-// lightest run directly, stealing the task out of the victim worker's
-// deque (the victim's entry goes stale and is skipped). That is
-// shortest-expected-remaining-work-first at shard granularity: light
-// graphs effectively preempt heavy ones at every task boundary, which
-// is what kills the tail on oversubscribed hosts. Ties between runs
+// Scheduling policy. A ready task lives in one place: its graph run's
+// ready stack. A free worker claims the newest ready task of the
+// lightest active run — the run with the least expected remaining
+// work. That is shortest-expected-remaining-work-first at shard
+// granularity: light graphs effectively preempt heavy ones at every
+// task boundary, which is what kills the tail on oversubscribed hosts.
+// The stack's LIFO order is the locality preference: a completing
+// task pushes its dependents on top, where the worker that completed
+// it, free again at once, usually finds them first. Ties between runs
 // are broken by a per-worker seeded PRNG, so distinct seeds explore
 // distinct interleavings — the schedule-invariance tests run several.
 //
 // Determinism. The pool decides only *when and where* a task runs,
 // never *what it computes*: graphs encode every true dependence, each
-// task is claimed exactly once (all transitions happen under the pool
-// mutex), and results are assembled by task index. Tables, traces and
-// digests are therefore byte-identical at any worker count, under any
-// steal interleaving and any seed — the property the harness test
-// wall pins against golden files.
+// task is claimed exactly once (popped off its run's stack under the
+// pool mutex), and results are assembled by task index. Tables,
+// traces and digests are therefore byte-identical at any worker
+// count, under any interleaving and any seed — the property the
+// harness test wall pins against golden files.
 //
 // All queue state sits under one pool mutex. At shard granularity
 // (tasks are superblock rows, segments, tiles — hundreds of
 // microseconds to milliseconds of modeled work) the lock is
 // effectively uncontended; the tail-latency win comes from the
-// scheduling structure, not from lock-freedom.
+// scheduling policy, not from lock-freedom.
 package sched
 
 import (
@@ -48,7 +47,7 @@ var ErrClosed = errors.New("sched: pool closed")
 type Config struct {
 	// Workers is the number of standing worker goroutines (<=0 means 1).
 	Workers int
-	// Seed seeds the per-worker victim-selection PRNGs (0 means 1).
+	// Seed seeds the per-worker tie-break PRNGs (0 means 1).
 	// Any seed yields byte-identical graph results; the knob exists so
 	// the invariance is testable.
 	Seed uint64
@@ -63,7 +62,7 @@ type TaskEvent struct {
 	Worker int    // worker that ran the task
 	Label  string // graph's task label
 	Cost   uint64 // graph's cost estimate for the task
-	Stolen bool   // claimed from another worker's deque
+	Stolen bool   // readied by another worker than the one that ran it
 }
 
 // Graph is a task DAG the pool can execute. Tasks are numbered 0..n-1
@@ -83,7 +82,7 @@ type Graph interface {
 	Run(ctx context.Context, task, worker int) error
 }
 
-// Pool is the work-stealing worker pool. Safe for concurrent use.
+// Pool is the shard worker pool. Safe for concurrent use.
 type Pool struct {
 	workers  int
 	seed     uint64
@@ -91,7 +90,6 @@ type Pool struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	deques []deque
 	runs   []*run
 	runSeq uint64
 	closed bool
@@ -103,25 +101,23 @@ type Pool struct {
 // poolStats are the pool's volatile scheduling counters (atomics so
 // Stats needs no lock; mirrored into the process-wide obs counters).
 type poolStats struct {
-	tasks    atomic.Uint64
-	graphs   atomic.Uint64
-	pops     atomic.Uint64
-	steals   atomic.Uint64
-	preempts atomic.Uint64
-	parks    atomic.Uint64
+	tasks  atomic.Uint64
+	graphs atomic.Uint64
+	pops   atomic.Uint64
+	steals atomic.Uint64
+	parks  atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of a pool's scheduling counters.
 type Stats struct {
-	Workers  int
-	Tasks    uint64 // tasks executed (skipped-after-cancel included)
-	Graphs   uint64 // graphs completed
-	Pops     uint64 // tasks taken from the worker's own deque
-	Steals   uint64 // tasks taken out of another worker's deque
-	Preempts uint64 // own work deferred for a lighter run's task
-	Parks    uint64 // times a worker went idle
-	Active   int    // graphs currently running
-	Queued   int    // ready, unclaimed tasks
+	Workers int
+	Tasks   uint64 // tasks executed (skipped-after-cancel included)
+	Graphs  uint64 // graphs completed
+	Pops    uint64 // tasks run by the worker that readied them
+	Steals  uint64 // tasks run by another worker than the one that readied them
+	Parks   uint64 // times a worker went idle
+	Active  int    // graphs currently running
+	Queued  int    // ready, unclaimed tasks
 }
 
 // NewPool starts a pool with cfg.Workers standing workers.
@@ -134,7 +130,7 @@ func NewPool(cfg Config) *Pool {
 	if seed == 0 {
 		seed = 1
 	}
-	p := &Pool{workers: n, seed: seed, observer: cfg.Observer, deques: make([]deque, n)}
+	p := &Pool{workers: n, seed: seed, observer: cfg.Observer}
 	p.cond = sync.NewCond(&p.mu)
 	for w := 0; w < n; w++ {
 		p.wg.Add(1)
@@ -150,18 +146,17 @@ func (p *Pool) Workers() int { return p.workers }
 // Stats snapshots the scheduling counters.
 func (p *Pool) Stats() Stats {
 	s := Stats{
-		Workers:  p.workers,
-		Tasks:    p.stats.tasks.Load(),
-		Graphs:   p.stats.graphs.Load(),
-		Pops:     p.stats.pops.Load(),
-		Steals:   p.stats.steals.Load(),
-		Preempts: p.stats.preempts.Load(),
-		Parks:    p.stats.parks.Load(),
+		Workers: p.workers,
+		Tasks:   p.stats.tasks.Load(),
+		Graphs:  p.stats.graphs.Load(),
+		Pops:    p.stats.pops.Load(),
+		Steals:  p.stats.steals.Load(),
+		Parks:   p.stats.parks.Load(),
 	}
 	p.mu.Lock()
 	s.Active = len(p.runs)
 	for _, r := range p.runs {
-		s.Queued += r.readyLen()
+		s.Queued += len(r.ready)
 	}
 	p.mu.Unlock()
 	return s
@@ -178,21 +173,26 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// workerLoop is one standing worker: take, execute, repeat; park when
-// nothing is claimable; exit once the pool is closed and drained.
+// workerLoop is one standing worker: it runs the shared loop until
+// the pool is closed and drained.
 func (p *Pool) workerLoop(w int) {
 	defer p.wg.Done()
 	rng := splitmix{state: p.seed ^ (uint64(w)+1)*0x9E3779B97F4A7C15}
+	p.loop(w, &rng, nil)
+}
+
+// loop is the take–execute–park loop every worker runs: claim a task
+// and execute it, or park when nothing is claimable. It returns once
+// until has finished, or, for a nil until, once the pool is closed and
+// no run is left.
+func (p *Pool) loop(w int, rng *splitmix, until *run) {
 	p.mu.Lock()
-	for {
-		if rf, kind := p.takeLocked(w, &rng); rf.r != nil {
+	for !p.doneLocked(until) {
+		if r, t := p.takeLocked(rng); r != nil {
 			p.mu.Unlock()
-			p.execute(rf, w, kind)
+			p.execute(r, t, w)
 			p.mu.Lock()
 			continue
-		}
-		if p.closed && len(p.runs) == 0 {
-			break
 		}
 		p.stats.parks.Add(1)
 		obsParks.Add(1)
@@ -201,32 +201,36 @@ func (p *Pool) workerLoop(w int) {
 	p.mu.Unlock()
 }
 
-// execute runs one claimed task and completes it. Called without the
-// pool lock.
-func (p *Pool) execute(rf taskRef, w int, kind takeKind) {
-	r := rf.r
-	t := int(rf.task)
+// doneLocked reports whether loop may return for until. Caller
+// holds the pool mutex.
+func (p *Pool) doneLocked(until *run) bool {
+	if until != nil {
+		return until.finished
+	}
+	return p.closed && len(p.runs) == 0
+}
+
+// execute runs one claimed task and completes it, counting a pop when
+// w readied the task and a steal otherwise. Called without the pool
+// lock: the task's home was written before its claim and is not
+// written again.
+func (p *Pool) execute(r *run, t, w int) {
 	err := r.ctx.Err()
 	if err == nil {
 		err = r.g.Run(r.workerCtx(p, w), t, w)
 	}
 	p.stats.tasks.Add(1)
 	obsTasks.Add(1)
-	switch kind {
-	case takePop:
+	stolen := r.home[t] != int32(w)
+	if stolen {
+		p.stats.steals.Add(1)
+		obsSteals.Add(1)
+	} else {
 		p.stats.pops.Add(1)
 		obsPops.Add(1)
-	case takeSteal:
-		p.stats.steals.Add(1)
-		obsSteals.Add(1)
-	case takePreempt:
-		p.stats.steals.Add(1)
-		p.stats.preempts.Add(1)
-		obsSteals.Add(1)
-		obsPreempts.Add(1)
 	}
 	if p.observer != nil {
-		p.observer(TaskEvent{Worker: w, Label: r.g.Label(t), Cost: r.cost(t), Stolen: kind != takePop})
+		p.observer(TaskEvent{Worker: w, Label: r.g.Label(t), Cost: r.cost(t), Stolen: stolen})
 	}
 	p.complete(r, t, w, err)
 }
@@ -265,30 +269,19 @@ func (p *Pool) RunGraph(ctx context.Context, g Graph) error {
 		if r.indeg[i] == 0 {
 			p.enqueueLocked(r, int32(i), home)
 			if !nested {
-				home = (home + 1) % p.workers // round-robin initial spread
+				home = (home + 1) % p.workers // sources count as readied by each worker in turn
 			}
 		}
 	}
 	p.cond.Broadcast()
+	p.mu.Unlock()
 	if nested {
 		// Helper loop: keep the worker productive while its fork is in
 		// flight. It may execute tasks of any run; recursion depth is
 		// bounded by the number of active runs.
 		rng := splitmix{state: p.seed ^ (uint64(nestedW)+1)*0xBF58476D1CE4E5B9 ^ r.seq}
-		for !r.finished {
-			if rf, kind := p.takeLocked(nestedW, &rng); rf.r != nil {
-				p.mu.Unlock()
-				p.execute(rf, nestedW, kind)
-				p.mu.Lock()
-				continue
-			}
-			p.stats.parks.Add(1)
-			obsParks.Add(1)
-			p.cond.Wait()
-		}
-		p.mu.Unlock()
+		p.loop(nestedW, &rng, r)
 	} else {
-		p.mu.Unlock()
 		<-r.doneCh
 	}
 	if r.firstErr != nil {
@@ -298,11 +291,10 @@ func (p *Pool) RunGraph(ctx context.Context, g Graph) error {
 }
 
 // complete finishes one executed (or skipped) task: record the error,
-// release dependents onto the completing worker's deque, and close the
-// run when its last task settles.
+// push the dependents it readies onto the run's ready stack as readied
+// by worker w, and close the run when its last task settles.
 func (p *Pool) complete(r *run, t, w int, err error) {
 	p.mu.Lock()
-	r.state[t] = taskDone
 	r.running--
 	r.done++
 	if c := r.cost(t); c <= r.remaining {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,19 +333,62 @@ func lightStarted(p *Pool) <-chan struct{} {
 	return ch
 }
 
+// TestNewestReadyRunsFirst pins the claim rule: a worker takes the
+// newest ready task of its run. On a 1-worker pool, task 0 readies its
+// children 1, 2 and 3 in that order and task 3 then readies task 4, so
+// 4 runs ahead of the older 2 and 1.
+func TestNewestReadyRunsFirst(t *testing.T) {
+	p := NewPool(Config{Workers: 1})
+	defer p.Close()
+	g := newTestGraph([][]int{nil, {0}, {0}, {0}, {3}}, nil)
+	if err := p.RunGraph(context.Background(), g); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 3, 4, 2, 1}; !slices.Equal(g.order, want) {
+		t.Errorf("order %v, want %v", g.order, want)
+	}
+}
+
+// TestStatsAccounting checks the counters on a binary tree of 64
+// tasks: each task is readied by the worker that ran its parent (the
+// root by worker 0), so Pops must count exactly the tasks that ran on
+// their parent's worker.
 func TestStatsAccounting(t *testing.T) {
 	p := NewPool(Config{Workers: 4, Seed: 3})
-	g := newTestGraph(make([][]int, 64), nil)
+	const n = 64
+	deps := make([][]int, n)
+	for i := 1; i < n; i++ {
+		deps[i] = []int{(i - 1) / 2}
+	}
+	ranOn := make([]int, n)
+	g := newTestGraph(deps, nil)
+	g.run = func(_ context.Context, task, worker int) error {
+		ranOn[task] = worker
+		runtime.Gosched() // let other workers claim
+		return nil
+	}
 	if err := p.RunGraph(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
 	p.Close()
-	if st.Tasks != 64 {
-		t.Errorf("Tasks = %d, want 64", st.Tasks)
+	var pops uint64
+	if ranOn[0] == 0 {
+		pops++
+	}
+	for i := 1; i < n; i++ {
+		if ranOn[i] == ranOn[(i-1)/2] {
+			pops++
+		}
+	}
+	if st.Tasks != n {
+		t.Errorf("Tasks = %d, want %d", st.Tasks, n)
 	}
 	if st.Graphs != 1 {
 		t.Errorf("Graphs = %d, want 1", st.Graphs)
+	}
+	if st.Pops != pops {
+		t.Errorf("Pops = %d, want %d tasks run by the worker that readied them", st.Pops, pops)
 	}
 	if st.Pops+st.Steals != st.Tasks {
 		t.Errorf("Pops(%d)+Steals(%d) != Tasks(%d)", st.Pops, st.Steals, st.Tasks)

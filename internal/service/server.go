@@ -20,9 +20,9 @@ type Config struct {
 	StoreDir      string // result store root (required)
 	StoreMaxBytes int64  // store budget (default 1 GiB)
 	// Workers is the number of jobs in flight at once, and the width of
-	// the work-stealing shard pool every job's cells and encode shards
-	// run on (default 4). The pool is shared across jobs — that sharing
-	// is what lets a light job's shards interleave with a heavy encode
+	// the shard pool every job's cells and encode shards run on
+	// (default 4). The pool is shared across jobs — that sharing is
+	// what lets a light job's shards interleave with a heavy encode
 	// already in flight.
 	Workers  int
 	QueueCap int // queued-job bound before 429 (default 64)

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,11 +24,12 @@ const maxSessions = 64
 // one keeps wire responses — which pair engine results with stats and
 // resume tokens — atomic per feed.
 type sessionEntry struct {
-	id   string
-	mu   sync.Mutex
-	s    *live.Session
-	sess *obs.Session // per-session span lane; nil when tracing is off
-	lane *obs.Trace
+	id    string
+	trace string // propagated hop-trace id, fixed at open
+	mu    sync.Mutex
+	s     *live.Session
+	sess  *obs.Session // per-session span lane; nil when tracing is off
+	lane  *obs.Trace
 }
 
 // sessionTable owns the open sessions and the drain gate: once closed,
@@ -38,16 +41,12 @@ type sessionTable struct {
 	mu     sync.Mutex
 	seq    uint64
 	m      map[string]*sessionEntry
-	traces map[string]string // id -> propagated hop-trace id
 	closed bool
 	wg     sync.WaitGroup
 }
 
 func newSessionTable() *sessionTable {
-	return &sessionTable{
-		m:      make(map[string]*sessionEntry),
-		traces: make(map[string]string),
-	}
+	return &sessionTable{m: make(map[string]*sessionEntry)}
 }
 
 // add registers a new session under a fresh id. The id is a routing
@@ -71,35 +70,33 @@ func (t *sessionTable) add(key string, s *live.Session, traced bool, trace strin
 		sess = obs.NewSession()
 		lane = sess.Lane("session-" + id)
 	}
-	e := &sessionEntry{id: id, s: s, sess: sess, lane: lane}
+	e := &sessionEntry{id: id, trace: trace, s: s, sess: sess, lane: lane}
 	t.m[id] = e
-	t.traces[id] = trace
 	return e, nil
-}
-
-// trace answers the propagated hop-trace id a session was opened under.
-func (t *sessionTable) trace(id string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traces[id]
-}
-
-// openTraces snapshots the (id, trace) pairs of sessions still open —
-// the drain path emits their drain-finish hops after wait returns.
-func (t *sessionTable) openTraces() map[string]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]string, len(t.traces))
-	for id, tr := range t.traces {
-		out[id] = tr
-	}
-	return out
 }
 
 func (t *sessionTable) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.m)
+}
+
+// openTraces snapshots the hop-trace ids of sessions still open, sorted
+// — the drain path emits their drain-finish hops after wait returns.
+// Entry locks are taken after the table's is released: a feed holds
+// its entry's lock while it takes the table's.
+func (t *sessionTable) openTraces() []string {
+	t.mu.Lock()
+	open := maps.Clone(t.m)
+	t.mu.Unlock()
+	traces := make([]string, 0, len(open))
+	for _, e := range open {
+		e.mu.Lock()
+		traces = append(traces, e.trace)
+		e.mu.Unlock()
+	}
+	slices.Sort(traces)
+	return traces
 }
 
 func (t *sessionTable) get(id string) (*sessionEntry, bool) {
@@ -136,7 +133,6 @@ func (t *sessionTable) remove(id string) (*sessionEntry, bool) {
 	e, ok := t.m[id]
 	if ok {
 		delete(t.m, id)
-		delete(t.traces, id)
 	}
 	return e, ok
 }
@@ -224,7 +220,7 @@ func (s *Server) FeedSession(_ context.Context, id string, req SessionFeedReq) (
 		return SessionFeedResp{}, Errorf(http.StatusNotFound, "unknown session %q", id)
 	}
 	defer s.sessions.endFeed()
-	trace := s.sessions.trace(id)
+	trace := e.trace
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -232,10 +228,7 @@ func (s *Server) FeedSession(_ context.Context, id string, req SessionFeedReq) (
 	if delta < 0 {
 		delta = 0 // replayed watermark: arrivals never rewind
 	}
-	// The trace context rides along so nested layers can attribute their
-	// work to this stream.
-	ctx := obs.WithTraceContext(s.baseCtx, obs.TraceContext{Trace: trace})
-	gops, err := e.s.Feed(ctx, delta, req.EOS)
+	gops, err := e.s.Feed(s.baseCtx, delta, req.EOS)
 	if err != nil {
 		return SessionFeedResp{}, err
 	}

@@ -64,7 +64,6 @@ func (s *Server) runJob(idx int, j *Job) {
 	}
 	s.tele.running.Add(1)
 	defer s.tele.running.Add(-1)
-	ctx = obs.WithTraceContext(ctx, obs.TraceContext{Trace: j.traceID})
 	ctx = topdown.WithAccumulator(ctx, s.tele.jobAcc(j.key))
 	ctx = topdown.WithAccumulator(ctx, s.tele.agg)
 	// The job's cells — and, below them, its encode shards — run on the
