@@ -45,19 +45,16 @@ func benchScale() harness.Scale {
 // cached, as before.
 func runExperiment(b *testing.B, id string, metric func(tabs []*harness.Table) (string, float64)) {
 	b.Helper()
-	e, err := harness.Lookup(id)
-	if err != nil {
-		b.Fatal(err)
-	}
 	s := benchScale()
 	var tabs []*harness.Table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		harness.ResetCellCache()
-		tabs, err = e.Run(s)
+		rep, err := harness.RunAll(context.Background(), s, harness.Options{Experiments: []string{id}, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		tabs = rep.Results[0].Tables
 	}
 	b.StopTimer()
 	if metric != nil && len(tabs) > 0 {
@@ -412,7 +409,8 @@ func BenchmarkCacheWindowPlay(b *testing.B) {
 		rec.Ops.Play(nil, cache.Sink{Hierarchy: h})
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses), "ns/access")
-	b.ReportMetric(100*h.L1.Stats().MissRate(), "l1-miss%")
+	l1 := h.L1.Stats()
+	b.ReportMetric(100*float64(l1.Misses)/float64(l1.Accesses), "l1-miss%")
 }
 
 // BenchmarkRecordWindow is the Pin substitute end to end: one encode
@@ -533,7 +531,8 @@ func BenchmarkRangeCoderEncode(b *testing.B) {
 	bits, probs := benchBits()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := entropy.NewEncoder(nil, 0)
+		enc := new(entropy.Encoder)
+		enc.Reset(nil, 0)
 		for j, bit := range bits {
 			enc.Bit(bit, probs[j])
 		}
@@ -544,7 +543,8 @@ func BenchmarkRangeCoderEncode(b *testing.B) {
 
 func BenchmarkRangeCoderDecode(b *testing.B) {
 	bits, probs := benchBits()
-	enc := entropy.NewEncoder(nil, 0)
+	enc := new(entropy.Encoder)
+	enc.Reset(nil, 0)
 	for j, bit := range bits {
 		enc.Bit(bit, probs[j])
 	}

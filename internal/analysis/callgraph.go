@@ -13,12 +13,18 @@ import (
 // resolves who can call whom. Resolution is class-hierarchy style (CHA)
 // over go/types:
 //
-//   - static calls and method calls on concrete receivers get one edge;
-//   - interface method calls get an edge to the matching method of
-//     every named type in the program that implements the interface;
+//   - static calls and method calls on concrete receivers get one edge,
+//     to the generic declaration when the callee is an instantiation;
+//   - interface method calls, direct or promoted through an embedded
+//     interface, get an edge to the matching method of every named type
+//     in the program that implements the interface;
 //   - calls through function values (fields, variables, parameters,
 //     method values) get an edge to every address-taken function or
-//     method with an identical signature.
+//     method with an identical signature; an interface method value
+//     takes the address of every implementor's.
+//
+// Package-level var initializers belong to no declaration: what they
+// call or reference is the graph's Inits.
 //
 // Function literals are inlined into the declaration that lexically
 // encloses them: a closure's calls and volatile sites belong to the
@@ -147,6 +153,23 @@ type CallGraph struct {
 	// Nodes lists every declared function with a body, ordered by
 	// declaration position (file name, then offset).
 	Nodes []*Node
+	// Inits lists, in source order, the functions package-level var
+	// initializers call or reference.
+	Inits []*Node
+
+	addr map[string][]*Node // address-taken functions by sigKey
+}
+
+// node returns fn's declaration (an instantiation's generic origin).
+func (g *CallGraph) node(fn *types.Func) *Node { return g.nodes[fn.Origin()] }
+
+// abstractIface returns the interface declaring fn, nil for a concrete fn.
+func abstractIface(fn *types.Func) *types.Interface {
+	var iface *types.Interface
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		iface, _ = recv.Type().Underlying().(*types.Interface)
+	}
+	return iface
 }
 
 // buildCallGraph constructs the graph in two passes: collect the nodes,
@@ -175,12 +198,37 @@ func buildCallGraph(prog *Program) *CallGraph {
 		return a.Offset < b.Offset
 	})
 	named := programNamedTypes(prog)
-	addr := addressTakenFuncs(prog, g)
+	g.addr = addressTakenFuncs(prog, g, named)
 	for _, n := range g.Nodes {
-		g.resolveEdges(n, named, addr)
+		g.resolveEdges(n, named)
 		sort.SliceStable(n.Out, func(i, j int) bool { return n.Out[i].Site < n.Out[j].Site })
 	}
+	g.Inits = initRefs(prog, g)
 	return g
+}
+
+// initRefs collects the functions package-level var initializers call
+// or reference, function literals included.
+func initRefs(prog *Program, g *CallGraph) (out []*Node) {
+	seen := make(map[*Node]bool)
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					ast.Inspect(gd, func(nd ast.Node) bool {
+						if id, ok := nd.(*ast.Ident); ok {
+							if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && g.node(fn) != nil && !seen[g.node(fn)] {
+								seen[g.node(fn)] = true
+								out = append(out, g.node(fn))
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // programNamedTypes collects every named (non-interface) type declared
@@ -210,8 +258,8 @@ func programNamedTypes(prog *Program) []*types.Named {
 // addressTakenFuncs maps a normalized signature key to every declared
 // function or method whose value escapes (referenced outside call
 // position) — the conservative target set for calls through function
-// values.
-func addressTakenFuncs(prog *Program, g *CallGraph) map[string][]*Node {
+// values. An interface method value escapes every implementor's method.
+func addressTakenFuncs(prog *Program, g *CallGraph, named []*types.Named) map[string][]*Node {
 	addr := make(map[string][]*Node)
 	seen := make(map[string]map[*Node]bool)
 	add := func(key string, n *Node) {
@@ -239,22 +287,25 @@ func addressTakenFuncs(prog *Program, g *CallGraph) map[string][]*Node {
 						return true
 					}
 					if fn, ok := info.Uses[e].(*types.Func); ok {
-						if n := g.nodes[fn]; n != nil {
+						if n := g.node(fn); n != nil {
 							if sig, ok := info.TypeOf(e).(*types.Signature); ok {
 								add(sigKey(sig), n)
 							}
 						}
 					}
 				case *ast.SelectorExpr:
+					inCall[e.Sel] = true // decided here, never as an Ident
 					if inCall[e] {
 						return true
 					}
-					if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-						if n := g.nodes[fn]; n != nil {
-							// A method value's type drops the receiver;
-							// key by the expression's type so the call
-							// side matches.
-							if sig, ok := info.TypeOf(e).(*types.Signature); ok {
+					fn, _ := info.Uses[e.Sel].(*types.Func)
+					// A method value's type drops the receiver; key by
+					// the expression's type so the call side matches.
+					if sig, ok := info.TypeOf(e).(*types.Signature); ok && fn != nil {
+						if n := g.node(fn); n != nil {
+							add(sigKey(sig), n)
+						} else if iface := abstractIface(fn); iface != nil {
+							for _, n := range g.implementors(iface, fn.Name(), named) {
 								add(sigKey(sig), n)
 							}
 						}
@@ -293,7 +344,7 @@ func sigKey(sig *types.Signature) string {
 
 // resolveEdges walks one node's body (function literals included) and
 // appends an edge per resolvable call site.
-func (g *CallGraph) resolveEdges(n *Node, named []*types.Named, addr map[string][]*Node) {
+func (g *CallGraph) resolveEdges(n *Node, named []*types.Named) {
 	info := n.Pkg.Info
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		call, ok := nd.(*ast.CallExpr)
@@ -301,12 +352,11 @@ func (g *CallGraph) resolveEdges(n *Node, named []*types.Named, addr map[string]
 			return true
 		}
 		site := call.Lparen
-		fun := ast.Unparen(call.Fun)
-		switch f := fun.(type) {
+		switch f := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
 			switch obj := info.Uses[f].(type) {
 			case *types.Func:
-				if target := g.nodes[obj]; target != nil {
+				if target := g.node(obj); target != nil {
 					n.Out = append(n.Out, Edge{Site: site, Kind: EdgeStatic, Callee: target})
 				}
 				return true
@@ -321,8 +371,10 @@ func (g *CallGraph) resolveEdges(n *Node, named []*types.Named, addr map[string]
 				}
 			}
 			if fn, ok := info.Uses[f.Sel].(*types.Func); ok {
-				if target := g.nodes[fn]; target != nil {
+				if target := g.node(fn); target != nil {
 					n.Out = append(n.Out, Edge{Site: site, Kind: EdgeStatic, Callee: target})
+				} else if iface := abstractIface(fn); iface != nil { // promoted
+					g.addInterfaceEdges(n, site, iface, f.Sel.Name, named)
 				}
 				return true
 			}
@@ -334,7 +386,7 @@ func (g *CallGraph) resolveEdges(n *Node, named []*types.Named, addr map[string]
 		}
 		// Call through a function value: conservative signature match.
 		if sig, ok := info.TypeOf(call.Fun).(*types.Signature); ok {
-			for _, target := range addr[sigKey(sig)] {
+			for _, target := range g.addr[sigKey(sig)] {
 				n.Out = append(n.Out, Edge{Site: site, Kind: EdgeDynamic, Callee: target})
 			}
 		}
@@ -345,6 +397,15 @@ func (g *CallGraph) resolveEdges(n *Node, named []*types.Named, addr map[string]
 // addInterfaceEdges adds CHA edges for a call of iface method name: one
 // per named program type implementing the interface.
 func (g *CallGraph) addInterfaceEdges(n *Node, site token.Pos, iface *types.Interface, name string, named []*types.Named) {
+	for _, target := range g.implementors(iface, name, named) {
+		n.Out = append(n.Out, Edge{Site: site, Kind: EdgeInterface, Callee: target})
+	}
+}
+
+// implementors returns the method name of every named program type
+// implementing iface.
+func (g *CallGraph) implementors(iface *types.Interface, name string, named []*types.Named) []*Node {
+	var out []*Node
 	for _, t := range named {
 		ptr := types.NewPointer(t)
 		if !types.Implements(t, iface) && !types.Implements(ptr, iface) {
@@ -354,14 +415,11 @@ func (g *CallGraph) addInterfaceEdges(n *Node, site token.Pos, iface *types.Inte
 		if sel == nil {
 			continue
 		}
-		fn, ok := sel.Obj().(*types.Func)
-		if !ok {
-			continue
-		}
-		if target := g.nodes[fn]; target != nil {
-			n.Out = append(n.Out, Edge{Site: site, Kind: EdgeInterface, Callee: target})
+		if fn, ok := sel.Obj().(*types.Func); ok && g.node(fn) != nil {
+			out = append(out, g.node(fn))
 		}
 	}
+	return out
 }
 
 // ---------------------------------------------------------------------

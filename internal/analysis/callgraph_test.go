@@ -173,3 +173,51 @@ func TestLoaderParseError(t *testing.T) {
 		t.Fatal("Load succeeded on a syntactically broken package")
 	}
 }
+
+// TestCallGraphCases pins, on the orphans fixture, one resolution per
+// case the graph once missed; each of them hid a reachable function from
+// the orphan contract, and from detflow's, lockorder's and shardpure's
+// walks.
+func TestCallGraphCases(t *testing.T) {
+	g := NewProgram(loadFixture(t, "orphans")).CallGraph()
+	edge := func(t *testing.T, from, to string, kind EdgeKind) {
+		t.Helper()
+		n := nodeByName(g, from)
+		if n == nil {
+			t.Fatalf("no node for %s", from)
+		}
+		for _, e := range n.Out {
+			if e.Callee.Name() == to && e.Kind == kind {
+				return
+			}
+		}
+		t.Errorf("no kind-%d edge %s → %s", kind, from, to)
+	}
+	t.Run("generic instantiation", func(t *testing.T) {
+		edge(t, "main.main", "main.(*box).get", EdgeStatic)
+	})
+	t.Run("package-level initializer", func(t *testing.T) {
+		var inits []string
+		for _, n := range g.Inits {
+			inits = append(inits, n.Name())
+		}
+		if got, want := strings.Join(inits, " "), "main.fromTable main.initCall"; got != want {
+			t.Errorf("initializer roots = %q, want %q", got, want)
+		}
+	})
+	t.Run("interface method value", func(t *testing.T) {
+		edge(t, "main.main", "main.(impl).put", EdgeDynamic)
+	})
+	t.Run("promoted interface method", func(t *testing.T) {
+		edge(t, "main.(wrap).run", "main.(impl2).put", EdgeInterface)
+	})
+	t.Run("a call is no value use", func(t *testing.T) {
+		for _, ns := range g.addr {
+			for _, n := range ns {
+				if n.Name() == "main.(*box).onlyFromOrphan" {
+					t.Error("a method only ever called is address-taken")
+				}
+			}
+		}
+	})
+}

@@ -98,16 +98,7 @@ func runFixture(t *testing.T, dir string) {
 		t.Fatalf("fixture %s has no want comment", dir)
 	}
 	for _, d := range Run(pkgs, VCProfAnalyzers()) {
-		msg := d.Analyzer + ": " + d.Message
-		matched := false
-		for _, w := range wants {
-			if !w.hit && w.file == d.File && w.line == d.Line && w.re.MatchString(msg) {
-				w.hit = true
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		if msg := d.Analyzer + ": " + d.Message; !claimWant(wants, d.File, d.Line, msg) {
 			t.Errorf("unexpected finding %s:%d:%d: %s", d.File, d.Line, d.Col, msg)
 		}
 	}
@@ -116,6 +107,18 @@ func runFixture(t *testing.T, dir string) {
 			t.Errorf("%s:%d: no finding matched %q", w.file, w.line, w.re)
 		}
 	}
+}
+
+// claimWant marks the first unhit want on file:line matching msg, and
+// reports whether there was one.
+func claimWant(wants []*expectation, file string, line int, msg string) bool {
+	for _, w := range wants {
+		if !w.hit && w.file == file && w.line == line && w.re.MatchString(msg) {
+			w.hit = true
+			return true
+		}
+	}
+	return false
 }
 
 // fixturePattern is the testdata pattern of an analyzer's fixture tree:

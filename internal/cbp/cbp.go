@@ -71,15 +71,6 @@ type Score struct {
 	MPKI        float64 // mispredicts per kilo-instruction
 }
 
-// Run replays one trace through one predictor (which is Reset first).
-func Run(p bpred.Predictor, tr Trace) (Score, error) {
-	if err := tr.validate(); err != nil {
-		return Score{}, err
-	}
-	p.Reset()
-	return replay(p, tr), nil
-}
-
 // replay scores a validated trace on a predictor in its reset state.
 func replay(p bpred.Predictor, tr Trace) Score {
 	var miss uint64

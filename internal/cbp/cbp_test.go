@@ -10,6 +10,15 @@ import (
 
 // synthTrace builds a branch trace with a mix of biased and patterned
 // branches, with total instruction window n*4.
+// Run replays one trace through one predictor (which is Reset first).
+func Run(p bpred.Predictor, tr Trace) (Score, error) {
+	if err := tr.validate(); err != nil {
+		return Score{}, err
+	}
+	p.Reset()
+	return replay(p, tr), nil
+}
+
 func synthTrace(name string, n int) Trace {
 	ops := make([]trace.MicroOp, n)
 	for i := range ops {

@@ -58,15 +58,6 @@ type Encoder struct {
 	mark    int
 }
 
-// NewEncoder returns an encoder reporting instrumentation to tc (which
-// may be nil). vbase is the virtual address of the output bitstream
-// buffer for cache modeling.
-func NewEncoder(tc *trace.Ctx, vbase uint64) *Encoder {
-	e := &Encoder{}
-	e.Reset(tc, vbase)
-	return e
-}
-
 // Reset makes e a new encoder on tc and vbase that writes into the
 // output buffer it already has: the bytes a previous Finish returned
 // are overwritten, and a coder that is reset per segment grows its
@@ -223,9 +214,6 @@ func (e *Encoder) Finish() []byte {
 	}
 	return e.out
 }
-
-// Len returns the current output length in bytes (without flush bits).
-func (e *Encoder) Len() int { return len(e.out) }
 
 // ErrTruncated is returned when the decoder reads past the bitstream.
 var ErrTruncated = errors.New("entropy: bitstream truncated")

@@ -23,19 +23,6 @@ const (
 	NumModes
 )
 
-var modeNames = [NumModes]string{"DC", "V", "H", "Planar"}
-
-// String returns the mode's short name.
-func (m Mode) String() string {
-	if int(m) < len(modeNames) {
-		return modeNames[m]
-	}
-	if IsAngular(m) {
-		return fmt.Sprintf("Ang%d", int(m-NumModes))
-	}
-	return "?"
-}
-
 // Neighbors holds the reconstructed border samples for prediction: Top
 // has n samples (above row), Left has n samples (left column). Missing
 // borders (frame edges) are flagged; predictors fall back to 128.

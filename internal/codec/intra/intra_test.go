@@ -117,12 +117,6 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if DC.String() != "DC" || Planar.String() != "Planar" || Mode(77).String() != "?" {
-		t.Error("mode names wrong")
-	}
-}
-
 func TestPredictInstrumentation(t *testing.T) {
 	tc := trace.New()
 	dst := make([]byte, 64)
@@ -165,9 +159,6 @@ func TestAngularModes(t *testing.T) {
 	}
 	if err := Predict(nil, Angular(0), nb, 0, nil); err == nil {
 		t.Error("angular accepted zero block size")
-	}
-	if Angular(0).String() != "Ang0" {
-		t.Errorf("Angular(0).String() = %q", Angular(0).String())
 	}
 }
 

@@ -108,24 +108,10 @@ func Transform2DKernel(m, mt []float64, n int, src, dst []int32, s []float64, in
 }
 
 // MulRows is dct_amd64.s's mulRows on slices: c = a·b of n×n row-major
-// matrices. It, Widen and RoundNarrow let the walls check each pass of
-// Transform2DKernel on its own; like every …Kernel, they run only where
-// AVX2 is true.
+// matrices. It lets the walls check each pass of Transform2DKernel on
+// its own; like every …Kernel, it runs only where AVX2 is true.
 func MulRows(a, b, c []float64, n int) {
 	nn := n * n
 	a, b, c = a[:nn], b[:nn], c[:nn]
 	mulRows(&a[0], &b[0], &c[0], n)
-}
-
-// Widen is widen on slices: dst = float64(src), len(src) a multiple of 4.
-func Widen(src []int32, dst []float64) {
-	dst = dst[:len(src)]
-	widen(&src[0], &dst[0], len(src))
-}
-
-// RoundNarrow is roundNarrow on slices: dst = int32(math.Round(src)),
-// len(src) a multiple of 4.
-func RoundNarrow(src []float64, dst []int32) {
-	dst = dst[:len(src)]
-	roundNarrow(&src[0], &dst[0], len(src))
 }

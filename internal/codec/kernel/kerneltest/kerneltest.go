@@ -81,7 +81,7 @@ func ClipResiduals(tb testing.TB, n int) [][]int32 {
 			b := make([]int32, 0, n*n)
 			for j := y; j < y+n; j++ {
 				for i := x; i < x+n; i++ {
-					b = append(b, int32(cur.At(i, j))-int32(prev.At(i, j)))
+					b = append(b, int32(cur.Pix[j*cur.Stride+i])-int32(prev.Pix[j*prev.Stride+i]))
 				}
 			}
 			blocks = append(blocks, b)

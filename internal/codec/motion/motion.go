@@ -137,19 +137,6 @@ const (
 	Full
 )
 
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Hex:
-		return "hex"
-	case Diamond:
-		return "diamond"
-	case Full:
-		return "full"
-	}
-	return "?"
-}
-
 // stackRange is the widest search range whose visited set stays on
 // Search's stack (536 bytes). The encoders' ranges end at 23.
 const stackRange = 32

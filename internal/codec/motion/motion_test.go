@@ -26,7 +26,7 @@ func shiftedPair(t *testing.T, w, h, dx, dy int) (cur, ref codec.Surface) {
 			dx := float64(x - w/2)
 			dy := float64(y - h/2)
 			d2 := dx*dx + dy*dy
-			refP.Set(x, y, byte(30+220*mexp(-d2/float64(w*h/8))))
+			refP.Pix[y*w+x] = byte(30 + 220*mexp(-d2/float64(w*h/8)))
 		}
 	}
 	for y := 0; y < h; y++ {
@@ -42,7 +42,7 @@ func shiftedPair(t *testing.T, w, h, dx, dy int) (cur, ref codec.Surface) {
 			} else if sy >= h {
 				sy = h - 1
 			}
-			curP.Set(x, y, refP.At(sx, sy))
+			curP.Pix[y*w+x] = refP.Pix[sy*w+sx]
 		}
 	}
 	var err error
@@ -168,20 +168,15 @@ func TestSearchInstrumentationEmitsMemAndBranches(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if Hex.String() != "hex" || Diamond.String() != "diamond" || Full.String() != "full" || Algorithm(9).String() != "?" {
-		t.Error("algorithm names wrong")
-	}
-}
-
 func TestInterpHalfPelPhases(t *testing.T) {
 	as := trace.NewAddressSpace()
 	p := video.NewPlane(8, 8)
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
-			p.Set(x, y, byte(10*y+x))
+			p.Pix[8*y+x] = byte(10*y + x)
 		}
 	}
+	at := func(x, y int) int { return int(p.Pix[8*y+x]) }
 	ref, err := codec.WrapSurface(as, "hp", p)
 	if err != nil {
 		t.Fatal(err)
@@ -191,14 +186,14 @@ func TestInterpHalfPelPhases(t *testing.T) {
 	if err := InterpHalfPel(nil, ref, 1, 1, SubPel{}, 2, 2, dst); err != nil {
 		t.Fatal(err)
 	}
-	if dst[0] != p.At(1, 1) || dst[3] != p.At(2, 2) {
+	if dst[0] != byte(at(1, 1)) || dst[3] != byte(at(2, 2)) {
 		t.Errorf("integer phase wrong: %v", dst)
 	}
 	// Horizontal half: average of left/right with rounding.
 	if err := InterpHalfPel(nil, ref, 1, 1, SubPel{X: 1}, 2, 2, dst); err != nil {
 		t.Fatal(err)
 	}
-	want := byte((int(p.At(1, 1)) + int(p.At(2, 1)) + 1) / 2)
+	want := byte((at(1, 1) + at(2, 1) + 1) / 2)
 	if dst[0] != want {
 		t.Errorf("horizontal half = %d, want %d", dst[0], want)
 	}
@@ -206,7 +201,7 @@ func TestInterpHalfPelPhases(t *testing.T) {
 	if err := InterpHalfPel(nil, ref, 1, 1, SubPel{Y: 1}, 2, 2, dst); err != nil {
 		t.Fatal(err)
 	}
-	want = byte((int(p.At(1, 1)) + int(p.At(1, 2)) + 1) / 2)
+	want = byte((at(1, 1) + at(1, 2) + 1) / 2)
 	if dst[0] != want {
 		t.Errorf("vertical half = %d, want %d", dst[0], want)
 	}
@@ -214,7 +209,7 @@ func TestInterpHalfPelPhases(t *testing.T) {
 	if err := InterpHalfPel(nil, ref, 1, 1, SubPel{X: 1, Y: 1}, 2, 2, dst); err != nil {
 		t.Fatal(err)
 	}
-	want = byte((int(p.At(1, 1)) + int(p.At(2, 1)) + int(p.At(1, 2)) + int(p.At(2, 2)) + 2) / 4)
+	want = byte((at(1, 1) + at(2, 1) + at(1, 2) + at(2, 2) + 2) / 4)
 	if dst[0] != want {
 		t.Errorf("diagonal half = %d, want %d", dst[0], want)
 	}

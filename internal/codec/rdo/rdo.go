@@ -31,17 +31,3 @@ func BitsEstimate(levels []int32) int { return kernel.BitsEstimate(levels) }
 func Cost(dist int64, bitCount int, lambda float64) int64 {
 	return dist + int64(math.Round(lambda*float64(bitCount)))
 }
-
-// SSE returns the sum of squared errors between two equally sized
-// sample blocks.
-func SSE(a, b []byte) (int64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("rdo: SSE length mismatch %d vs %d", len(a), len(b))
-	}
-	var sum int64
-	for i := range a {
-		d := int64(a[i]) - int64(b[i])
-		sum += d * d
-	}
-	return sum, nil
-}

@@ -63,18 +63,3 @@ func TestCost(t *testing.T) {
 		t.Errorf("zero-lambda cost = %d, want pure distortion", got)
 	}
 }
-
-func TestSSE(t *testing.T) {
-	a := []byte{10, 20, 30}
-	b := []byte{13, 16, 30}
-	got, err := SSE(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 9+16 {
-		t.Errorf("SSE = %d, want 25", got)
-	}
-	if _, err := SSE(a, b[:2]); err == nil {
-		t.Error("SSE accepted mismatched lengths")
-	}
-}

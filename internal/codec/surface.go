@@ -36,27 +36,6 @@ func (s Surface) VAddr(x, y int) uint64 {
 	return s.VBase + uint64(y*s.Stride+x)
 }
 
-// BlockSize is a square coding block side length.
-type BlockSize int
-
-// Supported block sizes.
-const (
-	Block4  BlockSize = 4
-	Block8  BlockSize = 8
-	Block16 BlockSize = 16
-	Block32 BlockSize = 32
-	Block64 BlockSize = 64
-)
-
-// Valid reports whether the block size is one the toolkit supports.
-func (b BlockSize) Valid() bool {
-	switch b {
-	case Block4, Block8, Block16, Block32, Block64:
-		return true
-	}
-	return false
-}
-
 // MV is a motion vector in full-pel units.
 type MV struct {
 	X, Y int16

@@ -227,7 +227,7 @@ func BenchmarkWriteCoefBlock(b *testing.B) {
 						if mode == "record" {
 							tc.AttachRecorder(&trace.Recorder{})
 						}
-						enc = entropy.NewEncoder(tc, 0x9000)
+						enc = newEncoder(tc, 0x9000)
 					}
 					if err := writeCoefBlock(enc, pm, blocks[k], n); err != nil {
 						b.Fatal(err)

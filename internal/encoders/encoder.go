@@ -144,8 +144,6 @@ type Result struct {
 
 // Encoder is one encoder model.
 type Encoder interface {
-	// Family returns the model's identity.
-	Family() Family
 	// CRFRange returns the inclusive CRF range.
 	CRFRange() (lo, hi int)
 	// PresetRange returns the inclusive preset range and whether larger
@@ -179,8 +177,6 @@ func MustNew(f Family) Encoder {
 type model struct {
 	spec familySpec
 }
-
-func (m *model) Family() Family { return m.spec.family }
 
 func (m *model) CRFRange() (int, int) { return 0, m.spec.crfMax }
 

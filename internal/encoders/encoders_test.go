@@ -10,17 +10,21 @@ import (
 	"vcprof/internal/video"
 )
 
+// newEncoder returns a range coder on tc at vbase, reset the way a
+// frame's coder is.
+func newEncoder(tc *trace.Ctx, vbase uint64) *entropy.Encoder {
+	e := new(entropy.Encoder)
+	e.Reset(tc, vbase)
+	return e
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New("h266"); err == nil {
 		t.Error("accepted unknown family")
 	}
 	for _, fam := range Families() {
-		enc, err := New(fam)
-		if err != nil {
+		if _, err := New(fam); err != nil {
 			t.Fatalf("New(%s): %v", fam, err)
-		}
-		if enc.Family() != fam {
-			t.Errorf("Family() = %s, want %s", enc.Family(), fam)
 		}
 	}
 }
@@ -217,7 +221,7 @@ func TestCoefBlockRoundTrip(t *testing.T) {
 				levels[i] = int32(-(i % 200))
 			}
 		}
-		enc := entropy.NewEncoder(nil, 0)
+		enc := newEncoder(nil, 0)
 		pmE := newProbModel()
 		if err := writeCoefBlock(enc, pmE, levels, n); err != nil {
 			t.Fatal(err)
@@ -237,15 +241,16 @@ func TestCoefBlockRoundTrip(t *testing.T) {
 }
 
 func TestCoefBlockAllZero(t *testing.T) {
-	enc := entropy.NewEncoder(nil, 0)
+	enc := newEncoder(nil, 0)
 	pm := newProbModel()
 	if err := writeCoefBlock(enc, pm, make([]int32, 64), 8); err != nil {
 		t.Fatal(err)
 	}
-	if enc.Len() > 2 {
-		t.Errorf("all-zero block used %d bytes, want ~1 flag bit", enc.Len())
+	buf, flush := enc.Finish(), newEncoder(nil, 0).Finish()
+	if len(buf)-len(flush) > 2 {
+		t.Errorf("all-zero block used %d bytes, want ~1 flag bit", len(buf)-len(flush))
 	}
-	dec := entropy.NewDecoder(enc.Finish())
+	dec := entropy.NewDecoder(buf)
 	got, err := readCoefBlock(dec, newProbModel(), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +263,7 @@ func TestCoefBlockAllZero(t *testing.T) {
 }
 
 func TestCoefBlockValidation(t *testing.T) {
-	enc := entropy.NewEncoder(nil, 0)
+	enc := newEncoder(nil, 0)
 	if err := writeCoefBlock(enc, newProbModel(), make([]int32, 10), 8); err == nil {
 		t.Error("accepted short level buffer")
 	}
@@ -267,7 +272,7 @@ func TestCoefBlockValidation(t *testing.T) {
 func TestMVRoundTrip(t *testing.T) {
 	mvs := []codec.MV{{X: 0, Y: 0}, {X: 5, Y: -3}, {X: -16, Y: 16}, {X: 127, Y: -127}}
 	pred := codec.MV{X: 2, Y: -1}
-	enc := entropy.NewEncoder(nil, 0)
+	enc := newEncoder(nil, 0)
 	pmE := newProbModel()
 	for _, mv := range mvs {
 		writeMV(enc, pmE, mv, pred)
@@ -283,7 +288,7 @@ func TestMVRoundTrip(t *testing.T) {
 
 func TestUnsignedRoundTrip(t *testing.T) {
 	vals := []uint32{0, 1, 2, 5, 17, 255, 1000, 65535}
-	enc := entropy.NewEncoder(nil, 0)
+	enc := newEncoder(nil, 0)
 	var pE entropy.Prob = entropy.DefaultProb
 	for _, v := range vals {
 		writeUnsigned(enc, &pE, v)
@@ -321,7 +326,7 @@ func TestScanOrderIsPermutation(t *testing.T) {
 		if scan := scanOrder(n); scan != nil {
 			t.Errorf("scan(%d) has %d entries, want none", n, len(scan))
 		}
-		if err := writeCoefBlock(entropy.NewEncoder(nil, 0), newProbModel(), make([]int32, n*n), n); err == nil {
+		if err := writeCoefBlock(newEncoder(nil, 0), newProbModel(), make([]int32, n*n), n); err == nil {
 			t.Errorf("writeCoefBlock accepted a %d×%d block", n, n)
 		}
 	}

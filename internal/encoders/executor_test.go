@@ -43,11 +43,11 @@ func checkPoolsMatch(t *testing.T, enc Encoder, clip *video.Clip, opts Options, 
 		got, err := enc.Encode(context.Background(), clip, o)
 		p.Close()
 		if err != nil {
-			t.Fatalf("%s workers=%d seed=%d: %v", enc.Family(), cfg.Workers, cfg.Seed, err)
+			t.Fatalf("%s workers=%d seed=%d: %v", ref.Family, cfg.Workers, cfg.Seed, err)
 		}
 		if d := resultDiff(ref, got); d != nil {
 			t.Errorf("%s workers=%d seed=%d: Result differs from the reference in %v (WorkerInsts %v vs %v)",
-				enc.Family(), cfg.Workers, cfg.Seed, d, ref.WorkerInsts, got.WorkerInsts)
+				ref.Family, cfg.Workers, cfg.Seed, d, ref.WorkerInsts, got.WorkerInsts)
 		}
 	}
 }

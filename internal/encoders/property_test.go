@@ -105,7 +105,7 @@ func TestCoefBlockRoundTripQuick(t *testing.T) {
 				levels[i] = int32(r.Intn(4001) - 2000)
 			}
 		}
-		enc := entropy.NewEncoder(nil, 0)
+		enc := newEncoder(nil, 0)
 		if err := writeCoefBlock(enc, newProbModel(), levels, n); err != nil {
 			return false
 		}
@@ -131,7 +131,7 @@ func TestMVRoundTripQuick(t *testing.T) {
 	f := func(mx, my, px, py int16) bool {
 		mv := codec.MV{X: mx % 512, Y: my % 512}
 		pred := codec.MV{X: px % 512, Y: py % 512}
-		enc := entropy.NewEncoder(nil, 0)
+		enc := newEncoder(nil, 0)
 		pmE := newProbModel()
 		writeMV(enc, pmE, mv, pred)
 		dec := entropy.NewDecoder(enc.Finish())

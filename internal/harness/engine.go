@@ -74,15 +74,6 @@ type Report struct {
 	Workers int
 }
 
-// Tables flattens the report in experiment order.
-func (r *Report) Tables() []*Table {
-	var out []*Table
-	for _, er := range r.Results {
-		out = append(out, er.Tables...)
-	}
-	return out
-}
-
 // RunAll executes the selected experiments at the given scale.
 // Experiments run in registry order; each experiment's cell grid fans
 // out across at most opts.Workers goroutines. The first cell error
@@ -203,17 +194,6 @@ func (g *cellGraph) Run(ctx context.Context, i, _ int) error {
 	}
 	g.res[i] = r
 	return nil
-}
-
-// Run executes the experiment single-threaded at the given scale — the
-// pre-engine entry point, kept for tests, benchmarks and examples. Cell
-// results still flow through the process-wide memo cache.
-func (e Experiment) Run(s Scale) ([]*Table, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	tables, _, _, err := runExperiment(context.Background(), e, s, 1, nil)
-	return tables, err
 }
 
 // RunCell computes one cell through the process-wide memo cache — the

@@ -9,6 +9,7 @@ import (
 
 	"vcprof/internal/cbp"
 	"vcprof/internal/encoders"
+	"vcprof/internal/memo"
 	"vcprof/internal/uarch/bpred"
 	"vcprof/internal/uarch/cache"
 	"vcprof/internal/uarch/pipeline"
@@ -156,8 +157,8 @@ func TestRunAllSelectionAndErrors(t *testing.T) {
 	if len(rep.Results) != 1 || rep.Results[0].ID != "table1" {
 		t.Fatalf("selection broken: %+v", rep.Results)
 	}
-	if got := len(rep.Tables()); got != 1 {
-		t.Fatalf("Tables() returned %d tables, want 1", got)
+	if got := len(rep.Results[0].Tables); got != 1 {
+		t.Fatalf("table1 returned %d tables, want 1", got)
 	}
 }
 
@@ -187,7 +188,6 @@ func TestCellErrorPropagates(t *testing.T) {
 
 func TestCellCacheBounded(t *testing.T) {
 	ResetCellCache()
-	defer cellMemo.SetCap(defaultCellWeight)
 	defer ResetCellCache()
 	s := equivScale()
 	s.WindowOps = 50_000
@@ -203,8 +203,9 @@ func TestCellCacheBounded(t *testing.T) {
 	}
 	// Budget fits roughly one window (tapes come in whole 128 KB chunks,
 	// so a sixth of slack is less than one); recording three must evict.
-	cellMemo.SetCap(held * 6 / 5)
-	for _, crf := range []int{35, 60} {
+	defer func(m *memo.Memo[Cell, CellResult]) { cellMemo = m }(cellMemo)
+	cellMemo = memo.New[Cell, CellResult](held*6/5, CellResult.weight)
+	for _, crf := range []int{10, 35, 60} {
 		if _, _, err := getCell(context.Background(), s.WindowCell(encoders.SVTAV1, "desktop", crf, 4)); err != nil {
 			t.Fatal(err)
 		}

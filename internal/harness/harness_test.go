@@ -13,6 +13,16 @@ import (
 // scale (QuickScale) restricted to two clips, so every cell these tests
 // measure is shared with the golden-suite run through the memo cache
 // and the shape tests mostly assemble cached results.
+// Run executes the experiment single-threaded at the given scale. Cell
+// results still flow through the process-wide memo cache.
+func (e Experiment) Run(s Scale) ([]*Table, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	tables, _, _, err := runExperiment(context.Background(), e, s, 1, nil)
+	return tables, err
+}
+
 func fast() Scale {
 	s := QuickScale()
 	s.Clips = []string{"desktop", "game1"}

@@ -123,10 +123,3 @@ func (m *Memo[K, V]) Reset() {
 	m.lru = NewLRU[K, *call[V]](m.lru.Cap(), nil)
 	m.hits, m.misses = 0, 0
 }
-
-// SetCap changes the weight budget and evicts down to it.
-func (m *Memo[K, V]) SetCap(cap int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lru.SetCap(cap)
-}

@@ -27,19 +27,6 @@ func MSE(a, b *video.Plane) (float64, error) {
 	return float64(sum) / float64(a.W*a.H), nil
 }
 
-// PSNR returns the peak signal-to-noise ratio in dB for 8-bit content.
-// Identical planes return +Inf.
-func PSNR(a, b *video.Plane) (float64, error) {
-	mse, err := MSE(a, b)
-	if err != nil {
-		return 0, err
-	}
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255*255/mse), nil
-}
-
 // FramePSNR returns the weighted YUV PSNR of a frame pair using the
 // conventional 4:1:1 luma/chroma weighting for 4:2:0 content.
 func FramePSNR(a, b *video.Frame) (float64, error) {

@@ -16,6 +16,11 @@ func plane(w, h int, fill byte) *video.Plane {
 	return p
 }
 
+// frame is a 4:2:0 frame with every sample set to fill.
+func frame(w, h int, fill byte) *video.Frame {
+	return &video.Frame{Y: plane(w, h, fill), U: plane(w/2, h/2, fill), V: plane(w/2, h/2, fill)}
+}
+
 func TestMSEAndPSNR(t *testing.T) {
 	a := plane(8, 8, 100)
 	b := plane(8, 8, 110)
@@ -26,7 +31,7 @@ func TestMSEAndPSNR(t *testing.T) {
 	if mse != 100 {
 		t.Errorf("MSE = %v, want 100", mse)
 	}
-	p, err := PSNR(a, b)
+	p, err := FramePSNR(frame(8, 8, 100), frame(8, 8, 110))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +39,7 @@ func TestMSEAndPSNR(t *testing.T) {
 	if math.Abs(p-want) > 1e-9 {
 		t.Errorf("PSNR = %v, want %v", p, want)
 	}
-	same, err := PSNR(a, a)
+	same, err := FramePSNR(frame(8, 8, 100), frame(8, 8, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +53,11 @@ func TestMSEAndPSNR(t *testing.T) {
 
 func TestPSNRMonotoneInError(t *testing.T) {
 	f := func(d1, d2 uint8) bool {
-		a := plane(4, 4, 128)
-		b := plane(4, 4, 128+byte(d1%100))
-		c := plane(4, 4, 128+byte(d1%100)+byte(d2%50))
-		pb, _ := PSNR(a, b)
-		pc, _ := PSNR(a, c)
+		a := frame(4, 4, 128)
+		b := frame(4, 4, 128+byte(d1%100))
+		c := frame(4, 4, 128+byte(d1%100)+byte(d2%50))
+		pb, _ := FramePSNR(a, b)
+		pc, _ := FramePSNR(a, c)
 		return pc <= pb // larger error never improves PSNR
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -30,8 +30,8 @@ func TestSSIMIdenticalIsOne(t *testing.T) {
 
 func TestSSIMDegradesWithNoise(t *testing.T) {
 	ref := texPlane(64, 64, 7)
-	mild := ref.Clone()
-	heavy := ref.Clone()
+	mild := clonePlane(ref)
+	heavy := clonePlane(ref)
 	for i := range mild.Pix {
 		if i%3 == 0 {
 			mild.Pix[i] += 4
@@ -58,11 +58,11 @@ func TestSSIMStructureSensitive(t *testing.T) {
 	// A constant-offset copy keeps structure: SSIM should stay much
 	// higher than for structure-destroying shuffling at the same MSE.
 	ref := texPlane(64, 64, 99)
-	offset := ref.Clone()
+	offset := clonePlane(ref)
 	for i := range offset.Pix {
 		offset.Pix[i] += 10
 	}
-	shuffled := ref.Clone()
+	shuffled := clonePlane(ref)
 	for y := 0; y < 64; y += 2 {
 		copy(shuffled.Row(y), ref.Row(63-y))
 	}
@@ -94,7 +94,7 @@ func TestSSIMValidation(t *testing.T) {
 func TestSequenceSSIM(t *testing.T) {
 	fa, _ := video.NewFrame(32, 32)
 	copy(fa.Y.Pix, texPlane(32, 32, 3).Pix)
-	fb := fa.Clone()
+	fb := cloneFrame(fa)
 	for i := range fb.Y.Pix {
 		if i%5 == 0 {
 			fb.Y.Pix[i] += 20
@@ -113,4 +113,16 @@ func TestSequenceSSIM(t *testing.T) {
 	if _, err := SequenceSSIM([]*video.Frame{fa}, nil); err == nil {
 		t.Error("accepted mismatched lengths")
 	}
+}
+
+// clonePlane returns a deep copy of p.
+func clonePlane(p *video.Plane) *video.Plane {
+	q := *p
+	q.Pix = append([]byte(nil), p.Pix...)
+	return &q
+}
+
+// cloneFrame returns a deep copy of f.
+func cloneFrame(f *video.Frame) *video.Frame {
+	return &video.Frame{Y: clonePlane(f.Y), U: clonePlane(f.U), V: clonePlane(f.V), Index: f.Index}
 }

@@ -21,7 +21,7 @@ func noisyPlane(rng *rand.Rand, w, h int) *video.Plane {
 // perturbed returns a copy of p with about a third of its samples moved
 // by up to ±24, so it differs from p but stays correlated with it.
 func perturbed(rng *rand.Rand, p *video.Plane) *video.Plane {
-	q := p.Clone()
+	q := clonePlane(p)
 	for i := range q.Pix {
 		if rng.Intn(3) == 0 {
 			q.Pix[i] = byte(min(max(int(q.Pix[i])+rng.Intn(49)-24, 0), 255))

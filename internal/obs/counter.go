@@ -46,14 +46,6 @@ func (c *Counter) Max(n uint64) {
 	}
 }
 
-// Value reads the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 var registry = struct {
 	sync.Mutex
 	m map[string]*Counter
@@ -79,14 +71,22 @@ func newCounter(name string, volatile bool) *Counter {
 	return c
 }
 
-// ResetCounters zeroes every registered counter (the registry itself
-// persists). Tests call it between runs that must start from identical
-// state.
-func ResetCounters() {
+// Reset zeroes every registered counter and histogram (the registries
+// themselves persist). Tests call it between runs that must start from
+// identical state.
+func Reset() {
 	registry.Lock()
-	defer registry.Unlock()
 	for _, c := range registry.m {
 		c.v.Store(0)
+	}
+	registry.Unlock()
+	histRegistry.Lock()
+	defer histRegistry.Unlock()
+	for _, h := range histRegistry.m {
+		for i := range h.counts {
+			h.counts[i].Store(0)
+		}
+		h.sum.Store(0)
 	}
 }
 

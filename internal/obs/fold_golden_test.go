@@ -17,8 +17,7 @@ func captureFolded(t *testing.T, workers int) string {
 	t.Helper()
 	harness.ResetCellCache()
 	harness.ResetClipCache()
-	obs.ResetCounters()
-	obs.ResetHistograms()
+	obs.Reset()
 	sess := obs.NewSession()
 	_, err := harness.RunAll(context.Background(), goldenScale(), harness.Options{
 		Workers:     workers,

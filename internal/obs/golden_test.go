@@ -45,7 +45,7 @@ func capture(t *testing.T, workers int) (trace, profile, counters string) {
 	t.Helper()
 	harness.ResetCellCache()
 	harness.ResetClipCache()
-	obs.ResetCounters()
+	obs.Reset()
 	sess := obs.NewSession()
 	_, err := harness.RunAll(context.Background(), goldenScale(), harness.Options{
 		Workers:     workers,

@@ -48,18 +48,6 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
-// Count reads the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Snapshot copies the histogram's current state. Bucket reads are
 // individually atomic but not mutually consistent under concurrent
 // Observe — fine for live views; deterministic exports snapshot
@@ -139,19 +127,6 @@ func UnregisterHistogram(name string) {
 	histRegistry.Lock()
 	defer histRegistry.Unlock()
 	delete(histRegistry.m, name)
-}
-
-// ResetHistograms zeroes every registered histogram (the registry
-// itself persists), mirroring ResetCounters.
-func ResetHistograms() {
-	histRegistry.Lock()
-	defer histRegistry.Unlock()
-	for _, h := range histRegistry.m {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.sum.Store(0)
-	}
 }
 
 // HistogramValue is a histogram snapshot row. Counts are per-bucket

@@ -11,7 +11,7 @@ import (
 // are inclusive upper edges, values above the last bound land in +Inf.
 func TestHistogramBucketPlacement(t *testing.T) {
 	h := obs.NewHistogram("test.hist.placement", []uint64{10, 20, 40})
-	defer obs.ResetHistograms()
+	defer obs.Reset()
 	for _, v := range []uint64{0, 10, 11, 20, 39, 40, 41, 1000} {
 		h.Observe(v)
 	}
@@ -48,7 +48,7 @@ func TestHistogramNilSafe(t *testing.T) {
 // instance; volatile histograms are excluded from the deterministic
 // listing; the listing is sorted by name.
 func TestHistogramRegistry(t *testing.T) {
-	defer obs.ResetHistograms()
+	defer obs.Reset()
 	a := obs.NewHistogram("test.hist.reg.det", []uint64{1, 2})
 	if same := obs.NewHistogram("test.hist.reg.det", []uint64{9, 10}); same != a {
 		t.Fatal("re-registration returned a different instance")
@@ -105,7 +105,7 @@ func TestHistogramPanicsOnBadBounds(t *testing.T) {
 func TestHistogramReset(t *testing.T) {
 	h := obs.NewHistogram("test.hist.reset", []uint64{1, 2})
 	h.Observe(1)
-	obs.ResetHistograms()
+	obs.Reset()
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("reset left observations behind")
 	}
@@ -122,7 +122,7 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Error("empty histogram quantile != 0")
 	}
 	h := obs.NewHistogram("test.hist.quantile", []uint64{10, 100, 1000})
-	defer obs.ResetHistograms()
+	defer obs.Reset()
 	rng := splitmixState(42)
 	for i := 0; i < 5000; i++ {
 		h.Observe(rng.next() % 2000)
@@ -150,7 +150,7 @@ func TestHistogramQuantile(t *testing.T) {
 // snapshot must be internally sane (count = sum of buckets).
 func TestHistogramConcurrentHammer(t *testing.T) {
 	h := obs.NewVolatileHistogram("test.hist.hammer", []uint64{8, 64, 512})
-	defer obs.ResetHistograms()
+	defer obs.Reset()
 	const (
 		writers = 8
 		perG    = 5000

@@ -5,6 +5,34 @@ import (
 	"testing"
 )
 
+// Now returns the current virtual tick.
+func (t *Trace) Now() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.now
+}
+
+// Value reads the current count.
+func (c *Counter) Value() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
+
+// Count reads the number of observations.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
 func TestSpanHierarchyAndDurations(t *testing.T) {
 	tr := NewTrace()
 	a, b, c := Name("a"), Name("b"), Name("c")
@@ -65,7 +93,7 @@ func TestNilTraceIsNoOp(t *testing.T) {
 }
 
 func TestCounterDomains(t *testing.T) {
-	ResetCounters()
+	Reset()
 	det := NewCounter("test.det")
 	vol := NewVolatileCounter("test.vol")
 	det.Add(3)
@@ -91,14 +119,14 @@ func TestCounterDomains(t *testing.T) {
 	if same := NewCounter("test.det"); same != det {
 		t.Fatal("NewCounter must be idempotent per name")
 	}
-	ResetCounters()
+	Reset()
 	if det.Value() != 0 {
-		t.Fatal("ResetCounters must zero values")
+		t.Fatal("Reset must zero values")
 	}
 }
 
 func TestRenderCountersSections(t *testing.T) {
-	ResetCounters()
+	Reset()
 	NewCounter("test.render.det").Add(1)
 	NewVolatileCounter("test.render.vol").Add(2)
 	out := RenderCounters(false)
@@ -109,11 +137,11 @@ func TestRenderCountersSections(t *testing.T) {
 	if !strings.Contains(full, "test.render.vol") || !strings.Contains(full, "volatile") {
 		t.Errorf("full render missing volatile section:\n%s", full)
 	}
-	ResetCounters()
+	Reset()
 }
 
 func TestChromeTraceShapeAndDeterminism(t *testing.T) {
-	ResetCounters()
+	Reset()
 	NewCounter("test.chrome.events").Add(42)
 	build := func() string {
 		sess := NewSession()
@@ -141,7 +169,7 @@ func TestChromeTraceShapeAndDeterminism(t *testing.T) {
 			t.Errorf("trace JSON missing %q in:\n%s", want, one)
 		}
 	}
-	ResetCounters()
+	Reset()
 }
 
 func TestProfileInclusiveExclusive(t *testing.T) {

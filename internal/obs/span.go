@@ -33,14 +33,6 @@ type Span struct {
 // NewTrace returns an enabled tracer starting at tick 0.
 func NewTrace() *Trace { return &Trace{} }
 
-// Now returns the current virtual tick.
-func (t *Trace) Now() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.now
-}
-
 // Advance moves the virtual clock forward by a modeled quantity
 // (instructions, simulated cycles, recorded micro-ops — never host
 // time).

@@ -146,7 +146,7 @@ func TestRecordWindow(t *testing.T) {
 		if op.IsBranch() {
 			hasBranch = true
 		}
-		if op.IsMem() {
+		if op.Class == trace.OpLoad || op.Class == trace.OpStore {
 			hasMem = true
 		}
 	}

@@ -240,7 +240,7 @@ func TestSchedStatsExposed(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	pollDone(t, hts.URL, st.ID)
-	stats := srv.SchedStats()
+	stats := srv.pool.Stats()
 	if stats.Workers != 2 {
 		t.Errorf("pool is %d wide, want Workers = 2", stats.Workers)
 	}

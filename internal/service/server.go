@@ -174,9 +174,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// SchedStats snapshots the shard pool's scheduling counters.
-func (s *Server) SchedStats() sched.Stats { return s.pool.Stats() }
-
 // Handler returns the HTTP surface: the shared job and session API over
 // the local engine, plus the daemon's own routes — the shard protocol a
 // gate speaks (HEAD/PUT results, the registry), streaming telemetry and

@@ -11,9 +11,21 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vcprof/internal/obs"
 )
 
 // tkey derives a well-formed (hex) store key from a label.
+// corruptCount reads the svc.store.corrupt counter off the registry.
+func corruptCount() uint64 {
+	for _, c := range obs.Counters(true) {
+		if c.Name == "svc.store.corrupt" {
+			return c.Value
+		}
+	}
+	return 0
+}
+
 func tkey(label string) string {
 	sum := sha256.Sum256([]byte(label))
 	return hex.EncodeToString(sum[:])
@@ -194,14 +206,14 @@ func TestStoreVanishedObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg.Close()
-	corrupt := obsStoreCorrupt.Value()
+	corrupt := corruptCount()
 	if _, ok, err := st.Get(key); ok || err != nil {
 		t.Fatalf("Get of vanished object: ok=%v err=%v, want miss", ok, err)
 	}
 	if st.Contains(key) {
 		t.Error("vanished object still indexed after failed Get")
 	}
-	if n := obsStoreCorrupt.Value() - corrupt; n != 1 {
+	if n := corruptCount() - corrupt; n != 1 {
 		t.Errorf("svc.store.corrupt rose by %d, want 1", n)
 	}
 }
@@ -371,7 +383,7 @@ func TestStoreOpenSkipsCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg.Close()
-	corrupt := obsStoreCorrupt.Value()
+	corrupt := corruptCount()
 	st, err = OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +392,7 @@ func TestStoreOpenSkipsCorruptRecord(t *testing.T) {
 	if st.Contains(b) || !st.Contains(a) || !st.Contains(c) {
 		t.Errorf("after reopen: a=%v b=%v c=%v, want only b gone", st.Contains(a), st.Contains(b), st.Contains(c))
 	}
-	if n := obsStoreCorrupt.Value() - corrupt; n != 1 {
+	if n := corruptCount() - corrupt; n != 1 {
 		t.Errorf("svc.store.corrupt rose by %d, want 1", n)
 	}
 }
@@ -450,7 +462,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 	for i := range keys {
 		keys[i] = tkey(fmt.Sprint("hammer", i))
 	}
-	corrupt := obsStoreCorrupt.Value()
+	corrupt := corruptCount()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -477,7 +489,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := obsStoreCorrupt.Value() - corrupt; n != 0 {
+	if n := corruptCount() - corrupt; n != 0 {
 		t.Errorf("%d reads taken for corruption", n)
 	}
 	if s := st.Stats(); s.Bytes > 2<<10 && s.Objects > 1 {

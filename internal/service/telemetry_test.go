@@ -20,8 +20,7 @@ import (
 func resetTelemetryState() {
 	harness.ResetCellCache()
 	harness.ResetClipCache()
-	obs.ResetCounters()
-	obs.ResetHistograms()
+	obs.Reset()
 }
 
 // getBody fetches a URL and returns body and status.

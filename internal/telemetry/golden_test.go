@@ -34,8 +34,7 @@ func captureExposition(t *testing.T, workers int) string {
 	t.Helper()
 	harness.ResetCellCache()
 	harness.ResetClipCache()
-	obs.ResetCounters()
-	obs.ResetHistograms()
+	obs.Reset()
 	scale := harness.QuickScale()
 	scale.Clips = []string{"desktop"}
 	scale.Frames = 2

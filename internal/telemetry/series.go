@@ -100,13 +100,3 @@ func (s *Series) Window(n int) Window {
 	}
 	return w
 }
-
-// Len reports how many samples the ring currently holds.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}

@@ -75,11 +75,3 @@ func (a *AddressSpace) Alloc(name string, size int) (Region, error) {
 	a.byName[name] = r
 	return r, nil
 }
-
-// Lookup returns the region registered under name.
-func (a *AddressSpace) Lookup(name string) (Region, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r, ok := a.byName[name]
-	return r, ok
-}

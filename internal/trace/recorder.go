@@ -15,9 +15,6 @@ type MicroOp struct {
 // IsBranch reports whether the op is a conditional branch.
 func (o MicroOp) IsBranch() bool { return o.Class == OpBranch }
 
-// IsMem reports whether the op accesses memory.
-func (o MicroOp) IsMem() bool { return o.Class == OpLoad || o.Class == OpStore }
-
 // Recorder writes the run of the Ctx it is attached to onto its Tape,
 // and holds one window cut from it: the paper traces a fixed-length
 // interval (1 billion instructions, scaled here) roughly halfway

@@ -83,14 +83,6 @@ func Sites(name string, n int) []PC {
 	return out
 }
 
-// SiteName returns the registered name for a PC, or "" if unknown.
-func SiteName(pc PC) string {
-	r := &siteRegistry
-	r.Lock()
-	defer r.Unlock()
-	return r.names[pc]
-}
-
 // funcRegistry reserves ID 0, where a Ctx starts, for the work no
 // Enter covers, so a profile books it on a row of its own rather than
 // on whichever function registered first.

@@ -218,7 +218,7 @@ func checkTape(t testing.TB, where string, tape *Tape, ref *refRecorder, total, 
 	// window's branch sequence and its access sequence.
 	mem := make([]MicroOp, 0, len(got))
 	for _, op := range got {
-		if op.IsMem() {
+		if op.Class == OpLoad || op.Class == OpStore {
 			op.PC = 0
 			mem = append(mem, op)
 		}

@@ -71,9 +71,6 @@ func TestSiteStableAndDistinct(t *testing.T) {
 	if again := Site("pkg.fn/loop1"); again != a {
 		t.Error("same site name mapped to different PCs")
 	}
-	if SiteName(a) != "pkg.fn/loop1" {
-		t.Errorf("SiteName = %q", SiteName(a))
-	}
 	if a%16 != 0 {
 		t.Errorf("PC %#x not 16-byte aligned", uint64(a))
 	}
@@ -394,11 +391,8 @@ func TestAddressSpace(t *testing.T) {
 	if _, err := as.Alloc("bad", 0); err == nil {
 		t.Error("zero-size alloc accepted")
 	}
-	if got, ok := as.Lookup("plane/U"); !ok || got != r2 {
-		t.Errorf("Lookup = %+v, %v", got, ok)
-	}
-	if _, ok := as.Lookup("missing"); ok {
-		t.Error("Lookup found missing region")
+	if got, err := as.Alloc("plane/U", 500); err != nil || got != r2 {
+		t.Errorf("re-alloc of plane/U returned %+v, %v; want %+v", got, err, r2)
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 type Predictor interface {
 	// Name identifies the predictor and its budget, e.g. "tage-64KB".
 	Name() string
-	// SizeBits returns the storage budget in bits.
-	SizeBits() int
 	// Step predicts the branch at pc, then trains on its resolved
 	// direction, and returns the prediction. Every caller resolves a
 	// branch as it predicts it, so one call is the whole protocol.
@@ -67,9 +65,6 @@ func NewBimodal(entries int) (*Bimodal, error) {
 
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return b.name }
-
-// SizeBits implements Predictor.
-func (b *Bimodal) SizeBits() int { return len(b.table) * 2 }
 
 func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
 
@@ -132,9 +127,6 @@ func NewGshare(sizeBytes int) (*Gshare, error) {
 
 // Name implements Predictor.
 func (g *Gshare) Name() string { return g.name }
-
-// SizeBits implements Predictor.
-func (g *Gshare) SizeBits() int { return len(g.table) * 2 }
 
 func (g *Gshare) index(pc uint64) uint64 {
 	h := g.ghist & ((1 << g.histBits) - 1)

@@ -159,9 +159,6 @@ func NewTAGEL(sizeBytes int) (*TAGEL, error) {
 // Name implements Predictor.
 func (t *TAGEL) Name() string { return t.name }
 
-// SizeBits implements Predictor.
-func (t *TAGEL) SizeBits() int { return t.tage.SizeBits() + len(t.loop.entries)*(16+16+16+3+1) }
-
 // Step implements Predictor.
 func (t *TAGEL) Step(pc uint64, taken bool) bool {
 	_, pred := t.StepBoth(pc, taken)

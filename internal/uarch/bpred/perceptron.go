@@ -15,7 +15,6 @@ type Perceptron struct {
 	weights []int8 // rows × perceptronRow, one row after another
 	mask    uint64
 	ghist   uint64
-	size    int
 }
 
 // perceptronHist is the global history length; a row is a bias weight
@@ -42,15 +41,11 @@ func NewPerceptron(sizeBytes int) (*Perceptron, error) {
 		name:    fmt.Sprintf("perceptron-%dKB", sizeBytes/1024),
 		weights: make([]int8, rows*perceptronRow),
 		mask:    uint64(rows - 1),
-		size:    rows * perceptronRow * 8,
 	}, nil
 }
 
 // Name implements Predictor.
 func (p *Perceptron) Name() string { return p.name }
-
-// SizeBits implements Predictor.
-func (p *Perceptron) SizeBits() int { return p.size }
 
 // row returns pc's weights: the bias, then one weight per history bit.
 func (p *Perceptron) row(pc uint64) *[perceptronRow]int8 {

@@ -51,9 +51,6 @@ func newRefPerceptron(sizeBytes int) (*refPerceptron, error) {
 // Name implements Predictor.
 func (p *refPerceptron) Name() string { return p.name }
 
-// SizeBits implements Predictor.
-func (p *refPerceptron) SizeBits() int { return p.size }
-
 func (p *refPerceptron) row(pc uint64) []int8 {
 	return p.weights[((pc>>2)^(pc>>13))&p.mask]
 }
@@ -138,8 +135,8 @@ func TestPerceptronMatchesRef(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.Name() != ref.Name() || p.SizeBits() != ref.SizeBits() {
-				t.Fatalf("%s %d bits, reference %s %d bits", p.Name(), p.SizeBits(), ref.Name(), ref.SizeBits())
+			if p.Name() != ref.Name() || storageBits(p) != ref.size {
+				t.Fatalf("%s %d bits, reference %s %d bits", p.Name(), storageBits(p), ref.Name(), ref.size)
 			}
 			rng := rand.New(rand.NewSource(int64(size + pcs)))
 			bias := make([]int, pcs)

@@ -19,8 +19,7 @@ type TAGE struct {
 
 	ghist history
 
-	useAltOnNA int8 // counter favouring alt prediction for fresh entries
-	sizeBits   int
+	useAltOnNA int8   // counter favouring alt prediction for fresh entries
 	rng        uint32 // deterministic PRNG for allocation tie-break
 }
 
@@ -142,15 +141,11 @@ func NewTAGE(sizeBytes int) (*TAGE, error) {
 			tag1Fold: newFold(hl, g.tagBits-1),
 		})
 	}
-	t.sizeBits = g.baseEntries*2 + len(g.histLens)*g.compEntries*(int(g.tagBits)+3+2)
 	return t, nil
 }
 
 // Name implements Predictor.
 func (t *TAGE) Name() string { return t.name }
-
-// SizeBits implements Predictor.
-func (t *TAGE) SizeBits() int { return t.sizeBits }
 
 func (c *tageComp) index(pc uint64) uint64 {
 	// shift is under 64; the mask says so and spares the shift a compare.

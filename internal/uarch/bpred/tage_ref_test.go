@@ -24,8 +24,7 @@ type refTAGE struct {
 	altPred    bool
 	provPred   bool
 	provIdx    uint64
-	useAltOnNA int8 // counter favouring alt prediction for fresh entries
-	sizeBits   int
+	useAltOnNA int8   // counter favouring alt prediction for fresh entries
 	rng        uint32 // deterministic PRNG for allocation tie-break
 }
 
@@ -89,15 +88,11 @@ func newRefTAGE(sizeBytes int) (*refTAGE, error) {
 			tagBits: g.tagBits,
 		})
 	}
-	t.sizeBits = g.baseEntries*2 + len(g.histLens)*g.compEntries*(int(g.tagBits)+3+2)
 	return t, nil
 }
 
 // Name implements Predictor.
 func (t *refTAGE) Name() string { return t.name }
-
-// SizeBits implements Predictor.
-func (t *refTAGE) SizeBits() int { return t.sizeBits }
 
 // foldHist folds the most recent n history bits into width bits.
 func (t *refTAGE) foldHist(n int, width uint) uint64 {

@@ -37,14 +37,6 @@ type Stats struct {
 	Writebacks uint64
 }
 
-// MissRate returns misses per access.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // line is one way of a set, 16 bytes. It is valid while its stamp is
 // newer than the cache's floor, so a reset invalidates every line by
 // moving the floor instead of clearing the array.

@@ -86,15 +86,12 @@ func TestMissRateAndReset(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Access(uint64(i)*64, false)
 	}
-	if mr := c.Stats().MissRate(); mr != 0.5 {
-		t.Errorf("miss rate = %v, want 0.5", mr)
+	if st := c.Stats(); st.Accesses != 8 || st.Misses != 4 {
+		t.Errorf("stats = %+v, want 4 misses in 8 accesses", st)
 	}
 	c.Reset()
 	if c.Stats().Accesses != 0 || c.Probe(0) {
 		t.Error("Reset did not clear state")
-	}
-	if (Stats{}).MissRate() != 0 {
-		t.Error("empty MissRate should be 0")
 	}
 }
 

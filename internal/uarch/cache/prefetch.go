@@ -7,8 +7,6 @@ import "vcprof/internal/uarch/machine"
 // next-line scheme recovers most of the streaming misses — the ablation
 // bench quantifies how much.
 type Prefetcher interface {
-	// Name identifies the scheme.
-	Name() string
 	// OnAccess observes a demand access and returns addresses to
 	// prefetch (may be empty).
 	OnAccess(addr uint64, miss bool) []uint64
@@ -16,9 +14,6 @@ type Prefetcher interface {
 
 // NextLinePrefetcher prefetches line N+1 on every demand miss.
 type NextLinePrefetcher struct{}
-
-// Name implements Prefetcher.
-func (NextLinePrefetcher) Name() string { return "next-line" }
 
 // OnAccess implements Prefetcher.
 func (NextLinePrefetcher) OnAccess(addr uint64, miss bool) []uint64 {
@@ -44,9 +39,6 @@ type strideEntry struct {
 	conf   int8
 	valid  bool
 }
-
-// Name implements Prefetcher.
-func (s *StridePrefetcher) Name() string { return "stride" }
 
 // OnAccess implements Prefetcher.
 func (s *StridePrefetcher) OnAccess(addr uint64, miss bool) []uint64 {

@@ -26,22 +26,8 @@ func NewPlane(w, h int) *Plane {
 	return &Plane{W: w, H: h, Stride: w, Pix: make([]byte, w*h)}
 }
 
-// At returns the sample at (x, y). It does not bounds-check; callers
-// iterate within plane dimensions.
-func (p *Plane) At(x, y int) byte { return p.Pix[y*p.Stride+x] }
-
-// Set stores a sample at (x, y).
-func (p *Plane) Set(x, y int, v byte) { p.Pix[y*p.Stride+x] = v }
-
 // Row returns the pixel row at y as a slice of length W.
 func (p *Plane) Row(y int) []byte { return p.Pix[y*p.Stride : y*p.Stride+p.W] }
-
-// Clone returns a deep copy of the plane.
-func (p *Plane) Clone() *Plane {
-	q := &Plane{W: p.W, H: p.H, Stride: p.Stride, Pix: make([]byte, len(p.Pix))}
-	copy(q.Pix, p.Pix)
-	return q
-}
 
 // Frame is a YUV 4:2:0 picture.
 type Frame struct {
@@ -70,11 +56,6 @@ func (f *Frame) Width() int { return f.Y.W }
 
 // Height returns the luma height.
 func (f *Frame) Height() int { return f.Y.H }
-
-// Clone returns a deep copy of the frame.
-func (f *Frame) Clone() *Frame {
-	return &Frame{Y: f.Y.Clone(), U: f.U.Clone(), V: f.V.Clone(), Index: f.Index}
-}
 
 // Clip is an in-memory video sequence plus its catalog metadata.
 type Clip struct {
