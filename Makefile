@@ -79,7 +79,7 @@ race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./internal/harness ./internal/encoders \
 		./internal/service ./internal/sched ./internal/obs ./internal/telemetry \
 		./internal/uarch/topdown ./internal/cluster/... ./internal/live ./internal/memo \
-		./internal/uarch/cache ./internal/perf
+		./internal/uarch/cache ./internal/uarch/pipeline ./internal/perf
 
 # Regenerate the golden regression tables after an intentional change,
 # then review the diff under internal/harness/testdata/golden/.

@@ -29,11 +29,12 @@ package analysis
 //     is checked in harness and video; the service daemon's queue, job
 //     table and result store, the cluster router's drive/warm/LRU
 //     state, and the live session engine's per-session state are in
-//     scope for the same reason, as is the hierarchy free list every
-//     stat cell and replay acquires from.
+//     scope for the same reason, as are the cache package and memo,
+//     whose compute-once cache every cell passes through and whose free
+//     list every stat cell and replay borrows its tables from.
 //   - lockorder (whole-program): the mutex-bearing layers (sched,
-//     service, harness, obs, cluster, live) plus video's caches and the
-//     cache package's hierarchy free list must acquire
+//     service, harness, obs, cluster, live) plus video's caches, the
+//     cache package and memo's tables and free list must acquire
 //     lock classes in a cycle-free order; cycles are potential
 //     deadlocks. The cluster router's contract — the shard registry's
 //     mutex is a leaf, never held across an HTTP call or a histogram
@@ -81,6 +82,7 @@ func VCProfAnalyzers() []*Analyzer {
 				"vcprof/internal/cbp",
 				"vcprof/internal/cluster",
 				"vcprof/internal/live",
+				"vcprof/internal/memo",
 			},
 			clockPaths: []string{
 				"vcprof/internal/harness",
@@ -98,6 +100,7 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/cluster",
 			"vcprof/internal/live",
 			"vcprof/internal/uarch/cache",
+			"vcprof/internal/memo",
 		}),
 		NewLockOrder([]string{
 			"vcprof/internal/sched",
@@ -108,6 +111,7 @@ func VCProfAnalyzers() []*Analyzer {
 			"vcprof/internal/cluster",
 			"vcprof/internal/live",
 			"vcprof/internal/uarch/cache",
+			"vcprof/internal/memo",
 		}),
 		NewShardPure(ShardPureConfig{
 			TaskIfaces: []string{

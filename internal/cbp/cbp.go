@@ -115,7 +115,8 @@ func score(predictor string, tr Trace, miss uint64) Score {
 // Championship evaluates every named predictor on every trace, scores
 // ordered by name as given, then by trace. Each trace is validated
 // once, not once per predictor, and a predictor is reset only between
-// traces: it is built in its reset state. Where the names hold both a
+// traces: it is borrowed in its reset state (bpred.Acquire) and given
+// back when its traces are scored. Where the names hold both a
 // TAGE-L hybrid and the TAGE it overlays, that TAGE is never built: the
 // hybrid's own is stepped once for both (replayBoth), since a second
 // would repeat it outcome for outcome.
@@ -144,7 +145,7 @@ func Championship(predictorNames []string, traces []Trace) ([]Score, error) {
 		if plain[i] == taken {
 			continue
 		}
-		p, err := bpred.NewByName(name)
+		p, err := bpred.Acquire(name)
 		if err != nil {
 			return nil, err
 		}
@@ -158,6 +159,7 @@ func Championship(predictorNames []string, traces []Trace) ([]Score, error) {
 				out[i*len(traces)+k] = replay(p, tr)
 			}
 		}
+		bpred.Release(p)
 	}
 	return out, nil
 }

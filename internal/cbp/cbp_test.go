@@ -1,6 +1,7 @@
 package cbp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,6 +142,28 @@ func TestChampionshipEqualsSoloRuns(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWarmChampionshipAllocatesNoTable: a championship borrows its
+// predictors, so once one has run, the next over all nine names
+// allocates its scores and bookkeeping (under 1 KB) and no predictor
+// table: the smallest, gshare-2KB's, is 8 KB.
+func TestWarmChampionshipAllocatesNoTable(t *testing.T) {
+	traces := []Trace{synthTrace("warm", 4000)}
+	zoo := bpred.Names()
+	if _, err := Championship(zoo, traces); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := Championship(zoo, traces)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<10 {
+		t.Errorf("a warm championship of %d predictors allocated %d bytes, want at most 1 KB", len(zoo), grew)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package memo is the repository's one bounded table (DESIGN.md §4):
 // LRU is the weight-bounded recency table, Memo the compute-once cache
-// built on it. It is a stdlib-only leaf with no package-level state and
-// nothing settable beyond each table's capacity.
+// built on it, and Free the bounded free list simulator tables are
+// borrowed from. It is a stdlib-only leaf with no package-level state
+// and nothing settable beyond each table's capacity.
 package memo
 
 // LRU is a weight-bounded table in recency order. It is unsynchronised:

@@ -74,12 +74,14 @@ func Stat(ctx context.Context, enc encoders.Encoder, clip *video.Clip, opts enco
 	return statOn(ctx, hier, enc, clip, opts)
 }
 
-// statOn is Stat on a cold hierarchy the caller supplies.
+// statOn is Stat on a cold hierarchy the caller supplies, with a
+// predictor it borrows for the encode.
 func statOn(ctx context.Context, hier *cache.Hierarchy, enc encoders.Encoder, clip *video.Clip, opts encoders.Options) (*Counters, error) {
-	pred, err := bpred.NewByName(machine.Xeon().Predictor)
+	pred, err := bpred.Acquire(machine.Xeon().Predictor)
 	if err != nil {
 		return nil, err
 	}
+	defer bpred.Release(pred)
 	mon := bpred.NewMonitor(pred)
 	tc := trace.New()
 	tc.AttachBranchSink(mon)

@@ -20,13 +20,13 @@ const DefaultWindowOps = 400_000
 // micro-op window of up to limit ops starting at fraction frac of the
 // run (the paper uses a window "roughly halfway through the encoding
 // run", frac = 0.5). The run's length is known only at its end, which
-// is why the window is placed afterwards: keeping the run's records
-// costs a few MB, where a counting encode beforehand would add
-// 0.50–0.57× of the recording encode's time (summed over vcbench
-// replay_grid's 20 points, best of three, on a 2-vCPU Xeon). The
-// recording context has no sink, so it copies the records of a
-// repeated leaf decision instead of deciding it again (encoders'
-// decideLeaf).
+// is why the window is placed afterwards: a counting encode beforehand
+// would add 0.50–0.57× of the recording encode's time (summed over
+// vcbench replay_grid's 20 points, best of three, on a 2-vCPU Xeon).
+// The tape is aimed at the window (Tape.Aim), so it keeps what the
+// window can still start in, not the run. The recording context has no
+// sink, so it copies the records of a repeated leaf decision instead of
+// deciding it again (encoders' decideLeaf).
 // A tape keeps the most recent 32 MB of a run, though; when the run
 // outgrows that and the window has slid off the tape, the encode is run
 // once more with the tape told the window. Encodes are deterministic,
@@ -53,6 +53,7 @@ func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, o
 		return err
 	}
 	rec := &trace.Recorder{}
+	rec.Tape.Aim(frac, limit)
 	if err := record(rec); err != nil {
 		return nil, 0, err
 	}
@@ -61,7 +62,7 @@ func RecordWindow(ctx context.Context, enc encoders.Encoder, clip *video.Clip, o
 		return nil, 0, fmt.Errorf("perf: encode produced no instructions")
 	}
 	limit = min(limit, total)
-	start := min(uint64(float64(total)*frac), total-limit)
+	start := trace.Place(total, frac, limit)
 	if !rec.Tape.Holds(start, limit) {
 		rec = &trace.Recorder{}
 		rec.Tape.Keep(start, limit)

@@ -231,6 +231,28 @@ func TestRecordWindowSteadyStateAlloc(t *testing.T) {
 	if objects > encObjects+200 {
 		t.Errorf("a warm RecordWindow allocated %d objects, one counted encode %d: want at most 200 more", objects, encObjects)
 	}
+
+	// A run several times longer than its window: the tape keeps only
+	// the stretch the window can still start in, the last quarter of the
+	// run, and opens each later chunk in the storage of one that fell
+	// below it, so it allocates that stretch and two chunks more, not
+	// the run.
+	const branches, frac = 2_000_000, 0.75
+	var encodes int
+	flood := floodEncoder{enc, branches, &encodes}
+	bytes, _ = measure(func() { rec, total, err = RecordWindow(context.Background(), flood, c, opts, frac, 100_000) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encodes != 1 || total != branches || rec.Ops.Len() != 100_000 {
+		t.Fatalf("flood: %d encodes, total %d, a window of %d, want 1, %d and 100000", encodes, total, rec.Ops.Len(), branches)
+	}
+	kept := uint64(float64(branches)*(1-frac)) * 8 // one word a branch
+	t.Logf("flood of %d branches: %d bytes allocated, %d of them the stretch the window can start in", branches, bytes, kept)
+	if budget := kept + 2*128<<10 + 64<<10; bytes > budget {
+		t.Errorf("a RecordWindow of %d branches at %v allocated %d bytes, want at most %d: %d the last quarter of the run, 256 KB two chunks, 64 KB the rest",
+			branches, frac, bytes, budget, kept)
+	}
 }
 
 // replayPoint returns the middle preset and CRF of enc: vcbench

@@ -158,3 +158,40 @@ func TestStatAfterAbortedStat(t *testing.T) {
 		t.Errorf("aborted Stat + next Stat allocated %d bytes: the aborted run kept its hierarchy", grew)
 	}
 }
+
+// TestWarmStatAllocatesNoTable: a stat cell borrows its hierarchy and
+// its predictor, so once a cell has run, the next allocates what a
+// counted encode of it allocates and a few KB of counters besides, and
+// no table: not the TAGE the machine measures with (about 21 KB), nor a
+// cache level. The least of three runs of each is compared, so that a
+// one-time initialisation elsewhere in the process does not count.
+func TestWarmStatAllocatesNoTable(t *testing.T) {
+	c := reuseCells(t)[0]
+	enc := encoders.MustNew(c.fam)
+	counted := c.opts
+	counted.Threads = 1
+	counted.NewWorkerCtx = func(int) *trace.Ctx { return trace.New() }
+	least := func(f func() error) uint64 {
+		var best uint64
+		for i := range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			err := f()
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := m1.TotalAlloc - m0.TotalAlloc; i == 0 || n < best {
+				best = n
+			}
+		}
+		return best
+	}
+	stat := least(func() error { _, err := Stat(context.Background(), enc, c.clip, c.opts); return err })
+	encode := least(func() error { _, err := enc.Encode(context.Background(), c.clip, counted); return err })
+	t.Logf("%v: warm Stat %d bytes, counted encode %d", c, stat, encode)
+	if stat > encode+4<<10 {
+		t.Errorf("%v: a warm Stat allocated %d bytes, a counted encode %d: %d past it, want at most 4 KB",
+			c, stat, encode, stat-encode)
+	}
+}

@@ -32,8 +32,11 @@ import (
 // What a tape keeps is bounded. Shown a whole run, it keeps the most
 // recent tapeChunks chunks of it: a run can be a thousand times longer
 // than any window cut from it, and which stretch matters is known only
-// at its end. Told the window beforehand (Keep), it keeps exactly the
-// records that reach into it, whatever their number.
+// at its end. Told how the window will be placed (Aim), it also lets go
+// of every chunk that lies wholly below where the window can still
+// start, so it keeps about the run's last max(limit, (1−frac)·total)
+// instructions. Told the window itself beforehand (Keep), it keeps
+// exactly the records that reach into it, whatever their number.
 type Tape struct {
 	chunks  [][]uint64  // a record never straddles two; written ones have capacity chunkWords
 	heads   []chunkHead // heads[i] describes chunks[i]
@@ -42,6 +45,8 @@ type Tape struct {
 	end     uint64      // index after the last instruction kept
 	keep    bool        // keep only records reaching into [lo, hi): see Keep
 	lo, hi  uint64
+	frac    float64 // the window will start at Place(total, frac, limit): see Aim
+	limit   uint64
 }
 
 // chunkHead is what a tape knows of a chunk without reading it.
@@ -92,11 +97,26 @@ func (t *Tape) Keep(start, limit uint64) {
 	}
 }
 
+// Aim tells an empty tape how the window it is wanted for will be
+// placed once the run is over, at Place(total, frac, limit). The tape
+// still takes every record, and lets go of the chunks that window can
+// no longer reach. The zero tape is aimed at a window that may start
+// anywhere.
+func (t *Tape) Aim(frac float64, limit uint64) { t.frac, t.limit = frac, limit }
+
+// Place returns where a window of up to limit instructions at fraction
+// frac of a run of total starts: at ⌊frac·total⌋, or earlier so that it
+// ends with the run. It never falls as total grows, so Place of the
+// instructions seen so far is a floor under the whole run's window.
+func Place(total uint64, frac float64, limit uint64) uint64 {
+	return min(uint64(float64(total)*frac), total-min(limit, total))
+}
+
 // reserve counts a record of n instructions, branches if br, and
 // returns the chunk its words go into, nil if the tape does not keep
-// it. A new chunk is opened when the tail lacks room; on a tape shown a
-// whole run and already tapeChunks long, the oldest chunk is reused for
-// it.
+// it. A new chunk is opened when the tail lacks room, in the storage of
+// the oldest chunk if that lies wholly below the aimed window's floor,
+// or if the tape is shown a whole run and already tapeChunks long.
 func (t *Tape) reserve(words, n int, br bool) *[]uint64 {
 	idx := t.total
 	t.total += uint64(n)
@@ -106,12 +126,18 @@ func (t *Tape) reserve(words, n int, br bool) *[]uint64 {
 	k := len(t.chunks)
 	if k == 0 || len(t.chunks[k-1])+words > chunkWords {
 		var c []uint64
-		if !t.keep && k == tapeChunks {
-			c = t.chunks[0][:0]
-			t.chunks = t.chunks[:copy(t.chunks, t.chunks[1:])]
+		floor := Place(t.total, t.frac, t.limit)
+		for len(t.chunks) > 0 && (t.chunkEnd(0) <= floor || !t.keep && len(t.chunks) == tapeChunks) {
+			if c == nil {
+				c = t.chunks[0][:0]
+			}
+			last := copy(t.chunks, t.chunks[1:])
+			t.chunks[last] = nil
+			t.chunks = t.chunks[:last]
 			t.heads = t.heads[:copy(t.heads, t.heads[1:])]
 			t.dropped++
-		} else {
+		}
+		if c == nil {
 			c = make([]uint64, 0, chunkWords)
 		}
 		t.chunks = append(t.chunks, c)
@@ -127,44 +153,70 @@ func (t *Tape) reserve(words, n int, br bool) *[]uint64 {
 
 // tapePos is a place in a tape's records: word word of the run's chunk
 // chunk, counted from the run's first chunk, so that a position stays
-// put while the ring lets go of older chunks.
-type tapePos struct{ chunk, word int }
+// put while the tape lets go of older chunks, and at, the index of the
+// instruction a record there would begin with.
+type tapePos struct {
+	chunk, word int
+	at          uint64
+}
 
 // pos returns the position the next record's words would go to if the
 // tail chunk had room for them.
 func (t *Tape) pos() tapePos {
 	k := len(t.chunks)
 	if k == 0 {
-		return tapePos{t.dropped, 0}
+		return tapePos{t.dropped, 0, t.total}
 	}
-	return tapePos{t.dropped + k - 1, len(t.chunks[k-1])}
+	return tapePos{t.dropped + k - 1, len(t.chunks[k-1]), t.total}
 }
 
 // repeat appends again the records written between from and to, so
-// the tape ends exactly as if their events had been reported again: each
-// record goes through reserve, which opens chunks where reporting the
-// events would. It reports whether it could: a span must still be on
-// the tape, and must stay on it while it is copied. Copying the records
-// of c chunks opens c+1 chunks at most, and on a full ring each one
-// opened lets go of the oldest; a span that close to the ring's start
-// is left alone, as is any span of a tape told its window (which skips
+// the tape ends exactly as if their events had been reported again. A
+// span that fits the tail chunk's room opens no chunk, so it is counted
+// once and appended a chunk segment at a time; any other goes record by
+// record through reserve, which opens chunks where reporting the events
+// would. It reports whether it could: a span must still be on the tape,
+// and must stay on it while it is copied. Copying the records of c
+// chunks opens c+1 chunks at most, and on a full ring each one opened
+// lets go of the oldest; a span that close to the ring's start is left
+// alone, as is one whose first chunk the aimed window's floor could pass
+// during the copy, and any span of a tape told its window (which skips
 // records, so a span need not hold its events).
 func (t *Tape) repeat(from, to tapePos) bool {
 	if t.keep || from == to {
 		return !t.keep
 	}
-	reach := to.chunk - from.chunk + 1
-	if i := from.chunk - t.dropped; i < 0 || i < len(t.chunks)+reach+1-tapeChunks {
+	i, tail := from.chunk-t.dropped, len(t.chunks)-1
+	if i < 0 {
 		return false
 	}
+	words := to.word - from.word
+	for _, c := range t.chunks[i : to.chunk-t.dropped] {
+		words += len(c)
+	}
+	bulk := len(t.chunks[tail])+words <= chunkWords
+	reach := to.chunk - from.chunk + 1
+	if !bulk && (i < len(t.chunks)+reach+1-tapeChunks || t.chunkEnd(i) <= Place(t.total+to.at-from.at, t.frac, t.limit)) {
+		return false
+	}
+	var br uint64
 	for ci := from.chunk; ci <= to.chunk; ci++ {
-		src := t.chunks[ci-t.dropped] // the ring may have moved: index it afresh
+		src := t.chunks[ci-t.dropped] // the tape may have let go of older chunks: index it afresh
 		lo, hi := 0, len(src)
 		if ci == from.chunk {
 			lo = from.word
 		}
 		if ci == to.chunk {
 			hi = to.word
+		}
+		if bulk {
+			for i := lo; i < hi; i += recWords(src[i]) {
+				if isBranchRec(src[i]) {
+					br += uint64(countOf(src[i]))
+				}
+			}
+			t.chunks[tail] = append(t.chunks[tail], src[lo:hi]...)
+			continue
 		}
 		for i := lo; i < hi; {
 			hdr := src[i]
@@ -173,6 +225,11 @@ func (t *Tape) repeat(from, to tapePos) bool {
 			*c = append(*c, src[i:i+words]...)
 			i += words
 		}
+	}
+	if bulk {
+		t.total += to.at - from.at
+		t.end = t.total
+		t.heads[tail].branches += br
 	}
 	return true
 }

@@ -651,9 +651,201 @@ func TestTapeReplayAcrossARingDrop(t *testing.T) {
 	checkBranchCounts(t, "a tape that copied across a ring drop", &rec.Tape)
 	// A span whose first chunk the ring has let go of is refused, and
 	// the tape is left as it was.
-	old := Span{from: tapePos{rec.Tape.dropped - 1, 0}, to: tapePos{rec.Tape.dropped, 5}}
+	old := Span{from: tapePos{chunk: rec.Tape.dropped - 1}, to: tapePos{chunk: rec.Tape.dropped, word: 5}}
 	total := rec.Tape.Total()
 	if copied.Repeat(&old) || rec.Tape.Total() != total {
 		t.Fatal("a span that has left the ring was copied")
+	}
+}
+
+// TestAimedTapeCutsTheUnaimedWindow: on seeded run streams with
+// repeated spans, short and long, a tape aimed at the window cuts the
+// window an unaimed tape of the same stream cuts, run for run, for
+// windows at 0, a quarter, half and nine tenths of the run, shorter and
+// longer than it. It keeps no more than the stretch that window could
+// still have started in, max(limit, (1−frac)·total) instructions,
+// plus its first and its last chunk.
+func TestAimedTapeCutsTheUnaimedWindow(t *testing.T) {
+	dropped := false
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// A repeat reports again the last n events' reports (lens), some
+		// reaching thousands of events back; the stream is held to 60,000
+		// reports.
+		var events []event
+		var lens []int
+		flat := 0
+		for _, e := range randomEvents(rng, 20_000) {
+			events, lens = append(events, e), append(lens, 1)
+			flat++
+			n := 0
+			switch rng.Intn(400) {
+			case 0:
+				n = 500 + rng.Intn(2500)
+			case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20:
+				n = 1 + rng.Intn(8)
+			default:
+				continue
+			}
+			r := 0
+			for _, l := range lens[max(len(lens)-n, 0):] {
+				r += l
+			}
+			if flat+r <= 60_000 {
+				events, lens = append(events, event{kind: 6, n: n}), append(lens, r)
+				flat += r
+			}
+		}
+		whole := emit(events, &Recorder{})
+		total := whole.Tape.Total()
+		if whole.Tape.dropped != 0 || len(whole.Tape.chunks) < 4 {
+			t.Fatalf("seed %d: the unaimed tape keeps %d chunks and dropped %d, want the whole run in several", seed, len(whole.Tape.chunks), whole.Tape.dropped)
+		}
+		for _, frac := range []float64{0, 0.25, 0.5, 0.9} {
+			for _, limit := range []uint64{1, 10_000, total / 3, total + 1} {
+				rec := &Recorder{}
+				rec.Tape.Aim(frac, limit)
+				emit(events, rec)
+				tape := &rec.Tape
+				where := fmt.Sprintf("seed %d, frac %v, limit %d of %d", seed, frac, limit, total)
+				start := Place(total, frac, limit)
+				if tape.Total() != total || !tape.Holds(start, limit) {
+					t.Fatalf("%s: total %d, window at %d held %v", where, tape.Total(), start, tape.Holds(start, limit))
+				}
+				checkBranchCounts(t, where, tape)
+				got, want := tape.Window(start, limit), whole.Tape.Window(start, limit)
+				var r, w Run
+				for gc, wc := got.Cursor(), want.Cursor(); ; {
+					more := gc.Next(&r)
+					if more != wc.Next(&w) || r != w {
+						t.Fatalf("%s: the aimed tape's window reads %+v (%v), the unaimed tape's %+v", where, r, more, w)
+					}
+					if !more {
+						break
+					}
+				}
+				if !slices.Equal(got.Branches(), want.Branches()) {
+					t.Fatalf("%s: the windows list different branches", where)
+				}
+				k := len(tape.heads) - 1
+				edges := tape.chunkEnd(0) - tape.heads[0].first + tape.end - tape.heads[k].first
+				if kept := tape.end - tape.heads[0].first; kept > total-start+edges {
+					t.Fatalf("%s: the tape keeps %d instructions, want at most %d after the window's floor and %d in its edge chunks",
+						where, kept, total-start, edges)
+				}
+				dropped = dropped || tape.dropped > 0
+			}
+		}
+	}
+	if !dropped {
+		t.Fatal("no aimed tape let go of a chunk")
+	}
+}
+
+// TestTapeReplayAcrossAFloorDrop: a span copied onto an aimed tape,
+// from half-way through one chunk to near the end of the next, opens
+// chunks whose opening lets go of older chunks the window can no longer
+// reach. The copy finds the span's chunks by their place in the run and
+// leaves the tape exactly as the events shown again would. Copied
+// again and again, the span's first chunk nears the floor; the copy
+// that would let go of it while reading it is refused, the tape is
+// left as it was, and reporting the events again stays exact.
+func TestTapeReplayAcrossAFloorDrop(t *testing.T) {
+	pcs := Sites("t/tape.floor", 3)
+	fill := func(c *Ctx) {
+		for i := 0; i < 6*chunkWords+chunkWords/2; i++ {
+			c.Branch(pcs[i%3], i%7 == 0)
+		}
+	}
+	var span []event
+	for i := 0; i < 14*chunkWords/50; i++ { // five words a group: 1.4 chunks
+		span = append(span,
+			event{kind: 1, pc: pcs[0], addr: 0x1000 + uint64(i)*64, n: 1 + i%5, stride: 8, size: 4},
+			event{kind: 4, pc: pcs[1], n: i % 9},
+			event{kind: 0, class: [2]OpClass{OpAVX, OpBranch}[i%2], n: 3})
+	}
+	copied, shown := New(), New()
+	rec, again := &Recorder{}, &Recorder{}
+	rec.Tape.Aim(0.25, 1)
+	again.Tape.Aim(0.25, 1)
+	copied.AttachRecorder(rec)
+	shown.AttachRecorder(again)
+	fill(copied)
+	fill(shown)
+	mark, ok := copied.Mark()
+	if !ok {
+		t.Fatal("a context whose one hook is an aimed recorder cannot repeat a span")
+	}
+	report(copied, span)
+	report(shown, span)
+	s := copied.Since(mark)
+	if rec.Tape.dropped == 0 || s.to.chunk-s.from.chunk != 1 || s.to.word < chunkWords*4/5 {
+		t.Fatalf("%d chunks dropped, the span from chunk %d to word %d of chunk %d; want a floor past the first chunks and the span near the end of its second chunk",
+			rec.Tape.dropped, s.from.chunk, s.to.word, s.to.chunk)
+	}
+	same := func(what string) {
+		t.Helper()
+		if !reflect.DeepEqual(rec.Tape, again.Tape) {
+			t.Fatalf("%s: the tape that copied the span differs from one shown its events again", what)
+		}
+		if copied.Mix != shown.Mix || copied.StageCounts() != shown.StageCounts() {
+			t.Fatalf("%s: copying counts %v %v, the events shown again %v %v", what, copied.Mix, copied.StageCounts(), shown.Mix, shown.StageCounts())
+		}
+		checkBranchCounts(t, what, &rec.Tape)
+	}
+	before := rec.Tape.dropped
+	for range 3 {
+		if !copied.Repeat(&s) {
+			t.Fatal("the span was refused while far above the floor")
+		}
+		report(shown, span)
+	}
+	if rec.Tape.dropped-before < 2 {
+		t.Fatalf("the copies dropped %d chunks, want the floor to move under them", rec.Tape.dropped-before)
+	}
+	same("three copies")
+	for n := 0; ; n++ {
+		if n == 20 {
+			t.Fatal("twenty more copies were never refused: the floor never neared the span")
+		}
+		total := rec.Tape.Total()
+		if copied.Repeat(&s) {
+			report(shown, span)
+			continue
+		}
+		if s.from.chunk < rec.Tape.dropped || rec.Tape.Total() != total {
+			t.Fatalf("refused after %d more copies with the span's first chunk %d of the tape's first %d, total %d → %d: want it refused while on the tape, and the tape untouched",
+				n, s.from.chunk, rec.Tape.dropped, total, rec.Tape.Total())
+		}
+		break
+	}
+	same("copies up to the refusal")
+	report(copied, span)
+	report(shown, span)
+	same("the refused span reported again")
+}
+
+// TestAimedTapeDropsAtTheFloorExactly: with one-instruction records a
+// chunk holds chunkWords instructions, and a window of limit just over
+// a chunk at 0.99 of the run puts the floor, when the third chunk
+// opens, at the end of the first, or one instruction short of it. At
+// the end the first chunk is let go of; one short, it is kept, and the
+// window of the run so far starts inside it.
+func TestAimedTapeDropsAtTheFloorExactly(t *testing.T) {
+	pc := Site("t/tape.exact")
+	for _, tc := range []struct {
+		limit   uint64
+		dropped int
+	}{{chunkWords + 1, 1}, {chunkWords + 2, 0}} {
+		var tape Tape
+		tape.Aim(0.99, tc.limit)
+		for range 2*chunkWords + 1 {
+			tape.Branch(pc, true)
+		}
+		start := Place(tape.Total(), 0.99, tc.limit)
+		if tape.dropped != tc.dropped || !tape.Holds(start, tc.limit) {
+			t.Fatalf("limit %d: %d chunks dropped, window at %d held %v; want %d dropped and the window held",
+				tc.limit, tape.dropped, start, tape.Holds(start, tc.limit), tc.dropped)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package bpred
 import (
 	"fmt"
 
+	"vcprof/internal/memo"
 	"vcprof/internal/trace"
 )
 
@@ -92,6 +93,24 @@ func NewByName(name string) (Predictor, error) {
 	}
 	return nil, fmt.Errorf("bpred: unknown predictor %q", name)
 }
+
+// idle holds released predictors by name: Reset is exactly cold
+// (TestResetRestoresColdBehaviour), so a used one is as good as new.
+var idle memo.Free[string, Predictor]
+
+// Acquire returns the named predictor in its reset state, reusing an
+// idle one if there is one; the caller owns it until Release.
+func Acquire(name string) (Predictor, error) {
+	if p, ok := idle.Take(name); ok {
+		p.Reset()
+		return p, nil
+	}
+	return NewByName(name)
+}
+
+// Release hands back a predictor from Acquire; the caller must not use
+// it afterwards.
+func Release(p Predictor) { idle.Give(p.Name(), p) }
 
 // TAGEUnder returns the name of the TAGE a hybrid name is built over
 // (the *TAGEL's StepBoth predicts as that one does); any other name has

@@ -7,9 +7,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
+	"vcprof/internal/memo"
 	"vcprof/internal/uarch/machine"
 )
 
@@ -228,39 +227,23 @@ func NewHierarchy(m machine.Machine) (*Hierarchy, error) {
 // NewXeonHierarchy builds the paper machine's data hierarchy.
 func NewXeonHierarchy() (*Hierarchy, error) { return NewHierarchy(machine.Xeon()) }
 
-// xeonFree holds idle paper-machine hierarchies between measurements:
-// a cell touches a few thousand of the 7.9 MB LLC's lines and Reset is
-// O(1), so a used hierarchy is as good as a new one. It is not a
-// sync.Pool because the collector empties a Pool when it likes, which
-// made bytes allocated per replay vary by 4% between identical runs
-// (DESIGN.md §4).
-var xeonFree struct {
-	mu   sync.Mutex
-	idle []*Hierarchy
+// shape is what a hierarchy is built from.
+type shape struct {
+	l1, l2, llc Config
+	memLat      int
 }
 
-// xeonShaped reports whether the levels and the memory latency are the
-// paper machine's, the one geometry the free list keeps.
-func xeonShaped(l1, l2, llc Config, memLat int) bool {
-	x := machine.Xeon()
-	return l1 == x.L1D && l2 == x.L2 && llc == x.LLC && memLat == x.MemLatency
-}
+// xeonFree holds idle paper-machine hierarchies between measurements:
+// a cell touches a few thousand of the 7.9 MB LLC's lines and Reset is
+// O(1), so a used hierarchy is as good as a new one.
+var xeonFree memo.Free[shape, *Hierarchy]
 
 // Acquire returns a cold data hierarchy of m for one measurement. The
 // caller owns it until Release. The paper machine's is reused when an
 // idle one exists; any other machine's is built here and dropped there.
 func Acquire(m machine.Machine) (*Hierarchy, error) {
-	var h *Hierarchy
-	if xeonShaped(m.L1D, m.L2, m.LLC, m.MemLatency) {
-		xeonFree.mu.Lock()
-		if n := len(xeonFree.idle); n > 0 {
-			h = xeonFree.idle[n-1]
-			xeonFree.idle[n-1] = nil
-			xeonFree.idle = xeonFree.idle[:n-1]
-		}
-		xeonFree.mu.Unlock()
-	}
-	if h == nil {
+	h, ok := xeonFree.Take(shape{m.L1D, m.L2, m.LLC, m.MemLatency})
+	if !ok {
 		var err error
 		if h, err = NewHierarchy(m); err != nil {
 			return nil, err
@@ -280,16 +263,10 @@ func (h *Hierarchy) Release() {
 		panic("cache: Release of a hierarchy that is not acquired")
 	}
 	h.acquired = false
-	if !xeonShaped(h.L1.cfg, h.L2.cfg, h.LLC.cfg, h.memLat) {
-		return
+	x := machine.Xeon()
+	if s := (shape{h.L1.cfg, h.L2.cfg, h.LLC.cfg, h.memLat}); s == (shape{x.L1D, x.L2, x.LLC, x.MemLatency}) {
+		xeonFree.Give(s, h)
 	}
-	//lint:ignore detflow the bound only decides how many idle hierarchies stay allocated; no counter or table can observe it
-	bound := runtime.GOMAXPROCS(0)
-	xeonFree.mu.Lock()
-	if len(xeonFree.idle) < bound {
-		xeonFree.idle = append(xeonFree.idle, h)
-	}
-	xeonFree.mu.Unlock()
 }
 
 // Access sends one access down the hierarchy and returns its latency in

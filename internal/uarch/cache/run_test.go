@@ -181,11 +181,19 @@ func FuzzHierarchyRunVsUnrolled(f *testing.F) {
 	})
 }
 
-// xeonIdle reports how many hierarchies the free list holds.
+// xeonIdle reports how many hierarchies the free list holds: it takes
+// them all and gives them back in the order they were kept.
 func xeonIdle() int {
-	xeonFree.mu.Lock()
-	defer xeonFree.mu.Unlock()
-	return len(xeonFree.idle)
+	x := machine.Xeon()
+	key := shape{x.L1D, x.L2, x.LLC, x.MemLatency}
+	var held []*Hierarchy
+	for h, ok := xeonFree.Take(key); ok; h, ok = xeonFree.Take(key) {
+		held = append(held, h)
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		xeonFree.Give(key, held[i])
+	}
+	return len(held)
 }
 
 func mustPanic(t *testing.T, what string, f func()) {

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 
+	"vcprof/internal/memo"
 	"vcprof/internal/trace"
 	"vcprof/internal/uarch/bpred"
 	"vcprof/internal/uarch/cache"
@@ -95,37 +96,69 @@ func (f *fuPool) reserve(ready, busy uint64) (start uint64) {
 	return start
 }
 
-// Sim replays micro-ops through the core model. It owns the front-end
-// state; the machine's data hierarchy is acquired per run.
-type Sim struct {
-	cfg    machine.Machine
+// Sim replays micro-ops through the core model. It holds only the
+// machine: a run borrows its front end and data hierarchy, so one Sim
+// may replay windows concurrently.
+type Sim struct{ cfg machine.Machine }
+
+// New builds a simulator of the machine. A bad predictor name, BTB or
+// L1I geometry shows when it borrows a front end.
+func New(cfg machine.Machine) (*Sim, error) {
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	fe, err := acquireFront(cfg)
+	if err != nil {
+		return nil, err
+	}
+	fe.release(cfg)
+	return &Sim{cfg}, nil
+}
+
+// frontEnd is the core's front-end state, borrowed for one run.
+type frontEnd struct {
 	pred   bpred.Predictor
 	btb    *bpred.BTB
 	icache *cache.Cache
 }
 
-// New builds a simulator of the machine.
-func New(cfg machine.Machine) (*Sim, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
+// frontFree holds idle front ends of the paper machine between runs:
+// each part's Reset is exactly cold, so a used one is as good as new.
+var frontFree memo.Free[machine.Machine, *frontEnd]
+
+// acquireFront returns a cold front end of m, the caller's until
+// release.
+func acquireFront(m machine.Machine) (*frontEnd, error) {
+	if fe, ok := frontFree.Take(m); ok {
+		fe.pred.Reset()
+		fe.btb.Reset()
+		fe.icache.Reset()
+		return fe, nil
 	}
-	p, err := bpred.NewByName(cfg.Predictor)
+	p, err := bpred.NewByName(m.Predictor)
 	if err != nil {
 		return nil, err
 	}
-	ic, err := cache.New(cfg.L1I)
+	ic, err := cache.New(m.L1I)
 	if err != nil {
 		return nil, err
 	}
-	btb, err := bpred.NewBTB(cfg.BTBEntries, cfg.BTBWays)
+	btb, err := bpred.NewBTB(m.BTBEntries, m.BTBWays)
 	if err != nil {
 		return nil, err
 	}
-	return &Sim{cfg: cfg, pred: p, btb: btb, icache: ic}, nil
+	return &frontEnd{p, btb, ic}, nil
 }
 
-// Run replays the window and returns the result. The simulator state
-// (caches, predictor) is reset first, so runs are independent.
+// release hands back a front end of m; another machine's is dropped.
+func (fe *frontEnd) release(m machine.Machine) {
+	if m == machine.Xeon() {
+		frontFree.Give(m, fe)
+	}
+}
+
+// Run replays the window and returns the result. Every run starts from
+// a cold predictor, BTB and caches, so runs are independent.
 func (s *Sim) Run(win trace.Window) (*Result, error) {
 	return s.RunCtx(context.Background(), win)
 }
@@ -145,22 +178,24 @@ func (s *Sim) RunCtx(ctx context.Context, win trace.Window) (*Result, error) {
 	if win.Len() == 0 {
 		return nil, fmt.Errorf("pipeline: empty trace")
 	}
+	fe, err := acquireFront(s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer fe.release(s.cfg)
 	mem, err := cache.Acquire(s.cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer mem.Release()
-	return s.replay(ctx, win, mem), nil
+	return s.replay(ctx, win, fe, mem), nil
 }
 
-// replay is RunCtx on a cold data hierarchy the caller holds, whose
-// counters the caller may read afterwards.
-func (s *Sim) replay(ctx context.Context, win trace.Window, mem *cache.Hierarchy) *Result {
+// replay is RunCtx on a cold front end and data hierarchy the caller
+// holds, whose counters the caller may read afterwards.
+func (s *Sim) replay(ctx context.Context, win trace.Window, fe *frontEnd, mem *cache.Hierarchy) *Result {
 	cfg := s.cfg
 	prod := topdown.StartProducer(ctx)
-	s.pred.Reset()
-	s.btb.Reset()
-	s.icache.Reset()
 	res := &Result{Ops: uint64(win.Len())}
 
 	alu := newFUPool(cfg.ALUs)
@@ -220,11 +255,11 @@ func (s *Sim) replay(ctx context.Context, win trace.Window, mem *cache.Hierarchy
 				sameLine++
 			} else {
 				if sameLine > 0 {
-					s.icache.Repeat(sameLine, false)
+					fe.icache.Repeat(sameLine, false)
 					sameLine = 0
 				}
 				fetchLine = line
-				if hit, _ := s.icache.Access(pc, false); !hit {
+				if hit, _ := fe.icache.Access(pc, false); !hit {
 					// Instruction fetch miss: frontend bubble (L2 hit
 					// latency — the synthetic code footprint fits L2 easily).
 					miss = uint64(cfg.L2.LatencyCyc)
@@ -337,7 +372,7 @@ func (s *Sim) replay(ctx context.Context, win trace.Window, mem *cache.Hierarchy
 				res.Branches++
 				// A counted loop's last iteration is its not-taken exit.
 				taken := run.Taken && !(run.Exit && left == 1)
-				if s.pred.Step(pc, taken) != taken {
+				if fe.pred.Step(pc, taken) != taken {
 					res.Mispredicts++
 					// Redirect: fetch restarts after the branch resolves plus
 					// the flush/refill penalty. The wasted slots are the
@@ -352,10 +387,10 @@ func (s *Sim) replay(ctx context.Context, win trace.Window, mem *cache.Hierarchy
 					// Taken branches end the fetch group: a one-cycle bubble,
 					// plus a redirect bubble when the target misses in the BTB.
 					bubble := uint64(1)
-					if _, hit := s.btb.Lookup(pc); !hit {
+					if _, hit := fe.btb.Lookup(pc); !hit {
 						bubble += 2
 					}
-					s.btb.Update(pc, pc+16)
+					fe.btb.Update(pc, pc+16)
 					fetchAvail += bubble
 					fetchInGroup = 0
 					frontendStall += bubble
@@ -402,7 +437,7 @@ func (s *Sim) replay(ctx context.Context, win trace.Window, mem *cache.Hierarchy
 	}
 
 	if sameLine > 0 {
-		s.icache.Repeat(sameLine, false)
+		fe.icache.Repeat(sameLine, false)
 	}
 	res.Cycles = lastRetire + 1
 	res.Retired = res.Ops

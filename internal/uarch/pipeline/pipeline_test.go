@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"context"
 	"runtime"
+	"sync"
 	"testing"
 
 	"vcprof/internal/trace"
@@ -317,18 +319,20 @@ func TestSimReuseEqualsFresh(t *testing.T) {
 }
 
 // TestReplaySteadyStateAllocBytes is the replay half of the allocation
-// budget: once the free list holds a hierarchy, building a Sim and
-// running a short window allocates the front-end tables and the result,
-// not a cache hierarchy (7.9 MB; New used to build one per Sim and Run
-// a BTB per call).
+// budget: once the free lists hold a front end and a hierarchy,
+// building a Sim and running a short window allocates the Sim, the
+// rings, the unit pools and the result, about 3 KB, and no table: not a
+// cache hierarchy (7.9 MB; New used to build one per Sim), and not the
+// predictor, BTB or L1I (the smallest, the 8 KB TAGE, was built per Sim
+// before the front end was borrowed).
 func TestReplaySteadyStateAllocBytes(t *testing.T) {
-	w := mixedWindow(5_000, 3)
+	win := trace.WindowOf(mixedWindow(5_000, 3))
 	pair := func() {
 		s, err := New(Broadwell())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Run(trace.WindowOf(w)); err != nil {
+		if _, err := s.Run(win); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,9 +341,56 @@ func TestReplaySteadyStateAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	pair()
 	runtime.ReadMemStats(&m1)
-	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
-		t.Errorf("a warm New+Run pair allocated %d bytes, want under 1 MB", grew)
+	grew := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("a warm New+Run pair: %d bytes", grew)
+	if grew > 6<<10 {
+		t.Errorf("a warm New+Run pair allocated %d bytes, want at most 6 KB", grew)
 	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := New(Broadwell()); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("a warm New allocated %v times, want 1: the Sim", n)
+	}
+}
+
+// TestSimConcurrentRuns: a Sim holds no run's state, so goroutines may
+// replay on one Sim at once (run it under -race), each getting what a
+// run alone gets.
+func TestSimConcurrentRuns(t *testing.T) {
+	s, err := New(Broadwell())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := []trace.Window{trace.WindowOf(mixedWindow(20_000, 1)), trace.WindowOf(mixedWindow(20_000, 2))}
+	want := make([]Result, len(wins))
+	for i, w := range wins {
+		r, err := s.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = *r
+	}
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 4 {
+				i := (g + k) % len(wins)
+				got, err := s.RunCtx(context.Background(), wins[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if *got != want[i] {
+					t.Errorf("goroutine %d run %d: window %d gave %+v, alone %+v", g, k, i, *got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPerOpStepDoesNotAllocate: a replay allocates its setup (rings,

@@ -36,28 +36,33 @@ func (f *scanPool) reserve(ready, busy uint64) (start uint64) {
 	return start
 }
 
-// counters are the cache levels a replay leaves behind: the Sim's
-// I-cache and the data hierarchy it ran on.
+// counters are the cache levels a replay leaves behind: the front
+// end's I-cache and the data hierarchy it ran on.
 type counters struct{ L1I, L1D, L2, LLC cache.Stats }
 
-func countersOf(s *Sim, mem *cache.Hierarchy) counters {
-	return counters{s.icache.Stats(), mem.L1.Stats(), mem.L2.Stats(), mem.LLC.Stats()}
+func countersOf(fe *frontEnd, mem *cache.Hierarchy) counters {
+	return counters{fe.icache.Stats(), mem.L1.Stats(), mem.L2.Stats(), mem.LLC.Stats()}
 }
 
-// runCounted is Run on a data hierarchy the test holds, so that its
-// counters can be read after the replay.
+// runCounted is Run on a front end and data hierarchy the test holds,
+// so that their counters can be read after the replay.
 func runCounted(s *Sim, win trace.Window) (*Result, counters, error) {
 	if win.Len() == 0 {
 		res, err := s.Run(win)
 		return res, counters{}, err
 	}
+	fe, err := acquireFront(s.cfg)
+	if err != nil {
+		return nil, counters{}, err
+	}
+	defer fe.release(s.cfg)
 	mem, err := cache.Acquire(s.cfg)
 	if err != nil {
 		return nil, counters{}, err
 	}
 	defer mem.Release()
-	res := s.replay(context.Background(), win, mem)
-	return res, countersOf(s, mem), nil
+	res := s.replay(context.Background(), win, fe, mem)
+	return res, countersOf(fe, mem), nil
 }
 
 // refRun is the replay loop RunCtx had before it batched same-line
@@ -73,14 +78,16 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, counters, error) {
 	if len(ops) == 0 {
 		return nil, counters{}, fmt.Errorf("pipeline: empty trace")
 	}
+	fe, err := acquireFront(s.cfg)
+	if err != nil {
+		return nil, counters{}, err
+	}
+	defer fe.release(s.cfg)
 	mem, err := cache.Acquire(s.cfg)
 	if err != nil {
 		return nil, counters{}, err
 	}
 	defer mem.Release()
-	s.pred.Reset()
-	s.btb.Reset()
-	s.icache.Reset()
 	cfg := s.cfg
 	res := &Result{Ops: uint64(len(ops))}
 
@@ -124,7 +131,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, counters, error) {
 		}
 		fetch := fetchAvail
 		if op.PC != 0 {
-			if hit, _ := s.icache.Access(uint64(op.PC), false); !hit {
+			if hit, _ := fe.icache.Access(uint64(op.PC), false); !hit {
 				// Instruction fetch miss: frontend bubble (L2 hit latency —
 				// the synthetic code footprint fits L2 easily).
 				fetch += uint64(cfg.L2.LatencyCyc)
@@ -217,7 +224,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, counters, error) {
 			res.StallFU += start - ready
 			done = start + 1
 			res.Branches++
-			if s.pred.Step(uint64(op.PC), op.Taken) != op.Taken {
+			if fe.pred.Step(uint64(op.PC), op.Taken) != op.Taken {
 				res.Mispredicts++
 				// Redirect: fetch restarts after the branch resolves plus
 				// the flush/refill penalty. The wasted slots are the
@@ -232,10 +239,10 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, counters, error) {
 				// Taken branches end the fetch group: a one-cycle bubble,
 				// plus a redirect bubble when the target misses in the BTB.
 				bubble := uint64(1)
-				if _, hit := s.btb.Lookup(uint64(op.PC)); !hit {
+				if _, hit := fe.btb.Lookup(uint64(op.PC)); !hit {
 					bubble += 2
 				}
-				s.btb.Update(uint64(op.PC), uint64(op.PC)+16)
+				fe.btb.Update(uint64(op.PC), uint64(op.PC)+16)
 				fetchAvail += bubble
 				fetchInGroup = 0
 				frontendStall += bubble
@@ -279,7 +286,7 @@ func refRun(s *Sim, ops []trace.MicroOp) (*Result, counters, error) {
 		res.FrontendSlots = rem
 	}
 	res.BackendSlots = rem - res.FrontendSlots
-	return res, countersOf(s, mem), nil
+	return res, countersOf(fe, mem), nil
 }
 
 // runWindow draws a window shaped like a tape's expansion: runs of
